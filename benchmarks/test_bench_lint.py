@@ -6,12 +6,10 @@ passes (including the interprocedural race/escape/wire analyses, the
 async-hazard and wire-taint passes, and the call graph they all share)
 running over that one AST forest.
 
-Two budgets are enforced:
-
-- the eight-pass run stays within 2x a six-pass (pre-asyncflow/taint)
-  run measured in-process, so the budget holds on any machine;
-- a focused (``--changed``-style) run finishes in interactive
-  pre-commit time.
+One machine-independent budget is enforced: the eight-pass run stays
+within 2x a six-pass (DVS001-015, pre-asyncflow/taint) run measured
+in-process.  There is no cache and no diff-scoped mode, so every run
+is the cold whole-tree run; its wall time is recorded.
 
 Results are written to ``BENCH_lint.json`` at the repository root (CI
 archives it as an artifact).
@@ -41,9 +39,6 @@ SIX_PASS_RULES = frozenset(
     "DVS{0:03d}".format(number) for number in range(1, 16)
 )
 
-#: Hard ceiling for a focused pre-commit run (seconds).
-FOCUSED_BUDGET_SECONDS = 2.0
-
 
 def _best_of(runs, **kwargs):
     timings = []
@@ -54,39 +49,34 @@ def _best_of(runs, **kwargs):
     return min(timings), report
 
 
-def _merge_result(section, payload):
-    merged = {}
-    if os.path.exists(RESULT_PATH):
-        with open(RESULT_PATH, "r", encoding="utf-8") as handle:
-            merged = json.load(handle)
-    merged[section] = payload
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2)
-        handle.write("\n")
-
-
 def test_bench_full_tree_lint():
     file_count = len(list(iter_python_files([SRC])))
     assert file_count > 50
 
-    report = lint_paths([SRC])  # warm-up (bytecode, imports)
+    started = time.perf_counter()
+    report = lint_paths([SRC])  # first run in this process
+    cold = time.perf_counter() - started
     assert report.ok, report.to_text()
 
     best, report = _best_of(RUNS)
     six_pass_config = LintConfig(select=SIX_PASS_RULES)
     baseline, _ = _best_of(RUNS, config=six_pass_config)
 
-    _merge_result("lint-full-tree", {
+    result = {"lint-full-tree": {
         "files_scanned": report.files_scanned,
         "passes": report.engine["passes"],
         "ir_functions": report.engine["ir_functions"],
         "callgraph_edges": report.engine["callgraph_edges"],
         "runs": RUNS,
+        "cold_seconds": round(cold, 4),
         "best_seconds": round(best, 4),
         "six_pass_best_seconds": round(baseline, 4),
         "slowdown_vs_six_pass": round(best / baseline, 3),
         "files_per_second": round(report.files_scanned / best, 1),
-    })
+    }}
+    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
+        json.dump(result, handle, indent=2)
+        handle.write("\n")
 
     # The tree lints in interactive time: the shared-AST design keeps
     # the eight passes from re-parsing 100+ files eight times over.
@@ -95,23 +85,3 @@ def test_bench_full_tree_lint():
     # The asyncflow/taint additions ride the existing parse + call
     # graph: together they may not double the engine's wall time.
     assert best <= 2.0 * baseline, (best, baseline)
-
-
-def test_bench_focused_lint():
-    focus = [os.path.join(SRC, "runtime", "node.py")]
-    report = lint_paths([SRC], focus=focus)  # warm-up
-    assert report.ok, report.to_text()
-
-    best, report = _best_of(RUNS, focus=focus)
-    assert report.engine["focus"]["files"]
-    assert report.engine["focus"]["neighbors"]
-
-    _merge_result("lint-focused", {
-        "focus_files": len(report.engine["focus"]["files"]),
-        "neighbors": len(report.engine["focus"]["neighbors"]),
-        "runs": RUNS,
-        "best_seconds": round(best, 4),
-    })
-
-    # Pre-commit latency: parse + all passes + neighbor computation.
-    assert best < FOCUSED_BUDGET_SECONDS, best

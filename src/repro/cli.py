@@ -452,39 +452,6 @@ def _cmd_replay(args):
     return 1
 
 
-def _changed_python_files(base):
-    """Python files touched vs ``base`` plus untracked ones, per git.
-
-    Paths come back absolute: git prints them relative to the repo
-    toplevel, which need not be the working directory."""
-    import os
-    import subprocess
-
-    def git(*argv):
-        proc = subprocess.run(
-            ("git",) + argv, capture_output=True, text=True, check=False
-        )
-        if proc.returncode != 0:
-            raise SystemExit("lint --changed: 'git {0}' failed: {1}".format(
-                " ".join(argv), proc.stderr.strip()
-            ))
-        return proc.stdout
-
-    toplevel = git("rev-parse", "--show-toplevel").strip()
-    files = set()
-    for listing in (
-        git("diff", "--name-only", base, "--"),
-        git("ls-files", "--others", "--exclude-standard",
-            "--full-name", toplevel),
-    ):
-        files.update(
-            os.path.join(toplevel, line.strip())
-            for line in listing.splitlines()
-            if line.strip().endswith(".py")
-        )
-    return sorted(files)
-
-
 def _cmd_lint(args):
     from repro.lint import RULES, LintConfig, lint_paths
 
@@ -502,61 +469,12 @@ def _cmd_lint(args):
             for rule in spec.split(",")
             if rule.strip()
         ))
-    focus = None
-    if args.changed:
-        focus = _changed_python_files(args.changed_base)
-        if not focus:
-            print("lint: no python files changed against {0}".format(
-                args.changed_base
-            ))
-            return 0
-    paths = args.paths or ["src/repro"]
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.changed_only and cache_dir is None:
-        raise SystemExit("lint: --changed-only requires the cache "
-                         "(drop --no-cache)")
-    report = lint_paths(
-        paths, config=config, focus=focus, cache_dir=cache_dir,
-        jobs=args.jobs, changed_only=args.changed_only,
-    )
-    if focus is not None:
-        print("lint: focused on {0} changed file(s) + {1} call-graph "
-              "neighbor(s)".format(
-                  len(report.engine["focus"]["files"]),
-                  len(report.engine["focus"]["neighbors"]),
-              ))
-    cache_stats = report.engine.get("cache")
-    if cache_stats is not None:
-        print("lint: cache {0} hit(s), {1} miss(es), {2} file(s) "
-              "analyzed".format(cache_stats["hits"],
-                                cache_stats["misses"],
-                                cache_stats["analyzed"]))
+    report = lint_paths(args.paths or ["src/repro"], config=config)
     if args.baseline:
         import json as _json
 
         with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline_data = _json.load(handle)
-        if args.prune_baseline:
-            from repro.lint.report import prune_baseline
-
-            kept, pruned = prune_baseline(
-                baseline_data, report.findings
-            )
-            if pruned:
-                if isinstance(baseline_data, dict):
-                    baseline_data["findings"] = kept
-                else:
-                    baseline_data = kept
-                with open(args.baseline, "w",
-                          encoding="utf-8") as handle:
-                    _json.dump(baseline_data, handle, indent=2)
-                    handle.write("\n")
-            print("lint: baseline pruned {0} retired entr{1}".format(
-                len(pruned), "y" if len(pruned) == 1 else "ies"
-            ))
-        report = report.apply_baseline(baseline_data)
-    elif args.prune_baseline:
-        raise SystemExit("lint: --prune-baseline requires --baseline")
+            report = report.apply_baseline(_json.load(handle))
     if args.format == "json":
         rendered = report.to_json()
     elif args.format == "sarif":
@@ -842,7 +760,7 @@ def build_parser():
         help="static analysis: automaton well-formedness, determinism, "
              "cross-process aliasing, thread-boundary races, effect "
              "alias escapes, wire-schema drift, async hazards, "
-             "wire-taint flows, protocol typestate, spec conformance",
+             "wire-taint flows",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -860,41 +778,6 @@ def build_parser():
         "--select", action="append", default=[],
         help="comma-separated rule ids to enable (repeatable; "
              "default: all)",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="report only findings in files changed per git (plus "
-             "their call-graph neighbors); the whole tree is still "
-             "parsed so interprocedural passes stay sound",
-    )
-    lint.add_argument(
-        "--changed-base", default="HEAD", metavar="REV",
-        help="git revision --changed diffs against (default: HEAD)",
-    )
-    lint.add_argument(
-        "--changed-only", action="store_true",
-        help="analyze only the dependency cones of files whose "
-             "cache cone key missed (implies the result cache); "
-             "clean files report their cached findings",
-    )
-    lint.add_argument(
-        "--cache-dir", default=".lint-cache", metavar="DIR",
-        help="directory for the per-file result cache "
-             "(default: .lint-cache)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache (always analyze everything "
-             "from scratch)",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fork the passes across N processes (default: 1)",
-    )
-    lint.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite --baseline in place, dropping retired entries "
-             "(unregistered rules, rotated version contexts)",
     )
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule registry and exit")

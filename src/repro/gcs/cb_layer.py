@@ -13,6 +13,7 @@ and CB does not.
 from repro.cb.clocks import drain, put
 from repro.cb.messages import CbCast
 from repro.gcs.dvs_layer import DvsListener
+from repro.gcs.recorder import RecorderMixin
 
 
 class CbListener:
@@ -22,7 +23,7 @@ class CbListener:
         """The next payload in some causally-consistent order."""
 
 
-class CbLayer(DvsListener):
+class CbLayer(DvsListener, RecorderMixin):
     """One process's causal-broadcast engine, over a DVS layer."""
 
     def __init__(self, dvs, initial_view, listener=None, recorder=None,
@@ -101,17 +102,6 @@ class CbLayer(DvsListener):
             self._probe("cb_deliver", msg, self.pid)
             self._record("cb_brcv", msg, msg.origin, self.pid)
             self.listener.on_cb_brcv(msg.payload, msg.origin)
-
-    def _record(self, name, *params):
-        if self.recorder is not None:
-            self.recorder.record(name, *params)
-
-    def _probe(self, name, *params):
-        """Tracer-only span event (never enters the action log)."""
-        if self.recorder is not None:
-            probe = getattr(self.recorder, "probe", None)
-            if probe is not None:
-                probe(name, *params)
 
 
 class _FanoutPort:

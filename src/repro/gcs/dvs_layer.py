@@ -21,6 +21,7 @@ is checked against the same DVS trace properties.
 from repro.core.messages import InfoMsg, RegisteredMsg
 from repro.core.viewids import vid_gt
 from repro.dvs.vs_to_dvs import AckMsg
+from repro.gcs.recorder import RecorderMixin
 from repro.gcs.vs_stack import VsListener
 
 
@@ -37,7 +38,7 @@ class DvsListener:
         """The payload is delivered at every member of the primary view."""
 
 
-class DvsLayer(VsListener):
+class DvsLayer(VsListener, RecorderMixin):
     """One process's dynamic-primary filter, over a VS stack node."""
 
     def __init__(self, stack, initial_view, listener=None, recorder=None,
@@ -219,14 +220,3 @@ class DvsLayer(VsListener):
             self.safe_ptr += 1
             self._record("dvs_safe", payload, sender, self.pid)
             self.listener.on_dvs_safe(payload, sender)
-
-    def _record(self, name, *params):
-        if self.recorder is not None:
-            self.recorder.record(name, *params)
-
-    def _probe(self, name, *params):
-        """Tracer-only span event (never enters the action log)."""
-        if self.recorder is not None:
-            probe = getattr(self.recorder, "probe", None)
-            if probe is not None:
-                probe(name, *params)

@@ -10,6 +10,7 @@ order.
 
 from repro.core.viewids import G0
 from repro.gcs.dvs_layer import DvsListener
+from repro.gcs.recorder import RecorderMixin
 from repro.to.summaries import Label, Summary, fullorder, maxnextconfirm
 
 NORMAL = "normal"
@@ -24,7 +25,7 @@ class ToListener:
         """The next payload in the system-wide total order."""
 
 
-class ToLayer(DvsListener):
+class ToLayer(DvsListener, RecorderMixin):
     """One process's totally-ordered-broadcast engine, over a DVS layer."""
 
     def __init__(self, dvs, initial_view, listener=None, recorder=None,
@@ -160,14 +161,3 @@ class ToLayer(DvsListener):
             self._probe("to_deliver", label, self.pid)
             self._record("brcv", payload, label.origin, self.pid)
             self.listener.on_brcv(payload, label.origin)
-
-    def _record(self, name, *params):
-        if self.recorder is not None:
-            self.recorder.record(name, *params)
-
-    def _probe(self, name, *params):
-        """Tracer-only span event (never enters the action log)."""
-        if self.recorder is not None:
-            probe = getattr(self.recorder, "probe", None)
-            if probe is not None:
-                probe(name, *params)

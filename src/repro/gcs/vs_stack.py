@@ -41,6 +41,7 @@ from repro.gcs.messages import (
     SafeNote,
     StateReply,
 )
+from repro.gcs.recorder import RecorderMixin
 from repro.net.simulator import Node
 
 
@@ -73,7 +74,7 @@ class _ViewOrderingState:
         self.next_safe_report = 1
 
 
-class VsStackNode(Node):
+class VsStackNode(Node, RecorderMixin):
     """One process of the concrete view-synchronous stack.
 
     ``member`` overrides the default membership test (``pid in
@@ -230,14 +231,3 @@ class VsStackNode(Node):
             payload, sender = ordering.buffer[seq]
             self._record("vs_safe", payload, sender, self.pid)
             self.listener.on_vs_safe(payload, sender)
-
-    def _record(self, name, *params):
-        if self.recorder is not None:
-            self.recorder.record(name, *params)
-
-    def _probe(self, name, *params):
-        """Tracer-only span event (never enters the action log)."""
-        if self.recorder is not None:
-            probe = getattr(self.recorder, "probe", None)
-            if probe is not None:
-                probe(name, *params)

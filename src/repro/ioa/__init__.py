@@ -31,11 +31,6 @@ from repro.ioa.errors import (
 )
 from repro.ioa.execution import Execution, Step
 from repro.ioa.invariants import InvariantSuite, check_invariants
-from repro.ioa.metadata import (
-    AutomatonInfo,
-    TransitionInfo,
-    automaton_metadata,
-)
 from repro.ioa.model_check import BoundedExplorer, ExplorationResult
 from repro.ioa.refinement import RefinementChecker
 from repro.ioa.renaming import Renamed
@@ -51,7 +46,6 @@ __all__ = [
     "Action",
     "ActionNotEnabled",
     "Automaton",
-    "AutomatonInfo",
     "BoundedExplorer",
     "Composition",
     "CompositionError",
@@ -68,10 +62,8 @@ __all__ = [
     "State",
     "Step",
     "TransitionAutomaton",
-    "TransitionInfo",
     "UnknownAction",
     "act",
-    "automaton_metadata",
     "check_invariants",
     "fingerprint",
     "run_fair",

@@ -1,8 +1,8 @@
 """``repro lint``: static analysis for the simulation stack and the
-live runtime, built on a per-function IR, a project-wide call graph
-and a monotone dataflow framework.
+live runtime, built on a per-function IR and a project-wide call
+graph.
 
-Ten passes guard the properties the paper's formalism rests on:
+Eight passes guard the properties the paper's formalism rests on:
 
 1. *well-formedness* -- faithful precondition/effect automata
    (rules DVS001-DVS005);
@@ -21,13 +21,7 @@ Ten passes guard the properties the paper's formalism rests on:
    lock-order cycles (rules DVS016-DVS019);
 8. *taint* -- wire-taint tracking from the codec's decode paths to
    automaton-state/key/delay sinks, plus unbounded receive-path
-   containers (rules DVS020-DVS021);
-9. *typestate* -- must-typestate protocols on the dataflow framework:
-   fanout-port lifecycle, send-after-close, harness arm order,
-   view-scoped clock state (rules DVS023-DVS026);
-10. *specconf* -- spec conformance: downcalls guarded wherever the
-    spec automaton's effect is a silent no-op, and no impl drift from
-    the package's spec automaton (rules DVS022, DVS027).
+   containers (rules DVS020-DVS021).
 
 Use from code or tests::
 
@@ -36,70 +30,45 @@ Use from code or tests::
     assert report.ok, report.to_text()
 
 or from the command line: ``python -m repro lint src/repro``
-(``--format sarif``, ``--baseline report.json``, ``--changed-only``
-and ``--jobs N`` are supported; results are cached per file under
-``.lint-cache/`` keyed by dependency cone).
+(``--format sarif``, ``--baseline report.json`` and ``--select`` are
+supported).  Every run is one cold pass over the whole tree.
 """
 
-from repro.lint.cache import LintCache, cone_of, engine_fingerprint
 from repro.lint.callgraph import ProjectModel, build_project
 from repro.lint.config import (
-    DEFAULT_CLOCK_MODULES,
     DEFAULT_CODEC_GLOBS,
     DEFAULT_EVENT_PATH_GLOBS,
     DEFAULT_RULE_EXCLUDES,
     DEFAULT_RUNTIME_GLOBS,
-    DEFAULT_SPEC_GLOBS,
     DEFAULT_TAINT_VALIDATORS,
     DEFAULT_WIRE_MESSAGE_GLOBS,
     LintConfig,
 )
-from repro.lint.dataflow import (
-    Analysis,
-    SummaryTable,
-    facts_at_statements,
-    run_forward,
-)
 from repro.lint.engine import iter_python_files, lint_paths
 from repro.lint.ir import CFG, FunctionIR, build_cfg
-from repro.lint.report import (
-    Finding,
-    JSON_SCHEMA_VERSION,
-    Report,
-    prune_baseline,
-)
+from repro.lint.report import Finding, JSON_SCHEMA_VERSION, Report
 from repro.lint.rules import PASSES, RULES, Rule, rules_for_pass
 
 __all__ = [
-    "Analysis",
     "CFG",
-    "DEFAULT_CLOCK_MODULES",
     "DEFAULT_CODEC_GLOBS",
     "DEFAULT_EVENT_PATH_GLOBS",
     "DEFAULT_RULE_EXCLUDES",
     "DEFAULT_RUNTIME_GLOBS",
-    "DEFAULT_SPEC_GLOBS",
     "DEFAULT_TAINT_VALIDATORS",
     "DEFAULT_WIRE_MESSAGE_GLOBS",
     "Finding",
     "FunctionIR",
     "JSON_SCHEMA_VERSION",
-    "LintCache",
     "LintConfig",
     "PASSES",
     "ProjectModel",
     "RULES",
     "Report",
     "Rule",
-    "SummaryTable",
     "build_cfg",
     "build_project",
-    "cone_of",
-    "engine_fingerprint",
-    "facts_at_statements",
     "iter_python_files",
     "lint_paths",
-    "prune_baseline",
     "rules_for_pass",
-    "run_forward",
 ]

@@ -66,89 +66,6 @@ DEFAULT_TAINT_VALIDATORS = (
     "_validate",
 )
 
-#: Modules hosting spec automata for the spec-conformance pass
-#: (DVS022/DVS027).  An automaton also counts as a spec when its class
-#: name ends in :attr:`LintConfig.spec_class_suffix`, so single-file
-#: fixtures can pair a spec and an impl.
-DEFAULT_SPEC_GLOBS = (
-    "*/spec.py",
-)
-
-#: Fan-out demultiplexer classes whose ports follow the claim/bind
-#: lifecycle checked by DVS023.
-DEFAULT_FANOUT_CLASSES = (
-    "DvsFanout",
-)
-
-#: Methods that *drive* a fanout port (DVS023): calling one on a port
-#: that is not yet bound to a tower bypasses the registration gate.
-DEFAULT_PORT_DRIVE_METHODS = (
-    "gpsnd",
-    "register",
-)
-
-#: Method names that close a handle (DVS024).  Methods whose
-#: interprocedural summary shows they unconditionally call one of
-#: these on ``self`` count as closers too.
-DEFAULT_HANDLE_CLOSERS = (
-    "close",
-    "stop",
-    "leave",
-)
-
-#: Method names that send on a handle (DVS024's sinks).
-DEFAULT_HANDLE_SENDERS = (
-    "send",
-    "send_frame",
-    "bcast",
-    "gpsnd",
-    "cbcast",
-)
-
-#: Method names that re-open a handle, returning it to unknown state
-#: (DVS024 stops tracking after one of these).
-DEFAULT_HANDLE_REOPENERS = (
-    "start",
-    "restart",
-    "open",
-    "connect",
-    "reopen",
-)
-
-#: Observability attributes a harness must arm *before* ``start()``
-#: (DVS025): assigning one of these on a started harness misses the
-#: formation events.
-DEFAULT_HARNESS_ARM_ATTRS = (
-    "monitor",
-    "nemesis",
-    "recorder",
-    "tracer",
-    "record",
-    "obs",
-    "wiretap",
-)
-
-#: Workload methods that must run *after* ``start()`` (DVS025).
-DEFAULT_HARNESS_DRIVE_METHODS = (
-    "bcast",
-    "cbcast",
-    "run",
-    "settle",
-    "wait_formation",
-    "wait_until",
-    "call_app",
-    "call_cb_app",
-    "kill",
-    "restart",
-)
-
-#: Dotted modules whose constructors produce view-scoped clock values
-#: (DVS026): attributes fed from these must be reset by the class's
-#: ``on_*newview`` handler.
-DEFAULT_CLOCK_MODULES = (
-    "repro.cb.clocks",
-)
-
 
 def _match(path, pattern):
     posix = str(path).replace("\\", "/")
@@ -176,16 +93,6 @@ class LintConfig:
     covered by the wire registry.
     ``taint_validators`` -- callable name prefixes/exact names the
     taint pass accepts as wire-input validators (DVS020).
-    ``spec_globs`` / ``spec_class_suffix`` -- which automata are spec
-    automata for the spec-conformance pass (DVS022/DVS027).
-    ``fanout_classes`` / ``port_drive_methods`` -- the fanout port
-    lifecycle vocabulary for DVS023.
-    ``handle_closers`` / ``handle_senders`` / ``handle_reopeners`` --
-    the handle lifecycle vocabulary for DVS024.
-    ``harness_arm_attrs`` / ``harness_drive_methods`` -- the harness
-    lifecycle vocabulary for DVS025.
-    ``clock_modules`` -- dotted modules producing view-scoped clock
-    values for DVS026.
     """
 
     select: frozenset = field(
@@ -199,16 +106,6 @@ class LintConfig:
     codec_globs: tuple = DEFAULT_CODEC_GLOBS
     wire_message_globs: tuple = DEFAULT_WIRE_MESSAGE_GLOBS
     taint_validators: tuple = DEFAULT_TAINT_VALIDATORS
-    spec_globs: tuple = DEFAULT_SPEC_GLOBS
-    spec_class_suffix: str = "Spec"
-    fanout_classes: tuple = DEFAULT_FANOUT_CLASSES
-    port_drive_methods: tuple = DEFAULT_PORT_DRIVE_METHODS
-    handle_closers: tuple = DEFAULT_HANDLE_CLOSERS
-    handle_senders: tuple = DEFAULT_HANDLE_SENDERS
-    handle_reopeners: tuple = DEFAULT_HANDLE_REOPENERS
-    harness_arm_attrs: tuple = DEFAULT_HARNESS_ARM_ATTRS
-    harness_drive_methods: tuple = DEFAULT_HARNESS_DRIVE_METHODS
-    clock_modules: tuple = DEFAULT_CLOCK_MODULES
 
     def __post_init__(self):
         self.select = frozenset(self.select)
@@ -216,15 +113,6 @@ class LintConfig:
         self.codec_globs = tuple(self.codec_globs)
         self.wire_message_globs = tuple(self.wire_message_globs)
         self.taint_validators = tuple(self.taint_validators)
-        self.spec_globs = tuple(self.spec_globs)
-        self.fanout_classes = tuple(self.fanout_classes)
-        self.port_drive_methods = tuple(self.port_drive_methods)
-        self.handle_closers = tuple(self.handle_closers)
-        self.handle_senders = tuple(self.handle_senders)
-        self.handle_reopeners = tuple(self.handle_reopeners)
-        self.harness_arm_attrs = tuple(self.harness_arm_attrs)
-        self.harness_drive_methods = tuple(self.harness_drive_methods)
-        self.clock_modules = tuple(self.clock_modules)
         unknown = self.select - set(RULES)
         if unknown:
             raise ValueError(
@@ -278,11 +166,4 @@ class LintConfig:
         return any(
             _match(path, pattern)
             for pattern in self.wire_message_globs
-        )
-
-    def is_spec_path(self, path):
-        """Whether the module at ``path`` hosts spec automata for the
-        spec-conformance pass."""
-        return any(
-            _match(path, pattern) for pattern in self.spec_globs
         )

@@ -1,4 +1,4 @@
-"""The lint driver: file discovery, passes, caching, suppressions.
+"""The lint driver: file discovery, passes, suppressions.
 
 Suppression: a finding is dropped when the *flagged line* carries a
 ``# lint: ignore`` comment -- bare (suppresses every rule on the line)
@@ -6,18 +6,6 @@ or targeted: ``# lint: ignore[DVS008]``, ``# lint: ignore[DVS004,
 DVS005]``.  Suppressions are deliberately line-scoped; there is no
 file- or project-wide escape hatch, so every accepted violation stays
 visible at its site.
-
-Incrementality (``cache_dir``): raw findings are cached per file under
-a dependency-cone key (:mod:`repro.lint.cache`); a fully-warm run does
-no parsing at all, and ``changed_only`` narrows analysis to the dirty
-files' dependency cones.  Suppressions and package excludes are always
-re-applied from the current sources, so a cached finding still honours
-a freshly added pragma.
-
-Parallelism (``jobs``): passes fork into a process pool (the parsed
-model is inherited copy-on-write), falling back to serial execution
-where ``fork`` is unavailable.  Pass order -- and therefore finding
-order -- is preserved either way.
 """
 
 import os
@@ -29,38 +17,23 @@ from repro.lint import (
     determinism,
     escape,
     races,
-    specconf,
     taint,
-    typestate,
     wellformed,
     wire,
 )
-from repro.lint.cache import (
-    LintCache,
-    augmented_graph,
-    cone_key,
-    cone_of,
-    config_fingerprint,
-    file_sha,
-)
-from repro.lint.callgraph import Target, build_project
+from repro.lint.callgraph import build_project
 from repro.lint.config import LintConfig
 from repro.lint.model import SourceModel
 from repro.lint.report import Report
 
 _PASSES = (
     wellformed, determinism, aliasing, races, asyncflow, escape, wire,
-    taint, typestate, specconf,
+    taint,
 )
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"
 )
-
-#: Fork-inherited state for the process pool (set just before the pool
-#: is created, cleared right after; children read it at task time).
-#: Linter infrastructure, never imported by simulated processes.
-_WORKER_STATE = {}  # lint: ignore[DVS010]
 
 
 def iter_python_files(paths):
@@ -116,257 +89,57 @@ def _apply_suppressions(findings, suppression_tables):
     return kept, suppressed
 
 
-def _callgraph_neighbors(model, focus_files):
-    """Files with a call-graph edge to or from any focus file."""
-    project = build_project(model)
-    neighbors = set()
-    for ir in project._all_irs():
-        irs = [ir]
-        while irs:
-            current = irs.pop()
-            irs.extend(current.nested.values())
-            for site in current.calls:
-                for res in project.resolve(site, current):
-                    if not isinstance(res, Target) or res.ir is None:
-                        continue
-                    src = os.path.abspath(current.path)
-                    dst = os.path.abspath(res.ir.path)
-                    if src == dst:
-                        continue
-                    if src in focus_files:
-                        neighbors.add(dst)
-                    elif dst in focus_files:
-                        neighbors.add(src)
-    return neighbors
-
-
-def _run_pass_index(index):
-    return _PASSES[index].run_pass(
-        _WORKER_STATE["model"], _WORKER_STATE["config"]
-    )
-
-
-def _run_passes(model, config, jobs):
-    """All passes over ``model``, forked across ``jobs`` processes when
-    possible, in registry order either way."""
-    if jobs and jobs > 1:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Materialize the shared interprocedural state before the
-            # fork so children inherit it copy-on-write instead of
-            # each rebuilding it.
-            build_project(model)
-            _WORKER_STATE["model"] = model
-            _WORKER_STATE["config"] = config
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(_PASSES)),
-                    mp_context=context,
-                ) as pool:
-                    results = list(
-                        pool.map(_run_pass_index, range(len(_PASSES)))
-                    )
-            finally:
-                _WORKER_STATE.clear()
-            return [f for result in results for f in result]
-    findings = []
-    for lint_pass in _PASSES:
-        findings.extend(lint_pass.run_pass(model, config))
-    return findings
-
-
-def _dedupe(findings):
-    # Inheritance-aware passes can reach the same definition through
-    # several subclasses.
-    unique = {}
-    for finding in findings:
-        unique.setdefault(
-            (finding.rule, finding.path, finding.line, finding.message),
-            finding,
-        )
-    return list(unique.values())
-
-
-def _build_model(files, sources):
-    model = SourceModel()
-    for path in files:
-        model.add_module(path, sources[path])
-    return model
-
-
-def lint_paths(paths, config=None, focus=None, cache_dir=None,
-               jobs=1, changed_only=False):
+def lint_paths(paths, config=None):
     """Lint ``paths`` (files and/or directories); return a
     :class:`~repro.lint.report.Report`.
 
     This is the pytest-importable API: the clean-tree gate is just
     ``assert lint_paths(["src/repro"]).ok``.
-
-    ``focus`` (``repro lint --changed``) restricts the *reported*
-    findings to the given files plus their call-graph neighbors.  The
-    whole tree is still parsed -- the interprocedural passes need the
-    full model to resolve receivers -- but pre-commit output stays
-    scoped to what the diff could have affected.
-
-    ``cache_dir`` enables the per-file result cache; ``changed_only``
-    (requires ``cache_dir``) analyzes only the dependency cones of
-    files whose cone key missed the cache.  ``jobs`` > 1 forks the
-    passes across a process pool.
     """
     config = config or LintConfig()
-    if changed_only and cache_dir is None:
-        raise ValueError("changed_only requires cache_dir")
     files = iter_python_files(paths)
-    sources = {}
-    for path in files:
-        with open(path, "r", encoding="utf-8") as handle:
-            sources[path] = handle.read()
-
-    cache_info = None
-    if cache_dir is not None and focus is None:
-        raw, cache_info, model = _lint_cached(
-            files, sources, config, cache_dir, jobs, changed_only
-        )
-    else:
-        model = _build_model(files, sources)
-        raw = _run_passes(model, config, jobs)
-
+    model = SourceModel()
     suppression_tables = {}
     for path in files:
-        suppression_tables[path] = suppressions_for(
-            sources[path].splitlines()
-        )
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        module = model.add_module(path, source)
+        if module is not None:
+            suppression_tables[path] = suppressions_for(module.lines)
 
+    raw = []
+    for lint_pass in _PASSES:
+        raw.extend(lint_pass.run_pass(model, config))
+
+    # Dedupe: inheritance-aware passes can reach the same definition
+    # through several subclasses.
+    unique = {}
+    for finding in raw:
+        unique.setdefault(
+            (finding.rule, finding.path, finding.line, finding.message),
+            finding,
+        )
     findings, suppressed = _apply_suppressions(
-        _dedupe(raw), suppression_tables
+        list(unique.values()), suppression_tables
     )
     kept = [
         finding for finding in findings
         if not config.excluded(finding.rule, finding.path)
     ]
-    excluded_count = len(findings) - len(kept)
-    focus_info = None
-    if focus is not None:
-        if model is None:
-            model = _build_model(files, sources)
-        # Absolute paths on both sides: git hands the CLI repo-relative
-        # names while lint paths may be absolute (or vice versa).
-        focus_files = {os.path.abspath(p) for p in focus}
-        scope = focus_files | _callgraph_neighbors(model, focus_files)
-        kept = [
-            finding for finding in kept
-            if os.path.abspath(finding.path) in scope
-        ]
-        focus_info = {
-            "files": sorted(focus_files),
-            "neighbors": sorted(scope - focus_files),
-        }
-    engine = {
-        "name": "ir-dataflow",
-        "passes": [lint_pass.__name__.rpartition(".")[2]
-                   for lint_pass in _PASSES],
-    }
-    if model is not None:
-        # The interprocedural passes build (and cache) the project
-        # model on the shared SourceModel; surface its size so reports
-        # identify the analysis backend that produced them.
-        project = build_project(model)
-        engine["ir_functions"] = project.function_count()
-        engine["callgraph_edges"] = project.edges
-    if jobs and jobs > 1:
-        engine["jobs"] = jobs
-    if cache_info is not None:
-        engine["cache"] = cache_info
-    if focus_info is not None:
-        engine["focus"] = focus_info
+    # The interprocedural passes build (and memoise) the project model
+    # on the shared SourceModel; surface its size so reports identify
+    # the analysis backend that produced them.
+    project = build_project(model)
     return Report(
         kept,
         files_scanned=len(files),
         suppressed=suppressed,
-        excluded=excluded_count,
-        engine=engine,
+        excluded=len(findings) - len(kept),
+        engine={
+            "name": "ir-dataflow",
+            "passes": [lint_pass.__name__.rpartition(".")[2]
+                       for lint_pass in _PASSES],
+            "ir_functions": project.function_count(),
+            "callgraph_edges": project.edges,
+        },
     )
-
-
-def _lint_cached(files, sources, config, cache_dir, jobs, changed_only):
-    """The cached analysis: returns ``(raw findings, cache stats,
-    model or None)`` -- the model is ``None`` on a fully-warm run,
-    which never parses anything."""
-    cache = LintCache(cache_dir)
-    config_fp = config_fingerprint(config)
-    shas = {path: file_sha(sources[path]) for path in files}
-    deps_by_path = {
-        path: cache.deps_for(path, shas[path], sources[path], files)
-        for path in files
-    }
-    graph = augmented_graph(deps_by_path, config)
-    keys = {
-        path: cone_key(path, graph, shas, config_fp, cache.engine_fp)
-        for path in files
-    }
-    cached = {
-        path: cache.findings_for(path, keys[path]) for path in files
-    }
-    dirty = [path for path in files if cached[path] is None]
-
-    if not dirty:
-        raw = [f for path in files for f in cached[path]]
-        info = {
-            "dir": cache_dir, "hits": len(files), "misses": 0,
-            "analyzed": 0, "changed_only": bool(changed_only),
-        }
-        cache.prune(files)
-        cache.save()
-        return raw, info, None
-
-    if changed_only:
-        analyze = set()
-        for path in dirty:
-            analyze |= cone_of(path, graph)
-        analyze = sorted(analyze)
-    else:
-        analyze = files
-    model = _build_model(analyze, sources)
-    fresh = _dedupe(_run_passes(model, config, jobs))
-    fresh_by_path = {path: [] for path in analyze}
-    for finding in fresh:
-        fresh_by_path.setdefault(finding.path, []).append(finding)
-
-    if changed_only:
-        # Cached results stay authoritative for clean files; only the
-        # dirty files take this (cone-scoped) run's findings.
-        store_for = dirty
-        dirty_set = set(dirty)
-        raw = []
-        for path in files:
-            if path in dirty_set:
-                raw.extend(fresh_by_path.get(path, ()))
-            else:
-                raw.extend(cached[path])
-    else:
-        # A full run is exactly what a cacheless run computes; it
-        # refreshes every entry.
-        store_for = analyze
-        raw = fresh
-    for path in store_for:
-        cache.store(
-            path, shas[path], deps_by_path[path], keys[path],
-            fresh_by_path.get(path, []),
-        )
-    cache.prune(files)
-    cache.save()
-    info = {
-        "dir": cache_dir,
-        "hits": len(files) - len(dirty),
-        "misses": len(dirty),
-        "analyzed": len(analyze),
-        "changed_only": bool(changed_only),
-    }
-    return raw, info, model

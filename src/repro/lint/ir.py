@@ -58,11 +58,6 @@ class CFG:
 
     def __init__(self):
         self.blocks = []
-        #: ``(src index, dst index) -> (test expr, sense)`` for edges
-        #: taken only when a branch condition holds (``sense=True``) or
-        #: fails (``sense=False``).  Dataflow analyses refine facts
-        #: along these edges; unconditional edges are simply absent.
-        self.edge_conditions = {}
         self.entry = self._new_block()
         self.exit_block = self._new_block()
 
@@ -110,22 +105,13 @@ def build_cfg(func):
             if isinstance(stmt, ast.If):
                 then_block = cfg._new_block()
                 current.add_edge(then_block)
-                cfg.edge_conditions[
-                    (current.index, then_block.index)
-                ] = (stmt.test, True)
                 then_out = lower(stmt.body, then_block, loop_targets)
-                # The false path always gets its own (possibly empty)
-                # block, so the condition can be attached to a distinct
-                # edge even without an ``else``.
-                else_block = cfg._new_block()
-                current.add_edge(else_block)
-                cfg.edge_conditions[
-                    (current.index, else_block.index)
-                ] = (stmt.test, False)
                 if stmt.orelse:
+                    else_block = cfg._new_block()
+                    current.add_edge(else_block)
                     else_out = lower(stmt.orelse, else_block, loop_targets)
                 else:
-                    else_out = else_block
+                    else_out = current
                 after = cfg._new_block()
                 outs = [b for b in (then_out, else_out) if b is not None]
                 if not outs:
@@ -141,13 +127,6 @@ def build_cfg(func):
                 head.add_edge(after)  # zero-iteration / condition false
                 body = cfg._new_block()
                 head.add_edge(body)
-                if isinstance(stmt, ast.While):
-                    cfg.edge_conditions[
-                        (head.index, body.index)
-                    ] = (stmt.test, True)
-                    cfg.edge_conditions[
-                        (head.index, after.index)
-                    ] = (stmt.test, False)
                 body_out = lower(stmt.body, body, (head, after))
                 if body_out is not None:
                     body_out.add_edge(head)

@@ -109,42 +109,6 @@ class Finding:
         )
 
 
-def prune_baseline(baseline, current_findings):
-    """Split a baseline into ``(kept entries, pruned entries)``.
-
-    A baseline entry is *retired* -- pruned rather than kept -- when it
-    can no longer waive anything:
-
-    - its rule id is no longer registered (the rule was removed or
-      renamed), or
-    - it carries a version-scoped ``context`` qualifier (e.g.
-      ``wire-schema-v1``) that no current finding carries: either the
-      artifact version rotated past it, or the finding it waived is
-      gone.  Context-free entries are kept even when currently unused,
-      since their fingerprints stay comparable across runs.
-
-    ``baseline`` is a parsed report dict or an iterable of finding
-    dicts; ``current_findings`` the :class:`Finding` list of the run
-    being baselined.
-    """
-    if isinstance(baseline, dict):
-        entries = baseline.get("findings", [])
-    else:
-        entries = list(baseline)
-    live_contexts = {
-        finding.context for finding in current_findings
-        if finding.context
-    }
-    kept, pruned = [], []
-    for entry in entries:
-        retired = entry.get("rule") not in RULES or (
-            entry.get("context", "")
-            and entry["context"] not in live_contexts
-        )
-        (pruned if retired else kept).append(entry)
-    return kept, pruned
-
-
 class Report:
     """The outcome of one lint run over a set of files."""
 

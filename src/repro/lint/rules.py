@@ -34,13 +34,6 @@ Passes (see DESIGN.md section 7):
    must pass a registered validator before reaching automaton state,
    container keys or timer delays, and receive-path containers must be
    pruned or bounded.
-9. **typestate** -- must-typestate analyses on the monotone dataflow
-   framework (DESIGN.md section 15): fanout-port lifecycle,
-   send-after-close, harness arm-order and view-scoped clock state.
-10. **specconf** -- spec-conformance: layer downcalls must be guarded
-    wherever the spec automaton's effect is a silent no-op outside
-    its enabling state, and impl automata must not drift from their
-    package's spec automaton.
 
 ``level`` is the SARIF severity the rule reports at: ``error`` for
 contract violations, ``warning`` for heuristic or resource-hygiene
@@ -258,73 +251,6 @@ _RULES = (
         "it forever",
         level="warning",
     ),
-    Rule(
-        "DVS022",
-        "unguarded-spec-send",
-        "specconf",
-        "layer downcall reachable while its spec enabling state may "
-        "be unset",
-        "guard the send on the enabling attribute (if self.cur is "
-        "None: return / if self.cur is not None: ...); the spec "
-        "automaton's effect silently drops the action when the "
-        "process has no current view, so an unguarded send is a "
-        "silent message loss",
-    ),
-    Rule(
-        "DVS023",
-        "fanout-port-misuse",
-        "typestate",
-        "fanout port driven before it is bound to a tower (or "
-        "claimed and dropped)",
-        "pass the port straight into the tower constructor; driving "
-        "a bare port bypasses the all-ports-registered gate, and a "
-        "claimed-but-unused port blocks DVS registration forever",
-    ),
-    Rule(
-        "DVS024",
-        "send-after-close",
-        "typestate",
-        "send/broadcast reachable after close/stop/leave on the "
-        "same handle",
-        "reorder the send before the close, re-open the handle "
-        "first, or rebind the name to a fresh handle; sends on a "
-        "closed PeerLink/stack handle are silently dropped",
-    ),
-    Rule(
-        "DVS025",
-        "late-harness-arm",
-        "typestate",
-        "monitor/tracer armed, or workload driven, out of order "
-        "with harness start",
-        "build and arm monitors, nemeses and recorders before "
-        "start() and drive the workload after it; late arming "
-        "misses the formation events and early drives race the "
-        "boot",
-        level="warning",
-    ),
-    Rule(
-        "DVS026",
-        "view-scoped-state-leak",
-        "typestate",
-        "view-scoped clock state cached across a newview boundary",
-        "reset the clock/cursor attribute in the on_*_newview "
-        "handler (directly or via a helper it calls); vector clocks "
-        "are scoped to one view's membership and carrying one into "
-        "the next view corrupts the delivery condition",
-        level="warning",
-    ),
-    Rule(
-        "DVS027",
-        "spec-drift",
-        "specconf",
-        "impl automaton's transitions cannot be matched to its spec "
-        "automaton",
-        "align the impl automaton with the package's spec: external "
-        "action names must keep their input/output kind, and an "
-        "action every spec transition guards must not run unguarded "
-        "in the impl",
-        level="warning",
-    ),
 )
 
 #: Stable id -> :class:`Rule`, in id order (read-only mapping).
@@ -333,7 +259,7 @@ RULES = MappingProxyType({rule.id: rule for rule in _RULES})
 #: The pass names, in execution order.
 PASSES = (
     "wellformed", "determinism", "aliasing", "races", "escape", "wire",
-    "asyncflow", "taint", "typestate", "specconf",
+    "asyncflow", "taint",
 )
 
 

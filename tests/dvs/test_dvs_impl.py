@@ -88,8 +88,8 @@ class TestDerivedVariables:
         assert impl.att <= impl.created
 
 
-class TestExhaustive:
-    def test_two_process_universe_fully_explored(self):
+class TestBoundedExploration:
+    def test_two_process_universe_bounded_exploration(self):
         universe = ["p1", "p2"]
         v0 = make_view(0, universe)
         pool = grid_view_pool(universe, max_epoch=1, min_size=2)
@@ -101,4 +101,7 @@ class TestExhaustive:
             system, invariants=suite, max_states=60000
         ).explore()
         assert result.violation is None
-        assert result.states_visited > 500
+        # Not exhaustive: the universe outgrows the 60,000-state cap.
+        # If this ever fails the explorer finished -- assert
+        # ``result.complete`` instead and rename the test back.
+        assert not result.complete, result

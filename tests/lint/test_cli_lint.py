@@ -47,8 +47,9 @@ def test_lint_cli_select(capsys):
 def test_lint_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DVS001", "DVS011"):
-        assert rule_id in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "DVS{0:03d}".format(n) for n in range(1, 22)
+    ]
 
 
 def test_lint_cli_multiple_paths(capsys):
@@ -59,68 +60,3 @@ def test_lint_cli_multiple_paths(capsys):
     ])
     assert code == 0
     assert "2 file(s)" in capsys.readouterr().out
-
-
-# -- --changed: diff-scoped pre-commit runs ----------------------------
-
-
-def _git(tmp_path, *argv):
-    import subprocess
-
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        + list(argv),
-        cwd=str(tmp_path), check=True, capture_output=True,
-    )
-
-
-def _changed_repo(tmp_path):
-    """A repo where bad.py's finding predates HEAD and only clean.py
-    is touched by the working diff."""
-    (tmp_path / "bad.py").write_text(
-        "SHARED = {}\n"  # DVS010: module-level mutable
-    )
-    (tmp_path / "clean.py").write_text("def noop():\n    return 1\n")
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "-m", "seed")
-    (tmp_path / "clean.py").write_text("def noop():\n    return 2\n")
-    return tmp_path
-
-
-def test_lint_cli_changed_scopes_to_the_diff(tmp_path, monkeypatch,
-                                             capsys):
-    repo = _changed_repo(tmp_path)
-    monkeypatch.chdir(repo)
-    # bad.py is untouched, so its (pre-existing) finding is out of
-    # scope -- the tree is still parsed, only reporting is focused.
-    code = main(["lint", str(repo), "--changed"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "focused on 1 changed file(s)" in out
-    # The unfocused run still gates on the whole tree.
-    assert main(["lint", str(repo)]) == 1
-
-
-def test_lint_cli_changed_catches_new_findings(tmp_path, monkeypatch,
-                                               capsys):
-    repo = _changed_repo(tmp_path)
-    (repo / "clean.py").write_text("ALSO_SHARED = {}\n")
-    monkeypatch.chdir(repo)
-    code = main(["lint", str(repo), "--changed"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "DVS010" in out and "clean.py" in out
-    assert "bad.py" not in out.split("focused on")[-1]
-
-
-def test_lint_cli_changed_with_clean_diff_exits_zero(tmp_path,
-                                                     monkeypatch,
-                                                     capsys):
-    repo = _changed_repo(tmp_path)
-    _git(repo, "add", ".")
-    _git(repo, "commit", "-q", "-m", "sync")
-    monkeypatch.chdir(repo)
-    code = main(["lint", str(repo), "--changed"])
-    assert code == 0
-    assert "no python files changed" in capsys.readouterr().out

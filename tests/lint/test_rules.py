@@ -32,12 +32,6 @@ RULE_FIXTURES = {
     "DVS019": ("async_bad.py", "async_good.py"),
     "DVS020": ("taint_bad", "taint_good"),
     "DVS021": ("taint_bad", "taint_good"),
-    "DVS022": ("specconf_bad.py", "specconf_good.py"),
-    "DVS023": ("typestate_bad.py", "typestate_good.py"),
-    "DVS024": ("typestate_bad.py", "typestate_good.py"),
-    "DVS025": ("typestate_bad.py", "typestate_good.py"),
-    "DVS026": ("typestate_bad.py", "typestate_good.py"),
-    "DVS027": ("specconf_bad.py", "specconf_good.py"),
 }
 
 #: Fixtures whose pass gates on path globs need the globs pointed at
@@ -92,8 +86,7 @@ def test_rule_silent_on_clean_fixture(lint_fixture, rule):
 @pytest.mark.parametrize("name", [
     "wellformed_good.py", "determinism_good.py", "aliasing_good.py",
     "races_good.py", "escape_good.py", "wire_clean", "edge_cases.py",
-    "async_good.py", "taint_good", "specconf_good.py",
-    "typestate_good.py",
+    "async_good.py", "taint_good",
 ])
 def test_clean_fixtures_are_fully_clean(lint_fixture, name):
     report = lint_fixture(name, config=_fixture_config(name))

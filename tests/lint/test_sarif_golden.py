@@ -12,17 +12,20 @@ To regenerate after an intentional change::
 import json
 import os
 
-from repro.lint import lint_paths
+from repro.lint import LintConfig, lint_paths
 
 from tests.lint.conftest import fixture_path
 
 GOLDEN = os.path.join(
-    os.path.dirname(__file__), "golden", "typestate_bad.sarif.json"
+    os.path.dirname(__file__), "golden", "races_bad.sarif.json"
 )
 
 
 def _normalised_document():
-    report = lint_paths([fixture_path("typestate_bad.py")])
+    report = lint_paths(
+        [fixture_path("races_bad.py")],
+        config=LintConfig(runtime_globs=("*/fixtures/races_bad.py",)),
+    )
     document = json.loads(report.to_sarif())
     for result in document["runs"][0]["results"]:
         location = result["locations"][0]["physicalLocation"]
@@ -50,6 +53,6 @@ def test_golden_is_checked_in_and_self_consistent():
         golden = json.load(handle)
     (run,) = golden["runs"]
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        "DVS023", "DVS024", "DVS025", "DVS026"
+        "DVS012", "DVS013"
     ]
-    assert len(run["results"]) == 7
+    assert len(run["results"]) == 5
