@@ -1,13 +1,13 @@
 """Lint-engine benchmark: one full-tree analysis, parse-once shared.
 
 Times ``repro lint`` over ``src/repro`` -- every file parsed exactly
-once into the shared :class:`~repro.lint.model.SourceModel`, all eight
-passes (including the interprocedural race/escape/wire analyses, the
+once into the shared :class:`~repro.lint.model.SourceModel`, all seven
+passes (including the interprocedural race/escape analyses, the
 async-hazard and wire-taint passes, and the call graph they all share)
 running over that one AST forest.
 
-One machine-independent budget is enforced: the eight-pass run stays
-within 2x a six-pass (DVS001-015, pre-asyncflow/taint) run measured
+One machine-independent budget is enforced: the seven-pass run stays
+within 2x a five-pass (DVS001-014, pre-asyncflow/taint) run measured
 in-process.  There is no cache and no diff-scoped mode, so every run
 is the cold whole-tree run; its wall time is recorded.
 
@@ -33,10 +33,10 @@ RESULT_PATH = os.path.join(
 
 RUNS = 3
 
-#: The rule set of the six-pass engine this PR extended (DVS001-015):
-#: timing it in-process gives a machine-independent 2x budget.
-SIX_PASS_RULES = frozenset(
-    "DVS{0:03d}".format(number) for number in range(1, 16)
+#: The rules of the five passes predating asyncflow/taint (DVS001-014):
+#: timing them in-process gives a machine-independent 2x budget.
+FIVE_PASS_RULES = frozenset(
+    "DVS{0:03d}".format(number) for number in range(1, 15)
 )
 
 
@@ -59,8 +59,7 @@ def test_bench_full_tree_lint():
     assert report.ok, report.to_text()
 
     best, report = _best_of(RUNS)
-    six_pass_config = LintConfig(select=SIX_PASS_RULES)
-    baseline, _ = _best_of(RUNS, config=six_pass_config)
+    baseline, _ = _best_of(RUNS, config=LintConfig(select=FIVE_PASS_RULES))
 
     result = {"lint-full-tree": {
         "files_scanned": report.files_scanned,
@@ -70,8 +69,8 @@ def test_bench_full_tree_lint():
         "runs": RUNS,
         "cold_seconds": round(cold, 4),
         "best_seconds": round(best, 4),
-        "six_pass_best_seconds": round(baseline, 4),
-        "slowdown_vs_six_pass": round(best / baseline, 3),
+        "five_pass_best_seconds": round(baseline, 4),
+        "slowdown_vs_five_pass": round(best / baseline, 3),
         "files_per_second": round(report.files_scanned / best, 1),
     }}
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
@@ -79,7 +78,7 @@ def test_bench_full_tree_lint():
         handle.write("\n")
 
     # The tree lints in interactive time: the shared-AST design keeps
-    # the eight passes from re-parsing 100+ files eight times over.
+    # the seven passes from re-parsing 100+ files seven times over.
     assert report.files_scanned == file_count
     assert best < 30.0
     # The asyncflow/taint additions ride the existing parse + call

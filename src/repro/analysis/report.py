@@ -22,3 +22,47 @@ def render_table(headers, rows, title=None):
     parts.append("  ".join("-" * w for w in widths))
     parts.extend(line(row) for row in rows)
     return "\n".join(parts)
+
+
+def render_stage_table(summary):
+    """The per-stage delivery-latency table of ``Tracer.stage_summary()``."""
+    rows = []
+    for stage in ("wire", "vs", "dvs", "to", "cb", "total"):
+        stats = summary["stages"].get(stage)
+        if stats is None:
+            continue
+        rows.append([
+            stage,
+            "{0:.3f}".format(stats["p50_ms"]),
+            "{0:.3f}".format(stats["mean_ms"]),
+            "{0:.3f}".format(stats["p95_ms"]),
+            "{0:.3f}".format(stats["max_ms"]),
+        ])
+    return render_table(
+        ["stage", "p50 ms", "mean ms", "p95 ms", "max ms"],
+        rows,
+        title="per-stage delivery latency: {0} deliveries, "
+              "{1} view span(s), {2} orphan(s)".format(
+                  summary["deliveries"], summary["views"],
+                  summary["orphans"]),
+    )
+
+
+def _format_metric(snap):
+    if snap["type"] == "histogram":
+        return "n={0} p50={1:.6g} p95={2:.6g} max={3:.6g}".format(
+            snap["count"], snap["p50"] or 0, snap["p95"] or 0,
+            snap["max"] or 0,
+        )
+    if snap["type"] == "gauge":
+        return "{0} (high {1})".format(snap["value"], snap["high"])
+    return str(snap["value"])
+
+
+def render_metrics_table(metrics):
+    """One row per instrument of a ``MetricsRegistry.snapshot()``."""
+    rows = [
+        [name, snap["type"], _format_metric(snap)]
+        for name, snap in sorted(metrics.items())
+    ]
+    return render_table(["metric", "type", "value"], rows, title="metrics")

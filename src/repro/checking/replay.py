@@ -28,16 +28,13 @@ import hashlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.cb.messages import CbCast
 from repro.dvs.ablation import NoMajorityDvsLayer
 from repro.faults.harness import _canon
 from repro.faults.monitor import SafetyMonitor
 from repro.faults.shrink import shrink_plan
-from repro.gcs.cb_layer import CbLayer, DvsFanout
 from repro.gcs.dvs_layer import DvsLayer
 from repro.gcs.recorder import ActionLog
-from repro.gcs.to_layer import ToLayer
-from repro.gcs.vs_stack import VsStackNode
+from repro.gcs.tower import Tower
 from repro.obs.record import ReplayTrace, TraceError
 
 #: Registry of replayable DVS layer factories.  A trace records which
@@ -94,28 +91,15 @@ class _SinkNet:
         handle.cancel()
 
 
-class _ReplayTower:
-    """One process's rebuilt VS->DVS->{TO,CB} towers."""
-
-    def __init__(self, pid, initial_view, member, dvs_cls, recorder, net):
-        self.stack = VsStackNode(
-            pid, initial_view=initial_view, recorder=recorder,
-            member=member,
-        )
-        self.stack.net = net
-        self.dvs = dvs_cls(
-            self.stack, initial_view, recorder=recorder, member=member
-        )
-        self.fanout = DvsFanout(self.dvs)
-        self.to = ToLayer(
-            self.fanout.port(), initial_view, recorder=recorder,
-            member=member,
-        )
-        self.cb = CbLayer(
-            self.fanout.port(claims=CbCast), initial_view,
-            recorder=recorder, member=member,
-        )
-        self.stack.on_start()
+def _replay_tower(pid, initial_view, member, dvs_cls, recorder, net):
+    """One process's rebuilt VS->DVS->{TO,CB} towers, started."""
+    tower = Tower(
+        pid, initial_view, recorder=recorder, member=member,
+        dvs_factory=dvs_cls,
+    )
+    tower.stack.net = net
+    tower.stack.on_start()
+    return tower
 
 
 @dataclass
@@ -167,7 +151,7 @@ def replay_trace(trace, fail_fast=False):
                 # live cluster's restart() does.
                 monitor.restart_process(pid)
             member = data[0] if data else None
-            towers[pid] = _ReplayTower(
+            towers[pid] = _replay_tower(
                 pid, trace.initial_view, member, dvs_cls, log, net
             )
             dispatched += 1

@@ -35,14 +35,11 @@ serve
     mid-run crash and rejoin) under the online safety monitor; with
     ``--pid``/``--bind``/``--peer``, one node of a real multi-process
     deployment in the foreground.  ``--metrics-json``/``--trace-json``
-    arm the observability layer and export its snapshots.
+    arm the observability layer: tables printed, snapshots exported.
 trace
-    Run a traced workload (simulated by default, ``--live`` for real
-    loopback TCP) and print the per-stage latency breakdown stitched
-    from causal spans; ``--output`` exports the full trace JSON.
-metrics
-    Run the live loopback workload with the metrics registry armed and
-    print the counters/gauges/histograms.
+    Run a traced workload on the deterministic simulator and print the
+    per-stage latency breakdown stitched from causal spans;
+    ``--output`` exports the full trace JSON.
 demo
     Run the partitioned-ledger scenario on the simulated cluster.
 """
@@ -499,33 +496,8 @@ def _cmd_serve(args):
     return cmd_serve(args)
 
 
-def _render_trace_summary(data):
-    from repro.analysis import render_table
-
-    summary = data["summary"]
-    rows = []
-    for stage in ("wire", "vs", "dvs", "to", "cb", "total"):
-        stats = summary["stages"].get(stage)
-        if stats is None:
-            continue
-        rows.append([
-            stage,
-            "{0:.3f}".format(stats["p50_ms"]),
-            "{0:.3f}".format(stats["mean_ms"]),
-            "{0:.3f}".format(stats["p95_ms"]),
-            "{0:.3f}".format(stats["max_ms"]),
-        ])
-    print(render_table(
-        ["stage", "p50 ms", "mean ms", "p95 ms", "max ms"],
-        rows,
-        title="per-stage delivery latency: {0} deliveries, "
-              "{1} view span(s), {2} orphan(s)".format(
-                  summary["deliveries"], summary["views"],
-                  summary["orphans"]),
-    ))
-
-
-def _traced_sim_run(args):
+def _cmd_trace(args):
+    from repro.analysis.report import render_stage_table
     from repro.gcs.cluster import Cluster
 
     procs = ["p{0}".format(i + 1) for i in range(args.processes)]
@@ -537,58 +509,8 @@ def _traced_sim_run(args):
     cluster.settle(max_time=10000.0)
     print("traced simulated run: {0} processes, {1} requests, "
           "seed {2}".format(args.processes, args.requests, args.seed))
-    return cluster.obs.tracer.to_json_dict()
-
-
-def _traced_live_run(args):
-    from repro.apps.kv_store import KvReplica
-    from repro.runtime.cluster import RuntimeCluster
-
-    pids = ["n{0}".format(i + 1) for i in range(args.processes)]
-    cluster = RuntimeCluster(
-        pids, app_factory=lambda node: KvReplica(node.to), obs=True,
-    )
-    with cluster:
-        cluster.wait_formation(timeout=args.timeout)
-        for i in range(args.requests):
-            pid = pids[i % len(pids)]
-            cluster.call_app(
-                pid,
-                lambda app, i=i: app.put(
-                    "k{0}".format(i), "v{0}".format(i)
-                ),
-            )
-        cluster.wait_until(
-            lambda: all(
-                cluster.app(pid).log_length >= args.requests
-                for pid in pids
-            ),
-            timeout=args.timeout,
-            what="{0} requests applied everywhere".format(args.requests),
-        )
-        # The same request count again over the causal tier, so the
-        # stage table shows both orderings side by side.
-        for i in range(args.requests):
-            cluster.bcast(pids[i % len(pids)], ("pres", i), ordering="cb")
-        cluster.wait_until(
-            lambda: all(
-                sum(1 for a in cluster.log.actions
-                    if a.name == "cb_brcv" and a.params[2] == pid)
-                >= args.requests
-                for pid in pids
-            ),
-            timeout=args.timeout,
-            what="{0} CB casts delivered everywhere".format(args.requests),
-        )
-        data = cluster.trace_snapshot()
-    print("traced live run: {0} nodes on loopback TCP, "
-          "{1} requests".format(args.processes, args.requests))
-    return data
-
-
-def _cmd_trace(args):
-    data = _traced_live_run(args) if args.live else _traced_sim_run(args)
-    _render_trace_summary(data)
+    data = cluster.obs.tracer.to_json_dict()
+    print(render_stage_table(data["summary"]))
     if args.output:
         import json as _json
 
@@ -597,64 +519,6 @@ def _cmd_trace(args):
             handle.write("\n")
         print("trace JSON written to {0}".format(args.output))
     return 0 if not data["summary"]["orphans"] else 1
-
-
-def _format_metric(snap):
-    if snap["type"] == "histogram":
-        return "n={0} p50={1:.6g} p95={2:.6g} max={3:.6g}".format(
-            snap["count"], snap["p50"] or 0, snap["p95"] or 0,
-            snap["max"] or 0,
-        )
-    if snap["type"] == "gauge":
-        return "{0} (high {1})".format(snap["value"], snap["high"])
-    return str(snap["value"])
-
-
-def _cmd_metrics(args):
-    from repro.analysis import render_table
-    from repro.apps.kv_store import KvReplica
-    from repro.runtime.cluster import RuntimeCluster
-
-    pids = ["n{0}".format(i + 1) for i in range(args.processes)]
-    cluster = RuntimeCluster(
-        pids, app_factory=lambda node: KvReplica(node.to), obs=True,
-    )
-    with cluster:
-        cluster.wait_formation(timeout=args.timeout)
-        for i in range(args.requests):
-            pid = pids[i % len(pids)]
-            cluster.call_app(
-                pid,
-                lambda app, i=i: app.put(
-                    "k{0}".format(i), "v{0}".format(i)
-                ),
-            )
-        cluster.wait_until(
-            lambda: all(
-                cluster.app(pid).log_length >= args.requests
-                for pid in pids
-            ),
-            timeout=args.timeout,
-            what="{0} requests applied everywhere".format(args.requests),
-        )
-        snapshot = cluster.obs_snapshot()
-    rows = [
-        [name, snap["type"], _format_metric(snap)]
-        for name, snap in sorted(snapshot["metrics"].items())
-    ]
-    print(render_table(
-        ["metric", "type", "value"], rows,
-        title="live loopback metrics: {0} nodes, {1} requests".format(
-            args.processes, args.requests),
-    ))
-    if args.output:
-        import json as _json
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            _json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("metrics snapshot written to {0}".format(args.output))
-    return 0
 
 
 def _cmd_demo(args):
@@ -821,36 +685,17 @@ def build_parser():
 
     trace = sub.add_parser(
         "trace",
-        help="run a traced workload and print the per-stage latency "
-             "breakdown stitched from causal spans",
+        help="run a traced simulated workload and print the per-stage "
+             "latency breakdown stitched from causal spans",
     )
     trace.add_argument("--processes", type=int, default=3)
     trace.add_argument("--requests", type=int, default=30,
                        help="TO broadcasts to trace")
     trace.add_argument("--seed", type=int, default=0,
-                       help="simulated mode: network schedule seed")
-    trace.add_argument("--live", action="store_true",
-                       help="trace a real loopback TCP cluster instead "
-                            "of the simulator")
-    trace.add_argument("--timeout", type=float, default=30.0,
-                       help="live mode: bound on each wait")
+                       help="network schedule seed")
     trace.add_argument("--output", default=None, metavar="PATH",
                        help="write the full trace JSON here")
     trace.set_defaults(func=_cmd_trace)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run the live loopback workload with the metrics registry "
-             "armed and print it",
-    )
-    metrics.add_argument("--processes", type=int, default=3)
-    metrics.add_argument("--requests", type=int, default=30,
-                         help="KV puts to order")
-    metrics.add_argument("--timeout", type=float, default=30.0,
-                         help="bound on each wait")
-    metrics.add_argument("--output", default=None, metavar="PATH",
-                         help="write the metrics snapshot JSON here")
-    metrics.set_defaults(func=_cmd_metrics)
 
     replay = sub.add_parser(
         "replay",

@@ -27,7 +27,7 @@ network event log up to the violating event, so a nemesis run stops at
 the first bad state instead of thrashing for the rest of the schedule.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from repro.core.viewids import vid_gt, vid_lt
 
@@ -77,9 +77,12 @@ class SafetyMonitor:
         self.registered = defaultdict(set)
         self.registered[initial_view.id] = set(initial_view.set)
         self.totally_registered = {initial_view.id: initial_view}
-        # TO state: broadcast set, per-process sequences, common order.
-        self.broadcast = set()
-        self.deliveries = defaultdict(list)
+        # TO state: broadcast multiset, per-process delivered multisets
+        # and positions in the common order.  Broadcasts are counted: a
+        # process may broadcast one payload twice, each delivered once.
+        self.broadcast = Counter()
+        self.deliveries = defaultdict(Counter)
+        self.positions = defaultdict(int)
         self.common_order = []
         # CB state: broadcast set, per-process per-view delivered counts
         # (sender -> count), per-(view, sender, seqno) payload slots.
@@ -110,6 +113,7 @@ class SafetyMonitor:
         life.
         """
         self.deliveries.pop(pid, None)
+        self.positions.pop(pid, None)
         self.current.pop(pid, None)
         self.cb_counts.pop(pid, None)
 
@@ -126,7 +130,7 @@ class SafetyMonitor:
             self._on_register(time, pid)
         elif name == "bcast":
             payload, pid = action.params
-            self.broadcast.add((payload, pid))
+            self.broadcast[(payload, pid)] += 1
         elif name == "brcv":
             payload, origin, pid = action.params
             self._on_brcv(time, payload, origin, pid)
@@ -186,12 +190,12 @@ class SafetyMonitor:
 
     def _on_brcv(self, time, payload, origin, pid):
         entry = (payload, origin)
-        if entry not in self.broadcast:
+        sent = self.broadcast[entry]
+        if not sent:
             self._fail("to-integrity", time,
                        "{0} delivered {1!r} attributed to {2} before/without "
                        "its broadcast".format(pid, payload, origin))
-        seq = self.deliveries[pid]
-        position = len(seq)
+        position = self.positions[pid]
         if position < len(self.common_order):
             expected = self.common_order[position]
             if entry != expected:
@@ -201,10 +205,15 @@ class SafetyMonitor:
                     "{3!r}".format(pid, position + 1, entry, expected))
         else:
             self.common_order.append(entry)
-        if entry in seq:
+        # k-th delivery of an entry is legal iff it was broadcast >= k times.
+        delivered = self.deliveries[pid]
+        delivered[entry] += 1
+        if 0 < sent < delivered[entry]:
             self._fail("to-no-duplication", time,
-                       "{0} delivered {1!r} twice".format(pid, entry))
-        seq.append(entry)
+                       "{0} delivered {1!r} {2} time(s) but it was "
+                       "broadcast {3} time(s)".format(
+                           pid, entry, delivered[entry], sent))
+        self.positions[pid] = position + 1
 
     # -- CB: integrity, gap-freedom, causal precedence ----------------------
 
@@ -280,8 +289,8 @@ class SafetyMonitor:
             "events": self.checked_events,
             "attempted_views": len(self.created),
             "totally_registered": len(self.totally_registered),
-            "broadcasts": len(self.broadcast),
-            "deliveries": sum(len(s) for s in self.deliveries.values()),
+            "broadcasts": sum(self.broadcast.values()),
+            "deliveries": sum(self.positions.values()),
             "cb_broadcasts": len(self.cb_broadcast),
             "cb_deliveries": sum(
                 sum(counts.values())

@@ -16,6 +16,8 @@ protocol nodes exchanging messages over :class:`repro.net.Network`:
 - :mod:`repro.gcs.cb_layer` -- the runtime coding of ``DVS-TO-CB_p``
   (view-scoped vector clocks, hold-back release at delivery time) plus
   the fanout that lets the TO and CB towers share one DVS layer;
+- :mod:`repro.gcs.tower` -- ``Tower``, the one wiring of the layers
+  above into a per-process tower, shared by every host;
 - :mod:`repro.gcs.recorder` -- converts the stack's events into the same
   action vocabulary as the automata, so the trace-property checkers apply
   verbatim to stack runs.
@@ -34,6 +36,7 @@ from repro.gcs.effect_check import (
 )
 from repro.gcs.recorder import ActionLog
 from repro.gcs.to_layer import ToLayer, ToListener
+from repro.gcs.tower import Tower
 from repro.gcs.vs_stack import VsListener, VsStackNode
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "EffectIsolationError",
     "ToLayer",
     "ToListener",
+    "Tower",
     "VsListener",
     "VsStackNode",
 ]

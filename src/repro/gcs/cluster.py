@@ -11,14 +11,10 @@ the ordering strength per send: ``bcast(pid, payload, ordering="to")``
 or ``ordering="cb"``.
 """
 
-from repro.cb.messages import CbCast
 from repro.core.viewids import ViewId
 from repro.core.views import View
-from repro.gcs.cb_layer import CbLayer, DvsFanout
-from repro.gcs.dvs_layer import DvsLayer
 from repro.gcs.recorder import ActionLog
-from repro.gcs.to_layer import ToLayer
-from repro.gcs.vs_stack import VsStackNode
+from repro.gcs.tower import Tower
 from repro.net.events import NonQuiescentError
 from repro.net.simulator import Network
 
@@ -36,7 +32,7 @@ class Cluster:
       ``log_limit``;
     - ``dvs_factory`` -- substitute dynamic-primary layer constructor
       (e.g. :class:`repro.dvs.ablation.NoMajorityDvsLayer`), signature
-      ``factory(stack, initial_view, recorder=...)``;
+      ``factory(stack, initial_view, recorder=..., member=...)``;
     - ``log_limit`` -- bound the network event log's memory (entries
       kept), for long monitored-elsewhere runs;
     - ``check_effects`` -- debug mode: bracket every event dispatch
@@ -89,25 +85,18 @@ class Cluster:
         self.fanouts = {}
         self.to = {}
         self.cb = {}
-        dvs_factory = dvs_factory or DvsLayer
         for pid in self.processes:
-            stack = VsStackNode(
-                pid, initial_view=initial_view, recorder=self.log
+            tower = Tower(
+                pid, initial_view, recorder=self.log,
+                dvs_factory=dvs_factory, orderings=with_to_layer,
             )
-            self.net.add_node(stack)
-            dvs = dvs_factory(stack, initial_view, recorder=self.log)
-            self.stacks[pid] = stack
-            self.dvs[pid] = dvs
+            self.net.add_node(tower.stack)
+            self.stacks[pid] = tower.stack
+            self.dvs[pid] = tower.dvs
             if with_to_layer:
-                fanout = DvsFanout(dvs)
-                self.fanouts[pid] = fanout
-                self.to[pid] = ToLayer(
-                    fanout.port(), initial_view, recorder=self.log
-                )
-                self.cb[pid] = CbLayer(
-                    fanout.port(claims=CbCast), initial_view,
-                    recorder=self.log,
-                )
+                self.fanouts[pid] = tower.fanout
+                self.to[pid] = tower.to
+                self.cb[pid] = tower.cb
         self.effect_checker = None
         if check_effects:
             from repro.gcs.effect_check import EffectIsolationChecker

@@ -79,13 +79,16 @@ class BoundedExplorer:
     def explore(self):
         result = ExplorationResult()
         initial = self.automaton.initial_state()
-        if not self._check(initial, [], result):
+        root = initial.fingerprint()
+        # fingerprint -> (parent fingerprint, action taken from it): the
+        # visited set and, read backwards, the path to every state.
+        parents = {root: None}
+        if not self._check(initial, root, parents, result):
             return result
-        queue = deque([(initial, 0, [])])
-        visited = {initial.fingerprint()}
+        queue = deque([(initial, root, 0)])
         result.states_visited = 1
         while queue:
-            state, depth, path = queue.popleft()
+            state, state_key, depth = queue.popleft()
             result.max_depth_reached = max(result.max_depth_reached, depth)
             if self.max_depth is not None and depth >= self.max_depth:
                 result.frontier_truncated = True
@@ -97,23 +100,23 @@ class BoundedExplorer:
                     result.action_counts.get(action.name, 0) + 1
                 )
                 key = next_state.fingerprint()
-                if key in visited:
+                if key in parents:
                     continue
-                visited.add(key)
-                next_path = path + [action]
-                if not self._check(next_state, next_path, result):
+                parents[key] = (state_key, action)
+                if not self._check(next_state, key, parents, result):
                     return result
                 result.states_visited += 1
                 if result.states_visited >= self.max_states:
                     result.frontier_truncated = True
                     return result
-                queue.append((next_state, depth + 1, next_path))
+                queue.append((next_state, key, depth + 1))
         return result
 
-    def _check(self, state, path, result):
+    def _check(self, state, key, parents, result):
         """Check invariants; record or raise on violation.
 
-        Returns False when exploration should stop.
+        Returns False when exploration should stop; the counterexample
+        path is rebuilt from the parent pointers only then.
         """
         if self.invariants is None:
             return True
@@ -123,6 +126,10 @@ class BoundedExplorer:
             if not self.stop_on_violation:
                 raise
             result.violation = violation
-            result.counterexample = path
+            path = []
+            while parents[key] is not None:
+                key, action = parents[key]
+                path.append(action)
+            result.counterexample = path[::-1]
             return False
         return True

@@ -2,7 +2,7 @@
 live runtime, built on a per-function IR and a project-wide call
 graph.
 
-Eight passes guard the properties the paper's formalism rests on:
+Seven passes guard the properties the paper's formalism rests on:
 
 1. *well-formedness* -- faithful precondition/effect automata
    (rules DVS001-DVS005);
@@ -14,12 +14,10 @@ Eight passes guard the properties the paper's formalism rests on:
    runtime's sync-facade/event-loop split (rules DVS012-DVS013);
 5. *escape* -- transition effects never leak aliases of mutable layer
    state across a layer boundary (rule DVS014);
-6. *wire* -- the codec's registry and pinned schema cover every stack
-   message dataclass, field for field (rule DVS015);
-7. *asyncflow* -- async-hazard analysis of the event loop hosting the
+6. *asyncflow* -- async-hazard analysis of the event loop hosting the
    stack: blocking calls, dropped tasks, torn invariants at awaits,
    lock-order cycles (rules DVS016-DVS019);
-8. *taint* -- wire-taint tracking from the codec's decode paths to
+7. *taint* -- wire-taint tracking from the codec's decode paths to
    automaton-state/key/delay sinks, plus unbounded receive-path
    containers (rules DVS020-DVS021).
 
@@ -41,7 +39,6 @@ from repro.lint.config import (
     DEFAULT_RULE_EXCLUDES,
     DEFAULT_RUNTIME_GLOBS,
     DEFAULT_TAINT_VALIDATORS,
-    DEFAULT_WIRE_MESSAGE_GLOBS,
     LintConfig,
 )
 from repro.lint.engine import iter_python_files, lint_paths
@@ -56,7 +53,6 @@ __all__ = [
     "DEFAULT_RULE_EXCLUDES",
     "DEFAULT_RUNTIME_GLOBS",
     "DEFAULT_TAINT_VALIDATORS",
-    "DEFAULT_WIRE_MESSAGE_GLOBS",
     "Finding",
     "FunctionIR",
     "JSON_SCHEMA_VERSION",

@@ -1,4 +1,4 @@
-"""Pass 7: async-hazard analysis over the interprocedural IR.
+"""Pass 6: async-hazard analysis over the interprocedural IR.
 
 The live runtime multiplexes every layer automaton onto one asyncio
 loop, so the paper's atomicity assumptions hold only between suspension

@@ -40,21 +40,10 @@ DEFAULT_RUNTIME_GLOBS = (
     "*/repro/runtime/*.py",
 )
 
-#: The module defining the wire codec registry (``WIRE_TYPES`` /
-#: ``WIRE_SCHEMA``) that DVS015 checks for drift.
+#: The module defining the wire codec, whose decode paths are the
+#: taint pass's sources (DVS020).
 DEFAULT_CODEC_GLOBS = (
     "*/repro/runtime/codec.py",
-)
-
-#: Modules whose frozen top-level dataclasses are stack messages that
-#: must be covered by the codec registry (DVS015 coverage direction).
-DEFAULT_WIRE_MESSAGE_GLOBS = (
-    "*/repro/core/messages.py",
-    "*/repro/core/views.py",
-    "*/repro/core/viewids.py",
-    "*/repro/gcs/messages.py",
-    "*/repro/to/summaries.py",
-    "*/repro/cb/messages.py",
 )
 
 #: Callable names the taint pass (DVS020) accepts as validators.  A
@@ -87,10 +76,8 @@ class LintConfig:
     line-scoped ``# lint: ignore`` pragma).
     ``runtime_globs`` -- modules analysed by the thread-boundary race
     pass (DVS012/013).
-    ``codec_globs`` -- the module(s) holding the wire registry checked
-    by DVS015.
-    ``wire_message_globs`` -- modules whose frozen dataclasses must be
-    covered by the wire registry.
+    ``codec_globs`` -- the module(s) holding the wire codec whose
+    decode paths the taint pass treats as sources (DVS020).
     ``taint_validators`` -- callable name prefixes/exact names the
     taint pass accepts as wire-input validators (DVS020).
     """
@@ -104,14 +91,12 @@ class LintConfig:
     )
     runtime_globs: tuple = DEFAULT_RUNTIME_GLOBS
     codec_globs: tuple = DEFAULT_CODEC_GLOBS
-    wire_message_globs: tuple = DEFAULT_WIRE_MESSAGE_GLOBS
     taint_validators: tuple = DEFAULT_TAINT_VALIDATORS
 
     def __post_init__(self):
         self.select = frozenset(self.select)
         self.runtime_globs = tuple(self.runtime_globs)
         self.codec_globs = tuple(self.codec_globs)
-        self.wire_message_globs = tuple(self.wire_message_globs)
         self.taint_validators = tuple(self.taint_validators)
         unknown = self.select - set(RULES)
         if unknown:
@@ -155,15 +140,7 @@ class LintConfig:
         )
 
     def is_codec_path(self, path):
-        """Whether the module at ``path`` hosts the wire registry."""
+        """Whether the module at ``path`` hosts the wire codec."""
         return any(
             _match(path, pattern) for pattern in self.codec_globs
-        )
-
-    def is_wire_message_path(self, path):
-        """Whether the module at ``path`` defines stack messages that
-        the wire registry must cover."""
-        return any(
-            _match(path, pattern)
-            for pattern in self.wire_message_globs
         )

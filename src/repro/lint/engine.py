@@ -19,7 +19,6 @@ from repro.lint import (
     races,
     taint,
     wellformed,
-    wire,
 )
 from repro.lint.callgraph import build_project
 from repro.lint.config import LintConfig
@@ -27,8 +26,7 @@ from repro.lint.model import SourceModel
 from repro.lint.report import Report
 
 _PASSES = (
-    wellformed, determinism, aliasing, races, asyncflow, escape, wire,
-    taint,
+    wellformed, determinism, aliasing, races, asyncflow, escape, taint,
 )
 
 _SUPPRESS_RE = re.compile(

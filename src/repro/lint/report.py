@@ -23,10 +23,8 @@ an artifact and tests validate it:
 Version 2 added the ``engine`` block (which analysis backend produced
 the findings, with its IR/call-graph sizes) and the ``baselined``
 counter (findings waived by ``--baseline``).  Finding entries also
-carry the rule's ``level`` (``error``/``warning``/``note``) and, for
-passes bound to a versioned artifact (DVS015's wire schema), a
-``context`` qualifier that joins the baseline fingerprint -- both
-additive keys, so the schema version is unchanged.  SARIF 2.1.0 output
+carry the rule's ``level`` (``error``/``warning``/``note``) -- an
+additive key, so the schema version is unchanged.  SARIF 2.1.0 output
 is a projection of the same data for code-scanning UIs, with the level
 mapped to both the result and the rule's ``defaultConfiguration``.
 """
@@ -56,12 +54,6 @@ class Finding:
     line: int
     col: int
     message: str
-    #: Optional schema/epoch qualifier (e.g. ``wire-schema-v2``).  When
-    #: set, it joins the fingerprint, so findings tied to a versioned
-    #: artifact expire with the version instead of waiving forever: a
-    #: baseline entry recorded against wire schema v1 does not silently
-    #: waive the "same" finding re-surfacing against v2.
-    context: str = ""
 
     @property
     def name(self):
@@ -81,14 +73,11 @@ class Finding:
 
     def fingerprint(self):
         """Identity under ``--baseline``: deliberately excludes the
-        line number so reformatting does not resurrect old findings,
-        but includes the ``context`` qualifier (when set) so versioned
-        findings do not outlive the version they were recorded
-        against."""
-        return (self.rule, self.path, self.message, self.context)
+        line number so reformatting does not resurrect old findings."""
+        return (self.rule, self.path, self.message)
 
     def to_dict(self):
-        entry = {
+        return {
             "rule": self.rule,
             "name": self.name,
             "level": self.level,
@@ -98,9 +87,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.context:
-            entry["context"] = self.context
-        return entry
 
     def render(self):
         return "{0}:{1}:{2}: {3} [{4}] {5}\n    hint: {6}".format(
@@ -139,8 +125,7 @@ class Report:
         if isinstance(baseline, dict):
             baseline = baseline.get("findings", [])
         known = {
-            (entry["rule"], entry["path"], entry["message"],
-             entry.get("context", ""))
+            (entry["rule"], entry["path"], entry["message"])
             for entry in baseline
         }
         kept = [

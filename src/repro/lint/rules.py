@@ -23,14 +23,11 @@ Passes (see DESIGN.md section 7):
    layer's mutable state into another layer's reachable set (the
    static counterpart of the runtime
    :class:`~repro.gcs.effect_check.EffectIsolationChecker`).
-6. **wire** -- the codec's wire registry must cover every stack message
-   dataclass, with field names and annotations matching the pinned
-   schema.
-7. **asyncflow** -- async-hazard analysis of the live runtime: no
+6. **asyncflow** -- async-hazard analysis of the live runtime: no
    blocking calls reachable from a coroutine, no dropped task handles,
    no ``await`` between writes to the same layer state, no lock
    acquisition-order cycles across coroutines.
-8. **taint** -- wire-taint analysis: values decoded from TCP frames
+7. **taint** -- wire-taint analysis: values decoded from TCP frames
    must pass a registered validator before reaching automaton state,
    container keys or timer delays, and receive-path containers must be
    pruned or bounded.
@@ -185,15 +182,6 @@ _RULES = (
         "behind the automaton's back",
     ),
     Rule(
-        "DVS015",
-        "wire-schema-drift",
-        "wire",
-        "wire registry out of sync with the message dataclasses",
-        "regenerate WIRE_SCHEMA in repro/runtime/codec.py and bump "
-        "WIRE_VERSION if the encoded field order changed; every stack "
-        "message dataclass must be registered in WIRE_TYPES",
-    ),
-    Rule(
         "DVS016",
         "blocking-call-on-loop",
         "asyncflow",
@@ -258,7 +246,7 @@ RULES = MappingProxyType({rule.id: rule for rule in _RULES})
 
 #: The pass names, in execution order.
 PASSES = (
-    "wellformed", "determinism", "aliasing", "races", "escape", "wire",
+    "wellformed", "determinism", "aliasing", "races", "escape",
     "asyncflow", "taint",
 )
 

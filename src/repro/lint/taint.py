@@ -1,4 +1,4 @@
-"""Pass 8: wire-taint analysis over the dataflow summaries.
+"""Pass 7: wire-taint analysis over the dataflow summaries.
 
 Frames decoded by ``codec.py`` carry attacker-controlled bytes: any TCP
 client can connect to a node and claim any sender id or field value.

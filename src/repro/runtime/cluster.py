@@ -362,10 +362,6 @@ class RuntimeCluster:
             if a.name == "brcv" and a.params[2] == pid
         ])
 
-    def delivery_count(self, pid):
-        """Deliveries of the *current* incarnation of ``pid``."""
-        return self.call_node(pid, lambda node: node.to.nextreport - 1)
-
     def cb_delivered(self, pid):
         """All causally ordered deliveries recorded at ``pid`` -- across
         every incarnation (the shared log never forgets)."""
@@ -374,10 +370,6 @@ class RuntimeCluster:
             for a in self.log.actions
             if a.name == "cb_brcv" and a.params[2] == pid
         ])
-
-    def cb_delivery_count(self, pid):
-        """CB deliveries of the *current* incarnation of ``pid``."""
-        return self.call_node(pid, lambda node: node.cb.deliveries)
 
     @property
     def violations(self):
@@ -453,12 +445,6 @@ class RuntimeCluster:
         if self._loop is None:
             return snap()
         return self._call(snap, timeout=timeout)
-
-    def save_trace(self, path, timeout=CALL_TIMEOUT):
-        """Serialize the recorded trace to ``path``; returns the trace."""
-        trace = self.snapshot_trace(timeout=timeout)
-        trace.save(path)
-        return trace
 
     # -- Observability (requires ``obs=``) ---------------------------------
 

@@ -115,8 +115,8 @@ _REGISTERED = frozenset(WIRE_TYPES)
 #: encoded order (the ``"@"`` tag carries positional values), so this
 #: literal is a contract: renaming, retyping or reordering a field of
 #: any registered dataclass without updating it here (and bumping
-#: :data:`WIRE_VERSION` when the layout changes) is wire drift.  Both
-#: :func:`schema_drift` and the static DVS015 rule check it.
+#: :data:`WIRE_VERSION` when the layout changes) is wire drift.
+#: :func:`schema_drift` checks it.
 WIRE_SCHEMA = MappingProxyType({
     "ViewId": (
         ("epoch", "int"),
@@ -208,10 +208,8 @@ def schema_drift():
     """Differences between :data:`WIRE_SCHEMA` and the live dataclasses.
 
     Returns a sorted list of human-readable drift descriptions (empty
-    when the pin is faithful).  The runtime counterpart of the static
-    DVS015 rule: ``tests/runtime/test_codec.py`` asserts it is empty,
-    so a field rename/retype fails fast even without running the
-    linter.
+    when the pin is faithful).  ``tests/runtime/test_codec.py``
+    asserts it is empty, so a field rename/retype fails tier-1.
     """
     problems = []
     for cls in WIRE_TYPES:

@@ -24,11 +24,7 @@ Nothing above the transport knows it left the simulator.
 import asyncio
 from collections import deque
 
-from repro.cb.messages import CbCast
-from repro.gcs.cb_layer import CbLayer, DvsFanout
-from repro.gcs.dvs_layer import DvsLayer
-from repro.gcs.to_layer import ToLayer
-from repro.gcs.vs_stack import VsStackNode
+from repro.gcs.tower import Tower
 from repro.runtime.codec import (
     CodecError,
     Heartbeat,
@@ -137,24 +133,16 @@ class RuntimeNode:
         self._hb_timeout = hb_timeout
         self._queue_limit = queue_limit
         self.clock = None
-        self.stack = VsStackNode(
-            pid, initial_view=initial_view, recorder=recorder,
-            member=member,
+        self.tower = Tower(
+            pid, initial_view, recorder=recorder, member=member,
+            dvs_factory=dvs_factory, listener=listener,
+            cb_listener=cb_listener,
         )
+        self.stack = self.tower.stack
         self.stack.net = _RuntimeNet(self)
-        dvs_cls = DvsLayer if dvs_factory is None else dvs_factory
-        self.dvs = dvs_cls(
-            self.stack, initial_view, recorder=recorder, member=member
-        )
-        self.fanout = DvsFanout(self.dvs)
-        self.to = ToLayer(
-            self.fanout.port(), initial_view, listener=listener,
-            recorder=recorder, member=member,
-        )
-        self.cb = CbLayer(
-            self.fanout.port(claims=CbCast), initial_view,
-            listener=cb_listener, recorder=recorder, member=member,
-        )
+        self.dvs = self.tower.dvs
+        self.to = self.tower.to
+        self.cb = self.tower.cb
         #: Exceptions raised by the hosted layers while handling events;
         #: they are recorded (not propagated) so one bad frame cannot
         #: take the transport down, and tests assert the buffer is

@@ -63,8 +63,8 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
     """The self-contained demo: N live nodes, a KV workload over TO, a
     presence channel over CB, one crash.
 
-    ``metrics_json``/``trace_json`` arm the observability layer and
-    write its snapshots to the given paths when the run finishes.
+    ``metrics_json``/``trace_json`` arm the observability layer, whose
+    tables are printed and snapshots written when the run finishes.
     Returns the number of safety violations (0 on a clean run).
     """
     pids = ["n{0}".format(i + 1) for i in range(processes)]
@@ -122,9 +122,7 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
                      len(pids),
                  ))
         if observe:
-            _export_observability(
-                cluster, metrics_json, trace_json, echo
-            )
+            _export_observability(cluster, metrics_json, trace_json, echo)
         violations = cluster.violations
         errors = cluster.errors()
     if errors:
@@ -142,22 +140,19 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
 def _export_observability(cluster, metrics_json, trace_json, echo):
     import json
 
+    from repro.analysis.report import render_metrics_table, render_stage_table
+
     trace = cluster.trace_snapshot()
-    echo("tracing: {0} message span(s), {1} view span(s), "
-         "{2} orphan(s)".format(
-             trace["summary"]["messages"], len(trace["views"]),
-             trace["summary"]["orphans"]))
-    if metrics_json:
-        snapshot = cluster.obs_snapshot()
-        with open(metrics_json, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        echo("metrics snapshot written to {0}".format(metrics_json))
-    if trace_json:
-        with open(trace_json, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        echo("trace JSON written to {0}".format(trace_json))
+    snapshot = cluster.obs_snapshot()
+    echo(render_stage_table(trace["summary"]))
+    echo(render_metrics_table(snapshot["metrics"]))
+    for what, path, data in (("metrics snapshot", metrics_json, snapshot),
+                             ("trace JSON", trace_json, trace)):
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            echo("{0} written to {1}".format(what, path))
 
 
 def _presence_round(cluster, pids, status, timeout):

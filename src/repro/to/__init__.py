@@ -4,6 +4,9 @@
   ``S = 2^C x seqof(L) x N x G`` and the recovery functions
   (``knowncontent``, ``maxprimary``, ``chosenrep``, ``fullorder``, ...);
 - :mod:`repro.to.spec` -- the TO service specification (from [12]);
+- :mod:`repro.to.to_core` -- labelling, confirmation and release, the
+  handlers Figure 5 shares with its Section 7 variant
+  (:mod:`repro.to.sx_total_order`);
 - :mod:`repro.to.dvs_to_to` -- the per-process algorithm ``DVS-TO-TO_p``
   (Figure 5);
 - :mod:`repro.to.impl` -- TO-IMPL, the composition of all ``DVS-TO-TO_p``

@@ -25,13 +25,11 @@ Invariant 6.3 only.
 
 from types import MappingProxyType
 
-from repro.core.sequences import head, nth, remove_head
-from repro.core.tables import Table
+from repro.core.sequences import head, remove_head
 from repro.core.viewids import G0
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
-from repro.ioa.state import State
-from repro.to.summaries import Label, Summary, fullorder, maxnextconfirm
+from repro.to.summaries import Summary, fullorder, maxnextconfirm
+from repro.to.to_core import ToCore, ToCoreState
 
 #: Read-only: module globals are shared by every simulated process.
 _PROC_PARAM = MappingProxyType({
@@ -51,35 +49,28 @@ SEND = "send"
 COLLECT = "collect"
 
 
-class DvsToToState(State):
+class DvsToToState(ToCoreState):
     """State of ``DVS-TO-TO_p``, named as in Figure 5."""
 
     def __init__(self, pid, initial_view):
-        is_initial_member = pid in initial_view.set
         super().__init__(
-            current=initial_view if is_initial_member else None,
+            pid, initial_view,
             status=NORMAL,
-            content=set(),
-            nextseqno=1,
-            buffer=[],
-            safe_labels=set(),
-            order=[],
-            nextconfirm=1,
-            nextreport=1,
-            highprimary=G0,
             gotstate={},
             safe_exch=set(),
-            registered={G0} if is_initial_member else set(),
-            delay=[],
-            established=Table(lambda: False),
-            buildorder=Table(tuple),
+            registered={G0} if pid in initial_view.set else set(),
         )
 
 
-class DvsToTo(TransitionAutomaton):
-    """The ``DVS-TO-TO_p`` automaton for one process (Figure 5)."""
+class DvsToTo(ToCore):
+    """The ``DVS-TO-TO_p`` automaton for one process (Figure 5).
 
-    parameterized_signature = True
+    Labelling, confirmation and release are inherited from
+    :class:`~repro.to.to_core.ToCore`; this class adds the multicast,
+    delivery and recovery handlers."""
+
+    proc_param = _PROC_PARAM
+    name_prefix = "dvs_to_to"
 
     inputs = frozenset(
         {"bcast", "dvs_gprcv", "dvs_safe", "dvs_newview"}
@@ -87,63 +78,15 @@ class DvsToTo(TransitionAutomaton):
     outputs = frozenset({"dvs_gpsnd", "dvs_register", "brcv"})
     internals = frozenset({"label", "confirm"})
 
-    def __init__(self, pid, initial_view, name=None):
-        self.pid = pid
-        self.initial_view = initial_view
-        self.name = name or "dvs_to_to:{0}".format(pid)
-
-    def participates(self, action):
-        index = _PROC_PARAM.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
-
     def initial_state(self):
         return DvsToToState(self.pid, self.initial_view)
 
-    # -- History bookkeeping ------------------------------------------------------
-
-    def _snapshot_order(self, state):
-        """Record ``order`` into the per-view history variable."""
-        if state.current is not None:
-            state.buildorder[state.current.id] = tuple(state.order)
-
-    # -- Client input and labelling ---------------------------------------------------
-
-    def eff_bcast(self, state, a, p):
-        state.delay.append(a)
-
-    def pre_label(self, state, a, p):
-        return state.current is not None and head(state.delay) == a
-
-    def eff_label(self, state, a, p):
-        label = Label(state.current.id, state.nextseqno, self.pid)
-        state.content.add((label, a))
-        state.buffer.append(label)
-        state.nextseqno += 1
-        remove_head(state.delay)
-
-    def cand_label(self, state):
-        if state.current is None:
-            return
-        a = head(state.delay)
-        if a is not None:
-            yield act("label", a, self.pid)
-
     # -- Normal multicast ---------------------------------------------------------------
-
-    def _content_lookup(self, state, label):
-        for entry_label, payload in state.content:
-            if entry_label == label:
-                return payload
-        return None
 
     def pre_dvs_gpsnd(self, state, m, p):
         if isinstance(m, Summary):
             return (
-                state.status == SEND and m == self._current_summary(state)
+                state.status == SEND and m == self._summary(state)
             )
         label, payload = m
         return (
@@ -160,7 +103,7 @@ class DvsToTo(TransitionAutomaton):
 
     def cand_dvs_gpsnd(self, state):
         if state.status == SEND:
-            yield act("dvs_gpsnd", self._current_summary(state), self.pid)
+            yield act("dvs_gpsnd", self._summary(state), self.pid)
             return
         if state.status != NORMAL:
             return
@@ -202,42 +145,6 @@ class DvsToTo(TransitionAutomaton):
             label, _ = m
             state.safe_labels.add(label)
 
-    # -- Confirmation and release to the client ------------------------------------------------
-
-    def pre_confirm(self, state, p):
-        entry = nth(state.order, state.nextconfirm)
-        return entry is not None and entry in state.safe_labels
-
-    def eff_confirm(self, state, p):
-        state.nextconfirm += 1
-
-    def cand_confirm(self, state):
-        if self.pre_confirm(state, self.pid):
-            yield act("confirm", self.pid)
-
-    def pre_brcv(self, state, a, q, p):
-        if state.nextreport >= state.nextconfirm:
-            return False
-        label = nth(state.order, state.nextreport)
-        return (
-            label is not None
-            and (label, a) in state.content
-            and q == label.origin
-        )
-
-    def eff_brcv(self, state, a, q, p):
-        state.nextreport += 1
-
-    def cand_brcv(self, state):
-        if state.nextreport >= state.nextconfirm:
-            return
-        label = nth(state.order, state.nextreport)
-        if label is None:
-            return
-        payload = self._content_lookup(state, label)
-        if payload is not None:
-            yield act("brcv", payload, label.origin, self.pid)
-
     # -- Recovery -------------------------------------------------------------------------------
 
     def eff_dvs_newview(self, state, v, p):
@@ -248,14 +155,6 @@ class DvsToTo(TransitionAutomaton):
         state.safe_exch = set()
         state.safe_labels = set()
         state.status = SEND
-
-    def _current_summary(self, state):
-        return Summary(
-            con=frozenset(state.content),
-            ord=tuple(state.order),
-            next=state.nextconfirm,
-            high=state.highprimary,
-        )
 
     def _receive_summary(self, state, summary, q):
         state.content |= set(summary.con)

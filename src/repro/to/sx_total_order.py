@@ -17,59 +17,43 @@ protocol phase, at the cost of a richer service interface.
 
 from types import MappingProxyType
 
-from repro.core.sequences import head, nth, remove_head
-from repro.core.tables import Table
-from repro.core.viewids import G0
+from repro.core.sequences import head, remove_head
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
-from repro.ioa.state import State
-from repro.to.summaries import Label, Summary, fullorder, maxnextconfirm
+from repro.to.dvs_to_to import _PROC_PARAM
+from repro.to.summaries import fullorder, maxnextconfirm
+from repro.to.to_core import ToCore, ToCoreState
 
 #: Read-only: module globals are shared by every simulated process.
-_PROC_PARAM = MappingProxyType({
-    "bcast": 1,
-    "label": 1,
-    "confirm": 0,
-    "brcv": 2,
-    "dvs_gpsnd": 1,
-    "dvs_newview": 1,
-    "dvs_gprcv": 2,
-    "dvs_safe": 2,
+_SX_PROC_PARAM = MappingProxyType({
+    **{k: v for k, v in _PROC_PARAM.items() if k != "dvs_register"},
     "sx_sendstate": 1,
     "sx_statedelivery": 1,
     "sx_statesafe": 0,
 })
 
 
-class SxToState(State):
+class SxToState(ToCoreState):
     """Figure 5's state minus ``status``, ``gotstate`` and ``safe-exch``."""
 
     def __init__(self, pid, initial_view):
         is_member = pid in initial_view.set
         super().__init__(
-            current=initial_view if is_member else None,
+            pid, initial_view,
             established_current=is_member,
             sent_state=is_member,  # v0 needs no exchange
-            content=set(),
-            nextseqno=1,
-            buffer=[],
-            safe_labels=set(),
-            order=[],
-            nextconfirm=1,
-            nextreport=1,
-            highprimary=G0,
             exchanged_labels=set(),
             pending_content=[],
-            delay=[],
-            established=Table(lambda: False),
-            buildorder=Table(tuple),
         )
 
 
-class SxTotalOrder(TransitionAutomaton):
-    """One process of the simplified TO algorithm over SX-DVS."""
+class SxTotalOrder(ToCore):
+    """One process of the simplified TO algorithm over SX-DVS.
 
-    parameterized_signature = True
+    Labelling, confirmation and release are inherited from
+    :class:`~repro.to.to_core.ToCore`, shared with Figure 5."""
+
+    proc_param = _SX_PROC_PARAM
+    name_prefix = "sx_to"
 
     inputs = frozenset(
         {"bcast", "dvs_gprcv", "dvs_safe", "dvs_newview",
@@ -78,55 +62,10 @@ class SxTotalOrder(TransitionAutomaton):
     outputs = frozenset({"dvs_gpsnd", "sx_sendstate", "brcv"})
     internals = frozenset({"label", "confirm"})
 
-    def __init__(self, pid, initial_view, name=None):
-        self.pid = pid
-        self.initial_view = initial_view
-        self.name = name or "sx_to:{0}".format(pid)
-
-    def participates(self, action):
-        index = _PROC_PARAM.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
-
     def initial_state(self):
         return SxToState(self.pid, self.initial_view)
 
-    # -- History ----------------------------------------------------------------
-
-    def _snapshot_order(self, state):
-        if state.current is not None:
-            state.buildorder[state.current.id] = tuple(state.order)
-
-    # -- Client input, labelling, normal multicast ----------------------------------
-
-    def eff_bcast(self, state, a, p):
-        state.delay.append(a)
-
-    def pre_label(self, state, a, p):
-        return state.current is not None and head(state.delay) == a
-
-    def eff_label(self, state, a, p):
-        label = Label(state.current.id, state.nextseqno, self.pid)
-        state.content.add((label, a))
-        state.buffer.append(label)
-        state.nextseqno += 1
-        remove_head(state.delay)
-
-    def cand_label(self, state):
-        if state.current is None:
-            return
-        a = head(state.delay)
-        if a is not None:
-            yield act("label", a, self.pid)
-
-    def _content_lookup(self, state, label):
-        for entry_label, payload in state.content:
-            if entry_label == label:
-                return payload
-        return None
+    # -- Normal multicast ----------------------------------------------------------
 
     def pre_dvs_gpsnd(self, state, m, p):
         label, payload = m
@@ -172,42 +111,6 @@ class SxTotalOrder(TransitionAutomaton):
         label, _ = m
         state.safe_labels.add(label)
 
-    # -- Confirmation and release ------------------------------------------------------------
-
-    def pre_confirm(self, state, p):
-        entry = nth(state.order, state.nextconfirm)
-        return entry is not None and entry in state.safe_labels
-
-    def eff_confirm(self, state, p):
-        state.nextconfirm += 1
-
-    def cand_confirm(self, state):
-        if self.pre_confirm(state, self.pid):
-            yield act("confirm", self.pid)
-
-    def pre_brcv(self, state, a, q, p):
-        if state.nextreport >= state.nextconfirm:
-            return False
-        label = nth(state.order, state.nextreport)
-        return (
-            label is not None
-            and (label, a) in state.content
-            and q == label.origin
-        )
-
-    def eff_brcv(self, state, a, q, p):
-        state.nextreport += 1
-
-    def cand_brcv(self, state):
-        if state.nextreport >= state.nextconfirm:
-            return
-        label = nth(state.order, state.nextreport)
-        if label is None:
-            return
-        payload = self._content_lookup(state, label)
-        if payload is not None:
-            yield act("brcv", payload, label.origin, self.pid)
-
     # -- Recovery: three inputs/outputs instead of a state machine ------------------------------
 
     def eff_dvs_newview(self, state, v, p):
@@ -219,14 +122,6 @@ class SxTotalOrder(TransitionAutomaton):
         state.safe_labels = set()
         state.exchanged_labels = set()
         state.pending_content = []
-
-    def _summary(self, state):
-        return Summary(
-            con=frozenset(state.content),
-            ord=tuple(state.order),
-            next=state.nextconfirm,
-            high=state.highprimary,
-        )
 
     def pre_sx_sendstate(self, state, x, p):
         return (

@@ -105,6 +105,23 @@ class TestToChecks:
         assert err.value.prop == "to-no-duplication"
 
 
+    def test_repeated_payload_is_legal_once_per_broadcast(self):
+        """Broadcasts are counted, not identified by payload equality:
+        ``bcast("hello")`` twice from one process is two messages, and a
+        *third* delivery is still a duplicate."""
+        monitor, log, _ = make_monitor("abc", fail_fast=False)
+        log.record("bcast", "hello", "a")
+        log.record("bcast", "hello", "a")
+        for pid in "abc":
+            log.record("brcv", "hello", "a", pid)
+            log.record("brcv", "hello", "a", pid)
+        assert monitor.ok
+        assert monitor.stats()["broadcasts"] == 2
+        log.record("brcv", "hello", "a", "b")
+        assert [v.prop for v in monitor.violations] == [
+            "to-no-duplication"
+        ]
+
 class TestMonitoredChaosRuns:
     def test_healthy_stack_survives_partition_churn(self):
         from repro.faults.nemesis import partition_churn

@@ -53,6 +53,18 @@ def wait_applied(cluster, pids, total, timeout=WAIT):
     )
 
 
+def test_repeating_a_command_is_not_a_duplication_violation(cluster):
+    """Oracle soundness (ROADMAP 4.iv): the same command twice from one
+    node is two broadcasts, each delivered once everywhere."""
+    cluster.wait_formation(timeout=WAIT)
+    for _ in range(2):
+        cluster.call_app("n1", lambda app: app.put("k", "v"))
+    wait_applied(cluster, PIDS, 2)
+    assert cluster.delivered("n2") == [(("put", "k", "v"), "n1")] * 2
+    cluster.check()
+    assert cluster.violations == []
+
+
 def test_200_requests_with_crash_and_rejoin(cluster):
     cluster.wait_formation(timeout=WAIT)
 

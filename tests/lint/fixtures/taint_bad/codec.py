@@ -1,11 +1,4 @@
-"""Fixture codec: the decode entry points taint flows from.
-
-The empty literal registry/pin keep the wire pass (DVS015) satisfied;
-this tree only exercises the taint pass.
-"""
-
-WIRE_TYPES = ()
-WIRE_SCHEMA = {}  # lint: ignore[DVS010]
+"""Fixture codec: the decode entry points taint flows from."""
 
 
 def decode(data):

@@ -1,8 +1,5 @@
 """Fixture codec for the clean receive path (see taint_good/node.py)."""
 
-WIRE_TYPES = ()
-WIRE_SCHEMA = {}  # lint: ignore[DVS010]
-
 
 def decode(data):
     return ("frame", data)

@@ -25,7 +25,6 @@ RULE_FIXTURES = {
     "DVS012": ("races_bad.py", "races_good.py"),
     "DVS013": ("races_bad.py", "races_good.py"),
     "DVS014": ("escape_bad.py", "escape_good.py"),
-    "DVS015": ("wire_drift", "wire_clean"),
     "DVS016": ("async_bad.py", "async_good.py"),
     "DVS017": ("async_bad.py", "async_good.py"),
     "DVS018": ("async_bad.py", "async_good.py"),
@@ -39,14 +38,6 @@ RULE_FIXTURES = {
 FIXTURE_CONFIGS = {
     "races_bad.py": {"runtime_globs": ("*/fixtures/races_bad.py",)},
     "races_good.py": {"runtime_globs": ("*/fixtures/races_good.py",)},
-    "wire_drift": {
-        "codec_globs": ("*/fixtures/wire_drift/codec.py",),
-        "wire_message_globs": ("*/fixtures/wire_drift/messages.py",),
-    },
-    "wire_clean": {
-        "codec_globs": ("*/fixtures/wire_clean/codec.py",),
-        "wire_message_globs": ("*/fixtures/wire_clean/messages.py",),
-    },
     "async_bad.py": {"runtime_globs": ("*/fixtures/async_bad.py",)},
     "async_good.py": {"runtime_globs": ("*/fixtures/async_good.py",)},
     "taint_bad": {
@@ -85,7 +76,7 @@ def test_rule_silent_on_clean_fixture(lint_fixture, rule):
 
 @pytest.mark.parametrize("name", [
     "wellformed_good.py", "determinism_good.py", "aliasing_good.py",
-    "races_good.py", "escape_good.py", "wire_clean", "edge_cases.py",
+    "races_good.py", "escape_good.py", "edge_cases.py",
     "async_good.py", "taint_good",
 ])
 def test_clean_fixtures_are_fully_clean(lint_fixture, name):

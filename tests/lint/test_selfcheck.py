@@ -33,20 +33,6 @@ SEEDED = {
             ("DVS014", 41),
         },
     },
-    "wire_drift": {
-        "config": {
-            "select": {"DVS015"},
-            "codec_globs": ("*/fixtures/wire_drift/codec.py",),
-            "wire_message_globs": (
-                "*/fixtures/wire_drift/messages.py",
-            ),
-        },
-        "expected": {
-            ("DVS015", 9),
-            ("DVS015", 15),
-            ("DVS015", 21),
-        },
-    },
     "async_bad.py": {
         "config": {
             "runtime_globs": ("*/fixtures/async_bad.py",),

@@ -7,12 +7,15 @@ Invariant 4.1 and TO prefix-consistency must survive whatever the
 nemesis does.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.checking.strategies import nemesis_plans
+from repro.dvs.ablation import NoMajorityDvsLayer
 from repro.faults.harness import run_chaos
-from repro.faults.nemesis import NemesisPlan
+from repro.faults.monitor import SafetyViolation
+from repro.faults.nemesis import Nemesis, NemesisPlan, partition_churn
+from repro.gcs.cluster import Cluster
 
 PROCS = ["p1", "p2", "p3"]
 
@@ -49,6 +52,66 @@ class TestChaosSafety:
         second = run_chaos(PROCS, seed=seed, plan=plan, duration=80.0)
         assert first.digest == second.digest
         assert first.stats == second.stats
+
+
+def run_duplicate_payload_chaos(processes, seed, plan, duration,
+                                dvs_factory=None):
+    """``run_chaos``'s workload with one change: every process keeps
+    re-broadcasting the same payload, so broadcasts are *not*
+    identifiable by ``(payload, origin)``.  Returns the monitor."""
+    cluster = Cluster(
+        processes, seed=seed, nemesis=Nemesis(plan), monitor=True,
+        dvs_factory=dvs_factory,
+    )
+    net = cluster.net
+    ticks = [0]
+
+    def tick():
+        if net.queue.now >= duration:
+            return
+        pid = processes[ticks[0] % len(processes)]
+        if net.alive(pid):
+            ordering = "cb" if ticks[0] % 4 == 3 else "to"
+            cluster.bcast(pid, "hello", ordering=ordering)
+        ticks[0] += 1
+        net.queue.schedule(2.0, tick)
+
+    net.queue.schedule(2.0, tick)
+    try:
+        cluster.start().run(duration).settle(max_time=250.0, strict=False)
+    except SafetyViolation:
+        pass
+    return cluster.monitor
+
+
+class TestDuplicatePayloadWorkloads:
+    """Oracle soundness (ROADMAP 4.iv): the monitor must not cry wolf
+    when applications repeat themselves, and must still catch a stack
+    that is actually broken."""
+
+    @compact
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        plan=nemesis_plans(PROCS, max_ops=5, horizon=60.0, max_duration=20.0),
+    )
+    def test_never_trip_the_unablated_stack(self, seed, plan):
+        monitor = run_duplicate_payload_chaos(
+            PROCS, seed, plan, duration=min(plan.horizon + 30.0, 120.0)
+        )
+        # Only runs where some process really repeated itself count.
+        assume(max(monitor.broadcast.values(), default=0) >= 2)
+        assert monitor.ok, monitor.violations[0].summary()
+
+    def test_ablated_stack_is_still_caught(self):
+        procs = ["p1", "p2", "p3", "p4", "p5"]
+        plan = partition_churn(procs, seed=0, start=10.0, duration=120.0)
+        monitor = run_duplicate_payload_chaos(
+            procs, 0, plan, duration=170.0,
+            dvs_factory=NoMajorityDvsLayer,
+        )
+        assert [v.prop for v in monitor.violations] == [
+            "dvs-4.1-intersection"
+        ]
 
 
 class TestPlanStrategies:

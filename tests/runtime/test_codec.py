@@ -10,6 +10,7 @@ Two families of guarantees:
    never an arbitrary exception and never a crash of the reader loop.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -287,6 +288,18 @@ def test_unencodable_values_rejected():
         encode(lambda: None)
 
 
+def test_unregistered_frozen_dataclass_rejected_on_encode():
+    """A message type missing from WIRE_TYPES cannot reach the wire:
+    the registry is closed on the encode side too."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Stowaway:
+        payload: str
+
+    with pytest.raises(CodecError, match="unencodable"):
+        encode(Stowaway("x"))
+
+
 def test_deep_nesting_is_typed_error():
     bomb = bytes([WIRE_VERSION]) + (
         b'["t",[' * 2000 + b'["z"]' + b"]]" * 2000
@@ -302,9 +315,25 @@ def test_trailing_bytes_rejected_strict():
 
 
 def test_pinned_schema_matches_the_dataclasses():
-    """The WIRE_SCHEMA pin (which `repro lint` checks statically as
-    DVS015) agrees with the live dataclass definitions."""
+    """The WIRE_SCHEMA pin agrees with the live dataclass
+    definitions."""
     from repro.runtime.codec import WIRE_SCHEMA, schema_drift
 
     assert schema_drift() == []
     assert set(WIRE_SCHEMA) == {cls.__name__ for cls in WIRE_TYPES}
+
+
+def test_schema_drift_reports_a_renamed_field_and_a_stale_pin(monkeypatch):
+    """The guard has teeth: a pin that disagrees with a live dataclass
+    (what a field rename looks like) and a pin with no registered type
+    are both reported."""
+    from repro.runtime import codec
+
+    pinned = dict(codec.WIRE_SCHEMA)
+    pinned["ViewId"] = (("era", "int"),) + tuple(pinned["ViewId"][1:])
+    pinned["Ghost"] = ()
+    monkeypatch.setattr(codec, "WIRE_SCHEMA", pinned)
+    drift = codec.schema_drift()
+    assert any(d.startswith("ViewId: declared fields") for d in drift)
+    assert "Ghost: pinned in WIRE_SCHEMA but not in WIRE_TYPES" in drift
+    assert len(drift) == 2

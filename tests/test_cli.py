@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,6 +73,26 @@ class TestServe:
         out = capsys.readouterr().out
         assert "killing" not in out
         assert "no violations" in out
+
+    def test_observed_run_prints_tables_and_writes_snapshots(
+        self, tmp_path, capsys
+    ):
+        metrics_path = tmp_path / "m.json"
+        trace_path = tmp_path / "t.json"
+        code = main(
+            ["serve", "--no-kill", "--requests", "20",
+             "--metrics-json", str(metrics_path),
+             "--trace-json", str(trace_path)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "per-stage delivery latency" in out
+        assert " 0 orphan(s)" in out
+        assert "gcs.to.deliveries" in out
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["metrics"]["gcs.to.bcasts"]["value"] == 20
+        trace = json.loads(trace_path.read_text())
+        assert trace["summary"]["orphans"] == 0
 
     def test_single_node_requires_bind(self):
         with pytest.raises(SystemExit):
