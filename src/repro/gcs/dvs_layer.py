@@ -69,6 +69,9 @@ class DvsLayer(VsListener, RecorderMixin):
         self.client_history = []
         self.acked = {}
         self.safe_ptr = 0
+        # Count carried by our newest AckMsg; it is un-echoed (and so the
+        # one ack we allow in flight) while ``acked[pid]`` is behind it.
+        self.ack_sent = 0
 
     # -- DVS downcalls ---------------------------------------------------------------
 
@@ -112,6 +115,7 @@ class DvsLayer(VsListener, RecorderMixin):
         self.client_history = []
         self.acked = {}
         self.safe_ptr = 0
+        self.ack_sent = 0
         self.stack.gpsnd(InfoMsg(self.act, frozenset(self.amb)))
         # A VS view can already be attemptable when it needs no peers'
         # info (the info check only covers *other* members, and our own
@@ -127,6 +131,9 @@ class DvsLayer(VsListener, RecorderMixin):
             self._on_ack(payload, sender)
         else:
             self._on_client_payload(payload, sender)
+
+    #: So the stack below sends no Ack/SafeNote and retains no payload.
+    wants_vs_safe = False
 
     def on_vs_safe(self, payload, sender):
         """VS-level stability: ignored.
@@ -199,14 +206,28 @@ class DvsLayer(VsListener, RecorderMixin):
         self._record("dvs_gprcv", payload, sender, self.pid)
         self.listener.on_dvs_gprcv(payload, sender)
         self.client_history.append((payload, sender))
-        if self.cur is not None and self.client_cur is not None and (
-            self.client_cur.id == self.cur.id
+        self._send_ack()
+
+    def _send_ack(self):
+        """Acknowledge every client delivery so far, unless an ack of ours
+        is still un-echoed: counts are cumulative and receivers keep the
+        maximum, so its echo sends the next one (self-clocked by the
+        sequencer round trip -- one ack per delivery under light load,
+        coalesced under load, no timer)."""
+        count = len(self.client_history)
+        if (
+            count > self.ack_sent == self.acked.get(self.pid, 0)
+            and self.cur is not None and self.client_cur is not None
+            and self.client_cur.id == self.cur.id
         ):
-            self.stack.gpsnd(AckMsg(len(self.client_history)))
+            self.ack_sent = count
+            self.stack.gpsnd(AckMsg(count))
 
     def _on_ack(self, ack, sender):
         if ack.count > self.acked.get(sender, 0):
             self.acked[sender] = ack.count
+        if sender == self.pid:
+            self._send_ack()
         self._release_safe()
 
     def _release_safe(self):

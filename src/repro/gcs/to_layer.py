@@ -47,6 +47,7 @@ class ToLayer(DvsListener, RecorderMixin):
         self.nextseqno = 1
         self.safe_labels = set()
         self.order = []
+        self.ordered = set()  # the labels in ``order``, for O(1) membership
         self.nextconfirm = 1
         self.nextreport = 1
         self.highprimary = G0
@@ -104,7 +105,8 @@ class ToLayer(DvsListener, RecorderMixin):
         else:
             label, value = payload
             self.content[label] = value
-            if label not in self.order:
+            if label not in self.ordered:
+                self.ordered.add(label)
                 self.order.append(label)
             self._confirm_and_deliver()
 
@@ -138,6 +140,7 @@ class ToLayer(DvsListener, RecorderMixin):
         ):
             self.nextconfirm = maxnextconfirm(self.gotstate)
             self.order = list(fullorder(self.gotstate))
+            self.ordered = set(self.order)
             self.highprimary = self.current.id
             self.status = NORMAL
             self.established.add(self.current.id)

@@ -11,10 +11,13 @@ increasing identifier order, so each process's view sequence is monotone.
 Ordering: per-view sequencer.  A member forwards its payloads to the
 view's leader (minimum id), which assigns consecutive sequence numbers and
 broadcasts them; members deliver in sequence order -- hence all members of
-a view deliver prefixes of one common sequence.  Members acknowledge
+a view deliver prefixes of one common sequence.  For a listener that
+consumes ``on_vs_safe`` (``VsListener.wants_vs_safe``), members acknowledge
 deliveries; once the leader holds acknowledgements from *every* member for
 a position it broadcasts a stability note, and members report the message
-safe, in order.
+safe, in order.  A listener that declares it does not read stability
+(:class:`~repro.gcs.dvs_layer.DvsLayer`) pays for none of it: no ``Ack``,
+no ``SafeNote``, nothing retained after delivery.
 
 Safety relative to the VS specification (checked by the test suite through
 the shared trace-property checkers):
@@ -47,6 +50,11 @@ from repro.net.simulator import Node
 
 class VsListener:
     """Upcall interface for users of the VS stack."""
+
+    #: Whether ``on_vs_safe`` is read.  Declared, not detected from the
+    #: method's identity: tracers patch ``on_vs_safe``, and tracking that
+    #: switches on when observed would be worse than tracking always on.
+    wants_vs_safe = True
 
     def on_vs_newview(self, view):
         """A new view was installed."""
@@ -191,36 +199,52 @@ class VsStackNode(Node, RecorderMixin):
         if not self._in_current_view(msg.vid):
             return
         ordering = self.ordering
+        if msg.seq < ordering.next_deliver:
+            return  # duplicate of a delivered position: nothing to keep
+        tracking = self.listener.wants_vs_safe
         ordering.buffer[msg.seq] = (msg.payload, msg.sender)
         while ordering.next_deliver in ordering.buffer:
             seq = ordering.next_deliver
-            payload, sender = ordering.buffer[seq]
             ordering.next_deliver += 1
+            payload, sender = ordering.buffer[seq]
+            if not tracking:
+                del ordering.buffer[seq]  # nothing will report it safe
             self._record("vs_gprcv", payload, sender, self.pid)
             self.listener.on_vs_gprcv(payload, sender)
-            self.send(self._leader(), Ack(msg.vid, seq))
-            self._report_safe()
+            if tracking:
+                self.send(self._leader(), Ack(msg.vid, seq))
+                self._report_safe()
+
+    # Stability, tracked only for a listener that reads it; otherwise a
+    # stray Ack/SafeNote (old peer, replayed trace) is dropped unretained.
 
     def _on_ack(self, src, msg):
-        if not self._in_current_view(msg.vid) or self.pid != self._leader():
+        if not (self.listener.wants_vs_safe and self._in_current_view(msg.vid)
+                and self.pid == self._leader()):
             return
         ordering = self.ordering
+        if msg.seq < ordering.next_safe_broadcast:
+            return
         ordering.acks.setdefault(msg.seq, set()).add(src)
         while ordering.acks.get(
             ordering.next_safe_broadcast, set()
         ) >= self.view.set:
             note = SafeNote(msg.vid, ordering.next_safe_broadcast)
+            del ordering.acks[ordering.next_safe_broadcast]
             ordering.next_safe_broadcast += 1
             self.broadcast(sorted(self.view.set), note)
 
     def _on_safe_note(self, src, msg):
-        if not self._in_current_view(msg.vid):
+        if not (self.listener.wants_vs_safe
+                and self._in_current_view(msg.vid)):
             return
-        self.ordering.safe_notes.add(msg.seq)
-        self._report_safe()
+        if msg.seq >= self.ordering.next_safe_report:
+            self.ordering.safe_notes.add(msg.seq)
+            self._report_safe()
 
     def _report_safe(self):
-        """Report safe messages in order, as far as notes and deliveries go."""
+        """Report safe messages in order, as far as notes and deliveries
+        go; a reported position's note and payload are dropped."""
         ordering = self.ordering
         while (
             ordering.next_safe_report in ordering.safe_notes
@@ -228,6 +252,7 @@ class VsStackNode(Node, RecorderMixin):
         ):
             seq = ordering.next_safe_report
             ordering.next_safe_report += 1
-            payload, sender = ordering.buffer[seq]
+            ordering.safe_notes.remove(seq)
+            payload, sender = ordering.buffer.pop(seq)
             self._record("vs_safe", payload, sender, self.pid)
             self.listener.on_vs_safe(payload, sender)

@@ -278,7 +278,7 @@ class RuntimeNode:
 
         The per-destination ``send`` path used to re-encode the
         identical ``(pid, msg)`` envelope for every link -- pure waste
-        on the hottest path (every Ordered/SafeNote broadcast and every
+        on the hottest path (every Ordered broadcast and every
         heartbeat round).  The self-send still short-circuits through
         the local queue without touching the codec.
         """

@@ -6,6 +6,9 @@ from repro.core import make_view
 from repro.core.messages import InfoMsg, RegisteredMsg
 from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.dvs_layer import DvsLayer, DvsListener
+from repro.gcs.messages import Ack, Ordered, SafeNote
+from repro.gcs.tower import Tower
+from repro.net import Network
 
 
 class FakeStack:
@@ -156,3 +159,102 @@ class TestRegistrationAndGc:
         before = len(stack.sent)
         dvs.gpsnd("stuck")
         assert len(stack.sent) == before  # addressed to a dead view
+
+
+def acks(stack):
+    return [m for m in stack.sent if isinstance(m, AckMsg)]
+
+
+class TestAckCoalescing:
+    """At most one cumulative AckMsg of ours is un-echoed at any time."""
+
+    def test_burst_while_in_flight_yields_one_ack_on_echo(self):
+        dvs, stack, sink, v0 = layer()
+        for i in range(5):
+            dvs.on_vs_gprcv(("m", i), "b")
+        assert acks(stack) == [AckMsg(1)]
+        dvs.on_vs_gprcv(AckMsg(1), "a")  # our own ack, back through VS
+        assert acks(stack) == [AckMsg(1), AckMsg(5)]
+        dvs.on_vs_gprcv(AckMsg(5), "a")  # nothing delivered meanwhile
+        assert acks(stack) == [AckMsg(1), AckMsg(5)]
+        dvs.on_vs_gprcv(("m", 5), "c")   # light load: acked at once
+        assert acks(stack) == [AckMsg(1), AckMsg(5), AckMsg(6)]
+
+    def test_peers_acks_do_not_clock_ours(self):
+        dvs, stack, sink, v0 = layer()
+        dvs.on_vs_gprcv("m1", "b")
+        dvs.on_vs_gprcv("m2", "b")
+        dvs.on_vs_gprcv(AckMsg(2), "b")
+        dvs.on_vs_gprcv(AckMsg(2), "c")
+        assert acks(stack) == [AckMsg(1)]
+        assert sink.safe == []  # still waiting for *our* count
+        dvs.on_vs_gprcv(AckMsg(1), "a")
+        assert acks(stack) == [AckMsg(1), AckMsg(2)]
+        assert sink.safe == [("m1", "b")]
+        dvs.on_vs_gprcv(AckMsg(2), "a")
+        assert sink.safe == [("m1", "b"), ("m2", "b")]
+
+    def test_burst_released_at_attempt_time(self):
+        dvs, stack, sink, v0 = layer()
+        v1 = make_view(1, {"a", "b"})
+        dvs.on_vs_newview(v1)
+        for i in range(4):
+            dvs.on_vs_gprcv(("early", i), "b")
+        assert acks(stack) == []  # buffered: no client has seen them
+        dvs.on_vs_gprcv(InfoMsg(v0, frozenset()), "b")
+        assert len(sink.delivered) == 4
+        assert acks(stack) == [AckMsg(1)]
+        dvs.on_vs_gprcv(AckMsg(1), "a")
+        assert acks(stack) == [AckMsg(1), AckMsg(4)]
+
+    def test_duplicated_own_echo_is_harmless(self):
+        dvs, stack, sink, v0 = layer()
+        for i in range(3):
+            dvs.on_vs_gprcv(("m", i), "b")
+        dvs.on_vs_gprcv(AckMsg(1), "a")
+        dvs.on_vs_gprcv(AckMsg(1), "a")  # faultnet duplication
+        assert acks(stack) == [AckMsg(1), AckMsg(3)]
+        dvs.on_vs_gprcv(("m", 3), "b")
+        assert acks(stack) == [AckMsg(1), AckMsg(3)]  # AckMsg(3) in flight
+        dvs.on_vs_gprcv(AckMsg(3), "a")
+        dvs.on_vs_gprcv(AckMsg(3), "a")
+        assert acks(stack) == [AckMsg(1), AckMsg(3), AckMsg(4)]
+
+    def test_newview_resets_in_flight_state(self):
+        dvs, stack, sink, v0 = layer()
+        dvs.on_vs_gprcv("m1", "b")
+        dvs.on_vs_gprcv("m2", "b")  # AckMsg(1) un-echoed, lost with v0
+        v1 = make_view(1, {"a", "b"})
+        dvs.on_vs_newview(v1)
+        dvs.on_vs_gprcv(InfoMsg(v0, frozenset()), "b")
+        dvs.on_vs_gprcv("m3", "b")
+        assert acks(stack) == [AckMsg(1), AckMsg(1)]  # counts restart
+        dvs.on_vs_gprcv(AckMsg(1), "b")
+        dvs.on_vs_gprcv(AckMsg(1), "a")
+        assert sink.safe == [("m3", "b")]
+
+
+class TestTowerHostedStackTracksNoStability:
+    def test_stray_ack_and_safe_note_retain_nothing(self):
+        v0 = make_view(0, {"a", "b"})
+        net = Network(seed=0)
+        towers = {p: Tower(p, v0, orderings=False) for p in "ab"}
+        for tower in towers.values():
+            net.add_node(tower.stack)
+        net.start()
+        net.run_to_quiescence(max_time=50)
+        leader = towers["a"].stack
+        vid = leader.view.id
+        before = len(net.log)
+        for seq in (1, 2, 7):
+            for src in "ab":
+                leader.on_message(src, Ack(vid, seq))
+            leader.on_message("a", SafeNote(vid, seq))
+        ordering = leader.ordering
+        assert ordering.acks == {} and ordering.safe_notes == set()
+        assert len(net.log) == before  # and no SafeNote went out
+        seq = ordering.next_deliver
+        leader.on_message("a", Ordered(vid, seq, "m", "b"))
+        leader.on_message("a", Ordered(vid, seq, "m", "b"))  # duplicate
+        assert ordering.next_deliver == seq + 1
+        assert ordering.buffer == {}

@@ -1,0 +1,83 @@
+"""What the stack puts on the (simulated) wire, counted by message type.
+
+The tower reads no VS-level stability (``DvsLayer.on_vs_safe`` is a
+no-op), so it must not pay for any; a bare VS stack whose listener does
+read it must still get every indication, and hold nothing afterwards.
+"""
+
+from collections import Counter
+
+from repro.dvs.vs_to_dvs import AckMsg
+from repro.gcs.cluster import Cluster
+from tests.gcs.test_vs_stack import make_stack
+
+PIDS = ["a", "b", "c"]
+K = 12
+
+
+def sends_by_type(net, since):
+    return Counter(
+        type(details[2]).__name__
+        for _, kind, details in list(net.log)[since:]
+        if kind == "send"
+    )
+
+
+class TestTowerCensus:
+    def run(self):
+        cluster = Cluster(PIDS, seed=16).start()
+        cluster.settle(max_time=60)
+        wire_mark, log_mark = len(cluster.net.log), len(cluster.log.actions)
+        for i in range(K):
+            cluster.bcast(PIDS[i % 3], ("req", i))
+        cluster.settle(max_time=2000)
+        return (
+            cluster,
+            sends_by_type(cluster.net, wire_mark),
+            cluster.log.actions[log_mark:],
+        )
+
+    def test_no_vs_stability_traffic_and_coalesced_acks(self):
+        cluster, sends, actions = self.run()
+        names = Counter(a.name for a in actions)
+        assert sends["Ack"] == sends["SafeNote"] == 0
+        assert names["vs_safe"] == 0
+        ack_multicasts = sum(
+            1 for a in actions
+            if a.name == "vs_gpsnd" and isinstance(a.params[0], AckMsg)
+        )
+        assert 0 < ack_multicasts <= names["dvs_gprcv"]
+        # Nothing was lost with the traffic: every request is delivered
+        # to every client, reported safe and totally ordered, everywhere.
+        assert names["dvs_gprcv"] == names["dvs_safe"] == 3 * K
+        assert names["brcv"] == 3 * K
+        # Pinned for this seed.  The K requests are issued at one
+        # instant, so each member's acks coalesce to two: AckMsg(1) and,
+        # on its echo, one for everything delivered meanwhile.
+        assert ack_multicasts == 6
+        assert sends == {"Data": K + 6, "Ordered": 3 * (K + 6)}
+        for pid in PIDS:
+            assert cluster.stacks[pid].ordering.buffer == {}
+
+    def test_census_is_deterministic(self):
+        assert self.run()[1:] == self.run()[1:]
+
+
+class TestVsOnlyStackKeepsStability:
+    def test_every_vs_safe_in_order_and_state_drained(self):
+        net, nodes, listeners, log, v0 = make_stack(PIDS, seed=16)
+        net.run_to_quiescence(max_time=60)
+        mark = len(net.log)
+        for i in range(K):
+            nodes[PIDS[i % 3]].gpsnd(("req", i))
+        net.run_to_quiescence(max_time=2000)
+        assert sends_by_type(net, mark) == {
+            "Data": K, "Ordered": 3 * K, "Ack": 3 * K, "SafeNote": 3 * K,
+        }
+        for pid in PIDS:
+            assert len(listeners[pid].delivered) == K
+            assert listeners[pid].safe == listeners[pid].delivered
+            ordering = nodes[pid].ordering
+            assert ordering.buffer == {}
+            assert ordering.acks == {}
+            assert ordering.safe_notes == set()

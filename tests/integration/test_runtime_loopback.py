@@ -8,13 +8,30 @@ reformation by the surviving majority, and an amnesiac rejoin with
 state transfer -- and finishes with zero safety violations.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.apps.kv_store import KvReplica
+from repro.obs import Observability
 from repro.runtime.cluster import RuntimeCluster
 
 PIDS = ["n1", "n2", "n3"]
 WAIT = 60.0
+
+
+class WireCensus(Observability):
+    """Also counts every frame the nodes send, by message type (the
+    tracer itself only keeps frames that carry a label)."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = Counter()
+
+    def wire_event(self, stage, pid, peer, msg, t):
+        if stage == "wire_send":
+            self.sent[type(msg).__name__] += 1
+        super().wire_event(stage, pid, peer, msg, t)
 
 
 @pytest.fixture
@@ -24,7 +41,7 @@ def cluster():
         app_factory=lambda node: KvReplica(node.to),
         hb_interval=0.05,
         hb_timeout=0.25,
-        obs=True,
+        obs=WireCensus(),
     )
     with c:
         yield c
@@ -116,6 +133,12 @@ def test_200_requests_with_crash_and_rejoin(cluster):
     assert trace["summary"]["deliveries"] > 0
     # The crash/reformation/rejoin produced observable view spans.
     assert len(trace["views"]) >= 2
+
+    # The tower reads no VS-level stability, so none crossed the wire
+    # (formation, crash, reformation and rejoin included).
+    sent_frames = cluster.obs.sent
+    assert sent_frames["Ordered"] > 0 and sent_frames["Install"] > 0
+    assert sent_frames["Ack"] == 0 and sent_frames["SafeNote"] == 0
 
 
 def test_formation_and_steady_traffic(cluster):
