@@ -30,7 +30,6 @@ from repro.checking.harness import (
     build_closed_dvs_spec,
     build_closed_to_impl,
     build_closed_vs_spec,
-    default_weights,
 )
 from repro.checking.isis_property import isis_violations
 from repro.checking.trace_props import (
@@ -60,7 +59,6 @@ __all__ = [
     "check_dvs_trace_properties",
     "check_to_trace_properties",
     "check_vs_trace_properties",
-    "default_weights",
     "grid_view_pool",
     "random_view_pool",
 ]

@@ -23,25 +23,6 @@ from repro.to.impl import DVS_EXTERNAL_ACTIONS, app_component_name
 from repro.vs.spec import VSSpec
 
 
-def default_weights():
-    """Scheduler weights that keep random runs lively.
-
-    View management events are rare relative to data traffic in real
-    systems; these weights bias the random scheduler the same way, so that
-    views have time to be attempted, registered and used before the
-    adversary proposes the next one.
-    """
-    return {
-        "vs_createview": 0.25,
-        "vs_newview": 1.0,
-        "dvs_createview": 0.25,
-        "dvs_newview": 2.0,
-        "dvs_register": 2.0,
-        "dvs_garbage_collect": 1.5,
-        "bcast": 1.0,
-    }
-
-
 def build_closed_vs_spec(initial_view, universe, view_pool=(), budget=3):
     """VS spec + one VS client per process."""
     universe = sorted(set(universe) | set(initial_view.set))

@@ -26,39 +26,14 @@ trips the monitor, i.e. a minimal simulator-checked counterexample.
 
 import hashlib
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
-from repro.dvs.ablation import NoMajorityDvsLayer
+from repro.dvs.ablation import DVS_FACTORIES
 from repro.faults.harness import _canon
 from repro.faults.monitor import SafetyMonitor
 from repro.faults.shrink import shrink_plan
-from repro.gcs.dvs_layer import DvsLayer
 from repro.gcs.recorder import ActionLog
 from repro.gcs.tower import Tower
 from repro.obs.record import ReplayTrace, TraceError
-
-#: Registry of replayable DVS layer factories.  A trace records which
-#: one the live run used (``repro chaos --live --broken`` runs the
-#: ablated layer on purpose); replay must rebuild the same tower or the
-#: recorded inputs would drive a different algorithm.
-DVS_FACTORIES = MappingProxyType({
-    "normal": DvsLayer,
-    "nomajority": NoMajorityDvsLayer,
-})
-
-
-def dvs_factory_name(factory):
-    """The trace-header name for a DVS layer factory."""
-    if factory is None:
-        return "normal"
-    for name, cls in DVS_FACTORIES.items():
-        if factory is cls:
-            return name
-    raise ValueError(
-        "dvs factory {0!r} is not replayable (register it in "
-        "repro.checking.replay.DVS_FACTORIES)".format(factory)
-    )
-
 
 class _ReplayClock:
     """A settable clock: replay pins it to each event's recorded time,

@@ -369,7 +369,7 @@ def _cmd_chaos_live(args, procs, plan, dvs_factory, duration, interval):
         return 0
     print()
     print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))
-    from repro.checking.replay import replay_trace, shrink_replay
+    from repro.checking.replay import replay_trace
 
     replayed = replay_trace(result.trace)
     if replayed.ok:
@@ -378,23 +378,32 @@ def _cmd_chaos_live(args, procs, plan, dvs_factory, duration, interval):
         return 1
     print("deterministic replay reproduces it: {0}".format(
         replayed.violations[0].summary()))
-    if args.no_shrink:
-        return 1
+    if not args.no_shrink:
+        _shrink_and_save(
+            result.trace, replayed, args.max_probes,
+            args.record + ".min" if args.record else None,
+        )
+    return 1
+
+
+def _shrink_and_save(trace, replayed, max_probes, path):
+    """ddmin a trace whose replay violated, print the minimal
+    counterexample and, given a ``path``, save it."""
+    from repro.checking.replay import shrink_replay
+
     print("shrinking the trace (delta debugging)...")
     minimal, probes, final = shrink_replay(
-        result.trace, max_probes=args.max_probes,
+        trace, max_probes=max_probes,
         prop=replayed.violations[0].prop,
     )
     print("minimal counterexample: {0} of {1} events ({2} probes)".format(
-        len(minimal), len(result.trace), probes))
+        len(minimal), len(trace), probes))
     print(minimal.describe(limit=40))
     print("violation: {0}".format(final.violations[0].summary()))
-    if args.record:
-        path = args.record + ".min"
+    if path:
         minimal.save(path)
         print("minimal trace written to {0}; replay: "
               "python -m repro replay {0}".format(path))
-    return 1
 
 
 def _cmd_replay(args):
@@ -411,7 +420,6 @@ def _cmd_replay(args):
     from repro.checking.replay import (
         check_replay_determinism,
         replay_trace,
-        shrink_replay,
     )
 
     result = replay_trace(trace)
@@ -432,20 +440,8 @@ def _cmd_replay(args):
         return 0
     print()
     print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))
-    if not args.shrink:
-        return 1
-    print("shrinking the trace (delta debugging)...")
-    minimal, probes, final = shrink_replay(
-        trace, max_probes=args.max_probes,
-        prop=result.violations[0].prop,
-    )
-    print("minimal counterexample: {0} of {1} events ({2} probes)".format(
-        len(minimal), len(trace), probes))
-    print(minimal.describe(limit=40))
-    print("violation: {0}".format(final.violations[0].summary()))
-    if args.output:
-        minimal.save(args.output)
-        print("minimal trace written to {0}".format(args.output))
+    if args.shrink:
+        _shrink_and_save(trace, result, args.max_probes, args.output)
     return 1
 
 

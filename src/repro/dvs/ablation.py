@@ -20,6 +20,8 @@ is safe but needlessly unavailable once the population drifts -- the
 quantitative comparison is experiment E6.
 """
 
+from types import MappingProxyType
+
 from repro.core.viewids import vid_gt
 from repro.dvs.vs_to_dvs import VsToDvs, use_views
 from repro.gcs.dvs_layer import DvsLayer
@@ -135,3 +137,27 @@ class NoMajorityDvsLayer(DvsLayer):
 
     def _view_acceptable(self, view):
         return all(view.intersects(w) for w in self.use)
+
+
+#: The hosted DVS layers by trace-header name.  A live trace records
+#: which one ran (``repro chaos --live --broken`` hosts the ablated
+#: layer on purpose); replay must rebuild the same tower or the recorded
+#: inputs would drive a different algorithm.
+DVS_FACTORIES = MappingProxyType({
+    "normal": DvsLayer,
+    "nomajority": NoMajorityDvsLayer,
+})
+
+
+def dvs_factory_name(factory):
+    """The trace-header name for a DVS layer factory (``None`` is the
+    default layer)."""
+    if factory is None:
+        return "normal"
+    for name, cls in DVS_FACTORIES.items():
+        if factory is cls:
+            return name
+    raise ValueError(
+        "dvs factory {0!r} is not replayable (register it in "
+        "repro.dvs.ablation.DVS_FACTORIES)".format(factory)
+    )

@@ -182,11 +182,16 @@ class Nemesis:
         def apply():
             net.record("nemesis", op.describe())
             self.applied.append(op)
-            self._apply(net, op)
+            self._apply(net, op, net.queue.schedule)
 
         return apply
 
-    def _apply(self, net, op):
+    @staticmethod
+    def _apply(net, op, later):
+        """Apply ``op`` to ``net`` -- a :class:`~repro.net.simulator.
+        Network`, or for the non-crash kinds anything with the fault
+        interface of a :class:`~repro.net.plane.FaultPlane`;
+        ``later(delay, fn)`` schedules the end of a window."""
         kind, args = op.kind, op.args
         if kind == "crash":
             net.crash(args[0])
@@ -197,9 +202,9 @@ class Nemesis:
         elif kind == "heal":
             net.heal()
         else:
-            fault, duration = self._build_fault(kind, args)
+            fault, duration = Nemesis._build_fault(kind, args)
             net.install_fault(fault)
-            net.queue.schedule(duration, lambda: net.remove_fault(fault))
+            later(duration, lambda: net.remove_fault(fault))
 
     @staticmethod
     def _build_fault(kind, args):
@@ -320,9 +325,6 @@ def plan_from_scenario(scenario, period=15.0, start=0.0):
     """Convert an :mod:`repro.analysis.scenarios` connectivity history
     (a list of configurations, each a list of disjoint process sets) into
     a timed nemesis plan, one configuration every ``period`` units.
-
-    This replaces the ad-hoc scripting that previously replayed scenario
-    lists against the simulator by hand.
     """
     ops = []
     alive_union = set()

@@ -30,10 +30,9 @@ from repro.ioa.errors import (
     UnknownAction,
 )
 from repro.ioa.execution import Execution, Step
-from repro.ioa.invariants import InvariantSuite, check_invariants
+from repro.ioa.invariants import InvariantSuite
 from repro.ioa.model_check import BoundedExplorer, ExplorationResult
 from repro.ioa.refinement import RefinementChecker
-from repro.ioa.renaming import Renamed
 from repro.ioa.scheduler import (
     FairScheduler,
     RandomScheduler,
@@ -56,7 +55,6 @@ __all__ = [
     "Kind",
     "FairScheduler",
     "RandomScheduler",
-    "Renamed",
     "RefinementChecker",
     "RefinementFailure",
     "State",
@@ -64,7 +62,6 @@ __all__ = [
     "TransitionAutomaton",
     "UnknownAction",
     "act",
-    "check_invariants",
     "fingerprint",
     "run_fair",
     "run_random",

@@ -56,12 +56,3 @@ class InvariantSuite:
                 failed.append(name)
         return failed
 
-
-def check_invariants(execution, invariants):
-    """Check a dict or :class:`InvariantSuite` over a whole execution."""
-    suite = (
-        invariants
-        if isinstance(invariants, InvariantSuite)
-        else InvariantSuite(invariants)
-    )
-    return suite.check_execution(execution)

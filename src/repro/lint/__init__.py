@@ -15,8 +15,8 @@ Seven passes guard the properties the paper's formalism rests on:
 5. *escape* -- transition effects never leak aliases of mutable layer
    state across a layer boundary (rule DVS014);
 6. *asyncflow* -- async-hazard analysis of the event loop hosting the
-   stack: blocking calls, dropped tasks, torn invariants at awaits,
-   lock-order cycles (rules DVS016-DVS019);
+   stack: blocking calls, dropped tasks, torn invariants at awaits
+   (rules DVS016-DVS018);
 7. *taint* -- wire-taint tracking from the codec's decode paths to
    automaton-state/key/delay sinks, plus unbounded receive-path
    containers (rules DVS020-DVS021).
@@ -36,21 +36,18 @@ from repro.lint.callgraph import ProjectModel, build_project
 from repro.lint.config import (
     DEFAULT_CODEC_GLOBS,
     DEFAULT_EVENT_PATH_GLOBS,
-    DEFAULT_RULE_EXCLUDES,
     DEFAULT_RUNTIME_GLOBS,
     DEFAULT_TAINT_VALIDATORS,
     LintConfig,
 )
 from repro.lint.engine import iter_python_files, lint_paths
-from repro.lint.ir import CFG, FunctionIR, build_cfg
+from repro.lint.ir import FunctionIR
 from repro.lint.report import Finding, JSON_SCHEMA_VERSION, Report
-from repro.lint.rules import PASSES, RULES, Rule, rules_for_pass
+from repro.lint.rules import PASSES, RULES, Rule
 
 __all__ = [
-    "CFG",
     "DEFAULT_CODEC_GLOBS",
     "DEFAULT_EVENT_PATH_GLOBS",
-    "DEFAULT_RULE_EXCLUDES",
     "DEFAULT_RUNTIME_GLOBS",
     "DEFAULT_TAINT_VALIDATORS",
     "Finding",
@@ -62,9 +59,7 @@ __all__ = [
     "RULES",
     "Report",
     "Rule",
-    "build_cfg",
     "build_project",
     "iter_python_files",
     "lint_paths",
-    "rules_for_pass",
 ]

@@ -5,7 +5,7 @@ loop, so the paper's atomicity assumptions hold only between suspension
 points.  This pass classifies which functions run on the event loop --
 every coroutine, plus every sync function reachable from one through
 the call graph and every callable handed to a loop scheduler -- and
-checks four hazard classes on that closure:
+checks three hazard classes on that closure:
 
 DVS016  a blocking call (``time.sleep``, sync socket/file IO,
         ``subprocess``, ``Future.result()``) reachable from a
@@ -16,7 +16,6 @@ DVS017  ``create_task``/``ensure_future`` whose result is dropped:
 DVS018  an ``await`` between two writes to the same ``self`` attribute:
         a handler scheduled at the suspension point can observe
         half-applied layer state.
-DVS019  lock/queue acquisition-order cycles across coroutines.
 
 Soundness caveats are documented in DESIGN.md section 13: reachability
 stops where the receiver is unknown (silence, never a guess), DVS018
@@ -30,11 +29,11 @@ import ast
 from repro.lint.callgraph import (
     External,
     LoopCall,
+    ProjectAnalysis,
     Target,
-    build_project,
 )
-from repro.lint.ir import receiver_chain
-from repro.lint.model import dotted_name, resolve_dotted
+from repro.lint.ir import walk_skip_nested
+from repro.lint.model import dotted_name
 from repro.lint.report import Finding
 
 #: Synchronous calls that block the hosting thread.  Flagged when the
@@ -68,35 +67,7 @@ _EXTERNAL_TASK_FACTORIES = frozenset({
     "asyncio.create_task", "asyncio.ensure_future",
 })
 
-#: Constructors whose instances participate in DVS019 ordering.
-_LOCK_CTORS = frozenset({
-    "asyncio.Lock", "asyncio.Semaphore", "asyncio.BoundedSemaphore",
-    "asyncio.Condition",
-    "threading.Lock", "threading.RLock", "threading.Semaphore",
-    "threading.BoundedSemaphore", "threading.Condition",
-})
-_QUEUE_CTORS = frozenset({
-    "asyncio.Queue", "asyncio.PriorityQueue", "asyncio.LifoQueue",
-})
-
-#: Blocking acquisition methods on locks/queues.
-_ACQUIRE_METHODS = frozenset({"acquire", "get", "put"})
-
 _HANDOFF_FACTORY = "run_coroutine_threadsafe"
-
-
-def _walk_skip_nested(node):
-    """Child nodes of ``node``, recursively, without descending into
-    nested function definitions or lambdas (those have their own IR
-    and run wherever they are called)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (
-            ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
-        )):
-            continue
-        yield child
-        for grandchild in _walk_skip_nested(child):
-            yield grandchild
 
 
 def _cleanup_lines(func_node):
@@ -112,14 +83,16 @@ def _cleanup_lines(func_node):
     return lines
 
 
-class _AsyncHazardAnalysis:
+class _AsyncHazardAnalysis(ProjectAnalysis):
     def __init__(self, model, config):
-        self.model = model
-        self.config = config
-        self.project = build_project(model)
-        self.findings = []
+        super().__init__(model, config)
         self._visited = set()
         self._modules = {m.path: m for m in model.modules}
+        #: ``(klass, ir)`` for every function defined in a runtime
+        #: module, including module functions and nested definitions.
+        self._runtime_irs = self.project.functions_in(
+            config.is_runtime_path
+        )
 
     # -- Entry ---------------------------------------------------------
 
@@ -129,39 +102,16 @@ class _AsyncHazardAnalysis:
             self._walk(qualname, klass, ir)
         self._check_dropped_tasks()
         self._check_torn_writes()
-        self._check_lock_cycles()
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return self.findings
 
     # -- Loop-side closure (DVS016) ------------------------------------
 
-    def _runtime_irs(self):
-        """``(klass, ir)`` for every function defined in a runtime
-        module, including module functions and nested definitions."""
-        out = []
-        for (path, _name), ir in sorted(self.project.module_functions.items()):
-            if self.config.is_runtime_path(path):
-                out.append((None, ir))
-        for name in sorted(self.project.classes):
-            cls = self.project.classes[name]
-            if not self.config.is_runtime_path(cls.path):
-                continue
-            for method in sorted(cls.methods):
-                out.append((name, cls.methods[method]))
-        expanded = []
-        stack = list(reversed(out))
-        while stack:
-            klass, ir = stack.pop()
-            expanded.append((klass, ir))
-            for inner_name in sorted(ir.nested):
-                stack.append((klass, ir.nested[inner_name]))
-        return expanded
-
     def _seeds(self):
         """Every coroutine in a runtime module is a loop root; so is
         every callable handed to a loop scheduler from one."""
         seeds = []
-        for klass, ir in self._runtime_irs():
+        for klass, ir in self._runtime_irs:
             if ir.is_async:
                 seeds.append((ir.qualname, klass, ir))
         return seeds
@@ -230,7 +180,7 @@ class _AsyncHazardAnalysis:
     # -- Dropped tasks (DVS017) ----------------------------------------
 
     def _check_dropped_tasks(self):
-        for klass, ir in self._runtime_irs():
+        for klass, ir in self._runtime_irs:
             module = self._modules.get(ir.path)
             if module is None:
                 continue
@@ -266,7 +216,7 @@ class _AsyncHazardAnalysis:
     # -- Torn invariants (DVS018) --------------------------------------
 
     def _check_torn_writes(self):
-        for klass, ir in self._runtime_irs():
+        for klass, ir in self._runtime_irs:
             if ir.is_async:
                 self._check_torn_in(ir)
 
@@ -274,7 +224,7 @@ class _AsyncHazardAnalysis:
         cleanup = _cleanup_lines(ir.node)
         awaits = sorted({
             node.lineno
-            for node in _walk_skip_nested(ir.node)
+            for node in walk_skip_nested(ir.node)
             if isinstance(node, ast.Await)
             and node.lineno not in cleanup
         })
@@ -307,145 +257,10 @@ class _AsyncHazardAnalysis:
                         ),
                     ))
 
-    # -- Acquisition-order cycles (DVS019) -----------------------------
-
-    def _check_lock_cycles(self):
-        locks = self._lock_attrs()
-        if not locks:
-            return
-        edges = {}
-        for klass, ir in self._runtime_irs():
-            if klass is None or not ir.is_async:
-                continue
-            self._lock_edges(klass, ir, locks, edges)
-        in_cycle = self._cyclic_edges(edges)
-        for edge in sorted(in_cycle):
-            path, line, col = edges[edge]
-            held, acquired = edge
-            self.findings.append(Finding(
-                rule="DVS019", path=path, line=line, col=col,
-                message="coroutines acquire {0}.{1} while holding "
-                "{2}.{3} and elsewhere the reverse: the acquisition "
-                "order cycle deadlocks the loop; order the locks "
-                "consistently".format(
-                    acquired[0], acquired[1], held[0], held[1]
-                ),
-            ))
-
-    def _lock_attrs(self):
-        """(class, attr) -> ctor dotted name for every lock/queue
-        attribute assigned in a runtime class."""
-        locks = {}
-        for name in sorted(self.project.classes):
-            cls = self.project.classes[name]
-            if not self.config.is_runtime_path(cls.path):
-                continue
-            imports = cls.module.imports
-            for ir in cls.methods.values():
-                for node in _walk_skip_nested(ir.node):
-                    if not isinstance(node, ast.Assign):
-                        continue
-                    if not isinstance(node.value, ast.Call):
-                        continue
-                    dotted = resolve_dotted(
-                        dotted_name(node.value.func), imports
-                    )
-                    if dotted not in _LOCK_CTORS | _QUEUE_CTORS:
-                        continue
-                    for target in node.targets:
-                        root, chain = receiver_chain(target)
-                        if root == "self" and len(chain) == 1:
-                            locks[(name, chain[0])] = dotted
-        return locks
-
-    def _lock_edges(self, klass, ir, locks, edges):
-        def resource(expr):
-            root, chain = receiver_chain(expr)
-            if root == "self" and chain and (klass, chain[0]) in locks:
-                return (klass, chain[0])
-            return None
-
-        def visit(node, held):
-            if isinstance(node, (
-                ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
-            )):
-                return
-            if isinstance(node, ast.AsyncWith):
-                acquired = []
-                for item in node.items:
-                    res = resource(item.context_expr)
-                    if res is not None:
-                        record(held, res, item.context_expr)
-                        acquired.append(res)
-                inner = held + acquired
-                for stmt in node.body:
-                    visit(stmt, inner)
-                return
-            if isinstance(node, ast.Await) and isinstance(
-                node.value, ast.Call
-            ):
-                call = node.value
-                func = call.func
-                if isinstance(func, ast.Attribute) and (
-                    func.attr in _ACQUIRE_METHODS
-                ):
-                    res = resource(func.value)
-                    if res is not None:
-                        record(held, res, call)
-                        if func.attr == "acquire":
-                            # Held for the rest of the function
-                            # (conservative: no release tracking).
-                            held.append(res)
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
-
-        def record(held, res, node):
-            for h in held:
-                if h != res:
-                    edges.setdefault(
-                        (h, res),
-                        (ir.path, node.lineno, node.col_offset),
-                    )
-
-        for stmt in ir.node.body:
-            visit(stmt, [])
-
-    @staticmethod
-    def _cyclic_edges(edges):
-        adjacency = {}
-        for (src, dst) in edges:
-            adjacency.setdefault(src, set()).add(dst)
-
-        def reaches(start, goal):
-            stack, seen = [start], set()
-            while stack:
-                node = stack.pop()
-                if node == goal:
-                    return True
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(adjacency.get(node, ()))
-            return False
-
-        return {
-            (src, dst) for (src, dst) in edges if reaches(dst, src)
-        }
-
-    # -- Findings ------------------------------------------------------
-
-    def _flag(self, rule, node, ir, message):
-        if not self.config.enabled(rule):
-            return
-        self.findings.append(Finding(
-            rule=rule, path=ir.path, line=node.lineno,
-            col=node.col_offset, message=message,
-        ))
-
 
 def run_pass(model, config):
     """All pass-7 findings over the model."""
-    wanted = ("DVS016", "DVS017", "DVS018", "DVS019")
+    wanted = ("DVS016", "DVS017", "DVS018")
     if not any(config.enabled(rule) for rule in wanted):
         return []
     if not any(

@@ -28,6 +28,7 @@ import ast
 
 from repro.lint.ir import FunctionIR, receiver_chain
 from repro.lint.model import dotted_name, resolve_dotted
+from repro.lint.report import Finding
 
 #: Pseudo-class naming an asyncio event loop object.
 LOOP_CLASS = "<asyncio.EventLoop>"
@@ -135,6 +136,29 @@ class ProjectModel:
         for cls in self.classes.values():
             count += len(cls.methods)
         return count
+
+    def functions_in(self, in_scope):
+        """``(klass, ir)`` for every function defined in a module whose
+        path satisfies ``in_scope``: module functions, then methods by
+        class, each followed by its nested definitions."""
+        out = []
+        for (path, _name), ir in sorted(self.module_functions.items()):
+            if in_scope(path):
+                out.append((None, ir))
+        for name in sorted(self.classes):
+            cls = self.classes[name]
+            if not in_scope(cls.path):
+                continue
+            for method in sorted(cls.methods):
+                out.append((name, cls.methods[method]))
+        expanded = []
+        stack = list(reversed(out))
+        while stack:
+            klass, ir = stack.pop()
+            expanded.append((klass, ir))
+            for inner_name in sorted(ir.nested):
+                stack.append((klass, ir.nested[inner_name]))
+        return expanded
 
     # -- Points-to: class attribute summaries --------------------------
 
@@ -420,6 +444,24 @@ class ProjectModel:
             if target is not None:
                 out.append(target)
         return out
+
+
+class ProjectAnalysis:
+    """Base of the interprocedural passes: the shared project model,
+    the run's config and the findings the pass accumulates."""
+
+    def __init__(self, model, config):
+        self.model = model
+        self.config = config
+        self.project = build_project(model)
+        self.findings = []
+
+    def _flag(self, rule, node, ir, message):
+        if self.config.enabled(rule):
+            self.findings.append(Finding(
+                rule=rule, path=ir.path, line=node.lineno,
+                col=node.col_offset, message=message,
+            ))
 
 
 def build_project(model):

@@ -6,7 +6,6 @@ point the linter at fixture trees.
 
 import fnmatch
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from repro.lint.rules import RULES
 
@@ -22,16 +21,6 @@ DEFAULT_EVENT_PATH_GLOBS = (
     "*/ioa/model_check.py",
     "*/gcs/*.py",
 )
-
-#: Per-package rule exclusions: rule id -> path globs where the rule is
-#: configured off.  Unlike a ``# lint: ignore`` pragma, which grants a
-#: single line an exception, an entry here states a *policy*: the rule's
-#: premise does not apply to that package.  The default is now empty:
-#: the former blanket exclusion of DVS006/DVS007 for ``repro/runtime``
-#: was replaced by line-scoped pragmas at the handful of sites that
-#: legitimately touch the wall clock or unseeded entropy, so every rule
-#: applies everywhere unless a specific line argues otherwise.
-DEFAULT_RULE_EXCLUDES = MappingProxyType({})
 
 #: Modules subject to the thread-boundary race analysis (DVS012/013):
 #: the live runtime package, where a synchronous facade and a
@@ -71,9 +60,6 @@ class LintConfig:
     ``select`` -- rule ids to enable (default: all registered rules).
     ``event_path_globs`` -- module patterns treated as ordering-
     sensitive event paths for DVS008.
-    ``rule_excludes`` -- mapping of rule id to path globs where that
-    rule is configured off (package-scoped policy, as opposed to the
-    line-scoped ``# lint: ignore`` pragma).
     ``runtime_globs`` -- modules analysed by the thread-boundary race
     pass (DVS012/013).
     ``codec_globs`` -- the module(s) holding the wire codec whose
@@ -86,9 +72,6 @@ class LintConfig:
         default_factory=lambda: frozenset(RULES)
     )
     event_path_globs: tuple = DEFAULT_EVENT_PATH_GLOBS
-    rule_excludes: object = field(
-        default_factory=lambda: DEFAULT_RULE_EXCLUDES
-    )
     runtime_globs: tuple = DEFAULT_RUNTIME_GLOBS
     codec_globs: tuple = DEFAULT_CODEC_GLOBS
     taint_validators: tuple = DEFAULT_TAINT_VALIDATORS
@@ -103,28 +86,9 @@ class LintConfig:
             raise ValueError(
                 "unknown rule id(s): {0}".format(", ".join(sorted(unknown)))
             )
-        self.rule_excludes = MappingProxyType({
-            rule: tuple(globs)
-            for rule, globs in dict(self.rule_excludes).items()
-        })
-        unknown = set(self.rule_excludes) - set(RULES)
-        if unknown:
-            raise ValueError(
-                "rule_excludes names unknown rule id(s): {0}".format(
-                    ", ".join(sorted(unknown))
-                )
-            )
 
     def enabled(self, rule_id):
         return rule_id in self.select
-
-    def excluded(self, rule_id, path):
-        """Whether ``rule_id`` is configured off for the module at
-        ``path``."""
-        return any(
-            _match(path, pattern)
-            for pattern in self.rule_excludes.get(rule_id, ())
-        )
 
     def is_event_path(self, path):
         """Whether the whole module at ``path`` is an event path."""

@@ -120,19 +120,14 @@ def lint_paths(paths, config=None):
     findings, suppressed = _apply_suppressions(
         list(unique.values()), suppression_tables
     )
-    kept = [
-        finding for finding in findings
-        if not config.excluded(finding.rule, finding.path)
-    ]
     # The interprocedural passes build (and memoise) the project model
     # on the shared SourceModel; surface its size so reports identify
     # the analysis backend that produced them.
     project = build_project(model)
     return Report(
-        kept,
+        findings,
         files_scanned=len(files),
         suppressed=suppressed,
-        excluded=len(findings) - len(kept),
         engine={
             "name": "ir-dataflow",
             "passes": [lint_pass.__name__.rpartition(".")[2]

@@ -1,13 +1,10 @@
-"""The analysis IR: per-function control-flow graphs and summaries.
+"""The analysis IR: per-function access and call summaries.
 
 This is the first layer of the interprocedural engine (DESIGN.md
 section 10).  Every function definition in the scanned tree is lowered
-to a :class:`FunctionIR`:
+to a :class:`FunctionIR`, with facts extracted from every statement of
+its body:
 
-- a :class:`CFG` of basic blocks over the statement list, so passes can
-  reason about reachability (statements after an unconditional
-  ``return``/``raise``/``continue``/``break`` are dead and produce no
-  facts);
 - an *access summary*: every attribute read, rebind and in-place
   mutation on a chain rooted at a parameter or local name
   (``self._nodes[pid] = node`` is a mutation of ``self._nodes``);
@@ -25,172 +22,9 @@ facts interprocedural meaning.
 """
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.purity import MUTATOR_METHODS
-
-#: Statement types that terminate a basic block unconditionally.
-_TERMINATORS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
-
-
-@dataclass
-class BasicBlock:
-    """A maximal straight-line statement run with its successor edges."""
-
-    index: int
-    statements: list = field(default_factory=list)
-    successors: list = field(default_factory=list)
-
-    def add_edge(self, other):
-        if other.index not in self.successors:
-            self.successors.append(other.index)
-
-
-class CFG:
-    """The control-flow graph of one function body.
-
-    Block 0 is the entry; ``exit_block`` is a distinguished empty block
-    every completed path reaches.  The builder covers the structured
-    statements the codebase uses (``if``/``while``/``for``/``try``/
-    ``with``/``match``-free); anything unmodelled degrades safely to
-    "falls through", never to a crash.
-    """
-
-    def __init__(self):
-        self.blocks = []
-        self.entry = self._new_block()
-        self.exit_block = self._new_block()
-
-    def _new_block(self):
-        block = BasicBlock(len(self.blocks))
-        self.blocks.append(block)
-        return block
-
-    def reachable(self):
-        """Indices of blocks reachable from the entry."""
-        seen = set()
-        stack = [self.entry.index]
-        while stack:
-            index = stack.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            stack.extend(self.blocks[index].successors)
-        return seen
-
-    def reachable_statements(self):
-        """Identity set of the statement nodes on live paths."""
-        live = set()
-        for index in self.reachable():
-            for stmt in self.blocks[index].statements:
-                live.add(id(stmt))
-        return live
-
-
-def build_cfg(func):
-    """Lower ``func`` (a FunctionDef/AsyncFunctionDef) to a :class:`CFG`."""
-    cfg = CFG()
-
-    def lower(statements, current, loop_targets):
-        """Lower a statement list starting in ``current``; return the
-        block control falls out of, or ``None`` if no path falls
-        through.  ``loop_targets`` is ``(head, after)`` of the nearest
-        enclosing loop for break/continue edges."""
-        for stmt in statements:
-            if current is None:
-                # Dead statements still get a block (unreachable from
-                # the entry), so summaries can ignore them.
-                current = cfg._new_block()
-            current.statements.append(stmt)
-            if isinstance(stmt, ast.If):
-                then_block = cfg._new_block()
-                current.add_edge(then_block)
-                then_out = lower(stmt.body, then_block, loop_targets)
-                if stmt.orelse:
-                    else_block = cfg._new_block()
-                    current.add_edge(else_block)
-                    else_out = lower(stmt.orelse, else_block, loop_targets)
-                else:
-                    else_out = current
-                after = cfg._new_block()
-                outs = [b for b in (then_out, else_out) if b is not None]
-                if not outs:
-                    current = None
-                    continue
-                for out in outs:
-                    out.add_edge(after)
-                current = after
-            elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-                head = cfg._new_block()
-                current.add_edge(head)
-                after = cfg._new_block()
-                head.add_edge(after)  # zero-iteration / condition false
-                body = cfg._new_block()
-                head.add_edge(body)
-                body_out = lower(stmt.body, body, (head, after))
-                if body_out is not None:
-                    body_out.add_edge(head)
-                if stmt.orelse:
-                    else_out = lower(stmt.orelse, after, loop_targets)
-                    current = else_out
-                else:
-                    current = after
-            elif isinstance(stmt, ast.Try):
-                body = cfg._new_block()
-                entry = current
-                current.add_edge(body)
-                body_out = lower(stmt.body, body, loop_targets)
-                after = cfg._new_block()
-                outs = []
-                if body_out is not None:
-                    outs.append(body_out)
-                for handler in stmt.handlers:
-                    hblock = cfg._new_block()
-                    # Any statement of the body may raise into the
-                    # handler -- possibly before establishing anything
-                    # -- so the edge leaves the pre-try block: facts
-                    # proven inside the body never reach the handler.
-                    entry.add_edge(hblock)
-                    hout = lower(handler.body, hblock, loop_targets)
-                    if hout is not None:
-                        outs.append(hout)
-                if stmt.orelse and body_out is not None:
-                    outs.remove(body_out)
-                    else_out = lower(stmt.orelse, body_out, loop_targets)
-                    if else_out is not None:
-                        outs.append(else_out)
-                if stmt.finalbody:
-                    final = cfg._new_block()
-                    entry.add_edge(final)  # raising path runs finally too
-                    for out in outs:
-                        out.add_edge(final)
-                    final_out = lower(stmt.finalbody, final, loop_targets)
-                    current = final_out
-                else:
-                    if not outs:
-                        current = None
-                        continue
-                    for out in outs:
-                        out.add_edge(after)
-                    current = after
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                body = cfg._new_block()
-                current.add_edge(body)
-                current = lower(stmt.body, body, loop_targets)
-            elif isinstance(stmt, _TERMINATORS):
-                if isinstance(stmt, ast.Break) and loop_targets:
-                    current.add_edge(loop_targets[1])
-                elif isinstance(stmt, ast.Continue) and loop_targets:
-                    current.add_edge(loop_targets[0])
-                else:
-                    current.add_edge(cfg.exit_block)
-                current = None
-        return current
-
-    out = lower(func.body, cfg.entry, None)
-    if out is not None:
-        out.add_edge(cfg.exit_block)
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -232,6 +66,20 @@ class CallSite:
     @property
     def callee(self):
         return self.chain[-1] if self.chain else None
+
+
+def walk_skip_nested(node):
+    """Child nodes of ``node``, recursively, without descending into
+    nested function definitions or lambdas (those have their own IR
+    and run wherever they are called)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
+        )):
+            continue
+        yield child
+        for grandchild in walk_skip_nested(child):
+            yield grandchild
 
 
 def receiver_chain(node):
@@ -292,56 +140,26 @@ class FunctionIR:
         self.local_values = {}
         #: Nested function name -> FunctionIR.
         self.nested = {}
-        self._cfg = None
         self._extract()
-
-    @property
-    def cfg(self):
-        if self._cfg is None:
-            self._cfg = build_cfg(self.node)
-        return self._cfg
 
     # -- Extraction ----------------------------------------------------
 
     def _extract(self):
-        live = self.cfg.reachable_statements()
-
-        def statement_live(stmt):
-            # Expression-level nodes inherit liveness from statements;
-            # only top-level dead statements are skipped, which is all
-            # the precision the rules need.
-            return not isinstance(stmt, ast.stmt) or id(stmt) in live
-
-        def walk(node):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (
-                    ast.FunctionDef, ast.AsyncFunctionDef
-                )):
-                    self.nested[child.name] = FunctionIR(
-                        child, self.path, klass=self.klass,
-                        qualname=self.qualname + "." + child.name,
-                    )
-                    continue
-                if isinstance(child, ast.Lambda):
-                    # A lambda body runs wherever the lambda is called,
-                    # never here; its accesses are not this function's.
-                    continue
-                if not statement_live(child):
-                    continue
-                self._extract_node(child)
-                walk(child)
+        def visit(node):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.nested[node.name] = FunctionIR(
+                    node, self.path, klass=self.klass,
+                    qualname=self.qualname + "." + node.name,
+                )
+            elif not isinstance(node, ast.Lambda):
+                # A lambda body runs wherever the lambda is called,
+                # never here; its accesses are not this function's.
+                self._extract_node(node)
+                for child in ast.iter_child_nodes(node):
+                    visit(child)
 
         for stmt in self.node.body:
-            if id(stmt) not in live:
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.nested[stmt.name] = FunctionIR(
-                    stmt, self.path, klass=self.klass,
-                    qualname=self.qualname + "." + stmt.name,
-                )
-                continue
-            self._extract_node(stmt)
-            walk(stmt)
+            visit(stmt)
 
     def _record(self, root, attr, kind, node):
         self.accesses.append(Access(
@@ -399,13 +217,6 @@ class FunctionIR:
                 # outer hops read the object it yielded.
                 if root is not None and isinstance(node.value, ast.Name):
                     self._record(root, node.attr, "read", node)
-        elif isinstance(node, ast.Subscript):
-            if isinstance(node.ctx, ast.Load) and isinstance(
-                node.value, ast.Attribute
-            ) and isinstance(node.value.value, ast.Name):
-                # ``root.attr[k]`` reads attr (already recorded when the
-                # Attribute node is visited); nothing extra.
-                pass
         elif isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name):
                 # Bare-name call: root None, single-hop chain, so the

@@ -35,8 +35,8 @@ import ast
 from repro.lint.callgraph import (
     External,
     LoopCall,
+    ProjectAnalysis,
     Target,
-    build_project,
 )
 from repro.lint.report import Finding
 
@@ -83,12 +83,9 @@ class _Side:
         )
 
 
-class _ThreadBoundaryAnalysis:
+class _ThreadBoundaryAnalysis(ProjectAnalysis):
     def __init__(self, model, config):
-        self.model = model
-        self.config = config
-        self.project = build_project(model)
-        self.findings = []
+        super().__init__(model, config)
         self.sync = _Side()
         self.loop = _Side()
         self._loop_roots = []
@@ -304,15 +301,10 @@ class _ThreadBoundaryAnalysis:
     # -- Findings ------------------------------------------------------
 
     def _flag_013(self, site, ir, detail):
-        if not self.config.enabled("DVS013"):
-            return
-        node = site.node
-        self.findings.append(Finding(
-            rule="DVS013", path=ir.path, line=node.lineno,
-            col=node.col_offset,
-            message="caller-thread call crosses the loop boundary: "
-            + detail,
-        ))
+        self._flag(
+            "DVS013", site.node, ir,
+            "caller-thread call crosses the loop boundary: " + detail,
+        )
 
     def _report_conflicts(self):
         if not self.config.enabled("DVS012"):

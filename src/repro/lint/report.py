@@ -98,12 +98,11 @@ class Finding:
 class Report:
     """The outcome of one lint run over a set of files."""
 
-    def __init__(self, findings, files_scanned, suppressed=0, excluded=0,
+    def __init__(self, findings, files_scanned, suppressed=0,
                  engine=None, baselined=0):
         self.findings = sorted(findings, key=Finding.sort_key)
         self.files_scanned = files_scanned
         self.suppressed = suppressed
-        self.excluded = excluded
         self.engine = dict(engine) if engine else {"name": "ir-dataflow"}
         self.baselined = baselined
 
@@ -136,7 +135,6 @@ class Report:
             kept,
             files_scanned=self.files_scanned,
             suppressed=self.suppressed,
-            excluded=self.excluded,
             engine=self.engine,
             baselined=len(self.findings) - len(kept),
         )
@@ -148,7 +146,6 @@ class Report:
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "excluded": self.excluded,
             "baselined": self.baselined,
             "engine": dict(self.engine),
             "counts": self.counts(),
@@ -235,11 +232,6 @@ class Report:
                 "{0} finding(s) suppressed by lint: ignore comments".format(
                     self.suppressed
                 )
-            )
-        if self.excluded:
-            lines.append(
-                "{0} finding(s) in packages where the rule is "
-                "configured off".format(self.excluded)
             )
         if self.baselined:
             lines.append(

@@ -25,8 +25,7 @@ Passes (see DESIGN.md section 7):
    :class:`~repro.gcs.effect_check.EffectIsolationChecker`).
 6. **asyncflow** -- async-hazard analysis of the live runtime: no
    blocking calls reachable from a coroutine, no dropped task handles,
-   no ``await`` between writes to the same layer state, no lock
-   acquisition-order cycles across coroutines.
+   no ``await`` between writes to the same layer state.
 7. **taint** -- wire-taint analysis: values decoded from TCP frames
    must pass a registered validator before reaching automaton state,
    container keys or timer delays, and receive-path containers must be
@@ -211,14 +210,6 @@ _RULES = (
         level="warning",
     ),
     Rule(
-        "DVS019",
-        "lock-order-cycle",
-        "asyncflow",
-        "lock/queue acquisition-order cycle across coroutines",
-        "impose a global acquisition order (and stick to it in every "
-        "coroutine); cyclic orders deadlock the loop under load",
-    ),
-    Rule(
         "DVS020",
         "unvalidated-wire-taint",
         "taint",
@@ -250,7 +241,3 @@ PASSES = (
     "asyncflow", "taint",
 )
 
-
-def rules_for_pass(lint_pass):
-    """The rules belonging to ``lint_pass``, in id order."""
-    return [rule for rule in _RULES if rule.lint_pass == lint_pass]

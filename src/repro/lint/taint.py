@@ -27,13 +27,8 @@ section 13.
 
 import ast
 
-from repro.lint.callgraph import (
-    LoopCall,
-    Target,
-    build_project,
-)
-from repro.lint.ir import receiver_chain
-from repro.lint.report import Finding
+from repro.lint.callgraph import LoopCall, ProjectAnalysis, Target
+from repro.lint.ir import receiver_chain, walk_skip_nested
 
 #: Decode entry points: functions defined in a codec module with one of
 #: these names produce wire-tainted values.
@@ -58,17 +53,6 @@ _SHRINK_METHODS = frozenset({
 _BOUNDED_KWARGS = frozenset({"maxlen", "maxsize"})
 
 
-def _walk_skip_nested(node):
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (
-            ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
-        )):
-            continue
-        yield child
-        for grandchild in _walk_skip_nested(child):
-            yield grandchild
-
-
 def _target_names(target):
     """Bound names of an assignment/loop target."""
     names = set()
@@ -80,43 +64,16 @@ def _target_names(target):
     return names
 
 
-class _TaintAnalysis:
+class _TaintAnalysis(ProjectAnalysis):
     def __init__(self, model, config):
-        self.model = model
-        self.config = config
-        self.project = build_project(model)
-        self.findings = []
+        super().__init__(model, config)
         #: id(ir) -> set of tainted local/param names.
         self.taint = {}
         #: id(ir) -> True when the function returns tainted data.
         self.returns_taint = {}
-        self._functions = self._runtime_functions()
-
-    # -- Function universe ---------------------------------------------
-
-    def _runtime_functions(self):
-        """``(klass, ir)`` for every function in a runtime, non-codec
-        module (the codec itself is the source, not a consumer)."""
-        out = []
-        for (path, _name), ir in sorted(
-            self.project.module_functions.items()
-        ):
-            if self._in_scope(path):
-                out.append((None, ir))
-        for name in sorted(self.project.classes):
-            cls = self.project.classes[name]
-            if not self._in_scope(cls.path):
-                continue
-            for method in sorted(cls.methods):
-                out.append((name, cls.methods[method]))
-        expanded = []
-        stack = list(reversed(out))
-        while stack:
-            klass, ir = stack.pop()
-            expanded.append((klass, ir))
-            for inner in sorted(ir.nested):
-                stack.append((klass, ir.nested[inner]))
-        return expanded
+        #: ``(klass, ir)`` for every function in a runtime, non-codec
+        #: module (the codec itself is the source, not a consumer).
+        self._functions = self.project.functions_in(self._in_scope)
 
     def _in_scope(self, path):
         return self.config.is_runtime_path(path) and not (
@@ -218,7 +175,7 @@ class _TaintAnalysis:
         for _ in range(4):
             grew = False
             effective = tainted - cleansed
-            for node in _walk_skip_nested(ir.node):
+            for node in walk_skip_nested(ir.node):
                 value, targets = None, []
                 if isinstance(node, ast.Assign):
                     value, targets = node.value, node.targets
@@ -256,7 +213,7 @@ class _TaintAnalysis:
                     changed = True
         # Return taint.
         returns = False
-        for node in _walk_skip_nested(ir.node):
+        for node in walk_skip_nested(ir.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 if self._expr_tainted(node.value, ir, effective):
                     returns = True
@@ -307,7 +264,7 @@ class _TaintAnalysis:
             self._check_boundary_sink(site, ir, effective)
             self._check_delay_sink(site, ir, effective)
             self._check_key_mutator_sink(site, ir, effective)
-        for node in _walk_skip_nested(ir.node):
+        for node in walk_skip_nested(ir.node):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     self._check_key_store_sink(target, ir, effective)
@@ -406,7 +363,7 @@ class _TaintAnalysis:
                     growth.append(
                         (owner, site.chain[0], ir, site.node)
                     )
-            for node in _walk_skip_nested(ir.node):
+            for node in walk_skip_nested(ir.node):
                 if not isinstance(node, ast.Assign):
                     continue
                 for target in node.targets:
@@ -471,7 +428,7 @@ class _TaintAnalysis:
                         and site.chain[1] in _SHRINK_METHODS
                     ):
                         return True
-                for node in _walk_skip_nested(func.node):
+                for node in walk_skip_nested(func.node):
                     if isinstance(node, ast.Delete):
                         for target in node.targets:
                             if self._deletes_attr(target, attr):
@@ -510,16 +467,6 @@ class _TaintAnalysis:
                 if root == "self" and chain == (attr,):
                     return True
         return False
-
-    # -- Findings ------------------------------------------------------
-
-    def _flag(self, rule, node, ir, message):
-        if not self.config.enabled(rule):
-            return
-        self.findings.append(Finding(
-            rule=rule, path=ir.path, line=node.lineno,
-            col=node.col_offset, message=message,
-        ))
 
 
 def run_pass(model, config):

@@ -6,7 +6,8 @@ Semantics:
   has its own queue; per-message latency is drawn deterministically from a
   seeded RNG but delivery order per channel is preserved (a message never
   overtakes an earlier one on the same channel).
-- **Partitions** are modelled as a map from process to component id.
+- **Partitions** are modelled as a map from process to component id
+  (:class:`~repro.net.plane.FaultPlane`, shared with the live runtime).
   A message is delivered only if, *at delivery time*, the sender and the
   receiver are alive and in the same component; otherwise it is dropped
   (the classic fair-lossy abstraction -- reliability within a stable
@@ -31,6 +32,7 @@ Semantics:
 import random
 
 from repro.net.events import EventQueue
+from repro.net.plane import FaultPlane
 
 
 class Node:
@@ -109,12 +111,11 @@ class Network:
         #: e.g. :class:`repro.obs.Observability`); purely observational.
         self.tracer = tracer
         self.nodes = {}
-        self._component_of = {}
+        #: Partition map, link faults and channel clocks; fault models
+        #: draw from the same seeded RNG as the latencies.
+        self.plane = FaultPlane(self.rng)
         self._crashed = set()
-        self._channel_clock = {}
         self._started = False
-        #: Active link-fault objects (see :mod:`repro.faults.models`).
-        self.faults = []
         #: Chronological log of (time, kind, details) tuples for analysis.
         self.log = EventLog(limit=log_limit)
 
@@ -125,8 +126,12 @@ class Network:
             raise ValueError("duplicate node {0!r}".format(node.pid))
         self.nodes[node.pid] = node
         node.net = self
-        self._component_of[node.pid] = 0
         return node
+
+    @property
+    def faults(self):
+        """Active link-fault objects (see :mod:`repro.faults.models`)."""
+        return self.plane.faults
 
     def alive(self, pid):
         return pid in self.nodes and pid not in self._crashed
@@ -135,28 +140,24 @@ class Network:
         return (
             self.alive(a)
             and self.alive(b)
-            and self._component_of[a] == self._component_of[b]
+            and not self.plane.separated(a, b)
         )
 
     def component(self, pid):
         """The alive processes currently connected to ``pid`` (incl. it)."""
         if not self.alive(pid):
             return frozenset()
-        group = self._component_of[pid]
         return frozenset(
             q
             for q in self.nodes
-            if self.alive(q) and self._component_of[q] == group
+            if self.alive(q) and not self.plane.separated(pid, q)
         )
 
     def components(self):
         """All current components of alive processes."""
-        seen = {}
-        for pid in self.nodes:
-            if not self.alive(pid):
-                continue
-            seen.setdefault(self._component_of[pid], set()).add(pid)
-        return [frozenset(v) for v in seen.values()]
+        return list(dict.fromkeys(
+            self.component(pid) for pid in self.nodes if self.alive(pid)
+        ))
 
     # -- Fault injection ----------------------------------------------------------------
 
@@ -165,19 +166,13 @@ class Network:
 
         Unlisted alive processes form one extra shared component.
         """
-        mapping = {}
-        for index, group in enumerate(groups, start=1):
-            for pid in group:
-                mapping[pid] = index
-        for pid in self.nodes:
-            self._component_of[pid] = mapping.get(pid, 0)
+        self.plane.partition(groups)
         self._record("partition", [sorted(g) for g in groups])
         self._notify_connectivity()
 
     def heal(self):
         """Merge every process back into one component."""
-        for pid in self.nodes:
-            self._component_of[pid] = 0
+        self.plane.heal()
         self._record("heal", None)
         self._notify_connectivity()
 
@@ -197,18 +192,17 @@ class Network:
 
     def install_fault(self, fault):
         """Arm a link-fault model; returns it (for :meth:`remove_fault`)."""
-        self.faults.append(fault)
+        self.plane.install_fault(fault)
         self._record("fault_on", str(fault))
         return fault
 
     def remove_fault(self, fault):
-        if fault in self.faults:
-            self.faults.remove(fault)
+        if self.plane.remove_fault(fault):
             self._record("fault_off", str(fault))
 
     def link_blocked(self, src, dst):
         """True if an installed fault blocks ``src -> dst`` right now."""
-        return any(f.blocks_delivery(src, dst) for f in self.faults)
+        return self.plane.link_blocked(src, dst)
 
     def _notify_connectivity(self):
         if not self._started:
@@ -224,13 +218,8 @@ class Network:
         are then crashed, separated or on a blocked link."""
         if not self.alive(src):
             return
-        # Each copy is an extra delay on top of the drawn latency; the
-        # no-fault case is a single copy with no extra delay.  Faults
-        # transform the copy list in installation order and may empty it.
-        copies = [0.0]
-        for fault in self.faults:
-            if copies and fault.applies(src, dst):
-                copies = fault.transform(self, src, dst, copies)
+        # Each copy is an extra delay on top of the drawn latency.
+        copies = self.plane.copies(src, dst)
         if not copies:
             self._record("fault_drop", (src, dst, msg))
             return
@@ -239,14 +228,13 @@ class Network:
             self.tracer.wire_event(
                 "wire_send", src, dst, msg, self.queue.now
             )
-        channel = (src, dst)
         for extra in copies:
             latency = self.rng.uniform(self.min_latency, self.max_latency)
             # FIFO per channel: never deliver before the previous message
             # on the same channel, whatever jitter the faults added.
-            earliest = self._channel_clock.get(channel, 0.0)
-            deliver_at = max(self.queue.now + latency + extra, earliest)
-            self._channel_clock[channel] = deliver_at
+            deliver_at = self.plane.fifo(
+                src, dst, self.queue.now + latency + extra
+            )
 
             def deliver():
                 if not self.connected(src, dst) or self.link_blocked(src, dst):

@@ -47,11 +47,6 @@ EVENT_KINDS = (
     "stop",
 )
 
-#: Kinds replay feeds into a node's stack (the rest are annotations).
-DISPATCH_KINDS = (
-    "start", "recv", "conn", "timer", "bcast", "cbcast", "stop",
-)
-
 
 class TraceError(ValueError):
     """A trace file is malformed, truncated or hostile."""
@@ -267,22 +262,14 @@ class TraceRecorder:
     """Accumulates :class:`TraceEvent` values from a running cluster.
 
     All hooks fire on the cluster's event loop thread, so the list
-    append order *is* the execution order.  ``limit`` bounds memory on
-    long runs by forgetting the oldest events (a shrunk repro never
-    needs them; the counter records the loss).
+    append order *is* the execution order.
     """
 
-    def __init__(self, limit=None):
+    def __init__(self):
         self.events = []
-        self.limit = limit
-        self.dropped = 0
 
     def record(self, t, pid, kind, *data):
         self.events.append(TraceEvent(t, pid, kind, tuple(data)))
-        if self.limit is not None and len(self.events) > 2 * self.limit:
-            excess = len(self.events) - self.limit
-            del self.events[:excess]
-            self.dropped += excess
 
     def on_action(self, time, action):
         """ActionLog observer: captures client ``bcast``/``cbcast``

@@ -28,6 +28,7 @@ import time
 
 from repro.core.viewids import ViewId
 from repro.core.views import View
+from repro.dvs.ablation import dvs_factory_name
 from repro.faults.monitor import SafetyMonitor
 from repro.gcs.recorder import ActionLog
 from repro.gcs.to_layer import NORMAL
@@ -408,26 +409,6 @@ class RuntimeCluster:
             )
         return self.wiretap
 
-    def _dvs_name(self):
-        """The trace-header name of the hosted DVS layer factory.
-
-        Must agree with :data:`repro.checking.replay.DVS_FACTORIES`
-        (resolved locally so the runtime never imports the checking
-        stack and its hypothesis dependency)."""
-        from repro.gcs.dvs_layer import DvsLayer
-
-        if self._dvs_factory is None or self._dvs_factory is DvsLayer:
-            return "normal"
-        from repro.dvs.ablation import NoMajorityDvsLayer
-
-        if self._dvs_factory is NoMajorityDvsLayer:
-            return "nomajority"
-        raise ValueError(
-            "dvs_factory {0!r} has no replayable trace name".format(
-                self._dvs_factory
-            )
-        )
-
     def snapshot_trace(self, timeout=CALL_TIMEOUT):
         """The events recorded so far, as an immutable
         :class:`~repro.obs.record.ReplayTrace` (loop-thread snapshot).
@@ -439,7 +420,8 @@ class RuntimeCluster:
 
         def snap():
             return wiretap.trace(
-                self.processes, self.initial_view, dvs=self._dvs_name(),
+                self.processes, self.initial_view,
+                dvs=dvs_factory_name(self._dvs_factory),
             )
 
         if self._loop is None:

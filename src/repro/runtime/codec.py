@@ -505,10 +505,6 @@ class FrameDecoder:
     def __init__(self, max_frame=MAX_FRAME):
         self._buffer = bytearray()
         self._max_frame = max_frame
-        #: Observability counters: raw bytes absorbed and complete
-        #: frames decoded over this decoder's lifetime.
-        self.bytes_fed = 0
-        self.frames_decoded = 0
 
     @property
     def pending(self):
@@ -518,7 +514,6 @@ class FrameDecoder:
     def feed(self, data):
         """Absorb ``data``; return the list of completed frame values."""
         self._buffer.extend(data)
-        self.bytes_fed += len(data)
         messages = []
         while True:
             if len(self._buffer) < _HEADER.size:
@@ -536,4 +531,3 @@ class FrameDecoder:
             body = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             messages.append(decode(body))
-            self.frames_decoded += 1

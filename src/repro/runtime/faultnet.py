@@ -37,6 +37,7 @@ import asyncio
 import random
 
 from repro.faults.nemesis import Nemesis, NemesisPlan
+from repro.net.plane import FaultPlane
 
 #: Delays below this are flushed inline rather than via the loop: a
 #: ``call_later(0)`` would still reorder the frame behind every ready
@@ -44,67 +45,33 @@ from repro.faults.nemesis import Nemesis, NemesisPlan
 _INLINE_DELAY = 1e-6
 
 
-class FaultNet:
+class FaultNet(FaultPlane):
     """Cluster-wide fault state consulted by every node's transport.
 
-    The interface deliberately mirrors the fault slice of
-    :class:`repro.net.simulator.Network` (``partition``/``heal``/
-    ``install_fault``/``remove_fault`` plus a seeded ``rng``), so
-    :class:`~repro.faults.models.LinkFault` objects plug in unchanged:
-    their ``transform`` methods only touch ``net.rng``.
-
-    ``fifo=True`` (default) serializes delayed copies per directed pair
-    through a channel clock, exactly like the simulator: jitter then
-    stretches inter-arrival gaps without reordering a pair's frames.
-    ``fifo=False`` lets large jitter reorder frames -- a strictly
-    harsher adversary than TCP itself provides.
+    The partition map, fault list, channel clock and copy pipeline are
+    the simulator's own (:class:`~repro.net.plane.FaultPlane`), so
+    :class:`~repro.faults.models.LinkFault` objects plug in unchanged
+    and delayed copies are serialized per directed pair exactly as on
+    the event queue: jitter stretches inter-arrival gaps without ever
+    reordering a pair's frames, which TCP could not do either.  What
+    this class adds is what sockets need: the send-side delay schedule,
+    the receive-side veto and the counters.
     """
 
-    def __init__(self, seed=0, fifo=True):
-        self.rng = random.Random(seed)
-        self.fifo = fifo
-        self.faults = []
-        self._component_of = {}
-        self._channel_clock = {}
+    def __init__(self, seed=0):
+        super().__init__(random.Random(seed))
         # Counters (read via stats(); all mutated on the loop thread).
         self.injected_drops = 0
         self.injected_copies = 0
         self.delayed_sends = 0
         self.blocked_recvs = 0
 
-    # -- Topology (the Network fault interface) ----------------------------
-
-    def partition(self, groups):
-        """Install a symmetric component partition.
-
-        Processes not named in any group land in component 0 together,
-        matching the simulator's partition map semantics.
-        """
-        component_of = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                component_of[pid] = index
-        self._component_of = component_of
-
-    def heal(self):
-        self._component_of = {}
-
-    def install_fault(self, fault):
-        self.faults.append(fault)
-        return fault
-
-    def remove_fault(self, fault):
-        if fault in self.faults:
-            self.faults.remove(fault)
-
     # -- Transport interposition -------------------------------------------
 
     def blocked(self, src, dst):
         """Delivery veto for ``src -> dst`` (partitions + one-way blocks),
         checked by the *receiver* so in-flight frames are lost too."""
-        if self._component_of.get(src, 0) != self._component_of.get(dst, 0):
-            return True
-        return any(f.blocks_delivery(src, dst) for f in self.faults)
+        return self.separated(src, dst) or self.link_blocked(src, dst)
 
     def note_blocked_recv(self):
         self.blocked_recvs += 1
@@ -112,33 +79,22 @@ class FaultNet:
     def outbound(self, src, dst, now):
         """Fault decision for one frame about to be queued on a link.
 
-        Returns ``None`` when no fault matches (the caller takes its
-        fast path unchanged), else the list of extra delays (seconds
-        from ``now``) at which to queue each surviving copy -- ``[]``
-        means the frame is dropped outright.
+        Returns ``None`` when no fault matches and no delayed copy is
+        still pending on the pair (the caller takes its fast path
+        unchanged), else the list of delays (seconds from ``now``) at
+        which to queue each surviving copy -- ``[]`` means the frame is
+        dropped outright.
         """
-        matching = [f for f in self.faults if f.applies(src, dst)]
-        if not matching:
+        matched = any(f.applies(src, dst) for f in self.faults)
+        copies = self.copies(src, dst)
+        if not copies:
+            self.injected_drops += 1
+            return []
+        self.injected_copies += len(copies) - 1
+        delays = [self.fifo(src, dst, now + extra) - now for extra in copies]
+        if not matched and delays == [0.0]:
             return None
-        copies = [0.0]
-        for fault in matching:
-            copies = fault.transform(self, src, dst, copies)
-            if not copies:
-                self.injected_drops += 1
-                return []
-        if len(copies) > 1:
-            self.injected_copies += len(copies) - 1
-        delays = []
-        for extra in copies:
-            at = now + extra
-            if self.fifo:
-                earliest = self._channel_clock.get((src, dst), 0.0)
-                at = max(at, earliest)
-                self._channel_clock[(src, dst)] = at
-            delay = at - now
-            if delay > _INLINE_DELAY:
-                self.delayed_sends += 1
-            delays.append(max(0.0, delay))
+        self.delayed_sends += sum(d > _INLINE_DELAY for d in delays)
         return delays
 
     # -- Observation -------------------------------------------------------
@@ -146,7 +102,7 @@ class FaultNet:
     def stats(self):
         return {
             "active_faults": len(self.faults),
-            "partitioned": bool(self._component_of),
+            "partitioned": self.partitioned,
             "injected_drops": self.injected_drops,
             "injected_copies": self.injected_copies,
             "delayed_sends": self.delayed_sends,
@@ -185,21 +141,16 @@ class LiveNemesis:
     def _apply(self, cluster, loop, op):
         self.applied.append(op)
         cluster.note_nemesis(op)
-        kind, args = op.kind, op.args
-        if kind == "crash":
-            self._track(asyncio.ensure_future(cluster.nemesis_kill(args[0])))
-        elif kind == "recover":
+        if op.kind == "crash":
             self._track(
-                asyncio.ensure_future(cluster.nemesis_revive(args[0]))
+                asyncio.ensure_future(cluster.nemesis_kill(op.args[0]))
             )
-        elif kind == "partition":
-            self.faultnet.partition([set(g) for g in args[0]])
-        elif kind == "heal":
-            self.faultnet.heal()
+        elif op.kind == "recover":
+            self._track(
+                asyncio.ensure_future(cluster.nemesis_revive(op.args[0]))
+            )
         else:
-            fault, duration = Nemesis._build_fault(kind, args)
-            self.faultnet.install_fault(fault)
-            loop.call_later(duration, self.faultnet.remove_fault, fault)
+            Nemesis._apply(self.faultnet, op, loop.call_later)
 
     def _track(self, task):
         self.tasks.add(task)

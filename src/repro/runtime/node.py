@@ -7,13 +7,14 @@ sockets.
 :class:`~repro.gcs.to_layer.ToLayer` and
 :class:`~repro.gcs.cb_layer.CbLayer` objects the simulator drives, with
 both ordering towers sharing the DVS layer through a
-:class:`~repro.gcs.cb_layer.DvsFanout` -- behind a duck-typed stand-in
-for :class:`repro.net.simulator.Network`:
+:class:`~repro.gcs.cb_layer.DvsFanout` -- and is itself the stack's
+``net``, the slice of :class:`repro.net.simulator.Network` a hosted
+:class:`~repro.net.simulator.Node` calls:
 
 - ``send``/``broadcast`` go through per-peer reconnecting TCP links
   (:class:`~repro.runtime.transport.PeerLink`);
 - ``set_timer``/``cancel_timer`` map onto ``loop.call_later``;
-- ``now`` reads a monotonic clock started at node boot;
+- ``queue.now`` reads a monotonic clock started at node boot;
 - ``on_connectivity`` is fed by the heartbeat estimator
   (:class:`~repro.runtime.heartbeat.ConnectivityEstimator`) instead of
   the simulator's oracle.
@@ -52,31 +53,6 @@ class MonotonicClock:
     @property
     def now(self):
         return self._loop.time() - self._t0
-
-
-class _RuntimeNet:
-    """The slice of the simulator ``Network`` interface a hosted
-    :class:`~repro.net.simulator.Node` actually calls."""
-
-    def __init__(self, node):
-        self._node = node
-
-    @property
-    def queue(self):
-        # ``Node.now`` reads ``net.queue.now``; the clock fills that shape.
-        return self._node.clock
-
-    def send(self, src, dst, msg):
-        self._node._transport_send(dst, msg)
-
-    def broadcast(self, src, dsts, msg):
-        self._node._transport_broadcast(dsts, msg)
-
-    def set_timer(self, pid, delay, tag):
-        return self._node._set_timer(delay, tag)
-
-    def cancel_timer(self, handle):
-        handle.cancel()
 
 
 class RuntimeNode:
@@ -139,7 +115,7 @@ class RuntimeNode:
             cb_listener=cb_listener,
         )
         self.stack = self.tower.stack
-        self.stack.net = _RuntimeNet(self)
+        self.stack.net = self
         self.dvs = self.tower.dvs
         self.to = self.tower.to
         self.cb = self.tower.cb
@@ -253,34 +229,22 @@ class RuntimeNode:
         if self._wiretap is not None and self.clock is not None:
             self._wiretap.record(self.clock.now, self.pid, kind, *data)
 
-    # -- Downcalls from the hosted stack -----------------------------------
+    # -- The stack's ``net``: downcalls from the hosted ``Node`` ------------
 
-    def _transport_send(self, dst, msg):
-        if self._stopped:
-            return
-        if dst == self.pid:
-            # Local loopback: dispatch asynchronously so a self-send
-            # behaves like any other message (never reentrant).
-            self._loop.call_soon(self._local_deliver, msg)
-            return
-        if dst not in self.book:
-            self.dropped_unroutable += 1
-            return
-        try:
-            frame = encode_frame((self.pid, msg))
-        except CodecError as exc:
-            self.errors.append(exc)
-            return
-        self._send_encoded(dst, msg, frame)
+    @property
+    def queue(self):
+        # ``Node.now`` reads ``net.queue.now``; the clock fills that shape.
+        return self.clock
 
-    def _transport_broadcast(self, dsts, msg):
+    def send(self, src, dst, msg):
+        self.broadcast(src, (dst,), msg)
+
+    def broadcast(self, src, dsts, msg):
         """Fan ``msg`` out, encoding the frame *once* for all peers.
 
-        The per-destination ``send`` path used to re-encode the
-        identical ``(pid, msg)`` envelope for every link -- pure waste
-        on the hottest path (every Ordered broadcast and every
-        heartbeat round).  The self-send still short-circuits through
-        the local queue without touching the codec.
+        A self-send goes through the loop's ready queue without touching
+        the codec, so it behaves like any other message (delivered
+        asynchronously, never reentrant).
         """
         if self._stopped:
             return
@@ -299,6 +263,16 @@ class RuntimeNode:
                     self.errors.append(exc)
                     return
             self._send_encoded(dst, msg, frame)
+
+    def set_timer(self, pid, delay, tag):
+        handle = self._loop.call_later(
+            delay, lambda: self._fire_timer(handle, tag)
+        )
+        self._timers.add(handle)
+        return handle
+
+    def cancel_timer(self, handle):
+        handle.cancel()
 
     def _send_encoded(self, dst, msg, frame):
         if self._faultnet is not None:
@@ -337,13 +311,6 @@ class RuntimeNode:
         if not self._stopped:
             self._dispatch(self.pid, msg)
 
-    def _set_timer(self, delay, tag):
-        handle = self._loop.call_later(
-            delay, lambda: self._fire_timer(handle, tag)
-        )
-        self._timers.add(handle)
-        return handle
-
     def _fire_timer(self, handle, tag):
         self._timers.discard(handle)
         if not self._stopped:
@@ -354,15 +321,7 @@ class RuntimeNode:
                 self.errors.append(exc)
 
     def _send_heartbeats(self):
-        peers = self._peer_ids()
-        if not peers:
-            return
-        # One beacon encode per round, not per peer (the same
-        # encode-once discipline as _transport_broadcast).
-        beacon = Heartbeat()
-        frame = encode_frame((self.pid, beacon))
-        for peer in peers:
-            self._send_encoded(peer, beacon, frame)
+        self.broadcast(self.pid, self._peer_ids(), Heartbeat())
 
     # -- Upcalls from transport and estimator ------------------------------
 

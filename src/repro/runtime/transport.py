@@ -217,9 +217,7 @@ class Listener:
         self.port = port
         self._server = None
         self._writers = set()
-        self.accepted = 0
         self.rejected = 0
-        self.bytes_in = 0
 
     async def start(self):
         self._server = await asyncio.start_server(
@@ -229,7 +227,6 @@ class Listener:
         return self
 
     async def _handle(self, reader, writer):
-        self.accepted += 1
         self._writers.add(writer)
         decoder = FrameDecoder()
         src = None
@@ -238,7 +235,6 @@ class Listener:
                 data = await reader.read(_READ_CHUNK)
                 if not data:
                     return
-                self.bytes_in += len(data)
                 if self._on_bytes is not None:
                     self._on_bytes(len(data))
                 try:

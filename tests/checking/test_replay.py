@@ -12,13 +12,15 @@ import pytest
 from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.checking.replay import (
-    DVS_FACTORIES,
     check_replay_determinism,
-    dvs_factory_name,
     replay_trace,
     shrink_replay,
 )
-from repro.dvs.ablation import NoMajorityDvsLayer
+from repro.dvs.ablation import (
+    DVS_FACTORIES,
+    NoMajorityDvsLayer,
+    dvs_factory_name,
+)
 from repro.gcs.dvs_layer import DvsLayer
 from repro.obs.record import ReplayTrace, TraceError, TraceEvent
 
@@ -156,14 +158,12 @@ class TestFactoryRegistry:
             dvs_factory_name(object)
 
     def test_cluster_dvs_names_agree_with_registry(self):
-        # RuntimeCluster._dvs_name computes the header name locally (to
-        # keep the runtime free of checking imports); it must stay in
-        # lockstep with DVS_FACTORIES.
+        # One table: the name a live cluster writes into a trace header
+        # is the name replay looks the factory up under.
         from repro.runtime.cluster import RuntimeCluster
 
-        cluster = RuntimeCluster.__new__(RuntimeCluster)
-        cluster._dvs_factory = None
-        assert cluster._dvs_name() == "normal"
         for name, cls in DVS_FACTORIES.items():
-            cluster._dvs_factory = cls
-            assert cluster._dvs_name() == name
+            cluster = RuntimeCluster(PIDS, dvs_factory=cls, record=True)
+            trace = cluster.snapshot_trace()
+            assert trace.dvs == name
+            assert replay_trace(trace).ok

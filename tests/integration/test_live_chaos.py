@@ -25,6 +25,7 @@ from repro.faults.harness import run_chaos
 from repro.faults.nemesis import NemesisPlan
 from repro.obs.record import ReplayTrace
 from repro.runtime.chaos import run_live_chaos
+from repro.runtime.cluster import RuntimeCluster
 
 PIDS = ["n1", "n2", "n3"]
 
@@ -69,6 +70,18 @@ class TestSamePlanBothWorlds:
         assert first.violations == []
         assert first.stats["broadcasts"] == result.stats["broadcasts"]
         assert first.stats["deliveries"] == result.stats["deliveries"]
+
+
+class TestPartitionRuleOnTcp:
+    def test_listing_one_group_isolates_it(self):
+        # The simulator's rule (one fault plane): processes named in no
+        # group share one extra component, so ``[["n3"]]`` cuts n3 off
+        # from n1 and n2 -- on sockets exactly as on the event queue.
+        plan = NemesisPlan([(1.0, "partition", ((("n3",),),))])
+        with RuntimeCluster(PIDS, nemesis=plan) as cluster:
+            cluster.wait_formation(pids=["n1", "n2"], timeout=15.0)
+            assert cluster.faultnet.stats()["blocked_recvs"] > 0
+            assert cluster.violations == []
 
 
 class TestInjectedViolationShrinks:

@@ -1,79 +1,9 @@
-"""Tests for action renaming and the fair scheduler."""
-
-import pytest
+"""Tests for the fair scheduler."""
 
 from repro.core import make_view
-from repro.ioa import (
-    Composition,
-    FairScheduler,
-    Kind,
-    Renamed,
-    act,
-    run_fair,
-    run_random,
-)
+from repro.ioa import Composition, FairScheduler, run_fair
 
 from tests.ioa.helpers import Counter, TickListener
-
-
-class TestRenamed:
-    def test_signature_renamed(self):
-        renamed = Renamed(Counter(), {"tick": "beat"})
-        assert "beat" in renamed.outputs
-        assert "tick" not in renamed.outputs
-        assert renamed.action_kind(act("beat")) is Kind.OUTPUT
-        assert renamed.action_kind(act("tick")) is None
-
-    def test_unmapped_names_pass_through(self):
-        renamed = Renamed(Counter(), {"tick": "beat"})
-        assert renamed.action_kind(act("reset")) is Kind.INPUT
-
-    def test_transitions_through_rename(self):
-        renamed = Renamed(Counter(limit=2), {"tick": "beat"})
-        s = renamed.initial_state()
-        s = renamed.apply(s, act("beat"))
-        assert s.count == 1
-        candidates = renamed.enabled_controlled(s)
-        assert candidates == [act("beat")]
-
-    def test_injective_required(self):
-        with pytest.raises(ValueError):
-            Renamed(Counter(), {"tick": "x", "reset": "x"})
-
-    def test_two_instances_compose(self):
-        """Renaming lets two counter instances coexist independently."""
-        left = Renamed(Counter(limit=1, name="c1"),
-                       {"tick": "tick_left", "reset": "reset_left"},
-                       name="left")
-        right = Renamed(Counter(limit=1, name="c2"),
-                        {"tick": "tick_right", "reset": "reset_right"},
-                        name="right")
-        system = Composition([left, right])
-        s = system.initial_state()
-        s = system.apply(s, act("tick_left"))
-        assert s.part("left").count == 1
-        assert s.part("right").count == 0
-
-    def test_renamed_group_service(self):
-        """A renamed VS instance: a second independent group."""
-        from repro.vs import VSSpec
-
-        v0 = make_view(0, {"p1", "p2"})
-        group_b = Renamed(
-            VSSpec(v0, name="vs_b"),
-            {
-                "vs_gpsnd": "b_gpsnd",
-                "vs_gprcv": "b_gprcv",
-                "vs_safe": "b_safe",
-                "vs_newview": "b_newview",
-                "vs_createview": "b_createview",
-                "vs_order": "b_order",
-            },
-            name="group_b",
-        )
-        s = group_b.initial_state()
-        s = group_b.apply(s, act("b_gpsnd", "m", "p1"))
-        assert s.pending.get(("p1", v0.id)) == ["m"]
 
 
 class TestFairScheduler:

@@ -1,4 +1,4 @@
-"""Seeded async hazards: every DVS016-DVS019 shape in one file.
+"""Seeded async hazards: every DVS016-DVS018 shape in one file.
 
 Linted with ``runtime_globs`` pointed at this file (see
 FIXTURE_CONFIGS in test_rules.py).  Expected findings:
@@ -9,9 +9,7 @@ FIXTURE_CONFIGS in test_rules.py).  Expected findings:
   from inside a coroutine;
 - DVS017 x1: ``ensure_future`` result dropped in ``kick``;
 - DVS018 x1: ``install`` writes ``self.view`` on both sides of an
-  ``await``;
-- DVS019 x2: ``grab_ab``/``grab_ba`` acquire the two locks in
-  opposite orders.
+  ``await``.
 """
 
 import asyncio
@@ -22,9 +20,6 @@ import time
 class TornLayer:
     def __init__(self):
         self.view = None
-        self.pending = 0
-        self.lock_a = asyncio.Lock()
-        self.lock_b = asyncio.Lock()
 
     def resync(self):
         time.sleep(0.5)
@@ -45,13 +40,3 @@ class TornLayer:
     async def wait_remote(self, loop, coro):
         fut = asyncio.run_coroutine_threadsafe(coro, loop)
         return fut.result()
-
-    async def grab_ab(self):
-        async with self.lock_a:
-            async with self.lock_b:
-                self.pending += 1
-
-    async def grab_ba(self):
-        async with self.lock_b:
-            async with self.lock_a:
-                self.pending -= 1

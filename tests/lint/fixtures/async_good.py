@@ -2,9 +2,8 @@
 
 Must stay fully clean under every pass.  The facade blocks only on
 the *caller* thread (``fut.result`` / ``time.sleep`` in sync methods
-never reached from a coroutine), tasks are retained and reaped, the
-torn write pair sits on one side of the ``await``, and both lock
-users agree on acquisition order.
+never reached from a coroutine), tasks are retained and reaped, and
+the torn write pair sits on one side of the ``await``.
 """
 
 import asyncio
@@ -21,8 +20,6 @@ class CleanFacade:
         self._tasks = set()
         self.view = None
         self.beats = 0
-        self.lock_a = asyncio.Lock()
-        self.lock_b = asyncio.Lock()
 
     def start(self):
         self._thread.start()
@@ -45,13 +42,3 @@ class CleanFacade:
         await asyncio.sleep(0)
         self.view = ("installed", self.beats)
         self.beats = self.beats + 1
-
-    async def ordered_ab(self):
-        async with self.lock_a:
-            async with self.lock_b:
-                return self.view
-
-    async def ordered_ab_again(self):
-        async with self.lock_a:
-            async with self.lock_b:
-                return self.beats

@@ -1,4 +1,4 @@
-"""DVS016-DVS019: the async-hazard pass on its fixtures, the facade
+"""DVS016-DVS018: the async-hazard pass on its fixtures, the facade
 classification of the real runtime (caller-thread blocking is *not* a
 loop hazard), and the acceptance-critical mutation checks on the real
 tree.
@@ -13,7 +13,7 @@ from repro.lint import LintConfig, lint_paths
 
 from tests.lint.conftest import fixture_path, findings_for, rule_ids
 
-ASYNC_RULES = frozenset({"DVS016", "DVS017", "DVS018", "DVS019"})
+ASYNC_RULES = frozenset({"DVS016", "DVS017", "DVS018"})
 
 SRC_RUNTIME = os.path.join("src", "repro", "runtime")
 
@@ -48,16 +48,7 @@ def test_dropped_task_and_torn_write_sites():
     assert "ensure_future" in dropped.message
     (torn,) = findings_for(report, "DVS018")
     assert "self.view" in torn.message
-    assert "38" in torn.message and "40" in torn.message
-
-
-def test_lock_cycle_names_both_locks():
-    report = _bad_report()
-    cycle = findings_for(report, "DVS019")
-    assert len(cycle) == 2
-    for finding in cycle:
-        assert "lock_a" in finding.message
-        assert "lock_b" in finding.message
+    assert "33" in torn.message and "35" in torn.message
 
 
 def test_good_fixture_is_clean():

@@ -1,7 +1,6 @@
-"""Unit tests for the analysis IR: CFG reachability, access and call
-summaries, and the parser edge cases the fixture seeds -- decorated
-transitions, nested classes, ``async def``, walrus targets and
-try/finally writes.
+"""Unit tests for the analysis IR: access and call summaries, and the
+parser edge cases the fixture seeds -- decorated transitions, nested
+classes, ``async def``, walrus targets and try/finally writes.
 """
 
 import ast
@@ -36,10 +35,10 @@ def _fixture_method(class_name, method):
     raise AssertionError(class_name + "." + method)
 
 
-# -- CFG reachability --------------------------------------------------
+# -- Every statement is extracted --------------------------------------
 
 
-def test_statements_after_return_are_dead():
+def test_statements_after_return_are_still_extracted():
     ir = _ir(
         """
         def f(self):
@@ -48,22 +47,7 @@ def test_statements_after_return_are_dead():
         """,
         "f",
     )
-    assert ir.accesses == []
-
-
-def test_both_branches_returning_kills_the_fallthrough():
-    ir = _ir(
-        """
-        def f(self, flag):
-            if flag:
-                return 1
-            else:
-                return 2
-            self.x = 3
-        """,
-        "f",
-    )
-    assert ir.accesses == []
+    assert [(a.attr, a.kind) for a in ir.accesses] == [("x", "write")]
 
 
 def test_conditional_return_keeps_the_fallthrough_live():

@@ -10,7 +10,6 @@ REQUIRED_TOP_LEVEL = {
     "ok": bool,
     "files_scanned": int,
     "suppressed": int,
-    "excluded": int,
     "baselined": int,
     "engine": dict,
     "counts": dict,

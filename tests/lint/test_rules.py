@@ -28,7 +28,6 @@ RULE_FIXTURES = {
     "DVS016": ("async_bad.py", "async_good.py"),
     "DVS017": ("async_bad.py", "async_good.py"),
     "DVS018": ("async_bad.py", "async_good.py"),
-    "DVS019": ("async_bad.py", "async_good.py"),
     "DVS020": ("taint_bad", "taint_good"),
     "DVS021": ("taint_bad", "taint_good"),
 }

@@ -286,12 +286,3 @@ class TestTraceRecorder:
         assert rec.events[0].kind == "bcast"
         assert rec.events[0].pid == "a"
         assert rec.events[0].data == (("w", "a", 0),)
-
-    def test_limit_forgets_oldest(self):
-        rec = TraceRecorder(limit=10)
-        for i in range(25):
-            rec.record(float(i), "a", "timer", "t")
-        assert len(rec.events) <= 20
-        assert rec.dropped > 0
-        # The newest events survive.
-        assert rec.events[-1].t == 24.0

@@ -176,7 +176,7 @@ def test_broadcast_encodes_the_frame_once_for_all_peers(counted_codec):
         for peer in ["b", "c", "d"]:
             book[peer] = ("127.0.0.1", 1)
         counted_codec.clear()
-        node._transport_broadcast(pids, ("payload", 42))
+        node.broadcast("a", pids, ("payload", 42))
         fanout = [e for e in counted_codec if e[1] == ("payload", 42)]
         assert len(fanout) == 1  # one encode for b, c, d (self is local)
         counted_codec.clear()
@@ -194,8 +194,8 @@ def test_unicast_send_still_encodes_per_message(counted_codec):
         node = RuntimeNode("a", book, initial_view=view)
         await node.start()
         counted_codec.clear()
-        node._transport_send("b", ("one", 1))
-        node._transport_send("b", ("two", 2))
+        node.send("a", "b", ("one", 1))
+        node.send("a", "b", ("two", 2))
         assert len(counted_codec) == 2
         await node.stop()
 

@@ -1,10 +1,11 @@
 """Unit tests for the live fault interposer (FaultNet).
 
-FaultNet reuses the simulator's LinkFault models unchanged; these tests
-pin the transport-boundary semantics: blocking is symmetric for
+FaultNet is the simulator's FaultPlane plus what sockets need; these
+tests pin the transport-boundary semantics: blocking is symmetric for
 partitions and directed for one-way blocks, ``outbound`` is ``None``
-on the fast path, ``[]`` on a drop, and FIFO channel clocks keep
-delayed copies of one directed pair in order.
+on the fast path, ``[]`` on a drop, and the channel clock keeps the
+frames of one directed pair in order -- across the end of a fault
+window too.
 """
 
 from repro.faults.models import (
@@ -31,12 +32,15 @@ class TestPartition:
         assert net.blocked("c", "a")
 
     def test_unlisted_processes_share_component_zero(self):
+        # The simulator's rule: listed groups are components 1..n and
+        # every unlisted process shares the one extra component 0.
         net = FaultNet()
         net.partition([{"a"}])
-        # "a" is component 0; anything unlisted also lands in 0.
-        assert not net.blocked("a", "z")
+        assert net.blocked("a", "z") and net.blocked("z", "a")
+        assert not net.blocked("y", "z")
         net.partition([{"x"}, {"a"}])
-        assert net.blocked("a", "z")
+        assert net.blocked("a", "z") and net.blocked("x", "z")
+        assert not net.blocked("y", "z")
 
     def test_heal_restores_full_connectivity(self):
         net = FaultNet()
@@ -108,12 +112,19 @@ class TestOutbound:
         (delay,) = net.outbound("b", "a", 0.0)
         assert delay == 0.0
 
-    def test_fifo_false_returns_raw_jitter(self):
-        net = FaultNet(seed=3, fifo=False)
-        net.install_fault(DelayFault(jitter=0.5))
-        delays = [net.outbound("a", "b", 0.0)[0] for _ in range(20)]
-        # Without the channel clock, later sends may land earlier.
-        assert sorted(delays) != delays
+    def test_frame_after_a_window_queues_behind_its_pending_copies(self):
+        net = FaultNet(seed=3)
+        fault = net.install_fault(DelayFault(jitter=0.5))
+        (delay,) = net.outbound("a", "b", 0.0)
+        assert delay > 0.001
+        net.remove_fault(fault)
+        # No fault matches any more, but the delayed copy has not landed:
+        # the next frame must not overtake it (TCP could not).
+        after = net.outbound("a", "b", 0.001)
+        assert after is not None
+        assert 0.001 + after[0] >= delay
+        # Once the clock has caught up the fast path is back.
+        assert net.outbound("a", "b", delay + 0.001) is None
 
 
 class _FakeClock:

@@ -116,11 +116,17 @@ def test_node_publishes_address_and_counts_unroutable():
         node = RuntimeNode("p1", book, initial_view=make_view(["p1"]))
         await node.start()
         assert book["p1"] == ("127.0.0.1", node.port)
-        node._transport_send("ghost", Data(ViewId(0, ""), "x", "p1"))
+        node.send("p1", "ghost", Data(ViewId(0, ""), "x", "p1"))
         assert node.dropped_unroutable == 1
+        assert node.stats()["dropped_unroutable"] == 1
         await node.stop()
 
     run(scenario())
+
+
+def test_the_node_is_its_stacks_net():
+    node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
+    assert node.stack.net is node
 
 
 def test_self_send_is_asynchronous_not_reentrant():
@@ -130,7 +136,7 @@ def test_self_send_is_asynchronous_not_reentrant():
         seen = []
         node.stack.on_message = lambda src, msg: seen.append((src, msg))
         during = []
-        node._transport_send("p1", "hello-self")
+        node.stack.send("p1", "hello-self")  # Node.send -> net.send
         during.append(list(seen))  # not yet delivered: queued on the loop
         await poll_until(lambda: seen)
         assert during == [[]]
@@ -146,9 +152,8 @@ def test_timer_fires_and_cancel_works():
         await node.start()
         fired = []
         node.stack.on_timer = fired.append
-        node._set_timer(0.01, "tick")
-        victim = node._set_timer(0.02, "never")
-        victim.cancel()
+        node.stack.set_timer(0.01, "tick")
+        node.cancel_timer(node.stack.set_timer(0.02, "never"))
         await poll_until(lambda: fired)
         await asyncio.sleep(0.05)
         assert fired == ["tick"]
@@ -170,7 +175,7 @@ def test_layer_exception_is_recorded_not_raised():
             raise RuntimeError("layer bug")
 
         n2.stack.on_message = explode
-        n1._transport_send("p2", Data(view.id, "payload", "p1"))
+        n1.send("p1", "p2", Data(view.id, "payload", "p1"))
         await poll_until(
             lambda: any(isinstance(e, RuntimeError) for e in n2.errors)
         )

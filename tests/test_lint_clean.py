@@ -32,12 +32,14 @@ def test_source_tree_scan_covers_the_package(tree_report):
 
 
 def test_rule_registry_shape():
-    # DVS015 (wire-schema drift) is retired, not renumbered:
-    # codec.schema_drift() is the guard (DESIGN.md section 8).
+    # Retired, not renumbered (DESIGN.md section 8): DVS015 (wire-schema
+    # drift; codec.schema_drift() is the guard) and DVS019 (lock-order
+    # cycles; the product holds no two locks to order).
     assert sorted(RULES) == [
         "DVS{0:03d}".format(number)
-        for number in range(1, 22) if number != 15
+        for number in range(1, 22) if number not in (15, 19)
     ]
+    assert len(RULES) == 19
     for rule_id, rule in RULES.items():
         assert rule_id == rule.id
         assert rule.lint_pass in PASSES
@@ -51,6 +53,7 @@ def test_rule_registry_shape():
 
 def test_clean_gate_covers_the_interprocedural_rules(tree_report):
     # The gate above is only meaningful if every pass actually ran over
-    # the runtime package (no blanket excludes hide it).
-    assert set(tree_report.engine["passes"]) == set(PASSES)
+    # the runtime package.
+    assert sorted(tree_report.engine["passes"]) == sorted(PASSES)
+    assert len(PASSES) == 7
     assert tree_report.engine["ir_functions"] > 100
