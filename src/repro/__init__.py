@@ -4,7 +4,7 @@
 The package is organized in the paper's own layers:
 
 - :mod:`repro.ioa` -- executable I/O automata (the formal substrate);
-- :mod:`repro.core` -- views, identifiers, sequences, quorums (Section 2);
+- :mod:`repro.core` -- views, identifiers, sequences (Section 2);
 - :mod:`repro.vs` -- the static view-synchronous service VS (Figure 1);
 - :mod:`repro.dvs` -- the DVS specification (Figure 2), the
   ``VS-TO-DVS_p`` implementation (Figure 3), the refinement F (Figure 4)

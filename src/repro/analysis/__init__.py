@@ -14,14 +14,6 @@ from repro.analysis.availability import (
     compare_trackers,
     run_tracker,
 )
-from repro.analysis.execution_stats import (
-    RunStats,
-    action_mix,
-    delivery_completeness,
-    delivery_latencies,
-    summarize_trace,
-    view_lifecycles,
-)
 from repro.analysis.report import render_table
 from repro.analysis.sweeps import (
     SweepPoint,
@@ -30,29 +22,18 @@ from repro.analysis.sweeps import (
     sweep_drift_rate,
     sweep_register_lag,
 )
-from repro.analysis.scenarios import (
-    drifting_population,
-    random_churn,
-    split_merge_cycle,
-)
+from repro.analysis.scenarios import drifting_population, random_churn
 
 __all__ = [
     "AvailabilityResult",
-    "RunStats",
     "SweepPoint",
     "ascii_series",
     "crossover_point",
     "sweep_drift_rate",
     "sweep_register_lag",
-    "action_mix",
-    "delivery_completeness",
-    "delivery_latencies",
-    "summarize_trace",
-    "view_lifecycles",
     "compare_trackers",
     "drifting_population",
     "random_churn",
     "render_table",
     "run_tracker",
-    "split_merge_cycle",
 ]

@@ -79,21 +79,3 @@ def drifting_population(
         else:
             scenario.append([frozenset(alive)])
     return scenario
-
-
-def split_merge_cycle(universe, cycles, splits=None):
-    """A deterministic scenario: repeatedly split into fixed halves, merge.
-
-    ``splits`` defaults to halving the (sorted) universe.  Useful for
-    tests and for the paper-style walk-through examples.
-    """
-    universe = sorted(universe)
-    if splits is None:
-        mid = len(universe) // 2
-        splits = [universe[:mid], universe[mid:]]
-    splits = [frozenset(s) for s in splits if s]
-    scenario = []
-    for _ in range(cycles):
-        scenario.append(list(splits))
-        scenario.append([frozenset(universe)])
-    return scenario

@@ -15,7 +15,6 @@ client of DVS.  These modules implement them over the ordering towers:
 """
 
 from repro.apps.kv_store import KvReplica, KvStoreCluster
-from repro.apps.load_balancer import LoadBalancedCluster, LoadBalancer
 from repro.apps.presence import PresenceBoard
 from repro.apps.state_machine import ReplicatedStateMachine, StateMachine
 
@@ -23,8 +22,6 @@ __all__ = [
     "KvReplica",
     "KvStoreCluster",
     "PresenceBoard",
-    "LoadBalancedCluster",
-    "LoadBalancer",
     "ReplicatedStateMachine",
     "StateMachine",
 ]

@@ -28,9 +28,7 @@ from repro.cb.clocks import (
 )
 from repro.cb.dvs_to_cb import DvsToCb, DvsToCbState
 from repro.cb.impl import (
-    CB_IMPL_NAME,
     CbImplState,
-    app_component_name,
     build_cb_impl,
     build_cb_over_dvs_impl,
 )
@@ -39,7 +37,6 @@ from repro.cb.messages import CbCast
 from repro.cb.spec import CBSpec, CBState
 
 __all__ = [
-    "CB_IMPL_NAME",
     "CBSpec",
     "CBState",
     "CbCast",
@@ -47,7 +44,6 @@ __all__ = [
     "DvsToCb",
     "DvsToCbState",
     "advance",
-    "app_component_name",
     "build_cb_impl",
     "build_cb_over_dvs_impl",
     "cb_impl_invariants",

@@ -21,28 +21,14 @@ simply timestamped in the new view.
 pairs per view); it appears only in the invariants.
 """
 
-from types import MappingProxyType
-
 from repro.cb.clocks import advance, deliverable, put
 from repro.cb.messages import CbCast
 from repro.core.sequences import head, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import G0
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
+from repro.ioa.automaton import PerProcessAutomaton
 from repro.ioa.state import State
-
-#: Read-only: module globals are shared by every simulated process.
-_PROC_PARAM = MappingProxyType({
-    "cbcast": 1,
-    "cb_label": 1,
-    "cb_brcv": 2,
-    "dvs_gpsnd": 1,
-    "dvs_register": 0,
-    "dvs_newview": 1,
-    "dvs_gprcv": 2,
-    "dvs_safe": 2,
-})
 
 
 class DvsToCbState(State):
@@ -62,27 +48,18 @@ class DvsToCbState(State):
         )
 
 
-class DvsToCb(TransitionAutomaton):
+class DvsToCb(PerProcessAutomaton):
     """The ``DVS-TO-CB_p`` automaton for one process."""
 
-    parameterized_signature = True
+    name_prefix = "dvs_to_cb"
 
     inputs = frozenset({"cbcast", "dvs_gprcv", "dvs_safe", "dvs_newview"})
     outputs = frozenset({"dvs_gpsnd", "dvs_register", "cb_brcv"})
     internals = frozenset({"cb_label"})
 
-    def __init__(self, pid, initial_view, name=None):
-        self.pid = pid
+    def __init__(self, pid, initial_view):
+        super().__init__(pid)
         self.initial_view = initial_view
-        self.name = name or "dvs_to_cb:{0}".format(pid)
-
-    def participates(self, action):
-        index = _PROC_PARAM.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
 
     def initial_state(self):
         return DvsToCbState(self.pid, self.initial_view)

@@ -10,59 +10,22 @@ monitor check exactly this).
 """
 
 from repro.cb.dvs_to_cb import DvsToCb
-from repro.dvs.impl import VS_EXTERNAL_ACTIONS, build_dvs_impl
-from repro.dvs.spec import DVSSpec
-from repro.ioa.composition import Composition
-from repro.to.impl import DVS_EXTERNAL_ACTIONS
-
-CB_IMPL_NAME = "cb_impl"
+from repro.to.impl import AppImplState, over_dvs_impl, over_dvs_spec
 
 
-def app_component_name(pid):
-    return "dvs_to_cb:{0}".format(pid)
-
-
-def build_cb_impl(initial_view, universe, view_pool=(), name=CB_IMPL_NAME):
+def build_cb_impl(initial_view, universe, view_pool=()):
     """CB-IMPL over the DVS *specification*."""
-    universe = frozenset(universe) | initial_view.set
-    dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
-    apps = [
-        DvsToCb(pid, initial_view, name=app_component_name(pid))
-        for pid in sorted(universe)
-    ]
-    return Composition(
-        [dvs] + apps, hidden=DVS_EXTERNAL_ACTIONS, name=name
-    )
+    return over_dvs_spec(DvsToCb, "cb_impl", initial_view, universe, view_pool)
 
 
-def build_cb_over_dvs_impl(
-    initial_view, universe, view_pool=(), name="cb_over_dvs_impl"
-):
+def build_cb_over_dvs_impl(initial_view, universe, view_pool=()):
     """The full stack: DVS-TO-CB over VS-TO-DVS over VS, everything hidden."""
-    universe = frozenset(universe) | initial_view.set
-    dvs_impl = build_dvs_impl(initial_view, universe, view_pool=view_pool)
-    apps = [
-        DvsToCb(pid, initial_view, name=app_component_name(pid))
-        for pid in sorted(universe)
-    ]
-    return Composition(
-        dvs_impl.components + apps,
-        hidden=VS_EXTERNAL_ACTIONS | DVS_EXTERNAL_ACTIONS,
-        name=name,
+    return over_dvs_impl(
+        DvsToCb, "cb_over_dvs_impl", initial_view, universe, view_pool
     )
 
 
-class CbImplState:
+class CbImplState(AppImplState):
     """Named access to a CB-IMPL composition state."""
 
-    def __init__(self, composition_state, processes, dvs_name="dvs"):
-        self.state = composition_state
-        self.processes = sorted(processes)
-        self.dvs_name = dvs_name
-
-    @property
-    def dvs(self):
-        return self.state.part(self.dvs_name)
-
-    def app(self, pid):
-        return self.state.part(app_component_name(pid))
+    app_class = DvsToCb

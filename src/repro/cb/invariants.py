@@ -14,16 +14,7 @@ guarantees the tier makes:
 """
 
 from repro.cb.impl import CbImplState
-from repro.ioa.invariants import InvariantSuite
-
-
-def _wrap(processes, predicate, dvs_name="dvs"):
-    def check(composition_state):
-        return predicate(CbImplState(composition_state, processes, dvs_name))
-
-    check.__doc__ = predicate.__doc__
-    check.__name__ = predicate.__name__
-    return check
+from repro.ioa.invariants import InvariantSuite, lift
 
 
 def clocks_scoped_to_view(impl):
@@ -101,19 +92,22 @@ def per_sender_prefix_consistent(impl):
     return True
 
 
-def cb_impl_invariants(processes, dvs_name="dvs"):
+def cb_impl_invariants(processes):
     """The suite for CB-IMPL composition states."""
     processes = sorted(processes)
     return InvariantSuite(
         {
-            "CB-IMPL clocks scoped to view": _wrap(
-                processes, clocks_scoped_to_view, dvs_name
-            ),
-            "CB-IMPL delivered bounded by sent": _wrap(
-                processes, delivered_bounded_by_sent, dvs_name
-            ),
-            "CB-IMPL per-sender prefixes consistent": _wrap(
-                processes, per_sender_prefix_consistent, dvs_name
-            ),
+            name: lift(CbImplState, processes, predicate)
+            for name, predicate in (
+                ("CB-IMPL clocks scoped to view", clocks_scoped_to_view),
+                (
+                    "CB-IMPL delivered bounded by sent",
+                    delivered_bounded_by_sent,
+                ),
+                (
+                    "CB-IMPL per-sender prefixes consistent",
+                    per_sender_prefix_consistent,
+                ),
+            )
         }
     )

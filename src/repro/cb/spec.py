@@ -54,12 +54,13 @@ def _delivered_ids(state, p):
 class CBSpec(TransitionAutomaton):
     """The CB service automaton."""
 
+    name = "cb"
+
     inputs = frozenset({"cbcast"})
     outputs = frozenset({"cb_brcv"})
     internals = frozenset()
 
-    def __init__(self, universe, name="cb"):
-        self.name = name
+    def __init__(self, universe):
         self.universe = frozenset(universe)
 
     def initial_state(self):

@@ -9,65 +9,27 @@ models the network adversary deciding connectivity.
 import itertools
 import random
 
-from repro.core.views import View, make_view
+from repro.core.views import View
 from repro.core.viewids import ViewId
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
+from repro.ioa.automaton import PerProcessAutomaton
 from repro.ioa.state import State
 
 
-def _proc_param_index(action_name):
-    """Index of the process parameter for client-facing actions."""
-    return {
-        "vs_gpsnd": 1,
-        "vs_newview": 1,
-        "vs_gprcv": 2,
-        "vs_safe": 2,
-        "dvs_gpsnd": 1,
-        "dvs_register": 0,
-        "dvs_newview": 1,
-        "dvs_gprcv": 2,
-        "dvs_safe": 2,
-        "bcast": 1,
-        "brcv": 2,
-        "cbcast": 1,
-        "cb_brcv": 2,
-        "sx_sendstate": 1,
-        "sx_statedelivery": 1,
-        "sx_statesafe": 0,
-    }.get(action_name)
-
-
-class _PerProcessDriver(TransitionAutomaton):
-    """Base for per-process client drivers."""
-
-    parameterized_signature = True
-
-    def __init__(self, pid, name):
-        self.pid = pid
-        self.name = name
-
-    def participates(self, action):
-        index = _proc_param_index(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
-
-
-class VsClientDriver(_PerProcessDriver):
+class VsClientDriver(PerProcessAutomaton):
     """Client of the raw VS service at one process.
 
     Sends a fixed budget of distinct messages ``("m", pid, i)`` through
     ``vs_gpsnd``; absorbs deliveries.
     """
 
+    name_prefix = "vs_client"
+
     inputs = frozenset({"vs_newview", "vs_gprcv", "vs_safe"})
     outputs = frozenset({"vs_gpsnd"})
 
     def __init__(self, pid, budget=3):
-        super().__init__(pid, "vs_client:{0}".format(pid))
+        super().__init__(pid)
         self.budget = budget
 
     def initial_state(self):
@@ -84,7 +46,7 @@ class VsClientDriver(_PerProcessDriver):
             yield act("vs_gpsnd", ("m", self.pid, state.sent), self.pid)
 
 
-class DvsClientDriver(_PerProcessDriver):
+class DvsClientDriver(PerProcessAutomaton):
     """Client of DVS (spec or DVS-IMPL) at one process.
 
     Tracks the current view from ``dvs_newview``; may register the current
@@ -95,11 +57,13 @@ class DvsClientDriver(_PerProcessDriver):
     application (like DVS-TO-TO) that completes its state exchange first.
     """
 
+    name_prefix = "dvs_client"
+
     inputs = frozenset({"dvs_newview", "dvs_gprcv", "dvs_safe"})
     outputs = frozenset({"dvs_gpsnd", "dvs_register"})
 
     def __init__(self, pid, budget=3, eager_register=False):
-        super().__init__(pid, "dvs_client:{0}".format(pid))
+        super().__init__(pid)
         self.budget = budget
         self.eager_register = eager_register
 
@@ -144,18 +108,20 @@ class DvsClientDriver(_PerProcessDriver):
             yield act("dvs_gpsnd", candidate, self.pid)
 
 
-class ToClientDriver(_PerProcessDriver):
+class ToClientDriver(PerProcessAutomaton):
     """Client of the TO broadcast service at one process.
 
     Broadcasts a budget of distinct payloads ``("a", pid, i)`` and records
     deliveries (used by the TO trace-property checks).
     """
 
+    name_prefix = "to_client"
+
     inputs = frozenset({"brcv"})
     outputs = frozenset({"bcast"})
 
     def __init__(self, pid, budget=3):
-        super().__init__(pid, "to_client:{0}".format(pid))
+        super().__init__(pid)
         self.budget = budget
 
     def initial_state(self):
@@ -175,18 +141,20 @@ class ToClientDriver(_PerProcessDriver):
         state.delivered.append((a, q))
 
 
-class CbClientDriver(_PerProcessDriver):
+class CbClientDriver(PerProcessAutomaton):
     """Client of the CB broadcast service at one process.
 
     Broadcasts a budget of distinct payloads ``("c", pid, i)`` and
     records deliveries (used by the CB trace-property checks).
     """
 
+    name_prefix = "cb_client"
+
     inputs = frozenset({"cb_brcv"})
     outputs = frozenset({"cbcast"})
 
     def __init__(self, pid, budget=3):
-        super().__init__(pid, "cb_client:{0}".format(pid))
+        super().__init__(pid)
         self.budget = budget
 
     def initial_state(self):
@@ -206,7 +174,7 @@ class CbClientDriver(_PerProcessDriver):
         state.delivered.append((a, q))
 
 
-class SxClientDriver(_PerProcessDriver):
+class SxClientDriver(PerProcessAutomaton):
     """Client of the SX-DVS variant at one process.
 
     Hands the service a snapshot for every view it is told about
@@ -215,6 +183,8 @@ class SxClientDriver(_PerProcessDriver):
     of distinct payloads, like :class:`DvsClientDriver`.
     """
 
+    name_prefix = "sx_client"
+
     inputs = frozenset(
         {"dvs_newview", "dvs_gprcv", "dvs_safe",
          "sx_statedelivery", "sx_statesafe"}
@@ -222,7 +192,7 @@ class SxClientDriver(_PerProcessDriver):
     outputs = frozenset({"dvs_gpsnd", "sx_sendstate"})
 
     def __init__(self, pid, budget=3):
-        super().__init__(pid, "sx_client:{0}".format(pid))
+        super().__init__(pid)
         self.budget = budget
 
     def initial_state(self):
@@ -303,26 +273,3 @@ def random_view_pool(universe, count, seed=0, min_size=1, origin=""):
         members = rng.sample(universe, size)
         pool.append(View(ViewId(epoch, origin), frozenset(members)))
     return pool
-
-
-def majority_view_pool(universe, count, seed=0):
-    """Random views that always contain a majority of the universe.
-
-    Under this adversary the *static* majority definition of primary would
-    also accept every view -- useful as a control in the E6/E7 studies.
-    """
-    universe = sorted(universe)
-    floor = len(universe) // 2 + 1
-    return random_view_pool(universe, count, seed=seed, min_size=floor)
-
-
-def chain_view_pool(memberships, start_epoch=1, origin=""):
-    """A deterministic pool: one view per membership, epochs increasing.
-
-    Handy in unit tests for forcing a specific view sequence, e.g. the
-    split/merge scenarios of the Lotem-Keidar-Dolev examples.
-    """
-    return [
-        make_view(ViewId(start_epoch + i, origin), members)
-        for i, members in enumerate(memberships)
-    ]

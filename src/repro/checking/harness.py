@@ -3,47 +3,61 @@
 Each builder returns a closed :class:`~repro.ioa.composition.Composition`
 (every action locally controlled by some component) ready for
 :func:`repro.ioa.scheduler.run_random` or the bounded explorer, plus the
-sorted process list.
+sorted process list.  Where the paper defines the open system
+(``build_dvs_impl``, ``build_to_impl``, ...), the closed one is that
+composition plus one client driver per process, with the same hiding.
 """
 
-from repro.cb.dvs_to_cb import DvsToCb
-from repro.cb.impl import app_component_name as cb_app_component_name
+from repro.cb.impl import build_cb_impl
 from repro.checking.drivers import (
     CbClientDriver,
     DvsClientDriver,
+    SxClientDriver,
     ToClientDriver,
     VsClientDriver,
 )
-from repro.dvs.impl import VS_EXTERNAL_ACTIONS, process_component_name
+from repro.dvs.impl import build_dvs_impl
 from repro.dvs.spec import DVSSpec
+from repro.dvs.state_exchange import SXDVSSpec, VsToSxDvs
 from repro.dvs.vs_to_dvs import VsToDvs
 from repro.ioa.composition import Composition
-from repro.to.dvs_to_to import DvsToTo
-from repro.to.impl import DVS_EXTERNAL_ACTIONS, app_component_name
+from repro.to.impl import build_to_impl, build_to_over_dvs_impl
+from repro.to.sx_total_order import SxTotalOrder
 from repro.vs.spec import VSSpec
+
+
+def _processes(initial_view, universe):
+    return sorted(set(universe) | set(initial_view.set))
+
+
+def _close(system, driver, initial_view, universe, name, **options):
+    """``system`` plus one ``driver`` per process, same hiding."""
+    processes = _processes(initial_view, universe)
+    clients = [driver(p, **options) for p in processes]
+    closed = Composition(
+        system.components + clients, hidden=system.hidden, name=name
+    )
+    return closed, processes
 
 
 def build_closed_vs_spec(initial_view, universe, view_pool=(), budget=3):
     """VS spec + one VS client per process."""
-    universe = sorted(set(universe) | set(initial_view.set))
     vs = VSSpec(initial_view, universe=universe, view_pool=view_pool)
-    clients = [VsClientDriver(p, budget=budget) for p in universe]
-    system = Composition([vs] + clients, name="closed_vs")
-    return system, universe
+    return _close(
+        Composition([vs]), VsClientDriver, initial_view, universe,
+        "closed_vs", budget=budget,
+    )
 
 
 def build_closed_dvs_spec(
     initial_view, universe, view_pool=(), budget=3, eager_register=False
 ):
     """DVS spec + one DVS client per process."""
-    universe = sorted(set(universe) | set(initial_view.set))
     dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
-    clients = [
-        DvsClientDriver(p, budget=budget, eager_register=eager_register)
-        for p in universe
-    ]
-    system = Composition([dvs] + clients, name="closed_dvs")
-    return system, universe
+    return _close(
+        Composition([dvs]), DvsClientDriver, initial_view, universe,
+        "closed_dvs", budget=budget, eager_register=eager_register,
+    )
 
 
 def build_closed_dvs_impl(
@@ -59,76 +73,38 @@ def build_closed_dvs_impl(
     ``filter_factory`` lets the ablation experiments substitute broken
     variants of ``VS-TO-DVS_p``.
     """
-    universe = sorted(set(universe) | set(initial_view.set))
-    vs = VSSpec(initial_view, universe=universe, view_pool=view_pool)
-    filters = [
-        filter_factory(p, initial_view, name=process_component_name(p))
-        for p in universe
-    ]
-    clients = [
-        DvsClientDriver(p, budget=budget, eager_register=eager_register)
-        for p in universe
-    ]
-    system = Composition(
-        [vs] + filters + clients,
-        hidden=VS_EXTERNAL_ACTIONS,
-        name="closed_dvs_impl",
+    return _close(
+        build_dvs_impl(initial_view, universe, view_pool, filter_factory),
+        DvsClientDriver, initial_view, universe,
+        "closed_dvs_impl", budget=budget, eager_register=eager_register,
     )
-    return system, universe
 
 
 def build_closed_to_impl(initial_view, universe, view_pool=(), budget=2):
     """TO-IMPL (DVS spec + applications) + TO clients, DVS actions hidden."""
-    universe = sorted(set(universe) | set(initial_view.set))
-    dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
-    apps = [
-        DvsToTo(p, initial_view, name=app_component_name(p))
-        for p in universe
-    ]
-    clients = [ToClientDriver(p, budget=budget) for p in universe]
-    system = Composition(
-        [dvs] + apps + clients,
-        hidden=DVS_EXTERNAL_ACTIONS,
-        name="closed_to_impl",
+    return _close(
+        build_to_impl(initial_view, universe, view_pool),
+        ToClientDriver, initial_view, universe,
+        "closed_to_impl", budget=budget,
     )
-    return system, universe
 
 
 def build_closed_cb_impl(initial_view, universe, view_pool=(), budget=2):
     """CB-IMPL (DVS spec + applications) + CB clients, DVS actions hidden."""
-    universe = sorted(set(universe) | set(initial_view.set))
-    dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
-    apps = [
-        DvsToCb(p, initial_view, name=cb_app_component_name(p))
-        for p in universe
-    ]
-    clients = [CbClientDriver(p, budget=budget) for p in universe]
-    system = Composition(
-        [dvs] + apps + clients,
-        hidden=DVS_EXTERNAL_ACTIONS,
-        name="closed_cb_impl",
+    return _close(
+        build_cb_impl(initial_view, universe, view_pool),
+        CbClientDriver, initial_view, universe,
+        "closed_cb_impl", budget=budget,
     )
-    return system, universe
 
 
 def build_closed_sx_dvs_impl(initial_view, universe, view_pool=(), budget=3):
     """The SX-DVS implementation (VS + SX filters) + SX clients."""
-    from repro.checking.drivers import SxClientDriver
-    from repro.dvs.state_exchange import VsToSxDvs
-
-    universe = sorted(set(universe) | set(initial_view.set))
-    vs = VSSpec(initial_view, universe=universe, view_pool=view_pool)
-    filters = [
-        VsToSxDvs(p, initial_view, name=process_component_name(p))
-        for p in universe
-    ]
-    clients = [SxClientDriver(p, budget=budget) for p in universe]
-    system = Composition(
-        [vs] + filters + clients,
-        hidden=VS_EXTERNAL_ACTIONS,
-        name="closed_sx_dvs_impl",
+    return _close(
+        build_dvs_impl(initial_view, universe, view_pool, VsToSxDvs),
+        SxClientDriver, initial_view, universe,
+        "closed_sx_dvs_impl", budget=budget,
     )
-    return system, universe
 
 
 SX_EXTERNAL_ACTIONS = frozenset(
@@ -139,40 +115,22 @@ SX_EXTERNAL_ACTIONS = frozenset(
 
 def build_closed_sx_to_impl(initial_view, universe, view_pool=(), budget=2):
     """The simplified TO application over the SX-DVS *specification*."""
-    from repro.dvs.state_exchange import SXDVSSpec
-    from repro.to.sx_total_order import SxTotalOrder
-
-    universe = sorted(set(universe) | set(initial_view.set))
     sxdvs = SXDVSSpec(initial_view, universe=universe, view_pool=view_pool)
     apps = [
-        SxTotalOrder(p, initial_view, name="sx_to:{0}".format(p))
-        for p in universe
+        SxTotalOrder(p, initial_view)
+        for p in _processes(initial_view, universe)
     ]
-    clients = [ToClientDriver(p, budget=budget) for p in universe]
-    system = Composition(
-        [sxdvs] + apps + clients,
-        hidden=SX_EXTERNAL_ACTIONS,
-        name="closed_sx_to_impl",
+    return _close(
+        Composition([sxdvs] + apps, hidden=SX_EXTERNAL_ACTIONS),
+        ToClientDriver, initial_view, universe,
+        "closed_sx_to_impl", budget=budget,
     )
-    return system, universe
 
 
 def build_closed_full_stack(initial_view, universe, view_pool=(), budget=2):
     """The whole tower: TO clients over DVS-TO-TO over VS-TO-DVS over VS."""
-    universe = sorted(set(universe) | set(initial_view.set))
-    vs = VSSpec(initial_view, universe=universe, view_pool=view_pool)
-    filters = [
-        VsToDvs(p, initial_view, name=process_component_name(p))
-        for p in universe
-    ]
-    apps = [
-        DvsToTo(p, initial_view, name=app_component_name(p))
-        for p in universe
-    ]
-    clients = [ToClientDriver(p, budget=budget) for p in universe]
-    system = Composition(
-        [vs] + filters + apps + clients,
-        hidden=VS_EXTERNAL_ACTIONS | DVS_EXTERNAL_ACTIONS,
-        name="closed_full_stack",
+    return _close(
+        build_to_over_dvs_impl(initial_view, universe, view_pool),
+        ToClientDriver, initial_view, universe,
+        "closed_full_stack", budget=budget,
     )
-    return system, universe

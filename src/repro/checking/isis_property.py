@@ -48,7 +48,7 @@ class IsisViolation:
         )
 
 
-def _delivery_history(trace, newview_name, gprcv_name, initial_view):
+def _delivery_history(trace, initial_view):
     """Per process: list of (view, delivered set in that view)."""
     current = {}
     received = defaultdict(set)
@@ -56,14 +56,14 @@ def _delivery_history(trace, newview_name, gprcv_name, initial_view):
     for p in initial_view.set:
         current[p] = initial_view
     for action in trace:
-        if action.name == newview_name:
+        if action.name == "dvs_newview":
             view, p = action.params
             if p in current:
                 history[p].append(
                     (current[p], frozenset(received.pop(p, set())))
                 )
             current[p] = view
-        elif action.name == gprcv_name:
+        elif action.name == "dvs_gprcv":
             m, sender, p = action.params
             received[p].add((m, sender))
     for p, view in current.items():
@@ -71,17 +71,15 @@ def _delivery_history(trace, newview_name, gprcv_name, initial_view):
     return history
 
 
-def isis_violations(trace, initial_view, prefix="dvs"):
-    """All Isis-property violations in a DVS (or VS) trace.
+def isis_violations(trace, initial_view):
+    """All Isis-property violations in a DVS trace.
 
     For every pair (p, q) and consecutive view transition ``v -> w`` taken
     by *both* (both members of both views, both moving directly from v to
     w), the sets of messages delivered in v must coincide; violations are
     returned (empty list = property held on this trace).
     """
-    history = _delivery_history(
-        trace, prefix + "_newview", prefix + "_gprcv", initial_view
-    )
+    history = _delivery_history(trace, initial_view)
     # transitions[(v, w)] -> {p: delivered-in-v}
     transitions = defaultdict(dict)
     for p, entries in history.items():

@@ -93,7 +93,7 @@ class ReplayResult:
         return not self.violations
 
 
-def replay_trace(trace, fail_fast=False):
+def replay_trace(trace):
     """Feed a recorded trace through fresh towers under a fresh monitor.
 
     Mirrors the live dispatch discipline: layer exceptions are recorded
@@ -110,9 +110,7 @@ def replay_trace(trace, fail_fast=False):
     clock = _ReplayClock()
     net = _SinkNet(clock)
     log = ActionLog(clock=lambda: clock.now)
-    monitor = SafetyMonitor(
-        trace.initial_view, fail_fast=fail_fast
-    ).attach(log)
+    monitor = SafetyMonitor(trace.initial_view, fail_fast=False).attach(log)
     towers = {}
     errors = []
     dispatched = skipped = 0

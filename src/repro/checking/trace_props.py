@@ -44,12 +44,14 @@ def check_view_order(trace, newview_name):
 def _delivery_analysis(trace, prefix, initial_view):
     """Common within-view delivery analysis for VS-like traces.
 
-    Returns (stats, per-(process,view) delivery sequences).
+    Checks, at each delivery, that the message was already sent in the
+    view it is delivered in; returns the per-(process, view) delivery and
+    safe sequences.
     """
     current = defaultdict(lambda: None)
     for p in initial_view.set:
         current[p] = initial_view
-    sent_in_view = defaultdict(list)  # view id -> [(m, p)] in send order
+    sent_in_view = defaultdict(set)  # view id -> {(m, p)} sent so far
     delivered = defaultdict(list)  # (q, view id) -> [(m, p)]
     safe = defaultdict(list)  # (q, view id) -> [(m, p)]
     for action in trace:
@@ -60,7 +62,7 @@ def _delivery_analysis(trace, prefix, initial_view):
         elif name == prefix + "_gpsnd":
             m, p = action.params
             if current[p] is not None:
-                sent_in_view[current[p].id].append((m, p))
+                sent_in_view[current[p].id].add((m, p))
         elif name == prefix + "_gprcv":
             m, p, q = action.params
             assert current[q] is not None, (
@@ -68,16 +70,16 @@ def _delivery_analysis(trace, prefix, initial_view):
             )
             g = current[q].id
             assert q in current[q].set
+            assert (m, p) in sent_in_view[g], (
+                "{0} delivered {1!r} from {2} in view {3} where it had "
+                "not been sent".format(q, m, p, g)
+            )
             delivered[(q, g)].append((m, p))
         elif name == prefix + "_safe":
             m, p, q = action.params
             assert current[q] is not None
-            safe[(q, g_of(current, q))].append((m, p))
-    return sent_in_view, delivered, safe, current
-
-
-def g_of(current, q):
-    return current[q].id
+            safe[(q, current[q].id)].append((m, p))
+    return delivered, safe
 
 
 def check_vs_trace_properties(trace, initial_view, prefix="vs"):
@@ -96,19 +98,8 @@ def check_vs_trace_properties(trace, initial_view, prefix="vs"):
        every member of g that ever delivered past it.
     """
     check_view_order(trace, prefix + "_newview")
-    sent_in_view, delivered, safe, _ = _delivery_analysis(
-        trace, prefix, initial_view
-    )
-
-    # (2) delivered only if sent in that view (send precedes via replay
-    # order: we only recorded sends seen so far in trace order, and the
-    # delivery analysis consumed the whole trace; verify membership).
-    for (q, g), entries in delivered.items():
-        for m, p in entries:
-            assert (m, p) in sent_in_view[g], (
-                "{0} delivered {1!r} from {2} in view {3} where it was "
-                "never sent".format(q, m, p, g)
-            )
+    # (2) is checked step by step, inside the analysis.
+    delivered, safe = _delivery_analysis(trace, prefix, initial_view)
 
     # (3) common order per view.
     by_view = defaultdict(list)

@@ -6,14 +6,11 @@
 - :mod:`repro.core.views` -- views ``v = <g, P>`` with ``v.id`` / ``v.set``;
 - :mod:`repro.core.sequences` -- the sequence calculus of Section 2
   (prefix, consistency, ``lub``, ``applytoall``);
-- :mod:`repro.core.quorums` -- majority and general quorum systems used by
-  the static baseline and the dynamic-voting substrate;
 - :mod:`repro.core.messages` -- the message universes ``M_c`` (client) and
   the implementation's tagged non-client messages.
 """
 
 from repro.core.messages import InfoMsg, RegisteredMsg, is_client_message
-from repro.core.quorums import MajorityQuorums, QuorumSystem, WeightedMajorityQuorums
 from repro.core.sequences import (
     applytoall,
     is_consistent,
@@ -27,19 +24,15 @@ from repro.core.viewids import (
     vid_gt,
     vid_le,
     vid_lt,
-    vid_max,
 )
 from repro.core.views import View, make_view
 
 __all__ = [
     "G0",
     "InfoMsg",
-    "MajorityQuorums",
-    "QuorumSystem",
     "RegisteredMsg",
     "View",
     "ViewId",
-    "WeightedMajorityQuorums",
     "applytoall",
     "is_client_message",
     "is_consistent",
@@ -50,5 +43,4 @@ __all__ = [
     "vid_gt",
     "vid_le",
     "vid_lt",
-    "vid_max",
 ]

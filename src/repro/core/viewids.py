@@ -69,15 +69,3 @@ def vid_gt(a, b):
 
 def vid_ge(a, b):
     return vid_le(b, a)
-
-
-def vid_max(ids):
-    """The maximum of an iterable of ``G_⊥`` elements (``None`` allowed).
-
-    Returns ``None`` when the iterable is empty or all-bottom.
-    """
-    best = None
-    for vid in ids:
-        if vid_gt(vid, best):
-            best = vid
-    return best

@@ -13,7 +13,7 @@
   ``VS-TO-DVS_p`` used to show the invariants are not vacuous (E7).
 """
 
-from repro.dvs.impl import DVS_IMPL_NAME, build_dvs_impl, dvs_impl_derived
+from repro.dvs.impl import build_dvs_impl
 from repro.dvs.invariants import dvs_impl_invariants, dvs_spec_invariants
 from repro.dvs.refinement import (
     dvs_refinement_checker,
@@ -29,7 +29,6 @@ from repro.dvs.vs_to_dvs import AckMsg, LiteralSafeVsToDvs, VsToDvs
 
 __all__ = [
     "AckMsg",
-    "DVS_IMPL_NAME",
     "DVSSpec",
     "DVSState",
     "LiteralSafeVsToDvs",
@@ -38,7 +37,6 @@ __all__ = [
     "VsToSxDvs",
     "sx_refinement_checker",
     "build_dvs_impl",
-    "dvs_impl_derived",
     "dvs_impl_invariants",
     "dvs_refinement_checker",
     "dvs_spec_invariants",

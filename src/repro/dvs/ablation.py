@@ -37,15 +37,7 @@ class NoMajorityCheckVsToDvs(VsToDvs):
     until two disjoint "primaries" coexist.
     """
 
-    def pre_dvs_newview(self, state, v, p):
-        if state.cur is None or v != state.cur:
-            return False
-        client_id = None if state.client_cur is None else state.client_cur.id
-        if not vid_gt(v.id, client_id):
-            return False
-        for q in v.set:
-            if q != self.pid and state.info_rcvd.get((q, v.id)) is None:
-                return False
+    def _view_acceptable(self, state, v):
         return all(v.intersects(w) for w in use_views(state))
 
 
@@ -57,13 +49,8 @@ class NoInfoWaitVsToDvs(VsToDvs):
     knowledge.
     """
 
-    def pre_dvs_newview(self, state, v, p):
-        if state.cur is None or v != state.cur:
-            return False
-        client_id = None if state.client_cur is None else state.client_cur.id
-        if not vid_gt(v.id, client_id):
-            return False
-        return all(v.majority_of(w) for w in use_views(state))
+    def _heard_from_all(self, state, v):
+        return True
 
 
 class EagerGarbageCollectVsToDvs(VsToDvs):
@@ -98,30 +85,15 @@ class StaticMajorityFilter(VsToDvs):
     """Baseline: the *static* notion of primary (Section 1).
 
     A view is accepted iff it contains a strict majority of the fixed
-    universe.  Safe (any two majorities of the same universe intersect)
-    but blind to population drift: once more than half the original
-    universe has permanently departed, no view is ever primary again.
+    universe (the initial view's membership).  Safe (any two majorities
+    of the same universe intersect) but blind to population drift: once
+    more than half the original universe has permanently departed, no
+    view is ever primary again.
     """
 
-    def __init__(self, pid, initial_view, universe=None, name=None):
-        super().__init__(pid, initial_view, name=name)
-        self.static_universe = frozenset(
-            universe if universe is not None else initial_view.set
-        )
-
-    def pre_dvs_newview(self, state, v, p):
-        if state.cur is None or v != state.cur:
-            return False
-        client_id = None if state.client_cur is None else state.client_cur.id
-        if not vid_gt(v.id, client_id):
-            return False
-        for q in v.set:
-            if q != self.pid and state.info_rcvd.get((q, v.id)) is None:
-                return False
-        majority = len(v.set & self.static_universe) * 2 > len(
-            self.static_universe
-        )
-        return majority
+    def _view_acceptable(self, state, v):
+        universe = self.initial_view.set
+        return len(v.set & universe) * 2 > len(universe)
 
 
 class NoMajorityDvsLayer(DvsLayer):

@@ -15,33 +15,31 @@ from repro.ioa.composition import Composition
 from repro.vs.spec import VSSpec
 from repro.dvs.vs_to_dvs import VsToDvs
 
-#: Composition name used everywhere for the DVS implementation.
-DVS_IMPL_NAME = "dvs_impl"
-
 #: Names of the VS service's external actions, hidden inside DVS-IMPL.
 VS_EXTERNAL_ACTIONS = frozenset(
     {"vs_gpsnd", "vs_gprcv", "vs_safe", "vs_newview"}
 )
 
 
-def process_component_name(pid):
-    return "vs_to_dvs:{0}".format(pid)
+#: ``"vs_to_dvs:<pid>"``, for every filter variant.
+process_component_name = VsToDvs.component_name
 
 
-def build_dvs_impl(initial_view, universe, view_pool=(), name=DVS_IMPL_NAME):
+def build_dvs_impl(
+    initial_view, universe, view_pool=(), filter_factory=VsToDvs
+):
     """Construct DVS-IMPL for the given process universe.
 
     ``view_pool`` feeds VS's internal view-creation nondeterminism (the
     adversary's choices); see :class:`repro.vs.spec.VSSpec`.
+    ``filter_factory`` lets the ablation experiments and the SX variant
+    substitute their own ``VS-TO-DVS_p``.
     """
     universe = frozenset(universe) | initial_view.set
     vs = VSSpec(initial_view, universe=universe, view_pool=view_pool)
-    filters = [
-        VsToDvs(pid, initial_view, name=process_component_name(pid))
-        for pid in sorted(universe)
-    ]
+    filters = [filter_factory(pid, initial_view) for pid in sorted(universe)]
     return Composition(
-        [vs] + filters, hidden=VS_EXTERNAL_ACTIONS, name=name
+        [vs] + filters, hidden=VS_EXTERNAL_ACTIONS, name="dvs_impl"
     )
 
 
@@ -110,8 +108,3 @@ class DvsImplState:
             for v in self.created
             if all(self.reg_at(p, v.id) for p in v.set)
         }
-
-
-def dvs_impl_derived(composition_state, processes):
-    """Build the :class:`DvsImplState` wrapper for a composition state."""
-    return DvsImplState(composition_state, processes)

@@ -28,12 +28,11 @@ broadcast application over SX-DVS loses its whole recovery state machine
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from repro.core.messages import ProtocolMsg, RegisteredMsg
 from repro.core.tables import Table
 from repro.dvs.spec import DVSSpec, DVSState
-from repro.dvs.vs_to_dvs import VsToDvs, _PROC_PARAM
+from repro.dvs.vs_to_dvs import VsToDvs
 from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
 
@@ -166,15 +165,6 @@ class SXDVSSpec(DVSSpec):
         raise AssertionError("SX-DVS has no dvs_register action")
 
 
-#: Read-only: module globals are shared by every simulated process.
-_SX_PROC_PARAM = MappingProxyType({
-    **{k: v for k, v in _PROC_PARAM.items() if k != "dvs_register"},
-    "sx_sendstate": 1,
-    "sx_statedelivery": 1,
-    "sx_statesafe": 0,
-})
-
-
 class VsToSxDvs(VsToDvs):
     """``VS-TO-SXDVS_p``: the filter with service-run state exchange."""
 
@@ -186,14 +176,6 @@ class VsToSxDvs(VsToDvs):
          "sx_statedelivery", "sx_statesafe"}
     )
     internals = frozenset({"dvs_garbage_collect"})
-
-    def participates(self, action):
-        index = _SX_PROC_PARAM.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
 
     def initial_state(self):
         state = super().initial_state()
@@ -319,10 +301,8 @@ def sx_refinement_f(processes, initial_view, universe):
 
         snapshots = {}
         statesafe = {}
-        from repro.dvs.impl import process_component_name
-
         for p in processes:
-            proc = composition_state.part(process_component_name(p))
+            proc = composition_state.part(VsToSxDvs.component_name(p))
             for g, message in proc.snap_sent.nondefault_items().items():
                 current = snapshots.setdefault(g, {})
                 current[p] = message.snapshot
@@ -348,12 +328,9 @@ def sx_hints(step, abstract_from):
     return lemma_5_8_hints(step, abstract_from)
 
 
-def sx_refinement_checker(processes, initial_view, universe, view_pool=()):
+def sx_refinement_checker(processes, initial_view, universe):
     """Refinement checker: the SX implementation refines SXDVSSpec."""
-    spec = SXDVSSpec(
-        initial_view, universe=universe, view_pool=view_pool,
-        name="sxdvs_spec",
-    )
+    spec = SXDVSSpec(initial_view, universe=universe, name="sxdvs_spec")
     return RefinementChecker(
         impl=None,
         spec=spec,

@@ -47,7 +47,6 @@ service's signature):
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from repro.core.messages import (
     InfoMsg,
@@ -59,24 +58,8 @@ from repro.core.sequences import head, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import vid_gt
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
+from repro.ioa.automaton import PerProcessAutomaton
 from repro.ioa.state import State
-
-#: Index of the "process at which this action occurs" parameter, per action.
-#: Read-only: module globals are shared by every simulated process.
-_PROC_PARAM = MappingProxyType({
-    "dvs_gpsnd": 1,
-    "dvs_register": 0,
-    "vs_newview": 1,
-    "vs_gprcv": 2,
-    "vs_safe": 2,
-    "vs_gpsnd": 1,
-    "dvs_newview": 1,
-    "dvs_gprcv": 2,
-    "dvs_safe": 2,
-    "dvs_garbage_collect": 1,
-})
-
 
 @dataclass(frozen=True)
 class AckMsg(ProtocolMsg):
@@ -127,10 +110,10 @@ def use_views(state):
     return {state.act} | set(state.amb)
 
 
-class VsToDvs(TransitionAutomaton):
+class VsToDvs(PerProcessAutomaton):
     """The ``VS-TO-DVS_p`` automaton for one process ``pid`` (Figure 3)."""
 
-    parameterized_signature = True
+    name_prefix = "vs_to_dvs"
 
     inputs = frozenset(
         {"dvs_gpsnd", "dvs_register", "vs_newview", "vs_gprcv", "vs_safe"}
@@ -140,18 +123,9 @@ class VsToDvs(TransitionAutomaton):
     )
     internals = frozenset({"dvs_garbage_collect"})
 
-    def __init__(self, pid, initial_view, name=None):
-        self.pid = pid
+    def __init__(self, pid, initial_view):
+        super().__init__(pid)
         self.initial_view = initial_view
-        self.name = name or "vs_to_dvs:{0}".format(pid)
-
-    def participates(self, action):
-        index = _PROC_PARAM.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
 
     def initial_state(self):
         return VsToDvsState(self.pid, self.initial_view)
@@ -175,11 +149,21 @@ class VsToDvs(TransitionAutomaton):
         if state.cur is None or v != state.cur:
             return False
         client_id = None if state.client_cur is None else state.client_cur.id
-        if not vid_gt(v.id, client_id):
-            return False
-        for q in v.set:
-            if q != self.pid and state.info_rcvd.get((q, v.id)) is None:
-                return False
+        return (
+            vid_gt(v.id, client_id)
+            and self._heard_from_all(state, v)
+            and self._view_acceptable(state, v)
+        )
+
+    def _heard_from_all(self, state, v):
+        """Every other member's "info" for v has arrived."""
+        return all(
+            q == self.pid or state.info_rcvd.get((q, v.id)) is not None
+            for q in v.set
+        )
+
+    def _view_acceptable(self, state, v):
+        """v holds a majority of every possible previous primary."""
         return all(v.majority_of(w) for w in use_views(state))
 
     def eff_dvs_newview(self, state, v, p):

@@ -44,7 +44,6 @@ from repro.faults.nemesis import (
     crash_recovery_storm,
     flaky_link_windows,
     partition_churn,
-    plan_from_scenario,
 )
 from repro.faults.shrink import ReproCase, shrink_plan
 
@@ -66,7 +65,6 @@ __all__ = [
     "crash_recovery_storm",
     "flaky_link_windows",
     "partition_churn",
-    "plan_from_scenario",
     "run_chaos",
     "shrink_plan",
 ]

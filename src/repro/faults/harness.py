@@ -85,8 +85,6 @@ def run_chaos(
     monitor=True,
     log_limit=None,
     keep_cluster=False,
-    min_latency=1.0,
-    max_latency=2.0,
 ):
     """Run the full stack under a nemesis plan with an armed monitor.
 
@@ -110,8 +108,6 @@ def run_chaos(
         monitor=monitor,
         dvs_factory=dvs_factory,
         log_limit=log_limit,
-        min_latency=min_latency,
-        max_latency=max_latency,
     )
     net = cluster.net
 

@@ -319,24 +319,3 @@ def bridge_topology(group_a, group_b, bridge, at=10.0, duration=60.0):
             pairs.append((x, y))
             pairs.append((y, x))
     return NemesisPlan([FaultOp(at, "oneway", (tuple(pairs), duration))])
-
-
-def plan_from_scenario(scenario, period=15.0, start=0.0):
-    """Convert an :mod:`repro.analysis.scenarios` connectivity history
-    (a list of configurations, each a list of disjoint process sets) into
-    a timed nemesis plan, one configuration every ``period`` units.
-    """
-    ops = []
-    alive_union = set()
-    for config in scenario:
-        for group in config:
-            alive_union |= set(group)
-    at = start
-    for config in scenario:
-        groups = tuple(tuple(sorted(g)) for g in config)
-        if len(groups) == 1 and set(groups[0]) == alive_union:
-            ops.append(FaultOp(at, "heal"))
-        else:
-            ops.append(FaultOp(at, "partition", (groups,)))
-        at += period
-    return NemesisPlan(ops)

@@ -15,8 +15,8 @@ class ActionLog:
     """An append-only log of actions, shared across a simulation.
 
     With a ``clock`` callable (e.g. the network's simulated-time reader)
-    each action also gets a timestamp in ``times``, enabling latency
-    analysis (:mod:`repro.analysis.execution_stats`).
+    each action also gets a timestamp in ``times`` (the safety monitor's
+    violation reports and trace replay read them).
 
     A ``tracer`` (anything with ``on_action(time, name, params)``, e.g.
     :class:`repro.obs.Observability`) additionally sees every recorded
@@ -61,10 +61,6 @@ class ActionLog:
 
     def __iter__(self):
         return iter(self.actions)
-
-    def by_name(self, *names):
-        wanted = set(names)
-        return [a for a in self.actions if a.name in wanted]
 
     def clear(self):
         self.actions = []

@@ -30,8 +30,7 @@ class Tower:
     """
 
     def __init__(self, pid, initial_view, recorder=None, member=None,
-                 dvs_factory=None, listener=None, cb_listener=None,
-                 orderings=True):
+                 dvs_factory=None, orderings=True):
         self.stack = VsStackNode(
             pid, initial_view=initial_view, recorder=recorder, member=member
         )
@@ -42,10 +41,10 @@ class Tower:
         if orderings:
             self.fanout = DvsFanout(self.dvs)
             self.to = ToLayer(
-                self.fanout.port(), initial_view, listener=listener,
+                self.fanout.port(), initial_view,
                 recorder=recorder, member=member,
             )
             self.cb = CbLayer(
                 self.fanout.port(claims=CbCast), initial_view,
-                listener=cb_listener, recorder=recorder, member=member,
+                recorder=recorder, member=member,
             )

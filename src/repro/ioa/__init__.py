@@ -10,7 +10,7 @@ executable version of that model:
 - :class:`~repro.ioa.composition.Composition` -- parallel composition that
   synchronizes on shared action names, plus hiding;
 - :class:`~repro.ioa.execution.Execution` -- executions, steps and traces;
-- :mod:`~repro.ioa.scheduler` -- nondeterministic schedulers that resolve
+- :mod:`~repro.ioa.scheduler` -- the seeded random scheduler that resolves
   the choice among enabled locally controlled actions;
 - :mod:`~repro.ioa.invariants` -- invariant checking along executions;
 - :mod:`~repro.ioa.refinement` -- mechanized single-valued simulation
@@ -20,7 +20,11 @@ executable version of that model:
 """
 
 from repro.ioa.action import Action, Kind, act
-from repro.ioa.automaton import Automaton, TransitionAutomaton
+from repro.ioa.automaton import (
+    Automaton,
+    PerProcessAutomaton,
+    TransitionAutomaton,
+)
 from repro.ioa.composition import Composition
 from repro.ioa.errors import (
     ActionNotEnabled,
@@ -33,12 +37,7 @@ from repro.ioa.execution import Execution, Step
 from repro.ioa.invariants import InvariantSuite
 from repro.ioa.model_check import BoundedExplorer, ExplorationResult
 from repro.ioa.refinement import RefinementChecker
-from repro.ioa.scheduler import (
-    FairScheduler,
-    RandomScheduler,
-    run_fair,
-    run_random,
-)
+from repro.ioa.scheduler import RandomScheduler, run_random
 from repro.ioa.state import State, fingerprint
 
 __all__ = [
@@ -53,7 +52,7 @@ __all__ = [
     "InvariantSuite",
     "InvariantViolation",
     "Kind",
-    "FairScheduler",
+    "PerProcessAutomaton",
     "RandomScheduler",
     "RefinementChecker",
     "RefinementFailure",
@@ -63,6 +62,5 @@ __all__ = [
     "UnknownAction",
     "act",
     "fingerprint",
-    "run_fair",
     "run_random",
 ]

@@ -9,6 +9,8 @@ Two levels are provided:
   by name to ``pre_<name>`` / ``eff_<name>`` methods and enumerates
   candidates from ``cand_<name>`` generators, mirroring the
   precondition/effect style of the paper's figures.
+- :class:`PerProcessAutomaton`: a transition automaton indexed by a
+  process, owning exactly the actions subscripted with that process.
 """
 
 from abc import ABC, abstractmethod
@@ -126,11 +128,8 @@ class TransitionAutomaton(Automaton):
     parameterized_signature = False
 
     def participates(self, action):
-        """Whether this instance's signature contains this specific action.
-
-        Per-process automata override this to claim only the actions whose
-        process-index parameter matches their own id.
-        """
+        """Whether this instance's signature contains this specific action
+        (:class:`PerProcessAutomaton` claims only its own process's)."""
         return True
 
     def action_kind(self, action):
@@ -171,3 +170,39 @@ class TransitionAutomaton(Automaton):
                 continue
             for action in generator(state):
                 yield action
+
+
+class PerProcessAutomaton(TransitionAutomaton):
+    """One automaton of a family indexed by process (``VS-TO-DVS_p``).
+
+    The paper writes the process at which an action occurs as the
+    action's last subscript -- ``VS-NEWVIEW(v)_p``, ``DVS-REGISTER_p``,
+    ``VS-GPRCV(m)_{p,q}`` at q -- and here it is the action's last
+    parameter: the instance for ``pid`` owns the actions of its signature
+    whose last parameter is ``pid``, and nothing else.
+    """
+
+    parameterized_signature = True
+
+    #: Instances are named ``"<name_prefix>:<pid>"`` in compositions.
+    name_prefix = "process"
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.name = self.component_name(pid)
+
+    @classmethod
+    def component_name(cls, pid):
+        return "{0}:{1}".format(cls.name_prefix, pid)
+
+    def participates(self, action):
+        params = action.params
+        return (
+            bool(params)
+            and params[-1] == self.pid
+            and (
+                action.name in self.inputs
+                or action.name in self.outputs
+                or action.name in self.internals
+            )
+        )

@@ -11,7 +11,7 @@ the VS actions inside DVS-IMPL and the DVS actions inside TO-IMPL.
 
 from repro.ioa.action import Kind
 from repro.ioa.automaton import Automaton
-from repro.ioa.errors import ActionNotEnabled, CompositionError, UnknownAction
+from repro.ioa.errors import CompositionError, UnknownAction
 from repro.ioa.state import State
 
 
@@ -194,45 +194,9 @@ class Composition(Automaton):
                 "{0} has no action {1}".format(self.name, action)
             )
 
-    def apply(self, state, action):
-        kind = self.action_kind(action)
-        if kind is None:
-            raise UnknownAction(
-                "{0} has no action {1}".format(self.name, action)
-            )
-        if not self.is_enabled(state, action):
-            if kind is Kind.INPUT:
-                # Input of the whole composition: always enabled.
-                pass
-            else:
-                raise ActionNotEnabled(
-                    "{0}: {1} not enabled".format(self.name, action)
-                )
-        successor = state.copy()
-        self.transition(successor, action)
-        return successor
-
     def controlled_candidates(self, state):
         for component in self.components:
             for action in component.controlled_candidates(
                 state.part(component.name)
             ):
                 yield action
-
-    def enabled_controlled(self, state):
-        """Enabled locally controlled actions of the *whole* composition.
-
-        A component's output may be blocked here only by that component's
-        own precondition (inputs of others are always enabled), so checking
-        against the composition is equivalent -- but we check globally for
-        robustness against ill-formed components.
-        """
-        seen = set()
-        result = []
-        for action in self.controlled_candidates(state):
-            if action in seen:
-                continue
-            seen.add(action)
-            if self.is_enabled(state, action):
-                result.append(action)
-        return result

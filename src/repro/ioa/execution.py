@@ -66,8 +66,3 @@ class Execution:
             for step in self.steps
             if self.automaton.is_external(step.action)
         ]
-
-    def project_trace(self, names):
-        """The subsequence of trace actions whose name is in ``names``."""
-        wanted = frozenset(names)
-        return [a for a in self.trace() if a.name in wanted]

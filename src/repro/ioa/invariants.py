@@ -10,6 +10,19 @@ the bounded explorer.  Predicates may either return a boolean or raise
 from repro.ioa.errors import InvariantViolation
 
 
+def lift(view, processes, predicate):
+    """Lift ``predicate``, stated on ``view(composition_state, processes)``
+    (a named view such as :class:`repro.dvs.impl.DvsImplState`), to an
+    invariant on the composition states themselves."""
+
+    def check(composition_state):
+        return predicate(view(composition_state, processes))
+
+    check.__doc__ = predicate.__doc__
+    check.__name__ = predicate.__name__
+    return check
+
+
 class InvariantSuite:
     """A named collection of state predicates, checkable as a unit."""
 

@@ -4,7 +4,7 @@ An I/O automaton has no built-in scheduling; an execution is produced by
 repeatedly choosing one enabled locally controlled action.  For a *closed*
 system (every input action is an output of some component, e.g. DVS-IMPL
 composed with its environment automata) a scheduler fully determines the
-run.  The schedulers here are deterministic functions of their seed, so all
+run.  The scheduler here is a deterministic function of its seed, so all
 experiments are reproducible.
 """
 
@@ -54,37 +54,7 @@ class RandomScheduler:
         return execution
 
 
-class FairScheduler(RandomScheduler):
-    """Round-robin over action *names*, random within a name.
-
-    A uniformly random scheduler starves rare action types when many
-    instances of a common type are enabled (e.g. hundreds of deliveries
-    versus one view change).  The fair scheduler cycles through the
-    enabled action names, which exercises every part of an automaton
-    without hand-tuned weights -- useful for coverage-oriented runs.
-    """
-
-    def __init__(self, seed=0):
-        super().__init__(seed=seed)
-        self._rotation = 0
-
-    def choose(self, actions):
-        names = sorted({a.name for a in actions})
-        name = names[self._rotation % len(names)]
-        self._rotation += 1
-        pool = [a for a in actions if a.name == name]
-        if len(pool) == 1:
-            return pool[0]
-        return self.rng.choice(pool)
-
-
 def run_random(automaton, max_steps, seed=0, weights=None, on_step=None):
     """One-shot helper around :class:`RandomScheduler`."""
     scheduler = RandomScheduler(seed=seed, weights=weights)
-    return scheduler.run(automaton, max_steps, on_step=on_step)
-
-
-def run_fair(automaton, max_steps, seed=0, on_step=None):
-    """One-shot helper around :class:`FairScheduler`."""
-    scheduler = FairScheduler(seed=seed)
     return scheduler.run(automaton, max_steps, on_step=on_step)

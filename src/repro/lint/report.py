@@ -152,10 +152,10 @@ class Report:
             "findings": [f.to_dict() for f in self.findings],
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
-    def to_sarif(self, indent=2):
+    def to_sarif(self):
         """The report as a SARIF 2.1.0 document (one run)."""
         used = sorted({finding.rule for finding in self.findings})
         rules = [
@@ -208,7 +208,7 @@ class Report:
                 },
             }],
         }
-        return json.dumps(document, indent=indent, sort_keys=False)
+        return json.dumps(document, indent=2, sort_keys=False)
 
     def to_text(self):
         lines = [finding.render() for finding in self.findings]

@@ -11,9 +11,8 @@ This package models the membership-level decision rules directly over
 connectivity histories, without the message machinery, for quantitative
 comparison (experiment E6):
 
-- :class:`StaticMajorityTracker` / :class:`StaticQuorumTracker` -- the
-  baseline: primary iff the component is a majority of the fixed universe
-  (or a quorum of a fixed quorum system);
+- :class:`StaticMajorityTracker` -- the baseline: primary iff the
+  component is a majority of the fixed universe;
 - :class:`DynamicVotingTracker` -- the DVS/LKD rule: members pool their
   ``(act, amb)`` knowledge and the component is primary iff it
   majority-intersects every possibly-previous-primary view;
@@ -28,7 +27,6 @@ from repro.membership.trackers import (
     NaiveDynamicTracker,
     PrimaryTracker,
     StaticMajorityTracker,
-    StaticQuorumTracker,
 )
 
 __all__ = [
@@ -36,5 +34,4 @@ __all__ = [
     "NaiveDynamicTracker",
     "PrimaryTracker",
     "StaticMajorityTracker",
-    "StaticQuorumTracker",
 ]

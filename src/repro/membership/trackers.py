@@ -91,21 +91,6 @@ class StaticMajorityTracker(PrimaryTracker):
         return primaries
 
 
-class StaticQuorumTracker(PrimaryTracker):
-    """Primary iff the component is a quorum of a fixed quorum system."""
-
-    def __init__(self, initial_view, quorum_system):
-        super().__init__(initial_view)
-        self.quorum_system = quorum_system
-
-    def _decide(self, components):
-        primaries = []
-        for component in components:
-            if self.quorum_system.is_quorum(component):
-                primaries.append(self._next_view(component))
-        return primaries
-
-
 class DynamicVotingTracker(PrimaryTracker):
     """The DVS / Lotem-Keidar-Dolev rule, at the membership level.
 

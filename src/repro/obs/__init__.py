@@ -62,10 +62,9 @@ _LATENCY_CAP = 8192
 class Observability:
     """The tracer + metrics bundle a host arms on its stack."""
 
-    def __init__(self, ring_size=65536, latency_cap=_LATENCY_CAP):
+    def __init__(self):
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(ring_size=ring_size)
-        self._latency_cap = latency_cap
+        self.tracer = Tracer()
         self._born = OrderedDict()
         self._cb_born = OrderedDict()
         self._lat = self.metrics.histogram("gcs.to.delivery_latency_s")
@@ -96,7 +95,7 @@ class Observability:
         elif name == "to_label":
             if t is not None:
                 self._born[params[0]] = t
-                while len(self._born) > self._latency_cap:
+                while len(self._born) > _LATENCY_CAP:
                     self._born.popitem(last=False)
         elif name == "to_deliver":
             born = self._born.get(params[0])
@@ -112,7 +111,7 @@ class Observability:
             key = message_key(params[0])
             if t is not None and key is not None:
                 self._cb_born[key] = t
-                while len(self._cb_born) > self._latency_cap:
+                while len(self._cb_born) > _LATENCY_CAP:
                     self._cb_born.popitem(last=False)
         elif name == "cb_deliver":
             key = message_key(params[0])

@@ -280,9 +280,6 @@ class TraceRecorder:
             self.record(time if time is not None else 0.0, pid,
                         action.name, payload)
 
-    def trace(self, processes, initial_view, dvs="normal", source="live"):
+    def trace(self, processes, initial_view, dvs="normal"):
         """Snapshot the recording as an immutable :class:`ReplayTrace`."""
-        return ReplayTrace(
-            processes, initial_view, list(self.events), dvs=dvs,
-            source=source,
-        )
+        return ReplayTrace(processes, initial_view, list(self.events), dvs=dvs)

@@ -45,13 +45,10 @@ def run_live_chaos(
     duration=None,
     broadcast_interval=0.25,
     settle_time=1.5,
-    formation_timeout=30.0,
     dvs_factory=None,
     hb_interval=0.05,
     hb_timeout=0.25,
     fault_seed=0,
-    record=True,
-    host="127.0.0.1",
 ):
     """Run the live stack under a nemesis plan with an armed monitor.
 
@@ -70,10 +67,9 @@ def run_live_chaos(
         duration = plan.horizon + 2.0
     cluster = RuntimeCluster(
         processes,
-        host=host,
         nemesis=plan,
         dvs_factory=dvs_factory,
-        record=record,
+        record=True,
         fault_seed=fault_seed,
         hb_interval=hb_interval,
         hb_timeout=hb_timeout,
@@ -82,7 +78,7 @@ def run_live_chaos(
     cluster.start()
     try:
         try:
-            cluster.wait_formation(timeout=formation_timeout)
+            cluster.wait_formation()
         except TimeoutError:
             # The plan may forbid formation (e.g. an immediate
             # partition); the workload below skips dead/unformed nodes.
@@ -115,9 +111,8 @@ def run_live_chaos(
     })
     if cluster.faultnet is not None:
         stats["faultnet"] = cluster.faultnet.stats()
-    trace = cluster.snapshot_trace() if record else None
-    if trace is not None:
-        stats["trace_events"] = len(trace)
+    trace = cluster.snapshot_trace()
+    stats["trace_events"] = len(trace)
     return LiveChaosResult(
         processes=processes,
         plan=plan,

@@ -49,19 +49,14 @@ class RuntimeCluster:
     """
 
     def __init__(self, processes, host="127.0.0.1", monitor=True,
-                 app_factory=None, cb_app_factory=None, initial_view=None,
-                 hb_interval=0.05,
-                 hb_timeout=0.25, queue_limit=4096, obs=None,
-                 nemesis=None, faultnet=None, fault_seed=0,
+                 app_factory=None, cb_app_factory=None, hb_interval=0.05,
+                 hb_timeout=0.25, obs=None, nemesis=None, fault_seed=0,
                  dvs_factory=None, record=False):
         self.processes = sorted(processes)
-        if initial_view is None:
-            initial_view = View(ViewId(0, ""), frozenset(self.processes))
-        self.initial_view = initial_view
+        self.initial_view = View(ViewId(0, ""), frozenset(self.processes))
         self._host = host
         self._hb_interval = hb_interval
         self._hb_timeout = hb_timeout
-        self._queue_limit = queue_limit
         self._app_factory = app_factory
         self._cb_app_factory = cb_app_factory
         self._dvs_factory = dvs_factory
@@ -85,14 +80,13 @@ class RuntimeCluster:
         #: :class:`~repro.faults.nemesis.NemesisPlan` (or op list, or a
         #: prebuilt :class:`~repro.runtime.faultnet.LiveNemesis`) and it
         #: is armed on the event loop when the cluster starts.
-        if nemesis is not None or faultnet is not None:
+        self.faultnet = None
+        if nemesis is not None:
             from repro.runtime.faultnet import FaultNet, LiveNemesis
 
-            if faultnet is None:
-                faultnet = FaultNet(seed=fault_seed)
-            if nemesis is not None and not isinstance(nemesis, LiveNemesis):
-                nemesis = LiveNemesis(nemesis, faultnet=faultnet)
-        self.faultnet = faultnet
+            self.faultnet = FaultNet(seed=fault_seed)
+            if not isinstance(nemesis, LiveNemesis):
+                nemesis = LiveNemesis(nemesis, faultnet=self.faultnet)
         self.nemesis = nemesis
         #: Trace capture (``record=True`` or a prebuilt
         #: :class:`~repro.obs.record.TraceRecorder`): every stack input
@@ -151,7 +145,7 @@ class RuntimeCluster:
             pid, self._book, initial_view=self.initial_view,
             recorder=self.log, member=member, host=self._host,
             hb_interval=self._hb_interval, hb_timeout=self._hb_timeout,
-            queue_limit=self._queue_limit, obs=self.obs,
+            obs=self.obs,
             faultnet=self.faultnet, wiretap=self.wiretap,
             dvs_factory=self._dvs_factory,
         )
@@ -255,7 +249,7 @@ class RuntimeCluster:
 
     # -- Client surface ----------------------------------------------------
 
-    def bcast(self, pid, payload, ordering="to", timeout=CALL_TIMEOUT):
+    def bcast(self, pid, payload, ordering="to"):
         """Broadcast through ``pid`` with the chosen ordering strength:
         ``"to"`` (totally ordered) or ``"cb"`` (causally ordered)."""
         if ordering == "to":
@@ -271,7 +265,7 @@ class RuntimeCluster:
                     ordering
                 )
             )
-        self._call(call, timeout=timeout)
+        self._call(call)
         return self
 
     def call_node(self, pid, fn, timeout=CALL_TIMEOUT):
@@ -409,7 +403,7 @@ class RuntimeCluster:
             )
         return self.wiretap
 
-    def snapshot_trace(self, timeout=CALL_TIMEOUT):
+    def snapshot_trace(self):
         """The events recorded so far, as an immutable
         :class:`~repro.obs.record.ReplayTrace` (loop-thread snapshot).
 
@@ -426,7 +420,7 @@ class RuntimeCluster:
 
         if self._loop is None:
             return snap()
-        return self._call(snap, timeout=timeout)
+        return self._call(snap)
 
     # -- Observability (requires ``obs=``) ---------------------------------
 
@@ -438,18 +432,18 @@ class RuntimeCluster:
             )
         return self.obs
 
-    def metrics_snapshot(self, timeout=CALL_TIMEOUT):
+    def metrics_snapshot(self):
         """The metrics registry, snapshotted on the loop thread."""
         obs = self._require_obs()
-        return self._call(obs.metrics.snapshot, timeout=timeout)
+        return self._call(obs.metrics.snapshot)
 
-    def trace_snapshot(self, timeout=CALL_TIMEOUT):
+    def trace_snapshot(self):
         """The full stitched trace (spans, views, per-stage summary) as
         JSON-ready data, read on the loop thread."""
         obs = self._require_obs()
-        return self._call(obs.tracer.to_json_dict, timeout=timeout)
+        return self._call(obs.tracer.to_json_dict)
 
-    def obs_snapshot(self, timeout=CALL_TIMEOUT):
+    def obs_snapshot(self):
         """Metrics + trace summary + derived gcs statistics."""
         obs = self._require_obs()
-        return self._call(obs.snapshot, timeout=timeout)
+        return self._call(obs.snapshot)

@@ -502,9 +502,8 @@ class FrameDecoder:
     itself never crashes on truncation (TCP segmentation is normal).
     """
 
-    def __init__(self, max_frame=MAX_FRAME):
+    def __init__(self):
         self._buffer = bytearray()
-        self._max_frame = max_frame
 
     @property
     def pending(self):
@@ -519,10 +518,10 @@ class FrameDecoder:
             if len(self._buffer) < _HEADER.size:
                 return messages
             (length,) = _HEADER.unpack_from(self._buffer)
-            if length > self._max_frame:
+            if length > MAX_FRAME:
                 raise CodecError(
                     "frame length {0} exceeds limit {1}".format(
-                        length, self._max_frame
+                        length, MAX_FRAME
                     )
                 )
             end = _HEADER.size + length

@@ -34,7 +34,7 @@ from repro.runtime.codec import (
     validate_message,
 )
 from repro.runtime.heartbeat import ConnectivityEstimator
-from repro.runtime.transport import Listener, PeerLink, QUEUE_LIMIT
+from repro.runtime.transport import Listener, PeerLink
 
 #: Cap on the per-node layer-error buffer.  Errors are diagnostics:
 #: keeping the newest ``ERROR_LIMIT`` preserves what tests and
@@ -68,10 +68,8 @@ class RuntimeNode:
     configuration (see the gcs layers): the amnesiac-restart path.
     """
 
-    def __init__(self, pid, book, initial_view, recorder=None,
-                 listener=None, cb_listener=None, member=None,
-                 host="127.0.0.1", port=0,
-                 hb_interval=0.05, hb_timeout=None, queue_limit=QUEUE_LIMIT,
+    def __init__(self, pid, book, initial_view, recorder=None, member=None,
+                 host="127.0.0.1", port=0, hb_interval=0.05, hb_timeout=None,
                  obs=None, faultnet=None, wiretap=None, dvs_factory=None):
         self.pid = pid
         self.book = book
@@ -107,12 +105,10 @@ class RuntimeNode:
         self._port = port
         self._hb_interval = hb_interval
         self._hb_timeout = hb_timeout
-        self._queue_limit = queue_limit
         self.clock = None
         self.tower = Tower(
             pid, initial_view, recorder=recorder, member=member,
-            dvs_factory=dvs_factory, listener=listener,
-            cb_listener=cb_listener,
+            dvs_factory=dvs_factory,
         )
         self.stack = self.tower.stack
         self.stack.net = self
@@ -199,7 +195,6 @@ class RuntimeNode:
             self._links[peer] = PeerLink(
                 self.pid, peer,
                 resolve=lambda p=peer: self.book[p],
-                queue_limit=self._queue_limit,
                 on_connect=self._count_connect if self._ins else None,
                 on_drop=self._count_drop if self._ins else None,
                 on_queue_drop=(

@@ -59,7 +59,7 @@ def _parse_peers(specs):
 
 def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
                  hb_timeout=0.25, timeout=30.0, metrics_json=None,
-                 trace_json=None, echo=print):
+                 trace_json=None):
     """The self-contained demo: N live nodes, a KV workload over TO, a
     presence channel over CB, one crash.
 
@@ -80,79 +80,79 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
         obs=True if observe else None,
     )
     with cluster:
-        echo("serving {0} nodes on 127.0.0.1 (ports {1})".format(
+        print("serving {0} nodes on 127.0.0.1 (ports {1})".format(
             processes,
             ", ".join(str(cluster.call_node(p, lambda n: n.port))
                       for p in pids),
         ))
         cluster.wait_formation(timeout=timeout)
-        echo("primary view formed over {0}".format(pids))
+        print("primary view formed over {0}".format(pids))
 
         _presence_round(cluster, pids, "online", timeout)
-        echo("presence board converged over CB ({0} all online)".format(
+        print("presence board converged over CB ({0} all online)".format(
             pids))
         sent = _drive(cluster, pids, 0, first, timeout)
         if first < requests:
-            echo("killing {0} mid-run...".format(victim))
+            print("killing {0} mid-run...".format(victim))
             cluster.kill(victim)
             survivors = [p for p in pids if p != victim]
             cluster.wait_formation(survivors, timeout=timeout)
-            echo("survivors {0} reformed and keep serving".format(
+            print("survivors {0} reformed and keep serving".format(
                 survivors))
             sent += _drive(cluster, survivors, sent, requests - sent,
                            timeout)
-            echo("restarting {0} (fresh state, same id)...".format(victim))
+            print("restarting {0} (fresh state, same id)...".format(victim))
             cluster.restart(victim)
             cluster.wait_formation(pids, timeout=timeout)
             _wait_applied(cluster, pids, sent, timeout)
-            echo("{0} rejoined and caught up via state transfer".format(
+            print("{0} rejoined and caught up via state transfer".format(
                 victim))
             _presence_round(cluster, pids, "back", timeout)
-            echo("presence board repaired after rejoin "
-                 "(fresh announcements over CB)")
+            print("presence board repaired after rejoin "
+                  "(fresh announcements over CB)")
 
         for pid in cluster.live():
-            echo("  {0}: {1} commands applied, kv size {2}, "
-                 "presence {3}/{4}".format(
-                     pid,
-                     cluster.call_app(pid, lambda app: app.log_length),
-                     cluster.call_app(pid, lambda app: len(app.snapshot())),
-                     cluster.call_cb_app(
-                         pid, lambda app: len(app.board())),
-                     len(pids),
-                 ))
+            print("  {0}: {1} commands applied, kv size {2}, "
+                  "presence {3}/{4}".format(
+                      pid,
+                      cluster.call_app(pid, lambda app: app.log_length),
+                      cluster.call_app(pid, lambda app: len(app.snapshot())),
+                      cluster.call_cb_app(
+                          pid, lambda app: len(app.board())),
+                      len(pids),
+                  ))
         if observe:
-            _export_observability(cluster, metrics_json, trace_json, echo)
+            _export_observability(cluster, metrics_json, trace_json)
         violations = cluster.violations
         errors = cluster.errors()
     if errors:
-        echo("LAYER ERRORS: {0!r}".format(errors))
+        print("LAYER ERRORS: {0!r}".format(errors))
         return 1
     if violations:
         for violation in violations:
-            echo("SAFETY VIOLATION: {0}".format(violation.summary()))
+            print("SAFETY VIOLATION: {0}".format(violation.summary()))
         return len(violations)
-    echo("safety monitor: {0} requests ordered, no violations".format(
+    print("safety monitor: {0} requests ordered, no violations".format(
         sent))
     return 0
 
 
-def _export_observability(cluster, metrics_json, trace_json, echo):
+def _export_observability(cluster, metrics_json, trace_json):
     import json
 
     from repro.analysis.report import render_metrics_table, render_stage_table
 
     trace = cluster.trace_snapshot()
     snapshot = cluster.obs_snapshot()
-    echo(render_stage_table(trace["summary"]))
-    echo(render_metrics_table(snapshot["metrics"]))
+    print(render_stage_table(trace["summary"]))
+    print(render_metrics_table(snapshot["metrics"]))
     for what, path, data in (("metrics snapshot", metrics_json, snapshot),
                              ("trace JSON", trace_json, trace)):
         if path:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(data, handle, indent=2, sort_keys=True)
                 handle.write("\n")
-            echo("{0} written to {1}".format(what, path))
+            print("{0} written to {1}".format(what, path))
 
 
 def _presence_round(cluster, pids, status, timeout):
@@ -208,7 +208,7 @@ def _wait_applied(cluster, pids, total, timeout):
 
 
 def run_single(pid, bind, peers, duration=None, hb_interval=0.5,
-               hb_timeout=None, echo=print):
+               hb_timeout=None):
     """Run one live node in the foreground (Ctrl-C to stop)."""
     host, port = _parse_endpoint(bind)
     book = _parse_peers(peers)
@@ -223,7 +223,7 @@ def run_single(pid, bind, peers, duration=None, hb_interval=0.5,
         )
         app = KvReplica(node.to)
         await node.start()
-        echo("{0} listening on {1}:{2}; peers: {3}".format(
+        print("{0} listening on {1}:{2}; peers: {3}".format(
             pid, host, node.port,
             ", ".join("{0}={1}:{2}".format(p, *book[p])
                       for p in sorted(book) if p != pid) or "(none)",
@@ -239,16 +239,16 @@ def run_single(pid, bind, peers, duration=None, hb_interval=0.5,
                 view = node.to.current
                 if view is not None and view.id != last_view:
                     last_view = view.id
-                    echo("{0}: primary view {1} over {2}".format(
+                    print("{0}: primary view {1} over {2}".format(
                         pid, view.id, sorted(view.set)))
                 if app.log_length > last_applied:
                     for cmd, origin, _ in app.applied[last_applied:]:
-                        echo("{0}: applied {1!r} from {2}".format(
+                        print("{0}: applied {1!r} from {2}".format(
                             pid, cmd, origin))
                     last_applied = app.log_length
         finally:
             await node.stop()
-            echo("{0}: stopped ({1} commands applied)".format(
+            print("{0}: stopped ({1} commands applied)".format(
                 pid, app.log_length))
 
     try:

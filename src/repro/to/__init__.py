@@ -16,7 +16,7 @@
 """
 
 from repro.to.dvs_to_to import DvsToTo
-from repro.to.impl import build_to_impl, to_impl_allstate
+from repro.to.impl import build_to_impl
 from repro.to.invariants import to_impl_invariants
 from repro.to.refinement import to_refinement_checker
 from repro.to.spec import TOSpec
@@ -45,7 +45,6 @@ __all__ = [
     "maxprimary",
     "reps",
     "shortorder",
-    "to_impl_allstate",
     "to_impl_invariants",
     "to_refinement_checker",
 ]

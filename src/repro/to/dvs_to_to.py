@@ -23,26 +23,11 @@ value of ``order`` while this node was in each view.  It appears in
 Invariant 6.3 only.
 """
 
-from types import MappingProxyType
-
 from repro.core.sequences import head, remove_head
 from repro.core.viewids import G0
 from repro.ioa.action import act
 from repro.to.summaries import Summary, fullorder, maxnextconfirm
 from repro.to.to_core import ToCore, ToCoreState
-
-#: Read-only: module globals are shared by every simulated process.
-_PROC_PARAM = MappingProxyType({
-    "bcast": 1,
-    "label": 1,
-    "confirm": 0,
-    "brcv": 2,
-    "dvs_gpsnd": 1,
-    "dvs_register": 0,
-    "dvs_newview": 1,
-    "dvs_gprcv": 2,
-    "dvs_safe": 2,
-})
 
 NORMAL = "normal"
 SEND = "send"
@@ -69,7 +54,6 @@ class DvsToTo(ToCore):
     :class:`~repro.to.to_core.ToCore`; this class adds the multicast,
     delivery and recovery handlers."""
 
-    proc_param = _PROC_PARAM
     name_prefix = "dvs_to_to"
 
     inputs = frozenset(

@@ -9,13 +9,11 @@ over VS-TO-DVS over VS -- is also buildable; see
 :func:`build_to_over_dvs_impl`.)
 """
 
-from repro.dvs.impl import VS_EXTERNAL_ACTIONS, build_dvs_impl
+from repro.dvs.impl import build_dvs_impl
 from repro.dvs.spec import DVSSpec
 from repro.ioa.composition import Composition
 from repro.to.dvs_to_to import DvsToTo
 from repro.to.summaries import Summary
-
-TO_IMPL_NAME = "to_impl"
 
 #: Names of the DVS service's external actions, hidden inside TO-IMPL.
 DVS_EXTERNAL_ACTIONS = frozenset(
@@ -23,59 +21,73 @@ DVS_EXTERNAL_ACTIONS = frozenset(
 )
 
 
-def app_component_name(pid):
-    return "dvs_to_to:{0}".format(pid)
-
-
-def build_to_impl(initial_view, universe, view_pool=(), name=TO_IMPL_NAME):
-    """TO-IMPL over the DVS *specification* (the paper's Section 6 system)."""
-    universe = frozenset(universe) | initial_view.set
-    dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
-    apps = [
-        DvsToTo(pid, initial_view, name=app_component_name(pid))
-        for pid in sorted(universe)
-    ]
+def _with_apps(service, hidden, app_class, initial_view, universe, name):
+    apps = [app_class(pid, initial_view) for pid in sorted(universe)]
     return Composition(
-        [dvs] + apps, hidden=DVS_EXTERNAL_ACTIONS, name=name
+        service + apps, hidden=hidden | DVS_EXTERNAL_ACTIONS, name=name
     )
 
 
-def build_to_over_dvs_impl(
-    initial_view, universe, view_pool=(), name="to_over_dvs_impl"
-):
+def over_dvs_spec(app_class, name, initial_view, universe, view_pool=()):
+    """One ``app_class`` automaton per process over the DVS
+    *specification*, with all the external actions of DVS hidden."""
+    universe = frozenset(universe) | initial_view.set
+    dvs = DVSSpec(initial_view, universe=universe, view_pool=view_pool)
+    return _with_apps(
+        [dvs], frozenset(), app_class, initial_view, universe, name
+    )
+
+
+def over_dvs_impl(app_class, name, initial_view, universe, view_pool=()):
+    """One ``app_class`` automaton per process over DVS-IMPL (over VS),
+    with everything below the application's own interface hidden."""
+    universe = frozenset(universe) | initial_view.set
+    dvs_impl = build_dvs_impl(initial_view, universe, view_pool=view_pool)
+    return _with_apps(
+        dvs_impl.components, dvs_impl.hidden, app_class, initial_view,
+        universe, name,
+    )
+
+
+def build_to_impl(initial_view, universe, view_pool=()):
+    """TO-IMPL over the DVS *specification* (the paper's Section 6 system)."""
+    return over_dvs_spec(DvsToTo, "to_impl", initial_view, universe, view_pool)
+
+
+def build_to_over_dvs_impl(initial_view, universe, view_pool=()):
     """The full stack: DVS-TO-TO over VS-TO-DVS over VS, everything hidden.
 
     This is the end-to-end system a deployment would run; the paper's two
     theorems compose to show its traces are TO traces.  We check that
-    directly as well (tests/test_full_stack.py).
+    directly as well (tests/integration/test_full_stack.py).
     """
-    universe = frozenset(universe) | initial_view.set
-    dvs_impl = build_dvs_impl(initial_view, universe, view_pool=view_pool)
-    apps = [
-        DvsToTo(pid, initial_view, name=app_component_name(pid))
-        for pid in sorted(universe)
-    ]
-    return Composition(
-        dvs_impl.components + apps,
-        hidden=VS_EXTERNAL_ACTIONS | DVS_EXTERNAL_ACTIONS,
-        name=name,
+    return over_dvs_impl(
+        DvsToTo, "to_over_dvs_impl", initial_view, universe, view_pool
     )
 
 
-class ToImplState:
-    """Named access to a TO-IMPL composition state."""
+class AppImplState:
+    """Named access to the state of DVS composed with one ``app_class``
+    automaton per process (TO-IMPL, CB-IMPL)."""
 
-    def __init__(self, composition_state, processes, dvs_name="dvs"):
+    app_class = None
+
+    def __init__(self, composition_state, processes):
         self.state = composition_state
         self.processes = sorted(processes)
-        self.dvs_name = dvs_name
 
     @property
     def dvs(self):
-        return self.state.part(self.dvs_name)
+        return self.state.part("dvs")
 
     def app(self, pid):
-        return self.state.part(app_component_name(pid))
+        return self.state.part(self.app_class.component_name(pid))
+
+
+class ToImplState(AppImplState):
+    """Named access to a TO-IMPL composition state."""
+
+    app_class = DvsToTo
 
     @property
     def created(self):
@@ -102,9 +114,3 @@ class ToImplState:
             for summary in self.app(pid).gotstate.values():
                 summaries.add(summary)
         return summaries
-
-
-def to_impl_allstate(composition_state, processes, dvs_name="dvs"):
-    return ToImplState(
-        composition_state, processes, dvs_name=dvs_name
-    ).allstate()

@@ -18,17 +18,8 @@ by Invariant 6.2, which forbids any such ``x`` outright.)
 
 from repro.core.sequences import is_prefix
 from repro.core.viewids import vid_gt
-from repro.ioa.invariants import InvariantSuite
+from repro.ioa.invariants import InvariantSuite, lift
 from repro.to.impl import ToImplState
-
-
-def _wrap(processes, predicate, dvs_name="dvs"):
-    def check(composition_state):
-        return predicate(ToImplState(composition_state, processes, dvs_name))
-
-    check.__doc__ = predicate.__doc__
-    check.__name__ = predicate.__name__
-    return check
 
 
 def _longest_common_prefix(sequences):
@@ -150,25 +141,21 @@ def confirmed_prefixes_consistent(impl):
     return True
 
 
-def to_impl_invariants(processes, dvs_name="dvs"):
+def to_impl_invariants(processes):
     """The suite for TO-IMPL composition states (Invariants 6.1-6.3)."""
     processes = sorted(processes)
     return InvariantSuite(
         {
-            "TO-IMPL 6.1 summaries name attempted views": _wrap(
-                processes, invariant_6_1, dvs_name
-            ),
-            "TO-IMPL 6.2 establishment deactivates": _wrap(
-                processes, invariant_6_2, dvs_name
-            ),
-            "TO-IMPL 6.3 established order propagates": _wrap(
-                processes, invariant_6_3, dvs_name
-            ),
-            "TO-IMPL aux app view tracking": _wrap(
-                processes, app_view_tracking, dvs_name
-            ),
-            "TO-IMPL aux confirmed prefixes consistent": _wrap(
-                processes, confirmed_prefixes_consistent, dvs_name
-            ),
+            name: lift(ToImplState, processes, predicate)
+            for name, predicate in (
+                ("TO-IMPL 6.1 summaries name attempted views", invariant_6_1),
+                ("TO-IMPL 6.2 establishment deactivates", invariant_6_2),
+                ("TO-IMPL 6.3 established order propagates", invariant_6_3),
+                ("TO-IMPL aux app view tracking", app_view_tracking),
+                (
+                    "TO-IMPL aux confirmed prefixes consistent",
+                    confirmed_prefixes_consistent,
+                ),
+            )
         }
     )

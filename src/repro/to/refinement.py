@@ -39,12 +39,12 @@ def _global_content(impl):
     return content
 
 
-def to_refinement_f(processes, dvs_name="dvs"):
+def to_refinement_f(processes):
     """Build the mapping F_TO(state) -> TOState."""
     processes = sorted(processes)
 
     def mapping(composition_state):
-        impl = ToImplState(composition_state, processes, dvs_name)
+        impl = ToImplState(composition_state, processes)
         t = TOState(processes)
 
         confirmed = all_confirm(impl)
@@ -95,7 +95,7 @@ def to_hints(mapping):
     return hints
 
 
-def to_refinement_checker(processes, dvs_name="dvs"):
+def to_refinement_checker(processes):
     """A :class:`RefinementChecker` for Theorem 6.4.
 
     Pass executions of the TO-IMPL composition built by
@@ -104,7 +104,7 @@ def to_refinement_checker(processes, dvs_name="dvs"):
     """
     processes = sorted(processes)
     spec = TOSpec(processes, name="to_spec")
-    mapping = to_refinement_f(processes, dvs_name)
+    mapping = to_refinement_f(processes)
     return RefinementChecker(
         impl=None,
         spec=spec,

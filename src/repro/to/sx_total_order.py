@@ -15,21 +15,10 @@ Section 7 exercise the paper proposes: the application shrinks by a full
 protocol phase, at the cost of a richer service interface.
 """
 
-from types import MappingProxyType
-
 from repro.core.sequences import head, remove_head
 from repro.ioa.action import act
-from repro.to.dvs_to_to import _PROC_PARAM
 from repro.to.summaries import fullorder, maxnextconfirm
 from repro.to.to_core import ToCore, ToCoreState
-
-#: Read-only: module globals are shared by every simulated process.
-_SX_PROC_PARAM = MappingProxyType({
-    **{k: v for k, v in _PROC_PARAM.items() if k != "dvs_register"},
-    "sx_sendstate": 1,
-    "sx_statedelivery": 1,
-    "sx_statesafe": 0,
-})
 
 
 class SxToState(ToCoreState):
@@ -52,7 +41,6 @@ class SxTotalOrder(ToCore):
     Labelling, confirmation and release are inherited from
     :class:`~repro.to.to_core.ToCore`, shared with Figure 5."""
 
-    proc_param = _SX_PROC_PARAM
     name_prefix = "sx_to"
 
     inputs = frozenset(

@@ -13,7 +13,7 @@ from repro.core.sequences import head, nth, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import G0
 from repro.ioa.action import act
-from repro.ioa.automaton import TransitionAutomaton
+from repro.ioa.automaton import PerProcessAutomaton
 from repro.ioa.state import State
 from repro.to.summaries import Label, Summary
 
@@ -40,32 +40,20 @@ class ToCoreState(State):
         )
 
 
-class ToCore(TransitionAutomaton):
+class ToCore(PerProcessAutomaton):
     """Labelling, confirmation and release for one process.
 
-    Subclasses supply ``proc_param`` (action name -> index of its
-    process parameter), ``name_prefix``, ``initial_state`` (a
+    Subclasses supply ``name_prefix``, ``initial_state`` (a
     :class:`ToCoreState`) and the full signature.
     """
-
-    parameterized_signature = True
 
     inputs = frozenset({"bcast"})
     outputs = frozenset({"brcv"})
     internals = frozenset({"label", "confirm"})
 
-    def __init__(self, pid, initial_view, name=None):
-        self.pid = pid
+    def __init__(self, pid, initial_view):
+        super().__init__(pid)
         self.initial_view = initial_view
-        self.name = name or "{0}:{1}".format(self.name_prefix, pid)
-
-    def participates(self, action):
-        index = self.proc_param.get(action.name)
-        if index is None:
-            return False
-        return (
-            len(action.params) > index and action.params[index] == self.pid
-        )
 
     # -- History bookkeeping --------------------------------------------------
 

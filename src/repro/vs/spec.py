@@ -57,12 +57,13 @@ class VSState(State):
 class VSSpec(TransitionAutomaton):
     """The VS service automaton (Figure 1, modified version)."""
 
+    name = "vs"
+
     inputs = frozenset({"vs_gpsnd"})
     outputs = frozenset({"vs_gprcv", "vs_safe", "vs_newview"})
     internals = frozenset({"vs_createview", "vs_order"})
 
-    def __init__(self, initial_view, universe=None, view_pool=(), name="vs"):
-        self.name = name
+    def __init__(self, initial_view, universe=None, view_pool=()):
         self.initial_view = initial_view
         self.view_pool = tuple(view_pool)
         members = set(initial_view.set)

@@ -8,7 +8,6 @@ from repro.analysis import (
     random_churn,
     render_table,
     run_tracker,
-    split_merge_cycle,
 )
 from repro.core import make_view
 from repro.membership import DynamicVotingTracker, StaticMajorityTracker
@@ -41,21 +40,12 @@ class TestScenarios:
         for config in scenario:
             assert sum(len(g) for g in config) >= 3
 
-    def test_split_merge_cycle_shape(self):
-        scenario = split_merge_cycle(FIVE, cycles=2)
-        assert len(scenario) == 4
-        assert len(scenario[0]) == 2
-        assert scenario[1] == [frozenset(FIVE)]
-
-    def test_split_merge_custom_splits(self):
-        scenario = split_merge_cycle(FIVE, 1, splits=[["p1"], ["p2", "p3"]])
-        assert frozenset({"p1"}) in scenario[0]
-
 
 class TestAvailability:
     def test_run_tracker_counts(self):
         v0 = make_view(0, FIVE)
-        scenario = split_merge_cycle(FIVE, cycles=3)
+        halves = [frozenset(FIVE[:2]), frozenset(FIVE[2:])]
+        scenario = [halves, [frozenset(FIVE)]] * 3
         result = run_tracker("static", StaticMajorityTracker(v0), scenario)
         assert result.steps == 6
         # Merge steps always have a majority; 3/2 splits give one too.

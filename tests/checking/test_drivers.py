@@ -7,9 +7,7 @@ from repro.checking.drivers import (
     SxClientDriver,
     ToClientDriver,
     VsClientDriver,
-    chain_view_pool,
     grid_view_pool,
-    majority_view_pool,
     random_view_pool,
 )
 from repro.core import make_view
@@ -116,15 +114,3 @@ class TestViewPools:
         assert random_view_pool("abc", 4, seed=9) == random_view_pool(
             "abc", 4, seed=9
         )
-
-    def test_majority_pool_all_majorities(self):
-        pool = majority_view_pool(list("abcde"), 10, seed=2)
-        for view in pool:
-            assert len(view.set) >= 3
-
-    def test_chain_pool(self):
-        pool = chain_view_pool([{"a"}, {"a", "b"}])
-        assert [v.set for v in pool] == [
-            frozenset({"a"}), frozenset({"a", "b"})
-        ]
-        assert pool[0].id < pool[1].id

@@ -49,6 +49,24 @@ class TestVsChecker:
         with pytest.raises(AssertionError):
             check_vs_trace_properties(trace, v0)
 
+    @pytest.mark.parametrize(
+        "prefix, check",
+        [
+            ("vs", check_vs_trace_properties),
+            ("dvs", check_dvs_trace_properties),
+        ],
+        ids=["vs", "dvs"],
+    )
+    def test_delivery_before_send_violation(self, v0, prefix, check):
+        """Property 2 says "no later than its delivery": a send that only
+        appears after the delivery does not excuse it."""
+        trace = [
+            act(prefix + "_gprcv", "m", "p1", "p2"),
+            act(prefix + "_gpsnd", "m", "p1"),
+        ]
+        with pytest.raises(AssertionError, match="had not been sent"):
+            check(trace, v0)
+
     def test_cross_view_delivery_violation(self, v0):
         v1 = make_view(1, {"p1", "p2"})
         trace = [

@@ -9,7 +9,6 @@ from repro.core.viewids import (
     vid_gt,
     vid_le,
     vid_lt,
-    vid_max,
 )
 
 
@@ -77,14 +76,6 @@ class TestBottomComparisons:
 
 
 class TestVidMax:
-    def test_empty(self):
-        assert vid_max([]) is None
-
-    def test_all_bottom(self):
-        assert vid_max([None, None]) is None
-
-    def test_mixed(self):
-        assert vid_max([None, ViewId(2), ViewId(5, "a"), ViewId(5)]) == ViewId(5, "a")
 
     def test_str_rendering(self):
         assert str(G0) == "g0"

@@ -16,14 +16,15 @@ from repro.dvs.ablation import (
     NoMajorityCheckVsToDvs,
     StaticMajorityFilter,
 )
+from repro.dvs.impl import DvsImplState
 from repro.dvs.invariants import (
-    _wrap,
     invariant_5_1,
     invariant_5_2,
     invariant_5_4,
     invariant_5_6,
 )
 from repro.ioa import InvariantSuite, run_random
+from repro.ioa.invariants import lift
 from repro.ioa.errors import InvariantViolation
 
 UNIVERSE = ["p1", "p2", "p3", "p4", "p5"]
@@ -68,7 +69,7 @@ class TestNoMajorityCheck:
         violation = hunt(
             NoMajorityCheckVsToDvs,
             lambda procs: InvariantSuite(
-                {"5.6": _wrap(procs, invariant_5_6)}
+                {"5.6": lift(DvsImplState, procs, invariant_5_6)}
             ),
             seeds=range(6),
         )
@@ -85,8 +86,8 @@ class TestNoInfoWait:
             NoInfoWaitVsToDvs,
             lambda procs: InvariantSuite(
                 {
-                    "5.1": _wrap(procs, invariant_5_1),
-                    "5.4": _wrap(procs, invariant_5_4),
+                    "5.1": lift(DvsImplState, procs, invariant_5_1),
+                    "5.4": lift(DvsImplState, procs, invariant_5_4),
                 }
             ),
             seeds=range(6),
@@ -102,7 +103,7 @@ class TestEagerGarbageCollection:
         violation = hunt(
             EagerGarbageCollectVsToDvs,
             lambda procs: InvariantSuite(
-                {"5.2": _wrap(procs, invariant_5_2)}
+                {"5.2": lift(DvsImplState, procs, invariant_5_2)}
             ),
             seeds=range(6),
         )
@@ -189,7 +190,9 @@ class TestEagerGarbageCollection:
         s = do(s, act("dvs_newview", v3, "p3"))
 
         # v2 and v3 are both attempted, disjoint, with TotReg = {v0} only.
-        suite = InvariantSuite({"5.6": _wrap(procs, invariant_5_6)})
+        suite = InvariantSuite(
+            {"5.6": lift(DvsImplState, procs, invariant_5_6)}
+        )
         with pytest.raises(InvariantViolation):
             suite.check_state(s)
 
@@ -199,7 +202,7 @@ class TestStaticMajorityFilterIsSafeButUnavailable:
         violation = hunt(
             StaticMajorityFilter,
             lambda procs: InvariantSuite(
-                {"5.6": _wrap(procs, invariant_5_6)}
+                {"5.6": lift(DvsImplState, procs, invariant_5_6)}
             ),
             seeds=range(3),
         )

@@ -9,7 +9,8 @@ from repro.checking import (
     grid_view_pool,
     random_view_pool,
 )
-from repro.dvs import dvs_impl_invariants, dvs_impl_derived
+from repro.dvs import dvs_impl_invariants
+from repro.dvs.impl import DvsImplState
 from repro.ioa import BoundedExplorer, InvariantSuite, run_random
 
 
@@ -67,7 +68,7 @@ class TestDerivedVariables:
         universe = ["p1", "p2", "p3"]
         v0 = make_view(0, universe)
         system, procs = build_closed_dvs_impl(v0, universe)
-        impl = dvs_impl_derived(system.initial_state(), procs)
+        impl = DvsImplState(system.initial_state(), procs)
         assert impl.att == {v0}
         assert impl.tot_att == {v0}
         assert impl.reg_views == {v0}
@@ -81,7 +82,7 @@ class TestDerivedVariables:
         ex = run_random(
             system, 800, seed=3, weights={"vs_createview": 0.5}
         )
-        impl = dvs_impl_derived(ex.final_state, procs)
+        impl = DvsImplState(ex.final_state, procs)
         # Whatever happened, derived sets are internally consistent.
         assert impl.tot_att <= impl.att
         assert impl.tot_reg <= impl.reg_views

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core import make_view
-from repro.dvs import build_dvs_impl, dvs_impl_derived
-from repro.dvs.impl import VS_EXTERNAL_ACTIONS, process_component_name
+from repro.dvs import build_dvs_impl
+from repro.dvs.impl import (
+    VS_EXTERNAL_ACTIONS,
+    DvsImplState,
+    process_component_name,
+)
 
 
 class TestBuilder:
@@ -26,7 +30,7 @@ class TestBuilder:
     def test_derived_state_accessors(self):
         v0 = make_view(0, ["p1", "p2"])
         system = build_dvs_impl(v0, ["p1", "p2"])
-        impl = dvs_impl_derived(system.initial_state(), ["p1", "p2"])
+        impl = DvsImplState(system.initial_state(), ["p1", "p2"])
         assert impl.created == {v0}
         assert impl.att == {v0}
         assert impl.tot_att == {v0}

@@ -11,7 +11,6 @@ from repro.faults.nemesis import (
     crash_recovery_storm,
     flaky_link_windows,
     partition_churn,
-    plan_from_scenario,
 )
 from repro.net import Network, Node
 
@@ -103,16 +102,6 @@ class TestGenerators:
         pairs = set(op.args[0])
         assert ("p2", "p3") in pairs and ("p3", "p2") in pairs
         assert not any("p1" in pair for pair in pairs)
-
-    def test_plan_from_scenario(self):
-        scenario = [
-            [frozenset(PROCS)],
-            [frozenset(PROCS[:2]), frozenset(PROCS[2:])],
-            [frozenset(PROCS)],
-        ]
-        plan = plan_from_scenario(scenario, period=10.0)
-        assert [op.kind for op in plan] == ["heal", "partition", "heal"]
-        assert [op.at for op in plan] == [0.0, 10.0, 20.0]
 
 
 class Quiet(Node):

@@ -24,13 +24,6 @@ class TestActionLog:
         assert [a.name for a in log] == ["bcast", "brcv"]
         assert len(log) == 2
 
-    def test_by_name(self):
-        log = ActionLog()
-        log.record("bcast", "a", "p1")
-        log.record("brcv", "a", "p1", "p2")
-        assert len(log.by_name("brcv")) == 1
-        assert len(log.by_name("bcast", "brcv")) == 2
-
     def test_clock_timestamps(self):
         now = {"t": 0.0}
         log = ActionLog(clock=lambda: now["t"])

@@ -36,14 +36,6 @@ class TestExecution:
         ex.extend(act("tick"))
         assert len(list(ex.states())) == 3
 
-    def test_project_trace(self):
-        system = make_system()
-        ex = Execution(system, system.initial_state())
-        ex.extend(act("tick"))
-        ex.extend(act("tick"))
-        ex.extend(act("reset"))
-        assert ex.project_trace({"reset"}) == [act("reset")]
-
 
 class TestScheduler:
     def test_deterministic_given_seed(self):
@@ -165,3 +157,40 @@ class TestBoundedExplorer:
     def test_summary_string(self):
         result = BoundedExplorer(make_system()).explore()
         assert "complete" in result.summary()
+
+    def test_golden_dvs_impl_exploration(self):
+        """The ``repro explore`` universe, first 2,000 states: pins the
+        enabled-action set of DVS-IMPL (who may fire what, from where)
+        to the values recorded at commit 1015dd4."""
+        from repro.checking import build_closed_dvs_impl, grid_view_pool
+        from repro.core import make_view
+        from repro.dvs import dvs_impl_invariants
+
+        universe = ["p1", "p2"]
+        system, procs = build_closed_dvs_impl(
+            make_view(0, universe),
+            universe,
+            view_pool=grid_view_pool(universe, max_epoch=1, min_size=2),
+            budget=1,
+            eager_register=True,
+        )
+        result = BoundedExplorer(
+            system, invariants=dvs_impl_invariants(procs), max_states=2000
+        ).explore()
+        assert result.violation is None
+        assert (
+            result.states_visited,
+            result.transitions,
+            result.max_depth_reached,
+        ) == (2000, 6184, 18)
+        assert result.action_counts == {
+            "dvs_gpsnd": 767,
+            "dvs_newview": 566,
+            "dvs_register": 434,
+            "vs_createview": 1,
+            "vs_gprcv": 1287,
+            "vs_gpsnd": 840,
+            "vs_newview": 10,
+            "vs_order": 561,
+            "vs_safe": 1718,
+        }

@@ -80,7 +80,7 @@ _MUTATIONS = {
         {"DVS013"},
     ),
     "bcast_wrap": (
-        "self._call(call, timeout=timeout)",
+        "self._call(call)",
         "self._nodes[pid].to.bcast(payload)",
         {"DVS012"},
     ),
@@ -116,7 +116,7 @@ def test_bcast_unwrap_flags_the_loop_owned_call():
     with open(os.path.join(SRC_RUNTIME, "cluster.py"),
               encoding="utf-8") as handle:
         source = handle.read()
-    original = "self._call(call, timeout=timeout)"
+    original = "self._call(call)"
     assert original in source, "mutation anchor drifted"
     mutated = source.replace(
         original, "self._nodes[pid].to.bcast(payload)"

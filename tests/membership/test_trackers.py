@@ -3,12 +3,10 @@
 import pytest
 
 from repro.core import make_view
-from repro.core.quorums import WeightedMajorityQuorums
 from repro.membership import (
     DynamicVotingTracker,
     NaiveDynamicTracker,
     StaticMajorityTracker,
-    StaticQuorumTracker,
 )
 
 FIVE = ["p1", "p2", "p3", "p4", "p5"]
@@ -44,14 +42,6 @@ class TestStaticMajority:
         t.observe([fs("p1", "p2")])
         assert t.availability == 0.5
         assert t.steps_with_primary == 1
-
-
-class TestStaticQuorum:
-    def test_weighted_quorum(self):
-        qs = WeightedMajorityQuorums({"p1": 3, "p2": 1, "p3": 1})
-        t = StaticQuorumTracker(make_view(0, ["p1", "p2", "p3"]), qs)
-        assert t.observe([fs("p1")])  # weight 3 of 5
-        assert not t.observe([fs("p2", "p3")])
 
 
 class TestDynamicVoting:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.sequences import is_consistent, is_prefix, lub
 from repro.core.tables import Table
-from repro.core.viewids import ViewId, vid_ge, vid_le, vid_lt, vid_max
+from repro.core.viewids import ViewId, vid_ge, vid_le, vid_lt
 from repro.core.views import View
 from repro.ioa.state import fingerprint
 
@@ -37,12 +37,6 @@ class TestViewIdTotalOrder:
     @given(maybe_ids, maybe_ids)
     def test_le_ge_duality(self, a, b):
         assert vid_le(a, b) == vid_ge(b, a)
-
-    @given(st.lists(maybe_ids, min_size=1))
-    def test_vid_max_is_upper_bound(self, ids):
-        top = vid_max(ids)
-        assert all(vid_le(x, top) for x in ids)
-        assert top in ids
 
 
 class TestPrefixLattice:

@@ -10,7 +10,6 @@ from repro.to.impl import (
     ToImplState,
     build_to_impl,
     build_to_over_dvs_impl,
-    to_impl_allstate,
 )
 
 
@@ -45,9 +44,9 @@ class TestBuilders:
     def test_allstate_helper(self):
         v0 = make_view(0, ["p1", "p2"])
         system = build_to_impl(v0, ["p1", "p2"])
-        assert to_impl_allstate(
+        assert ToImplState(
             system.initial_state(), ["p1", "p2"]
-        ) == set()
+        ).allstate() == set()
 
     def test_impl_state_accessors(self):
         v0 = make_view(0, ["p1", "p2"])

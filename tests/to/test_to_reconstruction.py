@@ -107,15 +107,12 @@ class TestGuardPreventsDuplicateOrdering:
         from repro.checking.drivers import ToClientDriver
         from repro.dvs.spec import DVSSpec
         from repro.ioa.composition import Composition
-        from repro.to.impl import DVS_EXTERNAL_ACTIONS, app_component_name
+        from repro.to.impl import DVS_EXTERNAL_ACTIONS
 
         v0 = make_view(0, UNIVERSE)
         v1 = make_view(1, UNIVERSE)
         dvs = DVSSpec(v0, universe=UNIVERSE, view_pool=[v1])
-        apps = [
-            UnguardedDvsToTo(p, v0, name=app_component_name(p))
-            for p in UNIVERSE
-        ]
+        apps = [UnguardedDvsToTo(p, v0) for p in UNIVERSE]
         clients = [ToClientDriver(p, budget=1) for p in UNIVERSE]
         system = Composition(
             [dvs] + apps + clients,
