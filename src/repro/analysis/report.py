@@ -1,5 +1,7 @@
 """Plain-text table rendering for benchmark and experiment output."""
 
+import json
+
 
 def render_table(headers, rows, title=None):
     """Render an aligned ASCII table; returns the string."""
@@ -66,3 +68,20 @@ def render_metrics_table(metrics):
         for name, snap in sorted(metrics.items())
     ]
     return render_table(["metric", "type", "value"], rows, title="metrics")
+
+
+def report_observability(trace, trace_json=None, snapshot=None,
+                         metrics_json=None):
+    """What ``repro trace`` and an observed ``repro serve`` print: the
+    stage table of a ``Tracer.to_json_dict()`` (and the metrics table of
+    an ``Observability.snapshot()``), each then written to its path."""
+    print(render_stage_table(trace["summary"]))
+    if snapshot is not None:
+        print(render_metrics_table(snapshot["metrics"]))
+    for what, path, data in (("metrics snapshot", metrics_json, snapshot),
+                             ("trace JSON", trace_json, trace)):
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print("{0} written to {1}".format(what, path))

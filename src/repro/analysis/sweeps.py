@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from repro.analysis.availability import run_tracker
 from repro.analysis.scenarios import drifting_population, random_churn
+from repro.core.views import make_view
 from repro.membership.trackers import (
     DynamicVotingTracker,
     StaticMajorityTracker,
@@ -45,10 +46,7 @@ def sweep_drift_rate(
     ``join_ratio`` scales the join probability relative to the leave
     probability (a shrinking-but-replenished population).
     """
-    from repro.core.views import View
-    from repro.core.viewids import ViewId
-
-    v0 = View(ViewId(0, ""), frozenset(universe))
+    v0 = make_view(0, universe)
     points = []
     for leave_prob in leave_probs:
         static_total = 0.0
@@ -86,10 +84,7 @@ def sweep_register_lag(
     registered, it stays ambiguous and constrains its successors.
     The "static" column is the lag-independent baseline.
     """
-    from repro.core.views import View
-    from repro.core.viewids import ViewId
-
-    v0 = View(ViewId(0, ""), frozenset(universe))
+    v0 = make_view(0, universe)
     points = []
     for lag in lags:
         static_total = 0.0

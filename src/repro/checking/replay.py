@@ -154,10 +154,10 @@ def replay_trace(trace):
         except Exception as exc:
             errors.append((index, pid, kind, exc))
     deliveries = {}
-    for action in log.actions:
-        if action.name == "brcv":
-            payload, origin, pid = action.params
-            deliveries.setdefault(pid, []).append((payload, origin))
+    for pid in trace.processes:
+        delivered = log.at("brcv", pid)
+        if delivered:
+            deliveries[pid] = delivered
     digest = hashlib.sha256()
     for time, action in log.timed_actions():
         digest.update(_canon((time, action.name, action.params)).encode())

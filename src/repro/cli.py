@@ -25,10 +25,12 @@ replay
     one trace are byte-identical, and ``--shrink`` minimizes a
     violating trace with ddmin.
 lint
-    Statically check the tree: automaton well-formedness
+    Statically check the tree, seven passes: automaton well-formedness
     (pre_/eff_/cand_ contract, predicate purity), determinism
     (wall-clock/entropy escapes, unsorted set iteration, id()
-    ordering) and cross-process aliasing.  Exits non-zero on findings.
+    ordering), cross-process aliasing, thread-boundary races, effect
+    alias escapes, async hazards and wire-taint flows.  Exits non-zero
+    on findings.
 serve
     Run the stack on real TCP sockets: by default an in-process
     loopback cluster driving a replicated key-value workload (with a
@@ -217,11 +219,10 @@ def _build_chaos_plan(args, procs, duration):
     if args.live:
         # Live times are wall-clock seconds: faults start once the
         # cluster has had a moment to form and end before the settle.
-        window = dict(start=2.0, duration=max(duration - 4.0, 1.0))
-        bridge_at, bridge_len = 2.0, max(duration - 4.0, 1.0)
+        start, length = 2.0, max(duration - 4.0, 1.0)
     else:
-        window = dict(start=10.0, duration=duration - 60.0)
-        bridge_at, bridge_len = 10.0, duration - 60.0
+        start, length = 10.0, duration - 60.0
+    window = dict(start=start, duration=length)
     builders = {
         "storm": lambda: crash_recovery_storm(procs, seed=args.seed,
                                               **window),
@@ -231,8 +232,8 @@ def _build_chaos_plan(args, procs, duration):
             procs[: len(procs) // 2],
             procs[len(procs) // 2:],
             procs[0],
-            at=bridge_at,
-            duration=bridge_len,
+            at=start,
+            duration=length,
         ),
     }
     if args.plan == "mixed":
@@ -266,6 +267,26 @@ def _chaos_flag_errors(args):
     return errors
 
 
+def _heartbeat_flags(args):
+    """The ``--hb-*`` flags that were given, as keyword arguments; the
+    rest default to :mod:`repro.runtime.heartbeat`'s constants."""
+    flags = (("hb_interval", args.hb_interval),
+             ("hb_timeout", args.hb_timeout))
+    return {name: value for name, value in flags if value is not None}
+
+
+#: Chaos run statistics worth a line, in print order (each world's
+#: ``stats`` holds its own subset).
+_CHAOS_STATS = (
+    "attempted_views", "broadcasts", "deliveries", "cb_broadcasts",
+    "cb_deliveries", "wire_sends", "drops", "workload_bcasts",
+    "trace_events", "violations",
+)
+_FAULTNET_STATS = (
+    "injected_drops", "injected_copies", "delayed_sends", "blocked_recvs",
+)
+
+
 def _cmd_chaos(args):
     errors = _chaos_flag_errors(args)
     if errors:
@@ -273,89 +294,42 @@ def _cmd_chaos(args):
     duration = args.duration
     if duration is None:
         duration = 12.0 if args.live else 240.0
-    interval = args.interval
-    if interval is None:
-        interval = 0.25 if args.live else 8.0
     procs = ["p{0}".format(i) for i in range(1, args.processes + 1)]
     plan = _build_chaos_plan(args, procs, duration)
-    dvs_factory = None
+    # What both worlds' harnesses (and the shrinker's re-runs) take.
+    run = {"duration": duration}
+    if args.interval is not None:
+        run["broadcast_interval"] = args.interval
     if args.broken:
         from repro.dvs.ablation import NoMajorityDvsLayer
 
-        dvs_factory = NoMajorityDvsLayer
+        run["dvs_factory"] = NoMajorityDvsLayer
     if args.live:
-        return _cmd_chaos_live(args, procs, plan, dvs_factory, duration,
-                               interval)
-    from repro.faults import run_chaos
-    from repro.faults.harness import find_and_shrink
+        from repro.runtime.chaos import run_live_chaos
 
-    result = run_chaos(
-        procs,
-        seed=args.seed,
-        plan=plan,
-        duration=duration,
-        broadcast_interval=interval,
-        dvs_factory=dvs_factory,
-        log_limit=args.log_limit,
-    )
-    print("chaos: {0} processes, seed {1}, {2} fault ops, "
-          "{3:.0f} sim time units".format(
-              len(procs), args.seed, len(plan), result.stats["sim_time"]))
-    print("log digest: {0}".format(result.digest))
-    for key in ("attempted_views", "broadcasts", "deliveries",
-                "cb_broadcasts", "cb_deliveries",
-                "wire_sends", "drops", "violations"):
-        if key in result.stats:
-            print("  {0}: {1}".format(key, result.stats[key]))
-    if result.ok:
-        print("no safety violations: DVS 4.1 intersection, TO "
-              "prefix-consistency and CB causal order held throughout")
-        return 0
-    print()
-    print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
-    if args.no_shrink:
-        return 1
-    print("shrinking the fault schedule (delta debugging)...")
-    repro_case = find_and_shrink(
-        result,
-        max_probes=args.max_probes,
-        duration=duration,
-        broadcast_interval=interval,
-        dvs_factory=dvs_factory,
-    )
-    if dvs_factory is not None:
-        repro_case.extra_args["broken"] = True
-    print(repro_case.describe())
-    return 1
+        result = run_live_chaos(
+            procs, plan=plan, fault_seed=args.seed,
+            **_heartbeat_flags(args), **run
+        )
+        print("chaos --live: {0} processes on loopback TCP, {1} fault "
+              "ops, {2:.1f}s".format(len(procs), len(plan), duration))
+    else:
+        from repro.faults import run_chaos
 
-
-def _cmd_chaos_live(args, procs, plan, dvs_factory, duration, interval):
-    from repro.runtime.chaos import run_live_chaos
-
-    result = run_live_chaos(
-        procs,
-        plan=plan,
-        duration=duration,
-        broadcast_interval=interval,
-        dvs_factory=dvs_factory,
-        hb_interval=(
-            0.05 if args.hb_interval is None else args.hb_interval
-        ),
-        hb_timeout=(
-            0.25 if args.hb_timeout is None else args.hb_timeout
-        ),
-        fault_seed=args.seed,
-    )
-    print("chaos --live: {0} processes on loopback TCP, {1} fault ops, "
-          "{2:.1f}s".format(len(procs), len(plan), duration))
-    for key in ("attempted_views", "broadcasts", "deliveries",
-                "cb_broadcasts", "cb_deliveries",
-                "workload_bcasts", "trace_events", "violations"):
+        result = run_chaos(
+            procs, seed=args.seed, plan=plan, log_limit=args.log_limit,
+            **run
+        )
+        print("chaos: {0} processes, seed {1}, {2} fault ops, "
+              "{3:.0f} sim time units".format(
+                  len(procs), args.seed, len(plan),
+                  result.stats["sim_time"]))
+        print("log digest: {0}".format(result.digest))
+    for key in _CHAOS_STATS:
         if key in result.stats:
             print("  {0}: {1}".format(key, result.stats[key]))
     faultnet = result.stats.get("faultnet", {})
-    for key in ("injected_drops", "injected_copies", "delayed_sends",
-                "blocked_recvs"):
+    for key in _FAULTNET_STATS:
         if key in faultnet:
             print("  faultnet.{0}: {1}".format(key, faultnet[key]))
     if args.record:
@@ -368,14 +342,32 @@ def _cmd_chaos_live(args, procs, plan, dvs_factory, duration, interval):
               "prefix-consistency and CB causal order held throughout")
         return 0
     print()
-    print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))
+    print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
+    if args.live:
+        _minimize_live(args, result)
+    elif not args.no_shrink:
+        from repro.faults.harness import find_and_shrink
+
+        print("shrinking the fault schedule (delta debugging)...")
+        repro_case = find_and_shrink(
+            result, max_probes=args.max_probes, **run
+        )
+        if args.broken:
+            repro_case.extra_args["broken"] = True
+        print(repro_case.describe())
+    return 1
+
+
+def _minimize_live(args, result):
+    """A live violation is only as good as its replay: reproduce it on
+    the deterministic stack, then ddmin the recorded trace."""
     from repro.checking.replay import replay_trace
 
     replayed = replay_trace(result.trace)
     if replayed.ok:
         print("deterministic replay did NOT reproduce the violation -- "
               "the recording cut missed an input (file a bug)")
-        return 1
+        return
     print("deterministic replay reproduces it: {0}".format(
         replayed.violations[0].summary()))
     if not args.no_shrink:
@@ -383,7 +375,6 @@ def _cmd_chaos_live(args, procs, plan, dvs_factory, duration, interval):
             result.trace, replayed, args.max_probes,
             args.record + ".min" if args.record else None,
         )
-    return 1
 
 
 def _shrink_and_save(trace, replayed, max_probes, path):
@@ -487,33 +478,41 @@ def _cmd_lint(args):
 
 
 def _cmd_serve(args):
-    from repro.runtime.serve import cmd_serve
+    from repro.runtime.serve import run_loopback, run_single
 
-    return cmd_serve(args)
+    heartbeat = _heartbeat_flags(args)  # either mode, the same defaults
+    if args.pid is not None:
+        if not args.bind:
+            raise SystemExit("--pid requires --bind HOST:PORT")
+        return run_single(
+            args.pid, args.bind, args.peer, duration=args.duration,
+            **heartbeat
+        )
+    return run_loopback(
+        processes=args.processes, requests=args.requests,
+        kill=not args.no_kill, timeout=args.timeout,
+        metrics_json=args.metrics_json, trace_json=args.trace_json,
+        **heartbeat
+    )
 
 
 def _cmd_trace(args):
-    from repro.analysis.report import render_stage_table
+    from repro.analysis.report import report_observability
     from repro.gcs.cluster import Cluster
+    from repro.gcs.tower import alternating
 
     procs = ["p{0}".format(i + 1) for i in range(args.processes)]
     cluster = Cluster(procs, seed=args.seed, obs=True)
     cluster.start().settle(max_time=500.0)
     for i in range(args.requests):
-        ordering = "to" if i % 2 == 0 else "cb"
-        cluster.bcast(procs[i % len(procs)], ("req", i), ordering=ordering)
+        cluster.bcast(
+            procs[i % len(procs)], ("req", i), ordering=alternating(i)
+        )
     cluster.settle(max_time=10000.0)
     print("traced simulated run: {0} processes, {1} requests, "
           "seed {2}".format(args.processes, args.requests, args.seed))
     data = cluster.obs.tracer.to_json_dict()
-    print(render_stage_table(data["summary"]))
-    if args.output:
-        import json as _json
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            _json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("trace JSON written to {0}".format(args.output))
+    report_observability(data, args.output)
     return 0 if not data["summary"]["orphans"] else 1
 
 
@@ -606,10 +605,11 @@ def build_parser():
                             "trace to PATH (see `repro replay`)")
     chaos.add_argument("--hb-interval", type=float, default=None,
                        help="[--live only] heartbeat beacon interval "
-                            "in seconds (default 0.05)")
+                            "in seconds (default: HB_INTERVAL of "
+                            "repro.runtime.heartbeat)")
     chaos.add_argument("--hb-timeout", type=float, default=None,
                        help="[--live only] peer liveness timeout in "
-                            "seconds (default 0.25)")
+                            "seconds (default: HB_TIMEOUT, same module)")
     chaos.add_argument("--log-limit", type=int, default=None,
                        help="[sim only] bound the network event log "
                             "(entries kept)")
@@ -619,8 +619,7 @@ def build_parser():
         "lint",
         help="static analysis: automaton well-formedness, determinism, "
              "cross-process aliasing, thread-boundary races, effect "
-             "alias escapes, wire-schema drift, async hazards, "
-             "wire-taint flows",
+             "alias escapes, async hazards, wire-taint flows",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -667,10 +666,13 @@ def build_parser():
     serve.add_argument("--duration", type=float, default=None,
                        help="single-node mode: stop after this many "
                             "seconds (default: run until Ctrl-C)")
-    serve.add_argument("--hb-interval", type=float, default=0.05,
-                       help="heartbeat beacon interval (seconds)")
+    serve.add_argument("--hb-interval", type=float, default=None,
+                       help="heartbeat beacon interval in seconds "
+                            "(default: HB_INTERVAL of "
+                            "repro.runtime.heartbeat)")
     serve.add_argument("--hb-timeout", type=float, default=None,
-                       help="peer liveness timeout (default 4x interval)")
+                       help="peer liveness timeout in seconds, either "
+                            "mode (default: HB_TIMEOUT, same module)")
     serve.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="loopback mode: arm observability and write "
                             "the metrics snapshot here")

@@ -23,7 +23,8 @@ quantitative comparison is experiment E6.
 from types import MappingProxyType
 
 from repro.core.viewids import vid_gt
-from repro.dvs.vs_to_dvs import VsToDvs, use_views
+from repro.dvs import rules
+from repro.dvs.vs_to_dvs import VsToDvs
 from repro.gcs.dvs_layer import DvsLayer
 
 
@@ -38,7 +39,7 @@ class NoMajorityCheckVsToDvs(VsToDvs):
     """
 
     def _view_acceptable(self, state, v):
-        return all(v.intersects(w) for w in use_views(state))
+        return rules.intersects_use(state, v)
 
 
 class NoInfoWaitVsToDvs(VsToDvs):
@@ -108,7 +109,7 @@ class NoMajorityDvsLayer(DvsLayer):
     """
 
     def _view_acceptable(self, view):
-        return all(view.intersects(w) for w in self.use)
+        return rules.intersects_use(self, view)
 
 
 #: The hosted DVS layers by trace-header name.  A live trace records

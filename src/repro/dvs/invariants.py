@@ -16,9 +16,9 @@ actually used.
 
 from repro.core.viewids import vid_ge, vid_gt, vid_le, vid_lt
 from repro.dvs.impl import DvsImplState
+from repro.dvs.rules import use_views
 from repro.dvs.spec import tot_att as spec_tot_att
 from repro.dvs.spec import tot_reg as spec_tot_reg
-from repro.dvs.vs_to_dvs import use_views
 from repro.ioa.invariants import InvariantSuite, lift
 
 

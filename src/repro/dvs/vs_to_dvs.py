@@ -57,6 +57,7 @@ from repro.core.messages import (
 from repro.core.sequences import head, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import vid_gt
+from repro.dvs import rules
 from repro.ioa.action import act
 from repro.ioa.automaton import PerProcessAutomaton
 from repro.ioa.state import State
@@ -103,11 +104,6 @@ class VsToDvsState(State):
             acked=Table(lambda: 0),
             safe_ptr=Table(lambda: 0),
         )
-
-
-def use_views(state):
-    """The derived variable ``use = {act} ∪ amb``."""
-    return {state.act} | set(state.amb)
 
 
 class VsToDvs(PerProcessAutomaton):
@@ -157,14 +153,14 @@ class VsToDvs(PerProcessAutomaton):
 
     def _heard_from_all(self, state, v):
         """Every other member's "info" for v has arrived."""
-        return all(
-            q == self.pid or state.info_rcvd.get((q, v.id)) is not None
-            for q in v.set
+        return rules.heard_from_all(
+            v, self.pid,
+            lambda q: state.info_rcvd.get((q, v.id)) is not None,
         )
 
     def _view_acceptable(self, state, v):
         """v holds a majority of every possible previous primary."""
-        return all(v.majority_of(w) for w in use_views(state))
+        return rules.majority_of_use(state, v)
 
     def eff_dvs_newview(self, state, v, p):
         state.amb.add(v)
@@ -183,13 +179,7 @@ class VsToDvs(PerProcessAutomaton):
         if state.cur is None:
             return
         state.info_rcvd[(q, state.cur.id)] = (info.act, info.amb)
-        if vid_gt(info.act.id, state.act.id):
-            state.act = info.act
-        state.amb = {
-            w
-            for w in state.amb | set(info.amb)
-            if vid_gt(w.id, state.act.id)
-        }
+        rules.absorb_info(state, info)
 
     # -- Registration ---------------------------------------------------------------
 
@@ -204,19 +194,14 @@ class VsToDvs(PerProcessAutomaton):
         state.rcvd_rgst[(q, state.cur.id)] = True
 
     def pre_dvs_garbage_collect(self, state, v, p):
-        """All members' "registered" messages for v seen, and v advances act.
-
-        The identifier-monotonicity condition keeps ``act`` monotone (it is
-        implicit in Figure 3's use of garbage collection: ``act`` is "the
-        latest view [p] knows to be totally registered").
-        """
-        if not vid_gt(v.id, state.act.id):
-            return False
-        return all(state.rcvd_rgst.get((q, v.id)) for q in v.set)
+        """All members' "registered" messages for v seen, and v advances
+        act (the monotonicity condition is implicit in Figure 3)."""
+        return rules.totally_registered(
+            state, v, lambda q: state.rcvd_rgst.get((q, v.id))
+        )
 
     def eff_dvs_garbage_collect(self, state, v, p):
-        state.act = v
-        state.amb = {w for w in state.amb if vid_gt(w.id, state.act.id)}
+        rules.garbage_collect(state, v)
 
     def cand_dvs_garbage_collect(self, state):
         known = set(state.amb)

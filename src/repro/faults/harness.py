@@ -19,6 +19,7 @@ from repro.faults.monitor import SafetyMonitor, SafetyViolation
 from repro.faults.nemesis import Nemesis, NemesisPlan
 from repro.faults.shrink import ReproCase, shrink_plan
 from repro.gcs.cluster import Cluster
+from repro.gcs.tower import alternating
 
 
 def _canon(value):
@@ -57,21 +58,38 @@ def log_digest(net_log):
     return h.hexdigest()
 
 
+def workload_send(senders, tick):
+    """Tick ``tick`` of the chaos workload, in either world: the
+    ``senders`` take turns, the ordering tier alternates (so every
+    schedule exercises both towers over the same faults) and every
+    payload is unique.  Returns ``(pid, ordering, payload)``."""
+    pid = senders[tick % len(senders)]
+    return pid, alternating(tick), ("w", pid, tick)
+
+
 @dataclass
 class ChaosResult:
-    """Outcome of one chaos run."""
+    """Outcome of one chaos run: a simulated one has ``seed`` and the
+    network log's ``digest`` (``cluster`` on request), a live one the
+    recorded :class:`~repro.obs.record.ReplayTrace`."""
 
-    seed: int
     processes: tuple
     plan: NemesisPlan
-    violation: SafetyViolation = None
-    digest: str = ""
+    violations: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    seed: int = None
+    digest: str = ""
     cluster: Cluster = None
+    trace: object = None
 
     @property
     def ok(self):
-        return self.violation is None
+        return not self.violations
+
+    @property
+    def violation(self):
+        """The first violation (a simulated run stops at it), or None."""
+        return self.violations[0] if self.violations else None
 
 
 def run_chaos(
@@ -88,17 +106,15 @@ def run_chaos(
 ):
     """Run the full stack under a nemesis plan with an armed monitor.
 
-    The workload broadcasts one payload every ``broadcast_interval`` time
-    units from the processes in rotation (skipping crashed senders),
-    alternating the ordering tier -- even ticks go through TO, odd ticks
-    through CB -- so every chaos schedule exercises both towers over the
-    same faults, for ``duration`` simulated time units (default: the
-    plan's horizon plus one settle margin), then lets the network quiesce
-    for up to ``settle_time``.  A monitor violation aborts the run
-    immediately and is returned in the result rather than raised.
+    The workload (:func:`workload_send`) broadcasts every
+    ``broadcast_interval`` time units from the processes in rotation,
+    skipping crashed senders, for ``duration`` simulated time units
+    (default: the plan's horizon plus one settle margin), then lets the
+    network quiesce for up to ``settle_time``.  A monitor violation aborts
+    the run immediately and is returned in the result rather than raised.
     """
     processes = tuple(sorted(processes))
-    plan = plan if isinstance(plan, NemesisPlan) else NemesisPlan(plan or ())
+    plan = NemesisPlan.of(plan)
     if duration is None:
         duration = plan.horizon + 50.0
     cluster = Cluster(
@@ -116,10 +132,8 @@ def run_chaos(
     def broadcast_tick():
         if net.queue.now >= duration:
             return
-        pid = processes[counter[0] % len(processes)]
+        pid, ordering, payload = workload_send(processes, counter[0])
         if net.alive(pid):
-            ordering = "to" if counter[0] % 2 == 0 else "cb"
-            payload = ("w", pid, counter[0])
             net.record("workload", (ordering, payload))
             cluster.bcast(pid, payload, ordering=ordering)
         counter[0] += 1
@@ -127,13 +141,13 @@ def run_chaos(
 
     net.queue.schedule(broadcast_interval, broadcast_tick)
 
-    violation = None
+    violations = []
     try:
         cluster.start()
         cluster.run(duration)
         cluster.settle(max_time=settle_time, strict=False)
     except SafetyViolation as caught:
-        violation = caught
+        violations.append(caught)
 
     stats = dict(cluster.monitor.stats()) if cluster.monitor else {}
     stats.update(
@@ -147,16 +161,15 @@ def run_chaos(
             "plan_ops": len(plan),
         }
     )
-    result = ChaosResult(
-        seed=seed,
+    return ChaosResult(
         processes=processes,
         plan=plan,
-        violation=violation,
-        digest=log_digest(net.log),
+        violations=violations,
         stats=stats,
+        seed=seed,
+        digest=log_digest(net.log),
         cluster=cluster if keep_cluster else None,
     )
-    return result
 
 
 def find_and_shrink(result, max_probes=200, **run_kwargs):

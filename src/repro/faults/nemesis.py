@@ -22,12 +22,14 @@ Op kinds and their args:
 
 ``links``/``pairs`` are tuples of ``(src, dst)`` pairs, or ``None`` for
 every link.  Windowed kinds install a fault model at ``at`` and remove it
-``duration`` later.
+``duration`` later; ``spread``, ``jitter`` and ``spike`` are times on the
+same axis (:data:`_TIME_ARGS`).
 """
 
 import json
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.faults.models import (
     DelayFault,
@@ -36,8 +38,34 @@ from repro.faults.models import (
     OneWayBlock,
 )
 
-WINDOW_KINDS = ("drop", "duplicate", "delay", "oneway")
+#: Windowed kinds: ``kind -> (fault model, the op's arg names in
+#: order)``; every name but ``duration`` is the model's own keyword.
+_WINDOWS = MappingProxyType({
+    "drop": (DropFault, ("links", "prob", "duration")),
+    "duplicate": (DuplicateFault, ("links", "prob", "spread", "duration")),
+    "delay": (
+        DelayFault,
+        ("links", "jitter", "spike_prob", "spike", "duration"),
+    ),
+    "oneway": (OneWayBlock, ("pairs", "duration")),
+})
+#: The names that are times (what :meth:`NemesisPlan.scaled` scales).
+_TIME_ARGS = frozenset({"duration", "spread", "jitter", "spike"})
+
+WINDOW_KINDS = tuple(_WINDOWS)
 KINDS = ("crash", "recover", "partition", "heal") + WINDOW_KINDS
+
+
+def _window_args(op):
+    """A windowed op's args by name (``{}`` for the instantaneous kinds)."""
+    if op.kind not in _WINDOWS:
+        return {}
+    names = _WINDOWS[op.kind][1]
+    if len(op.args) != len(names):
+        raise ValueError(
+            "{0} takes {1!r}, got {2!r}".format(op.kind, names, op.args)
+        )
+    return dict(zip(names, op.args))
 
 
 def _freeze(value):
@@ -63,9 +91,7 @@ class FaultOp:
     @property
     def end(self):
         """When the op's effect is fully applied (window end for windows)."""
-        if self.kind in WINDOW_KINDS:
-            return self.at + self.args[-1]
-        return self.at
+        return self.at + _window_args(self).get("duration", 0.0)
 
     def describe(self):
         return "t={0:g} {1}{2!r}".format(self.at, self.kind, self.args)
@@ -79,6 +105,12 @@ class NemesisPlan:
         # Stable sort on (time, kind) only: args may mix None and tuples,
         # which do not compare.
         self.ops = tuple(sorted(ops, key=lambda op: (op.at, op.kind)))
+
+    @classmethod
+    def of(cls, plan):
+        """``plan`` itself if it is one, else a plan of its ops (``None``:
+        none): what every executor and harness takes as ``plan``."""
+        return plan if isinstance(plan, NemesisPlan) else cls(plan or ())
 
     def __len__(self):
         return len(self.ops)
@@ -120,16 +152,19 @@ class NemesisPlan:
     def scaled(self, factor):
         """Uniformly rescale the schedule's time axis.
 
-        Both op times and window durations are multiplied by ``factor``,
+        Op times and every time-valued arg (window lengths, duplicate
+        spread, delay jitter and spikes) are multiplied by ``factor``,
         so a plan authored in simulator time units (tens of units) can be
         replayed against the live runtime in wall-clock seconds (e.g.
         ``plan.scaled(0.1)``) without changing its shape.
         """
         ops = []
         for op in self.ops:
-            args = op.args
-            if op.kind in WINDOW_KINDS:
-                args = args[:-1] + (args[-1] * factor,)
+            named = _window_args(op)
+            args = tuple(
+                value * factor if name in _TIME_ARGS else value
+                for name, value in named.items()
+            ) if named else op.args
             ops.append(FaultOp(op.at * factor, op.kind, args))
         return NemesisPlan(ops)
 
@@ -168,7 +203,7 @@ class Nemesis:
     """Executes a :class:`NemesisPlan` against a network as timed events."""
 
     def __init__(self, plan):
-        self.plan = plan if isinstance(plan, NemesisPlan) else NemesisPlan(plan)
+        self.plan = NemesisPlan.of(plan)
         self.applied = []
 
     def arm(self, net):
@@ -202,29 +237,11 @@ class Nemesis:
         elif kind == "heal":
             net.heal()
         else:
-            fault, duration = Nemesis._build_fault(kind, args)
+            named = _window_args(op)
+            duration = named.pop("duration")
+            fault = _WINDOWS[kind][0](**named)
             net.install_fault(fault)
             later(duration, lambda: net.remove_fault(fault))
-
-    @staticmethod
-    def _build_fault(kind, args):
-        if kind == "drop":
-            links, prob, duration = args
-            return DropFault(prob, links=links), duration
-        if kind == "duplicate":
-            links, prob, spread, duration = args
-            return DuplicateFault(prob, spread=spread, links=links), duration
-        if kind == "delay":
-            links, jitter, spike_prob, spike, duration = args
-            return (
-                DelayFault(jitter=jitter, spike_prob=spike_prob, spike=spike,
-                           links=links),
-                duration,
-            )
-        if kind == "oneway":
-            pairs, duration = args
-            return OneWayBlock(pairs), duration
-        raise ValueError("unknown window kind {0!r}".format(kind))
 
 
 # -- Plan generators (all deterministic in their seed) -------------------------

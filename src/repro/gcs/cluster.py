@@ -11,8 +11,7 @@ the ordering strength per send: ``bcast(pid, payload, ordering="to")``
 or ``ordering="cb"``.
 """
 
-from repro.core.viewids import ViewId
-from repro.core.views import View
+from repro.core.views import make_view
 from repro.gcs.recorder import ActionLog
 from repro.gcs.tower import Tower
 from repro.net.events import NonQuiescentError
@@ -63,7 +62,7 @@ class Cluster:
     ):
         self.processes = sorted(processes)
         if initial_view is None:
-            initial_view = View(ViewId(0, ""), frozenset(self.processes))
+            initial_view = make_view(0, self.processes)
         self.initial_view = initial_view
         if monitor:
             log_limit = None  # a monitor's diagnostics need the full log
@@ -80,6 +79,7 @@ class Cluster:
         self.monitor = self._build_monitor(monitor)
         self.nemesis = self._build_nemesis(nemesis)
         self.last_settle = None
+        self.towers = {}
         self.stacks = {}
         self.dvs = {}
         self.fanouts = {}
@@ -91,6 +91,7 @@ class Cluster:
                 dvs_factory=dvs_factory, orderings=with_to_layer,
             )
             self.net.add_node(tower.stack)
+            self.towers[pid] = tower
             self.stacks[pid] = tower.stack
             self.dvs[pid] = tower.dvs
             if with_to_layer:
@@ -174,43 +175,22 @@ class Cluster:
 
     def bcast(self, pid, payload, ordering="to"):
         """Broadcast at ``pid`` with the chosen ordering strength."""
-        if ordering == "to":
-            self.to[pid].bcast(payload)
-        elif ordering == "cb":
-            self.cb[pid].cbcast(payload)
-        else:
-            raise ValueError(
-                "unknown ordering {0!r} (expected 'to' or 'cb')".format(
-                    ordering
-                )
-            )
+        self.towers[pid].bcast(payload, ordering)
         return self
 
     # -- Observation ---------------------------------------------------------------------
 
     def delivered(self, pid):
         """The totally ordered deliveries observed at ``pid`` so far."""
-        return [
-            (a.params[0], a.params[1])
-            for a in self.log.actions
-            if a.name == "brcv" and a.params[2] == pid
-        ]
+        return self.log.at("brcv", pid)
 
     def cb_delivered(self, pid):
         """The causally ordered deliveries observed at ``pid`` so far."""
-        return [
-            (a.params[0].payload, a.params[1])
-            for a in self.log.actions
-            if a.name == "cb_brcv" and a.params[2] == pid
-        ]
+        return [(m.payload, q) for m, q in self.log.at("cb_brcv", pid)]
 
     def primary_views(self, pid):
         """The primary views attempted at ``pid``, in order."""
-        return [
-            a.params[0]
-            for a in self.log.actions
-            if a.name == "dvs_newview" and a.params[1] == pid
-        ]
+        return [view for (view,) in self.log.at("dvs_newview", pid)]
 
     def current_primary(self, pid):
         views = self.primary_views(pid)

@@ -12,14 +12,17 @@ recast from an I/O automaton into an event-driven layer over
   of a view has registered it, advance ``act`` to it and prune ``amb``
   (garbage collection).
 
-Buffering differences from the automaton are only about *when* queued work
-happens (the automaton defers via explicit queues and scheduler choice;
-the layer acts at message-arrival time); the externally visible behaviour
-is checked against the same DVS trace properties.
+The per-view clauses are the automaton's own (:mod:`repro.dvs.rules`).
+Buffering differences are only about *when* queued work happens (the
+automaton defers via explicit queues and scheduler choice; the layer acts
+at message-arrival time); the externally visible behaviour is checked
+against the same DVS trace properties and, input for input, against the
+automaton (``tests/gcs/test_dvs_differential.py``).
 """
 
 from repro.core.messages import InfoMsg, RegisteredMsg
 from repro.core.viewids import vid_gt
+from repro.dvs import rules
 from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.recorder import RecorderMixin
 from repro.gcs.vs_stack import VsListener
@@ -98,12 +101,6 @@ class DvsLayer(VsListener, RecorderMixin):
         if self.cur is not None and self.client_cur.id == self.cur.id:
             self.stack.gpsnd(RegisteredMsg())
 
-    # -- The derived variable ``use`` ----------------------------------------------------
-
-    @property
-    def use(self):
-        return {self.act} | set(self.amb)
-
     # -- VS upcalls ----------------------------------------------------------------------
 
     def on_vs_newview(self, view):
@@ -148,20 +145,14 @@ class DvsLayer(VsListener, RecorderMixin):
 
     def _on_info(self, info, sender):
         self.info_rcvd[sender] = info
-        if vid_gt(info.act.id, self.act.id):
-            self.act = info.act
-        self.amb = {
-            w
-            for w in self.amb | set(info.amb)
-            if vid_gt(w.id, self.act.id)
-        }
+        rules.absorb_info(self, info)
         self._maybe_attempt()
 
     def _view_acceptable(self, view):
         """The quorum clause of the DVS-NEWVIEW precondition: the view must
         majority-intersect every possibly-active earlier primary.  Ablated
         variants (:mod:`repro.dvs.ablation`) override this."""
-        return all(view.majority_of(w) for w in self.use)
+        return rules.majority_of_use(self, view)
 
     def _maybe_attempt(self):
         """The DVS-NEWVIEW precondition of Figure 3, applied eagerly."""
@@ -171,10 +162,9 @@ class DvsLayer(VsListener, RecorderMixin):
         client_id = None if self.client_cur is None else self.client_cur.id
         if not vid_gt(view.id, client_id):
             return
-        for q in view.set:
-            if q != self.pid and q not in self.info_rcvd:
-                return
-        if not self._view_acceptable(view):
+        if not rules.heard_from_all(
+            view, self.pid, self.info_rcvd.__contains__
+        ) or not self._view_acceptable(view):
             return
         self.amb.add(view)
         self.client_cur = view
@@ -191,10 +181,10 @@ class DvsLayer(VsListener, RecorderMixin):
         view = self.cur
         if view is None:
             return
-        if self.rcvd_rgst >= view.set and vid_gt(view.id, self.act.id):
-            # Garbage collection: the view is known totally registered.
-            self.act = view
-            self.amb = {w for w in self.amb if vid_gt(w.id, self.act.id)}
+        if rules.totally_registered(
+            self, view, self.rcvd_rgst.__contains__
+        ):
+            rules.garbage_collect(self, view)
 
     def _on_client_payload(self, payload, sender):
         if self.attempted_current:

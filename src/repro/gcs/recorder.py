@@ -53,6 +53,15 @@ class ActionLog:
         time = self.clock() if self.clock is not None else None
         self.tracer.on_action(time, name, params)
 
+    def at(self, name, pid):
+        """The parameters of every ``name`` recorded at ``pid``, in order,
+        without the process subscript: always the *last* parameter
+        (:class:`~repro.ioa.automaton.PerProcessAutomaton`'s rule)."""
+        return [
+            a.params[:-1] for a in self.actions
+            if a.name == name and a.params[-1] == pid
+        ]
+
     def timed_actions(self):
         return list(zip(self.times, self.actions))
 

@@ -5,7 +5,8 @@ The simulated :class:`~repro.gcs.cluster.Cluster`, the live
 (:mod:`repro.checking.replay`) all build their per-process layers as a
 :class:`Tower`, so the routing decision (the CB port claims
 :class:`~repro.cb.messages.CbCast`, the TO port takes the rest) is
-known to this module alone.  Hosts attach their own network to
+known to this module alone, as is which tier a client's send goes
+through (:meth:`Tower.bcast`).  Hosts attach their own network to
 ``tower.stack`` and start it.
 """
 
@@ -14,6 +15,12 @@ from repro.gcs.cb_layer import CbLayer, DvsFanout
 from repro.gcs.dvs_layer import DvsLayer
 from repro.gcs.to_layer import ToLayer
 from repro.gcs.vs_stack import VsStackNode
+
+
+def alternating(tick):
+    """Tick ``tick`` of an alternating workload: even through TO, odd
+    through CB, so both towers face the same schedule."""
+    return "to" if tick % 2 == 0 else "cb"
 
 
 class Tower:
@@ -47,4 +54,18 @@ class Tower:
             self.cb = CbLayer(
                 self.fanout.port(claims=CbCast), initial_view,
                 recorder=recorder, member=member,
+            )
+
+    def bcast(self, payload, ordering="to"):
+        """Broadcast with the chosen ordering strength: ``"to"``
+        (totally ordered) or ``"cb"`` (causally ordered)."""
+        if ordering == "to":
+            self.to.bcast(payload)
+        elif ordering == "cb":
+            self.cb.cbcast(payload)
+        else:
+            raise ValueError(
+                "unknown ordering {0!r} (expected 'to' or 'cb')".format(
+                    ordering
+                )
             )

@@ -24,6 +24,7 @@ run and a live run produce structurally identical traces.
 """
 
 from collections import OrderedDict
+from types import MappingProxyType
 
 from repro.obs.metrics import (
     Counter,
@@ -32,31 +33,35 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.spans import SpanEvent, SpanRing
-from repro.obs.trace import (
-    MESSAGE_STAGES,
-    TIERS,
-    VIEW_STAGES,
-    Tracer,
-    message_key,
-)
+from repro.obs.trace import TIERS, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MESSAGE_STAGES",
     "MetricsRegistry",
     "Observability",
     "SpanEvent",
     "SpanRing",
     "TIERS",
     "Tracer",
-    "VIEW_STAGES",
 ]
 
-#: Bound on the label -> birth-time map feeding the end-to-end latency
-#: histogram (oldest outstanding labels are forgotten beyond it).
+#: Bound on each tier's stitch key -> birth-time map feeding its
+#: end-to-end latency histogram (the oldest labels are forgotten
+#: beyond it).
 _LATENCY_CAP = 8192
+
+#: Recorded action / probe name -> the counter it bumps.
+_COUNTERS = MappingProxyType({
+    "bcast": "gcs.to.bcasts",
+    "brcv": "gcs.to.deliveries",
+    "cbcast": "gcs.cb.cbcasts",
+    "cb_brcv": "gcs.cb.deliveries",
+    "vs_newview": "gcs.vs.views_installed",
+    "dvs_newview": "gcs.dvs.views_attempted",
+    "dvs_register_view": "gcs.dvs.views_registered",
+})
 
 
 class Observability:
@@ -65,59 +70,43 @@ class Observability:
     def __init__(self):
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
-        self._born = OrderedDict()
-        self._cb_born = OrderedDict()
-        self._lat = self.metrics.histogram("gcs.to.delivery_latency_s")
-        self._cb_lat = self.metrics.histogram("gcs.cb.delivery_latency_s")
-        self._bcasts = self.metrics.counter("gcs.to.bcasts")
-        self._deliveries = self.metrics.counter("gcs.to.deliveries")
-        self._cb_bcasts = self.metrics.counter("gcs.cb.cbcasts")
-        self._cb_deliveries = self.metrics.counter("gcs.cb.deliveries")
-        self._vs_views = self.metrics.counter("gcs.vs.views_installed")
-        self._dvs_views = self.metrics.counter("gcs.dvs.views_attempted")
-        self._registered = self.metrics.counter("gcs.dvs.views_registered")
+        self._counters = {
+            name: self.metrics.counter(metric)
+            for name, metric in _COUNTERS.items()
+        }
+        #: Per ordering tier: when each span root was labelled, and the
+        #: latency histogram its deliveries feed.
+        self._born = {tier: OrderedDict() for tier in TIERS.values()}
+        self._latency = {
+            tier: self.metrics.histogram(
+                "gcs.{0}.delivery_latency_s".format(tier)
+            )
+            for tier in TIERS.values()
+        }
 
     # -- Host hooks --------------------------------------------------------
 
     def on_action(self, t, name, params):
         """ActionLog hook: spans plus the gcs-layer counters."""
-        self.tracer.on_action(t, name, params)
-        if name == "bcast":
-            self._bcasts.inc()
-        elif name == "brcv":
-            self._deliveries.inc()
-        elif name == "vs_newview":
-            self._vs_views.inc()
-        elif name == "dvs_newview":
-            self._dvs_views.inc()
-        elif name == "dvs_register_view":
-            self._registered.inc()
-        elif name == "to_label":
-            if t is not None:
-                self._born[params[0]] = t
-                while len(self._born) > _LATENCY_CAP:
-                    self._born.popitem(last=False)
-        elif name == "to_deliver":
-            born = self._born.get(params[0])
-            if born is not None and t is not None:
-                self._lat.observe(t - born)
-        elif name == "cbcast":
-            self._cb_bcasts.inc()
-        elif name == "cb_brcv":
-            self._cb_deliveries.inc()
-        elif name == "cb_label":
-            # Keyed on the per-view slot, not the message object: the
-            # application payload inside a CbCast may be unhashable.
-            key = message_key(params[0])
-            if t is not None and key is not None:
-                self._cb_born[key] = t
-                while len(self._cb_born) > _LATENCY_CAP:
-                    self._cb_born.popitem(last=False)
-        elif name == "cb_deliver":
-            key = message_key(params[0])
-            born = None if key is None else self._cb_born.get(key)
-            if born is not None and t is not None:
-                self._cb_lat.observe(t - born)
+        emitted = self.tracer.on_action(t, name, params)
+        counter = self._counters.get(name)
+        if counter is not None:
+            counter.inc()
+        if emitted is None or t is None:
+            return
+        # A span rooted at <tier>_label is born there; every
+        # <tier>_deliver of the same stitch key observes its age.
+        key, stage = emitted
+        tier = TIERS.get(key[0])
+        if tier is None:
+            return
+        born = self._born[tier]
+        if stage == tier + "_label":
+            born[key] = t
+            while len(born) > _LATENCY_CAP:
+                born.popitem(last=False)
+        elif stage == tier + "_deliver" and key in born:
+            self._latency[tier].observe(t - born[key])
 
     def wire_event(self, stage, pid, peer, msg, t):
         self.tracer.wire_event(stage, pid, peer, msg, t)
@@ -128,10 +117,10 @@ class Observability:
         """Metrics plus the trace stage summary, JSON-ready."""
         metrics = self.metrics.snapshot()
         summary = self.tracer.stage_summary()
-        views = self._dvs_views.value
+        views = self._counters["dvs_newview"].value
         derived = {
             "messages_per_view": (
-                self._deliveries.value / views if views else None
+                self._counters["brcv"].value / views if views else None
             ),
         }
         return {"metrics": metrics, "trace": summary, "derived": derived}

@@ -39,7 +39,6 @@ Every node appends into its own :class:`~repro.obs.spans.SpanRing`;
 stitching happens lazily at read time over ring snapshots.
 """
 
-import json
 from types import MappingProxyType
 
 from repro.cb.messages import CbCast
@@ -47,46 +46,36 @@ from repro.gcs.messages import Data, Install, Ordered
 from repro.obs.spans import SpanEvent, SpanRing
 from repro.to.summaries import Label
 
-#: Action-log name -> span stage for events the layers already record.
-_ACTION_STAGES = MappingProxyType({
-    "vs_gpsnd": "vs_send",
-    "dvs_gpsnd": "dvs_send",
-    "vs_gprcv": "vs_deliver",
-    "dvs_gprcv": "dvs_deliver",
-    "vs_newview": "vs_install",
-    "dvs_newview": "dvs_attempt",
-})
-
-#: Probe name -> span stage for the events only the tracer consumes.
-_PROBE_STAGES = MappingProxyType({
-    "to_label": "to_label",
-    "to_deliver": "to_deliver",
-    "to_established": "to_established",
-    "dvs_register_view": "dvs_register",
-    "vs_seq": "vs_seq",
-    "vs_round": "vs_round",
-    "vs_form": "vs_form",
-    "cb_label": "cb_label",
-    "cb_deliver": "cb_deliver",
+#: The stage table: recorded action or tracer-only probe name ->
+#: ``(span stage, key tag)``.  Of every name the layers emit, the first
+#: parameter is what the span is about (``vs_form`` alone names its
+#: round first, its view second) and the last is the process.  A
+#: ``None`` tag reads the stitch key hidden in a payload (protocol
+#: traffic hides none and emits nothing); otherwise the key is the tag
+#: with the view / round id.  Names absent here have no stage of their
+#: own (tests/obs/test_vocabulary.py lists them).
+ACTION_STAGES = MappingProxyType({
+    "vs_gpsnd": ("vs_send", None),
+    "dvs_gpsnd": ("dvs_send", None),
+    "vs_gprcv": ("vs_deliver", None),
+    "dvs_gprcv": ("dvs_deliver", None),
+    "vs_seq": ("vs_seq", None),
+    "to_label": ("to_label", None),
+    "to_deliver": ("to_deliver", None),
+    "cb_label": ("cb_label", None),
+    "cb_deliver": ("cb_deliver", None),
+    "vs_newview": ("vs_install", "view"),
+    "dvs_newview": ("dvs_attempt", "view"),
+    "to_established": ("to_established", "view"),
+    "dvs_register_view": ("dvs_register", "view"),
+    "vs_round": ("vs_round", "round"),
+    "vs_form": ("vs_form", "view"),
 })
 
 #: Stitch-key tag -> ordering-tier name.  Each tier's span roots at
 #: ``<tier>_label`` and completes at ``<tier>_deliver``; everything in
 #: between (dvs/vs/wire) is tier-independent.
 TIERS = MappingProxyType({"msg": "to", "cbmsg": "cb"})
-
-#: Message-span stage names, in causal order (for rendering).
-MESSAGE_STAGES = (
-    "to_label", "cb_label", "dvs_send", "vs_send", "wire_send",
-    "wire_recv", "vs_seq", "vs_deliver", "dvs_deliver", "to_deliver",
-    "cb_deliver",
-)
-
-#: View-span stage names, in causal order.
-VIEW_STAGES = (
-    "vs_round", "vs_form", "vs_install", "dvs_attempt",
-    "to_established", "dvs_register",
-)
 
 
 def message_key(payload):
@@ -164,39 +153,26 @@ class Tracer:
 
     def on_action(self, t, name, params):
         """Hook for :class:`~repro.gcs.recorder.ActionLog`: both the
-        layers' interface actions and the tracer-only probes."""
-        stage = _ACTION_STAGES.get(name)
-        if stage is not None:
-            if name in ("vs_gprcv", "dvs_gprcv"):
-                key, pid = message_key(params[0]), params[2]
-            elif name in ("vs_newview", "dvs_newview"):
-                key, pid = ("view", params[0].id), params[1]
-            else:  # vs_gpsnd / dvs_gpsnd
-                key, pid = message_key(params[0]), params[1]
-            if key is not None:
-                self._emit(key, stage, pid, t)
-            return
-        stage = _PROBE_STAGES.get(name)
-        if stage is None:
-            return
-        if name in ("to_label", "to_deliver"):
-            self._emit(("msg", params[0]), stage, params[1], t)
-        elif name in ("cb_label", "cb_deliver"):
-            key = message_key(params[0])
-            if key is not None:
-                self._emit(key, stage, params[1], t)
-        elif name in ("to_established", "dvs_register_view"):
-            self._emit(("view", params[0]), stage, params[1], t)
-        elif name == "vs_seq":
-            key = message_key(params[0])
-            if key is not None:
-                self._emit(key, stage, params[1], t)
-        elif name == "vs_round":
-            self._emit(("round", params[0]), stage, params[1], t)
-        elif name == "vs_form":
-            round_id, vid, pid = params
-            self._view_round[vid] = round_id
-            self._emit(("view", vid), stage, pid, t)
+        layers' interface actions and the tracer-only probes.  Returns
+        the ``(key, stage)`` emitted, or ``None``."""
+        row = ACTION_STAGES.get(name)
+        if row is None:
+            return None
+        stage, tag = row
+        subject, *rest = params
+        if stage == "vs_form":
+            # (round, view id, p): the span is the view's; remember
+            # which leader round formed it.
+            round_id, subject = subject, rest[0]
+            self._view_round[subject] = round_id
+        if tag is None:
+            key = message_key(subject)
+            if key is None:
+                return None
+        else:
+            key = (tag, getattr(subject, "id", subject))
+        self._emit(key, stage, rest[-1], t)
+        return key, stage
 
     def wire_event(self, stage, pid, peer, msg, t):
         """A frame crossed the transport (``wire_send``/``wire_recv``)."""
@@ -475,6 +451,3 @@ class Tracer:
                 for label, dst in self.orphans()
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

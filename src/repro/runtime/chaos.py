@@ -6,10 +6,10 @@ RuntimeCluster`, arms the same :class:`~repro.faults.nemesis.
 NemesisPlan` DSL against real sockets through
 :class:`~repro.runtime.faultnet.LiveNemesis`, drives a round-robin
 broadcast workload on the wall clock while the faults play out, and
-returns a :class:`LiveChaosResult` carrying the monitor's verdict plus
-the recorded :class:`~repro.obs.record.ReplayTrace` -- the artifact
-that makes the nondeterministic run checkable offline
-(:mod:`repro.checking.replay`).
+returns a :class:`~repro.faults.harness.ChaosResult` carrying the
+monitor's verdict plus the recorded
+:class:`~repro.obs.record.ReplayTrace` -- the artifact that makes the
+nondeterministic run checkable offline (:mod:`repro.checking.replay`).
 
 Times in a live plan are wall-clock *seconds* (a simulator plan in
 abstract time units converts with ``plan.scaled(...)``), so live plans
@@ -18,25 +18,11 @@ same protocol paths hundreds of simulated units do.
 """
 
 import time
-from dataclasses import dataclass, field
 
+from repro.faults.harness import ChaosResult, workload_send
 from repro.faults.nemesis import NemesisPlan
 from repro.runtime.cluster import RuntimeCluster
-
-
-@dataclass
-class LiveChaosResult:
-    """Outcome of one live chaos run."""
-
-    processes: tuple
-    plan: NemesisPlan
-    violations: list = field(default_factory=list)
-    trace: object = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return not self.violations
+from repro.runtime.heartbeat import HB_INTERVAL, HB_TIMEOUT
 
 
 def run_live_chaos(
@@ -46,23 +32,22 @@ def run_live_chaos(
     broadcast_interval=0.25,
     settle_time=1.5,
     dvs_factory=None,
-    hb_interval=0.05,
-    hb_timeout=0.25,
+    hb_interval=HB_INTERVAL,
+    hb_timeout=HB_TIMEOUT,
     fault_seed=0,
 ):
     """Run the live stack under a nemesis plan with an armed monitor.
 
     The cluster forms first (tolerantly: a plan that disrupts formation
-    itself is legal), then the workload broadcasts one unique payload
-    every ``broadcast_interval`` seconds from the live nodes in
-    rotation -- alternating the ordering tier, even ticks through TO
-    and odd ticks through CB, so both towers face the same faults --
+    itself is legal), then the workload
+    (:func:`~repro.faults.harness.workload_send`, the simulated run's)
+    broadcasts every ``broadcast_interval`` seconds from the live nodes
     until ``duration`` (default: the plan's horizon plus a settle
     margin) has elapsed, then the run settles and stops.  Violations
     are collected, never raised (``fail_fast=False``).
     """
     processes = tuple(sorted(processes))
-    plan = plan if isinstance(plan, NemesisPlan) else NemesisPlan(plan or ())
+    plan = NemesisPlan.of(plan)
     if duration is None:
         duration = plan.horizon + 2.0
     cluster = RuntimeCluster(
@@ -90,11 +75,9 @@ def run_live_chaos(
         while time.monotonic() < deadline:  # lint: ignore[DVS006]
             pids = cluster.live()
             if pids:
-                pid = pids[counter % len(pids)]
-                ordering = "to" if counter % 2 == 0 else "cb"
+                pid, ordering, payload = workload_send(pids, counter)
                 try:
-                    cluster.bcast(pid, ("w", pid, counter),
-                                  ordering=ordering)
+                    cluster.bcast(pid, payload, ordering=ordering)
                 except KeyError:
                     pass  # the node died between live() and the call
             counter += 1
@@ -103,20 +86,19 @@ def run_live_chaos(
         node_stats = cluster.stats()
     finally:
         cluster.stop()
-    stats = dict(cluster.monitor.stats()) if cluster.monitor else {}
-    stats.update({
-        "workload_bcasts": counter,
-        "plan_ops": len(plan),
-        "nodes": node_stats,
-    })
-    if cluster.faultnet is not None:
-        stats["faultnet"] = cluster.faultnet.stats()
     trace = cluster.snapshot_trace()
-    stats["trace_events"] = len(trace)
-    return LiveChaosResult(
+    stats = dict(
+        cluster.monitor.stats(),
+        workload_bcasts=counter,
+        plan_ops=len(plan),
+        nodes=node_stats,
+        faultnet=cluster.faultnet.stats(),
+        trace_events=len(trace),
+    )
+    return ChaosResult(
         processes=processes,
         plan=plan,
         violations=cluster.violations,
-        trace=trace,
         stats=stats,
+        trace=trace,
     )

@@ -26,12 +26,12 @@ import asyncio
 import threading
 import time
 
-from repro.core.viewids import ViewId
-from repro.core.views import View
+from repro.core.views import make_view
 from repro.dvs.ablation import dvs_factory_name
 from repro.faults.monitor import SafetyMonitor
 from repro.gcs.recorder import ActionLog
 from repro.gcs.to_layer import NORMAL
+from repro.runtime.heartbeat import HB_INTERVAL, HB_TIMEOUT
 from repro.runtime.node import MonotonicClock, RuntimeNode
 
 #: Default hard bound (seconds) on any single marshalled call.
@@ -49,11 +49,12 @@ class RuntimeCluster:
     """
 
     def __init__(self, processes, host="127.0.0.1", monitor=True,
-                 app_factory=None, cb_app_factory=None, hb_interval=0.05,
-                 hb_timeout=0.25, obs=None, nemesis=None, fault_seed=0,
-                 dvs_factory=None, record=False):
+                 app_factory=None, cb_app_factory=None,
+                 hb_interval=HB_INTERVAL, hb_timeout=HB_TIMEOUT, obs=None,
+                 nemesis=None, fault_seed=0, dvs_factory=None,
+                 record=False):
         self.processes = sorted(processes)
-        self.initial_view = View(ViewId(0, ""), frozenset(self.processes))
+        self.initial_view = make_view(0, self.processes)
         self._host = host
         self._hb_interval = hb_interval
         self._hb_timeout = hb_timeout
@@ -124,13 +125,7 @@ class RuntimeCluster:
     async def _start_all(self):
         self._clock = MonotonicClock(asyncio.get_running_loop())
         for pid in self.processes:
-            node = self._build_node(pid, member=None)
-            self._nodes[pid] = node
-            await node.start(clock=self._clock)
-            if self._app_factory is not None:
-                self._apps[pid] = self._app_factory(node)
-            if self._cb_app_factory is not None:
-                self._cb_apps[pid] = self._cb_app_factory(node)
+            await self._boot(pid, member=None)
         if self.nemesis is not None:
             self.nemesis.arm(self)
 
@@ -149,6 +144,17 @@ class RuntimeCluster:
             faultnet=self.faultnet, wiretap=self.wiretap,
             dvs_factory=self._dvs_factory,
         )
+
+    async def _boot(self, pid, member):
+        """Start ``pid``'s node and its applications (loop thread);
+        ``member=False`` is the amnesiac rejoin."""
+        node = self._build_node(pid, member)
+        self._nodes[pid] = node
+        await node.start(clock=self._clock)
+        if self._app_factory is not None:
+            self._apps[pid] = self._app_factory(node)
+        if self._cb_app_factory is not None:
+            self._cb_apps[pid] = self._cb_app_factory(node)
 
     def stop(self, timeout=CALL_TIMEOUT):
         """Stop every node, then the loop and its thread."""
@@ -197,8 +203,8 @@ class RuntimeCluster:
         return self
 
     async def _kill_async(self, pid):
-        # The pops happen on the loop thread, where _start_all and
-        # _restart_async write the same dicts.
+        # The pops happen on the loop thread, where _boot writes the
+        # same dicts.
         node = self._nodes.pop(pid)
         self._apps.pop(pid, None)
         self._cb_apps.pop(pid, None)
@@ -208,17 +214,8 @@ class RuntimeCluster:
         """Rejoin ``pid`` as a fresh amnesiac incarnation (new port)."""
         if self.monitor is not None:
             self.monitor.restart_process(pid)
-        self._call(self._restart_async, pid, timeout=timeout)
+        self._call(self._boot, pid, False, timeout=timeout)
         return self
-
-    async def _restart_async(self, pid):
-        node = self._build_node(pid, member=False)
-        self._nodes[pid] = node
-        await node.start(clock=self._clock)
-        if self._app_factory is not None:
-            self._apps[pid] = self._app_factory(node)
-        if self._cb_app_factory is not None:
-            self._cb_apps[pid] = self._cb_app_factory(node)
 
     # -- Nemesis surface (called on the loop thread) -----------------------
 
@@ -236,7 +233,7 @@ class RuntimeCluster:
             return
         if self.monitor is not None:
             self.monitor.restart_process(pid)
-        await self._restart_async(pid)
+        await self._boot(pid, member=False)
 
     def note_nemesis(self, op):
         """Annotate the trace with an applied fault op (loop thread)."""
@@ -252,19 +249,12 @@ class RuntimeCluster:
     def bcast(self, pid, payload, ordering="to"):
         """Broadcast through ``pid`` with the chosen ordering strength:
         ``"to"`` (totally ordered) or ``"cb"`` (causally ordered)."""
-        if ordering == "to":
-            # The node lookup must happen inside the marshalled
-            # callable: evaluating self._nodes[pid].to here would read
-            # loop-owned state on the caller thread.
-            call = lambda: self._nodes[pid].to.bcast(payload)  # noqa: E731
-        elif ordering == "cb":
-            call = lambda: self._nodes[pid].cb.cbcast(payload)  # noqa: E731
-        else:
-            raise ValueError(
-                "unknown ordering {0!r} (expected 'to' or 'cb')".format(
-                    ordering
-                )
-            )
+        # The node lookup must happen inside the marshalled callable:
+        # evaluating self._nodes[pid] here would read loop-owned state
+        # on the caller thread.
+        call = lambda: self._nodes[pid].tower.bcast(  # noqa: E731
+            payload, ordering
+        )
         self._call(call)
         return self
 
@@ -351,20 +341,15 @@ class RuntimeCluster:
     def delivered(self, pid):
         """All totally ordered deliveries recorded at ``pid`` -- across
         every incarnation (the shared log never forgets)."""
-        return self._call(lambda: [
-            (a.params[0], a.params[1])
-            for a in self.log.actions
-            if a.name == "brcv" and a.params[2] == pid
-        ])
+        return self._call(self.log.at, "brcv", pid)
 
     def cb_delivered(self, pid):
         """All causally ordered deliveries recorded at ``pid`` -- across
         every incarnation (the shared log never forgets)."""
-        return self._call(lambda: [
-            (a.params[0].payload, a.params[1])
-            for a in self.log.actions
-            if a.name == "cb_brcv" and a.params[2] == pid
-        ])
+        return [
+            (m.payload, q)
+            for m, q in self._call(self.log.at, "cb_brcv", pid)
+        ]
 
     @property
     def violations(self):

@@ -108,7 +108,6 @@ WIRE_TYPES = (
 )
 
 _BY_NAME = MappingProxyType({cls.__name__: cls for cls in WIRE_TYPES})
-_REGISTERED = frozenset(WIRE_TYPES)
 
 #: The pinned wire schema: class name -> ordered ``(field, annotation)``
 #: pairs exactly as declared on the dataclass.  Field order is the
@@ -237,40 +236,54 @@ def schema_drift():
     return sorted(problems)
 
 
-def _annotation_ok(value, annotation):
-    """Shallow check of ``value`` against a pinned annotation string.
+#: Builtin annotation heads -> ``(accepted types, excluded types)``.
+_SHALLOW = MappingProxyType({
+    "bool": (bool, ()),
+    "int": (int, bool),
+    "float": ((int, float), bool),
+    "str": (str, ()),
+    "bytes": (bytes, ()),
+    "FrozenSet": (frozenset, ()),
+    "frozenset": (frozenset, ()),
+    "Tuple": (tuple, ()),
+    "tuple": (tuple, ()),
+})
+
+
+def _accepted(annotation):
+    """The shallow check a pinned annotation string stands for, as
+    ``(types, excluded)``: a value passes iff it is an instance of
+    ``types`` and not of ``excluded`` (``types`` ``None``: anything).
 
     Containers are checked by outer type only (``FrozenSet[str]`` ->
-    frozenset); ``object`` accepts anything.  Deep element validation
-    is the decoder's job -- this guards the *reconstructed* message
-    against forged field types the positional ``"@"`` decoding cannot
-    rule out (a string where a sequence number belongs decodes fine).
+    frozenset); a registered class name by instance; ``object`` and
+    anything else accept everything.  Deep element validation is the
+    decoder's job -- this guards the *reconstructed* message against
+    forged field types the positional ``"@"`` decoding cannot rule out
+    (a string where a sequence number belongs decodes fine).
     """
     base = annotation.split("[", 1)[0].strip()
-    if base == "object":
-        return True
-    if base == "bool":
-        return isinstance(value, bool)
-    if base == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if base == "float":
-        return isinstance(value, (int, float)) and not isinstance(
-            value, bool
-        )
-    if base == "str":
-        return isinstance(value, str)
-    if base == "bytes":
-        return isinstance(value, bytes)
-    if base in ("FrozenSet", "frozenset"):
-        return isinstance(value, frozenset)
-    if base in ("Tuple", "tuple"):
-        return isinstance(value, tuple)
-    if base in ("Optional",):
-        return True
-    registered = _BY_NAME.get(base)
-    if registered is not None:
-        return isinstance(value, registered)
-    return True
+    return _SHALLOW.get(base, (_BY_NAME.get(base), ()))
+
+
+def _wire_table():
+    """``class -> (name, field names, per-field accepted types)``,
+    derived once from :data:`WIRE_SCHEMA`: what :func:`_pack`,
+    :func:`_unpack` and :func:`validate_message` read per frame.  A
+    class whose live fields have drifted from the pin gets no checks,
+    so nothing of it validates (:func:`schema_drift` says why)."""
+    table = {}
+    for cls in WIRE_TYPES:
+        names = tuple(f.name for f in fields(cls))
+        pinned = WIRE_SCHEMA.get(cls.__name__, ())
+        checks = None
+        if tuple(name for name, _ in pinned) == names:
+            checks = tuple(_accepted(annotation) for _, annotation in pinned)
+        table[cls] = (cls.__name__, names, checks)
+    return MappingProxyType(table)
+
+
+_WIRE = _wire_table()
 
 
 def validate_message(msg):
@@ -283,19 +296,14 @@ def validate_message(msg):
     *encoding*, not well-typed *content*, and any TCP client controls
     the content.
     """
-    cls = type(msg)
-    if cls not in _REGISTERED:
+    row = _WIRE.get(type(msg))
+    if row is None or row[2] is None:
         return False
-    pinned = WIRE_SCHEMA.get(cls.__name__)
-    if pinned is None:
-        return False
-    declared = fields(cls)
-    if len(declared) != len(pinned):
-        return False
-    for f, (name, annotation) in zip(declared, pinned):
-        if f.name != name:
-            return False
-        if not _annotation_ok(getattr(msg, f.name), annotation):
+    for name, (types, excluded) in zip(row[1], row[2]):
+        value = getattr(msg, name)
+        if types is not None and (
+            not isinstance(value, types) or isinstance(value, excluded)
+        ):
             return False
     return True
 
@@ -331,9 +339,10 @@ def _pack(value):
         pairs = [[_pack(k), _pack(v)] for k, v in value.items()]
         pairs.sort(key=lambda pair: _canonical(pair[0]))
         return ["d", pairs]
-    if type(value) in _REGISTERED:
-        packed = [_pack(getattr(value, f.name)) for f in fields(value)]
-        return ["@", type(value).__name__, packed]
+    row = _WIRE.get(type(value))
+    if row is not None:
+        name, names, _ = row
+        return ["@", name, [_pack(getattr(value, n)) for n in names]]
     raise CodecError(
         "unencodable value of type {0}".format(type(value).__name__)
     )
@@ -410,9 +419,8 @@ def _unpack(node):
         cls = _BY_NAME.get(payload)
         _need(cls is not None, "unknown type {0!r}".format(payload))
         values = node[2]
-        declared = fields(cls)
         _need(
-            isinstance(values, list) and len(values) == len(declared),
+            isinstance(values, list) and len(values) == len(_WIRE[cls][1]),
             "wrong field count for {0}".format(payload),
         )
         try:
@@ -476,21 +484,17 @@ def encode_frame(value):
 
 def decode_frame(data):
     """Decode exactly one frame; trailing or missing bytes are errors."""
-    if len(data) < _HEADER.size:
-        raise CodecError("truncated frame header")
-    (length,) = _HEADER.unpack_from(data)
-    if length > MAX_FRAME:
-        raise CodecError("frame length {0} exceeds MAX_FRAME".format(length))
-    body = data[_HEADER.size:]
-    if len(body) < length:
+    decoder = FrameDecoder()
+    messages = decoder.feed(data)
+    if not messages:
         raise CodecError(
-            "truncated frame: header promises {0} bytes, got {1}".format(
-                length, len(body)
+            "truncated frame: {0} bytes hold no complete frame".format(
+                len(data)
             )
         )
-    if len(body) > length:
+    if len(messages) > 1 or decoder.pending:
         raise CodecError("trailing bytes after frame")
-    return decode(body)
+    return messages[0]
 
 
 class FrameDecoder:

@@ -119,7 +119,7 @@ class LiveNemesis:
     """
 
     def __init__(self, plan, faultnet=None):
-        self.plan = plan if isinstance(plan, NemesisPlan) else NemesisPlan(plan)
+        self.plan = NemesisPlan.of(plan)
         self.faultnet = faultnet
         self.applied = []
         #: In-flight crash/recover tasks: a strong reference keeps them

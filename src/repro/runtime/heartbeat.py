@@ -22,6 +22,12 @@ useless singleton view).
 
 import asyncio
 
+#: Beacon interval and peer liveness timeout (seconds) every live entry
+#: point defaults to.  An estimator given only an interval still scales
+#: its timeout from it.
+HB_INTERVAL = 0.05
+HB_TIMEOUT = 0.25
+
 
 class ConnectivityEstimator:
     """Tracks peer liveness and reports component changes.
@@ -34,7 +40,8 @@ class ConnectivityEstimator:
     """
 
     def __init__(self, pid, peers, clock, send_heartbeats, notify,
-                 interval=0.05, timeout=None, grace=None, on_error=None):
+                 interval=HB_INTERVAL, timeout=None, grace=None,
+                 on_error=None):
         self.pid = pid
         self._peers = peers
         self._clock = clock

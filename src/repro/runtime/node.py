@@ -33,7 +33,7 @@ from repro.runtime.codec import (
     encode_frame,
     validate_message,
 )
-from repro.runtime.heartbeat import ConnectivityEstimator
+from repro.runtime.heartbeat import HB_INTERVAL, ConnectivityEstimator
 from repro.runtime.transport import Listener, PeerLink
 
 #: Cap on the per-node layer-error buffer.  Errors are diagnostics:
@@ -69,8 +69,9 @@ class RuntimeNode:
     """
 
     def __init__(self, pid, book, initial_view, recorder=None, member=None,
-                 host="127.0.0.1", port=0, hb_interval=0.05, hb_timeout=None,
-                 obs=None, faultnet=None, wiretap=None, dvs_factory=None):
+                 host="127.0.0.1", port=0, hb_interval=HB_INTERVAL,
+                 hb_timeout=None, obs=None, faultnet=None, wiretap=None,
+                 dvs_factory=None):
         self.pid = pid
         self.book = book
         self.initial_view = initial_view
@@ -397,5 +398,6 @@ class RuntimeNode:
             "errors": len(self.errors),
             "dropped_unroutable": self.dropped_unroutable,
             "dropped_invalid": self.dropped_invalid,
+            "rejected": self._listener.rejected if self._listener else 0,
             "links": links,
         }

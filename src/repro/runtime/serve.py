@@ -24,11 +24,12 @@ Two modes share the wire protocol and the hosted layer stack:
 import asyncio
 import time
 
+from repro.analysis.report import report_observability
 from repro.apps.kv_store import KvReplica
 from repro.apps.presence import PresenceBoard
-from repro.core.viewids import ViewId
-from repro.core.views import View
+from repro.core.views import make_view
 from repro.runtime.cluster import RuntimeCluster
+from repro.runtime.heartbeat import HB_INTERVAL, HB_TIMEOUT
 from repro.runtime.node import RuntimeNode
 
 
@@ -57,9 +58,9 @@ def _parse_peers(specs):
 # -- Loopback demo -----------------------------------------------------------
 
 
-def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
-                 hb_timeout=0.25, timeout=30.0, metrics_json=None,
-                 trace_json=None):
+def run_loopback(processes=3, requests=60, kill=True,
+                 hb_interval=HB_INTERVAL, hb_timeout=HB_TIMEOUT,
+                 timeout=30.0, metrics_json=None, trace_json=None):
     """The self-contained demo: N live nodes, a KV workload over TO, a
     presence channel over CB, one crash.
 
@@ -122,7 +123,10 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
                       len(pids),
                   ))
         if observe:
-            _export_observability(cluster, metrics_json, trace_json)
+            report_observability(
+                cluster.trace_snapshot(), trace_json,
+                cluster.obs_snapshot(), metrics_json,
+            )
         violations = cluster.violations
         errors = cluster.errors()
     if errors:
@@ -135,24 +139,6 @@ def run_loopback(processes=3, requests=60, kill=True, hb_interval=0.05,
     print("safety monitor: {0} requests ordered, no violations".format(
         sent))
     return 0
-
-
-def _export_observability(cluster, metrics_json, trace_json):
-    import json
-
-    from repro.analysis.report import render_metrics_table, render_stage_table
-
-    trace = cluster.trace_snapshot()
-    snapshot = cluster.obs_snapshot()
-    print(render_stage_table(trace["summary"]))
-    print(render_metrics_table(snapshot["metrics"]))
-    for what, path, data in (("metrics snapshot", metrics_json, snapshot),
-                             ("trace JSON", trace_json, trace)):
-        if path:
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("{0} written to {1}".format(what, path))
 
 
 def _presence_round(cluster, pids, status, timeout):
@@ -207,14 +193,13 @@ def _wait_applied(cluster, pids, total, timeout):
 # -- Single real node --------------------------------------------------------
 
 
-def run_single(pid, bind, peers, duration=None, hb_interval=0.5,
-               hb_timeout=None):
+def run_single(pid, bind, peers, duration=None, hb_interval=HB_INTERVAL,
+               hb_timeout=HB_TIMEOUT):
     """Run one live node in the foreground (Ctrl-C to stop)."""
     host, port = _parse_endpoint(bind)
     book = _parse_peers(peers)
     book[pid] = (host, port)
-    members = frozenset(book)
-    initial_view = View(ViewId(0, ""), members)
+    initial_view = make_view(0, book)
 
     async def main():
         node = RuntimeNode(
@@ -256,26 +241,3 @@ def run_single(pid, bind, peers, duration=None, hb_interval=0.5,
     except KeyboardInterrupt:
         pass
     return 0
-
-
-# -- CLI entry ---------------------------------------------------------------
-
-
-def cmd_serve(args):
-    if args.pid is not None:
-        if not args.bind:
-            raise SystemExit("--pid requires --bind HOST:PORT")
-        return run_single(
-            args.pid, args.bind, args.peer, duration=args.duration,
-            hb_interval=args.hb_interval, hb_timeout=args.hb_timeout,
-        )
-    return run_loopback(
-        processes=args.processes,
-        requests=args.requests,
-        kill=not args.no_kill,
-        hb_interval=args.hb_interval,
-        hb_timeout=args.hb_timeout or 0.25,
-        timeout=args.timeout,
-        metrics_json=getattr(args, "metrics_json", None),
-        trace_json=getattr(args, "trace_json", None),
-    )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import make_view
 from repro.core.messages import InfoMsg, RegisteredMsg
-from repro.dvs.vs_to_dvs import VsToDvs, use_views
+from repro.dvs.rules import use_views
+from repro.dvs.vs_to_dvs import VsToDvs
 from repro.ioa import Kind, act
 
 

@@ -67,6 +67,25 @@ class TestNemesisPlan:
         ])
         assert len(plan) == 2
 
+    def test_scaled_rescales_every_time_valued_arg(self):
+        # Regression: jitter / spike / spread stayed in the old unit, so
+        # a 10-unit jitter scaled by 0.1 was 10 s inside a 3 s window.
+        plan = NemesisPlan([
+            FaultOp(20.0, "delay", (None, 10.0, 0.5, 40.0, 30.0)),
+            FaultOp(50.0, "duplicate", (None, 0.5, 8.0, 10.0)),
+            FaultOp(70.0, "crash", ("p1",)),
+        ]).scaled(0.1)
+        assert [(op.at, op.args) for op in plan] == [
+            (2.0, (None, 1.0, 0.5, 4.0, 3.0)),
+            (5.0, (None, 0.5, 0.8, 1.0)),
+            (7.0, ("p1",)),
+        ]
+        assert plan.horizon == 7.0
+
+    def test_window_op_with_the_wrong_arity_is_a_value_error(self):
+        with pytest.raises(ValueError, match="drop takes"):
+            FaultOp(1.0, "drop", (None, 0.5)).end
+
 
 class TestGenerators:
     def test_deterministic_in_seed(self):
@@ -145,3 +164,24 @@ class TestScheduler:
         kinds = [k for _, k, _ in net.log]
         assert "fault_on" in kinds and "fault_off" in kinds
         assert "nemesis" in kinds
+
+    def test_every_window_kind_builds_its_model_from_the_layout(self):
+        net = Network(seed=0)
+        for pid in PROCS:
+            net.add_node(Quiet(pid))
+        pairs = (("p1", "p2"),)
+        Nemesis([
+            FaultOp(1.0, "duplicate", (pairs, 0.5, 3.0, 10.0)),
+            FaultOp(2.0, "delay", (None, 2.0, 0.25, 8.0, 10.0)),
+            FaultOp(3.0, "oneway", (pairs, 10.0)),
+        ]).arm(net)
+        net.start()
+        net.run_until(4)
+        dup, delay, oneway = net.faults
+        assert (dup.prob, dup.spread, dup.links) == (0.5, 3.0, set(pairs))
+        assert (delay.jitter, delay.spike_prob, delay.spike, delay.links) == (
+            2.0, 0.25, 8.0, None
+        )
+        assert oneway.links == set(pairs)
+        net.run_until(14)
+        assert net.faults == []

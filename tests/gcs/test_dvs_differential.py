@@ -1,0 +1,128 @@
+"""Differential test: the DVS layer against the automaton it recodes.
+
+ROADMAP item 6(a) decided the automata are not hosted on the message
+path and asked for this guard instead: the same input script must give
+the same external trace from ``VS-TO-DVS_p`` (Figure 3,
+:mod:`repro.dvs.vs_to_dvs`) and from :class:`~repro.gcs.dvs_layer.
+DvsLayer`.  A seeded simulated cluster runs the layers through
+formation, partitions, heals, bursts of payloads and partial
+registration; each process's recorded *inputs* are then replayed into
+its automaton, firing enabled locally controlled actions to quiescence
+after every input, and the automaton must produce the ``dvs_newview`` /
+``dvs_gprcv`` / ``dvs_safe`` the layer recorded, each after the same
+input.
+
+The layer acknowledges cumulatively with one ack in flight (PR 16); the
+automaton acknowledges every delivery.  The replay feeds the automaton
+the *layer's* acks (they are ``vs_gprcv`` inputs), so equal ``dvs_safe``
+sequences say the coalesced rule releases exactly what the per-delivery
+rule would.
+"""
+
+import pytest
+
+from repro.dvs.ablation import NoMajorityCheckVsToDvs, NoMajorityDvsLayer
+from repro.dvs.vs_to_dvs import AckMsg, VsToDvs
+from repro.gcs.cluster import Cluster
+from repro.gcs.dvs_layer import DvsLayer
+
+PROCS = ["a", "b", "c", "d", "e"]
+INPUTS = ("vs_newview", "vs_gprcv", "dvs_gpsnd", "dvs_register")
+OBSERVED = ("dvs_newview", "dvs_gprcv", "dvs_safe")
+
+
+def run_script(dvs_factory, seed):
+    """Formation, two partitions, bursts on both sides of each, and
+    registration that sometimes leaves a view ambiguous."""
+    cluster = Cluster(
+        PROCS, seed=seed, with_to_layer=False, dvs_factory=dvs_factory
+    ).start()
+    sent = [0]
+
+    def burst(senders, each):
+        for _ in range(each):
+            for pid in senders:
+                cluster.dvs[pid].gpsnd(("m", pid, sent[0]))
+                sent[0] += 1
+
+    def register(pids):
+        for pid in pids:
+            cluster.dvs[pid].register()
+
+    cluster.settle(max_time=400.0)
+    register(PROCS)
+    burst(["a", "c", "e"], each=6)
+    cluster.settle(max_time=400.0)
+    cluster.partition("abc", "de").settle(max_time=400.0)
+    register("ab")  # c never registers: the view stays ambiguous
+    burst(["a", "d"], each=3)
+    cluster.settle(max_time=400.0)
+    cluster.heal().settle(max_time=400.0)
+    register(PROCS)
+    burst(PROCS, each=2)
+    cluster.settle(max_time=400.0)
+    cluster.partition("ab", "cde").settle(max_time=400.0)
+    register("cde")
+    burst(["b", "c"], each=4)
+    cluster.settle(max_time=400.0)
+    cluster.heal().settle(max_time=400.0)
+    burst(["e"], each=1)
+    cluster.settle(max_time=400.0)
+    return cluster
+
+
+def at(log, pid, names):
+    return [
+        a for a in log.actions if a.name in names and a.params[-1] == pid
+    ]
+
+
+def automaton_trace(filter_cls, pid, initial_view, inputs):
+    """The inputs with the automaton's observed outputs interleaved
+    where it produced them (so *when* counts, not only *what*)."""
+    automaton = filter_cls(pid, initial_view)
+    state = automaton.initial_state()
+    trace = []
+    for action in inputs:
+        automaton.transition(state, action)
+        trace.append(action)
+        while True:
+            enabled = automaton.enabled_controlled(state)
+            if not enabled:
+                break
+            automaton.transition(state, enabled[0])
+            if enabled[0].name in OBSERVED:
+                trace.append(enabled[0])
+    return trace
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "layer_cls, filter_cls",
+    [(DvsLayer, VsToDvs), (NoMajorityDvsLayer, NoMajorityCheckVsToDvs)],
+    ids=["figure3", "no-majority"],
+)
+def test_layer_and_automaton_agree_on_the_external_trace(
+    layer_cls, filter_cls, seed
+):
+    cluster = run_script(layer_cls, seed)
+    log, v0 = cluster.log, cluster.initial_view
+    for pid in PROCS:
+        assert automaton_trace(
+            filter_cls, pid, v0, at(log, pid, INPUTS)
+        ) == at(log, pid, INPUTS + OBSERVED), pid
+
+    # The script reached what it is there to compare.
+    names = [a.name for a in at(log, "a", OBSERVED)]
+    assert names.count("dvs_newview") >= 3
+    assert names.count("dvs_safe") >= 10
+    acks = [
+        a for a in at(log, "a", ("vs_gpsnd",))
+        if isinstance(a.params[0], AckMsg)
+    ]
+    assert 0 < len(acks) < names.count("dvs_gprcv"), "acks never coalesced"
+    primaries_of_the_minority = [
+        view for (view,) in log.at("dvs_newview", "d")
+        if view.set == frozenset("de")
+    ]
+    assert bool(primaries_of_the_minority) == (layer_cls is NoMajorityDvsLayer)

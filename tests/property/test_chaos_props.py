@@ -129,19 +129,26 @@ class TestPlanStrategies:
                          allow_nan=False),
     )
     def test_scaled_plans_keep_shape(self, plan, factor):
-        # scaled() converts sim time units to wall-clock seconds for
-        # --live runs: times and window durations stretch, everything
-        # else (kinds, op count, targets) is untouched.
+        # scaled() converts sim time units to wall-clock seconds: op
+        # times and every time-valued arg stretch (window lengths, and
+        # the spread / jitter / spike that used to stay in the old
+        # unit), everything else (kinds, op count, targets,
+        # probabilities) is untouched.
+        times = {
+            "drop": (2,), "duplicate": (2, 3), "delay": (1, 3, 4),
+            "oneway": (1,),
+        }
         scaled = plan.scaled(factor)
         assert len(scaled) == len(plan)
         assert [op.kind for op in scaled] == [op.kind for op in plan]
         for op, orig in zip(scaled.ops, plan.ops):
             assert op.at == orig.at * factor
-            if op.kind in ("drop", "duplicate", "delay", "oneway"):
-                assert op.args[:-1] == orig.args[:-1]
-                assert op.args[-1] == orig.args[-1] * factor
-            else:
-                assert op.args == orig.args
+            assert len(op.args) == len(orig.args)
+            for i, (value, was) in enumerate(zip(op.args, orig.args)):
+                if i in times.get(op.kind, ()):
+                    assert value == was * factor
+                else:
+                    assert value == was
         # A scaled plan is still serializable and replayable.
         assert NemesisPlan.from_json(scaled.to_json()) == scaled
 

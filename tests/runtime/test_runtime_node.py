@@ -124,6 +124,24 @@ def test_node_publishes_address_and_counts_unroutable():
     run(scenario())
 
 
+def test_stats_count_connections_the_listener_rejected():
+    async def scenario():
+        node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
+        assert node.stats()["rejected"] == 0  # readable before start()
+        await node.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", node.port
+        )
+        writer.write(b"\x00\x00\x00\x04junk")  # undecodable body
+        await writer.drain()
+        await poll_until(lambda: node.stats()["rejected"] == 1)
+        assert await asyncio.wait_for(reader.read(), WAIT) == b""
+        writer.close()
+        await node.stop()
+
+    run(scenario())
+
+
 def test_the_node_is_its_stacks_net():
     node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
     assert node.stack.net is node
