@@ -14,7 +14,7 @@ Every value is encoded as a JSON array ``[tag, ...]``:
 ``"z"``   ``None``
 ``"b"``   bool          ``["b", true]``
 ``"i"``   int           ``["i", 42]``
-``"f"``   finite float  ``["f", 2.5]`` (NaN/inf are unencodable)
+``"f"``   finite float  ``["f", 2.5]`` (NaN/inf: refused both ways)
 ``"s"``   str           ``["s", "..."]``
 ``"y"``   bytes         ``["y", "<base64>"]``
 ``"t"``   tuple         ``["t", [...]]``
@@ -31,13 +31,21 @@ the TO labels/summaries, the CB casts, views and view identifiers, and
 the runtime's own control messages.  Sets and dictionaries are serialized in a
 canonical order so that encoding is deterministic: the same value always
 produces the same bytes, which keeps wire logs diffable across runs.
+
+Both directions run off one per-class table compiled at import from
+:data:`WIRE_SCHEMA`.  The decoder accepts what the encoder can produce
+and nothing else: a non-finite number, an unknown tag or class, a wrong
+arity, or a field that is not of its pinned type -- at any depth -- is
+a :class:`CodecError`, so no frame that decodes can fail to re-encode.
 """
 
 import base64
 import json
 import re
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from repro.cb.messages import CbCast
@@ -79,6 +87,7 @@ SUPPORTED_WIRE_VERSIONS = (1, 2)
 MAX_FRAME = 1 << 24
 
 _HEADER = struct.Struct(">I")
+_STAMP = bytes([WIRE_VERSION])
 
 
 class CodecError(ValueError):
@@ -236,50 +245,71 @@ def schema_drift():
     return sorted(problems)
 
 
-#: Builtin annotation heads -> ``(accepted types, excluded types)``.
+#: Builtin annotation heads -> the exact types a field so pinned may
+#: hold.  Exact, not ``isinstance``: the decoder builds nothing else, and
+#: a bool is not an int here.
 _SHALLOW = MappingProxyType({
-    "bool": (bool, ()),
-    "int": (int, bool),
-    "float": ((int, float), bool),
-    "str": (str, ()),
-    "bytes": (bytes, ()),
-    "FrozenSet": (frozenset, ()),
-    "frozenset": (frozenset, ()),
-    "Tuple": (tuple, ()),
-    "tuple": (tuple, ()),
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "bytes": (bytes,),
+    "FrozenSet": (frozenset,),
+    "frozenset": (frozenset,),
+    "Tuple": (tuple,),
+    "tuple": (tuple,),
 })
 
 
 def _accepted(annotation):
-    """The shallow check a pinned annotation string stands for, as
-    ``(types, excluded)``: a value passes iff it is an instance of
-    ``types`` and not of ``excluded`` (``types`` ``None``: anything).
+    """The shallow check a pinned annotation string stands for: the
+    tuple of types a value may be exactly, empty for "anything".
 
     Containers are checked by outer type only (``FrozenSet[str]`` ->
-    frozenset); a registered class name by instance; ``object`` and
-    anything else accept everything.  Deep element validation is the
-    decoder's job -- this guards the *reconstructed* message against
-    forged field types the positional ``"@"`` decoding cannot rule out
-    (a string where a sequence number belongs decodes fine).
+    frozenset); a registered class name by that class; ``object`` and
+    anything else accept everything.  Elements are the tagged scheme's
+    job -- this guards the *rebuilt* message against forged field types
+    the positional ``"@"`` encoding cannot rule out (a string where a
+    sequence number belongs is well-formed).
     """
     base = annotation.split("[", 1)[0].strip()
-    return _SHALLOW.get(base, (_BY_NAME.get(base), ()))
+    if base in _BY_NAME:
+        return (_BY_NAME[base],)
+    return _SHALLOW.get(base, ())
+
+
+def _conforms(values, checks):
+    """Whether field ``values`` pass a row's pinned ``checks``."""
+    for value, kinds in zip(values, checks):
+        if kinds and type(value) not in kinds:
+            return False
+    return True
+
+
+#: One registered class: ``values(msg)`` is the tuple of its fields in
+#: encoded order, ``checks`` one :func:`_accepted` tuple per field.
+_Row = namedtuple("_Row", "values checks")
 
 
 def _wire_table():
-    """``class -> (name, field names, per-field accepted types)``,
-    derived once from :data:`WIRE_SCHEMA`: what :func:`_pack`,
-    :func:`_unpack` and :func:`validate_message` read per frame.  A
-    class whose live fields have drifted from the pin gets no checks,
-    so nothing of it validates (:func:`schema_drift` says why)."""
+    """``class -> _Row``, compiled once from :data:`WIRE_SCHEMA`: what
+    the encoder, the decoder and :func:`validate_message` read.  A
+    class whose live fields have drifted from the pin gets no row, so
+    it neither encodes, decodes nor validates (:func:`schema_drift`
+    says why)."""
     table = {}
     for cls in WIRE_TYPES:
         names = tuple(f.name for f in fields(cls))
         pinned = WIRE_SCHEMA.get(cls.__name__, ())
-        checks = None
-        if tuple(name for name, _ in pinned) == names:
-            checks = tuple(_accepted(annotation) for _, annotation in pinned)
-        table[cls] = (cls.__name__, names, checks)
+        if tuple(name for name, _ in pinned) != names:
+            continue
+        # A bare attrgetter of one name answers the value, not a tuple.
+        values = attrgetter(*names) if len(names) > 1 else (
+            lambda msg, names=names: tuple(getattr(msg, n) for n in names)
+        )
+        table[cls] = _Row(
+            values, tuple(_accepted(annotation) for _, annotation in pinned)
+        )
     return MappingProxyType(table)
 
 
@@ -287,186 +317,286 @@ _WIRE = _wire_table()
 
 
 def validate_message(msg):
-    """Whether a decoded wire message is schema-faithful.
+    """Whether a wire message is schema-faithful.
 
-    ``True`` iff ``msg`` is an instance of a registered wire type and
-    every field shallow-matches its pinned :data:`WIRE_SCHEMA`
-    annotation.  The receive path gates on this before a frame touches
-    the hosted automaton stack: decoding guarantees well-formed
-    *encoding*, not well-typed *content*, and any TCP client controls
-    the content.
+    ``True`` iff ``msg`` is exactly of a registered wire type and every
+    field is exactly of a type its pinned :data:`WIRE_SCHEMA` annotation
+    stands for.  :func:`decode` holds every registered value it
+    rebuilds, at any depth, to the same rows; the receive path still
+    gates on this, because not every message it is handed came through
+    the decoder.
     """
     row = _WIRE.get(type(msg))
-    if row is None or row[2] is None:
-        return False
-    for name, (types, excluded) in zip(row[1], row[2]):
-        value = getattr(msg, name)
-        if types is not None and (
-            not isinstance(value, types) or isinstance(value, excluded)
-        ):
-            return False
-    return True
+    return row is not None and _conforms(row.values(msg), row.checks)
 
 
-def _canonical(packed):
-    """A sort key making set/dict encodings deterministic."""
-    return json.dumps(packed, separators=(",", ":"), sort_keys=True)
+# -- Encoding: value -> canonical text ---------------------------------------
+#
+# One emitter per exact type writes what ``json.dumps`` wrote for the
+# tagged tree (compact separators, ASCII-escaped strings) with no tree
+# in between.  An element's text is also its sort key.
+
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
 
 
-def _pack(value):
-    """Recursively translate ``value`` into the tagged JSON scheme."""
-    if value is None:
-        return ["z"]
-    if isinstance(value, bool):
-        return ["b", value]
-    if isinstance(value, int):
-        return ["i", value]
-    if isinstance(value, float):
-        return ["f", value]
-    if isinstance(value, str):
-        return ["s", value]
-    if isinstance(value, (bytes, bytearray)):
-        return ["y", base64.b64encode(bytes(value)).decode("ascii")]
-    if isinstance(value, tuple):
-        return ["t", [_pack(item) for item in value]]
-    if isinstance(value, list):
-        return ["l", [_pack(item) for item in value]]
-    if isinstance(value, frozenset):
-        return ["fz", sorted((_pack(i) for i in value), key=_canonical)]
-    if isinstance(value, set):
-        return ["st", sorted((_pack(i) for i in value), key=_canonical)]
-    if isinstance(value, dict):
-        pairs = [[_pack(k), _pack(v)] for k, v in value.items()]
-        pairs.sort(key=lambda pair: _canonical(pair[0]))
-        return ["d", pairs]
-    row = _WIRE.get(type(value))
-    if row is not None:
-        name, names, _ = row
-        return ["@", name, [_pack(getattr(value, n)) for n in names]]
-    raise CodecError(
-        "unencodable value of type {0}".format(type(value).__name__)
-    )
+def _encode_float(value):
+    if -_INF < value < _INF:
+        return '["f",' + float.__repr__(value) + "]"
+    raise CodecError("unencodable value: non-finite float")
 
 
-def _need(condition, detail):
-    if not condition:
-        raise CodecError("malformed body: {0}".format(detail))
+def _encode_bytes(value):
+    return '["y","' + base64.b64encode(value).decode("ascii") + '"]'
 
 
-def _unpack(node):
-    """Inverse of :func:`_pack`; strict, raising :class:`CodecError`."""
-    _need(isinstance(node, list) and node, "expected a tagged array")
-    tag = node[0]
-    _need(isinstance(tag, str), "tag must be a string")
-    if tag == "z":
-        _need(len(node) == 1, "null takes no payload")
-        return None
-    _need(len(node) >= 2, "tag {0!r} needs a payload".format(tag))
-    payload = node[1]
-    if tag == "b":
-        _need(len(node) == 2 and isinstance(payload, bool), "bad bool")
-        return payload
-    if tag == "i":
-        _need(
-            len(node) == 2
-            and isinstance(payload, int)
-            and not isinstance(payload, bool),
-            "bad int",
+def _sequence_emitter(head, sort=False):
+    """Emitter of ``head`` + the elements' texts (sorted: a set)."""
+
+    def emit(value):
+        texts = [_ENCODE[type(item)](item) for item in value]
+        if sort:
+            texts.sort()
+        return head + ",".join(texts) + "]]"
+
+    return emit
+
+
+def _encode_dict(value):
+    pairs = [
+        (_ENCODE[type(key)](key), _ENCODE[type(item)](item))
+        for key, item in value.items()
+    ]
+    # By the key's text alone: keys that encode alike keep their order.
+    pairs.sort(key=itemgetter(0))
+    return '["d",[' + ",".join(
+        ["[" + key + "," + item + "]" for key, item in pairs]
+    ) + "]]"
+
+
+def _class_emitter(cls, values):
+    head = '["@","{0}",['.format(cls.__name__)
+
+    def emit(msg):
+        return head + ",".join(
+            [_ENCODE[type(item)](item) for item in values(msg)]
+        ) + "]]"
+
+    return emit
+
+
+#: Builtin ``(type, emitter)`` pairs, in the order the tagged scheme
+#: has always tested them (bool before int).
+_BUILTINS = (
+    (type(None), lambda value: '["z"]'),
+    (bool, lambda value: '["b",true]' if value else '["b",false]'),
+    (int, lambda value: '["i",' + int.__repr__(value) + "]"),
+    (float, _encode_float),
+    (str, lambda value: '["s",' + _escape(value) + "]"),
+    (bytes, _encode_bytes),
+    (bytearray, _encode_bytes),
+    (tuple, _sequence_emitter('["t",[')),
+    (list, _sequence_emitter('["l",[')),
+    (frozenset, _sequence_emitter('["fz",[', sort=True)),
+    (set, _sequence_emitter('["st",[', sort=True)),
+    (dict, _encode_dict),
+)
+
+
+class _Emitters(dict):
+    """``type -> emitter``.  A type that is not a key resolves (uncached:
+    the table is read-only) to the first builtin it subclasses."""
+
+    def __missing__(self, cls):
+        for base, emit in _BUILTINS:
+            if issubclass(cls, base):
+                return emit
+        raise CodecError(
+            "unencodable value of type {0}".format(cls.__name__)
         )
-        return payload
-    if tag == "f":
-        _need(
-            len(node) == 2 and isinstance(payload, (int, float))
-            and not isinstance(payload, bool),
-            "bad float",
-        )
-        return float(payload)
-    if tag == "s":
-        _need(len(node) == 2 and isinstance(payload, str), "bad str")
-        return payload
-    if tag == "y":
-        _need(len(node) == 2 and isinstance(payload, str), "bad bytes")
-        try:
-            return base64.b64decode(payload.encode("ascii"), validate=True)
-        except (ValueError, UnicodeEncodeError):
-            raise CodecError("malformed body: bad base64")
-    if tag in ("t", "l", "fz", "st"):
-        _need(len(node) == 2 and isinstance(payload, list),
-              "bad sequence payload")
-        items = [_unpack(item) for item in payload]
-        if tag == "t":
-            return tuple(items)
-        if tag == "l":
-            return items
-        try:
-            return frozenset(items) if tag == "fz" else set(items)
-        except TypeError:
-            raise CodecError("malformed body: unhashable set element")
-    if tag == "d":
-        _need(len(node) == 2 and isinstance(payload, list), "bad dict")
-        result = {}
-        for pair in payload:
-            _need(isinstance(pair, list) and len(pair) == 2,
-                  "bad dict entry")
-            try:
-                result[_unpack(pair[0])] = _unpack(pair[1])
-            except TypeError:
-                raise CodecError("malformed body: unhashable dict key")
-        return result
-    if tag == "@":
-        _need(len(node) == 3 and isinstance(payload, str),
-              "bad dataclass reference")
-        cls = _BY_NAME.get(payload)
-        _need(cls is not None, "unknown type {0!r}".format(payload))
-        values = node[2]
-        _need(
-            isinstance(values, list) and len(values) == len(_WIRE[cls][1]),
-            "wrong field count for {0}".format(payload),
-        )
-        try:
-            return cls(*[_unpack(item) for item in values])
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(
-                "cannot rebuild {0}: {1}".format(payload, exc)
-            )
-    raise CodecError("malformed body: unknown tag {0!r}".format(tag))
 
 
-# -- Body encoding -----------------------------------------------------------
+_ENCODE = MappingProxyType(_Emitters(_BUILTINS + tuple(
+    (cls, _class_emitter(cls, row.values)) for cls, row in _WIRE.items()
+)))
 
 
 def encode(value):
     """Encode one value into a version-prefixed body (no length header)."""
-    packed = _pack(value)
     try:
-        body = json.dumps(
-            packed, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    except ValueError as exc:
+        text = _ENCODE[type(value)](value)
+    except CodecError:
+        raise
+    except ValueError as exc:  # an int past the interpreter's digit limit
         raise CodecError("unencodable value: {0}".format(exc))
-    return bytes([WIRE_VERSION]) + body
+    except RecursionError:
+        raise CodecError("unencodable value: nested too deeply")
+    return _STAMP + text.encode("ascii")
+
+
+# -- Decoding: JSON tree -> value --------------------------------------------
+#
+# One handler per tag.  A handler takes the whole node and answers its
+# value or raises CodecError; leaves are checked by exact type (``json``
+# builds nothing else) and an error's text is formatted only when it is
+# raised.
+
+
+def _leaf(kind, what):
+    """Handler of ``[tag, payload]`` whose payload, exactly a ``kind``,
+    is the value."""
+
+    def handler(node):
+        if type(node) is list and len(node) == 2 and type(node[1]) is kind:
+            return node[1]
+        raise CodecError("malformed body: bad " + what)
+
+    return handler
+
+
+def _decode_none(node):
+    if type(node) is list and len(node) == 1:
+        return None
+    raise CodecError("malformed body: null takes no payload")
+
+
+def _decode_float(node):
+    if type(node) is list and len(node) == 2 and (
+        type(node[1]) in (float, int)
+    ):
+        try:
+            value = float(node[1])
+        except OverflowError:
+            value = _INF
+        if -_INF < value < _INF:
+            return value
+    raise CodecError("malformed body: bad float")
+
+
+def _decode_bytes(node):
+    if type(node) is list and len(node) == 2 and type(node[1]) is str:
+        try:
+            return base64.b64decode(node[1].encode("ascii"), validate=True)
+        except ValueError:
+            pass
+    raise CodecError("malformed body: bad bytes")
+
+
+def _values(nodes):
+    """Decode a list of tagged nodes through the one dispatch."""
+    try:
+        return [_DECODE[node[0]](node) for node in nodes]
+    except (LookupError, TypeError):
+        # Raised by the dispatch itself: handlers raise CodecError only.
+        raise CodecError(
+            "malformed body: expected an array headed by a known tag"
+        )
+
+
+def _container(build):
+    """Handler of ``[tag, [node, ...]]``: ``build(element values)``."""
+
+    def handler(node):
+        if type(node) is list and len(node) == 2 and type(node[1]) is list:
+            items = _values(node[1])
+            try:
+                return build(items)
+            except TypeError:
+                raise CodecError("malformed body: unhashable set element")
+        raise CodecError("malformed body: bad sequence payload")
+
+    return handler
+
+
+def _decode_dict(node):
+    if not (type(node) is list and len(node) == 2
+            and type(node[1]) is list):
+        raise CodecError("malformed body: bad dict")
+    result = {}
+    for pair in node[1]:
+        if type(pair) is not list or len(pair) != 2:
+            raise CodecError("malformed body: bad dict entry")
+        key, value = _values(pair)
+        try:
+            result[key] = value
+        except TypeError:
+            raise CodecError("malformed body: unhashable dict key")
+    return result
+
+
+def _decode_class(node):
+    if not (type(node) is list and len(node) == 3
+            and type(node[1]) is str):
+        raise CodecError("malformed body: bad dataclass reference")
+    name, nodes = node[1], node[2]
+    try:
+        cls = _BY_NAME[name]
+        checks = _WIRE[cls].checks
+    except KeyError:
+        raise CodecError("malformed body: unknown type {0!r}".format(name))
+    if type(nodes) is not list or len(nodes) != len(checks):
+        raise CodecError("malformed body: wrong field count for " + name)
+    values = _values(nodes)
+    if not _conforms(values, checks):
+        raise CodecError(
+            "malformed body: a field of {0} is not of its pinned "
+            "type".format(name)
+        )
+    try:
+        return cls(*values)
+    except Exception as exc:
+        raise CodecError("cannot rebuild {0}: {1}".format(name, exc))
+
+
+_DECODE = MappingProxyType({
+    "z": _decode_none,
+    "b": _leaf(bool, "bool"),
+    "i": _leaf(int, "int"),
+    "f": _decode_float,
+    "s": _leaf(str, "str"),
+    "y": _decode_bytes,
+    "t": _container(tuple),
+    "l": _container(list),
+    "fz": _container(frozenset),
+    "st": _container(set),
+    "d": _decode_dict,
+    "@": _decode_class,
+})
+
+
+def _refuse_constant(literal):
+    raise CodecError("malformed body: non-finite number " + literal)
+
+
+_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _decode_span(data, start, end):
+    """Decode the version-prefixed body ``data[start:end]`` in place."""
+    if end - start < 2:
+        raise CodecError("truncated body")
+    if data[start] not in SUPPORTED_WIRE_VERSIONS:
+        raise CodecError(
+            "unsupported wire version {0} (speaking {1}, accepting {2})"
+            .format(data[start], WIRE_VERSION, SUPPORTED_WIRE_VERSIONS)
+        )
+    try:
+        # The view is a temporary, so ``data`` is never left exported.
+        node = _JSON.decode(str(memoryview(data)[start + 1:end], "utf-8"))
+        return _values((node,))[0]
+    except CodecError:
+        raise
+    except ValueError:
+        raise CodecError("body is not valid UTF-8 JSON")
+    except RecursionError:
+        raise CodecError("body nesting exceeds the decoder's depth limit")
 
 
 def decode(data):
     """Decode a body produced by :func:`encode`."""
-    if not isinstance(data, (bytes, bytearray)) or len(data) < 2:
+    if not isinstance(data, (bytes, bytearray)):
         raise CodecError("truncated body")
-    if data[0] not in SUPPORTED_WIRE_VERSIONS:
-        raise CodecError(
-            "unsupported wire version {0} (speaking {1}, accepting {2})"
-            .format(data[0], WIRE_VERSION, SUPPORTED_WIRE_VERSIONS)
-        )
-    try:
-        document = json.loads(bytes(data[1:]).decode("utf-8"))
-        return _unpack(document)
-    except CodecError:
-        raise
-    except (UnicodeDecodeError, ValueError):
-        raise CodecError("body is not valid UTF-8 JSON")
-    except RecursionError:
-        raise CodecError("body nesting exceeds the decoder's depth limit")
+    return _decode_span(data, 0, len(data))
 
 
 # -- Framing -----------------------------------------------------------------
@@ -516,21 +646,23 @@ class FrameDecoder:
 
     def feed(self, data):
         """Absorb ``data``; return the list of completed frame values."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
         messages = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return messages
-            (length,) = _HEADER.unpack_from(self._buffer)
+        start = 0
+        while size - start >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, start)
             if length > MAX_FRAME:
                 raise CodecError(
                     "frame length {0} exceeds limit {1}".format(
                         length, MAX_FRAME
                     )
                 )
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return messages
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            messages.append(decode(body))
+            body = start + _HEADER.size
+            if body + length > size:
+                break
+            start = body + length
+            messages.append(_decode_span(buffer, body, start))
+        del buffer[:start]
+        return messages

@@ -15,11 +15,14 @@ Each test pins one specific bug:
 7. the node's error buffer growing without bound (every received frame
    can append to it);
 8. inbound frames dispatched without validation: unknown senders fed
-   the connectivity estimator and forged payloads reached the stack.
+   the connectivity estimator and forged payloads reached the stack;
+9. the decoder reading what the encoder cannot write (``NaN``): one
+   forged frame, relayed by the sequencer, wedged the view.
 """
 
 import asyncio
 import pathlib
+import socket
 import warnings
 
 import pytest
@@ -28,7 +31,10 @@ import repro.runtime
 import repro.runtime.node
 from repro.core.viewids import ViewId
 from repro.core.views import View
-from repro.runtime.codec import Heartbeat, Hello
+from repro.apps.kv_store import KvReplica
+from repro.gcs.messages import Data
+from repro.runtime.cluster import RuntimeCluster
+from repro.runtime.codec import Heartbeat, Hello, encode_frame
 from repro.runtime.faultnet import FaultNet, LiveNemesis
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import ERROR_LIMIT, RuntimeNode
@@ -394,3 +400,46 @@ def test_forged_and_unknown_frames_are_dropped_before_dispatch():
         await node.stop()
 
     run(scenario())
+
+
+# -- 9. decode accepts only what encode can produce ---------------------------
+
+
+def test_a_forged_nan_frame_is_rejected_and_the_view_keeps_delivering():
+    """A ``Data`` frame whose payload holds ``["f",NaN]`` used to decode
+    at the sequencer, which took a slot for it, delivered it to itself
+    and then failed to *re*-encode the ``Ordered`` (``CodecError`` into
+    ``errors``, broadcast abandoned): the peers never saw that slot,
+    buffered everything behind it, and no later request was delivered
+    anywhere until the next view.  Now the frame dies in the decoder:
+    the connection is dropped and counted, nothing reaches the stack."""
+    pids = ["n1", "n2", "n3"]
+    cluster = RuntimeCluster(
+        pids, app_factory=lambda node: KvReplica(node.to),
+        hb_interval=0.05, hb_timeout=0.25,
+    )
+    with cluster:
+        cluster.wait_formation(timeout=30.0)
+        # n1 = min(view) is the sequencer; pose as n2 towards it.
+        n1 = cluster.call_node("n1", lambda node: node)
+        port, vid = cluster.call_node(
+            "n1", lambda node: (node.port, node.stack.view.id)
+        )
+        honest = encode_frame(("n2", Data(vid, ("put", "k", 1.5), "n2")))
+        forged = honest.replace(b'["f",1.5]', b'["f",NaN]')
+        assert len(forged) == len(honest) and forged != honest
+        with socket.create_connection(("127.0.0.1", port)) as raw:
+            raw.sendall(encode_frame(("n2", Hello("n2"))) + forged)
+            cluster.wait_until(
+                lambda: n1.stats()["rejected"] == 1,
+                what="the forged frame to be rejected",
+            )
+        cluster.call_app("n2", lambda app: app.put("after", "forgery"))
+        cluster.wait_until(
+            lambda: all(
+                cluster.app(pid).log_length >= 1 for pid in pids
+            ),
+            timeout=20.0, what="the next request at all three nodes",
+        )
+        assert cluster.errors() == {}
+        cluster.check()

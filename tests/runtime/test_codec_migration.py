@@ -7,16 +7,35 @@ do not know, with a typed error naming both sides.  The golden bytes
 below are literal v1-era frames -- they must keep decoding forever.
 """
 
+import collections
+import enum
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cb.messages import CbCast
+from repro.core.messages import InfoMsg, RegisteredMsg
 from repro.core.viewids import ViewId
+from repro.core.views import View
+from repro.dvs.vs_to_dvs import AckMsg
+from repro.gcs.messages import (
+    Ack,
+    Collect,
+    Data,
+    Install,
+    Ordered,
+    SafeNote,
+    StateReply,
+)
 from repro.runtime.codec import (
     SUPPORTED_WIRE_VERSIONS,
     WIRE_SCHEMA,
     WIRE_TYPES,
     WIRE_VERSION,
     CodecError,
+    Heartbeat,
+    Hello,
     decode,
     decode_frame,
     encode,
@@ -24,6 +43,9 @@ from repro.runtime.codec import (
     schema_drift,
     validate_message,
 )
+from repro.to.summaries import Label, Summary
+from tests.runtime.test_codec import messages, payloads
+from tests.runtime.wire_reference import reference_encode
 
 #: Literal bodies produced by the version-1 codec (before CbCast
 #: existed).  Golden: do not regenerate from the current encoder.
@@ -98,3 +120,149 @@ class TestCbCastOnTheWire:
         with pytest.raises(CodecError) as err:
             decode(tampered)
         assert "unknown type" in str(err.value)
+
+
+# -- The v2 bytes, pinned independently of any encoder ---------------------------
+
+V1 = ViewId(1, "n1")
+V2 = ViewId(2, "n2")
+VIEW = View(V1, frozenset({"n1", "n2", "n3"}))
+LABEL = Label(V1, 3, "n2")
+
+#: Literal version-2 bodies, written by the PR 19 encoder (the generic
+#: ``_pack`` + ``json.dumps`` walk): one per container tag and one per
+#: registered class.  Golden: do not regenerate from the current
+#: encoder -- a byte that moves here is a wire change and needs a
+#: ``WIRE_VERSION`` bump, not a new literal.
+GOLDEN_V2 = [
+    (None,
+     b'\x02["z"]'),
+    (True,
+     b'\x02["b",true]'),
+    (-42,
+     b'\x02["i",-42]'),
+    (2 ** 80,
+     b'\x02["i",1208925819614629174706176]'),
+    (2.5,
+     b'\x02["f",2.5]'),
+    (-0.0,
+     b'\x02["f",-0.0]'),
+    (1e+22,
+     b'\x02["f",1e+22]'),
+    ('caf\u00e9 "q" \\ \n \U0001f600',
+     b'\x02["s","caf\\u00e9 \\"q\\" \\\\ \\n \\ud83d\\ude00"]'),
+    (b'\x00\xffwire',
+     b'\x02["y","AP93aXJl"]'),
+    (('w', 'n1', 3),
+     b'\x02["t",[["s","w"],["s","n1"],["i",3]]]'),
+    ([1, [2.0, None], ()],
+     b'\x02["l",[["i",1],["l",[["f",2.0],["z"]]],["t",[]]]]'),
+    (frozenset({'n3', 'n1', 'n2'}),
+     b'\x02["fz",[["s","n1"],["s","n2"],["s","n3"]]]'),
+    # Sorted as text, not as numbers: 10 before 9.
+    ({10, 9, 'a'},
+     b'\x02["st",[["i",10],["i",9],["s","a"]]]'),
+    ({'b': 1, 'a': (2,), 3: None},
+     b'\x02["d",[[["i",3],["z"]],[["s","a"],["t",[["i",2]]]],'
+     b'[["s","b"],["i",1]]]]'),
+    (V1,
+     b'\x02["@","ViewId",[["i",1],["s","n1"]]]'),
+    (VIEW,
+     b'\x02["@","View",[["@","ViewId",[["i",1],["s","n1"]]],'
+     b'["fz",[["s","n1"],["s","n2"],["s","n3"]]]]]'),
+    (InfoMsg(VIEW, frozenset({View(V2, frozenset({'n1'}))})),
+     b'\x02["@","InfoMsg",[["@","View",[["@","ViewId",[["i",1],'
+     b'["s","n1"]]],["fz",[["s","n1"],["s","n2"],["s","n3"]]]]],'
+     b'["fz",[["@","View",[["@","ViewId",[["i",2],["s","n2"]]],'
+     b'["fz",[["s","n1"]]]]]]]]]'),
+    (RegisteredMsg(),
+     b'\x02["@","RegisteredMsg",[]]'),
+    (AckMsg(7),
+     b'\x02["@","AckMsg",[["i",7]]]'),
+    (Collect(('n1', 4), frozenset({'n1', 'n2'})),
+     b'\x02["@","Collect",[["t",[["s","n1"],["i",4]]],'
+     b'["fz",[["s","n1"],["s","n2"]]]]]'),
+    (StateReply(('n1', 4), 9),
+     b'\x02["@","StateReply",[["t",[["s","n1"],["i",4]]],["i",9]]]'),
+    (Install(('n1', 4), VIEW),
+     b'\x02["@","Install",[["t",[["s","n1"],["i",4]]],["@","View",'
+     b'[["@","ViewId",[["i",1],["s","n1"]]],'
+     b'["fz",[["s","n1"],["s","n2"],["s","n3"]]]]]]]'),
+    (Data(V1, ('put', 'k', 'v'), 'n3'),
+     b'\x02["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],'
+     b'["t",[["s","put"],["s","k"],["s","v"]]],["s","n3"]]]'),
+    (Ordered(V1, 12, (LABEL, ('put', 'key-17', '0' * 8)), 'n2'),
+     b'\x02["@","Ordered",[["@","ViewId",[["i",1],["s","n1"]]],["i",12],'
+     b'["t",[["@","Label",[["@","ViewId",[["i",1],["s","n1"]]],["i",3],'
+     b'["s","n2"]]],["t",[["s","put"],["s","key-17"],["s","00000000"]]]]],'
+     b'["s","n2"]]]'),
+    (Ack(V1, 12),
+     b'\x02["@","Ack",[["@","ViewId",[["i",1],["s","n1"]]],["i",12]]]'),
+    (SafeNote(V2, 5),
+     b'\x02["@","SafeNote",[["@","ViewId",[["i",2],["s","n2"]]],["i",5]]]'),
+    (LABEL,
+     b'\x02["@","Label",[["@","ViewId",[["i",1],["s","n1"]]],["i",3],'
+     b'["s","n2"]]]'),
+    (Summary(
+        frozenset({(LABEL, ('put', 'a', 1)), (Label(V2, 0, 'n1'), None)}),
+        (LABEL, Label(V2, 0, 'n1')), 2, V2),
+     b'\x02["@","Summary",[["fz",[["t",[["@","Label",[["@","ViewId",'
+     b'[["i",1],["s","n1"]]],["i",3],["s","n2"]]],["t",[["s","put"],'
+     b'["s","a"],["i",1]]]]],["t",[["@","Label",[["@","ViewId",[["i",2],'
+     b'["s","n2"]]],["i",0],["s","n1"]]],["z"]]]]],["t",[["@","Label",'
+     b'[["@","ViewId",[["i",1],["s","n1"]]],["i",3],["s","n2"]]],'
+     b'["@","Label",[["@","ViewId",[["i",2],["s","n2"]]],["i",0],'
+     b'["s","n1"]]]]],["i",2],["@","ViewId",[["i",2],["s","n2"]]]]]'),
+    (CbCast(V2, (('n1', 2), ('n2', 5)), ('typing', True), 'n2'),
+     b'\x02["@","CbCast",[["@","ViewId",[["i",2],["s","n2"]]],'
+     b'["t",[["t",[["s","n1"],["i",2]]],["t",[["s","n2"],["i",5]]]]],'
+     b'["t",[["s","typing"],["b",true]]],["s","n2"]]]'),
+    (Hello('n9'),
+     b'\x02["@","Hello",[["s","n9"]]]'),
+    (Heartbeat(),
+     b'\x02["@","Heartbeat",[]]'),
+]
+
+
+class Colour(enum.IntEnum):
+    RED = 7
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+class TestPinnedBytes:
+    def test_goldens_cover_every_tag_and_every_class(self):
+        values = [value for value, _ in GOLDEN_V2]
+        assert {type(v) for v in values} >= set(WIRE_TYPES) | {
+            type(None), bool, int, float, str, bytes,
+            tuple, list, frozenset, set, dict,
+        }
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V2,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V2)],
+    )
+    def test_golden_v2_both_ways(self, value, golden):
+        assert encode(value) == golden
+        decoded = decode(golden)
+        assert decoded == value and type(decoded) is type(value)
+        assert reference_encode(value) == golden  # the spec agrees
+
+    def test_subclasses_of_builtins_encode_as_their_builtin(self):
+        """Not a key of the emitter table: resolved by ``issubclass``
+        in the order the generic walk tested them."""
+        for value, plain in [
+            (Colour.RED, 7),
+            (Point(1, "a"), (1, "a")),
+            (collections.OrderedDict(b=1, a=2), {"a": 2, "b": 1}),
+            (collections.Counter("aab"), {"a": 2, "b": 1}),
+            (bytearray(b"ab"), b"ab"),
+        ]:
+            assert encode(value) == encode(plain) == reference_encode(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(payloads, messages))
+    def test_encoder_writes_what_the_reference_writes(self, value):
+        assert encode(value) == reference_encode(value)
