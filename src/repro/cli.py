@@ -25,12 +25,11 @@ replay
     one trace are byte-identical, and ``--shrink`` minimizes a
     violating trace with ddmin.
 lint
-    Statically check the tree, seven passes: automaton well-formedness
+    Statically check the tree, six passes: automaton well-formedness
     (pre_/eff_/cand_ contract, predicate purity), determinism
     (wall-clock/entropy escapes, unsorted set iteration, id()
     ordering), cross-process aliasing, thread-boundary races, effect
-    alias escapes, async hazards and wire-taint flows.  Exits non-zero
-    on findings.
+    alias escapes and async hazards.  Exits non-zero on findings.
 serve
     Run the stack on real TCP sockets: by default an in-process
     loopback cluster driving a replicated key-value workload (with a
@@ -454,21 +453,14 @@ def _cmd_lint(args):
             if rule.strip()
         ))
     report = lint_paths(args.paths or ["src/repro"], config=config)
-    if args.baseline:
-        import json as _json
-
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            report = report.apply_baseline(_json.load(handle))
     if args.format == "json":
         rendered = report.to_json()
-    elif args.format == "sarif":
-        rendered = report.to_sarif()
     else:
         rendered = report.to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
-        if args.format in ("json", "sarif"):
+        if args.format == "json":
             # Keep the human-readable summary on stdout even when the
             # machine-readable artifact goes to a file (CI does this).
             print(report.to_text())
@@ -619,20 +611,16 @@ def build_parser():
         "lint",
         help="static analysis: automaton well-formedness, determinism, "
              "cross-process aliasing, thread-boundary races, effect "
-             "alias escapes, async hazards, wire-taint flows",
+             "alias escapes, async hazards",
     )
     lint.add_argument(
         "paths", nargs="*",
         help="files or directories to lint (default: src/repro)",
     )
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
+    lint.add_argument("--format", choices=["text", "json"],
                       default="text")
     lint.add_argument("--output", default=None,
                       help="write the report to a file")
-    lint.add_argument(
-        "--baseline", default=None, metavar="REPORT_JSON",
-        help="a previous JSON report; fail only on findings not in it",
-    )
     lint.add_argument(
         "--select", action="append", default=[],
         help="comma-separated rule ids to enable (repeatable; "

@@ -2,7 +2,7 @@
 live runtime, built on a per-function IR and a project-wide call
 graph.
 
-Seven passes guard the properties the paper's formalism rests on:
+Six passes guard the properties the paper's formalism rests on:
 
 1. *well-formedness* -- faithful precondition/effect automata
    (rules DVS001-DVS005);
@@ -16,10 +16,7 @@ Seven passes guard the properties the paper's formalism rests on:
    state across a layer boundary (rule DVS014);
 6. *asyncflow* -- async-hazard analysis of the event loop hosting the
    stack: blocking calls, dropped tasks, torn invariants at awaits
-   (rules DVS016-DVS018);
-7. *taint* -- wire-taint tracking from the codec's decode paths to
-   automaton-state/key/delay sinks, plus unbounded receive-path
-   containers (rules DVS020-DVS021).
+   (rules DVS016-DVS018).
 
 Use from code or tests::
 
@@ -28,16 +25,14 @@ Use from code or tests::
     assert report.ok, report.to_text()
 
 or from the command line: ``python -m repro lint src/repro``
-(``--format sarif``, ``--baseline report.json`` and ``--select`` are
-supported).  Every run is one cold pass over the whole tree.
+(``--format json`` and ``--select`` are supported).  Every run is one
+cold pass over the whole tree.
 """
 
 from repro.lint.callgraph import ProjectModel, build_project
 from repro.lint.config import (
-    DEFAULT_CODEC_GLOBS,
     DEFAULT_EVENT_PATH_GLOBS,
     DEFAULT_RUNTIME_GLOBS,
-    DEFAULT_TAINT_VALIDATORS,
     LintConfig,
 )
 from repro.lint.engine import iter_python_files, lint_paths
@@ -46,10 +41,8 @@ from repro.lint.report import Finding, JSON_SCHEMA_VERSION, Report
 from repro.lint.rules import PASSES, RULES, Rule
 
 __all__ = [
-    "DEFAULT_CODEC_GLOBS",
     "DEFAULT_EVENT_PATH_GLOBS",
     "DEFAULT_RUNTIME_GLOBS",
-    "DEFAULT_TAINT_VALIDATORS",
     "Finding",
     "FunctionIR",
     "JSON_SCHEMA_VERSION",

@@ -421,18 +421,10 @@ class ProjectModel:
                     return [LoopCall("__call__")]
                 return []
             classes = self.fold_chain(ir.klass, prefix)
-        elif root in ir.local_values:
+        elif root in ir.local_values and not prefix:
             classes = self.infer_expr(
                 ir.local_values[root], ir
             )
-            for attr in prefix:
-                folded = set()
-                for cls in classes:
-                    if cls != LOOP_CLASS:
-                        folded |= self.attr_classes(cls, attr)
-                classes = frozenset(folded)
-                if not classes:
-                    break
         else:
             return []
         out = []

@@ -29,21 +29,6 @@ DEFAULT_RUNTIME_GLOBS = (
     "*/repro/runtime/*.py",
 )
 
-#: The module defining the wire codec, whose decode paths are the
-#: taint pass's sources (DVS020).
-DEFAULT_CODEC_GLOBS = (
-    "*/repro/runtime/codec.py",
-)
-
-#: Callable names the taint pass (DVS020) accepts as validators.  A
-#: name matches by exact equality or prefix, so the defaults cover
-#: ``validate_message``, ``_validate_inbound`` and the like.  Calling a
-#: validator over a tainted name cleanses it for the whole function.
-DEFAULT_TAINT_VALIDATORS = (
-    "validate_",
-    "_validate",
-)
-
 
 def _match(path, pattern):
     posix = str(path).replace("\\", "/")
@@ -62,10 +47,6 @@ class LintConfig:
     sensitive event paths for DVS008.
     ``runtime_globs`` -- modules analysed by the thread-boundary race
     pass (DVS012/013).
-    ``codec_globs`` -- the module(s) holding the wire codec whose
-    decode paths the taint pass treats as sources (DVS020).
-    ``taint_validators`` -- callable name prefixes/exact names the
-    taint pass accepts as wire-input validators (DVS020).
     """
 
     select: frozenset = field(
@@ -73,14 +54,10 @@ class LintConfig:
     )
     event_path_globs: tuple = DEFAULT_EVENT_PATH_GLOBS
     runtime_globs: tuple = DEFAULT_RUNTIME_GLOBS
-    codec_globs: tuple = DEFAULT_CODEC_GLOBS
-    taint_validators: tuple = DEFAULT_TAINT_VALIDATORS
 
     def __post_init__(self):
         self.select = frozenset(self.select)
         self.runtime_globs = tuple(self.runtime_globs)
-        self.codec_globs = tuple(self.codec_globs)
-        self.taint_validators = tuple(self.taint_validators)
         unknown = self.select - set(RULES)
         if unknown:
             raise ValueError(
@@ -101,10 +78,4 @@ class LintConfig:
         thread-boundary race analysis."""
         return any(
             _match(path, pattern) for pattern in self.runtime_globs
-        )
-
-    def is_codec_path(self, path):
-        """Whether the module at ``path`` hosts the wire codec."""
-        return any(
-            _match(path, pattern) for pattern in self.codec_globs
         )

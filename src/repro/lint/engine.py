@@ -17,7 +17,6 @@ from repro.lint import (
     determinism,
     escape,
     races,
-    taint,
     wellformed,
 )
 from repro.lint.callgraph import build_project
@@ -25,9 +24,7 @@ from repro.lint.config import LintConfig
 from repro.lint.model import SourceModel
 from repro.lint.report import Report
 
-_PASSES = (
-    wellformed, determinism, aliasing, races, asyncflow, escape, taint,
-)
+_PASSES = (wellformed, determinism, aliasing, races, asyncflow, escape)
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"

@@ -1,4 +1,4 @@
-"""Findings and reports: text, JSON and SARIF rendering.
+"""Findings and reports: text and JSON rendering.
 
 The JSON layout is stable (schema version 2) because CI archives it as
 an artifact and tests validate it:
@@ -21,12 +21,8 @@ an artifact and tests validate it:
     }
 
 Version 2 added the ``engine`` block (which analysis backend produced
-the findings, with its IR/call-graph sizes) and the ``baselined``
-counter (findings waived by ``--baseline``).  Finding entries also
-carry the rule's ``level`` (``error``/``warning``/``note``) -- an
-additive key, so the schema version is unchanged.  SARIF 2.1.0 output
-is a projection of the same data for code-scanning UIs, with the level
-mapped to both the result and the rule's ``defaultConfiguration``.
+the findings, with its IR/call-graph sizes).  Keys have since been
+removed, never renamed, so the version is unchanged.
 """
 
 import json
@@ -36,13 +32,6 @@ from repro.lint.rules import RULES
 
 #: Bumped on any backwards-incompatible change to the JSON layout.
 JSON_SCHEMA_VERSION = 2
-
-#: SARIF constants (the one version GitHub code scanning ingests).
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 @dataclass(frozen=True)
@@ -63,24 +52,13 @@ class Finding:
     def hint(self):
         return RULES[self.rule].hint
 
-    @property
-    def level(self):
-        """SARIF severity: ``error``, ``warning`` or ``note``."""
-        return RULES[self.rule].level
-
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def fingerprint(self):
-        """Identity under ``--baseline``: deliberately excludes the
-        line number so reformatting does not resurrect old findings."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self):
         return {
             "rule": self.rule,
             "name": self.name,
-            "level": self.level,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -98,13 +76,11 @@ class Finding:
 class Report:
     """The outcome of one lint run over a set of files."""
 
-    def __init__(self, findings, files_scanned, suppressed=0,
-                 engine=None, baselined=0):
+    def __init__(self, findings, files_scanned, suppressed=0, engine=None):
         self.findings = sorted(findings, key=Finding.sort_key)
         self.files_scanned = files_scanned
         self.suppressed = suppressed
         self.engine = dict(engine) if engine else {"name": "ir-dataflow"}
-        self.baselined = baselined
 
     @property
     def ok(self):
@@ -117,28 +93,6 @@ class Report:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return dict(sorted(counts.items()))
 
-    def apply_baseline(self, baseline):
-        """Waive findings present in ``baseline`` (a parsed version-1/2
-        report dict, or an iterable of finding dicts); returns a new
-        :class:`Report` failing only on what is *new*."""
-        if isinstance(baseline, dict):
-            baseline = baseline.get("findings", [])
-        known = {
-            (entry["rule"], entry["path"], entry["message"])
-            for entry in baseline
-        }
-        kept = [
-            finding for finding in self.findings
-            if finding.fingerprint() not in known
-        ]
-        return Report(
-            kept,
-            files_scanned=self.files_scanned,
-            suppressed=self.suppressed,
-            engine=self.engine,
-            baselined=len(self.findings) - len(kept),
-        )
-
     def to_dict(self):
         return {
             "version": JSON_SCHEMA_VERSION,
@@ -146,7 +100,6 @@ class Report:
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "engine": dict(self.engine),
             "counts": self.counts(),
             "findings": [f.to_dict() for f in self.findings],
@@ -154,61 +107,6 @@ class Report:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
-    def to_sarif(self):
-        """The report as a SARIF 2.1.0 document (one run)."""
-        used = sorted({finding.rule for finding in self.findings})
-        rules = [
-            {
-                "id": rule_id,
-                "name": RULES[rule_id].name,
-                "shortDescription": {"text": RULES[rule_id].summary},
-                "help": {"text": RULES[rule_id].hint},
-                "defaultConfiguration": {"level": RULES[rule_id].level},
-                "properties": {"lintPass": RULES[rule_id].lint_pass},
-            }
-            for rule_id in used
-        ]
-        results = [
-            {
-                "ruleId": finding.rule,
-                "ruleIndex": used.index(finding.rule),
-                "level": finding.level,
-                "message": {"text": finding.message},
-                "locations": [{
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    },
-                }],
-            }
-            for finding in self.findings
-        ]
-        document = {
-            "$schema": _SARIF_SCHEMA,
-            "version": _SARIF_VERSION,
-            "runs": [{
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri":
-                            "https://example.invalid/repro-lint",
-                        "rules": rules,
-                    },
-                },
-                "results": results,
-                "properties": {
-                    "filesScanned": self.files_scanned,
-                    "engine": dict(self.engine),
-                },
-            }],
-        }
-        return json.dumps(document, indent=2, sort_keys=False)
 
     def to_text(self):
         lines = [finding.render() for finding in self.findings]
@@ -231,12 +129,6 @@ class Report:
             lines.append(
                 "{0} finding(s) suppressed by lint: ignore comments".format(
                     self.suppressed
-                )
-            )
-        if self.baselined:
-            lines.append(
-                "{0} finding(s) waived by the baseline".format(
-                    self.baselined
                 )
             )
         return "\n".join(lines)

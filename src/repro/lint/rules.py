@@ -26,35 +26,21 @@ Passes (see DESIGN.md section 7):
 6. **asyncflow** -- async-hazard analysis of the live runtime: no
    blocking calls reachable from a coroutine, no dropped task handles,
    no ``await`` between writes to the same layer state.
-7. **taint** -- wire-taint analysis: values decoded from TCP frames
-   must pass a registered validator before reaching automaton state,
-   container keys or timer delays, and receive-path containers must be
-   pruned or bounded.
-
-``level`` is the SARIF severity the rule reports at: ``error`` for
-contract violations, ``warning`` for heuristic or resource-hygiene
-rules whose findings occasionally need a justifying pragma, ``note``
-for low-confidence advisories.
 """
 
 from dataclasses import dataclass
 from types import MappingProxyType
 
-#: The SARIF severities a rule may report at.
-LEVELS = ("error", "warning", "note")
-
 
 @dataclass(frozen=True)
 class Rule:
-    """A lint rule: stable id, owning pass, summary, fix hint and
-    SARIF severity."""
+    """A lint rule: stable id, owning pass, summary and fix hint."""
 
     id: str
     name: str
     lint_pass: str
     summary: str
     hint: str
-    level: str = "error"
 
 
 _RULES = (
@@ -122,7 +108,6 @@ _RULES = (
         "order-unstable iteration in an effect/simulator path",
         "wrap the iterable in sorted(...) (set iteration order depends "
         "on PYTHONHASHSEED)",
-        level="warning",
     ),
     Rule(
         "DVS009",
@@ -131,7 +116,6 @@ _RULES = (
         "ordering by id()",
         "id() varies across runs and processes; order by a stable key "
         "(pid, viewid, sequence number) instead",
-        level="note",
     ),
     Rule(
         "DVS010",
@@ -150,7 +134,6 @@ _RULES = (
         "class attributes are shared by every instance (= every "
         "simulated process); initialise the container in __init__ or "
         "use an immutable type",
-        level="warning",
     ),
     Rule(
         "DVS012",
@@ -197,7 +180,6 @@ _RULES = (
         "keep the returned task in an attribute (or a set with a "
         "done-callback that discards it); an unreferenced task can be "
         "garbage-collected mid-flight and its exception is lost",
-        level="warning",
     ),
     Rule(
         "DVS018",
@@ -207,28 +189,6 @@ _RULES = (
         "apply the update atomically before the await, or re-validate "
         "the invariant after it: any handler may run at a suspension "
         "point and observe the half-applied state",
-        level="warning",
-    ),
-    Rule(
-        "DVS020",
-        "unvalidated-wire-taint",
-        "taint",
-        "wire-tainted value reaches a sink without a validator",
-        "gate the receive path with a registered validator (a callable "
-        "matching LintConfig.taint_validators, e.g. validate_message / "
-        "_validate_inbound) before the value touches automaton state, "
-        "container keys or timer delays",
-    ),
-    Rule(
-        "DVS021",
-        "unbounded-recv-container",
-        "taint",
-        "receive-path container grows without a prune or bound",
-        "prune the container against current membership, pop on a "
-        "timeout, or construct it bounded (deque(maxlen=...), "
-        "Queue(maxsize=...)); otherwise every received frame enlarges "
-        "it forever",
-        level="warning",
     ),
 )
 
@@ -237,7 +197,6 @@ RULES = MappingProxyType({rule.id: rule for rule in _RULES})
 
 #: The pass names, in execution order.
 PASSES = (
-    "wellformed", "determinism", "aliasing", "races", "escape",
-    "asyncflow", "taint",
+    "wellformed", "determinism", "aliasing", "races", "escape", "asyncflow",
 )
 

@@ -120,8 +120,8 @@ class RuntimeNode:
         #: they are recorded (not propagated) so one bad frame cannot
         #: take the transport down, and tests assert the buffer is
         #: empty.  Bounded: every received frame can append here, so an
-        #: unbounded list would let a hostile peer grow it forever
-        #: (DVS021); the cap keeps the newest errors.
+        #: unbounded list would let a hostile peer grow it forever;
+        #: the cap keeps the newest errors.
         self.errors = deque(maxlen=ERROR_LIMIT)
         self.dropped_unroutable = 0
         #: Frames dropped by :meth:`_validate_inbound`: unknown sender

@@ -13,6 +13,9 @@ The issue's headline criteria, end to end on real loopback sockets:
    same safety property.
 """
 
+import importlib.util
+import inspect
+
 import pytest
 
 from repro.checking.replay import (
@@ -26,6 +29,8 @@ from repro.faults.nemesis import NemesisPlan
 from repro.obs.record import ReplayTrace
 from repro.runtime.chaos import run_live_chaos
 from repro.runtime.cluster import RuntimeCluster
+
+from tests.lint.test_races import _MUTATIONS as RACE_MUTATIONS
 
 PIDS = ["n1", "n2", "n3"]
 
@@ -70,6 +75,47 @@ class TestSamePlanBothWorlds:
         assert first.violations == []
         assert first.stats["broadcasts"] == result.stats["broadcasts"]
         assert first.stats["deliveries"] == result.stats["deliveries"]
+
+
+class TestMarshallingUnderAsyncioDebug:
+    """The dynamic twin of DVS013's loop-API half (DESIGN.md section 8's
+    kill matrix): in asyncio's debug mode the loop itself refuses a
+    non-threadsafe call made from another thread, so a facade method
+    that stops marshalling fails the run instead of racing silently."""
+
+    def _short_run(self):
+        return run_live_chaos(
+            PIDS, duration=1.0, broadcast_interval=0.1, settle_time=0.5,
+        )
+
+    def test_debug_loop_accepts_the_tree_and_rejects_unmarshalled_bcast(
+        self, tmp_path, monkeypatch
+    ):
+        # asyncio reads the variable when a loop is created, so setting
+        # it here covers the loop RuntimeCluster.start() makes.
+        monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
+        result = self._short_run()
+        assert result.violations == []
+        assert result.stats["deliveries"] > 0
+
+        # The same mutant the linter's DVS012/013 test applies.
+        original, replacement, _ = RACE_MUTATIONS["bcast_wrap"]
+        with open(inspect.getsourcefile(RuntimeCluster),
+                  encoding="utf-8") as handle:
+            source = handle.read()
+        assert original in source, "mutation anchor drifted"
+        mutant_path = tmp_path / "cluster_mutant.py"
+        mutant_path.write_text(source.replace(original, replacement))
+        spec = importlib.util.spec_from_file_location(
+            "cluster_mutant", mutant_path
+        )
+        mutant = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mutant)
+        monkeypatch.setattr(
+            "repro.runtime.chaos.RuntimeCluster", mutant.RuntimeCluster
+        )
+        with pytest.raises(RuntimeError, match="Non-thread-safe operation"):
+            self._short_run()
 
 
 class TestPartitionRuleOnTcp:

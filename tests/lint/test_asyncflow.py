@@ -78,10 +78,12 @@ def test_classification_of_the_real_runtime():
 # -- Mutations on the real runtime -------------------------------------
 
 _MUTATIONS = {
+    # Pure: the node is still stopped; the loop just stalls first.
     "blocking_stop": (
         "cluster.py",
-        "await node.stop()",
-        "time.sleep(0.01)",
+        "self._cb_apps.pop(pid, None)\n        await node.stop()",
+        "self._cb_apps.pop(pid, None)\n        time.sleep(0.05)\n"
+        "        await node.stop()",
         "DVS016",
     ),
     "dropped_reader_task": (

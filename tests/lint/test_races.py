@@ -79,14 +79,21 @@ _MUTATIONS = {
         "self._loop.stop()",
         {"DVS013"},
     ),
+    # Pure: the same call with the same arguments, on the caller thread
+    # (tests/integration/test_live_chaos.py applies this one dynamically).
     "bcast_wrap": (
         "self._call(call)",
-        "self._nodes[pid].to.bcast(payload)",
+        "self._nodes[pid].tower.bcast(payload, ordering)",
         {"DVS012"},
     ),
+    # Pure: the node is still stopped, on the loop; only the thread the
+    # three pops run on changes.
     "kill_wrap": (
         "self._call(self._kill_async, pid, timeout=timeout)",
-        "self._nodes.pop(pid)",
+        "node = self._nodes.pop(pid)\n"
+        "        self._apps.pop(pid, None)\n"
+        "        self._cb_apps.pop(pid, None)\n"
+        "        self._call(node.stop, timeout=timeout)",
         {"DVS012"},
     ),
 }
@@ -111,16 +118,14 @@ def test_deleting_a_handoff_reintroduces_findings(tmp_path, name):
 
 def test_bcast_unwrap_flags_the_loop_owned_call():
     """With the hosted layers in view, un-marshalling bcast() is also a
-    DVS013: the points-to closure resolves _nodes[pid].to to the
-    loop-owned ToLayer."""
+    DVS013: the points-to closure resolves _nodes[pid].tower to the
+    loop-owned Tower."""
     with open(os.path.join(SRC_RUNTIME, "cluster.py"),
               encoding="utf-8") as handle:
         source = handle.read()
-    original = "self._call(call)"
+    original, replacement, _ = _MUTATIONS["bcast_wrap"]
     assert original in source, "mutation anchor drifted"
-    mutated = source.replace(
-        original, "self._nodes[pid].to.bcast(payload)"
-    )
+    mutated = source.replace(original, replacement)
     model = SourceModel()
     for path in iter_python_files(["src/repro"]):
         with open(path, "r", encoding="utf-8") as handle:
@@ -131,7 +136,7 @@ def test_bcast_unwrap_flags_the_loop_owned_call():
     analysis = _ThreadBoundaryAnalysis(model, LintConfig())
     findings = analysis.run()
     assert any(
-        f.rule == "DVS013" and "ToLayer.bcast" in f.message
+        f.rule == "DVS013" and "Tower.bcast" in f.message
         for f in findings
     ), [f.message for f in findings]
 

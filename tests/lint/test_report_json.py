@@ -10,7 +10,6 @@ REQUIRED_TOP_LEVEL = {
     "ok": bool,
     "files_scanned": int,
     "suppressed": int,
-    "baselined": int,
     "engine": dict,
     "counts": dict,
     "findings": list,
@@ -19,7 +18,6 @@ REQUIRED_TOP_LEVEL = {
 REQUIRED_FINDING = {
     "rule": str,
     "name": str,
-    "level": str,
     "path": str,
     "line": int,
     "col": int,
@@ -46,8 +44,6 @@ def test_json_schema_on_findings(lint_fixture):
         for key, expected_type in REQUIRED_FINDING.items():
             assert isinstance(finding[key], expected_type), key
         assert finding["rule"] in RULES
-        assert finding["level"] == RULES[finding["rule"]].level
-        assert finding["level"] in ("error", "warning", "note")
         assert finding["line"] >= 1
     # counts agree with the finding list
     tally = {}

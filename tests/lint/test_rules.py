@@ -28,8 +28,6 @@ RULE_FIXTURES = {
     "DVS016": ("async_bad.py", "async_good.py"),
     "DVS017": ("async_bad.py", "async_good.py"),
     "DVS018": ("async_bad.py", "async_good.py"),
-    "DVS020": ("taint_bad", "taint_good"),
-    "DVS021": ("taint_bad", "taint_good"),
 }
 
 #: Fixtures whose pass gates on path globs need the globs pointed at
@@ -39,14 +37,6 @@ FIXTURE_CONFIGS = {
     "races_good.py": {"runtime_globs": ("*/fixtures/races_good.py",)},
     "async_bad.py": {"runtime_globs": ("*/fixtures/async_bad.py",)},
     "async_good.py": {"runtime_globs": ("*/fixtures/async_good.py",)},
-    "taint_bad": {
-        "runtime_globs": ("*/fixtures/taint_bad/node.py",),
-        "codec_globs": ("*/fixtures/taint_bad/codec.py",),
-    },
-    "taint_good": {
-        "runtime_globs": ("*/fixtures/taint_good/node.py",),
-        "codec_globs": ("*/fixtures/taint_good/codec.py",),
-    },
 }
 
 
@@ -76,7 +66,7 @@ def test_rule_silent_on_clean_fixture(lint_fixture, rule):
 @pytest.mark.parametrize("name", [
     "wellformed_good.py", "determinism_good.py", "aliasing_good.py",
     "races_good.py", "escape_good.py", "edge_cases.py",
-    "async_good.py", "taint_good",
+    "async_good.py",
 ])
 def test_clean_fixtures_are_fully_clean(lint_fixture, name):
     report = lint_fixture(name, config=_fixture_config(name))

@@ -46,20 +46,6 @@ SEEDED = {
             ("DVS016", 42),
         },
     },
-    "taint_bad": {
-        "config": {
-            "runtime_globs": ("*/fixtures/taint_bad/node.py",),
-            "codec_globs": ("*/fixtures/taint_bad/codec.py",),
-            "select": {"DVS020", "DVS021"},
-        },
-        "expected": {
-            ("DVS020", 34),
-            ("DVS021", 34),
-            ("DVS021", 35),
-            ("DVS020", 36),
-            ("DVS020", 37),
-        },
-    },
 }
 
 

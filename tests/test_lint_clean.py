@@ -1,7 +1,7 @@
 """The clean-tree gate: ``repro lint`` must pass on the shipped source.
 
 This is the CI contract of DESIGN.md sections 7 and 10: every rule of
-the seven passes holds on ``src/repro`` (modulo explicitly visible
+the six passes holds on ``src/repro`` (modulo explicitly visible
 ``# lint: ignore`` sites -- there are no blanket package exclusions).
 The analyzer runs once, cold, over the whole tree; the gate tests
 share that one report.
@@ -33,21 +33,22 @@ def test_source_tree_scan_covers_the_package(tree_report):
 
 def test_rule_registry_shape():
     # Retired, not renumbered (DESIGN.md section 8): DVS015 (wire-schema
-    # drift; codec.schema_drift() is the guard) and DVS019 (lock-order
-    # cycles; the product holds no two locks to order).
+    # drift; codec.schema_drift() is the guard), DVS019 (lock-order
+    # cycles; the product holds no two locks to order) and DVS020/021
+    # (wire taint, unbounded receive containers; two named dynamic
+    # tests kill both product mutants).
     assert sorted(RULES) == [
         "DVS{0:03d}".format(number)
-        for number in range(1, 22) if number not in (15, 19)
+        for number in range(1, 19) if number != 15
     ]
-    assert len(RULES) == 19
+    assert len(RULES) == 17
     for rule_id, rule in RULES.items():
         assert rule_id == rule.id
         assert rule.lint_pass in PASSES
         assert rule.summary and rule.hint
-        assert rule.level in ("error", "warning", "note")
     assert {rule.lint_pass for rule in RULES.values()} == set(PASSES) == {
         "wellformed", "determinism", "aliasing",
-        "races", "escape", "asyncflow", "taint",
+        "races", "escape", "asyncflow",
     }
 
 
@@ -55,5 +56,5 @@ def test_clean_gate_covers_the_interprocedural_rules(tree_report):
     # The gate above is only meaningful if every pass actually ran over
     # the runtime package.
     assert sorted(tree_report.engine["passes"]) == sorted(PASSES)
-    assert len(PASSES) == 7
+    assert len(PASSES) == 6
     assert tree_report.engine["ir_functions"] > 100
