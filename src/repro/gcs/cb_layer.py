@@ -89,6 +89,9 @@ class CbLayer(DvsListener, RecorderMixin):
     def on_dvs_safe(self, payload, sender):
         """CB delivers at gprcv time; stability indications are unused."""
 
+    #: So the DVS layer below sends no AckMsg on CB's account.
+    wants_dvs_safe = False
+
     # -- Hold-back release ------------------------------------------------------
 
     def _drain_holdback(self):
@@ -185,8 +188,14 @@ class DvsFanout(DvsListener):
 
     def on_dvs_gprcv(self, payload, sender):
         port = self._route(payload)
-        if port is not None and port.listener is not None:
-            port.listener.on_dvs_gprcv(payload, sender)
+        listener = None if port is None else port.listener
+        # Answer for the port this payload went to (read by DvsLayer
+        # right after this upcall returns).
+        self.wants_dvs_safe = (
+            listener is not None and listener.wants_dvs_safe
+        )
+        if listener is not None:
+            listener.on_dvs_gprcv(payload, sender)
 
     def on_dvs_safe(self, payload, sender):
         port = self._route(payload)

@@ -40,6 +40,11 @@ class DvsListener:
     def on_dvs_safe(self, payload, sender):
         """The payload is delivered at every member of the primary view."""
 
+    #: Whether this listener reads ``on_dvs_safe`` for the payload it was
+    #: last handed.  Declared, not detected (tracers patch the upcall):
+    #: DVS publishes its count only for deliveries a reader wants.
+    wants_dvs_safe = True
+
 
 class DvsLayer(VsListener, RecorderMixin):
     """One process's dynamic-primary filter, over a VS stack node."""
@@ -75,6 +80,9 @@ class DvsLayer(VsListener, RecorderMixin):
         # Count carried by our newest AckMsg; it is un-echoed (and so the
         # one ack we allow in flight) while ``acked[pid]`` is behind it.
         self.ack_sent = 0
+        # History length at the last delivery whose reader wants
+        # ``dvs_safe``: nothing beyond it needs publishing.
+        self.ack_wanted = 0
 
     # -- DVS downcalls ---------------------------------------------------------------
 
@@ -113,6 +121,7 @@ class DvsLayer(VsListener, RecorderMixin):
         self.acked = {}
         self.safe_ptr = 0
         self.ack_sent = 0
+        self.ack_wanted = 0
         self.stack.gpsnd(InfoMsg(self.act, frozenset(self.amb)))
         # A VS view can already be attemptable when it needs no peers'
         # info (the info check only covers *other* members, and our own
@@ -196,22 +205,25 @@ class DvsLayer(VsListener, RecorderMixin):
         self._record("dvs_gprcv", payload, sender, self.pid)
         self.listener.on_dvs_gprcv(payload, sender)
         self.client_history.append((payload, sender))
+        if self.listener.wants_dvs_safe:
+            self.ack_wanted = len(self.client_history)
         self._send_ack()
 
     def _send_ack(self):
-        """Acknowledge every client delivery so far, unless an ack of ours
-        is still un-echoed: counts are cumulative and receivers keep the
-        maximum, so its echo sends the next one (self-clocked by the
-        sequencer round trip -- one ack per delivery under light load,
-        coalesced under load, no timer)."""
-        count = len(self.client_history)
+        """Acknowledge every client delivery so far, if a reader wants one
+        of them reported safe and no ack of ours is still un-echoed:
+        counts are cumulative and receivers keep the maximum, so its echo
+        sends the next one (self-clocked by the sequencer round trip --
+        one ack per delivery under light load, coalesced under load, no
+        timer).  A count still means "k client deliveries", wanted or
+        not, so peers of any version read it the same way."""
         if (
-            count > self.ack_sent == self.acked.get(self.pid, 0)
+            self.ack_wanted > self.ack_sent == self.acked.get(self.pid, 0)
             and self.cur is not None and self.client_cur is not None
             and self.client_cur.id == self.cur.id
         ):
-            self.ack_sent = count
-            self.stack.gpsnd(AckMsg(count))
+            self.ack_sent = len(self.client_history)
+            self.stack.gpsnd(AckMsg(self.ack_sent))
 
     def _on_ack(self, ack, sender):
         if ack.count > self.acked.get(sender, 0):

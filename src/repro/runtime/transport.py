@@ -1,13 +1,17 @@
-"""Asyncio TCP transport: reconnecting peer links and the accept side.
+"""Asyncio TCP transport: two ``asyncio.Protocol``s, no hop per frame.
 
 Topology mirrors the simulator's directed channels: every ordered pair
 of processes gets its own TCP connection, dialed by the sender.  A
-:class:`PeerLink` owns the outbound half of one such channel -- a
-bounded send queue, a connect/retry loop with jittered exponential
-backoff, and per-link counters.  A :class:`Listener` owns the inbound
-half -- it accepts connections, demands a :class:`~repro.runtime.codec.
-Hello` handshake, reassembles frames and hands ``(src, msg)`` pairs to
-its callback.
+:class:`PeerLink` is the protocol of its own outbound connection: while
+the link is up, unpaused and nothing is pending, a send *is* a socket
+write in the caller's loop iteration; otherwise the frame waits in one
+bounded deque (peer down, or asyncio's ``pause_writing`` says the socket
+is full) that ``connection_made`` / ``resume_writing`` flush in order.
+A :class:`Listener` accepts with one protocol per connection whose
+``data_received`` reassembles frames, demands the
+:class:`~repro.runtime.codec.Hello` handshake and calls ``on_frame`` --
+a read *is* a dispatch.  The only coroutine left is the redial, alive
+only while a link is disconnected.
 
 Loss semantics are deliberately the simulator's fair-lossy channel: a
 frame queued while the peer is down is flushed on reconnect, the oldest
@@ -19,29 +23,22 @@ Backoff semantics: a *successful connect does not reset the backoff*.
 TCP accept proves only that the peer's listener queue took the SYN -- a
 crash-looping peer (or a half-open listener) accepts and instantly dies,
 and resetting on accept would turn every such peer into a tight redial
-loop at ``retry_min``.  The backoff resets to ``retry_min`` only once
-the connection has *survived* ``stable_after`` seconds (default:
-``retry_max``); until then each dial, successful or not, keeps growing
-the delay toward ``retry_max``.
+loop at ``retry_min``.  The backoff resets only once the connection has
+*survived* ``stable_after`` seconds (default: ``retry_max``); until then
+each dial, successful or not, keeps growing the delay toward it.
 """
 
 import asyncio
 import random
+from collections import deque
 
-from repro.runtime.codec import (
-    CodecError,
-    FrameDecoder,
-    Hello,
-    encode_frame,
-)
+from repro.runtime.codec import CodecError, FrameDecoder, Hello, encode_frame
 
 #: Default bound on a link's outbound queue (frames).
 QUEUE_LIMIT = 4096
 
-_READ_CHUNK = 1 << 16
 
-
-class PeerLink:
+class PeerLink(asyncio.Protocol):
     """The reconnecting outbound connection to one peer.
 
     ``resolve`` is a zero-argument callable returning the peer's current
@@ -61,8 +58,7 @@ class PeerLink:
         self._queue_limit = queue_limit
         self._retry_min = retry_min
         self._retry_max = retry_max
-        # A connection is "healthy" (and resets the backoff) only after
-        # surviving this long -- see the module docstring.
+        # A connection resets the backoff only by surviving this long.
         self._stable_after = (
             retry_max if stable_after is None else stable_after
         )
@@ -73,10 +69,15 @@ class PeerLink:
         # Backoff jitter avoids N nodes hammering a rebooting peer in
         # lockstep; real-transport entropy is fine here (DESIGN.md §9).
         self._jitter = random.Random()  # lint: ignore[DVS007]
-        self._queue = None
-        self._task = None
+        self._backoff = retry_min
+        # The fair-lossy channel: frames wait here and nowhere else.
+        self._pending = deque()
+        self._transport = None  # set exactly while connected
+        self._writable = False  # connected, and asyncio has not paused us
+        self._redial = None
         self._closed = False
         self.connects = 0
+        #: Frames handed to a connected transport (not: received).
         self.sent = 0
         self.dropped = 0
         #: Drops caused specifically by queue overflow (drop-oldest);
@@ -85,29 +86,28 @@ class PeerLink:
 
     def start(self):
         """Begin dialing; must be called on the event loop."""
-        self._queue = asyncio.Queue(maxsize=self._queue_limit)
-        self._task = asyncio.ensure_future(self._run())
+        self._redial = asyncio.ensure_future(self._dial(0.0))
         return self
 
     def send(self, msg):
-        """Encode and queue ``msg`` for the peer (fair-lossy: full queue
+        """Encode and send ``msg`` to the peer (fair-lossy: full queue
         drops the oldest frame, a closed link drops silently)."""
-        if self._closed or self._queue is None:
-            self._drop()
-            return
         self.send_frame(encode_frame((self.local_pid, msg)))
 
     def send_frame(self, frame):
-        """Queue an already-encoded frame.  This is the fan-out path:
+        """Send an already-encoded frame.  This is the fan-out path:
         a broadcast encodes its frame once and hands the same bytes to
         every link instead of re-encoding per destination."""
-        if self._closed or self._queue is None:
+        if self._closed:
             self._drop()
-            return
-        if self._queue.full():
-            self._queue.get_nowait()
-            self._drop(overflow=True)
-        self._queue.put_nowait(frame)
+        elif self._writable and not self._pending:  # FIFO: never overtake
+            self._transport.write(frame)
+            self.sent += 1
+        else:
+            if len(self._pending) >= self._queue_limit:
+                self._pending.popleft()
+                self._drop(overflow=True)
+            self._pending.append(frame)
 
     def _drop(self, overflow=False):
         self.dropped += 1
@@ -120,71 +120,69 @@ class PeerLink:
 
     def queue_depth(self):
         """Frames currently waiting in the outbound queue."""
-        return self._queue.qsize() if self._queue is not None else 0
+        return len(self._pending)
 
-    async def _run(self):
-        backoff = self._retry_min
+    # -- asyncio.Protocol: the outbound connection ---------------------------
+
+    def connection_made(self, transport):
+        self._transport = transport
+        self._connected_at = asyncio.get_running_loop().time()
+        self.connects += 1
+        if self._on_connect is not None:
+            self._on_connect(self.peer_pid)
+        transport.write(encode_frame((self.local_pid, Hello(self.local_pid))))
+        self.resume_writing()
+
+    def pause_writing(self):
+        self._writable = False
+
+    def resume_writing(self):
+        """Flush what waited, in order (also run by ``connection_made``).
+        ``write`` calls ``pause_writing`` synchronously when it fills the
+        buffer, so the loop condition sees it."""
+        self._writable = True
+        while self._pending and self._writable:
+            self._transport.write(self._pending.popleft())
+            self.sent += 1
+
+    def connection_lost(self, exc):
+        self._transport = None
+        self._writable = False
+        if self._closed:
+            return
+        delay = 0.0
+        age = asyncio.get_running_loop().time() - self._connected_at
+        if age >= self._stable_after:
+            self._backoff = self._retry_min
+        else:  # died young: keep backing off (see the module docstring)
+            delay = self._next_delay()
+        self._redial = asyncio.ensure_future(self._dial(delay))
+
+    def _next_delay(self):
+        delay = self._backoff * (1.0 + self._jitter.random())
+        self._backoff = min(self._backoff * 2, self._retry_max)
+        return delay
+
+    async def _dial(self, delay):
         loop = asyncio.get_running_loop()
         while not self._closed:
+            if delay:
+                await asyncio.sleep(delay)
             try:
                 host, port = self._resolve()
-                reader, writer = await asyncio.open_connection(host, port)
-            except (KeyError, OSError, ValueError):
-                await asyncio.sleep(
-                    backoff * (1.0 + self._jitter.random())
-                )
-                backoff = min(backoff * 2, self._retry_max)
-                continue
-            self.connects += 1
-            if self._on_connect is not None:
-                self._on_connect(self.peer_pid)
-            connected_at = loop.time()
-            try:
-                writer.write(
-                    encode_frame((self.local_pid, Hello(self.local_pid)))
-                )
-                await writer.drain()
-                while True:
-                    frame = await self._queue.get()
-                    writer.write(frame)
-                    await writer.drain()
-                    self.sent += 1
-                    # drain() returning proves nothing about peer
-                    # receipt (the kernel buffers); only surviving a
-                    # stable interval marks the link healthy.
-                    if (
-                        backoff != self._retry_min
-                        and loop.time() - connected_at
-                        >= self._stable_after
-                    ):
-                        backoff = self._retry_min
-            except (OSError, ConnectionError):
-                pass  # the peer went away; reconnect below
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
-            if self._closed:
+                await loop.create_connection(lambda: self, host, port)
                 return
-            if loop.time() - connected_at >= self._stable_after:
-                backoff = self._retry_min
-            else:
-                # The connection died young (crash-looping peer,
-                # half-open listener): keep backing off so the redial
-                # rate stays bounded.
-                await asyncio.sleep(
-                    backoff * (1.0 + self._jitter.random())
-                )
-                backoff = min(backoff * 2, self._retry_max)
+            except (KeyError, OSError, ValueError):
+                delay = self._next_delay()
 
     async def close(self):
         self._closed = True
-        if self._task is not None:
-            self._task.cancel()
+        if self._transport is not None:
+            self._transport.close()
+        if self._redial is not None:
+            self._redial.cancel()
             try:
-                await self._task
+                await self._redial
             except asyncio.CancelledError:
                 pass
             except Exception as exc:
@@ -194,6 +192,59 @@ class PeerLink:
                     self._on_error(exc)
                 else:
                     raise
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: decode, check, dispatch, per read."""
+
+    def __init__(self, listener):
+        self._listener = listener
+        self._decoder = FrameDecoder()
+        self._src = None
+        self._transport = None
+
+    def connection_made(self, transport):
+        self._transport = transport
+        self._listener._connections.add(transport)
+
+    def connection_lost(self, exc):
+        self._listener._connections.discard(self._transport)
+
+    def _reject(self):
+        self._listener.rejected += 1
+        self._transport.close()
+
+    def data_received(self, data):
+        listener = self._listener
+        if listener._on_bytes is not None:
+            listener._on_bytes(len(data))
+        try:
+            frames = self._decoder.feed(data)
+        except CodecError:
+            return self._reject()
+        for envelope in frames:
+            if not (
+                isinstance(envelope, tuple)
+                and len(envelope) == 2
+                and isinstance(envelope[0], str)
+            ):
+                return self._reject()
+            sender, msg = envelope
+            if self._src is None:
+                if not isinstance(msg, Hello) or msg.pid != sender:
+                    return self._reject()
+                self._src = sender
+            if sender != self._src:
+                return self._reject()
+            try:
+                listener._on_frame(sender, msg)
+            except Exception as exc:
+                # Contained here: an exception escaping data_received
+                # would be logged by asyncio as a fatal transport error.
+                if listener._on_error is not None:
+                    listener._on_error(exc)
+                self._transport.close()
+                return
 
 
 class Listener:
@@ -216,75 +267,24 @@ class Listener:
         self.host = host
         self.port = port
         self._server = None
-        self._writers = set()
+        self._connections = set()
         self.rejected = 0
 
     async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
-
-    async def _handle(self, reader, writer):
-        self._writers.add(writer)
-        decoder = FrameDecoder()
-        src = None
-        try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    return
-                if self._on_bytes is not None:
-                    self._on_bytes(len(data))
-                try:
-                    frames = decoder.feed(data)
-                except CodecError:
-                    self.rejected += 1
-                    return
-                for envelope in frames:
-                    if not (
-                        isinstance(envelope, tuple)
-                        and len(envelope) == 2
-                        and isinstance(envelope[0], str)
-                    ):
-                        self.rejected += 1
-                        return
-                    sender, msg = envelope
-                    if src is None:
-                        if not isinstance(msg, Hello) or msg.pid != sender:
-                            self.rejected += 1
-                            return
-                        src = sender
-                    if sender != src:
-                        self.rejected += 1
-                        return
-                    try:
-                        self._on_frame(src, msg)
-                    except Exception as exc:
-                        if self._on_error is not None:
-                            self._on_error(exc)
-                        return
-        except asyncio.CancelledError:
-            # Event-loop shutdown while blocked in read: finish the
-            # task normally so asyncio's stream protocol callback does
-            # not log a spurious traceback at interpreter teardown.
-            return
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, OSError, ConnectionError):
-                pass
 
     async def close(self):
         """Stop accepting *and* drop every established connection --
         ``Server.close`` alone leaves accepted sockets alive, which
         would let a peer keep writing to a dead node forever without
         ever noticing it should redial."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+        if self._server is None:
+            return
+        self._server.close()
+        for transport in list(self._connections):
+            transport.close()
+        await self._server.wait_closed()

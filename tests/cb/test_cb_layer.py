@@ -5,6 +5,7 @@ from repro.cb.messages import CbCast
 from repro.checking import check_cb_trace_properties
 from repro.core import make_view
 from repro.gcs import CbLayer, DvsFanout
+from repro.gcs.dvs_layer import DvsListener
 from repro.gcs.cluster import Cluster
 
 
@@ -161,7 +162,7 @@ class TestFanout:
         assert cb.current.id == make_view(1, ["p1"]).id
 
 
-class _Recorder:
+class _Recorder(DvsListener):
     """A listener that just logs upcalls."""
 
     def __init__(self):

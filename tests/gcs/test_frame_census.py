@@ -7,6 +7,7 @@ read it must still get every indication, and hold nothing afterwards.
 
 from collections import Counter
 
+from repro.cb.messages import CbCast
 from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.cluster import Cluster
 from tests.gcs.test_vs_stack import make_stack
@@ -61,6 +62,75 @@ class TestTowerCensus:
 
     def test_census_is_deterministic(self):
         assert self.run()[1:] == self.run()[1:]
+
+
+class TestMixedTowerAcksOnDemand:
+    """A member publishes its count only for deliveries whose reader
+    wants ``dvs_safe`` (TO does, CB does not) -- and a count still means
+    "k client deliveries", CB's included."""
+
+    @staticmethod
+    def at(cluster, name, pid, since=0):
+        return [
+            a.params[:2] for a in cluster.log.actions[since:]
+            if a.name == name and a.params[-1] == pid
+        ]
+
+    @staticmethod
+    def ack_multicasts(cluster, since=0):
+        return sum(
+            1 for a in cluster.log.actions[since:]
+            if a.name == "vs_gpsnd" and isinstance(a.params[0], AckMsg)
+        )
+
+    def test_scripted_interleaving_of_to_and_cb(self):
+        cluster = Cluster(PIDS, seed=22).start()
+        cluster.settle(max_time=60)
+        start = len(cluster.log.actions)
+        base = {p: len(cluster.dvs[p].client_history) for p in PIDS}
+        for i in range(K):
+            cluster.bcast(
+                PIDS[i % 3], ("req", i), ordering="cb" if i % 2 else "to"
+            )
+        cluster.settle(max_time=2000)
+        assert self.ack_multicasts(cluster, start) > 0
+        for pid in PIDS:
+            dvs = cluster.dvs[pid]
+            got = self.at(cluster, "dvs_gprcv", pid, start)
+            safe = self.at(cluster, "dvs_safe", pid, start)
+            assert len(got) == K
+            assert len(dvs.client_history) == base[pid] + K
+            # Every TO payload is reported safe; the CB entries between
+            # them are released in order with the counts that cover them.
+            assert safe == got[:len(safe)]
+            wanted = [m for m in got if not isinstance(m[0], CbCast)]
+            assert len(wanted) == K // 2
+            assert [m for m in safe if m in wanted] == wanted
+            assert dvs.ack_wanted <= dvs.safe_ptr
+
+        # A run of CB traffic: delivered everywhere, acknowledged by no
+        # one, reported safe to no one.
+        mark = len(cluster.log.actions)
+        for i in range(6):
+            cluster.bcast(PIDS[i % 3], ("more", i), ordering="cb")
+        cluster.settle(max_time=2000)
+        assert self.ack_multicasts(cluster, mark) == 0
+        for pid in PIDS:
+            assert len(self.at(cluster, "dvs_gprcv", pid, mark)) == 6
+            assert self.at(cluster, "dvs_safe", pid, mark) == []
+            dvs = cluster.dvs[pid]
+            assert dvs.safe_ptr <= len(dvs.client_history) - 6
+
+        # One TO request later the counts cover the whole CB tail too.
+        cluster.bcast("b", ("req", K))
+        cluster.settle(max_time=2000)
+        for pid in PIDS:
+            dvs = cluster.dvs[pid]
+            assert dvs.safe_ptr == len(dvs.client_history)
+            assert self.at(cluster, "dvs_safe", pid, start) == self.at(
+                cluster, "dvs_gprcv", pid, start
+            )
+            assert len(self.at(cluster, "dvs_safe", pid, start)) == K + 7
 
 
 class TestVsOnlyStackKeepsStability:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.kv_store import KvReplica
 from repro.apps.presence import PresenceBoard
+from repro.dvs.vs_to_dvs import AckMsg
 from repro.runtime.cluster import RuntimeCluster
 
 PIDS = ["n1", "n2", "n3"]
@@ -136,4 +137,30 @@ def test_per_sender_fifo_under_load(cluster):
         events = cluster.call_cb_app(p, lambda app: list(app.events))
         from_n1 = [v for k, v, o in events if o == "n1"]
         assert from_n1 == ["s{0}".format(i) for i in range(30)]
+    cluster.check()
+
+
+def test_pure_cb_traffic_publishes_no_acks(cluster):
+    """CB never reads ``dvs_safe``, so nobody acknowledges its
+    deliveries: no ``AckMsg`` enters or leaves VS, nothing is reported
+    safe."""
+    cluster.wait_formation(timeout=WAIT)
+    for i in range(30):
+        cluster.call_cb_app(
+            PIDS[i % 3], lambda app, i=i: app.announce("s{0}".format(i))
+        )
+    cluster.wait_until(
+        lambda: all(cb_count(cluster, p) == 30 for p in PIDS),
+        timeout=WAIT, what="30 statuses delivered everywhere",
+    )
+    actions = list(cluster.log.actions)
+    assert not any(
+        a.name in ("vs_gpsnd", "vs_gprcv")
+        and isinstance(a.params[0], AckMsg)
+        for a in actions
+    )
+    assert not any(a.name == "dvs_safe" for a in actions)
+    assert cluster.call_node(
+        "n2", lambda node: (node.dvs.ack_sent, len(node.dvs.client_history))
+    ) == (0, 30)
     cluster.check()

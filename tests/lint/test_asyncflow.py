@@ -88,17 +88,31 @@ _MUTATIONS = {
     ),
     "dropped_reader_task": (
         "transport.py",
-        "self._task = asyncio.ensure_future(self._run())",
-        "asyncio.ensure_future(self._run())",
+        "self._redial = asyncio.ensure_future(self._dial(0.0))",
+        "asyncio.ensure_future(self._dial(0.0))",
         "DVS017",
+    ),
+    # ISSUE 22's prototype, the rule's first real-code finding: a
+    # coroutine (there the old writer loop, here the redial) publishes
+    # the transport ``send_frame``'s fast path reads around its own
+    # await, instead of leaving it to connection_made/connection_lost.
+    "forked_fast_path": (
+        "transport.py",
+        "                await loop.create_connection(lambda: self, host, port)\n",
+        "                self._transport = None\n"
+        "                made = await loop.create_connection(\n"
+        "                    lambda: self, host, port\n"
+        "                )\n"
+        "                self._transport = made[0]\n",
+        "DVS018",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MUTATIONS))
 def test_mutating_the_runtime_reintroduces_findings(tmp_path, name):
-    """Acceptance: blocking a coroutine or dropping a task ref in the
-    shipped runtime is reported."""
+    """Acceptance: blocking a coroutine, dropping a task ref or tearing
+    an invariant across an await in the shipped runtime is reported."""
     filename, original, replacement, expected_rule = _MUTATIONS[name]
     tree = tmp_path / "repro" / "runtime"
     shutil.copytree(SRC_RUNTIME, tree)

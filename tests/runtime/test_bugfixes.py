@@ -221,14 +221,18 @@ def _task_raising_on_cancel():
     return asyncio.ensure_future(victim())
 
 
+def _resolve_with_a_bug():
+    # Not one of the retryable resolution failures: it ends the redial
+    # coroutine, and ``close()`` is where that has to come out.
+    raise RuntimeError("teardown bug")
+
+
 def test_link_close_routes_teardown_errors_to_on_error():
     async def scenario():
         errors = []
         link = PeerLink(
-            "a", "b", resolve=lambda: ("127.0.0.1", 1),
-            on_error=errors.append,
-        )
-        link._task = _task_raising_on_cancel()
+            "a", "b", resolve=_resolve_with_a_bug, on_error=errors.append,
+        ).start()
         await asyncio.sleep(0)
         await link.close()
         assert [type(e) for e in errors] == [RuntimeError]
@@ -238,8 +242,7 @@ def test_link_close_routes_teardown_errors_to_on_error():
 
 def test_link_close_raises_without_an_error_sink():
     async def scenario():
-        link = PeerLink("a", "b", resolve=lambda: ("127.0.0.1", 1))
-        link._task = _task_raising_on_cancel()
+        link = PeerLink("a", "b", resolve=_resolve_with_a_bug).start()
         await asyncio.sleep(0)
         # Pre-fix, `except (CancelledError, Exception)` silently ate
         # this; a real teardown error must surface somewhere.

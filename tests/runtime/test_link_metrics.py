@@ -11,37 +11,60 @@ counters under ``runtime.<pid>.transport.*``.
 import asyncio
 
 from repro.runtime.cluster import RuntimeCluster
-from repro.runtime.transport import PeerLink
+from repro.runtime.codec import encode_frame
+from repro.runtime.transport import Listener, PeerLink
 
 WAIT = 60.0
 
 
-def _idle_link(queue_limit, **kwargs):
-    """A PeerLink with a live queue but no dial task: send_frame and the
-    drop accounting are synchronous, so no event loop is needed."""
-    link = PeerLink("a", "b", resolve=lambda: ("127.0.0.1", 1),
+def _idle_link(queue_limit, book=None, **kwargs):
+    """A PeerLink that was never started: it is simply down, so
+    send_frame queues and the drop accounting is synchronous -- no
+    event loop is needed.  ``book`` is where it will look up ``"b"``."""
+    book = {} if book is None else book
+    return PeerLink("a", "b", resolve=lambda: book["b"],
                     queue_limit=queue_limit, **kwargs)
-    link._queue = asyncio.Queue(maxsize=queue_limit)
-    return link
+
+
+def _flushed_frames(link, book):
+    """Bring peer ``"b"`` up, start ``link`` and return the messages it
+    flushes, in order (the Hello excluded)."""
+
+    async def scenario():
+        frames = []
+        listener = await Listener(
+            lambda src, msg: frames.append(msg)
+        ).start()
+        book["b"] = ("127.0.0.1", listener.port)
+        queued = link.queue_depth()
+        link.start()
+        while len(frames) < queued + 1:
+            await asyncio.sleep(0.01)
+        await link.close()
+        await listener.close()
+        return frames[1:]
+
+    return asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
 
 class TestPeerLinkQueueDrops:
     def test_overflow_drops_oldest_and_counts(self):
         drops = []
-        link = _idle_link(2, on_queue_drop=drops.append)
-        for frame in (b"one", b"two", b"three"):
-            link.send_frame(frame)
+        book = {}
+        link = _idle_link(2, book, on_queue_drop=drops.append)
+        for msg in ("one", "two", "three"):
+            link.send_frame(encode_frame(("a", msg)))
         assert link.queue_drops == 1
         assert link.dropped == 1
         assert drops == ["b"]
         # Drop-oldest: the queue now holds the two *newest* frames.
-        assert link._queue.get_nowait() == b"two"
-        assert link._queue.get_nowait() == b"three"
+        assert link.queue_depth() == 2
+        assert _flushed_frames(link, book) == ["two", "three"]
 
     def test_closed_link_drop_is_not_a_queue_drop(self):
         drops = []
         link = _idle_link(2, on_queue_drop=drops.append)
-        link._closed = True
+        asyncio.run(link.close())
         link.send_frame(b"frame")
         assert link.dropped == 1
         assert link.queue_drops == 0
@@ -51,7 +74,7 @@ class TestPeerLinkQueueDrops:
         link = _idle_link(1)
         for i in range(5):
             link.send_frame(b"x%d" % i)
-        link._closed = True
+        asyncio.run(link.close())
         link.send_frame(b"late")
         assert link.queue_drops == 4
         assert link.dropped == 5

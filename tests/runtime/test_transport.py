@@ -120,7 +120,8 @@ def test_full_queue_drops_oldest():
         for i in range(10):
             link.send(("m", i))
         assert link.dropped == 7
-        assert link._queue.qsize() == 3
+        assert link.queue_drops == 7
+        assert link.queue_depth() == 3
         await link.close()
 
     run(scenario())
@@ -147,13 +148,17 @@ def test_protocol_violations_drop_connection_only(first_frames):
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", listener.port
         )
-        for frame in first_frames:
-            writer.write(frame)
+        # One write, so the violation and a well-formed frame behind it
+        # arrive in the same read.
+        writer.write(b"".join(first_frames) + encode_frame(("a", "after")))
         await writer.drain()
         await poll_until(lambda: listener.rejected == 1)
         # The violator is disconnected...
         assert await asyncio.wait_for(reader.read(), WAIT) == b""
         writer.close()
+        # ...and nothing behind the violation was dispatched.
+        assert ("a", "after") not in frames
+        assert listener.rejected == 1
         # ...but the listener still serves well-behaved peers.
         link = PeerLink(
             "c", "b", resolve=lambda: ("127.0.0.1", listener.port)
@@ -166,24 +171,43 @@ def test_protocol_violations_drop_connection_only(first_frames):
     run(scenario())
 
 
-def test_callback_exception_reported_and_contained():
+def test_callback_exception_reported_and_contained(caplog):
     async def scenario():
         errors = []
+        frames = []
 
         def explode(src, msg):
-            raise RuntimeError("handler bug")
+            frames.append((src, msg))
+            if msg == "boom":
+                raise RuntimeError("handler bug")
 
         listener = await Listener(explode, on_error=errors.append).start()
-        link = PeerLink(
-            "a", "b", resolve=lambda: ("127.0.0.1", listener.port)
-        ).start()
-        link.send("boom")
+
+        def resolve():
+            return "127.0.0.1", listener.port
+
+        bad = PeerLink("a", "b", resolve=resolve, retry_min=0.01).start()
+        good = PeerLink("c", "b", resolve=resolve).start()
+        good.send("before")
+        await poll_until(lambda: ("c", "before") in frames)
+        bad.send("boom")
+        bad.send("same-read")
         await poll_until(lambda: len(errors) >= 1)
         assert isinstance(errors[0], RuntimeError)
-        await link.close()
+        # That one connection is dropped (its link redials)...
+        await poll_until(lambda: bad.connects >= 2)
+        assert ("a", "same-read") not in frames
+        # ...and only that one: the other peer never reconnects.
+        good.send("after")
+        await poll_until(lambda: ("c", "after") in frames)
+        assert good.connects == 1 and len(errors) == 1
+        await bad.close()
+        await good.close()
         await listener.close()
 
     run(scenario())
+    # Contained in the protocol: asyncio never saw it escape.
+    assert "data_received() call failed" not in caplog.text
 
 
 def test_listener_close_drops_established_connections():
@@ -201,5 +225,89 @@ def test_listener_close_drops_established_connections():
         # a dead peer and redial instead of writing into a zombie socket.
         assert await asyncio.wait_for(reader.read(), WAIT) == b""
         writer.close()
+
+    run(scenario())
+
+
+def test_fifo_across_down_reconnect_and_pause():
+    """A frame is written directly only when nothing is pending, so
+    the receiver sees one increasing sequence whatever mix of queued
+    and direct sends produced it."""
+
+    async def scenario():
+        frames, on_frame = collector()
+        book = {}
+        link = PeerLink(
+            "a", "b", resolve=lambda: book["b"], retry_min=0.01
+        ).start()
+        counter = iter(range(10**6))
+
+        def burst(count, pad=""):
+            for _ in range(count):
+                link.send(("n", next(counter), pad))
+
+        def numbers():
+            return [m[1] for _, m in frames if isinstance(m, tuple)]
+
+        burst(5)  # peer down: queued
+        first = await Listener(on_frame).start()
+        book["b"] = ("127.0.0.1", first.port)
+        await poll_until(lambda: link.connects == 1)
+        burst(5)  # up and idle: straight to the socket
+        assert link.queue_depth() == 0
+        link.pause_writing()  # what asyncio says when the socket is full
+        burst(5)
+        assert link.queue_depth() == 5
+        link.resume_writing()
+        assert link.queue_depth() == 0
+        burst(5)
+        # The same through asyncio itself: 4 MiB at once passes the
+        # write buffer's high-water mark, the rest waits its turn.
+        burst(64, pad="x" * (1 << 16))
+        assert link.queue_depth() > 0
+        burst(5)
+        await poll_until(lambda: len(numbers()) == 89)
+        assert numbers() == list(range(89))
+        assert link.queue_depth() == 0 and link.dropped == 0
+
+        # Across a reconnect frames may be lost, never reordered.
+        await first.close()
+        second = await Listener(on_frame).start()
+        book["b"] = ("127.0.0.1", second.port)
+        for _ in range(50):
+            burst(1)
+            await asyncio.sleep(0.005)
+        last = next(counter) - 1
+        await poll_until(lambda: numbers()[-1] == last)
+        assert link.connects >= 2
+        assert numbers() == sorted(set(numbers()))
+        await link.close()
+        await second.close()
+
+    run(scenario())
+
+
+def test_split_and_batched_frames_both_decode():
+    async def scenario():
+        frames, on_frame = collector()
+        reads = []
+        listener = await Listener(on_frame, on_bytes=reads.append).start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", listener.port
+        )
+        hello = encode_frame(("a", Hello("a")))
+        one, two, three = (
+            encode_frame(("a", ("m", i, "y" * 100))) for i in range(3)
+        )
+        writer.write(hello + one[:40])  # a frame torn across two reads
+        await writer.drain()
+        await poll_until(lambda: len(frames) == 1)
+        writer.write(one[40:] + two + three)  # ...and three in one
+        await writer.drain()
+        await poll_until(lambda: len(frames) == 4)
+        assert [m[1] for _, m in frames[1:]] == [0, 1, 2]
+        assert reads[0] == len(hello) + 40 and len(reads) < 4
+        writer.close()
+        await listener.close()
 
     run(scenario())
