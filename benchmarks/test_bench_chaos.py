@@ -4,7 +4,12 @@ online safety monitor armed.
 Measures the cost of a monitored chaos run (simulated time, wire
 traffic, drops, monitor-checked events) for each nemesis plan family,
 and the overhead the online monitor adds over an unmonitored run of the
-same schedule.
+same schedule.  The ``spec`` column is the other oracle's verdict: the
+run's action log walked through the VS, DVS and TO specifications at end
+of run -- ``accepted``, or the first rejecting spec and the index it
+stopped at.  Asserted for the loss-free families; *reported* for
+``flaky``, where a dropped frame can leave a sender-FIFO gap (ROADMAP
+item 4(beta)).
 """
 
 from repro.analysis import render_table
@@ -52,6 +57,14 @@ def test_bench_chaos_flaky(benchmark):
     assert result.stats["violations"] == 0
 
 
+def _spec_cell(result):
+    rejections = [r for r in result.verdicts.values() if r is not None]
+    if not rejections:
+        return "accepted"
+    first = min(rejections, key=lambda r: r.index)
+    return "{0} rejects #{1}".format(first.spec.upper(), first.index)
+
+
 def test_bench_monitor_overhead(benchmark):
     unmonitored = benchmark(_run, "churn", monitor=False)
     monitored = _run("churn")
@@ -65,13 +78,17 @@ def test_bench_monitor_overhead(benchmark):
             r.stats["wire_sends"],
             r.stats["drops"],
             r.stats["events"],
+            _spec_cell(r),
         ])
+        if family != "flaky":
+            assert rows[-1][-1] == "accepted", r.verdicts
     print()
     print(
         render_table(
-            ["plan", "ops", "sim time", "wire msgs", "drops", "checked"],
+            ["plan", "ops", "sim time", "wire msgs", "drops", "checked",
+             "spec"],
             rows,
-            title="E10: chaos runs under the online monitor (5 nodes)",
+            title="E10: chaos runs under both oracles (5 nodes)",
         )
     )
     assert monitored.stats["wire_sends"] == unmonitored.stats["wire_sends"]

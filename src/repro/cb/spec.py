@@ -24,6 +24,7 @@ delivered at the receiver -- there is no global order variable and no
 ``to_order`` internal step: causal order needs no sequencer.
 """
 
+from repro.ioa.acceptor import accept
 from repro.ioa.action import act
 from repro.ioa.automaton import TransitionAutomaton
 from repro.ioa.state import State
@@ -96,3 +97,9 @@ class CBSpec(TransitionAutomaton):
                 k = state.next[p][q]
                 if k < len(state.sent[q]) and state.past[(q, k)] <= delivered:
                     yield act("cb_brcv", state.sent[q][k], q, p)
+
+
+def accept_cb(trace, initial_view=None):
+    """Walk ``trace`` through CB (no internal step: nothing forced)."""
+    heard = [a for a in trace if a.name in ("cbcast", "cb_brcv")]
+    return accept(CBSpec({x for a in heard for x in a.params[1:]}), trace)

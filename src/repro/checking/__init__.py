@@ -11,7 +11,6 @@ close them with environment automata:
   checkers (the externally visible guarantees of VS, DVS and TO).
 """
 
-from repro.checking import strategies
 from repro.checking.drivers import (
     CbClientDriver,
     DvsClientDriver,

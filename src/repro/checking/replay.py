@@ -27,12 +27,14 @@ trips the monitor, i.e. a minimal simulator-checked counterexample.
 import hashlib
 from dataclasses import dataclass, field
 
+from repro.checking.trace_props import spec_verdicts
 from repro.dvs.ablation import DVS_FACTORIES
 from repro.faults.harness import _canon
 from repro.faults.monitor import SafetyMonitor
 from repro.faults.shrink import shrink_plan
 from repro.gcs.recorder import ActionLog
 from repro.gcs.tower import Tower
+from repro.ioa.acceptor import RESTART
 from repro.obs.record import ReplayTrace, TraceError
 
 class _ReplayClock:
@@ -83,6 +85,7 @@ class ReplayResult:
 
     trace: ReplayTrace
     violations: list = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)
     deliveries: dict = field(default_factory=dict)
     digest: str = ""
     errors: list = field(default_factory=list)
@@ -118,12 +121,10 @@ def replay_trace(trace):
         clock.now = event.t
         pid, kind, data = event.pid, event.kind, event.data
         if kind == "start":
-            if pid in towers:
-                # A re-start of a live pid is an amnesiac rejoin: the
-                # monitor forgets the old incarnation first, as the
-                # live cluster's restart() does.
-                monitor.restart_process(pid)
             member = data[0] if data else None
+            if member is False:
+                # An amnesiac rejoin: marked as the live cluster does.
+                log.record(RESTART, pid)
             towers[pid] = _replay_tower(
                 pid, trace.initial_view, member, dvs_cls, log, net
             )
@@ -172,6 +173,7 @@ def replay_trace(trace):
     return ReplayResult(
         trace=trace,
         violations=list(monitor.violations),
+        verdicts=spec_verdicts(log, trace.initial_view),
         deliveries=deliveries,
         digest=digest.hexdigest(),
         errors=errors,

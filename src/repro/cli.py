@@ -89,7 +89,7 @@ def _cmd_verify(args):
         check_to_trace_properties(ex.trace())
     print(
         "OK: invariants 5.1-5.6 and 6.1-6.3, Theorems 5.9 and 6.4, and "
-        "all trace properties verified on {0} states "
+        "trace inclusion in DVS and TO verified on {0} states "
         "({1} seeds x {2} steps, {3} processes)".format(
             checked_states, args.seeds, args.steps, args.processes
         )
@@ -286,6 +286,13 @@ _FAULTNET_STATS = (
 )
 
 
+def _print_verdicts(verdicts):
+    """One verdict line per specification; true iff any rejected."""
+    for name, rejection in verdicts.items():
+        print(rejection or "{0} accepted".format(name))
+    return any(verdicts.values())
+
+
 def _cmd_chaos(args):
     errors = _chaos_flag_errors(args)
     if errors:
@@ -336,10 +343,11 @@ def _cmd_chaos(args):
         print("trace recorded to {0} ({1} events); replay with: "
               "python -m repro replay {0}".format(
                   args.record, len(result.trace)))
+    rejected = _print_verdicts(result.verdicts)
     if result.ok:
         print("no safety violations: DVS 4.1 intersection, TO "
               "prefix-consistency and CB causal order held throughout")
-        return 0
+        return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
     if args.live:
@@ -425,9 +433,10 @@ def _cmd_replay(args):
         check_replay_determinism(trace)
         print("determinism: two replays produced identical digests "
               "and delivery orders")
+    rejected = _print_verdicts(result.verdicts)
     if result.ok:
         print("no safety violations on replay")
-        return 0
+        return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))
     if args.shrink:

@@ -27,8 +27,10 @@ from repro.core.messages import is_client_message, purge, purgesize
 from repro.core.tables import Table
 from repro.dvs.impl import DvsImplState
 from repro.dvs.spec import DVSSpec, DVSState
+from repro.ioa.acceptor import accept
 from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
+from repro.vs.spec import forced_order, forget_view
 
 
 def refinement_f(processes, initial_view, universe, literal_safe=False):
@@ -123,25 +125,34 @@ def refinement_f(processes, initial_view, universe, literal_safe=False):
     return mapping
 
 
+def dvs_forced(state, action):
+    """The hidden DVS steps an external one forces: the first
+    ``dvs_newview`` of an uncreated view forces ``dvs_createview``, a
+    ``dvs_gprcv`` past the end of ``queue[g]`` forces ``dvs_order``."""
+    if action.name == "dvs_newview" and action.params[0] not in state.created:
+        yield act("dvs_createview", action.params[0])
+    yield from forced_order(state, action, "dvs")
+
+
 def lemma_5_8_hints(step, abstract_from):
     """The execution fragments constructed in the proof of Lemma 5.8."""
     action = step.action
     name = action.name
-    if name == "dvs_newview":
-        view = action.params[0]
-        if view in abstract_from.created:
-            return [[action]]
-        return [[act("dvs_createview", view), action]]
-    if name in ("dvs_gpsnd", "dvs_register", "dvs_gprcv", "dvs_safe"):
-        return [[action]]
-    if name == "vs_order":
-        m, p, g = action.params
-        if is_client_message(m):
-            return [[act("dvs_order", m, p, g)]]
-        return [[]]
+    if name in DVSSpec.inputs | DVSSpec.outputs:
+        return [[*dvs_forced(abstract_from, action), action]]
+    if name == "vs_order" and is_client_message(action.params[0]):
+        return [[act("dvs_order", *action.params)]]
     # Every other step (vs_createview, vs_newview, vs_gpsnd, vs_gprcv,
-    # vs_safe, dvs_garbage_collect) corresponds to a stutter.
+    # vs_safe, dvs_garbage_collect, vs_order of a filter message)
+    # corresponds to a stutter.
     return [[]]
+
+
+def accept_dvs(trace, initial_view):
+    """Walk ``trace`` through Figure 2: Theorem 5.9, per trace."""
+    views = {a.params[0] for a in trace if a.name == "dvs_newview"}
+    spec = DVSSpec(initial_view, view_pool=views)
+    return accept(spec, trace, dvs_forced, forget_view)
 
 
 def dvs_refinement_checker(

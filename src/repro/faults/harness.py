@@ -71,11 +71,13 @@ def workload_send(senders, tick):
 class ChaosResult:
     """Outcome of one chaos run: a simulated one has ``seed`` and the
     network log's ``digest`` (``cluster`` on request), a live one the
-    recorded :class:`~repro.obs.record.ReplayTrace`."""
+    recorded :class:`~repro.obs.record.ReplayTrace`.  ``verdicts`` is the
+    specifications' (spec name -> ``Rejection | None``), at end of run."""
 
     processes: tuple
     plan: NemesisPlan
     violations: list = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     seed: int = None
     digest: str = ""
@@ -113,6 +115,9 @@ def run_chaos(
     network quiesce for up to ``settle_time``.  A monitor violation aborts
     the run immediately and is returned in the result rather than raised.
     """
+    # Here: the live runtime imports repro.faults for the monitor alone.
+    from repro.checking.trace_props import spec_verdicts
+
     processes = tuple(sorted(processes))
     plan = NemesisPlan.of(plan)
     if duration is None:
@@ -165,6 +170,8 @@ def run_chaos(
         processes=processes,
         plan=plan,
         violations=violations,
+        verdicts=spec_verdicts(cluster.log, cluster.initial_view,
+                               ("VS", "DVS", "TO")),
         stats=stats,
         seed=seed,
         digest=log_digest(net.log),

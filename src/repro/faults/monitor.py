@@ -20,16 +20,18 @@ proves:
   already been delivered here, with integrity and per-view-slot content
   consistency.
 
-Unlike the post-hoc trace checkers in :mod:`repro.checking.trace_props`
-(which the monitor agrees with by construction), the monitor fails *fast*:
-the raised :class:`SafetyViolation` carries the full action log and the
-network event log up to the violating event, so a nemesis run stops at
-the first bad state instead of thrashing for the rest of the schedule.
+One of two oracles: it checks *consequences* of the specifications,
+incrementally, and fails *fast* -- the raised :class:`SafetyViolation`
+carries the action and network logs up to the violating event, so a
+nemesis run stops at the first bad state.  The other is the
+specification itself (:mod:`repro.checking.trace_props`), walked over
+the same log at end of run: stronger, and not incremental.
 """
 
 from collections import Counter, defaultdict
 
 from repro.core.viewids import vid_gt, vid_lt
+from repro.ioa.acceptor import RESTART
 
 
 class SafetyViolation(AssertionError):
@@ -100,18 +102,11 @@ class SafetyMonitor:
         return self
 
     def restart_process(self, pid):
-        """Forget ``pid``'s per-incarnation state after an amnesiac restart.
-
-        The live runtime (:mod:`repro.runtime`) models a killed-and-
-        restarted node as a *fresh process that reuses the id*: it rejoins
-        with empty state and replays the confirmed total order from the
-        beginning.  System-wide facts (created views, broadcasts, the
-        common order, witnessed registrations) survive; the per-process
-        delivery sequence and current-view pointer reset, so the new
-        incarnation is checked as a fresh prefix of the same common order
-        instead of tripping the no-duplication rule against its previous
-        life.
-        """
+        """What the host's ``restart(p)`` marker means here (DESIGN
+        section 9): a *fresh process reusing the id* replays the
+        confirmed order from its start.  System-wide facts (views,
+        broadcasts, the common order, registrations) survive; ``pid``'s
+        delivery sequence and current-view pointer reset."""
         self.deliveries.pop(pid, None)
         self.positions.pop(pid, None)
         self.current.pop(pid, None)
@@ -140,6 +135,8 @@ class SafetyMonitor:
         elif name == "cb_brcv":
             msg, origin, pid = action.params
             self._on_cb_brcv(time, msg, origin, pid)
+        elif name == RESTART:
+            self.restart_process(*action.params)
 
     # -- DVS: view order + Invariant 4.1 -----------------------------------
 

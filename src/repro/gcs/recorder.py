@@ -4,8 +4,8 @@ The runtime stack and the IOA coding must satisfy the same externally
 visible guarantees.  An :class:`ActionLog` collects the stack's interface
 events as :class:`~repro.ioa.action.Action` values using exactly the
 vocabulary of the automata (``vs_newview``, ``dvs_gprcv``, ``bcast``,
-``brcv``, ...), so :mod:`repro.checking.trace_props` runs unchanged on
-stack executions.
+``brcv``, ...; plus the host's ``restart(p)`` marker), so a stack run is
+walked through the same specifications (:mod:`repro.checking.trace_props`).
 """
 
 from repro.ioa.action import act
@@ -21,8 +21,8 @@ class ActionLog:
     A ``tracer`` (anything with ``on_action(time, name, params)``, e.g.
     :class:`repro.obs.Observability`) additionally sees every recorded
     action *and* every :meth:`probe` -- tracer-only events that never
-    enter ``actions``, so the trace-property checkers keep consuming
-    exactly the automaton vocabulary.
+    enter ``actions``, so the checkers keep consuming exactly the
+    automaton vocabulary.
     """
 
     def __init__(self, clock=None, tracer=None):

@@ -16,9 +16,11 @@ executable version of that model:
 - :mod:`~repro.ioa.refinement` -- mechanized single-valued simulation
   ("refinement") checking, i.e. the proof technique of Theorem 5.9;
 - :mod:`~repro.ioa.model_check` -- bounded exhaustive exploration for small
-  configurations.
+  configurations;
+- :mod:`~repro.ioa.acceptor` -- is this recorded trace a trace of that spec?
 """
 
+from repro.ioa.acceptor import Rejection, accept
 from repro.ioa.action import Action, Kind, act
 from repro.ioa.automaton import (
     Automaton,
@@ -56,10 +58,12 @@ __all__ = [
     "RandomScheduler",
     "RefinementChecker",
     "RefinementFailure",
+    "Rejection",
     "State",
     "Step",
     "TransitionAutomaton",
     "UnknownAction",
+    "accept",
     "act",
     "fingerprint",
     "run_random",

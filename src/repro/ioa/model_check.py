@@ -60,6 +60,9 @@ class BoundedExplorer:
         When True (default) a violated invariant aborts the search and is
         recorded, together with the path from the initial state, in
         ``violation`` / ``counterexample``.  When False the search raises.
+    on_transition:
+        Optional ``on_transition(state, action, next_state)``, called on
+        every transition explored; ``complete`` says if that was all.
     """
 
     def __init__(
@@ -69,12 +72,14 @@ class BoundedExplorer:
         max_states=100000,
         max_depth=None,
         stop_on_violation=True,
+        on_transition=None,
     ):
         self.automaton = automaton
         self.invariants = invariants
         self.max_states = max_states
         self.max_depth = max_depth
         self.stop_on_violation = stop_on_violation
+        self.on_transition = on_transition
 
     def explore(self):
         result = ExplorationResult()
@@ -95,6 +100,8 @@ class BoundedExplorer:
                 continue
             for action in self.automaton.enabled_controlled(state):
                 next_state = self.automaton.apply(state, action)
+                if self.on_transition is not None:
+                    self.on_transition(state, action, next_state)
                 result.transitions += 1
                 result.action_counts[action.name] = (
                     result.action_counts.get(action.name, 0) + 1

@@ -7,7 +7,7 @@ NemesisPlan` DSL against real sockets through
 :class:`~repro.runtime.faultnet.LiveNemesis`, drives a round-robin
 broadcast workload on the wall clock while the faults play out, and
 returns a :class:`~repro.faults.harness.ChaosResult` carrying the
-monitor's verdict plus the recorded
+monitor's verdict, the specifications' (DVS and TO) and the recorded
 :class:`~repro.obs.record.ReplayTrace` -- the artifact that makes the
 nondeterministic run checkable offline (:mod:`repro.checking.replay`).
 
@@ -19,6 +19,7 @@ same protocol paths hundreds of simulated units do.
 
 import time
 
+from repro.checking.trace_props import spec_verdicts
 from repro.faults.harness import ChaosResult, workload_send
 from repro.faults.nemesis import NemesisPlan
 from repro.runtime.cluster import RuntimeCluster
@@ -99,6 +100,7 @@ def run_live_chaos(
         processes=processes,
         plan=plan,
         violations=cluster.violations,
+        verdicts=spec_verdicts(cluster.log, cluster.initial_view),
         stats=stats,
         trace=trace,
     )

@@ -31,6 +31,7 @@ from repro.dvs.ablation import dvs_factory_name
 from repro.faults.monitor import SafetyMonitor
 from repro.gcs.recorder import ActionLog
 from repro.gcs.to_layer import NORMAL
+from repro.ioa.acceptor import RESTART
 from repro.runtime.heartbeat import HB_INTERVAL, HB_TIMEOUT
 from repro.runtime.node import MonotonicClock, RuntimeNode
 
@@ -147,7 +148,10 @@ class RuntimeCluster:
 
     async def _boot(self, pid, member):
         """Start ``pid``'s node and its applications (loop thread);
-        ``member=False`` is the amnesiac rejoin."""
+        ``member=False`` is the amnesiac rejoin, marked in the log as
+        ``restart(pid)`` for the monitor and the acceptor to read."""
+        if member is False:
+            self.log.record(RESTART, pid)
         node = self._build_node(pid, member)
         self._nodes[pid] = node
         await node.start(clock=self._clock)
@@ -212,8 +216,6 @@ class RuntimeCluster:
 
     def restart(self, pid, timeout=CALL_TIMEOUT):
         """Rejoin ``pid`` as a fresh amnesiac incarnation (new port)."""
-        if self.monitor is not None:
-            self.monitor.restart_process(pid)
         self._call(self._boot, pid, False, timeout=timeout)
         return self
 
@@ -226,14 +228,10 @@ class RuntimeCluster:
             await self._kill_async(pid)
 
     async def nemesis_revive(self, pid):
-        """Recover op: live recovery is always an *amnesiac* rejoin (a
-        fresh process reusing the id), unlike the simulator's resume of
-        the old state -- the monitor forgets the old incarnation first."""
-        if pid in self._nodes:
-            return
-        if self.monitor is not None:
-            self.monitor.restart_process(pid)
-        await self._boot(pid, member=False)
+        """Recover op: always an *amnesiac* rejoin (a fresh process
+        reusing the id), unlike the simulator's resume of the old state."""
+        if pid not in self._nodes:
+            await self._boot(pid, member=False)
 
     def note_nemesis(self, op):
         """Annotate the trace with an applied fault op (loop thread)."""

@@ -16,6 +16,8 @@ the abstract ``pending[p]`` additionally carries the contents of
 """
 
 from repro.core.sequences import lub
+from repro.ioa.acceptor import accept
+from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
 from repro.to.impl import ToImplState
 from repro.to.spec import TOSpec, TOState
@@ -86,13 +88,31 @@ def to_hints(mapping):
             after = mapping(step.next_state).order
             if len(after) == len(before) + 1:
                 payload, origin = after[-1]
-                from repro.ioa.action import act
-
                 return [[act("to_order", payload, origin)]]
-            return [[]]
         return [[]]
 
     return hints
+
+
+def to_forced(state, action):
+    """The same knowledge read from the trace side: a ``brcv`` past the
+    end of ``order`` forces the ``to_order`` of what it delivers."""
+    if action.name == "brcv":
+        a, q, p = action.params
+        if state.next[p] > len(state.order):
+            yield act("to_order", a, q)
+
+
+def to_restart(state, p):
+    """Amnesiac rejoin (``restart(p)``): replay from ``next[p] = 1``."""
+    state.next[p] = 1
+
+
+def accept_to(trace, initial_view=None):
+    """Walk ``trace`` through TO: Theorem 6.4's conclusion, per trace."""
+    heard = [a for a in trace if a.name in ("bcast", "brcv")]
+    spec = TOSpec({x for a in heard for x in a.params[1:]})
+    return accept(spec, trace, to_forced, to_restart)
 
 
 def to_refinement_checker(processes):

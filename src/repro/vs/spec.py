@@ -25,6 +25,7 @@ precondition.
 from repro.core.sequences import head, nth, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import vid_gt
+from repro.ioa.acceptor import accept
 from repro.ioa.action import act
 from repro.ioa.automaton import TransitionAutomaton
 from repro.ioa.state import State
@@ -192,3 +193,39 @@ class VSSpec(TransitionAutomaton):
             if all(state.next.get((r, g)) > ns for r in view.set):
                 m, p = entry
                 yield act("vs_safe", m, p, q)
+
+
+# -- Reading a trace back (:func:`repro.ioa.acceptor.accept`) -----------------
+
+
+def forced_order(state, action, prefix="vs"):
+    """VS and DVS alike: a ``*_gprcv`` past the end of ``queue[g]`` forces
+    ``*_order`` -- which takes the head of ``pending[p, g]`` only."""
+    if action.name == prefix + "_gprcv":
+        m, p, q = action.params
+        g = state.current_viewid.get(q)
+        if g is not None and state.next.get((q, g)) > len(state.queue.get(g)):
+            yield act(prefix + "_order", m, p, g)
+
+
+def forget_view(state, p):
+    """Amnesiac rejoin (``restart(p)``): ``current-viewid[p] = ⊥``."""
+    state.current_viewid[p] = None
+
+
+def accept_vs(trace, initial_view):
+    """Walk ``trace`` through Figure 1.  VS-CREATEVIEW wants increasing
+    identifiers, so the first ``vs_newview`` of an uncreated view forces
+    the creation, in identifier order, of every reported view up to it."""
+    views = {a.params[0] for a in trace if a.name == "vs_newview"}
+
+    def forced(state, action):
+        view = action.params[0]
+        if action.name == "vs_newview" and view not in state.created:
+            below = {w for w in views - state.created if w.id < view.id}
+            for w in sorted(below, key=lambda w: w.id) + [view]:
+                yield act("vs_createview", w)
+        yield from forced_order(state, action)
+
+    return accept(VSSpec(initial_view, view_pool=views), trace, forced,
+                  forget_view)

@@ -87,6 +87,27 @@ class TestDispatch:
         assert result.ok
         assert result.errors == []
 
+    def test_amnesiac_start_is_marked_in_the_log_even_after_a_stop(
+        self, monkeypatch
+    ):
+        """The marker follows ``member=False`` (what the live host
+        recorded), not "a tower was still up": a kill is a ``stop``
+        first, and the rejoin after it is the common case."""
+        events = (
+            _starts("p1", "p2")
+            + [TraceEvent(0.3, "p1", "stop")]
+            + [TraceEvent(0.5, "p1", "start", (False,))]
+        )
+        seen = []
+        monkeypatch.setattr(
+            "repro.faults.monitor.SafetyMonitor.restart_process",
+            lambda self, pid: seen.append(pid),
+        )
+        result = replay_trace(_trace(events))
+        assert seen == ["p1"]
+        assert result.ok and result.stats["actions"] == 1
+        assert result.verdicts == {"DVS": None, "TO": None}
+
     def test_layer_errors_are_recorded_not_raised(self):
         events = _starts("p1") + [
             TraceEvent(0.1, "p1", "recv", ("p2", object)),

@@ -1,8 +1,11 @@
-"""The trace-property checkers themselves: they must detect violations.
+"""The trace checkers themselves: they must detect violations.
 
 A checker that never fires is worse than none; each guarantee gets a
 hand-built violating trace that must be rejected, next to a minimal
-passing one.
+passing one.  Since PR 23 the checkers are the specification automata
+walked by :func:`repro.ioa.acceptor.accept`, so "rejected" means "not a
+trace of Figure 1 / Figure 2 / TO"; the named traces at the bottom are
+the ones ROADMAP item 8 asked for.
 """
 
 import pytest
@@ -26,10 +29,25 @@ class TestVsChecker:
         trace = [
             act("vs_gpsnd", "m", "p1"),
             act("vs_gprcv", "m", "p1", "p2"),
+            act("vs_gprcv", "m", "p1", "p1"),
+            act("vs_gprcv", "m", "p1", "p3"),
             act("vs_safe", "m", "p1", "p2"),
         ]
         stats = check_vs_trace_properties(trace, v0)
-        assert stats["deliveries"] == 1
+        assert stats == {"views": 1, "deliveries": 3, "safe": 1}
+
+    def test_safe_before_every_member_delivered_violation(self, v0):
+        """Until PR 23 this was the "minimal passing" trace: the
+        hand-copied property 5 only compared p2's safe sequence with
+        p2's own deliveries.  Figure 1's VS-SAFE precondition wants
+        ``next[r, g]`` past the message at *every* member r."""
+        trace = [
+            act("vs_gpsnd", "m", "p1"),
+            act("vs_gprcv", "m", "p1", "p2"),
+            act("vs_safe", "m", "p1", "p2"),
+        ]
+        with pytest.raises(AssertionError, match=r"#2 vs_safe.*not enabled"):
+            check_vs_trace_properties(trace, v0)
 
     def test_view_order_violation(self, v0):
         v2 = make_view(2, {"p1", "p2"})
@@ -64,7 +82,9 @@ class TestVsChecker:
             act(prefix + "_gprcv", "m", "p1", "p2"),
             act(prefix + "_gpsnd", "m", "p1"),
         ]
-        with pytest.raises(AssertionError, match="had not been sent"):
+        with pytest.raises(
+            AssertionError, match=r"#0 .*forces \w+_order.*not enabled"
+        ):
             check(trace, v0)
 
     def test_cross_view_delivery_violation(self, v0):
@@ -177,3 +197,78 @@ class TestToChecker:
             act("brcv", "a", "p1", "p2"),  # p2 lags -- fine
         ]
         check_to_trace_properties(trace)
+
+
+class TestNamedTraces:
+    """The accept / reject cases ROADMAP item 8 names."""
+
+    def test_pr15_payload_broadcast_twice_delivered_twice_accepted(self):
+        """PR 15: the monitor cried wolf on a payload one process
+        broadcast twice.  TO's ``pending[p]`` is a sequence, not a set:
+        two broadcasts, two deliveries, a trace of TO."""
+        trace = [
+            act("bcast", "a", "p1"),
+            act("bcast", "a", "p1"),
+            act("brcv", "a", "p1", "p2"),
+            act("brcv", "a", "p1", "p2"),
+            act("brcv", "a", "p1", "p1"),
+        ]
+        stats = check_to_trace_properties(trace)
+        assert stats == {
+            "broadcasts": 2, "deliveries": 3, "max_delivered": 2
+        }
+        # ...and a third delivery of it is one too many.
+        with pytest.raises(AssertionError, match="#5 brcv"):
+            check_to_trace_properties(trace + [act("brcv", "a", "p1", "p2")])
+
+    def test_pr18_delivery_before_send_rejected(self):
+        """PR 18: trace property 2 accepted a delivery whose send only
+        came later.  The spec cannot order what is not pending."""
+        trace = [act("brcv", "a", "p1", "p2"), act("bcast", "a", "p1")]
+        with pytest.raises(
+            AssertionError, match=r"#0 brcv.*forces to_order.*not enabled"
+        ):
+            check_to_trace_properties(trace)
+
+    def test_literal_figure_3_forwarding_rejected_at_dvs_safe(self, v0):
+        """The external projection of tests/dvs/test_safe_reconstruction
+        .py::test_minimal_scripted_counterexample: the literal filter
+        forwards VS-SAFE to p3's client while p1's and p2's clients have
+        not received m.  Not a DVS trace at all (EXPERIMENTS E3)."""
+        m = ("m", "p2", 0)
+        trace = [
+            act("dvs_gpsnd", m, "p2"),
+            act("dvs_gprcv", m, "p2", "p3"),
+            act("dvs_safe", m, "p2", "p3"),
+        ]
+        with pytest.raises(AssertionError, match=r"#2 dvs_safe.*not enabled"):
+            check_dvs_trace_properties(trace, v0)
+        # The repaired filter's trace (every client first) is one.
+        repaired = trace[:2] + [
+            act("dvs_gprcv", m, "p2", "p1"),
+            act("dvs_gprcv", m, "p2", "p2"),
+            trace[2],
+        ]
+        assert check_dvs_trace_properties(repaired, v0)["safe"] == 1
+
+    def test_amnesiac_rejoin_needs_the_restart_marker(self):
+        """The shape of a live kill/restart log: n2 dies after
+        delivering ``a``, comes back with empty state and replays the
+        confirmed order from its start.  TO has no such step; the one
+        convention (DESIGN section 9) is the host's ``restart(p)``
+        marker, read as ``next[p] = 1``.  Without it the rejoiner's
+        first ``brcv`` is a duplicate."""
+        before = [
+            act("bcast", "a", "n1"),
+            act("brcv", "a", "n1", "n1"),
+            act("brcv", "a", "n1", "n2"),
+            act("bcast", "b", "n1"),
+            act("brcv", "b", "n1", "n1"),
+        ]
+        after = [
+            act("brcv", "a", "n1", "n2"),
+            act("brcv", "b", "n1", "n2"),
+        ]
+        check_to_trace_properties(before + [act("restart", "n2")] + after)
+        with pytest.raises(AssertionError, match=r"#5 brcv\('a', 'n1', 'n2'\)"):
+            check_to_trace_properties(before + after)

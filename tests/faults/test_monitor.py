@@ -122,6 +122,21 @@ class TestToChecks:
             "to-no-duplication"
         ]
 
+    def test_restart_marker_in_the_log_resets_the_incarnation(self):
+        """The one amnesiac-rejoin convention (DESIGN section 9): the
+        host records ``restart(p)`` into the log and the monitor reads
+        it there -- nobody calls ``restart_process`` from outside."""
+        monitor, log, _ = make_monitor("abc")
+        log.record("bcast", "m1", "a")
+        log.record("brcv", "m1", "a", "b")
+        log.record("restart", "b")
+        log.record("brcv", "m1", "a", "b")  # the fresh b replays
+        assert monitor.ok
+        with pytest.raises(SafetyViolation) as err:
+            log.record("brcv", "m1", "a", "b")
+        assert err.value.prop == "to-no-duplication"
+
+
 class TestMonitoredChaosRuns:
     def test_healthy_stack_survives_partition_churn(self):
         from repro.faults.nemesis import partition_churn

@@ -77,10 +77,9 @@ def at(log, pid, names):
     ]
 
 
-def automaton_trace(filter_cls, pid, initial_view, inputs):
+def automaton_trace(automaton, inputs, observed=OBSERVED):
     """The inputs with the automaton's observed outputs interleaved
     where it produced them (so *when* counts, not only *what*)."""
-    automaton = filter_cls(pid, initial_view)
     state = automaton.initial_state()
     trace = []
     for action in inputs:
@@ -91,7 +90,7 @@ def automaton_trace(filter_cls, pid, initial_view, inputs):
             if not enabled:
                 break
             automaton.transition(state, enabled[0])
-            if enabled[0].name in OBSERVED:
+            if enabled[0].name in observed:
                 trace.append(enabled[0])
     return trace
 
@@ -109,7 +108,7 @@ def test_layer_and_automaton_agree_on_the_external_trace(
     log, v0 = cluster.log, cluster.initial_view
     for pid in PROCS:
         assert automaton_trace(
-            filter_cls, pid, v0, at(log, pid, INPUTS)
+            filter_cls(pid, v0), at(log, pid, INPUTS)
         ) == at(log, pid, INPUTS + OBSERVED), pid
 
     # The script reached what it is there to compare.

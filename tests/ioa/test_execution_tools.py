@@ -158,6 +158,30 @@ class TestBoundedExplorer:
         result = BoundedExplorer(make_system()).explore()
         assert "complete" in result.summary()
 
+    def test_on_transition_sees_every_transition_taken(self):
+        system = make_system()
+        seen = []
+        result = BoundedExplorer(
+            system,
+            on_transition=lambda s, a, t: seen.append(
+                (s.fingerprint(), a, t.fingerprint())
+            ),
+        ).explore()
+        assert result.complete and len(seen) == result.transitions
+        # Each is a real step of the automaton, revisits included.
+        assert len(set(seen)) == len(seen) > result.states_visited - 1
+        state = system.initial_state()
+        first = next(a for s, a, _ in seen if s == state.fingerprint())
+        successor = system.apply(state, first).fingerprint()
+        assert (state.fingerprint(), first, successor) in seen
+
+    def test_on_transition_may_abort_the_search(self):
+        def boom(state, action, next_state):
+            raise RuntimeError(action.name)
+
+        with pytest.raises(RuntimeError, match="tick"):
+            BoundedExplorer(make_system(), on_transition=boom).explore()
+
     def test_golden_dvs_impl_exploration(self):
         """The ``repro explore`` universe, first 2,000 states: pins the
         enabled-action set of DVS-IMPL (who may fire what, from where)
