@@ -11,64 +11,13 @@ Three regimes over the same connectivity histories:
 The printed tables are the reference results recorded in EXPERIMENTS.md.
 """
 
-from repro.analysis import (
-    compare_trackers,
-    drifting_population,
-    random_churn,
-    render_table,
-)
-from repro.core import make_view
-from repro.membership import (
-    DynamicVotingTracker,
-    NaiveDynamicTracker,
-    StaticMajorityTracker,
-)
+from repro.analysis import e6_table, render_table
 
-UNIVERSE = ["p{0}".format(i) for i in range(1, 8)]
-V0 = make_view(0, UNIVERSE)
 HEADERS = ["rule", "availability", "primaries", "disjoint"]
 
 
-def _fixed_population():
-    scenario = random_churn(UNIVERSE, 400, seed=3, partition_prob=0.5)
-    return compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(V0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(V0)),
-            ("dynamic voting lag=2", DynamicVotingTracker(V0, register_lag=2)),
-        ],
-        scenario,
-    )
-
-
-def _drifting_population():
-    scenario = drifting_population(
-        UNIVERSE, 600, seed=5, leave_prob=0.02, join_prob=0.015
-    )
-    return compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(V0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(V0)),
-        ],
-        scenario,
-    )
-
-
-def _interrupted_formations(seed=1):
-    scenario = random_churn(UNIVERSE, 500, seed=seed, partition_prob=0.7)
-    return compare_trackers(
-        [
-            ("naive dynamic", NaiveDynamicTracker(
-                V0, failure_prob=0.4, seed=seed)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(
-                V0, register_lag=1, failure_prob=0.4, seed=seed)),
-        ],
-        scenario,
-    )
-
-
 def test_bench_fixed_population(benchmark):
-    results = benchmark(_fixed_population)
+    results = benchmark(e6_table, "fixed population")
     print()
     print(render_table(HEADERS, [r.row() for r in results],
                        title="E6a: fixed population"))
@@ -78,7 +27,7 @@ def test_bench_fixed_population(benchmark):
 
 
 def test_bench_drifting_population(benchmark):
-    results = benchmark(_drifting_population)
+    results = benchmark(e6_table, "drifting population")
     print()
     print(render_table(HEADERS, [r.row() for r in results],
                        title="E6b: drifting population"))
@@ -88,7 +37,7 @@ def test_bench_drifting_population(benchmark):
 
 
 def test_bench_interrupted_formations(benchmark):
-    results = benchmark(_interrupted_formations)
+    results = benchmark(e6_table, "interrupted formations")
     print()
     print(render_table(HEADERS, [r.row() for r in results],
                        title="E6c: interrupted formations (split brain)"))

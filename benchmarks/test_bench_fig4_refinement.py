@@ -46,14 +46,13 @@ def test_bench_theorem_5_9_check(benchmark):
     assert total >= 0
 
 
-def test_bench_fragment_search_without_hints(benchmark):
-    """The generic BFS fallback on the hardest step shape
-    (DVS-NEWVIEW of an uncreated view: CREATEVIEW + NEWVIEW)."""
+def test_bench_named_fragment_for_newview(benchmark):
+    """Lemma 5.8's longest fragment (DVS-NEWVIEW of an uncreated view:
+    CREATEVIEW + NEWVIEW), checked for one step."""
     execution, procs = _execution(seed=3)
     checker = dvs_refinement_checker(
         procs, V0, UNIVERSE, view_pool=POOL
     )
-    checker.hints = None  # force the search
     target = None
     checker.check_initial(execution.initial_state)
     for step in execution.steps:
@@ -62,4 +61,4 @@ def test_bench_fragment_search_without_hints(benchmark):
             break
     assert target is not None
     fragment = benchmark(lambda: checker.check_step(target))
-    assert fragment
+    assert [a.name for a in fragment] == ["dvs_createview", "dvs_newview"]

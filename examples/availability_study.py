@@ -13,68 +13,22 @@ LKD subtleties warn about:
 Run:  python examples/availability_study.py
 """
 
-from repro.analysis import (
-    compare_trackers,
-    drifting_population,
-    random_churn,
-    render_table,
-)
-from repro.core import make_view
-from repro.membership import (
-    DynamicVotingTracker,
-    NaiveDynamicTracker,
-    StaticMajorityTracker,
-)
+from repro.analysis import E6_REGIMES, e6_table, render_table
 
 HEADERS = ["rule", "availability", "primaries formed", "disjoint primaries"]
+TITLES = (
+    "Fixed population, random partitions",
+    "Drifting population (joins and departures)",
+    "Interrupted view formations (the LKD subtlety)",
+)
 
 
 def main():
-    universe = ["p{0}".format(i) for i in range(1, 8)]
-    v0 = make_view(0, universe)
-
-    fixed = random_churn(universe, 400, seed=3, partition_prob=0.5)
-    results = compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(v0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(v0)),
-            ("dynamic voting, slow registration",
-             DynamicVotingTracker(v0, register_lag=2)),
-        ],
-        fixed,
-    )
-    print(render_table(HEADERS, [r.row() for r in results],
-                       title="Fixed population, random partitions"))
-
-    drift = drifting_population(
-        universe, 600, seed=5, leave_prob=0.02, join_prob=0.015
-    )
-    results = compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(v0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(v0)),
-        ],
-        drift,
-    )
-    print()
-    print(render_table(HEADERS, [r.row() for r in results],
-                       title="Drifting population (joins and departures)"))
-
-    churn = random_churn(universe, 500, seed=1, partition_prob=0.7)
-    results = compare_trackers(
-        [
-            ("naive dynamic (flawed)",
-             NaiveDynamicTracker(v0, failure_prob=0.4, seed=1)),
-            ("dynamic voting (DVS)",
-             DynamicVotingTracker(v0, register_lag=1, failure_prob=0.4,
-                                  seed=1)),
-        ],
-        churn,
-    )
-    print()
-    print(render_table(
-        HEADERS, [r.row() for r in results],
-        title="Interrupted view formations (the LKD subtlety)",
+    print("\n\n".join(
+        render_table(
+            HEADERS, [r.row() for r in e6_table(regime)], title=title
+        )
+        for regime, title in zip(E6_REGIMES, TITLES)
     ))
     print(
         "\nNote the nonzero 'disjoint primaries' for the naive rule: two\n"

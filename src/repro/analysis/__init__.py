@@ -10,8 +10,10 @@
 """
 
 from repro.analysis.availability import (
+    E6_REGIMES,
     AvailabilityResult,
     compare_trackers,
+    e6_table,
     run_tracker,
 )
 from repro.analysis.report import render_table
@@ -26,6 +28,7 @@ from repro.analysis.scenarios import drifting_population, random_churn
 
 __all__ = [
     "AvailabilityResult",
+    "E6_REGIMES",
     "SweepPoint",
     "ascii_series",
     "crossover_point",
@@ -33,6 +36,7 @@ __all__ = [
     "sweep_register_lag",
     "compare_trackers",
     "drifting_population",
+    "e6_table",
     "random_churn",
     "render_table",
     "run_tracker",

@@ -33,6 +33,32 @@ class SweepPoint:
         ]
 
 
+def _sweep(universe, values, repeats, scenario_for, dynamic_for):
+    """One :class:`SweepPoint` per value: the static and the dynamic
+    rule over ``scenario_for(value, r)``, averaged over ``repeats``."""
+    v0 = make_view(0, universe)
+    points = []
+    for value in values:
+        static_total = 0.0
+        dynamic_total = 0.0
+        for r in range(repeats):
+            scenario = scenario_for(value, r)
+            static_total += run_tracker(
+                "static", StaticMajorityTracker(v0), scenario
+            ).availability
+            dynamic_total += run_tracker(
+                "dynamic", dynamic_for(v0, value), scenario
+            ).availability
+        points.append(
+            SweepPoint(
+                parameter=float(value),
+                static=static_total / repeats,
+                dynamic=dynamic_total / repeats,
+            )
+        )
+    return points
+
+
 def sweep_drift_rate(
     universe,
     leave_probs,
@@ -46,33 +72,17 @@ def sweep_drift_rate(
     ``join_ratio`` scales the join probability relative to the leave
     probability (a shrinking-but-replenished population).
     """
-    v0 = make_view(0, universe)
-    points = []
-    for leave_prob in leave_probs:
-        static_total = 0.0
-        dynamic_total = 0.0
-        for r in range(repeats):
-            scenario = drifting_population(
-                universe,
-                steps,
-                seed=seed + r * 101,
-                leave_prob=leave_prob,
-                join_prob=leave_prob * join_ratio,
-            )
-            static_total += run_tracker(
-                "static", StaticMajorityTracker(v0), scenario
-            ).availability
-            dynamic_total += run_tracker(
-                "dynamic", DynamicVotingTracker(v0), scenario
-            ).availability
-        points.append(
-            SweepPoint(
-                parameter=leave_prob,
-                static=static_total / repeats,
-                dynamic=dynamic_total / repeats,
-            )
-        )
-    return points
+    return _sweep(
+        universe, leave_probs, repeats,
+        lambda leave_prob, r: drifting_population(
+            universe,
+            steps,
+            seed=seed + r * 101,
+            leave_prob=leave_prob,
+            join_prob=leave_prob * join_ratio,
+        ),
+        lambda v0, leave_prob: DynamicVotingTracker(v0),
+    )
 
 
 def sweep_register_lag(
@@ -84,34 +94,16 @@ def sweep_register_lag(
     registered, it stays ambiguous and constrains its successors.
     The "static" column is the lag-independent baseline.
     """
-    v0 = make_view(0, universe)
-    points = []
-    for lag in lags:
-        static_total = 0.0
-        dynamic_total = 0.0
-        for r in range(repeats):
-            scenario = random_churn(
-                universe,
-                steps,
-                seed=seed + r * 31,
-                partition_prob=partition_prob,
-            )
-            static_total += run_tracker(
-                "static", StaticMajorityTracker(v0), scenario
-            ).availability
-            dynamic_total += run_tracker(
-                "dynamic",
-                DynamicVotingTracker(v0, register_lag=lag),
-                scenario,
-            ).availability
-        points.append(
-            SweepPoint(
-                parameter=float(lag),
-                static=static_total / repeats,
-                dynamic=dynamic_total / repeats,
-            )
-        )
-    return points
+    return _sweep(
+        universe, lags, repeats,
+        lambda lag, r: random_churn(
+            universe,
+            steps,
+            seed=seed + r * 31,
+            partition_prob=partition_prob,
+        ),
+        lambda v0, lag: DynamicVotingTracker(v0, register_lag=lag),
+    )
 
 
 def crossover_point(points):

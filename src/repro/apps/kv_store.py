@@ -63,10 +63,6 @@ class KvStoreCluster:
         self.cluster.start()
         return self
 
-    def run(self, duration):
-        self.cluster.run(duration)
-        return self
-
     def settle(self, max_time=None):
         self.cluster.settle(max_time=max_time)
         return self

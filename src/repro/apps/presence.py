@@ -76,8 +76,3 @@ class PresenceBoard(CbListener):
     def typing_now(self):
         """Members whose newest typing indicator is active, sorted."""
         return sorted(self._typing)
-
-    @property
-    def seen(self):
-        """Updates applied at this replica so far."""
-        return len(self.events)

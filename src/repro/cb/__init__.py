@@ -15,23 +15,15 @@ builders (:mod:`repro.cb.impl`) and state invariants
 
 from repro.cb.clocks import (
     advance,
-    compare,
     deliverable,
     drain,
     entry,
-    join,
-    leq,
     normalize,
     put,
-    restrict,
     tick,
 )
 from repro.cb.dvs_to_cb import DvsToCb, DvsToCbState
-from repro.cb.impl import (
-    CbImplState,
-    build_cb_impl,
-    build_cb_over_dvs_impl,
-)
+from repro.cb.impl import CbImplState, build_cb_impl
 from repro.cb.invariants import cb_impl_invariants
 from repro.cb.messages import CbCast
 from repro.cb.spec import CBSpec, CBState
@@ -45,16 +37,11 @@ __all__ = [
     "DvsToCbState",
     "advance",
     "build_cb_impl",
-    "build_cb_over_dvs_impl",
     "cb_impl_invariants",
-    "compare",
     "deliverable",
     "drain",
     "entry",
-    "join",
-    "leq",
     "normalize",
     "put",
-    "restrict",
     "tick",
 ]

@@ -5,20 +5,14 @@ by process id, with zero entries omitted.  Canonical tuples are
 hashable, deterministic to iterate (lint DVS008) and serialize through
 the wire codec without a dedicated message type.  The clock domain is
 *dynamic*: entries name whatever processes the current view contains,
-and :func:`restrict` remaps a clock onto a new membership when a view
-changes.
+and a new view starts from the empty clock.
 
 Everything here is a pure function of its arguments -- the Hypothesis
-property suite (tests/property/test_vclock_properties.py) checks the
-lattice laws directly on these functions:
-
-* :func:`join` is idempotent, commutative and associative with identity
-  ``()`` (pointwise max);
-* :func:`leq` is a partial order with :func:`compare` its three-way
-  refinement (``None`` for concurrent clocks);
-* :func:`drain` releases a hold-back queue in an order that respects
-  :func:`deliverable` -- the Birman-Schiper-Stephenson delivery
-  condition -- reaching a fixpoint independent of arrival interleaving.
+property suite (tests/property/test_vclock_properties.py) checks on
+these functions that :func:`drain` releases a hold-back queue in an
+order that respects :func:`deliverable` -- the Birman-Schiper-Stephenson
+delivery condition -- reaching a fixpoint independent of arrival
+interleaving.
 """
 
 
@@ -58,44 +52,6 @@ def put(clock, pid, count):
 def tick(clock, pid):
     """Advance ``pid``'s entry by one (a send or delivery event)."""
     return put(clock, pid, entry(clock, pid) + 1)
-
-
-def join(a, b):
-    """Pointwise maximum: the least clock dominating both arguments."""
-    merged = dict(a)
-    for pid, count in b:
-        if count > merged.get(pid, 0):
-            merged[pid] = count
-    return tuple(sorted(merged.items()))
-
-
-def leq(a, b):
-    """Whether ``a`` is pointwise at most ``b``."""
-    return all(count <= entry(b, pid) for pid, count in a)
-
-
-def compare(a, b):
-    """Three-way comparison: -1, 0, 1, or ``None`` for concurrent."""
-    a_le = leq(a, b)
-    b_le = leq(b, a)
-    if a_le and b_le:
-        return 0
-    if a_le:
-        return -1
-    if b_le:
-        return 1
-    return None
-
-
-def restrict(clock, members):
-    """Drop entries for processes outside ``members`` (view remap).
-
-    When a new view is installed the clock domain changes with it;
-    entries for departed processes are meaningless in the new view and
-    are forgotten.
-    """
-    keep = frozenset(members)
-    return tuple(e for e in clock if e[0] in keep)
 
 
 def deliverable(clock, delivered, origin):

@@ -6,7 +6,8 @@ verify
     Run randomized executions of DVS-IMPL and TO-IMPL, checking every
     paper invariant and both refinement theorems; print a summary.
 availability
-    Print the E6 availability tables (static vs dynamic vs naive).
+    Print the E6 availability tables (static vs dynamic vs naive) at the
+    parameters EXPERIMENTS.md records.
 explore
     Exhaustively explore a small configuration with the bounded model
     checker, checking the invariant suites on every reachable state.
@@ -41,8 +42,6 @@ trace
     Run a traced workload on the deterministic simulator and print the
     per-stage latency breakdown stitched from causal spans;
     ``--output`` exports the full trace JSON.
-demo
-    Run the partitioned-ledger scenario on the simulated cluster.
 """
 
 import argparse
@@ -98,62 +97,15 @@ def _cmd_verify(args):
 
 
 def _cmd_availability(args):
-    from repro.analysis import (
-        compare_trackers,
-        drifting_population,
-        random_churn,
-        render_table,
-    )
-    from repro.core import make_view
-    from repro.membership import (
-        DynamicVotingTracker,
-        NaiveDynamicTracker,
-        StaticMajorityTracker,
-    )
+    from repro.analysis import E6_REGIMES, e6_table, render_table
 
-    universe = ["p{0}".format(i) for i in range(1, args.processes + 1)]
-    v0 = make_view(0, universe)
     headers = ["rule", "availability", "primaries", "disjoint"]
-
-    fixed = random_churn(universe, args.steps, seed=args.seed,
-                         partition_prob=0.5)
-    results = compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(v0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(v0)),
-        ],
-        fixed,
-    )
-    print(render_table(headers, [r.row() for r in results],
-                       title="fixed population"))
-
-    drift = drifting_population(universe, args.steps, seed=args.seed)
-    results = compare_trackers(
-        [
-            ("static majority", StaticMajorityTracker(v0)),
-            ("dynamic voting (DVS)", DynamicVotingTracker(v0)),
-        ],
-        drift,
-    )
-    print()
-    print(render_table(headers, [r.row() for r in results],
-                       title="drifting population"))
-
-    churn = random_churn(universe, args.steps, seed=args.seed,
-                         partition_prob=0.7)
-    results = compare_trackers(
-        [
-            ("naive dynamic",
-             NaiveDynamicTracker(v0, failure_prob=0.4, seed=args.seed)),
-            ("dynamic voting (DVS)",
-             DynamicVotingTracker(v0, register_lag=1, failure_prob=0.4,
-                                  seed=args.seed)),
-        ],
-        churn,
-    )
-    print()
-    print(render_table(headers, [r.row() for r in results],
-                       title="interrupted formations"))
+    print("\n\n".join(
+        render_table(
+            headers, [r.row() for r in e6_table(regime)], title=regime
+        )
+        for regime in E6_REGIMES
+    ))
     return 0
 
 
@@ -517,13 +469,6 @@ def _cmd_trace(args):
     return 0 if not data["summary"]["orphans"] else 1
 
 
-def _cmd_demo(args):
-    import examples.partitioned_ledger as demo  # noqa: F401 - optional
-
-    demo.main()
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -543,9 +488,6 @@ def build_parser():
     availability = sub.add_parser(
         "availability", help="print the E6 availability tables"
     )
-    availability.add_argument("--steps", type=int, default=400)
-    availability.add_argument("--seed", type=int, default=3)
-    availability.add_argument("--processes", type=int, default=7)
     availability.set_defaults(func=_cmd_availability)
 
     explore = sub.add_parser(
@@ -709,9 +651,6 @@ def build_parser():
                         help="replay twice and assert identical digests "
                              "and delivery orders")
     replay.set_defaults(func=_cmd_replay)
-
-    demo = sub.add_parser("demo", help="partitioned-ledger demo")
-    demo.set_defaults(func=_cmd_demo)
     return parser
 
 

@@ -9,8 +9,7 @@ refinement checker and the model checker) independent of which default
 entries happen to have been materialized.
 """
 
-import copy
-
+from repro.ioa.state import clone as _clone
 from repro.ioa.state import fingerprint as _fingerprint
 
 
@@ -64,9 +63,6 @@ class Table:
             self._data[key] = self._default_factory()
         return self._data[key]
 
-    def set(self, key, value):
-        self._data[key] = value
-
     def __setitem__(self, key, value):
         self._data[key] = value
 
@@ -89,9 +85,9 @@ class Table:
         return hash(self.fingerprint())
 
     def __deepcopy__(self, memo):
-        clone = Table(self._default_factory)
-        clone._data = copy.deepcopy(self._data, memo)
-        return clone
+        twin = Table(self._default_factory)
+        twin._data = _clone(self._data)
+        return twin
 
     def __repr__(self):
         entries = ", ".join(

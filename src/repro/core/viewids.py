@@ -41,10 +41,6 @@ class ViewId:
     def __repr__(self):
         return str(self)
 
-    def successor(self, origin=""):
-        """A fresh identifier strictly greater than this one."""
-        return ViewId(self.epoch + 1, origin)
-
 
 #: The distinguished least element of ``G``.
 G0 = ViewId(0, "")

@@ -175,5 +175,4 @@ def dvs_refinement_checker(
         spec=spec,
         mapping=mapping,
         hints=lemma_5_8_hints,
-        max_depth=3,
     )

@@ -158,12 +158,6 @@ class SXDVSSpec(DVSSpec):
             if self.pre_sx_statesafe(state, p):
                 yield act("sx_statesafe", p)
 
-    # dvs_register is gone; guard against accidental use.
-    def eff_dvs_register(  # lint: ignore[DVS003] - deliberate guard
-        self, state, p
-    ):  # pragma: no cover - defensive
-        raise AssertionError("SX-DVS has no dvs_register action")
-
 
 class VsToSxDvs(VsToDvs):
     """``VS-TO-SXDVS_p``: the filter with service-run state exchange."""
@@ -276,12 +270,6 @@ class VsToSxDvs(VsToDvs):
         if self.pre_sx_statesafe(state, self.pid):
             yield act("sx_statesafe", self.pid)
 
-    # dvs_register no longer exists on this layer.
-    def eff_dvs_register(  # lint: ignore[DVS003] - deliberate guard
-        self, state, p
-    ):  # pragma: no cover - defensive
-        raise AssertionError("SX-DVS filter has no dvs_register input")
-
 
 # -- Refinement to SXDVSSpec -----------------------------------------------------------
 
@@ -336,5 +324,4 @@ def sx_refinement_checker(processes, initial_view, universe):
         spec=spec,
         mapping=sx_refinement_f(processes, initial_view, universe),
         hints=sx_hints,
-        max_depth=3,
     )

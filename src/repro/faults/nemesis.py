@@ -23,7 +23,7 @@ Op kinds and their args:
 ``links``/``pairs`` are tuples of ``(src, dst)`` pairs, or ``None`` for
 every link.  Windowed kinds install a fault model at ``at`` and remove it
 ``duration`` later; ``spread``, ``jitter`` and ``spike`` are times on the
-same axis (:data:`_TIME_ARGS`).
+same axis.
 """
 
 import json
@@ -49,8 +49,6 @@ _WINDOWS = MappingProxyType({
     ),
     "oneway": (OneWayBlock, ("pairs", "duration")),
 })
-#: The names that are times (what :meth:`NemesisPlan.scaled` scales).
-_TIME_ARGS = frozenset({"duration", "spread", "jitter", "spike"})
 
 WINDOW_KINDS = tuple(_WINDOWS)
 KINDS = ("crash", "recover", "partition", "heal") + WINDOW_KINDS
@@ -145,28 +143,6 @@ class NemesisPlan:
         return NemesisPlan(
             op for i, op in enumerate(self.ops) if i not in drop
         )
-
-    def describe(self):
-        return "\n".join(op.describe() for op in self.ops)
-
-    def scaled(self, factor):
-        """Uniformly rescale the schedule's time axis.
-
-        Op times and every time-valued arg (window lengths, duplicate
-        spread, delay jitter and spikes) are multiplied by ``factor``,
-        so a plan authored in simulator time units (tens of units) can be
-        replayed against the live runtime in wall-clock seconds (e.g.
-        ``plan.scaled(0.1)``) without changing its shape.
-        """
-        ops = []
-        for op in self.ops:
-            named = _window_args(op)
-            args = tuple(
-                value * factor if name in _TIME_ARGS else value
-                for name, value in named.items()
-            ) if named else op.args
-            ops.append(FaultOp(op.at * factor, op.kind, args))
-        return NemesisPlan(ops)
 
     # -- Serialization (replayable repros) ---------------------------------
 

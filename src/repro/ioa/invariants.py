@@ -29,13 +29,6 @@ class InvariantSuite:
     def __init__(self, invariants=None):
         self._invariants = dict(invariants or {})
 
-    def add(self, name, predicate):
-        self._invariants[name] = predicate
-        return self
-
-    def names(self):
-        return sorted(self._invariants)
-
     def items(self):
         return sorted(self._invariants.items())
 
@@ -56,16 +49,4 @@ class InvariantSuite:
             self.check_state(state)
             count += 1
         return count
-
-    def violations(self, state):
-        """Names of invariants that fail on ``state`` (no exception)."""
-        failed = []
-        for name, predicate in self.items():
-            try:
-                ok = predicate(state)
-            except AssertionError:
-                ok = False
-            if ok is False:
-                failed.append(name)
-        return failed
 

@@ -10,14 +10,12 @@ function F from implementation states to specification states and showing
    ``F(s')`` with ``trace(alpha) = trace(pi)``.
 
 :class:`RefinementChecker` performs exactly this check, mechanically, along
-concrete executions: for each step it searches for a matching specification
-fragment.  The search first tries caller-supplied *hints* (the fragments the
-paper's proof constructs, e.g. ``CREATEVIEW(v)`` followed by
-``NEWVIEW(v)_p``), then falls back to a bounded breadth-first search over
-the specification's enabled actions.
+concrete executions: the proof is constructive, so for each step it runs
+the fragments the proof names (the caller's *hints*, e.g. ``CREATEVIEW(v)``
+followed by ``NEWVIEW(v)_p``) and nothing else.  A step none of them
+matches is a failure of the implementation, of F or of the proof's
+fragment -- never something a search papers over.
 """
-
-from collections import deque
 
 from repro.ioa.errors import ActionNotEnabled, RefinementFailure, UnknownAction
 
@@ -34,19 +32,16 @@ class RefinementChecker:
         Function from implementation states to specification states (the
         paper's F, Figure 4).
     hints:
-        Optional ``hints(step, abstract_state) -> iterable of action
-        sequences``; each sequence is tried verbatim before the generic
-        search.  Hints encode the constructive part of the paper's proof.
-    max_depth:
-        Bound on the fragment length explored by the fallback search.
+        ``hints(step, abstract_state) -> iterable of action sequences``:
+        the fragments the proof constructs for ``step``, each tried
+        verbatim.
     """
 
-    def __init__(self, impl, spec, mapping, hints=None, max_depth=3):
+    def __init__(self, impl, spec, mapping, hints):
         self.impl = impl
         self.spec = spec
         self.mapping = mapping
         self.hints = hints
-        self.max_depth = max_depth
 
     # -- Condition 1: initial states ---------------------------------------
 
@@ -71,11 +66,11 @@ class RefinementChecker:
     # -- Condition 2: step correspondence -----------------------------------
 
     def check_step(self, step):
-        """Find a spec fragment matching ``step`` (Lemma 5.8); return it.
+        """The named spec fragment matching ``step`` (Lemma 5.8).
 
         The fragment is returned as the list of specification actions.
-        Raises :class:`RefinementFailure` when none exists within the
-        search bound.
+        Raises :class:`RefinementFailure` when none of the named ones
+        leads from ``F(s)`` to ``F(s')`` with the step's trace.
         """
         abstract_from = self.mapping(step.state)
         abstract_to = self.mapping(step.next_state)
@@ -84,24 +79,21 @@ class RefinementChecker:
             and self.spec.is_external(step.action) else []
         )
 
-        if self.hints is not None:
-            for candidate in self.hints(step, abstract_from):
-                if self._fragment_matches(
-                    abstract_from, candidate, abstract_to, required
-                ):
-                    return list(candidate)
-
-        fragment = self._search(abstract_from, abstract_to, required)
-        if fragment is None:
-            raise RefinementFailure(
-                step,
-                abstract_from,
-                abstract_to,
-                "no fragment of depth <= {0} with trace {1}".format(
-                    self.max_depth, [str(a) for a in required]
-                ),
-            )
-        return fragment
+        tried = []
+        for candidate in self.hints(step, abstract_from):
+            candidate = list(candidate)
+            if self._fragment_matches(
+                abstract_from, candidate, abstract_to, required
+            ):
+                return candidate
+            tried.append(_show(candidate))
+        raise RefinementFailure(
+            step,
+            abstract_from,
+            abstract_to,
+            "none of the named fragments {0} leads from F(s) to F(s') with "
+            "trace {1}".format(", ".join(tried), _show(required)),
+        )
 
     def check_execution(self, execution, on_step=None):
         """Check the whole execution; return total abstract actions used."""
@@ -116,77 +108,25 @@ class RefinementChecker:
 
     # -- Internals -----------------------------------------------------------
 
-    def _try_apply(self, state, action):
-        """Apply a spec action if possible; return the new state or None."""
-        kind = self.spec.action_kind(action)
-        if kind is None:
-            return None
-        try:
-            return self.spec.apply(state, action)
-        except (ActionNotEnabled, UnknownAction):
-            return None
-
     def _fragment_matches(self, start, actions, goal, required):
-        """Run ``actions`` from ``start``; succeed if the result equals
-        ``goal`` and the external projection equals ``required``."""
+        """Run ``actions`` from ``start``; succeed if every one is enabled,
+        the result equals ``goal`` and the external projection equals
+        ``required``."""
         state = start
-        externals = []
-        for action in actions:
-            state = self._try_apply(state, action)
-            if state is None:
-                return False
-            if self.spec.is_external(action):
-                externals.append(action)
-        if externals != required:
+        try:
+            for action in actions:
+                state = self.spec.apply(state, action)
+        except (ActionNotEnabled, UnknownAction):
             return False
-        return state.fingerprint() == goal.fingerprint()
+        externals = [a for a in actions if self.spec.is_external(a)]
+        return (
+            externals == required
+            and state.fingerprint() == goal.fingerprint()
+        )
 
-    def _search(self, start, goal, required):
-        """Bounded BFS over spec fragments from ``start`` to ``goal``.
 
-        Nodes are (state, externals-consumed).  Successor actions are the
-        spec's enabled locally controlled actions plus (when not yet
-        consumed) the single required external action.
-        """
-        goal_print = goal.fingerprint()
-        start_node = (start, 0)
-        if (
-            start.fingerprint() == goal_print
-            and not required
-        ):
-            return []
-        queue = deque([(start_node, [])])
-        visited = {(start.fingerprint(), 0)}
-        while queue:
-            (state, consumed), path = queue.popleft()
-            if len(path) >= self.max_depth:
-                continue
-            candidates = list(self.spec.enabled_controlled(state))
-            if consumed < len(required):
-                candidates.append(required[consumed])
-            for action in candidates:
-                is_required = (
-                    consumed < len(required)
-                    and action == required[consumed]
-                )
-                if self.spec.is_external(action) and not is_required:
-                    continue
-                next_state = self._try_apply(state, action)
-                if next_state is None:
-                    continue
-                next_consumed = consumed + (1 if is_required else 0)
-                next_path = path + [action]
-                if (
-                    next_state.fingerprint() == goal_print
-                    and next_consumed == len(required)
-                ):
-                    return next_path
-                key = (next_state.fingerprint(), next_consumed)
-                if key in visited:
-                    continue
-                visited.add(key)
-                queue.append(((next_state, next_consumed), next_path))
-        return None
+def _show(actions):
+    return "[{0}]".format(", ".join(str(a) for a in actions))
 
 
 class _PseudoStep:

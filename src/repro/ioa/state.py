@@ -1,11 +1,11 @@
 """Automaton states and canonical fingerprints.
 
 States are mutable attribute containers.  Transitions never mutate the
-current state: :meth:`repro.ioa.automaton.Automaton.apply` deep-copies the
-state and runs the effect on the copy.  Model checking and refinement
-checking compare states through :func:`fingerprint`, a canonical recursive
-freeze of the state's attributes (dicts sorted by key, sets sorted, lists
-turned into tuples).
+current state: :meth:`repro.ioa.automaton.Automaton.apply` copies the
+state (:func:`clone`) and runs the effect on the copy.  Model checking and
+refinement checking compare states through :func:`fingerprint`, a
+canonical recursive freeze of the state's attributes (dicts sorted by key,
+sets sorted, lists turned into tuples).
 """
 
 import copy
@@ -26,8 +26,8 @@ class State:
             setattr(self, key, value)
 
     def copy(self):
-        """Return a deep copy, safe to mutate without affecting ``self``."""
-        return copy.deepcopy(self)
+        """Return a copy that is safe to mutate without affecting ``self``."""
+        return clone(self)
 
     def attributes(self):
         """The state variables as a plain dict."""
@@ -81,4 +81,40 @@ def fingerprint(value):
             for f in fields(value)
         )
         return ("dc", type(value).__name__, pairs)
+    return value
+
+
+_ATOMS = frozenset({int, str, bool, float, bytes, type(None), frozenset})
+
+
+def clone(value):
+    """A copy of ``value`` sharing nothing mutable with it.
+
+    Walks the structure :func:`fingerprint` walks: dicts, lists, sets,
+    tuples and :class:`State` are rebuilt (keys and set elements are
+    hashable, so shared); values hashable by content -- scalars, frozen
+    dataclasses, frozensets -- are immutable and shared; anything else
+    (a ``Table`` through its ``__deepcopy__``, which comes back here) is
+    deep-copied.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {k: clone(v) for k, v in value.items()}
+    if kind is list:
+        return [clone(v) for v in value]
+    if kind is tuple:
+        return tuple([clone(v) for v in value])
+    if kind is set:
+        return set(value)
+    if isinstance(value, State):
+        twin = kind.__new__(kind)
+        twin.__dict__ = clone(value.__dict__)
+        return twin
+    own = getattr(kind, "__deepcopy__", None)
+    if own is not None:
+        return own(value, {})
+    if kind.__hash__ in (None, object.__hash__):
+        return copy.deepcopy(value)
     return value

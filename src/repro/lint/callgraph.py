@@ -51,9 +51,6 @@ class Target:
         self.name = name
         self.ir = ir
 
-    def key(self):
-        return (self.klass, self.name, self.ir.path)
-
     def __repr__(self):
         return "Target({0}.{1})".format(self.klass or "<module>", self.name)
 

@@ -17,9 +17,11 @@ view is registered, it stays "ambiguous" and constrains later primaries.
 
 import random
 from abc import ABC, abstractmethod
+from types import SimpleNamespace
 
 from repro.core.viewids import ViewId
 from repro.core.views import View
+from repro.dvs import rules
 
 
 class PrimaryTracker(ABC):
@@ -91,20 +93,38 @@ class StaticMajorityTracker(PrimaryTracker):
         return primaries
 
 
+def _formation_witnesses(members, failure_prob, rng):
+    """The members at which a formation is actually recorded.
+
+    With ``failure_prob`` > 0 a formation may be interrupted (the
+    Lotem-Keidar-Dolev subtlety): only a nonempty subset of the members
+    learns that the view was attempted.
+    """
+    members = sorted(members)
+    if failure_prob <= 0:
+        return members
+    witnesses = [p for p in members if rng.random() >= failure_prob]
+    if not witnesses:
+        witnesses = [rng.choice(members)]
+    return witnesses
+
+
 class DynamicVotingTracker(PrimaryTracker):
     """The DVS / Lotem-Keidar-Dolev rule, at the membership level.
 
-    Per-process state mirrors ``VS-TO-DVS_p``: the last view the process
-    knows totally registered (``act``) and the attempted views above it
-    (``amb``).  In a component, members pool this knowledge (max ``act``,
-    union ``amb`` filtered above it) and accept the component as primary
-    iff it majority-intersects every view in the pooled
-    ``use = {act} ∪ amb``.
+    Per-process state is what ``VS-TO-DVS_p`` carries from view to view:
+    the last view the process knows totally registered (``act``) and the
+    attempted views above it (``amb``), and every decision on it is
+    Figure 3's, taken by :mod:`repro.dvs.rules`.  In a component, members
+    exchange this knowledge (``absorb_info``) and accept the component as
+    primary iff it holds a majority of every view in the pooled
+    ``use = {act} ∪ amb`` (``majority_of_use``).
 
     ``register_lag`` (in configurations) models the application's state
     exchange: a formed primary becomes *totally registered* -- letting the
-    members discard older ambiguous views -- only after its component
-    survives that many further configurations unchanged.
+    members discard older ambiguous views (``garbage_collect``) -- only
+    after its component survives that many further configurations
+    unchanged.
     """
 
     def __init__(self, initial_view, register_lag=0, failure_prob=0.0, seed=0):
@@ -112,67 +132,45 @@ class DynamicVotingTracker(PrimaryTracker):
         self.register_lag = register_lag
         self.failure_prob = failure_prob
         self.rng = random.Random(seed)
-        self.act = {p: initial_view for p in initial_view.set}
-        self.amb = {p: set() for p in initial_view.set}
+        self.knowledge = {}  # pid -> rules.py's ``state``: act, amb
         self._pending_registration = {}  # view -> configurations survived
 
-    def _formation_witnesses(self, members):
-        """The members at which a formation is actually recorded.
-
-        With ``failure_prob`` > 0 a formation may be interrupted (the
-        Lotem-Keidar-Dolev subtlety): only a nonempty subset of the members
-        learns that the view was attempted.
-        """
-        members = sorted(members)
-        if self.failure_prob <= 0:
-            return members
-        witnesses = [
-            p for p in members if self.rng.random() >= self.failure_prob
-        ]
-        if not witnesses:
-            witnesses = [self.rng.choice(members)]
-        return witnesses
-
-    def _knowledge(self, pid):
-        if pid not in self.act:
-            # A fresh process: it knows only the distinguished initial view
-            # (the paper's model has a fixed universe P; joins are modelled
-            # as processes that were silent so far).
-            self.act[pid] = self.initial_view
-            self.amb[pid] = set()
-        return self.act[pid], self.amb[pid]
+    def _fresh(self):
+        # All a process knows before it hears anything is the
+        # distinguished initial view (the paper's model has a fixed
+        # universe P; joins are processes that were silent so far).
+        return SimpleNamespace(act=self.initial_view, amb=set())
 
     def _decide(self, components):
         primaries = []
         registered_now = []
         for component in components:
-            acts = []
-            ambs = set()
-            for pid in component:
-                act, amb = self._knowledge(pid)
-                acts.append(act)
-                ambs |= amb
-            best_act = max(acts, key=lambda v: v.id)
-            pooled_amb = {w for w in ambs if w.id > best_act.id}
-            use = {best_act} | pooled_amb
-            # Every member learns the pooled knowledge (the info exchange
-            # happens in every component, primary or not).
-            for pid in component:
-                self.act[pid] = best_act
-                self.amb[pid] = set(pooled_amb)
-            if all(
-                len(component & w.set) * 2 > len(w.set) for w in use
-            ):
-                view = self._next_view(component)
-                primaries.append(view)
-                witnesses = self._formation_witnesses(component)
-                for pid in witnesses:
-                    self.amb[pid] = set(self.amb[pid]) | {view}
-                complete = set(witnesses) == set(component)
-                if complete and self.register_lag == 0:
-                    registered_now.append(view)
-                elif complete:
-                    self._pending_registration[view] = 0
+            members = [
+                self.knowledge.setdefault(pid, self._fresh())
+                for pid in component
+            ]
+            # The info exchange happens in every component, primary or
+            # not: every member ends up with the pooled knowledge.
+            pooled = self._fresh()
+            for known in members:
+                rules.absorb_info(pooled, known)
+            for known in members:
+                rules.absorb_info(known, pooled)
+            view = View(ViewId(self.epoch + 1, min(component)), component)
+            if not rules.majority_of_use(pooled, view):
+                continue
+            self.epoch += 1
+            primaries.append(view)
+            witnesses = _formation_witnesses(
+                component, self.failure_prob, self.rng
+            )
+            for pid in witnesses:
+                self.knowledge[pid].amb.add(view)
+            complete = set(witnesses) == set(component)
+            if complete and self.register_lag == 0:
+                registered_now.append(view)
+            elif complete:
+                self._pending_registration[view] = 0
 
         # Age pending registrations; registration completes only while the
         # view's membership is still a current component.
@@ -186,13 +184,14 @@ class DynamicVotingTracker(PrimaryTracker):
             else:
                 del self._pending_registration[view]
 
+        # Here a view's members all register in the same configuration.
         for view in registered_now:
             for pid in view.set:
-                if self.act[pid].id < view.id:
-                    self.act[pid] = view
-                    self.amb[pid] = {
-                        w for w in self.amb[pid] if w.id > view.id
-                    }
+                known = self.knowledge[pid]
+                if rules.totally_registered(
+                    known, view, view.set.__contains__
+                ):
+                    rules.garbage_collect(known, view)
         return primaries
 
 
@@ -213,17 +212,6 @@ class NaiveDynamicTracker(PrimaryTracker):
         self.rng = random.Random(seed)
         self.last_primary = {p: initial_view for p in initial_view.set}
 
-    def _formation_witnesses(self, members):
-        members = sorted(members)
-        if self.failure_prob <= 0:
-            return members
-        witnesses = [
-            p for p in members if self.rng.random() >= self.failure_prob
-        ]
-        if not witnesses:
-            witnesses = [self.rng.choice(members)]
-        return witnesses
-
     def _decide(self, components):
         primaries = []
         for component in components:
@@ -238,6 +226,8 @@ class NaiveDynamicTracker(PrimaryTracker):
             if len(component & reference.set) * 2 > len(reference.set):
                 view = self._next_view(component)
                 primaries.append(view)
-                for pid in self._formation_witnesses(component):
+                for pid in _formation_witnesses(
+                    component, self.failure_prob, self.rng
+                ):
                     self.last_primary[pid] = view
         return primaries

@@ -11,10 +11,9 @@ monitor's verdict, the specifications' (DVS and TO) and the recorded
 :class:`~repro.obs.record.ReplayTrace` -- the artifact that makes the
 nondeterministic run checkable offline (:mod:`repro.checking.replay`).
 
-Times in a live plan are wall-clock *seconds* (a simulator plan in
-abstract time units converts with ``plan.scaled(...)``), so live plans
-are short: a few seconds of partitions, latency and loss exercise the
-same protocol paths hundreds of simulated units do.
+Times in a live plan are wall-clock *seconds*, so live plans are short:
+a few seconds of partitions, latency and loss exercise the same protocol
+paths hundreds of simulated units do.
 """
 
 import time

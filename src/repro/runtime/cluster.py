@@ -336,19 +336,6 @@ class RuntimeCluster:
 
     # -- Observation -------------------------------------------------------
 
-    def delivered(self, pid):
-        """All totally ordered deliveries recorded at ``pid`` -- across
-        every incarnation (the shared log never forgets)."""
-        return self._call(self.log.at, "brcv", pid)
-
-    def cb_delivered(self, pid):
-        """All causally ordered deliveries recorded at ``pid`` -- across
-        every incarnation (the shared log never forgets)."""
-        return [
-            (m.payload, q)
-            for m, q in self._call(self.log.at, "cb_brcv", pid)
-        ]
-
     @property
     def violations(self):
         return list(self.monitor.violations) if self.monitor else []

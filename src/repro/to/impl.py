@@ -38,31 +38,24 @@ def over_dvs_spec(app_class, name, initial_view, universe, view_pool=()):
     )
 
 
-def over_dvs_impl(app_class, name, initial_view, universe, view_pool=()):
-    """One ``app_class`` automaton per process over DVS-IMPL (over VS),
-    with everything below the application's own interface hidden."""
-    universe = frozenset(universe) | initial_view.set
-    dvs_impl = build_dvs_impl(initial_view, universe, view_pool=view_pool)
-    return _with_apps(
-        dvs_impl.components, dvs_impl.hidden, app_class, initial_view,
-        universe, name,
-    )
-
-
 def build_to_impl(initial_view, universe, view_pool=()):
     """TO-IMPL over the DVS *specification* (the paper's Section 6 system)."""
     return over_dvs_spec(DvsToTo, "to_impl", initial_view, universe, view_pool)
 
 
 def build_to_over_dvs_impl(initial_view, universe, view_pool=()):
-    """The full stack: DVS-TO-TO over VS-TO-DVS over VS, everything hidden.
+    """The full stack: DVS-TO-TO over VS-TO-DVS over VS, with everything
+    below the application's own interface hidden.
 
     This is the end-to-end system a deployment would run; the paper's two
     theorems compose to show its traces are TO traces.  We check that
     directly as well (tests/integration/test_full_stack.py).
     """
-    return over_dvs_impl(
-        DvsToTo, "to_over_dvs_impl", initial_view, universe, view_pool
+    universe = frozenset(universe) | initial_view.set
+    dvs_impl = build_dvs_impl(initial_view, universe, view_pool=view_pool)
+    return _with_apps(
+        dvs_impl.components, dvs_impl.hidden, DvsToTo, initial_view,
+        universe, "to_over_dvs_impl",
     )
 
 

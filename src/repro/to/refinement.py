@@ -130,5 +130,4 @@ def to_refinement_checker(processes):
         spec=spec,
         mapping=mapping,
         hints=to_hints(mapping),
-        max_depth=3,
     )

@@ -1,22 +1,18 @@
 """Unit tests for the view-scoped vector-clock algebra.
 
 The Hypothesis suite (tests/property/test_vclock_properties.py) checks
-the lattice laws; these are the concrete cases that document the
+the drain's laws; these are the concrete cases that document the
 intended behaviour, including the BSS delivery condition and the
 hold-back drain.
 """
 
 from repro.cb.clocks import (
     advance,
-    compare,
     deliverable,
     drain,
     entry,
-    join,
-    leq,
     normalize,
     put,
-    restrict,
     tick,
 )
 
@@ -45,37 +41,6 @@ class TestCanonicalForm:
     def test_tick_increments(self):
         assert tick((), "a") == (("a", 1),)
         assert tick((("a", 1),), "a") == (("a", 2),)
-
-
-class TestOrder:
-    def test_join_is_pointwise_max(self):
-        a = (("p1", 2), ("p2", 1))
-        b = (("p2", 3), ("p3", 1))
-        assert join(a, b) == (("p1", 2), ("p2", 3), ("p3", 1))
-
-    def test_leq_and_compare(self):
-        lo = (("p1", 1),)
-        hi = (("p1", 2), ("p2", 1))
-        assert leq(lo, hi) and not leq(hi, lo)
-        assert compare(lo, hi) == -1
-        assert compare(hi, lo) == 1
-        assert compare(lo, lo) == 0
-
-    def test_concurrent_clocks_compare_to_none(self):
-        assert compare((("p1", 1),), (("p2", 1),)) is None
-
-    def test_empty_clock_is_bottom(self):
-        assert leq((), (("p1", 7),))
-        assert join((), (("p1", 7),)) == (("p1", 7),)
-
-
-class TestRestrict:
-    def test_restrict_drops_departed_processes(self):
-        clock = (("p1", 2), ("p2", 1), ("p3", 4))
-        assert restrict(clock, {"p1", "p3"}) == (("p1", 2), ("p3", 4))
-
-    def test_restrict_to_empty_membership(self):
-        assert restrict((("p1", 1),), set()) == ()
 
 
 class TestDeliverable:

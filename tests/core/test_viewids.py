@@ -44,16 +44,6 @@ class TestViewIdOrdering:
         assert len({ViewId(1, "p"), ViewId(1, "p"), ViewId(1, "q")}) == 2
 
 
-class TestSuccessor:
-    def test_successor_is_strictly_greater(self):
-        vid = ViewId(4, "p")
-        assert vid < vid.successor()
-        assert vid < vid.successor("anyone")
-
-    def test_successor_epoch(self):
-        assert ViewId(4, "p").successor("q") == ViewId(5, "q")
-
-
 class TestBottomComparisons:
     def test_bottom_below_everything(self):
         assert vid_lt(None, G0)

@@ -49,7 +49,9 @@ class TestLiteralAlgorithmFailsLemma58:
         checker = dvs_refinement_checker(
             procs, V0, UNIVERSE, literal_safe=True
         )
-        with pytest.raises(RefinementFailure) as excinfo:
+        with pytest.raises(
+            RefinementFailure, match=r"named fragments \[dvs_safe\("
+        ) as excinfo:
             checker.check_execution(execution)
         assert excinfo.value.step.action.name == "dvs_safe"
 
@@ -88,8 +90,11 @@ class TestLiteralAlgorithmFailsLemma58:
         checker = dvs_refinement_checker(
             procs, V0, UNIVERSE[:3], literal_safe=True
         )
-        # ...but p1's client never received m: no DVS fragment matches.
-        with pytest.raises(RefinementFailure):
+        # ...but p1's client never received m: Lemma 5.8's fragment for
+        # the step, DVS-SAFE itself, is not enabled.
+        with pytest.raises(
+            RefinementFailure, match=r"named fragments \[dvs_safe\("
+        ):
             checker.check_step(step)
 
 

@@ -67,21 +67,6 @@ class TestNemesisPlan:
         ])
         assert len(plan) == 2
 
-    def test_scaled_rescales_every_time_valued_arg(self):
-        # Regression: jitter / spike / spread stayed in the old unit, so
-        # a 10-unit jitter scaled by 0.1 was 10 s inside a 3 s window.
-        plan = NemesisPlan([
-            FaultOp(20.0, "delay", (None, 10.0, 0.5, 40.0, 30.0)),
-            FaultOp(50.0, "duplicate", (None, 0.5, 8.0, 10.0)),
-            FaultOp(70.0, "crash", ("p1",)),
-        ]).scaled(0.1)
-        assert [(op.at, op.args) for op in plan] == [
-            (2.0, (None, 1.0, 0.5, 4.0, 3.0)),
-            (5.0, (None, 0.5, 0.8, 1.0)),
-            (7.0, ("p1",)),
-        ]
-        assert plan.horizon == 7.0
-
     def test_window_op_with_the_wrong_arity_is_a_value_error(self):
         with pytest.raises(ValueError, match="drop takes"):
             FaultOp(1.0, "drop", (None, 0.5)).end

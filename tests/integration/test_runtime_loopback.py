@@ -77,7 +77,7 @@ def test_repeating_a_command_is_not_a_duplication_violation(cluster):
     for _ in range(2):
         cluster.call_app("n1", lambda app: app.put("k", "v"))
     wait_applied(cluster, PIDS, 2)
-    assert cluster.delivered("n2") == [(("put", "k", "v"), "n1")] * 2
+    assert cluster.log.at("brcv", "n2") == [(("put", "k", "v"), "n1")] * 2
     cluster.check()
     assert cluster.violations == []
 

@@ -99,12 +99,6 @@ class TestInvariants:
             suite.check_state(make_system().initial_state())
         assert "the details" in str(excinfo.value)
 
-    def test_violations_listing(self):
-        suite = InvariantSuite(
-            {"ok": lambda s: True, "bad": lambda s: False}
-        )
-        assert suite.violations(make_system().initial_state()) == ["bad"]
-
 
 class TestBoundedExplorer:
     def test_explores_full_space(self):

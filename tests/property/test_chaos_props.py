@@ -122,41 +122,6 @@ class TestPlanStrategies:
         assert all(op.at <= op.end for op in plan)
         assert plan.horizon >= 0.0
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        plan=nemesis_plans(PROCS),
-        factor=st.floats(min_value=0.001, max_value=10.0,
-                         allow_nan=False),
-    )
-    def test_scaled_plans_keep_shape(self, plan, factor):
-        # scaled() converts sim time units to wall-clock seconds: op
-        # times and every time-valued arg stretch (window lengths, and
-        # the spread / jitter / spike that used to stay in the old
-        # unit), everything else (kinds, op count, targets,
-        # probabilities) is untouched.
-        times = {
-            "drop": (2,), "duplicate": (2, 3), "delay": (1, 3, 4),
-            "oneway": (1,),
-        }
-        scaled = plan.scaled(factor)
-        assert len(scaled) == len(plan)
-        assert [op.kind for op in scaled] == [op.kind for op in plan]
-        for op, orig in zip(scaled.ops, plan.ops):
-            assert op.at == orig.at * factor
-            assert len(op.args) == len(orig.args)
-            for i, (value, was) in enumerate(zip(op.args, orig.args)):
-                if i in times.get(op.kind, ()):
-                    assert value == was * factor
-                else:
-                    assert value == was
-        # A scaled plan is still serializable and replayable.
-        assert NemesisPlan.from_json(scaled.to_json()) == scaled
-
-    @settings(max_examples=40, deadline=None)
-    @given(plan=nemesis_plans(PROCS))
-    def test_scaling_by_one_is_identity(self, plan):
-        assert plan.scaled(1.0) == plan
-
     def test_hostile_plan_json_rejected(self):
         import pytest
 

@@ -27,14 +27,20 @@ class TestCommands:
         assert "5.1-5.6" in out
 
     def test_availability(self, capsys):
-        code = main(
-            ["availability", "--steps", "120", "--processes", "5"]
-        )
+        code = main(["availability"])
         assert code == 0
         out = capsys.readouterr().out
         assert "fixed population" in out
         assert "drifting population" in out
         assert "dynamic voting (DVS)" in out
+        # The third table shows what README / EXPERIMENTS E6c cite: the
+        # naive rule splits the brain, Figure 3's rule never does.
+        third = out.split("interrupted formations\n")[1].splitlines()
+        disjoint = {
+            line.split("  ")[0]: int(line.split()[-1]) for line in third[2:]
+        }
+        assert disjoint["naive dynamic (flawed)"] > 0
+        assert disjoint["dynamic voting (DVS)"] == 0
 
     def test_explore(self, capsys):
         code = main(["explore", "--max-states", "3000"])
