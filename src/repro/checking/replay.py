@@ -6,8 +6,9 @@ DVS -> {TO, CB}) for every process in a
 and feeds the recorded input events back in recorded order, with a
 fresh :class:`~repro.faults.monitor.SafetyMonitor` armed on a fresh
 :class:`~repro.gcs.recorder.ActionLog`.  Because the layers are
-deterministic functions of their input sequence (no timers, clocks or
-entropy -- the lint determinism rules guarantee it), two replays of the
+deterministic functions of their input sequence (no clocks or entropy
+-- the lint determinism rules guarantee it -- and a timer fires only
+where the trace says it fired), two replays of the
 same trace produce identical action logs, deliveries and digests: a
 nondeterministic live run becomes a deterministic artifact the instant
 it is recorded.

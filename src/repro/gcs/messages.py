@@ -58,6 +58,24 @@ class Ordered:
 
 
 @dataclass(frozen=True)
+class OrderedRun:
+    """Sequencer's broadcast of a run: positions ``seq``, ``seq + 1``, ...
+    of view ``vid`` are the ``(payload, sender)`` pairs of ``entries``,
+    in order -- consecutive :class:`Ordered` messages in one frame."""
+
+    vid: ViewId
+    seq: int
+    entries: Tuple[Tuple[object, str], ...]
+
+    def split(self):
+        """The run as the :class:`Ordered` messages it stands for."""
+        return tuple(
+            Ordered(self.vid, seq, payload, sender)
+            for seq, (payload, sender) in enumerate(self.entries, self.seq)
+        )
+
+
+@dataclass(frozen=True)
 class Ack:
     """Member acknowledges having delivered position ``seq``."""
 

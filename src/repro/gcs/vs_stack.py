@@ -11,7 +11,12 @@ increasing identifier order, so each process's view sequence is monotone.
 Ordering: per-view sequencer.  A member forwards its payloads to the
 view's leader (minimum id), which assigns consecutive sequence numbers and
 broadcasts them; members deliver in sequence order -- hence all members of
-a view deliver prefixes of one common sequence.  For a listener that
+a view deliver prefixes of one common sequence.  The leader orders in
+*runs*: every payload that reaches it (its own ``gpsnd`` included, with
+no ``Data`` hop to itself) before a zero-delay ``vs_flush`` timer fires
+gets the next consecutive slots and leaves in one frame -- ``Ordered``
+for a run of one, ``OrderedRun`` otherwise.  A view change discards the
+pending run with the rest of the view's ordering state.  For a listener that
 consumes ``on_vs_safe`` (``VsListener.wants_vs_safe``), members acknowledge
 deliveries; once the leader holds acknowledgements from *every* member for
 a position it broadcasts a stability note, and members report the message
@@ -33,6 +38,8 @@ Liveness depends on the connectivity oracle and on component stability; a
 round interrupted by another connectivity change is simply superseded.
 """
 
+from types import MappingProxyType
+
 from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.gcs.messages import (
@@ -41,6 +48,7 @@ from repro.gcs.messages import (
     Data,
     Install,
     Ordered,
+    OrderedRun,
     SafeNote,
     StateReply,
 )
@@ -73,6 +81,7 @@ class _ViewOrderingState:
         self.view = view
         # Sequencer side.
         self.next_assign = 1
+        self.run = []  # (payload, sender) pairs awaiting the flush
         self.acks = {}
         self.next_safe_broadcast = 1
         # Member side.
@@ -117,7 +126,10 @@ class VsStackNode(Node, RecorderMixin):
         if self.view is None:
             return
         self._record("vs_gpsnd", payload, self.pid)
-        self.send(self._leader(), Data(self.view.id, payload, self.pid))
+        if self.pid == self._leader():
+            self._order(payload, self.pid)
+        else:
+            self.send(self._leader(), Data(self.view.id, payload, self.pid))
 
     def _leader(self):
         return min(self.view.set)
@@ -142,6 +154,7 @@ class VsStackNode(Node, RecorderMixin):
             Install: self._on_install,
             Data: self._on_data,
             Ordered: self._on_ordered,
+            OrderedRun: self._on_ordered_run,
             Ack: self._on_ack,
             SafeNote: self._on_safe_note,
         }[type(msg)]
@@ -185,34 +198,66 @@ class VsStackNode(Node, RecorderMixin):
         return self.view is not None and self.view.id == vid
 
     def _on_data(self, src, msg):
-        """Sequencer: assign the next slot and broadcast it."""
         if not self._in_current_view(msg.vid) or self.pid != self._leader():
             return
+        self._order(msg.payload, msg.sender)
+
+    def _order(self, payload, sender):
+        """Sequencer: add the payload to the view's run; the run's first
+        entry arms the flush."""
+        run = self.ordering.run
+        if not run:
+            self.set_timer(0, "vs_flush")
+        run.append((payload, sender))
+
+    def _flush(self):
+        """Sequencer: give the run consecutive slots and broadcast it as
+        one frame.  A run a view change emptied flushes nothing, nor
+        does a replayed ``vs_flush`` at a process with no view."""
         ordering = self.ordering
+        if ordering is None or not ordering.run:
+            return
+        run, ordering.run = ordering.run, []
         seq = ordering.next_assign
-        ordering.next_assign += 1
-        self._probe("vs_seq", msg.payload, self.pid)
-        broadcast = Ordered(msg.vid, seq, msg.payload, msg.sender)
-        self.broadcast(sorted(self.view.set), broadcast)
+        ordering.next_assign += len(run)
+        for payload, _ in run:
+            self._probe("vs_seq", payload, self.pid)
+        if len(run) == 1:
+            msg = Ordered(self.view.id, seq, *run[0])
+        else:
+            msg = OrderedRun(self.view.id, seq, tuple(run))
+        self.broadcast(sorted(self.view.set), msg)
+
+    timer_handlers = MappingProxyType({"vs_flush": _flush})
 
     def _on_ordered(self, src, msg):
-        if not self._in_current_view(msg.vid):
+        self._accept(msg.vid, msg.seq, ((msg.payload, msg.sender),))
+
+    def _on_ordered_run(self, src, msg):
+        self._accept(msg.vid, msg.seq, msg.entries)
+
+    def _accept(self, vid, first_seq, entries):
+        """Member: ``entries`` hold positions ``first_seq``, ``first_seq +
+        1``, ...; buffer them and deliver in sequence order.  A position
+        already delivered or buffered keeps what it has."""
+        if not self._in_current_view(vid):
             return
         ordering = self.ordering
-        if msg.seq < ordering.next_deliver:
-            return  # duplicate of a delivered position: nothing to keep
+        buffer = ordering.buffer
+        for seq, entry in enumerate(entries, first_seq):
+            if seq >= ordering.next_deliver:
+                buffer.setdefault(seq, entry)
         tracking = self.listener.wants_vs_safe
-        ordering.buffer[msg.seq] = (msg.payload, msg.sender)
-        while ordering.next_deliver in ordering.buffer:
+        while ordering.next_deliver in buffer:
             seq = ordering.next_deliver
             ordering.next_deliver += 1
-            payload, sender = ordering.buffer[seq]
+            payload, sender = buffer[seq]
             if not tracking:
-                del ordering.buffer[seq]  # nothing will report it safe
+                del buffer[seq]  # nothing will report it safe
             self._record("vs_gprcv", payload, sender, self.pid)
             self.listener.on_vs_gprcv(payload, sender)
             if tracking:
-                self.send(self._leader(), Ack(msg.vid, seq))
+                self.send(self._leader(), Ack(vid, seq))
                 self._report_safe()
 
     # Stability, tracked only for a listener that reads it; otherwise a

@@ -30,6 +30,7 @@ Semantics:
 """
 
 import random
+from types import MappingProxyType
 
 from repro.net.events import EventQueue
 from repro.net.plane import FaultPlane
@@ -67,8 +68,15 @@ class Node:
     def on_message(self, src, msg):
         """A message from ``src`` arrived."""
 
+    #: ``tag -> function(node)``: what a fired timer runs.
+    timer_handlers = MappingProxyType({})
+
     def on_timer(self, tag):
-        """A timer set with ``set_timer`` fired."""
+        """A timer set with ``set_timer`` fired: run the handler the
+        node's class declares for ``tag`` (an unknown tag does nothing)."""
+        handler = self.timer_handlers.get(tag)
+        if handler is not None:
+            handler(self)
 
     def on_connectivity(self, component):
         """The connectivity oracle reports the node's current component

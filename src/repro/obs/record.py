@@ -1,8 +1,9 @@
 """Recording live executions into replayable trace files.
 
 The hosted gcs layers are deterministic functions of their input event
-sequence (no timers, no clocks, no entropy -- ``repro lint`` enforces
-it), so a live run is fully determined by what the transport and the
+sequence (no clocks, no entropy -- ``repro lint`` enforces it; the one
+timer, the VS sequencer's flush, is an input: its firing is recorded),
+so a live run is fully determined by what the transport and the
 connectivity estimator fed each node, in order.  A
 :class:`TraceRecorder` captures exactly that cut -- the events *below*
 are nondeterministic (sockets, heartbeats, thread scheduling), the
@@ -21,7 +22,7 @@ Event kinds (``data`` layout):
 ``start``  ``(member,)`` -- node (re)started; ``False`` = amnesiac rejoin
 ``recv``   ``(src, msg)`` -- a frame dispatched into the stack
 ``conn``   ``(component,)`` -- connectivity estimate reported upward
-``timer``  ``(tag,)`` -- a stack timer fired (unused by the gcs layers)
+``timer``  ``(tag,)`` -- a stack timer fired (the sequencer's ``vs_flush``)
 ``bcast``  ``(payload,)`` -- a client broadcast through the TO layer
 ``cbcast``  ``(payload,)`` -- a client broadcast through the CB layer
 ``nemesis``  ``(description,)`` -- fault-plan annotation (not dispatched)

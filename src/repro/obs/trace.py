@@ -14,6 +14,9 @@ One totally ordered client broadcast crosses the stack as::
     dvs_deliver  DVS-GPRCV at the member
     to_deliver   TO confirms and releases the payload (BRCV)
 
+There is no Data hop when the origin is the sequencer, and a slot that
+left in an ``OrderedRun`` gets its own wire events from that frame.
+
 A causal broadcast crosses the same substrate with its own root and
 release stages -- ``cb_label`` (the CB layer stamps the view-scoped
 vector clock) down through the identical dvs/vs/wire stages up to
@@ -42,7 +45,7 @@ stitching happens lazily at read time over ring snapshots.
 from types import MappingProxyType
 
 from repro.cb.messages import CbCast
-from repro.gcs.messages import Data, Install, Ordered
+from repro.gcs.messages import Data, Install, Ordered, OrderedRun
 from repro.obs.spans import SpanEvent, SpanRing
 from repro.to.summaries import Label
 
@@ -98,13 +101,18 @@ def message_key(payload):
     return None
 
 
-def wire_key(msg):
-    """The stitching key of a wire message, or ``None`` (untraced)."""
-    if isinstance(msg, (Data, Ordered)):
-        return message_key(msg.payload)
+def wire_keys(msg):
+    """The stitching keys of a wire message: one per traced payload it
+    carries (every entry of a sequencer run), none if untraced."""
     if isinstance(msg, Install):
-        return ("view", msg.view.id)
-    return None
+        return [("view", msg.view.id)]
+    if isinstance(msg, (Data, Ordered)):
+        payloads = [msg.payload]
+    elif isinstance(msg, OrderedRun):
+        payloads = [payload for payload, _ in msg.entries]
+    else:
+        return []
+    return [key for key in map(message_key, payloads) if key is not None]
 
 
 def _delta(earlier, later):
@@ -176,8 +184,7 @@ class Tracer:
 
     def wire_event(self, stage, pid, peer, msg, t):
         """A frame crossed the transport (``wire_send``/``wire_recv``)."""
-        key = wire_key(msg)
-        if key is not None:
+        for key in wire_keys(msg):
             self._emit(key, stage, pid, t, peer=peer)
 
     # -- Reading -----------------------------------------------------------
@@ -230,10 +237,11 @@ class Tracer:
           the destination;
         - ``dvs``  -- the primary filter, both directions;
         - ``wire`` -- transport time of the Data hop (origin ->
-          sequencer) plus the Ordered hop (sequencer -> destination),
-          with the sequencer identified by the ``vs_seq`` probe; a hop
-          that never touched the wire (self-send local loopback, or a
-          hop whose endpoints coincide) costs 0;
+          sequencer) plus the ordering hop (sequencer -> destination,
+          an ``Ordered`` or ``OrderedRun`` frame), with the sequencer
+          identified by the ``vs_seq`` probe; a hop that never touched
+          the wire (self-send local loopback, or a hop whose endpoints
+          coincide) costs 0;
         - ``vs``   -- the residual, so the four stages sum *exactly*
           to ``total`` per delivery (sequencing, acks and stability
           live here).

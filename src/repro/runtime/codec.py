@@ -59,6 +59,7 @@ from repro.gcs.messages import (
     Data,
     Install,
     Ordered,
+    OrderedRun,
     SafeNote,
     StateReply,
 )
@@ -73,14 +74,17 @@ from repro.to.summaries import Label, Summary
 #:   control frames);
 #: - ``2`` -- adds :class:`~repro.cb.messages.CbCast` for the causal
 #:   broadcast tier.  Bodies are otherwise identical, so version-1
-#:   frames decode unchanged (see :data:`SUPPORTED_WIRE_VERSIONS`).
-WIRE_VERSION = 2
+#:   frames decode unchanged (see :data:`SUPPORTED_WIRE_VERSIONS`);
+#: - ``3`` -- adds :class:`~repro.gcs.messages.OrderedRun`, the
+#:   sequencer's run of consecutive slots in one frame.  Every other
+#:   body is byte for byte what version 2 wrote.
+WIRE_VERSION = 3
 
 #: Body versions this decoder accepts.  Encoding always stamps
 #: :data:`WIRE_VERSION`; decoding tolerates the older layouts that are
 #: strict subsets of the current one, so mixed-version clusters keep
 #: talking during a rolling upgrade.
-SUPPORTED_WIRE_VERSIONS = (1, 2)
+SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
 
 #: Frames longer than this are rejected before buffering (a garbage
 #: length prefix must not make the reader allocate gigabytes).
@@ -110,7 +114,7 @@ class Heartbeat:
 WIRE_TYPES = (
     ViewId, View,
     InfoMsg, RegisteredMsg, AckMsg,
-    Collect, StateReply, Install, Data, Ordered, Ack, SafeNote,
+    Collect, StateReply, Install, Data, Ordered, OrderedRun, Ack, SafeNote,
     Label, Summary,
     CbCast,
     Hello, Heartbeat,
@@ -164,6 +168,11 @@ WIRE_SCHEMA = MappingProxyType({
         ("seq", "int"),
         ("payload", "object"),
         ("sender", "str"),
+    ),
+    "OrderedRun": (
+        ("vid", "ViewId"),
+        ("seq", "int"),
+        ("entries", "Tuple[Tuple[object, str], ...]"),
     ),
     "Ack": (
         ("vid", "ViewId"),
@@ -316,18 +325,30 @@ def _wire_table():
 _WIRE = _wire_table()
 
 
+def _is_run(msg):
+    """An :class:`OrderedRun` a member can accept: at least one entry,
+    each a ``(payload, sender)`` pair with a string sender."""
+    return bool(msg.entries) and all(
+        type(entry) is tuple and len(entry) == 2 and type(entry[1]) is str
+        for entry in msg.entries
+    )
+
+
 def validate_message(msg):
     """Whether a wire message is schema-faithful.
 
-    ``True`` iff ``msg`` is exactly of a registered wire type and every
+    ``True`` iff ``msg`` is exactly of a registered wire type, every
     field is exactly of a type its pinned :data:`WIRE_SCHEMA` annotation
-    stands for.  :func:`decode` holds every registered value it
+    stands for, and a run's entries are what its handler unpacks
+    (:func:`_is_run`).  :func:`decode` holds every registered value it
     rebuilds, at any depth, to the same rows; the receive path still
     gates on this, because not every message it is handed came through
-    the decoder.
+    the decoder, and a row checks a container by its outer type only.
     """
     row = _WIRE.get(type(msg))
-    return row is not None and _conforms(row.values(msg), row.checks)
+    if row is None or not _conforms(row.values(msg), row.checks):
+        return False
+    return type(msg) is not OrderedRun or _is_run(msg)
 
 
 # -- Encoding: value -> canonical text ---------------------------------------

@@ -25,6 +25,7 @@ Nothing above the transport knows it left the simulator.
 import asyncio
 from collections import deque
 
+from repro.gcs.messages import OrderedRun
 from repro.gcs.tower import Tower
 from repro.runtime.codec import (
     CodecError,
@@ -240,24 +241,32 @@ class RuntimeNode:
 
         A self-send goes through the loop's ready queue without touching
         the codec, so it behaves like any other message (delivered
-        asynchronously, never reentrant).
+        asynchronously, never reentrant).  A sequencer run too large
+        for one frame goes out as its single ``Ordered`` messages, so
+        it loses only the entries that would not fit alone either.
         """
         if self._stopped:
             return
-        frame = None
+        remote = []
         for dst in dsts:
             if dst == self.pid:
                 self._loop.call_soon(self._local_deliver, msg)
-                continue
-            if dst not in self.book:
+            elif dst in self.book:
+                remote.append(dst)
+            else:
                 self.dropped_unroutable += 1
-                continue
-            if frame is None:
-                try:
-                    frame = encode_frame((self.pid, msg))
-                except CodecError as exc:
-                    self.errors.append(exc)
-                    return
+        if not remote:
+            return
+        try:
+            frame = encode_frame((self.pid, msg))
+        except CodecError as exc:
+            if type(msg) is OrderedRun:
+                for single in msg.split():
+                    self.broadcast(src, remote, single)
+            else:
+                self.errors.append(exc)
+            return
+        for dst in remote:
             self._send_encoded(dst, msg, frame)
 
     def set_timer(self, pid, delay, tag):

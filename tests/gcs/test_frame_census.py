@@ -53,10 +53,17 @@ class TestTowerCensus:
         assert names["dvs_gprcv"] == names["dvs_safe"] == 3 * K
         assert names["brcv"] == 3 * K
         # Pinned for this seed.  The K requests are issued at one
-        # instant, so each member's acks coalesce to two: AckMsg(1) and,
-        # on its echo, one for everything delivered meanwhile.
-        assert ack_multicasts == 6
-        assert sends == {"Data": K + 6, "Ordered": 3 * (K + 6)}
+        # instant, so b's and c's acks coalesce to two: AckMsg(4) and,
+        # on its echo, one for everything delivered meanwhile.  The
+        # sequencer a orders its own payloads with no Data hop, so its
+        # first ack is back while b's and c's requests still arrive one
+        # by one: a acks three times (4, 7, 15).
+        assert ack_multicasts == 7
+        # Data only from b and c: 8 requests + 4 acks.  The K + 7 slots
+        # leave in 11 frames per member, 8 single Ordered and runs of 4
+        # (a's own requests, one loop turn), 3 and 4 -- 45 sends where
+        # one Ordered per slot and a Data to itself sent 72.
+        assert sends == {"Data": 12, "Ordered": 3 * 8, "OrderedRun": 3 * 3}
         for pid in PIDS:
             assert cluster.stacks[pid].ordering.buffer == {}
 
@@ -141,8 +148,13 @@ class TestVsOnlyStackKeepsStability:
         for i in range(K):
             nodes[PIDS[i % 3]].gpsnd(("req", i))
         net.run_to_quiescence(max_time=2000)
+        # Data only from b and c.  The K slots leave as one run of a's
+        # own four, two runs of two (Data that channel FIFO delivers at
+        # the instant of the one before) and four single Ordered; the
+        # stability traffic stays per position.
         assert sends_by_type(net, mark) == {
-            "Data": K, "Ordered": 3 * K, "Ack": 3 * K, "SafeNote": 3 * K,
+            "Data": 8, "Ordered": 3 * 4, "OrderedRun": 3 * 3,
+            "Ack": 3 * K, "SafeNote": 3 * K,
         }
         for pid in PIDS:
             assert len(listeners[pid].delivered) == K

@@ -11,6 +11,7 @@ from repro.gcs.messages import (
     Data,
     Install,
     Ordered,
+    OrderedRun,
     SafeNote,
     StateReply,
 )
@@ -77,21 +78,31 @@ class TestMembershipRound:
         assert node.max_epoch == 40
 
 
+def sent(net, since, kind=object):
+    return [
+        d[2] for _, k, d in net.log[since:]
+        if k == "send" and isinstance(d[2], kind)
+    ]
+
+
 class TestSequencer:
     def test_data_assigns_consecutive_slots(self):
+        """Both Data arrive in one turn, so they are one run: slots 1
+        and 2 (nothing was ordered in this view yet) in one frame per
+        member, sent when the zero-delay flush fires and not before."""
         net, nodes, v0 = wire(["a", "b"])
         leader = nodes["a"]
         vid = leader.view.id
         before = len(net.log)
         leader._on_data("b", Data(vid, "m1", "b"))
         leader._on_data("b", Data(vid, "m2", "b"))
-        ordered = [
-            d[2]
-            for _, k, d in net.log[before:]
-            if k == "send" and isinstance(d[2], Ordered)
-        ]
-        seqs = sorted({m.seq for m in ordered})
-        assert seqs == [1, 2]
+        assert sent(net, before) == []
+        net.run_to_quiescence(max_time=100)
+        run = OrderedRun(vid, 1, (("m1", "b"), ("m2", "b")))
+        assert sent(net, before, (Ordered, OrderedRun)) == [run, run]
+        assert run.split() == (
+            Ordered(vid, 1, "m1", "b"), Ordered(vid, 2, "m2", "b"),
+        )
 
     def test_stale_view_data_dropped(self):
         net, nodes, v0 = wire(["a", "b"])
@@ -147,3 +158,99 @@ class TestSequencer:
             if k == "send" and isinstance(d[2], SafeNote)
         ]
         assert len(notes) == 2  # one note to each member
+
+
+def recording(node):
+    """Route ``node``'s deliveries into the returned list."""
+    delivered = []
+    node.listener.on_vs_gprcv = (
+        lambda payload, sender: delivered.append(payload)
+    )
+    return delivered
+
+
+class TestSequencerRuns:
+    """The leader orders whatever reached it in one turn as one run."""
+
+    def test_k_data_in_one_turn_are_one_run_of_consecutive_slots(self):
+        net, nodes, v0 = wire(["a", "b", "c"])
+        leader = nodes["a"]
+        vid = leader.view.id
+        leader._on_data("b", Data(vid, "first", "b"))
+        net.run_to_quiescence(max_time=100)
+        before = len(net.log)
+        for i in range(5):
+            leader._on_data("bc"[i % 2], Data(vid, i, "bc"[i % 2]))
+        net.run_to_quiescence(max_time=100)
+        frames = sent(net, before, (Ordered, OrderedRun))
+        assert len(frames) == 3  # one frame per member
+        run = frames[0]
+        assert set(frames) == {run} and type(run) is OrderedRun
+        assert run.seq == 2  # slot 1 went to "first"
+        assert run.entries == tuple((i, "bc"[i % 2]) for i in range(5))
+        assert leader.ordering.next_assign == 7
+        for pid in ("b", "c"):
+            assert nodes[pid].ordering.next_deliver == 7
+
+    def test_a_lone_data_is_todays_ordered(self):
+        net, nodes, v0 = wire(["a", "b"])
+        leader = nodes["a"]
+        vid = leader.view.id
+        before = len(net.log)
+        leader._on_data("b", Data(vid, "m", "b"))
+        net.run_to_quiescence(max_time=100)
+        frames = sent(net, before, (Ordered, OrderedRun))
+        assert frames == [Ordered(vid, 1, "m", "b")] * 2
+        assert {type(m) for m in frames} == {Ordered}
+
+    def test_leaders_own_gpsnd_puts_no_data_on_the_wire(self):
+        net, nodes, v0 = wire(["a", "b"])
+        got = {pid: recording(nodes[pid]) for pid in nodes}
+        before = len(net.log)
+        nodes["a"].gpsnd("own")
+        nodes["b"].gpsnd("theirs")
+        net.run_to_quiescence(max_time=100)
+        assert sent(net, before, Data) == [
+            Data(nodes["b"].view.id, "theirs", "b")
+        ]
+        assert got["a"] == got["b"] == ["own", "theirs"]
+
+    def test_a_view_change_before_the_flush_drops_the_run(self):
+        net, nodes, v0 = wire(["a", "b"])
+        leader = nodes["a"]
+        got = recording(nodes["b"])
+        old = leader.view
+        leader._on_data("b", Data(old.id, "stale", "b"))
+        leader.gpsnd("also stale")
+        new = View(ViewId(old.id.epoch + 1, "a"), old.set)
+        for node in nodes.values():
+            node._on_install("a", Install(("a", 99), new))
+        before = len(net.log)
+        net.run_to_quiescence(max_time=100)  # the old run's flush fires
+        assert sent(net, before, (Ordered, OrderedRun)) == []
+        assert leader.ordering.next_assign == 1 and got == []
+        leader._on_data("b", Data(new.id, "fresh", "b"))
+        net.run_to_quiescence(max_time=100)
+        assert sent(net, before, (Ordered, OrderedRun)) == [
+            Ordered(new.id, 1, "fresh", "b")
+        ] * 2
+        assert got == ["fresh"]
+
+    def test_overlapping_and_duplicate_positions_are_ignored(self):
+        net, nodes, v0 = wire(["a", "b"])
+        node = nodes["b"]
+        vid = node.view.id
+        got = recording(node)
+        node._on_ordered_run("a", OrderedRun(
+            vid, 3, (("m3", "a"), ("m4", "a")),
+        ))
+        node._on_ordered_run("a", OrderedRun(
+            vid, 1, (("m1", "a"), ("m2", "a"), ("forged 3", "a")),
+        ))
+        assert got == ["m1", "m2", "m3", "m4"]
+        node._on_ordered_run("a", OrderedRun(
+            vid, 3, (("forged 3", "a"), ("forged 4", "a"), ("m5", "a")),
+        ))
+        node._on_ordered("a", Ordered(vid, 5, "forged 5", "a"))
+        assert got == ["m1", "m2", "m3", "m4", "m5"]
+        assert node.ordering.next_deliver == 6

@@ -77,6 +77,39 @@ class TestSamePlanBothWorlds:
         assert first.stats["deliveries"] == result.stats["deliveries"]
 
 
+class TestSequencerRunsReplay:
+    def test_a_recorded_run_with_runs_replays_deterministically(self):
+        """Each flush of a sequencer run is a recorded ``timer`` event,
+        so a live run whose sequencer sent ``OrderedRun`` frames replays
+        to the same deliveries, twice over."""
+        with RuntimeCluster(PIDS, record=True) as cluster:
+            cluster.wait_formation(timeout=30.0)
+
+            def burst(node, tag):
+                for i in range(6):
+                    node.tower.bcast((tag, i), "to")
+
+            # n1 = min(view) is the sequencer: its own burst is one run;
+            # n2's arrives as Data frames, often several per read.
+            cluster.call_node("n1", lambda node: burst(node, "n1"))
+            cluster.call_node("n2", lambda node: burst(node, "n2"))
+            cluster.wait_until(
+                lambda: all(
+                    len(cluster.log.at("brcv", pid)) >= 12 for pid in PIDS
+                ),
+                timeout=30.0, what="both bursts everywhere",
+            )
+            cluster.check()
+            live = {pid: cluster.log.at("brcv", pid) for pid in PIDS}
+            trace = cluster.snapshot_trace()
+        kinds = {(e.kind, type(e.data[-1]).__name__) for e in trace.events}
+        assert ("timer", "str") in kinds and ("recv", "OrderedRun") in kinds
+        first, second = check_replay_determinism(trace)
+        assert first.deliveries == second.deliveries == live
+        assert first.violations == []
+        assert first.verdicts == {"DVS": None, "TO": None}  # accepted
+
+
 class TestMarshallingUnderAsyncioDebug:
     """The dynamic twin of DVS013's loop-API half (DESIGN.md section 8's
     kill matrix): in asyncio's debug mode the loop itself refuses a

@@ -199,6 +199,23 @@ class TestTimers:
         net.run_until(10)
         assert nodes["a"].timers == []
 
+    def test_the_default_upcall_runs_the_declared_handler(self):
+        class Bell(Node):
+            rung = 0
+
+            def ring(self):
+                self.rung += 1
+
+            timer_handlers = {"ring": ring}
+
+        net = Network(seed=0)
+        bell = net.add_node(Bell("a"))
+        net.start()
+        bell.set_timer(0, "ring")
+        bell.set_timer(1, "undeclared")  # nothing to run: ignored
+        net.run_to_quiescence()
+        assert bell.rung == 1
+
 
 class TestFifoUnderJitter:
     def test_per_channel_fifo_with_delay_fault(self):

@@ -2,7 +2,7 @@
 hand-built event sequences (no cluster)."""
 
 from repro.core.viewids import ViewId
-from repro.gcs.messages import Data, Ordered
+from repro.gcs.messages import Data, Ordered, OrderedRun
 from repro.obs import SpanEvent, SpanRing, Tracer
 from repro.to.summaries import Label
 
@@ -93,6 +93,31 @@ def test_tracer_flags_orphan_deliveries():
     summary = tracer.stage_summary()
     assert summary["orphans"] == 1
     assert summary["deliveries"] == 0
+
+
+def test_a_run_frame_stitches_every_entry_it_carries():
+    """One OrderedRun frame is one wire event per traced entry; an
+    untraced entry (protocol traffic) adds none.  Both deliveries keep
+    ``wire + vs + dvs + to == total`` exact, with the run's wire time."""
+    tracer = Tracer()
+    other = Label(VID, 2, "p2")
+    entries = ((LABEL, "a"), "untraced", (other, "b"))
+    tracer.on_action(1.0, "to_label", (LABEL, "p1"))
+    tracer.on_action(1.5, "to_label", (other, "p2"))
+    for payload in (entries[0], entries[2]):
+        tracer.on_action(7.0, "vs_seq", (payload, "p1"))
+    run = OrderedRun(VID, 4, tuple((p, "p1") for p in entries))
+    tracer.wire_event("wire_send", "p1", "p3", run, 8.0)
+    tracer.wire_event("wire_recv", "p3", "p1", run, 11.0)
+    for label in (LABEL, other):
+        tracer.on_action(15.0, "to_deliver", (label, "p3"))
+    assert len([e for e in tracer.events() if e.stage == "wire_recv"]) == 2
+    rows = tracer.deliveries()
+    assert [row["label"] for row in rows] == [LABEL, other]
+    for row in rows:
+        assert row["stages"]["wire"] == 3.0
+        assert sum(row["stages"].values()) == row["total"]
+    assert tracer.orphans() == []
 
 
 def test_tracer_untraced_wire_messages_are_ignored():

@@ -96,10 +96,13 @@ def test_stack_methods_are_defined_where_the_brackets_expect():
     for name in ("on_message", "on_connectivity", "gpsnd"):
         assert name in stack.__dict__, name
     # Patched on the subclass so the simulator's Node stays untouched:
-    # that only works while these are inherited, not overridden.
+    # that only works while these are inherited, not overridden.  The
+    # sequencer's flush is reached through the inherited ``on_timer``
+    # (``Node.timer_handlers``), so the "vs" bracket still covers it.
     for name in ("send", "broadcast", "on_timer"):
         assert name not in stack.__dict__, name
         assert getattr(stack, name) is getattr(Node, name)
+    assert "vs_flush" in stack.timer_handlers
 
 
 def test_node_module_attributes_patched_by_name():

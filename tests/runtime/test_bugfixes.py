@@ -28,13 +28,14 @@ import warnings
 import pytest
 
 import repro.runtime
+import repro.runtime.codec
 import repro.runtime.node
 from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.apps.kv_store import KvReplica
-from repro.gcs.messages import Data
+from repro.gcs.messages import Data, OrderedRun
 from repro.runtime.cluster import RuntimeCluster
-from repro.runtime.codec import Heartbeat, Hello, encode_frame
+from repro.runtime.codec import CodecError, Heartbeat, Hello, encode_frame
 from repro.runtime.faultnet import FaultNet, LiveNemesis
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import ERROR_LIMIT, RuntimeNode
@@ -443,6 +444,112 @@ def test_a_forged_nan_frame_is_rejected_and_the_view_keeps_delivering():
                 cluster.app(pid).log_length >= 1 for pid in pids
             ),
             timeout=20.0, what="the next request at all three nodes",
+        )
+        assert cluster.errors() == {}
+        cluster.check()
+
+
+# -- 10. a forged sequencer run stops at the receive gate ---------------------
+
+
+def test_a_forged_run_is_counted_invalid_and_never_reaches_the_stack():
+    """An ``OrderedRun`` the members' handler could not unpack -- no
+    entries, an entry that is not a pair, a sender that is not a string
+    -- decodes (the codec checks a container by its outer type), so the
+    receive gate must refuse it: counted in ``dropped_invalid``, never
+    an exception in ``node.errors``, and the view keeps delivering."""
+    pids = ["n1", "n2", "n3"]
+    cluster = RuntimeCluster(
+        pids, app_factory=lambda node: KvReplica(node.to),
+        hb_interval=0.05, hb_timeout=0.25,
+    )
+    with cluster:
+        cluster.wait_formation(timeout=30.0)
+        n2 = cluster.call_node("n2", lambda node: node)
+        port, vid, seq = cluster.call_node("n2", lambda node: (
+            node.port, node.stack.view.id, node.stack.ordering.next_deliver,
+        ))
+        forged = [
+            OrderedRun(vid, seq, ()),
+            OrderedRun(vid, seq, (("x", "n1"), ("bare",))),
+            OrderedRun(vid, seq, ((("put", "k", 1), 7),)),
+        ]
+        # Pose as n1, the sequencer, towards n2.
+        with socket.create_connection(("127.0.0.1", port)) as raw:
+            raw.sendall(encode_frame(("n1", Hello("n1"))) + b"".join(
+                encode_frame(("n1", run)) for run in forged
+            ))
+            cluster.wait_until(
+                lambda: n2.stats()["dropped_invalid"] == len(forged),
+                what="the forged runs to be dropped",
+            )
+        assert n2.stats()["rejected"] == 0  # decoded, then refused
+        cluster.call_app("n3", lambda app: app.put("after", "forgery"))
+        cluster.wait_until(
+            lambda: all(
+                cluster.app(pid).log_length >= 1 for pid in pids
+            ),
+            timeout=20.0, what="the next request at all three nodes",
+        )
+        assert cluster.errors() == {}
+        cluster.check()
+
+
+# -- 11. a run too large for one frame loses only what is too large alone -----
+
+
+def test_an_oversize_run_goes_out_as_its_single_ordered(monkeypatch):
+    """``encode_frame`` refuses a frame past ``MAX_FRAME``.  A run that
+    does not fit is sent as its ``Ordered`` messages, so only an entry
+    too large on its own is lost (one slot, as before runs); the
+    sequencer's own copy is local and keeps the whole run."""
+    monkeypatch.setattr(repro.runtime.codec, "MAX_FRAME", 600)
+    vid = ViewId(1, "a")
+    run_ = OrderedRun(vid, 5, (
+        ("small", "b"), ("x" * 700, "c"), ("also small", "a"),
+    ))
+
+    async def scenario():
+        view = View(vid, frozenset(["a", "b", "c"]))
+        node = RuntimeNode("a", {}, initial_view=view)
+        await node.start()
+        node.book.update({"b": ("127.0.0.1", 1), "c": ("127.0.0.1", 1)})
+        wire, local = [], []
+        node._send_encoded = lambda dst, msg, frame: wire.append((dst, msg))
+        node._local_deliver = local.append
+        node.broadcast("a", ["a", "b", "c"], run_)
+        sent = list(wire)  # before the loop turns: no heartbeat yet
+        await asyncio.sleep(0)
+        await node.stop()
+        return sent, local, list(node.errors)
+
+    wire, local, errors = run(scenario())
+    first, too_big, last = run_.split()
+    assert local == [run_]
+    assert wire == [("b", first), ("c", first), ("b", last), ("c", last)]
+    assert len(errors) == 1 and isinstance(errors[0], CodecError)
+
+
+def test_a_live_view_delivers_runs_past_a_small_frame_limit(monkeypatch):
+    """End to end: with ``MAX_FRAME`` below what a run of five puts
+    takes, the sequencer's burst still reaches every member."""
+    pids = ["n1", "n2", "n3"]
+    cluster = RuntimeCluster(
+        pids, app_factory=lambda node: KvReplica(node.to),
+        hb_interval=0.05, hb_timeout=0.25,
+    )
+    with cluster:
+        cluster.wait_formation(timeout=30.0)
+        monkeypatch.setattr(repro.runtime.codec, "MAX_FRAME", 600)
+
+        def burst(app):
+            for i in range(5):
+                app.put("k{0}".format(i), i)
+
+        cluster.call_app("n1", burst)  # n1 = min(view): the sequencer
+        cluster.wait_until(
+            lambda: all(cluster.app(pid).log_length >= 5 for pid in pids),
+            timeout=20.0, what="the burst at all three nodes",
         )
         assert cluster.errors() == {}
         cluster.check()

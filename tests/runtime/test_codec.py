@@ -29,6 +29,7 @@ from repro.gcs.messages import (
     Data,
     Install,
     Ordered,
+    OrderedRun,
     SafeNote,
     StateReply,
 )
@@ -45,6 +46,7 @@ from repro.runtime.codec import (
     decode_frame,
     encode,
     encode_frame,
+    validate_message,
 )
 from repro.to.summaries import Label, Summary
 
@@ -66,6 +68,7 @@ EXAMPLES = [
     Install(("p1", 4), VIEW),
     Data(V1, ("put", "k", "v"), "p3"),
     Ordered(V1, 12, ("del", "k"), "p2"),
+    OrderedRun(V1, 13, ((LABEL, "p2"), (frozenset({1}), "p3"))),
     Ack(V1, 12),
     SafeNote(V2, 5),
     Summary(
@@ -171,6 +174,11 @@ messages = st.one_of(
     st.builds(Data, viewids, payloads, pids),
     st.builds(
         Ordered, viewids, st.integers(min_value=0), payloads, pids
+    ),
+    st.builds(
+        OrderedRun, viewids, st.integers(min_value=0),
+        st.lists(st.tuples(payloads, pids), min_size=1, max_size=4)
+        .map(tuple),
     ),
     st.builds(Ack, viewids, st.integers(min_value=0)),
     st.builds(SafeNote, viewids, st.integers(min_value=0)),
@@ -408,6 +416,24 @@ def test_work_per_frame_is_a_count():
         sys.setprofile(previous)
     assert len(frame) == 252 and fed == [ENVELOPE]
     assert 0 < len(events) <= 250, len(events)
+
+
+@pytest.mark.parametrize("entries", [
+    (),
+    (("m", "p1"), "p2"),
+    (("m", "p1"), ("m",)),
+    (("m", "p1", "extra"),),
+    (("m", 7),),
+    (["m", "p1"],),
+], ids=["empty", "bare", "short", "long", "int-sender", "list-entry"])
+def test_a_forged_run_encodes_decodes_and_fails_validation(entries):
+    """The codec checks a run's entries by outer type only (any tuple
+    encodes and decodes); the receive gate refuses what the sequencer
+    never sends and the members' handler could not unpack."""
+    run = OrderedRun(V1, 1, entries)
+    assert decode(encode(run)) == run
+    assert not validate_message(run)
+    assert validate_message(OrderedRun(V1, 1, (("m", "p1"), (None, "p2"))))
 
 
 def test_trailing_bytes_rejected_strict():

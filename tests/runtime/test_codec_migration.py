@@ -1,10 +1,12 @@
-"""Wire-schema migration: version 1 -> 2 (the CbCast addition).
+"""Wire-schema migration: version 1 -> 2 (the CbCast addition) -> 3
+(the OrderedRun addition).
 
 Adding a message type is a *versioned* change in this codec: an
-older peer rejects unknown ``@`` type references, so v2 speakers must
-(a) still accept v1 bodies byte-for-byte and (b) refuse versions they
-do not know, with a typed error naming both sides.  The golden bytes
-below are literal v1-era frames -- they must keep decoding forever.
+older peer rejects unknown ``@`` type references, so v3 speakers must
+(a) still accept v1 and v2 bodies byte-for-byte and (b) refuse versions
+they do not know, with a typed error naming both sides.  The golden
+bytes below are literal frames of each era -- they must keep decoding
+forever.
 """
 
 import collections
@@ -25,6 +27,7 @@ from repro.gcs.messages import (
     Data,
     Install,
     Ordered,
+    OrderedRun,
     SafeNote,
     StateReply,
 )
@@ -55,8 +58,8 @@ GOLDEN_V1_VIEWID = b'\x01["@","ViewId",[["i",0],["s",""]]]'
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
-        assert WIRE_VERSION == 2
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2)
+        assert WIRE_VERSION == 3
+        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3)
         assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
 
     def test_encode_stamps_the_current_version(self):
@@ -67,13 +70,13 @@ class TestVersioning:
         assert decode(GOLDEN_V1_VIEWID) == ViewId(0, "")
 
     def test_future_version_is_rejected_with_both_sides_named(self):
-        body = bytes([3]) + encode(("x",))[1:]
+        body = bytes([4]) + encode(("x",))[1:]
         with pytest.raises(CodecError) as err:
             decode(body)
         message = str(err.value)
-        assert "unsupported wire version 3" in message
-        assert "speaking 2" in message
-        assert "(1, 2)" in message
+        assert "unsupported wire version 4" in message
+        assert "speaking 3" in message
+        assert "(1, 2, 3)" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -119,6 +122,34 @@ class TestCbCastOnTheWire:
         tampered = body.replace(b'"CbCast"', b'"CbXast"')
         with pytest.raises(CodecError) as err:
             decode(tampered)
+        assert "unknown type" in str(err.value)
+
+
+class TestOrderedRunOnTheWire:
+    def run(self):
+        return OrderedRun(
+            ViewId(2, "n2"), 7, ((("put", "k", 1), "n1"), (None, "n3")),
+        )
+
+    def test_frame_round_trip(self):
+        run = self.run()
+        assert decode_frame(encode_frame(run)) == run
+
+    def test_registered_and_pinned(self):
+        assert OrderedRun in WIRE_TYPES
+        assert WIRE_SCHEMA["OrderedRun"] == (
+            ("vid", "ViewId"),
+            ("seq", "int"),
+            ("entries", "Tuple[Tuple[object, str], ...]"),
+        )
+        assert not schema_drift()
+        assert validate_message(self.run())
+
+    def test_v2_peer_would_reject_it(self):
+        """Why it is version 3: a v2 decoder does not know the class."""
+        body = encode(self.run()).replace(b'"OrderedRun"', b'"OrderedRux"')
+        with pytest.raises(CodecError) as err:
+            decode(body)
         assert "unknown type" in str(err.value)
 
 
@@ -224,6 +255,26 @@ GOLDEN_V2 = [
 ]
 
 
+#: Literal version-3 bodies: the one class version 3 added, a run of
+#: two (a TO label with its command, a bare label) and a run of one.
+#: Golden, as above.
+GOLDEN_V3 = [
+    (OrderedRun(V1, 12, (
+        ((LABEL, ('put', 'key-17', '0' * 8)), 'n2'),
+        ((Label(V1, 4, 'n3'), None), 'n3'),
+    )),
+     b'\x03["@","OrderedRun",[["@","ViewId",[["i",1],["s","n1"]]],["i",12],'
+     b'["t",[["t",[["t",[["@","Label",[["@","ViewId",[["i",1],["s","n1"]]],'
+     b'["i",3],["s","n2"]]],["t",[["s","put"],["s","key-17"],'
+     b'["s","00000000"]]]]],["s","n2"]]],["t",[["t",[["@","Label",'
+     b'[["@","ViewId",[["i",1],["s","n1"]]],["i",4],["s","n3"]]],["z"]]],'
+     b'["s","n3"]]]]]]]'),
+    (OrderedRun(V1, 1, (('x', 'n1'),)),
+     b'\x03["@","OrderedRun",[["@","ViewId",[["i",1],["s","n1"]]],["i",1],'
+     b'["t",[["t",[["s","x"],["s","n1"]]]]]]]'),
+]
+
+
 class Colour(enum.IntEnum):
     RED = 7
 
@@ -233,7 +284,7 @@ Point = collections.namedtuple("Point", "x y")
 
 class TestPinnedBytes:
     def test_goldens_cover_every_tag_and_every_class(self):
-        values = [value for value, _ in GOLDEN_V2]
+        values = [value for value, _ in GOLDEN_V2 + GOLDEN_V3]
         assert {type(v) for v in values} >= set(WIRE_TYPES) | {
             type(None), bool, int, float, str, bytes,
             tuple, list, frozenset, set, dict,
@@ -245,6 +296,20 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V2)],
     )
     def test_golden_v2_both_ways(self, value, golden):
+        """A v2 body still decodes, and version 3 writes the very same
+        body under its own stamp: the version added a row, not a
+        layout."""
+        decoded = decode(golden)
+        assert decoded == value and type(decoded) is type(value)
+        assert encode(value) == bytes([WIRE_VERSION]) + golden[1:]
+        assert reference_encode(value) == encode(value)  # the spec agrees
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V3,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V3)],
+    )
+    def test_golden_v3_both_ways(self, value, golden):
         assert encode(value) == golden
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
