@@ -169,14 +169,18 @@ def _build_chaos_plan(args, procs, duration):
         return NemesisPlan.from_json(args.plan_json)
     if args.live:
         # Live times are wall-clock seconds: faults start once the
-        # cluster has had a moment to form and end before the settle.
+        # cluster has had a moment to form and end before the settle;
+        # storm down-times are sized from that window, so a crashed
+        # node comes back inside it.
         start, length = 2.0, max(duration - 4.0, 1.0)
+        down = dict(min_down=length / 16, max_down=length / 4)
     else:
         start, length = 10.0, duration - 60.0
+        down = {}
     window = dict(start=start, duration=length)
     builders = {
         "storm": lambda: crash_recovery_storm(procs, seed=args.seed,
-                                              **window),
+                                              **window, **down),
         "churn": lambda: partition_churn(procs, seed=args.seed, **window),
         "flaky": lambda: flaky_link_windows(procs, seed=args.seed, **window),
         "bridge": lambda: bridge_topology(

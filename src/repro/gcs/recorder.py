@@ -78,9 +78,7 @@ class ActionLog:
 
 class RecorderMixin:
     """``_record``/``_probe`` for a layer holding an optional
-    ``self.recorder`` (an :class:`ActionLog` or anything with
-    ``record``; ``probe`` is optional).  ``None`` is a no-op, and the
-    methods are looked up on the recorder per call."""
+    ``self.recorder`` (an :class:`ActionLog`); ``None`` is a no-op."""
 
     def _record(self, name, *params):
         if self.recorder is not None:
@@ -89,6 +87,4 @@ class RecorderMixin:
     def _probe(self, name, *params):
         """Tracer-only span event (never enters the action log)."""
         if self.recorder is not None:
-            probe = getattr(self.recorder, "probe", None)
-            if probe is not None:
-                probe(name, *params)
+            self.recorder.probe(name, *params)

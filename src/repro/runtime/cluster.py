@@ -6,7 +6,10 @@
 asyncio event loop (running in a background thread), all talking real
 TCP through OS-assigned loopback ports, sharing one
 :class:`~repro.gcs.recorder.ActionLog` with the online
-:class:`~repro.faults.monitor.SafetyMonitor` armed on it.  Tests,
+:class:`~repro.faults.monitor.SafetyMonitor` armed on it.  The layers
+record into that log only when something watches it -- the monitor,
+``obs`` (its tracer) or the ``record=`` wiretap; an unwatched cluster
+records nothing and ``log`` stays empty.  Tests,
 benchmarks and examples drive it synchronously; every call is
 marshalled onto the loop thread, and every wait carries a hard timeout
 so an asyncio hang fails loudly instead of stalling the suite.
@@ -100,6 +103,13 @@ class RuntimeCluster:
                 record = TraceRecorder()
             self.log.observers.append(record.on_action)
         self.wiretap = record or None
+        #: What the layers record into: the log when the monitor, the
+        #: tracer or the wiretap reads it, else nothing (``log`` stays
+        #: empty), as for ``serve --pid``.
+        watchers = (self.monitor, obs, self.wiretap)
+        self._recorder = (
+            self.log if any(w is not None for w in watchers) else None
+        )
         self._book = {}
         self._nodes = {}
         self._apps = {}
@@ -139,7 +149,7 @@ class RuntimeCluster:
     def _build_node(self, pid, member):
         return RuntimeNode(
             pid, self._book, initial_view=self.initial_view,
-            recorder=self.log, member=member, host=self._host,
+            recorder=self._recorder, member=member, host=self._host,
             hb_interval=self._hb_interval, hb_timeout=self._hb_timeout,
             obs=self.obs,
             faultnet=self.faultnet, wiretap=self.wiretap,
@@ -150,8 +160,8 @@ class RuntimeCluster:
         """Start ``pid``'s node and its applications (loop thread);
         ``member=False`` is the amnesiac rejoin, marked in the log as
         ``restart(pid)`` for the monitor and the acceptor to read."""
-        if member is False:
-            self.log.record(RESTART, pid)
+        if member is False and self._recorder is not None:
+            self._recorder.record(RESTART, pid)
         node = self._build_node(pid, member)
         self._nodes[pid] = node
         await node.start(clock=self._clock)

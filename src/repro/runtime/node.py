@@ -76,7 +76,6 @@ class RuntimeNode:
         self.pid = pid
         self.book = book
         self.initial_view = initial_view
-        self.log = recorder
         #: Shared cluster-wide fault interposer (``repro.runtime.faultnet``)
         #: consulted on every frame sent and received; ``None`` = no faults.
         self._faultnet = faultnet

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_chaos_plan, build_parser, main
 
 
 class TestParser:
@@ -159,6 +159,23 @@ class TestChaos:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 fault ops" in out
+
+
+class TestLiveChaosPlans:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_live_storm_revives_a_node_before_the_settle(self, seed):
+        """Live storm down-times are sized from the live window (faults
+        over [2, duration - 2] seconds), not in simulator units: at the
+        default 12 s every seed brings a crashed node back in time."""
+        args = build_parser().parse_args(
+            ["chaos", "--live", "--plan", "storm", "--seed", str(seed)]
+        )
+        procs = ["p{0}".format(i) for i in range(1, args.processes + 1)]
+        plan = _build_chaos_plan(args, procs, 12.0)
+        crashes = [op.at for op in plan if op.kind == "crash"]
+        recovers = [op.at for op in plan if op.kind == "recover"]
+        assert crashes and min(crashes) >= 2.0
+        assert min(recovers) < 10.0
 
 
 class TestChaosFlagConflicts:
