@@ -4,10 +4,10 @@ online safety monitor armed.
 Measures the cost of a monitored chaos run (simulated time, wire
 traffic, drops, monitor-checked events) for each nemesis plan family,
 and the overhead the online monitor adds over an unmonitored run of the
-same schedule.  The ``spec`` column is the other oracle's verdict: the
-run's action log walked through the VS, DVS and TO specifications at end
-of run -- ``accepted``, or the first rejecting spec and the index it
-stopped at.  Asserted for the loss-free families; *reported* for
+same schedule.  The ``spec`` column is the end-of-run verdict: the
+run's whole action log walked through the VS, DVS and TO specifications
+(the monitor steps DVS view management and TO online) -- ``accepted``,
+or the first rejecting spec and the index it stopped at.  Asserted for the loss-free families; *reported* for
 ``flaky``, where a dropped frame can leave a sender-FIFO gap (ROADMAP
 item 4(beta)).
 """
@@ -88,7 +88,7 @@ def test_bench_monitor_overhead(benchmark):
             ["plan", "ops", "sim time", "wire msgs", "drops", "checked",
              "spec"],
             rows,
-            title="E10: chaos runs under both oracles (5 nodes)",
+            title="E10: chaos runs, online and end-of-run (5 nodes)",
         )
     )
     assert monitored.stats["wire_sends"] == unmonitored.stats["wire_sends"]

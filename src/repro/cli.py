@@ -242,6 +242,10 @@ _FAULTNET_STATS = (
 )
 
 
+#: What the online monitor checks (:mod:`repro.faults.monitor`).
+_ONLINE = "DVS view management, TO and CB per-view causal order"
+
+
 def _print_verdicts(verdicts):
     """One verdict line per specification; true iff any rejected."""
     for name, rejection in verdicts.items():
@@ -301,8 +305,7 @@ def _cmd_chaos(args):
                   args.record, len(result.trace)))
     rejected = _print_verdicts(result.verdicts)
     if result.ok:
-        print("no safety violations: DVS 4.1 intersection, TO "
-              "prefix-consistency and CB causal order held throughout")
+        print("no safety violations: {0} held throughout".format(_ONLINE))
         return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
@@ -391,7 +394,7 @@ def _cmd_replay(args):
               "and delivery orders")
     rejected = _print_verdicts(result.verdicts)
     if result.ok:
-        print("no safety violations on replay")
+        print("no safety violations on replay: {0}".format(_ONLINE))
         return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))

@@ -25,9 +25,9 @@ from repro.ioa.invariants import InvariantSuite, lift
 def _separated_by_tot_reg(registered, w, v):
     """Whether some ``x ∈ registered`` has ``w.id < x.id < v.id``.
 
-    The oracle's own text on purpose: ``dvs/spec.py`` and
-    ``faults/monitor.py`` state the same condition separately, because an
-    oracle must not share the predicate with what it checks.
+    The oracle's own text on purpose: ``dvs/spec.py`` states the same
+    condition separately, because an oracle must not share the predicate
+    with what it checks.
     """
     return any(
         vid_lt(w.id, x.id) and vid_lt(x.id, v.id) for x in registered

@@ -26,8 +26,8 @@ mechanized Theorem 5.9.
 from repro.core.messages import is_client_message, purge, purgesize
 from repro.core.tables import Table
 from repro.dvs.impl import DvsImplState
-from repro.dvs.spec import DVSSpec, DVSState
-from repro.ioa.acceptor import accept
+from repro.dvs.spec import DVSSpec, DVSState, DVSViewSpec
+from repro.ioa.acceptor import Acceptor, accept
 from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
 from repro.vs.spec import forced_order, forget_view
@@ -153,6 +153,11 @@ def accept_dvs(trace, initial_view):
     views = {a.params[0] for a in trace if a.name == "dvs_newview"}
     spec = DVSSpec(initial_view, view_pool=views)
     return accept(spec, trace, dvs_forced, forget_view)
+
+
+def dvs_view_acceptor(initial_view):
+    """Figure 2's view management, to be stepped as a run goes."""
+    return Acceptor(DVSViewSpec(initial_view), dvs_forced, forget_view)
 
 
 def dvs_refinement_checker(

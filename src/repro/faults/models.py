@@ -78,8 +78,10 @@ class DuplicateFault(LinkFault):
     """With probability ``prob``, deliver an extra copy ``spread`` later.
 
     The duplicate's extra delay is drawn uniformly from (0, ``spread``];
-    per-channel FIFO still holds (the channel clock serializes copies), so
-    duplication stresses the layers' idempotence, not their ordering.
+    per-channel FIFO still holds (the channel clock serializes copies).
+    VS is not idempotent for ``Data``: the sequencer orders each copy, so
+    a duplicated multicast is delivered twice (ROADMAP item 4(delta);
+    TO's labels hide it).
     """
 
     def __init__(self, prob, spread=5.0, links=None):

@@ -16,7 +16,7 @@ the abstract ``pending[p]`` additionally carries the contents of
 """
 
 from repro.core.sequences import lub
-from repro.ioa.acceptor import accept
+from repro.ioa.acceptor import Acceptor, accept
 from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
 from repro.to.impl import ToImplState
@@ -96,11 +96,13 @@ def to_hints(mapping):
 
 def to_forced(state, action):
     """The same knowledge read from the trace side: a ``brcv`` past the
-    end of ``order`` forces the ``to_order`` of what it delivers."""
+    end of ``order`` forces the ``to_order`` of what it delivers.  (A
+    tuple, not a generator: the online monitor asks on every ``brcv``.)"""
     if action.name == "brcv":
         a, q, p = action.params
         if state.next[p] > len(state.order):
-            yield act("to_order", a, q)
+            return (act("to_order", a, q),)
+    return ()
 
 
 def to_restart(state, p):
@@ -113,6 +115,11 @@ def accept_to(trace, initial_view=None):
     heard = [a for a in trace if a.name in ("bcast", "brcv")]
     spec = TOSpec({x for a in heard for x in a.params[1:]})
     return accept(spec, trace, to_forced, to_restart)
+
+
+def to_acceptor(universe):
+    """TO over ``universe``, to be stepped as a run goes."""
+    return Acceptor(TOSpec(universe), to_forced, to_restart)
 
 
 def to_refinement_checker(processes):

@@ -52,6 +52,11 @@ class TOSpec(TransitionAutomaton):
     def initial_state(self):
         return TOState(self.universe)
 
+    def stats(self, state):
+        pending = sum(len(payloads) for payloads in state.pending.values())
+        return {"broadcasts": len(state.order) + pending,
+                "deliveries": sum(n - 1 for n in state.next.values())}
+
     # -- BCAST(a)_p (input) ----------------------------------------------------
 
     def eff_bcast(self, state, a, p):

@@ -86,6 +86,12 @@ class TestViolations:
         with pytest.raises(SafetyViolation) as err:
             log.record("cb_brcv", m, "a", "b")
         assert err.value.prop == "cb-gap-free"
+        # The one violation line: the rejection format, named by check.
+        assert err.value.summary() == (
+            "CB-GAP-FREE rejected at #2 cb_brcv({0!r}, 'a', 'b'): b's "
+            "delivery from a in view {1} carries seqno 1 but 2 is next "
+            "(gap or duplicate)".format(m, v0.id)
+        )
 
     def test_missing_causal_predecessor_is_cb_causal_order(self):
         monitor, log, v0 = make_monitor()
@@ -116,7 +122,7 @@ class TestViolations:
         monitor, log, v0 = make_monitor(fail_fast=False)
         log.record("cbcast", "x", "a")
         log.record("cb_brcv", cast(v0, [("a", 1)], "x", "a"), "a", "b")
-        monitor.restart_process("b")
+        log.record("restart", "b")
         # After an amnesiac restart b may legally re-deliver seqno 1.
         log.record("cb_brcv", cast(v0, [("a", 1)], "x", "a"), "a", "b")
         assert monitor.ok

@@ -22,6 +22,7 @@ from repro.dvs.ablation import (
     dvs_factory_name,
 )
 from repro.gcs.dvs_layer import DvsLayer
+from repro.gcs.recorder import ActionLog
 from repro.obs.record import ReplayTrace, TraceError, TraceEvent
 
 PIDS = ("p1", "p2", "p3")
@@ -99,12 +100,15 @@ class TestDispatch:
             + [TraceEvent(0.5, "p1", "start", (False,))]
         )
         seen = []
-        monkeypatch.setattr(
-            "repro.faults.monitor.SafetyMonitor.restart_process",
-            lambda self, pid: seen.append(pid),
-        )
+        record = ActionLog.record
+
+        def spy(log, name, *params):
+            seen.append((name, *params))
+            record(log, name, *params)
+
+        monkeypatch.setattr(ActionLog, "record", spy)
         result = replay_trace(_trace(events))
-        assert seen == ["p1"]
+        assert seen == [("restart", "p1")]
         assert result.ok and result.stats["actions"] == 1
         assert result.verdicts == {"DVS": None, "TO": None}
 

@@ -1,4 +1,6 @@
-"""Tests for the online safety monitor."""
+"""Tests for the online safety monitor: the DVS view-management and TO
+acceptors, stepped as actions are recorded.  Each scripted bad trace is
+pinned on the rejection it must produce."""
 
 import pytest
 
@@ -18,6 +20,14 @@ def make_monitor(members="abc", fail_fast=True):
     return monitor, log, v0
 
 
+def rejected(err, index, reason):
+    """The violation's rejection: the spec's, at the action's index."""
+    rejection = err.value.rejection
+    assert rejection.index == index and rejection.reason == reason
+    assert err.value.detail == str(rejection) == err.value.summary()
+    return rejection
+
+
 class TestDvsChecks:
     def test_intersecting_views_pass(self):
         monitor, log, _ = make_monitor("abc")
@@ -26,11 +36,15 @@ class TestDvsChecks:
         assert monitor.ok
 
     def test_disjoint_unseparated_views_fail(self):
+        """Invariant 4.1 is DVS-CREATEVIEW's precondition."""
         monitor, log, _ = make_monitor("abcd")
         log.record("dvs_newview", make_view(1, "ab"), "a")
+        v2 = make_view(2, "cd")
         with pytest.raises(SafetyViolation) as err:
-            log.record("dvs_newview", make_view(2, "cd"), "c")
-        assert err.value.prop == "dvs-4.1-intersection"
+            log.record("dvs_newview", v2, "c")
+        assert err.value.prop == "dvs"
+        rejected(err, 1, "forces dvs_createview({0!r}), which is not "
+                 "enabled".format(v2))
         assert err.value.actions  # carries the event log
 
     def test_total_registration_separates(self):
@@ -45,20 +59,50 @@ class TestDvsChecks:
         # v1={a,b} and v3={c,d} are disjoint but separated by registered v2.
         log.record("dvs_newview", make_view(3, "cd"), "c")
         assert monitor.ok
-        assert len(monitor.totally_registered) == 2
+        assert monitor.stats()["totally_registered"] == 2
 
     def test_out_of_order_views_fail(self):
         monitor, log, _ = make_monitor("abc")
         log.record("dvs_newview", make_view(5, "ab"), "a")
         with pytest.raises(SafetyViolation) as err:
             log.record("dvs_newview", make_view(1, "ab"), "a")
-        assert err.value.prop == "dvs-view-order"
+        assert err.value.prop == "dvs"
+        rejected(err, 1, "not enabled")
 
     def test_non_member_view_fails(self):
         monitor, log, _ = make_monitor("abc")
         with pytest.raises(SafetyViolation) as err:
             log.record("dvs_newview", make_view(1, "bc"), "a")
-        assert err.value.prop == "dvs-membership"
+        assert err.value.prop == "dvs"
+        rejected(err, 0, "not enabled")
+
+    def test_one_id_names_one_view(self):
+        monitor, log, _ = make_monitor("abc")
+        log.record("dvs_newview", make_view(1, "ab"), "a")
+        twin = make_view(1, "bc")
+        with pytest.raises(SafetyViolation) as err:
+            log.record("dvs_newview", twin, "b")
+        rejected(err, 1, "forces dvs_createview({0!r}), which is not "
+                 "enabled".format(twin))
+
+    def test_a_process_outside_the_initial_view_is_a_violation(self):
+        """Not a ``KeyError`` from inside the observer."""
+        monitor, log, _ = make_monitor("abc")
+        with pytest.raises(SafetyViolation) as err:
+            log.record("dvs_newview", make_view(1, "az"), "z")
+        rejected(err, 0, "'z' is outside the spec's universe")
+        monitor, log, _ = make_monitor("abc")
+        with pytest.raises(SafetyViolation) as err:
+            log.record("bcast", "m1", "z")
+        assert err.value.prop == "to"
+
+    def test_registering_with_no_view_is_not_a_violation(self):
+        """DVS-REGISTER is an input: always enabled, and with no current
+        view Figure 2 records nothing."""
+        monitor, log, _ = make_monitor("abc", fail_fast=False)
+        log.record("restart", "a")
+        log.record("dvs_register", "a")
+        assert monitor.ok
 
     def test_fail_slow_accumulates(self):
         monitor, log, _ = make_monitor("abcd", fail_fast=False)
@@ -66,7 +110,8 @@ class TestDvsChecks:
         log.record("dvs_newview", make_view(2, "cd"), "c")
         log.record("dvs_newview", make_view(3, "cd"), "c")
         assert not monitor.ok
-        assert len(monitor.violations) >= 1
+        # The view acceptor is spent at its first rejection.
+        assert [v.rejection.index for v in monitor.violations] == [1]
 
 
 class TestToChecks:
@@ -88,13 +133,16 @@ class TestToChecks:
         log.record("brcv", "m1", "a", "b")
         with pytest.raises(SafetyViolation) as err:
             log.record("brcv", "m2", "b", "c")  # c skips m1
-        assert err.value.prop == "to-prefix-consistency"
+        assert err.value.prop == "to"
+        rejected(err, 5, "not enabled")
 
     def test_unbroadcast_delivery_fails(self):
         monitor, log, _ = make_monitor("abc")
         with pytest.raises(SafetyViolation) as err:
             log.record("brcv", "ghost", "a", "b")
-        assert err.value.prop == "to-integrity"
+        assert err.value.prop == "to"
+        rejected(err, 0, "forces to_order('ghost', 'a'), which is not "
+                 "enabled")
 
     def test_duplicate_delivery_fails(self):
         monitor, log, _ = make_monitor("abc")
@@ -102,8 +150,8 @@ class TestToChecks:
         log.record("brcv", "m1", "a", "b")
         with pytest.raises(SafetyViolation) as err:
             log.record("brcv", "m1", "a", "b")
-        assert err.value.prop == "to-no-duplication"
-
+        assert err.value.prop == "to"
+        rejected(err, 2, "forces to_order('m1', 'a'), which is not enabled")
 
     def test_repeated_payload_is_legal_once_per_broadcast(self):
         """Broadcasts are counted, not identified by payload equality:
@@ -118,14 +166,13 @@ class TestToChecks:
         assert monitor.ok
         assert monitor.stats()["broadcasts"] == 2
         log.record("brcv", "hello", "a", "b")
-        assert [v.prop for v in monitor.violations] == [
-            "to-no-duplication"
-        ]
+        assert [v.rejection.index for v in monitor.violations] == [8]
+        assert monitor.violations[0].prop == "to"
 
     def test_restart_marker_in_the_log_resets_the_incarnation(self):
         """The one amnesiac-rejoin convention (DESIGN section 9): the
-        host records ``restart(p)`` into the log and the monitor reads
-        it there -- nobody calls ``restart_process`` from outside."""
+        host records ``restart(p)`` into the log and the acceptors'
+        restart rules read it there."""
         monitor, log, _ = make_monitor("abc")
         log.record("bcast", "m1", "a")
         log.record("brcv", "m1", "a", "b")
@@ -134,7 +181,8 @@ class TestToChecks:
         assert monitor.ok
         with pytest.raises(SafetyViolation) as err:
             log.record("brcv", "m1", "a", "b")
-        assert err.value.prop == "to-no-duplication"
+        assert err.value.prop == "to"
+        rejected(err, 4, "forces to_order('m1', 'a'), which is not enabled")
 
 
 class TestMonitoredChaosRuns:
@@ -156,7 +204,8 @@ class TestMonitoredChaosRuns:
             PROCS, seed=0, plan=plan, dvs_factory=NoMajorityDvsLayer
         )
         assert not result.ok
-        assert result.violation.prop == "dvs-4.1-intersection"
+        assert result.violation.prop == "dvs"
+        assert "forces dvs_createview" in result.violation.rejection.reason
         # Fail-fast: the run stopped at the violation, well before the
         # plan plus settle time would have elapsed.
         assert result.violation.net_log

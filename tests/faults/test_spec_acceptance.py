@@ -3,13 +3,14 @@
 ``run_chaos`` walks its action log, once at end of run, through the
 executable specifications (``ChaosResult.verdicts``, from
 :func:`repro.checking.trace_props.spec_verdicts`).  Part (a) pins what
-must be accepted and the one seed that must be rejected no later than
-the monitor fires.  Part (b) pins what the acceptor *found* and this PR
-does not fix: ROADMAP item 4(beta) -- a frame lost inside a stable view
+must be accepted, and that a broken stack's online violation is the
+end-of-run rejection.  Part (b) pins what the acceptor *found* and is
+not fixed yet: ROADMAP item 4(beta) -- a frame lost inside a stable view
 is never repaired -- is a safety face too (sender FIFO with a gap is not
-a trace of Figure 1 or Figure 2), and an amnesiac VS re-mints a view id.
-Those are ``xfail(strict=True)``: the PR that repairs them must delete
-the marks.
+a trace of Figure 1 or Figure 2); 4(delta), a duplicated ``Data`` is
+sequenced twice; and an amnesiac VS re-mints a view id.  Those are
+``xfail(strict=True)``: the change that repairs one must delete its
+marks.
 """
 
 import time
@@ -81,15 +82,26 @@ class TestAccepted:
 
 class TestBrokenStackRejected:
     def test_no_majority_churn_0_rejected_no_later_than_the_monitor(self):
+        """The monitor *is* the acceptor, stepped online: the same
+        rejection, at #153, the monitor's last logged action."""
         result = _chaos("churn", 0, dvs_factory=NoMajorityDvsLayer)
-        assert result.violation.prop == "dvs-4.1-intersection"
+        assert result.violation.prop == "dvs"
         rejection = result.verdicts["DVS"]
         assert rejection is not None
-        # The monitor's violating action is the last one it logged.
-        assert rejection.index <= len(result.violation.actions) - 1
+        assert rejection.index == 153 == len(result.violation.actions) - 1
         assert rejection.action.name == "dvs_newview"
         assert "dvs_createview" in rejection.reason
         assert result.verdicts["TO"] is None
+
+    @pytest.mark.parametrize("family", ["churn", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_online_violation_is_the_end_of_run_rejection(
+        self, family, seed
+    ):
+        result = _chaos(family, seed, dvs_factory=NoMajorityDvsLayer)
+        online = result.violation.rejection
+        assert online == result.verdicts[result.violation.prop.upper()]
+        assert str(online) == result.violation.summary()
 
 
 # -- (b) what the acceptor found; ROADMAP item 4 owns the repair -------------
@@ -140,6 +152,49 @@ class TestLossIsATraceInclusionViolation:
         if not result.ok:  # the monitor sees nothing
             pytest.fail(str(result.violation))
         assert result.verdicts["DVS"] is None
+
+
+ITEM_4_DELTA = (
+    "ROADMAP item 4(delta): Data carries no per-sender sequence number, "
+    "so the sequencer orders a duplicated Data twice"
+)
+
+
+def _one_duplicated_data_frame():
+    """One ``duplicate`` op over c -> a copies c's first multicast on its
+    way to the sequencer a.  a sequences both copies, so every member
+    delivers ``(g1@a#1@c, ('m', 1))`` twice; TO's labels deduplicate."""
+    plan = NemesisPlan(
+        [FaultOp(100.0, "duplicate", ((("c", "a"),), 1.0, 0.5, 3.0))]
+    )
+    cluster = Cluster(list("abc"), seed=1, nemesis=plan).start()
+    cluster.run(100.5)
+    cluster.bcast("c", ("m", 1))
+    cluster.run(5.0)
+    cluster.bcast("c", ("m", 2))
+    cluster.settle(max_time=300)
+    copies = [m for m, _ in cluster.log.at("vs_gprcv", "a")
+              if isinstance(m, tuple) and m[1] == ("m", 1)]
+    assert len(copies) == 2
+    assert cluster.delivered("a") == [(("m", 1), "c"), (("m", 2), "c")]
+    return spec_verdicts(
+        cluster.log, cluster.initial_view, ("VS", "DVS", "TO")
+    )
+
+
+class TestDuplicationIsATraceInclusionViolation:
+    def test_to_accepts_the_duplicate(self):
+        assert _one_duplicated_data_frame()["TO"] is None
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_DELTA)
+    def test_one_duplicated_data_frame_is_a_trace_of_vs(self):
+        rejection = _one_duplicated_data_frame()["VS"]
+        assert rejection is None, str(rejection)  # today: #102
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_DELTA)
+    def test_one_duplicated_data_frame_is_a_trace_of_dvs(self):
+        rejection = _one_duplicated_data_frame()["DVS"]
+        assert rejection is None, str(rejection)  # today: #103
 
 
 @pytest.fixture(scope="module")

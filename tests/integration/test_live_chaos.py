@@ -168,7 +168,7 @@ class TestInjectedViolationShrinks:
     def broken_run(self):
         # Five nodes, clean partition into 3+2, and a DVS layer whose
         # majority check is ablated away: both sides form views, and
-        # the paper's dvs-4.1 intersection property must trip.
+        # Invariant 4.1, DVS-CREATEVIEW's precondition, must trip.
         pids = ["n1", "n2", "n3", "n4", "n5"]
         plan = NemesisPlan([
             (1.0, "partition", ((("n1", "n2", "n3"), ("n4", "n5")),)),

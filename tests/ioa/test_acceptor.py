@@ -2,6 +2,7 @@
 the restart marker, in-place walking and where it stops."""
 
 from repro.ioa import Rejection, State, TransitionAutomaton, accept, act
+from repro.ioa.acceptor import Acceptor
 
 from tests.ioa.helpers import Counter
 
@@ -94,12 +95,57 @@ class TestAccept:
         """One state object from start to finish: no copy per action."""
         spec = Counter(limit=50)
         seen = []
-        original = spec.transition
+        original = spec.eff_tick
 
-        def spy(state, action):
+        def spy(state):
             seen.append(id(state))
-            original(state, action)
+            original(state)
 
-        spec.transition = spy
+        spec.eff_tick = spy
         state, _ = accept(spec, [act("tick")] * 50)
         assert set(seen) == {id(state)} and len(seen) == 50
+
+
+class TestAcceptorOnline:
+    """:class:`Acceptor` is what :func:`accept` loops over; the online
+    monitor steps it as actions are recorded."""
+
+    def test_step_by_step_is_the_walk(self):
+        trace = [act("unrelated"), act("tick"), act("tick"), act("tick")]
+        acceptor = Acceptor(Counter(limit=2))
+        verdicts = [acceptor.step(action) for action in trace]
+        assert verdicts[:3] == [None, None, None]
+        assert verdicts[3] == accept(Counter(limit=2), trace)[1]
+        assert verdicts[3].index == 3
+
+    def test_a_spent_acceptor_reports_once(self):
+        acceptor = Acceptor(Counter(limit=0))
+        assert acceptor.step(act("tick")) is not None
+        assert acceptor.step(act("tick")) is None
+        assert acceptor.rejection.index == 0 and acceptor.index == 2
+
+    def test_a_caller_routing_by_name_passes_the_index(self):
+        acceptor = Acceptor(Counter(limit=1))
+        assert acceptor.names == {"tick", "reset", "restart"}
+        acceptor.step(act("tick"), 4)
+        assert acceptor.step(act("tick"), 9).index == 9
+
+    def test_each_name_is_resolved_once(self):
+        spec = Counter(limit=5)
+        acceptor = Acceptor(spec)
+        acceptor.step(act("tick"))
+        spec.pre_tick = lambda state: False  # too late: already resolved
+        assert acceptor.step(act("tick")) is None
+
+    def test_a_key_outside_the_universe_is_a_rejection(self):
+        class Keyed(Counter):
+            def eff_reset(self, state, pid):
+                state.by_pid[pid] += 1
+
+            def initial_state(self):
+                return State(count=0, by_pid={"p1": 0})
+
+        acceptor = Acceptor(Keyed())
+        assert acceptor.step(act("reset", "p1")) is None
+        rejection = acceptor.step(act("reset", "zz"))
+        assert rejection.reason == "'zz' is outside the spec's universe"

@@ -7,6 +7,8 @@ Invariant 4.1 and TO prefix-consistency must survive whatever the
 nemesis does.
 """
 
+from collections import Counter
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +60,7 @@ def run_duplicate_payload_chaos(processes, seed, plan, duration,
                                 dvs_factory=None):
     """``run_chaos``'s workload with one change: every process keeps
     re-broadcasting the same payload, so broadcasts are *not*
-    identifiable by ``(payload, origin)``.  Returns the monitor."""
+    identifiable by ``(payload, origin)``.  Returns the cluster."""
     cluster = Cluster(
         processes, seed=seed, nemesis=Nemesis(plan), monitor=True,
         dvs_factory=dvs_factory,
@@ -81,7 +83,7 @@ def run_duplicate_payload_chaos(processes, seed, plan, duration,
         cluster.start().run(duration).settle(max_time=250.0, strict=False)
     except SafetyViolation:
         pass
-    return cluster.monitor
+    return cluster
 
 
 class TestDuplicatePayloadWorkloads:
@@ -95,23 +97,25 @@ class TestDuplicatePayloadWorkloads:
         plan=nemesis_plans(PROCS, max_ops=5, horizon=60.0, max_duration=20.0),
     )
     def test_never_trip_the_unablated_stack(self, seed, plan):
-        monitor = run_duplicate_payload_chaos(
+        cluster = run_duplicate_payload_chaos(
             PROCS, seed, plan, duration=min(plan.horizon + 30.0, 120.0)
         )
         # Only runs where some process really repeated itself count.
-        assume(max(monitor.broadcast.values(), default=0) >= 2)
+        bcasts = Counter(a.params for a in cluster.log if a.name == "bcast")
+        assume(max(bcasts.values(), default=0) >= 2)
+        monitor = cluster.monitor
         assert monitor.ok, monitor.violations[0].summary()
 
     def test_ablated_stack_is_still_caught(self):
         procs = ["p1", "p2", "p3", "p4", "p5"]
         plan = partition_churn(procs, seed=0, start=10.0, duration=120.0)
-        monitor = run_duplicate_payload_chaos(
+        cluster = run_duplicate_payload_chaos(
             procs, 0, plan, duration=170.0,
             dvs_factory=NoMajorityDvsLayer,
         )
-        assert [v.prop for v in monitor.violations] == [
-            "dvs-4.1-intersection"
-        ]
+        (violation,) = cluster.monitor.violations
+        assert violation.prop == "dvs"
+        assert "forces dvs_createview" in violation.rejection.reason
 
 
 class TestPlanStrategies:

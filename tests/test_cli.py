@@ -145,8 +145,11 @@ class TestChaos:
         )
         assert code == 1
         out = capsys.readouterr().out
-        assert "SAFETY VIOLATION" in out
-        assert "dvs-4.1-intersection" in out
+        # The online violation is printed as the verdict's own line.
+        (verdict,) = [l for l in out.splitlines()
+                      if l.startswith("DVS rejected at #")]
+        assert "SAFETY VIOLATION: " + verdict in out
+        assert "forces dvs_createview" in verdict
         assert "replay: python -m repro chaos" in out
         assert "--broken" in out
 
