@@ -148,17 +148,8 @@ class VsStackNode(Node, RecorderMixin):
         )
 
     def on_message(self, src, msg):
-        handler = {
-            Collect: self._on_collect,
-            StateReply: self._on_state_reply,
-            Install: self._on_install,
-            Data: self._on_data,
-            Ordered: self._on_ordered,
-            OrderedRun: self._on_ordered_run,
-            Ack: self._on_ack,
-            SafeNote: self._on_safe_note,
-        }[type(msg)]
-        handler(src, msg)
+        # An unknown type raises KeyError, which the host reports.
+        self.message_handlers[type(msg)](self, src, msg)
 
     def _on_collect(self, src, msg):
         if self.pid not in msg.members:
@@ -301,3 +292,15 @@ class VsStackNode(Node, RecorderMixin):
             payload, sender = ordering.buffer.pop(seq)
             self._record("vs_safe", payload, sender, self.pid)
             self.listener.on_vs_safe(payload, sender)
+
+    #: Wire message type -> handler, read by :meth:`on_message`.
+    message_handlers = MappingProxyType({
+        Collect: _on_collect,
+        StateReply: _on_state_reply,
+        Install: _on_install,
+        Data: _on_data,
+        Ordered: _on_ordered,
+        OrderedRun: _on_ordered_run,
+        Ack: _on_ack,
+        SafeNote: _on_safe_note,
+    })

@@ -23,7 +23,8 @@ from repro.obs.record import (
     TraceEvent,
     TraceRecorder,
 )
-from repro.runtime.codec import encode_frame
+from repro.runtime.codec import decode, encode_frame
+from tests.runtime.wire_reference import reference_encode
 
 V1 = ViewId(1, "p1")
 VIEW = View(V1, frozenset({"p1", "p2", "p3"}))
@@ -57,6 +58,18 @@ class TestRoundTrip:
         path = tmp_path / "run.trace"
         EXAMPLE.save(path)
         assert ReplayTrace.load(path) == EXAMPLE
+
+    def test_a_trace_written_in_wire_version_3_still_loads(self):
+        """A trace is codec frames: one an older build wrote, every
+        scalar tagged under a version 3 stamp, loads as the same trace."""
+        data, old = EXAMPLE.to_bytes(), b""
+        while data:
+            size = int.from_bytes(data[:4], "big")
+            body = bytes([3]) + reference_encode(decode(data[4:4 + size]))[1:]
+            old += len(body).to_bytes(4, "big") + body
+            data = data[4 + size:]
+        assert len(old) > len(EXAMPLE.to_bytes())
+        assert ReplayTrace.from_bytes(old) == EXAMPLE
 
     def test_events_coerced_from_tuples(self):
         trace = ReplayTrace(["a"], VIEW, [(1.0, "a", "stop", ())])

@@ -16,8 +16,9 @@ Each test pins one specific bug:
    can append to it);
 8. inbound frames dispatched without validation: unknown senders fed
    the connectivity estimator and forged payloads reached the stack;
-9. the decoder reading what the encoder cannot write (``NaN``): one
-   forged frame, relayed by the sequencer, wedged the view.
+9. the decoder reading what the encoder cannot write (``NaN``,
+   ``Infinity``, ``1e999``): one forged frame, relayed by the
+   sequencer, wedged the view.
 """
 
 import asyncio
@@ -410,13 +411,16 @@ def test_forged_and_unknown_frames_are_dropped_before_dispatch():
 
 
 def test_a_forged_nan_frame_is_rejected_and_the_view_keeps_delivering():
-    """A ``Data`` frame whose payload holds ``["f",NaN]`` used to decode
+    """A ``Data`` frame whose payload held ``["f",NaN]`` used to decode
     at the sequencer, which took a slot for it, delivered it to itself
     and then failed to *re*-encode the ``Ordered`` (``CodecError`` into
     ``errors``, broadcast abandoned): the peers never saw that slot,
     buffered everything behind it, and no later request was delivered
     anywhere until the next view.  Now the frame dies in the decoder:
-    the connection is dropped and counted, nothing reaches the stack."""
+    the connection is dropped and counted, nothing reaches the stack.
+    Version 4 writes a float natively, so each forgery is one literal
+    in place of ``1.5``: ``NaN``, ``Infinity``, and ``1e999``, which
+    parses to an infinity."""
     pids = ["n1", "n2", "n3"]
     cluster = RuntimeCluster(
         pids, app_factory=lambda node: KvReplica(node.to),
@@ -430,14 +434,19 @@ def test_a_forged_nan_frame_is_rejected_and_the_view_keeps_delivering():
             "n1", lambda node: (node.port, node.stack.view.id)
         )
         honest = encode_frame(("n2", Data(vid, ("put", "k", 1.5), "n2")))
-        forged = honest.replace(b'["f",1.5]', b'["f",NaN]')
-        assert len(forged) == len(honest) and forged != honest
-        with socket.create_connection(("127.0.0.1", port)) as raw:
-            raw.sendall(encode_frame(("n2", Hello("n2"))) + forged)
-            cluster.wait_until(
-                lambda: n1.stats()["rejected"] == 1,
-                what="the forged frame to be rejected",
-            )
+        body = honest[4:]
+        assert body.count(b",1.5]") == 1
+        for count, literal in enumerate((b"NaN", b"Infinity", b"1e999"), 1):
+            forged = body.replace(b",1.5]", b"," + literal + b"]")
+            with socket.create_connection(("127.0.0.1", port)) as raw:
+                raw.sendall(
+                    encode_frame(("n2", Hello("n2")))
+                    + len(forged).to_bytes(4, "big") + forged
+                )
+                cluster.wait_until(
+                    lambda: n1.stats()["rejected"] == count,
+                    what="the forged frame to be rejected",
+                )
         cluster.call_app("n2", lambda app: app.put("after", "forgery"))
         cluster.wait_until(
             lambda: all(

@@ -335,6 +335,11 @@ def test_non_finite_floats_are_refused_on_decode_too(literal):
     payload that decodes but cannot be re-encoded wedges the view whose
     sequencer relays it (tests/runtime/test_bugfixes.py, #9)."""
     for text in (
+        '{0}',
+        '["t",["put",{0}]]',
+        '["@","Data",[["@","ViewId",[1,"n1"]],'
+        '["d",[["k",["l",[{0}]]]]],"n2"]]',
+        # The same, as versions 1-3 spelled them.
         '["f",{0}]',
         '["t",[["s","put"],["f",{0}]]]',
         '["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],'
@@ -357,10 +362,18 @@ def test_a_huge_int_in_a_float_slot_is_a_typed_error():
     with pytest.raises(CodecError):
         FrameDecoder().feed(frame)
     assert decode(body('["i",{0}]'.format(10 ** 400))) == 10 ** 400
+    assert decode(body(str(10 ** 400))) == 10 ** 400
     assert decode(body('["f",7]')) == 7.0  # a small int still reads
 
 
 @pytest.mark.parametrize("text", [
+    '["@","ViewId",[1,["l",[]]]]',
+    '["@","ViewId",[true,"n1"]]',
+    '["@","ViewId",[1.0,"n1"]]',
+    '["@","Ack",[["@","Label",[["@","ViewId",[1,"n1"]],3,"n2"]],3]]',
+    '["@","View",[["@","ViewId",[1,"n1"]],["l",["n1"]]]]',
+    '["@","Collect",[["l",["n1",1]],["fz",["n1"]]]]',
+    # The same forgeries, as versions 1-3 spelled them.
     '["@","ViewId",[["i",1],["l",[]]]]',
     '["@","ViewId",[["b",true],["s","n1"]]]',
     '["t",[["s","n1"],["@","Ack",[["@","ViewId",[["s","1"],["s","n1"]]],'
@@ -384,22 +397,16 @@ ENVELOPE = ("n1", Ordered(
     (Label(ViewId(1, "n1"), 3, "n2"), ("put", "key-17", "0" * 32)), "n2",
 ))
 
+#: The sequencer's run of six such slots.
+RUN_ENVELOPE = ("n1", OrderedRun(ViewId(1, "n1"), 12, tuple(
+    ((Label(ViewId(1, "n1"), seq, "n2"), ("put", "key-17", "0" * 32)), "n2")
+    for seq in range(3, 9)
+)))
 
-def test_work_per_frame_is_a_count():
-    """``encode_frame`` plus ``FrameDecoder().feed`` of the 252-byte
-    envelope ``("n1", Ordered(ViewId(1, "n1"), 12, (Label(ViewId(1,
-    "n1"), 3, "n2"), ("put", "key-17", "0" * 32)), "n2"))`` under
-    ``sys.setprofile``: ``call`` + ``c_call`` events.
 
-    PR 19's generic walks made **429** (encode 32 + 120, decode 119 +
-    158: 100 ``isinstance`` and a throw-away tree on the way out; 84
-    ``_need()`` calls and 27 eagerly formatted error texts on the way
-    in).  The compiled codec makes **155** (28 + 19, 46 + 62) on
-    CPython 3.11.  Counts repeat exactly where timings on a shared host
-    do not; the budget leaves room for interpreter versions (3.12
-    inlines comprehensions, older ones count a few more) and none for
-    an eager ``format`` or a second ``dumps`` creeping back.
-    """
+def _profiled_round_trip(value):
+    """``encode_frame`` plus ``FrameDecoder().feed`` of ``value`` under
+    ``sys.setprofile``: the frame and its ``call`` + ``c_call`` events."""
     events = []
 
     def profile(frame, event, arg):
@@ -410,12 +417,42 @@ def test_work_per_frame_is_a_count():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        frame = encode_frame(ENVELOPE)
+        frame = encode_frame(value)
         fed = decoder.feed(frame)
     finally:
         sys.setprofile(previous)
-    assert len(frame) == 252 and fed == [ENVELOPE]
-    assert 0 < len(events) <= 250, len(events)
+    assert fed == [value]
+    return frame, len(events)
+
+
+def test_work_per_frame_is_a_count():
+    """The 180-byte envelope ``("n1", Ordered(ViewId(1, "n1"), 12,
+    (Label(ViewId(1, "n1"), 3, "n2"), ("put", "key-17", "0" * 32)),
+    "n2"))``, encoded and decoded, in profile events.
+
+    The generic walks ``wire_reference.py`` keeps made **429** (encode
+    32 + 120, decode 119 + 158: 100 ``isinstance`` and a throw-away tree
+    on the way out; 84 ``_need()`` calls and 27 eagerly formatted error
+    texts on the way in).  The compiled codec made **130** of the 252-byte version 3
+    frame on CPython 3.11; version 4 makes **83** (encode 36, decode
+    47) of 180 bytes: no emitter call per scalar out, no handler call
+    per scalar in, and no second pass over a rebuilt message.  Counts
+    repeat exactly where timings on a shared host do not; the budget
+    leaves room for interpreter versions (3.12 inlines comprehensions,
+    older ones count a few more) and none for a tag per scalar, an
+    eager ``format`` or a second ``dumps`` creeping back.
+    """
+    frame, events = _profiled_round_trip(ENVELOPE)
+    assert len(frame) == 180
+    assert 0 < events <= 150, events
+
+
+def test_work_per_run_frame_is_a_count():
+    """A run of six slots: version 3 made 508 events of 1,141 bytes,
+    version 4 makes 315 of 829 (CPython 3.11)."""
+    frame, events = _profiled_round_trip(RUN_ENVELOPE)
+    assert len(frame) == 829
+    assert 0 < events <= 450, events
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,21 +1,23 @@
 """Wire-schema migration: version 1 -> 2 (the CbCast addition) -> 3
-(the OrderedRun addition).
+(the OrderedRun addition) -> 4 (native JSON scalars).
 
-Adding a message type is a *versioned* change in this codec: an
-older peer rejects unknown ``@`` type references, so v3 speakers must
-(a) still accept v1 and v2 bodies byte-for-byte and (b) refuse versions
-they do not know, with a typed error naming both sides.  The golden
-bytes below are literal frames of each era -- they must keep decoding
-forever.
+Adding a message type or changing the body layout is a *versioned*
+change in this codec: an older peer rejects unknown ``@`` type
+references and untagged scalars, so v4 speakers must (a) still accept
+v1, v2 and v3 bodies byte-for-byte and (b) refuse versions they do not
+know, with a typed error naming both sides.  The golden bytes below are
+literal frames of each era -- they must keep decoding forever.
 """
 
 import collections
 import enum
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.kv_store import KvReplica
 from repro.cb.messages import CbCast
 from repro.core.messages import InfoMsg, RegisteredMsg
 from repro.core.viewids import ViewId
@@ -46,9 +48,11 @@ from repro.runtime.codec import (
     schema_drift,
     validate_message,
 )
+from repro.runtime.cluster import RuntimeCluster
 from repro.to.summaries import Label, Summary
 from tests.runtime.test_codec import messages, payloads
-from tests.runtime.wire_reference import reference_encode
+from tests.runtime.test_codec_fuzz import retagged
+from tests.runtime.wire_reference import reference_decode, reference_encode
 
 #: Literal bodies produced by the version-1 codec (before CbCast
 #: existed).  Golden: do not regenerate from the current encoder.
@@ -58,8 +62,8 @@ GOLDEN_V1_VIEWID = b'\x01["@","ViewId",[["i",0],["s",""]]]'
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
-        assert WIRE_VERSION == 3
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3)
+        assert WIRE_VERSION == 4
+        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4)
         assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
 
     def test_encode_stamps_the_current_version(self):
@@ -70,13 +74,13 @@ class TestVersioning:
         assert decode(GOLDEN_V1_VIEWID) == ViewId(0, "")
 
     def test_future_version_is_rejected_with_both_sides_named(self):
-        body = bytes([4]) + encode(("x",))[1:]
+        body = bytes([5]) + encode(("x",))[1:]
         with pytest.raises(CodecError) as err:
             decode(body)
         message = str(err.value)
-        assert "unsupported wire version 4" in message
-        assert "speaking 3" in message
-        assert "(1, 2, 3)" in message
+        assert "unsupported wire version 5" in message
+        assert "speaking 4" in message
+        assert "(1, 2, 3, 4)" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -151,6 +155,73 @@ class TestOrderedRunOnTheWire:
         with pytest.raises(CodecError) as err:
             decode(body)
         assert "unknown type" in str(err.value)
+
+
+class TestNativeScalarsOnTheWire:
+    def data(self):
+        return Data(V1, ("put", "k", 1.5, None, True), "n3")
+
+    def test_v3_peer_would_reject_it(self):
+        """Why it is version 4: a v3 decoder refuses the stamp, and even
+        under a v3 stamp its walk (the reference's) finds an untagged
+        scalar where a tagged node belongs."""
+        body = encode(self.data())
+        assert body[0] not in (1, 2, 3)
+        with pytest.raises(CodecError, match="tagged array"):
+            reference_decode(bytes([3]) + body[1:])
+
+    def test_a_v3_body_of_the_same_value_decodes_alike(self):
+        """One walk reads both layouts: no branch on the version byte."""
+        legacy = bytes([3]) + reference_encode(self.data())[1:]
+        assert decode(legacy) == decode(encode(self.data())) == self.data()
+        assert decode(bytes([4]) + legacy[1:]) == self.data()
+
+
+class TestRollingUpgrade:
+    def test_a_v3_data_frame_from_a_live_peer_is_delivered(self):
+        """The acceptance window, end to end: a ``Data`` written by a v3
+        peer (the reference walk, stamped 3) reaches a live sequencer
+        over a raw socket, is ordered, and every member delivers it.
+        The request never passed through a TO ``bcast``, so the TO
+        specification would rightly call its delivery a forgery: the
+        monitor is off and the apps are read instead."""
+        pids = ["n1", "n2", "n3"]
+        cluster = RuntimeCluster(
+            pids, app_factory=lambda node: KvReplica(node.to),
+            hb_interval=0.05, hb_timeout=0.25, monitor=False,
+        )
+        with cluster:
+            cluster.wait_formation(timeout=30.0)
+            # n1 = min(view) is the sequencer; speak v3 to it as n2.
+            port, vid = cluster.call_node(
+                "n1", lambda node: (node.port, node.stack.view.id)
+            )
+            label = Label(
+                cluster.call_node("n2", lambda node: node.to.current.id),
+                1000, "n2",
+            )
+            frames = b"".join(
+                _v3_frame(("n2", msg)) for msg in (
+                    Hello("n2"),
+                    Data(vid, (label, ("put", "k", "v3")), "n2"),
+                )
+            )
+            with socket.create_connection(("127.0.0.1", port)) as raw:
+                raw.sendall(frames)
+                cluster.wait_until(
+                    lambda: all(
+                        cluster.app(pid).log_length >= 1 for pid in pids
+                    ),
+                    timeout=20.0, what="the v3 request at all three nodes",
+                )
+            for pid in pids:
+                assert cluster.call_app(pid, lambda app: app.get("k")) == "v3"
+            assert cluster.errors() == {}
+
+
+def _v3_frame(value):
+    body = bytes([3]) + reference_encode(value)[1:]
+    return len(body).to_bytes(4, "big") + body
 
 
 # -- The v2 bytes, pinned independently of any encoder ---------------------------
@@ -275,6 +346,63 @@ GOLDEN_V3 = [
 ]
 
 
+#: Literal version-4 bodies of the same values, in the same order: the
+#: v2 / v3 documents with every scalar written as native JSON, and set
+#: elements and dict entries re-sorted by their new text (``"a"`` now
+#: sorts before ``10``).  Golden, as above.
+GOLDEN_V4 = list(zip([value for value, _ in GOLDEN_V2 + GOLDEN_V3], [
+    b'\x04null',
+    b'\x04true',
+    b'\x04-42',
+    b'\x041208925819614629174706176',
+    b'\x042.5',
+    b'\x04-0.0',
+    b'\x041e+22',
+    b'\x04"caf\\u00e9 \\"q\\" \\\\ \\n \\ud83d\\ude00"',
+    b'\x04["y","AP93aXJl"]',
+    b'\x04["t",["w","n1",3]]',
+    b'\x04["l",[1,["l",[2.0,null]],["t",[]]]]',
+    b'\x04["fz",["n1","n2","n3"]]',
+    b'\x04["st",["a",10,9]]',
+    b'\x04["d",[["a",["t",[2]]],["b",1],[3,null]]]',
+    b'\x04["@","ViewId",[1,"n1"]]',
+    b'\x04["@","View",[["@","ViewId",[1,"n1"]],["fz",["n1","n2",'
+     b'"n3"]]]]',
+    b'\x04["@","InfoMsg",[["@","View",[["@","ViewId",[1,"n1"]],["fz",'
+     b'["n1","n2","n3"]]]],["fz",[["@","View",[["@","ViewId",[2,'
+     b'"n2"]],["fz",["n1"]]]]]]]]',
+    b'\x04["@","RegisteredMsg",[]]',
+    b'\x04["@","AckMsg",[7]]',
+    b'\x04["@","Collect",[["t",["n1",4]],["fz",["n1","n2"]]]]',
+    b'\x04["@","StateReply",[["t",["n1",4]],9]]',
+    b'\x04["@","Install",[["t",["n1",4]],["@","View",[["@","ViewId",'
+     b'[1,"n1"]],["fz",["n1","n2","n3"]]]]]]',
+    b'\x04["@","Data",[["@","ViewId",[1,"n1"]],["t",["put","k","v"]],'
+     b'"n3"]]',
+    b'\x04["@","Ordered",[["@","ViewId",[1,"n1"]],12,["t",[["@",'
+     b'"Label",[["@","ViewId",[1,"n1"]],3,"n2"]],["t",["put","key-17",'
+     b'"00000000"]]]],"n2"]]',
+    b'\x04["@","Ack",[["@","ViewId",[1,"n1"]],12]]',
+    b'\x04["@","SafeNote",[["@","ViewId",[2,"n2"]],5]]',
+    b'\x04["@","Label",[["@","ViewId",[1,"n1"]],3,"n2"]]',
+    b'\x04["@","Summary",[["fz",[["t",[["@","Label",[["@","ViewId",'
+     b'[1,"n1"]],3,"n2"]],["t",["put","a",1]]]],["t",[["@","Label",'
+     b'[["@","ViewId",[2,"n2"]],0,"n1"]],null]]]],["t",[["@","Label",'
+     b'[["@","ViewId",[1,"n1"]],3,"n2"]],["@","Label",[["@","ViewId",'
+     b'[2,"n2"]],0,"n1"]]]],2,["@","ViewId",[2,"n2"]]]]',
+    b'\x04["@","CbCast",[["@","ViewId",[2,"n2"]],["t",[["t",["n1",'
+     b'2]],["t",["n2",5]]]],["t",["typing",true]],"n2"]]',
+    b'\x04["@","Hello",["n9"]]',
+    b'\x04["@","Heartbeat",[]]',
+    b'\x04["@","OrderedRun",[["@","ViewId",[1,"n1"]],12,["t",[["t",'
+     b'[["t",[["@","Label",[["@","ViewId",[1,"n1"]],3,"n2"]],["t",'
+     b'["put","key-17","00000000"]]]],"n2"]],["t",[["t",[["@","Label",'
+     b'[["@","ViewId",[1,"n1"]],4,"n3"]],null]],"n3"]]]]]]',
+    b'\x04["@","OrderedRun",[["@","ViewId",[1,"n1"]],1,["t",[["t",'
+     b'["x","n1"]]]]]]',
+]))
+
+
 class Colour(enum.IntEnum):
     RED = 7
 
@@ -284,7 +412,8 @@ Point = collections.namedtuple("Point", "x y")
 
 class TestPinnedBytes:
     def test_goldens_cover_every_tag_and_every_class(self):
-        values = [value for value, _ in GOLDEN_V2 + GOLDEN_V3]
+        values = [value for value, _ in GOLDEN_V4]
+        assert len(GOLDEN_V4) == len(GOLDEN_V2) + len(GOLDEN_V3)
         assert {type(v) for v in values} >= set(WIRE_TYPES) | {
             type(None), bool, int, float, str, bytes,
             tuple, list, frozenset, set, dict,
@@ -296,13 +425,12 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V2)],
     )
     def test_golden_v2_both_ways(self, value, golden):
-        """A v2 body still decodes, and version 3 writes the very same
-        body under its own stamp: the version added a row, not a
-        layout."""
+        """A v2 body still decodes, and the reference walk still writes
+        it: the layout of versions 1-3 is pinned in both directions,
+        though version 4 no longer writes it."""
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
-        assert encode(value) == bytes([WIRE_VERSION]) + golden[1:]
-        assert reference_encode(value) == encode(value)  # the spec agrees
+        assert reference_encode(value)[1:] == golden[1:]
 
     @pytest.mark.parametrize(
         "value,golden", GOLDEN_V3,
@@ -310,10 +438,22 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V3)],
     )
     def test_golden_v3_both_ways(self, value, golden):
+        decoded = decode(golden)
+        assert decoded == value and type(decoded) is type(value)
+        assert reference_encode(value)[1:] == golden[1:]
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V4,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V4)],
+    )
+    def test_golden_v4_both_ways(self, value, golden):
         assert encode(value) == golden
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
-        assert reference_encode(value) == golden  # the spec agrees
+        # The v3 walk reads it once its scalars are tagged again.
+        legacy = reference_decode(retagged(golden))
+        assert reference_encode(legacy) == reference_encode(value)
 
     def test_subclasses_of_builtins_encode_as_their_builtin(self):
         """Not a key of the emitter table: resolved by ``issubclass``
@@ -325,9 +465,16 @@ class TestPinnedBytes:
             (collections.Counter("aab"), {"a": 2, "b": 1}),
             (bytearray(b"ab"), b"ab"),
         ]:
-            assert encode(value) == encode(plain) == reference_encode(value)
+            assert encode(value) == encode(plain)
+            assert reference_encode(value) == reference_encode(plain)
 
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(payloads, messages))
     def test_encoder_writes_what_the_reference_writes(self, value):
-        assert encode(value) == reference_encode(value)
+        """Up to the scalars' spelling: the v4 body, re-tagged, is a v3
+        body the reference reads as the same value (compared as the
+        reference's canonical bytes, so 1 / 1.0 / True stay apart), and
+        the reference's own body reads back as that value here."""
+        legacy = reference_decode(retagged(encode(value)))
+        assert reference_encode(legacy) == reference_encode(value)
+        assert encode(decode(reference_encode(value))) == encode(value)

@@ -4,6 +4,7 @@ import asyncio
 
 from repro.core.viewids import ViewId
 from repro.core.views import View
+from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.messages import Data
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import MonotonicClock, RuntimeNode
@@ -228,3 +229,20 @@ def test_two_nodes_estimate_each_other_connected():
         await n1.stop()
 
     run(scenario())
+
+
+def test_a_message_vs_has_no_handler_for_lands_in_errors():
+    """VS dispatches on one class-level table keyed by message type: a
+    type with no row raises, and the node keeps the error rather than
+    losing its loop."""
+
+    async def scenario():
+        node = RuntimeNode("a", {}, initial_view=make_view(["a", "b"]))
+        await node.start()
+        node._dispatch("b", AckMsg(1))
+        node._dispatch("b", Data(ViewId(0, ""), "x", "b"))
+        await node.stop()
+        return list(node.errors)
+
+    errors = run(scenario())
+    assert len(errors) == 1 and isinstance(errors[0], KeyError), errors
