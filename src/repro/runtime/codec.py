@@ -35,11 +35,13 @@ canonical order so that encoding is deterministic: the same value always
 produces the same bytes, which keeps wire logs diffable across runs.
 
 Both directions are compiled at import from :data:`WIRE_SCHEMA`: one
-emitter and one decoder per class.  The decoder accepts what the
-encoder can produce and nothing else: a non-finite number, an unknown
-tag or class, a wrong arity, or a field that is not of its pinned type
--- at any depth -- is a :class:`CodecError`, so no frame that decodes
-can fail to re-encode.
+emitter and one decoder per class.  The decoder reads more spellings
+than the encoder writes: a body under any accepted version stamp may
+mix tagged and native scalars, so re-encoding a decoded frame may
+change its bytes.  It builds only values the encoder can write: a
+non-finite number, an unknown tag or class, a wrong arity, or a field
+that is not of its pinned type -- at any depth -- is a
+:class:`CodecError`, so no frame that decodes can fail to re-encode.
 """
 
 import base64
@@ -558,7 +560,11 @@ def _decode_class(node):
     try:
         build = _DECODERS[node[1]]
     except (LookupError, TypeError):
-        raise CodecError("malformed body: unknown type in " + repr(node)[:80])
+        # Name the reference only: the node may be as large as a frame.
+        ref = node[1] if len(node) > 1 else None
+        raise CodecError("malformed body: unknown type " + (
+            repr(ref[:80]) if type(ref) is str else type(ref).__name__
+        ))
     return build(node)
 
 
@@ -615,11 +621,9 @@ def _field(annotation, decoders):
 
 def _class_decoder(cls, pinned, decoders):
     """Decoder of ``cls`` from its ``["@", name, [field nodes]]``, each
-    field checked against its pin as it is read.  Unrolled for one to
-    three fields, the message path's common case."""
+    field checked against its pin as it is read."""
     readers = tuple(_field(annotation, decoders) for _, annotation in pinned)
     arity = len(readers)
-    (f0, r0), (f1, r1), (f2, r2) = (readers + ((None, None),) * 3)[:3]
 
     def build(node):
         nodes = node[2] if len(node) == 3 else None
@@ -627,22 +631,10 @@ def _class_decoder(cls, pinned, decoders):
             raise CodecError(
                 "malformed body: wrong field count for " + cls.__name__
             )
-        if arity == 2:
-            a, b = nodes
-            values = (a if type(a) in f0 else r0(a),
-                      b if type(b) in f1 else r1(b))
-        elif arity == 3:
-            a, b, c = nodes
-            values = (a if type(a) in f0 else r0(a),
-                      b if type(b) in f1 else r1(b),
-                      c if type(c) in f2 else r2(c))
-        elif arity == 1:
-            values = (nodes[0] if type(nodes[0]) in f0 else r0(nodes[0]),)
-        else:
-            values = [
-                node if type(node) in fast else read(node)
-                for node, (fast, read) in zip(nodes, readers)
-            ]
+        values = [
+            node if type(node) in fast else read(node)
+            for node, (fast, read) in zip(nodes, readers)
+        ]
         try:
             return cls(*values)
         except Exception as exc:

@@ -1,4 +1,4 @@
-"""Asyncio TCP transport: two ``asyncio.Protocol``s, no hop per frame.
+"""Asyncio TCP transport: two asyncio protocols, no hop per frame.
 
 Topology mirrors the simulator's directed channels: every ordered pair
 of processes gets its own TCP connection, dialed by the sender.  A
@@ -7,11 +7,13 @@ the link is up, unpaused and nothing is pending, a send *is* a socket
 write in the caller's loop iteration; otherwise the frame waits in one
 bounded deque (peer down, or asyncio's ``pause_writing`` says the socket
 is full) that ``connection_made`` / ``resume_writing`` flush in order.
-A :class:`Listener` accepts with one protocol per connection whose
-``data_received`` reassembles frames, demands the
-:class:`~repro.runtime.codec.Hello` handshake and calls ``on_frame`` --
-a read *is* a dispatch.  The only coroutine left is the redial, alive
-only while a link is disconnected.
+A :class:`Listener` accepts with one ``asyncio.BufferedProtocol`` per
+connection: a read lands in the listener's one reused buffer, and
+``buffer_updated`` hands those bytes to the connection's frame decoder,
+demands the :class:`~repro.runtime.codec.Hello` handshake and calls
+``on_frame`` -- a read *is* a dispatch, and allocates no read buffer.
+The only coroutine left is the redial, alive only while a link is
+disconnected.
 
 Loss semantics are deliberately the simulator's fair-lossy channel: a
 frame queued while the peer is down is flushed on reconnect, the oldest
@@ -36,6 +38,9 @@ from repro.runtime.codec import CodecError, FrameDecoder, Hello, encode_frame
 
 #: Default bound on a link's outbound queue (frames).
 QUEUE_LIMIT = 4096
+
+#: Bytes a listener's one receive buffer holds (the most one read takes).
+_READ_BUFFER = 1 << 16
 
 
 class PeerLink(asyncio.Protocol):
@@ -194,7 +199,7 @@ class PeerLink(asyncio.Protocol):
                     raise
 
 
-class _Inbound(asyncio.Protocol):
+class _Inbound(asyncio.BufferedProtocol):
     """One accepted connection: decode, check, dispatch, per read."""
 
     def __init__(self, listener):
@@ -214,12 +219,15 @@ class _Inbound(asyncio.Protocol):
         self._listener.rejected += 1
         self._transport.close()
 
-    def data_received(self, data):
+    def get_buffer(self, sizehint):
+        return self._listener._buffer
+
+    def buffer_updated(self, nbytes):
         listener = self._listener
         if listener._on_bytes is not None:
-            listener._on_bytes(len(data))
+            listener._on_bytes(nbytes)
         try:
-            frames = self._decoder.feed(data)
+            frames = self._decoder.feed(listener._buffer[:nbytes])
         except CodecError:
             return self._reject()
         for envelope in frames:
@@ -239,7 +247,7 @@ class _Inbound(asyncio.Protocol):
             try:
                 listener._on_frame(sender, msg)
             except Exception as exc:
-                # Contained here: an exception escaping data_received
+                # Contained here: an exception escaping buffer_updated
                 # would be logged by asyncio as a fatal transport error.
                 if listener._on_error is not None:
                     listener._on_error(exc)
@@ -268,6 +276,9 @@ class Listener:
         self.port = port
         self._server = None
         self._connections = set()
+        # Every connection reads into this one buffer: reads run one at
+        # a time on the loop thread, and feed() copies what it keeps.
+        self._buffer = memoryview(bytearray(_READ_BUFFER))
         self.rejected = 0
 
     async def start(self):

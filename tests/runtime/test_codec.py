@@ -286,6 +286,12 @@ def test_unknown_dataclass_rejected():
     ).encode()
     with pytest.raises(CodecError, match="unknown type"):
         decode(body)
+    # The error names the reference, never renders the (large) node.
+    huge = ["@", "OsCommand", ["x" * 1000] * 1000]
+    for ref, named in ((huge, "'OsCommand'"), (["@", huge], "list")):
+        with pytest.raises(CodecError) as err:
+            decode(bytes([WIRE_VERSION]) + json.dumps(ref).encode())
+        assert str(err.value) == "malformed body: unknown type " + named
 
 
 def test_unencodable_values_rejected():

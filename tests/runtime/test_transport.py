@@ -6,11 +6,12 @@ seconds, not forever.
 """
 
 import asyncio
+import tracemalloc
 
 import pytest
 
 from repro.runtime.codec import Heartbeat, Hello, encode_frame
-from repro.runtime.transport import Listener, PeerLink
+from repro.runtime.transport import _READ_BUFFER, Listener, PeerLink
 
 WAIT = 5.0
 
@@ -207,7 +208,7 @@ def test_callback_exception_reported_and_contained(caplog):
 
     run(scenario())
     # Contained in the protocol: asyncio never saw it escape.
-    assert "data_received() call failed" not in caplog.text
+    assert "protocol.buffer_updated() call failed" not in caplog.text
 
 
 def test_listener_close_drops_established_connections():
@@ -307,7 +308,90 @@ def test_split_and_batched_frames_both_decode():
         await poll_until(lambda: len(frames) == 4)
         assert [m[1] for _, m in frames[1:]] == [0, 1, 2]
         assert reads[0] == len(hello) + 40 and len(reads) < 4
+        # ...and one three receive buffers long, over as many reads.
+        before = len(reads)
+        big = ("m", 3, "z" * (3 * _READ_BUFFER))
+        writer.write(encode_frame(("a", big)))
+        await writer.drain()
+        await poll_until(lambda: len(frames) == 5)
+        assert frames[4] == ("a", big) and len(reads) - before >= 3
         writer.close()
         await listener.close()
 
     run(scenario())
+
+
+def test_connections_sharing_the_read_buffer_decode_apart():
+    """Two connections' frames torn across reads and interleaved: A's
+    first half, all of B's equally long frame (landing where A's half
+    did), then A's rest.  Both decode intact and in order, so nothing
+    holds a view of the shared buffer once a read is handled."""
+
+    async def scenario():
+        frames, on_frame = collector()
+        reads = []
+        listener = await Listener(on_frame, on_bytes=reads.append).start()
+        writers = {}
+        for pid in "ab":
+            _, writers[pid] = await asyncio.open_connection(
+                "127.0.0.1", listener.port
+            )
+            writers[pid].write(encode_frame((pid, Hello(pid))))
+        await poll_until(lambda: len(frames) == 2)
+
+        async def one_read(pid, chunk):
+            count = len(reads)
+            writers[pid].write(chunk)
+            await poll_until(lambda: len(reads) > count)
+
+        for i in range(5):
+            a, b = (encode_frame((p, ("m", i, p * 64))) for p in "ab")
+            await one_read("a", a[:len(a) // 2])
+            await one_read("b", b)
+            await one_read("a", a[len(a) // 2:])
+        await poll_until(lambda: len(frames) == 12)
+        for pid in "ab":
+            assert [m for src, m in frames[2:] if src == pid] == [
+                ("m", i, pid * 64) for i in range(5)
+            ]
+        for writer in writers.values():
+            writer.close()
+        await listener.close()
+
+    run(scenario())
+
+
+def test_a_read_allocates_no_receive_buffer():
+    """asyncio's default read path allocates a fresh 256 KiB ``bytes``
+    per ``recv``; a read into the listener's buffer allocates only what
+    it decodes.  Two hundred small frames, one per read."""
+
+    async def scenario():
+        arrived = asyncio.Event()
+        seen = []
+
+        def on_frame(src, msg):
+            seen.append(msg)
+            arrived.set()
+
+        listener = await Listener(on_frame).start()
+        _, writer = await asyncio.open_connection("127.0.0.1", listener.port)
+        writer.write(encode_frame(("a", Hello("a"))))
+        await asyncio.wait_for(arrived.wait(), WAIT)
+        del seen[:]
+        tracemalloc.start()
+        try:
+            for i in range(200):
+                arrived.clear()
+                writer.write(encode_frame(("a", i)))
+                await asyncio.wait_for(arrived.wait(), WAIT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seen == list(range(200))
+        writer.close()
+        await listener.close()
+        return peak
+
+    peak = run(scenario())
+    assert peak < 64 * 1024, peak
