@@ -47,14 +47,12 @@ class _ReplayClock:
 
 
 class _SinkNet:
-    """The Network slice a replayed tower sees: time flows, output sinks."""
+    """The Network slice a replayed tower sees: output sinks, and a timer
+    fires only where the trace recorded it."""
 
     class _Handle:
         def cancel(self):
             pass
-
-    def __init__(self, clock):
-        self.queue = clock  # Node.now reads net.queue.now
 
     def send(self, src, dst, msg):
         pass
@@ -112,7 +110,7 @@ def replay_trace(trace):
         )
     dvs_cls = DVS_FACTORIES[trace.dvs]
     clock = _ReplayClock()
-    net = _SinkNet(clock)
+    net = _SinkNet()
     log = ActionLog(clock=lambda: clock.now)
     monitor = SafetyMonitor(trace.initial_view, fail_fast=False).attach(log)
     towers = {}

@@ -253,6 +253,16 @@ def _print_verdicts(verdicts):
     return any(verdicts.values())
 
 
+def _print_unflagged(rejected, clean):
+    """The line for a run the online monitor did not flag: ``clean``
+    only when every verdict accepted too."""
+    if rejected:
+        print("the online monitor flagged nothing: it checks only {0}, "
+              "not what the verdicts above rejected".format(_ONLINE))
+    else:
+        print(clean)
+
+
 def _cmd_chaos(args):
     errors = _chaos_flag_errors(args)
     if errors:
@@ -305,7 +315,8 @@ def _cmd_chaos(args):
                   args.record, len(result.trace)))
     rejected = _print_verdicts(result.verdicts)
     if result.ok:
-        print("no safety violations: {0} held throughout".format(_ONLINE))
+        _print_unflagged(rejected, "no safety violations: {0} held "
+                         "throughout".format(_ONLINE))
         return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
@@ -394,7 +405,8 @@ def _cmd_replay(args):
               "and delivery orders")
     rejected = _print_verdicts(result.verdicts)
     if result.ok:
-        print("no safety violations on replay: {0}".format(_ONLINE))
+        _print_unflagged(rejected, "no safety violations on replay: "
+                         "{0}".format(_ONLINE))
         return int(rejected)
     print()
     print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))

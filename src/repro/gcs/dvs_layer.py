@@ -138,16 +138,15 @@ class DvsLayer(VsListener, RecorderMixin):
         else:
             self._on_client_payload(payload, sender)
 
-    #: So the stack below sends no Ack/SafeNote and retains no payload.
-    wants_vs_safe = False
-
     def on_vs_safe(self, payload, sender):
-        """VS-level stability: ignored.
+        """A no-op that nothing calls: the VS stack below reports no
+        stability.  Kept only because gcsbench brackets this method by
+        name.
 
-        VS-SAFE only proves delivery to every member's *filter*; the DVS
-        safe indication promises delivery to every member's *client*, so
-        this layer derives it from acknowledgments instead (the repaired
-        rule of :mod:`repro.dvs.vs_to_dvs`).
+        VS-SAFE would only prove delivery to every member's *filter*; the
+        DVS safe indication promises delivery to every member's
+        *client*, so this layer derives it from acknowledgments instead
+        (the repaired rule of :mod:`repro.dvs.vs_to_dvs`).
         """
 
     # -- Internals ----------------------------------------------------------------------------

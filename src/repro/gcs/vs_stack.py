@@ -16,13 +16,12 @@ a view deliver prefixes of one common sequence.  The leader orders in
 no ``Data`` hop to itself) before a zero-delay ``vs_flush`` timer fires
 gets the next consecutive slots and leaves in one frame -- ``Ordered``
 for a run of one, ``OrderedRun`` otherwise.  A view change discards the
-pending run with the rest of the view's ordering state.  For a listener that
-consumes ``on_vs_safe`` (``VsListener.wants_vs_safe``), members acknowledge
-deliveries; once the leader holds acknowledgements from *every* member for
-a position it broadcasts a stability note, and members report the message
-safe, in order.  A listener that declares it does not read stability
-(:class:`~repro.gcs.dvs_layer.DvsLayer`) pays for none of it: no ``Ack``,
-no ``SafeNote``, nothing retained after delivery.
+pending run with the rest of the view's ordering state.  There is one
+delivery path: a delivered position leaves the buffer at once, and the
+stack tracks no VS-level stability (no VS-SAFE).  Nothing would read it:
+:class:`~repro.gcs.dvs_layer.DvsLayer` derives ``dvs_safe`` from
+client-level acknowledgements, because Figure 3's forwarding of VS-SAFE
+to DVS-SAFE is unsound (DESIGN §5).
 
 Safety relative to the VS specification (checked by the test suite through
 the shared trace-property checkers):
@@ -30,9 +29,7 @@ the shared trace-property checkers):
 - deliveries carry the view identifier and are accepted only in the
   matching current view (sending-view delivery);
 - the sequencer gives every member the same per-view order, delivered
-  gap-free (common order, prefix delivery);
-- a safe report means every view member acknowledged, i.e. delivered,
-  the message (the VS-SAFE precondition).
+  gap-free (common order, prefix delivery).
 
 Liveness depends on the connectivity oracle and on component stability; a
 round interrupted by another connectivity change is simply superseded.
@@ -59,36 +56,23 @@ from repro.net.simulator import Node
 class VsListener:
     """Upcall interface for users of the VS stack."""
 
-    #: Whether ``on_vs_safe`` is read.  Declared, not detected from the
-    #: method's identity: tracers patch ``on_vs_safe``, and tracking that
-    #: switches on when observed would be worse than tracking always on.
-    wants_vs_safe = True
-
     def on_vs_newview(self, view):
         """A new view was installed."""
 
     def on_vs_gprcv(self, payload, sender):
         """A payload from ``sender`` was delivered in the current view."""
 
-    def on_vs_safe(self, payload, sender):
-        """The payload is now known delivered at every view member."""
-
 
 class _ViewOrderingState:
     """Per-view sequencing state, discarded on every view change."""
 
-    def __init__(self, view):
-        self.view = view
+    def __init__(self):
         # Sequencer side.
         self.next_assign = 1
         self.run = []  # (payload, sender) pairs awaiting the flush
-        self.acks = {}
-        self.next_safe_broadcast = 1
         # Member side.
         self.buffer = {}
         self.next_deliver = 1
-        self.safe_notes = set()
-        self.next_safe_report = 1
 
 
 class VsStackNode(Node, RecorderMixin):
@@ -113,7 +97,7 @@ class VsStackNode(Node, RecorderMixin):
         if member:
             self.view = initial_view
             self.max_epoch = initial_view.id.epoch
-            self.ordering = _ViewOrderingState(initial_view)
+            self.ordering = _ViewOrderingState()
         else:
             self.view = None
             self.max_epoch = initial_view.id.epoch if initial_view else 0
@@ -179,7 +163,7 @@ class VsStackNode(Node, RecorderMixin):
             return
         self.max_epoch = max(self.max_epoch, view.id.epoch)
         self.view = view
-        self.ordering = _ViewOrderingState(view)
+        self.ordering = _ViewOrderingState()
         self._record("vs_newview", view, self.pid)
         self.listener.on_vs_newview(view)
 
@@ -238,60 +222,16 @@ class VsStackNode(Node, RecorderMixin):
         for seq, entry in enumerate(entries, first_seq):
             if seq >= ordering.next_deliver:
                 buffer.setdefault(seq, entry)
-        tracking = self.listener.wants_vs_safe
         while ordering.next_deliver in buffer:
-            seq = ordering.next_deliver
+            payload, sender = buffer.pop(ordering.next_deliver)
             ordering.next_deliver += 1
-            payload, sender = buffer[seq]
-            if not tracking:
-                del buffer[seq]  # nothing will report it safe
             self._record("vs_gprcv", payload, sender, self.pid)
             self.listener.on_vs_gprcv(payload, sender)
-            if tracking:
-                self.send(self._leader(), Ack(vid, seq))
-                self._report_safe()
 
-    # Stability, tracked only for a listener that reads it; otherwise a
-    # stray Ack/SafeNote (old peer, replayed trace) is dropped unretained.
-
-    def _on_ack(self, src, msg):
-        if not (self.listener.wants_vs_safe and self._in_current_view(msg.vid)
-                and self.pid == self._leader()):
-            return
-        ordering = self.ordering
-        if msg.seq < ordering.next_safe_broadcast:
-            return
-        ordering.acks.setdefault(msg.seq, set()).add(src)
-        while ordering.acks.get(
-            ordering.next_safe_broadcast, set()
-        ) >= self.view.set:
-            note = SafeNote(msg.vid, ordering.next_safe_broadcast)
-            del ordering.acks[ordering.next_safe_broadcast]
-            ordering.next_safe_broadcast += 1
-            self.broadcast(sorted(self.view.set), note)
-
-    def _on_safe_note(self, src, msg):
-        if not (self.listener.wants_vs_safe
-                and self._in_current_view(msg.vid)):
-            return
-        if msg.seq >= self.ordering.next_safe_report:
-            self.ordering.safe_notes.add(msg.seq)
-            self._report_safe()
-
-    def _report_safe(self):
-        """Report safe messages in order, as far as notes and deliveries
-        go; a reported position's note and payload are dropped."""
-        ordering = self.ordering
-        while (
-            ordering.next_safe_report in ordering.safe_notes
-            and ordering.next_safe_report < ordering.next_deliver
-        ):
-            seq = ordering.next_safe_report
-            ordering.next_safe_report += 1
-            ordering.safe_notes.remove(seq)
-            payload, sender = ordering.buffer.pop(seq)
-            self._record("vs_safe", payload, sender, self.pid)
-            self.listener.on_vs_safe(payload, sender)
+    def _drop(self, src, msg):
+        """A stability frame (``Ack``, ``SafeNote``) from an old peer or a
+        replayed trace: nothing reads VS stability, so it is dropped
+        unretained."""
 
     #: Wire message type -> handler, read by :meth:`on_message`.
     message_handlers = MappingProxyType({
@@ -301,6 +241,6 @@ class VsStackNode(Node, RecorderMixin):
         Data: _on_data,
         Ordered: _on_ordered,
         OrderedRun: _on_ordered_run,
-        Ack: _on_ack,
-        SafeNote: _on_safe_note,
+        Ack: _drop,
+        SafeNote: _drop,
     })

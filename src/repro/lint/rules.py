@@ -90,7 +90,7 @@ _RULES = (
         "wall-clock",
         "determinism",
         "wall-clock read in simulation code",
-        "use the simulated clock (net.queue.now / node.now); real time "
+        "use the simulated clock (net.queue.now); real time "
         "breaks seed-replay and log digests",
     ),
     Rule(

@@ -56,10 +56,6 @@ class Node:
     def set_timer(self, delay, tag):
         return self.net.set_timer(self.pid, delay, tag)
 
-    @property
-    def now(self):
-        return self.net.queue.now
-
     # -- Upcalls (override) ------------------------------------------------------
 
     def on_start(self):

@@ -27,7 +27,6 @@ from repro.runtime.codec import (
     Heartbeat,
     Hello,
     decode,
-    decode_frame,
     encode,
     encode_frame,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "RuntimeCluster",
     "RuntimeNode",
     "decode",
-    "decode_frame",
     "encode",
     "encode_frame",
 ]

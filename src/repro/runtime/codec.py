@@ -708,21 +708,6 @@ def encode_frame(value):
     return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(data):
-    """Decode exactly one frame; trailing or missing bytes are errors."""
-    decoder = FrameDecoder()
-    messages = decoder.feed(data)
-    if not messages:
-        raise CodecError(
-            "truncated frame: {0} bytes hold no complete frame".format(
-                len(data)
-            )
-        )
-    if len(messages) > 1 or decoder.pending:
-        raise CodecError("trailing bytes after frame")
-    return messages[0]
-
-
 class FrameDecoder:
     """Incremental frame reassembly for a TCP byte stream.
 

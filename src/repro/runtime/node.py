@@ -13,8 +13,9 @@ both ordering towers sharing the DVS layer through a
 
 - ``send``/``broadcast`` go through per-peer reconnecting TCP links
   (:class:`~repro.runtime.transport.PeerLink`);
-- ``set_timer``/``cancel_timer`` map onto ``loop.call_later``;
-- ``queue.now`` reads a monotonic clock started at node boot;
+- ``set_timer``/``cancel_timer`` map onto ``loop.call_later``, whose
+  monotonic clock is also the one the node's own timestamps read
+  (:class:`MonotonicClock`, started at node boot);
 - ``on_connectivity`` is fed by the heartbeat estimator
   (:class:`~repro.runtime.heartbeat.ConnectivityEstimator`) instead of
   the simulator's oracle.
@@ -226,11 +227,6 @@ class RuntimeNode:
             self._wiretap.record(self.clock.now, self.pid, kind, *data)
 
     # -- The stack's ``net``: downcalls from the hosted ``Node`` ------------
-
-    @property
-    def queue(self):
-        # ``Node.now`` reads ``net.queue.now``; the clock fills that shape.
-        return self.clock
 
     def send(self, src, dst, msg):
         self.broadcast(src, (dst,), msg)

@@ -94,15 +94,11 @@ class PeerLink(asyncio.Protocol):
         self._redial = asyncio.ensure_future(self._dial(0.0))
         return self
 
-    def send(self, msg):
-        """Encode and send ``msg`` to the peer (fair-lossy: full queue
-        drops the oldest frame, a closed link drops silently)."""
-        self.send_frame(encode_frame((self.local_pid, msg)))
-
     def send_frame(self, frame):
-        """Send an already-encoded frame.  This is the fan-out path:
-        a broadcast encodes its frame once and hands the same bytes to
-        every link instead of re-encoding per destination."""
+        """Send an already-encoded frame (fair-lossy: a full queue drops
+        the oldest frame, a closed link drops silently).  This is the
+        fan-out path: a broadcast encodes its frame once and hands the
+        same bytes to every link instead of re-encoding per destination."""
         if self._closed:
             self._drop()
         elif self._writable and not self._pending:  # FIFO: never overtake

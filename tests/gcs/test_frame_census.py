@@ -1,8 +1,8 @@
 """What the stack puts on the (simulated) wire, counted by message type.
 
-The tower reads no VS-level stability (``DvsLayer.on_vs_safe`` is a
-no-op), so it must not pay for any; a bare VS stack whose listener does
-read it must still get every indication, and hold nothing afterwards.
+The VS stack tracks no stability, so neither the tower nor a bare VS
+stack sends ``Ack`` or ``SafeNote``; each delivers every payload in one
+order and holds nothing afterwards.
 """
 
 from collections import Counter
@@ -140,8 +140,8 @@ class TestMixedTowerAcksOnDemand:
             assert len(self.at(cluster, "dvs_safe", pid, start)) == K + 7
 
 
-class TestVsOnlyStackKeepsStability:
-    def test_every_vs_safe_in_order_and_state_drained(self):
+class TestVsOnlyStackSendsNoStability:
+    def test_one_order_and_state_drained(self):
         net, nodes, listeners, log, v0 = make_stack(PIDS, seed=16)
         net.run_to_quiescence(max_time=60)
         mark = len(net.log)
@@ -150,16 +150,14 @@ class TestVsOnlyStackKeepsStability:
         net.run_to_quiescence(max_time=2000)
         # Data only from b and c.  The K slots leave as one run of a's
         # own four, two runs of two (Data that channel FIFO delivers at
-        # the instant of the one before) and four single Ordered; the
-        # stability traffic stays per position.
+        # the instant of the one before) and four single Ordered.
         assert sends_by_type(net, mark) == {
             "Data": 8, "Ordered": 3 * 4, "OrderedRun": 3 * 3,
-            "Ack": 3 * K, "SafeNote": 3 * K,
         }
+        orders = {tuple(listeners[pid].delivered) for pid in PIDS}
+        assert len(orders) == 1
+        assert sorted(payload for payload, _ in orders.pop()) == [
+            ("req", i) for i in range(K)
+        ]
         for pid in PIDS:
-            assert len(listeners[pid].delivered) == K
-            assert listeners[pid].safe == listeners[pid].delivered
-            ordering = nodes[pid].ordering
-            assert ordering.buffer == {}
-            assert ordering.acks == {}
-            assert ordering.safe_notes == set()
+            assert nodes[pid].ordering.buffer == {}

@@ -6,13 +6,11 @@ from repro.core import make_view
 from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.gcs.messages import (
-    Ack,
     Collect,
     Data,
     Install,
     Ordered,
     OrderedRun,
-    SafeNote,
     StateReply,
 )
 from repro.gcs.vs_stack import VsStackNode
@@ -124,40 +122,6 @@ class TestSequencer:
         assert delivered == []
         node._on_ordered("a", Ordered(vid, 1, "first", "a"))
         assert delivered == ["first", "second"]
-
-    def test_safe_note_reported_in_order_after_delivery(self):
-        net, nodes, v0 = wire(["a", "b"])
-        node = nodes["b"]
-        vid = node.view.id
-        safe = []
-        node.listener.on_vs_safe = (
-            lambda payload, sender: safe.append(payload)
-        )
-        node._on_safe_note("a", SafeNote(vid, 1))
-        assert safe == []  # not delivered yet
-        node._on_ordered("a", Ordered(vid, 1, "m", "a"))
-        assert safe == ["m"]
-
-    def test_leader_broadcasts_safe_on_full_acks(self):
-        net, nodes, v0 = wire(["a", "b"])
-        leader = nodes["a"]
-        vid = leader.view.id
-        leader._on_data("a", Data(vid, "m", "a"))
-        before = len(net.log)
-        leader._on_ack("a", Ack(vid, 1))
-        notes = [
-            1
-            for _, k, d in net.log[before:]
-            if k == "send" and isinstance(d[2], SafeNote)
-        ]
-        assert not notes  # b has not acked
-        leader._on_ack("b", Ack(vid, 1))
-        notes = [
-            1
-            for _, k, d in net.log[before:]
-            if k == "send" and isinstance(d[2], SafeNote)
-        ]
-        assert len(notes) == 2  # one note to each member
 
 
 def recording(node):

@@ -12,16 +12,12 @@ class Collector(VsListener):
     def __init__(self):
         self.views = []
         self.delivered = []
-        self.safe = []
 
     def on_vs_newview(self, view):
         self.views.append(view)
 
     def on_vs_gprcv(self, payload, sender):
         self.delivered.append((payload, sender))
-
-    def on_vs_safe(self, payload, sender):
-        self.safe.append((payload, sender))
 
 
 def make_stack(pids, seed=0):
@@ -44,16 +40,14 @@ class TestStableGroup:
     def test_multicast_delivery_and_safety(self):
         net, nodes, listeners, log, v0 = make_stack(["a", "b", "c"])
         # Let the initial membership round settle first: messages sent
-        # while a view change is in flight may lose their safe
-        # indications (legal VS behaviour, but not what this test is
-        # about).
+        # while a view change is in flight may be lost (legal VS
+        # behaviour, but not what this test is about).
         net.run_to_quiescence(max_time=50)
         nodes["a"].gpsnd("m1")
         nodes["b"].gpsnd("m2")
         net.run_to_quiescence(max_time=150)
         for pid in "abc":
             assert set(listeners[pid].delivered) == {("m1", "a"), ("m2", "b")}
-            assert set(listeners[pid].safe) == {("m1", "a"), ("m2", "b")}
         check_vs_trace_properties(log.actions, v0)
 
     def test_same_delivery_order_everywhere(self):
@@ -121,21 +115,6 @@ class TestPartitions:
         net.run_to_quiescence(max_time=200)
         stats = check_vs_trace_properties(log.actions, v0)
         assert stats["deliveries"] > 0
-
-    def test_safe_only_after_everyone_delivered(self):
-        net, nodes, listeners, log, v0 = make_stack(["a", "b", "c"], seed=7)
-        net.run_to_quiescence(max_time=50)
-        nodes["a"].gpsnd("x")
-        net.run_to_quiescence(max_time=200)
-        # In the log, the first vs_safe for x must come after three
-        # vs_gprcv for x.
-        delivered_before = 0
-        for action in log.actions:
-            if action.name == "vs_gprcv" and action.params[0] == "x":
-                delivered_before += 1
-            if action.name == "vs_safe" and action.params[0] == "x":
-                assert delivered_before == 3
-                break
 
 
 class TestCrashRecovery:

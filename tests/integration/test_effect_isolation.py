@@ -79,7 +79,7 @@ class TestCheckEffectsCatchesViolations:
 
         def evil(info, sender):
             original(info, sender)
-            victim_stack.ordering.safe_notes.add(("bogus", 0))
+            victim_stack.ordering.buffer[0] = ("bogus", "b")
 
         c.dvs["b"]._on_info = evil
         c.start()

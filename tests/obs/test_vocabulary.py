@@ -23,10 +23,9 @@ PROCS = ["p1", "p2", "p3", "p4"]
 #: What the layers emit with no span stage of its own: the client-facing
 #: actions (their ``*_label`` / ``*_deliver`` probes carry the stitch
 #: key), ``dvs_register`` (its ``dvs_register_view`` probe names the
-#: view) and the stability indications.
+#: view) and the DVS stability indication.
 NO_SPAN = {
     "bcast", "brcv", "cbcast", "cb_brcv", "dvs_register", "dvs_safe",
-    "vs_safe",
 }
 VOCABULARY = set(ACTION_STAGES) | NO_SPAN
 

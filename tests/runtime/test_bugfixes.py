@@ -77,7 +77,7 @@ def test_backoff_keeps_growing_against_a_crash_looping_peer():
             # Keep frames flowing so a dead connection is noticed at
             # the next write instead of blocking on an empty queue.
             while True:
-                link.send(("tick", len(accepts)))
+                link.send_frame(encode_frame(("a", ("tick", len(accepts)))))
                 await asyncio.sleep(0.005)
 
         pump_task = asyncio.ensure_future(pump())
@@ -117,7 +117,7 @@ def test_backoff_resets_after_a_stable_connection():
             "a", "b", resolve=lambda: ("127.0.0.1", port),
             retry_min=0.02, retry_max=0.2, stable_after=0.05,
         ).start()
-        link.send(("warm", 0))
+        link.send_frame(encode_frame(("a", ("warm", 0))))
         await asyncio.sleep(0.2)  # well past stable_after
         assert link.connects == 1
         await link.close()

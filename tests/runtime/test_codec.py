@@ -43,7 +43,6 @@ from repro.runtime.codec import (
     Heartbeat,
     Hello,
     decode,
-    decode_frame,
     encode,
     encode_frame,
     validate_message,
@@ -93,7 +92,7 @@ def test_examples_cover_every_wire_type():
 )
 def test_example_round_trip(value):
     assert decode(encode(value)) == value
-    assert decode_frame(encode_frame(value)) == value
+    assert FrameDecoder().feed(encode_frame(value)) == [value]
 
 
 def test_encoding_is_deterministic():
@@ -238,11 +237,12 @@ def test_garbage_body_never_crashes(data):
 
 @settings(max_examples=100, deadline=None)
 @given(value=messages, cut=st.integers(min_value=0, max_value=200))
-def test_truncated_frame_is_typed_error(value, cut):
+def test_truncated_frame_waits_for_more_bytes(value, cut):
     frame = encode_frame(value)
     truncated = frame[: min(cut, len(frame) - 1)]
-    with pytest.raises(CodecError):
-        decode_frame(truncated)
+    decoder = FrameDecoder()
+    assert decoder.feed(truncated) == []
+    assert decoder.pending == len(truncated)
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,7 +277,7 @@ def test_oversized_length_prefix_rejected_before_buffering():
     with pytest.raises(CodecError, match="exceeds"):
         FrameDecoder().feed(header)
     with pytest.raises(CodecError, match="exceeds"):
-        decode_frame(header + b"x")
+        FrameDecoder().feed(header + b"x")
 
 
 def test_unknown_dataclass_rejected():
@@ -479,10 +479,11 @@ def test_a_forged_run_encodes_decodes_and_fails_validation(entries):
     assert validate_message(OrderedRun(V1, 1, (("m", "p1"), (None, "p2"))))
 
 
-def test_trailing_bytes_rejected_strict():
+def test_trailing_byte_stays_pending():
     frame = encode_frame(Heartbeat())
-    with pytest.raises(CodecError, match="trailing"):
-        decode_frame(frame + b"\x00")
+    decoder = FrameDecoder()
+    assert decoder.feed(frame + b"\x00") == [Heartbeat()]
+    assert decoder.pending == 1
 
 
 def test_pinned_schema_matches_the_dataclasses():

@@ -5,7 +5,7 @@ import asyncio
 from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.dvs.vs_to_dvs import AckMsg
-from repro.gcs.messages import Data
+from repro.gcs.messages import Ack, Data, SafeNote
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import MonotonicClock, RuntimeNode
 
@@ -200,6 +200,37 @@ def test_layer_exception_is_recorded_not_raised():
         )
         # The transport survived: heartbeats keep flowing.
         assert n2._estimator is not None
+        await n1.stop()
+        await n2.stop()
+
+    run(scenario())
+
+
+def test_stray_stability_frames_are_dropped_without_error():
+    """No code path sends ``Ack`` or ``SafeNote``; one from an old peer
+    still decodes, reaches the stack, and is dropped: nothing buffered,
+    no error recorded."""
+    async def scenario():
+        book = {}
+        view = make_view(["p1", "p2"])
+        n1 = RuntimeNode("p1", book, initial_view=view)
+        n2 = RuntimeNode("p2", book, initial_view=view)
+        await n1.start()
+        await n2.start()
+        seen = []
+        on_message = n2.stack.on_message
+
+        def spy(src, msg):
+            on_message(src, msg)
+            seen.append(type(msg))
+
+        n2.stack.on_message = spy
+        n1.send("p1", "p2", Ack(view.id, 1))
+        n1.send("p1", "p2", SafeNote(view.id, 1))
+        await poll_until(lambda: SafeNote in seen)
+        assert Ack in seen
+        assert not n2.errors
+        assert n2.stack.ordering.buffer == {}
         await n1.stop()
         await n2.stop()
 

@@ -28,6 +28,11 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, 30.0))
 
 
+def send(link, msg):
+    """What a node does to put one message on ``link``."""
+    link.send_frame(encode_frame((link.local_pid, msg)))
+
+
 def collector():
     frames = []
 
@@ -45,7 +50,7 @@ def test_link_delivers_in_order_after_handshake():
             "a", "b", resolve=lambda: ("127.0.0.1", listener.port)
         ).start()
         for i in range(20):
-            link.send(Heartbeat() if i % 5 == 0 else ("m", i))
+            send(link, Heartbeat() if i % 5 == 0 else ("m", i))
         await poll_until(lambda: len(frames) >= 21)  # +1 for the Hello
         assert frames[0] == ("a", Hello("a"))
         payloads = [m for _, m in frames[1:] if not isinstance(m, Heartbeat)]
@@ -65,7 +70,7 @@ def test_link_queues_while_peer_down_and_flushes_on_connect():
             "a", "b", resolve=lambda: book["b"], retry_min=0.01
         ).start()
         for i in range(5):
-            link.send(("early", i))
+            send(link, ("early", i))
         await asyncio.sleep(0.05)  # retrying against a missing entry
         listener = await Listener(on_frame).start()
         book["b"] = ("127.0.0.1", listener.port)
@@ -86,7 +91,7 @@ def test_link_redials_new_port_after_peer_restart():
         link = PeerLink(
             "a", "b", resolve=lambda: book["b"], retry_min=0.01
         ).start()
-        link.send("one")
+        send(link, "one")
         await poll_until(lambda: ("a", "one") in frames)
         # Peer "restarts": the old listener dies (dropping established
         # connections), a new one binds elsewhere, the book is updated.
@@ -96,7 +101,7 @@ def test_link_redials_new_port_after_peer_restart():
         book["b"] = ("127.0.0.1", second.port)
         sent = ["two-{0}".format(i) for i in range(50)]
         for msg in sent:
-            link.send(msg)
+            send(link, msg)
             await asyncio.sleep(0.005)
         await poll_until(
             lambda: any(m == sent[-1] for _, m in frames)
@@ -119,7 +124,7 @@ def test_full_queue_drops_oldest():
             queue_limit=3, retry_min=0.01,
         ).start()
         for i in range(10):
-            link.send(("m", i))
+            send(link, ("m", i))
         assert link.dropped == 7
         assert link.queue_drops == 7
         assert link.queue_depth() == 3
@@ -164,7 +169,7 @@ def test_protocol_violations_drop_connection_only(first_frames):
         link = PeerLink(
             "c", "b", resolve=lambda: ("127.0.0.1", listener.port)
         ).start()
-        link.send("fine")
+        send(link, "fine")
         await poll_until(lambda: ("c", "fine") in frames)
         await link.close()
         await listener.close()
@@ -189,17 +194,17 @@ def test_callback_exception_reported_and_contained(caplog):
 
         bad = PeerLink("a", "b", resolve=resolve, retry_min=0.01).start()
         good = PeerLink("c", "b", resolve=resolve).start()
-        good.send("before")
+        send(good, "before")
         await poll_until(lambda: ("c", "before") in frames)
-        bad.send("boom")
-        bad.send("same-read")
+        send(bad, "boom")
+        send(bad, "same-read")
         await poll_until(lambda: len(errors) >= 1)
         assert isinstance(errors[0], RuntimeError)
         # That one connection is dropped (its link redials)...
         await poll_until(lambda: bad.connects >= 2)
         assert ("a", "same-read") not in frames
         # ...and only that one: the other peer never reconnects.
-        good.send("after")
+        send(good, "after")
         await poll_until(lambda: ("c", "after") in frames)
         assert good.connects == 1 and len(errors) == 1
         await bad.close()
@@ -245,7 +250,7 @@ def test_fifo_across_down_reconnect_and_pause():
 
         def burst(count, pad=""):
             for _ in range(count):
-                link.send(("n", next(counter), pad))
+                send(link, ("n", next(counter), pad))
 
         def numbers():
             return [m[1] for _, m in frames if isinstance(m, tuple)]

@@ -153,6 +153,18 @@ class TestChaos:
         assert "replay: python -m repro chaos" in out
         assert "--broken" in out
 
+    def test_rejection_is_never_reported_as_no_violation(self, capsys):
+        """A run the online monitor does not flag but a verdict rejects
+        (link loss, ROADMAP item 4(beta)) must not close with a clean
+        bill."""
+        code = main(["chaos", "--seed", "10", "--plan", "flaky",
+                     "--no-shrink"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "VS rejected at #587" in out
+        assert "no safety violations" not in out
+        assert "the online monitor flagged nothing" in out
+
     def test_plan_json_replay(self, capsys):
         plan = '[[10.0, "crash", ["p1"]], [40.0, "recover", ["p1"]]]'
         code = main(
@@ -162,6 +174,61 @@ class TestChaos:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 fault ops" in out
+
+
+#: ``repro chaos`` runs whose digest and verdicts are pinned across
+#: commits: a change that alters any of them on purpose re-pins it here
+#: and says so in CHANGES.md.  ``(argv, exit code, log digest, verdict
+#: lines)``.
+CHAOS_GOLDENS = {
+    "storm-5": (
+        ["--seed", "5", "--plan", "storm"], 0,
+        "8b6ea920c82fba179b69cf9269e2c5fca7eaa45970557c4d649135dc708cce9c",
+        ["VS accepted", "DVS accepted", "TO accepted"],
+    ),
+    "churn-3": (
+        ["--seed", "3", "--plan", "churn"], 0,
+        "a4dc86a6aeb5f945926c5eb6eab4765a9dd5d2176f14090a4ad8f3aed1459afd",
+        ["VS accepted", "DVS accepted", "TO accepted"],
+    ),
+    "broken-churn-0": (
+        ["--seed", "0", "--plan", "churn", "--broken", "--no-shrink"], 1,
+        "6957062ff8c072e03848fd489241b7114234ba42c2cdb2af7e5b5fa2fe6650e3",
+        [
+            "VS accepted",
+            "DVS rejected at #153 dvs_newview(<g2@p1,{p1,p2,p3,p4}>, "
+            "'p2'): forces dvs_createview(<g2@p1,{p1,p2,p3,p4}>), which "
+            "is not enabled",
+            "TO accepted",
+        ],
+    ),
+    "flaky-10": (
+        ["--seed", "10", "--plan", "flaky", "--no-shrink"], 1,
+        "b2cff45e4c9056a500da251ebb57e83a8a8c23b3be89c956fef48984d028e8a7",
+        [
+            "VS rejected at #587 vs_gprcv((g1@p1#2@p3, ('w', 'p3', 12)), "
+            "'p3', 'p2'): forces vs_order((g1@p1#2@p3, ('w', 'p3', 12)), "
+            "'p3', g1@p1), which is not enabled",
+            "DVS rejected at #756 dvs_gprcv(CbCast(vid=g1@p1, clock=(("
+            "'p1', 2), ('p2', 2), ('p3', 2), ('p4', 2), ('p5', 2)), "
+            "payload=('w', 'p5', 19), origin='p5'), 'p5', 'p3'): forces "
+            "dvs_order(CbCast(vid=g1@p1, clock=(('p1', 2), ('p2', 2), "
+            "('p3', 2), ('p4', 2), ('p5', 2)), payload=('w', 'p5', 19), "
+            "origin='p5'), 'p5', g1@p1), which is not enabled",
+            "TO accepted",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_GOLDENS))
+def test_simulator_chaos_golden(name, capsys):
+    argv, exit_code, digest, verdicts = CHAOS_GOLDENS[name]
+    assert main(["chaos"] + argv) == exit_code
+    lines = capsys.readouterr().out.splitlines()
+    assert "log digest: " + digest in lines
+    assert [l for l in lines if l.split(" ")[0] in ("VS", "DVS", "TO")] \
+        == verdicts
 
 
 class TestLiveChaosPlans:
