@@ -50,10 +50,6 @@ class _SinkNet:
     """The Network slice a replayed tower sees: output sinks, and a timer
     fires only where the trace recorded it."""
 
-    class _Handle:
-        def cancel(self):
-            pass
-
     def send(self, src, dst, msg):
         pass
 
@@ -61,10 +57,7 @@ class _SinkNet:
         pass
 
     def set_timer(self, pid, delay, tag):
-        return self._Handle()
-
-    def cancel_timer(self, handle):
-        handle.cancel()
+        pass
 
 
 def _replay_tower(pid, initial_view, member, dvs_cls, recorder, net):

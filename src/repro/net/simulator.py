@@ -265,9 +265,6 @@ class Network:
 
         return self.queue.schedule(delay, fire)
 
-    def cancel_timer(self, handle):
-        self.queue.cancel(handle)
-
     # -- Execution ---------------------------------------------------------------------------
 
     def start(self):

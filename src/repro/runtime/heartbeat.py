@@ -15,9 +15,14 @@ rounds start, never what the layers do with the views that result.  Two
 nodes may transiently disagree about the component; the coordinator's
 round simply supersedes itself.  Accuracy buys liveness, not safety.
 
-A ``grace`` period delays the *first* report so a booting node hears its
-peers before concluding it is alone (otherwise every start would mint a
-useless singleton view).
+The first report waits for evidence, and ``grace`` caps that wait.  A
+booting node given the ``expected`` members of its initial view reports
+at the first poll at which every one of them has been heard, so a group
+whose peers are all up forms in a few heartbeat rounds, not one timeout.
+While an expected peer is still unheard it holds the report back until
+``grace`` runs out, so it hears whoever is there before concluding it
+is alone (otherwise every start would mint a useless singleton view).
+Reporting early cannot cost safety, by the argument above.
 """
 
 import asyncio
@@ -37,11 +42,14 @@ class ConnectivityEstimator:
     ``clock`` exposes ``.now`` (seconds, monotonic); ``send_heartbeats``
     emits one beacon to every peer; ``notify`` receives the frozenset
     component (always containing ``pid``) whenever the estimate changes.
+    ``expected`` (the node's initial view) lets the first report go out
+    before ``grace`` once all of it has been heard; without it the first
+    report always waits out the grace.
     """
 
     def __init__(self, pid, peers, clock, send_heartbeats, notify,
                  interval=HB_INTERVAL, timeout=None, grace=None,
-                 on_error=None):
+                 expected=None, on_error=None):
         self.pid = pid
         self._peers = peers
         self._clock = clock
@@ -51,6 +59,7 @@ class ConnectivityEstimator:
         self.interval = interval
         self.timeout = 4 * interval if timeout is None else timeout
         self.grace = self.timeout if grace is None else grace
+        self._expected = None if expected is None else frozenset(expected)
         self._last_heard = {}
         self._reported = None
         self._started_at = None
@@ -94,9 +103,13 @@ class ConnectivityEstimator:
             if peer not in known:
                 del self._last_heard[peer]
         self._send_heartbeats()
-        if self._clock.now - self._started_at < self.grace:
-            return None
         estimate = self.component()
+        if self._reported is None:
+            # The grace is a cap: the first report goes out as soon as
+            # every expected member has been heard.
+            early = self._expected is not None and self._expected <= estimate
+            if not early and self._clock.now - self._started_at < self.grace:
+                return None
         if estimate != self._reported:
             self._reported = estimate
             self._notify(estimate)

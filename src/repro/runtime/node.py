@@ -13,7 +13,7 @@ both ordering towers sharing the DVS layer through a
 
 - ``send``/``broadcast`` go through per-peer reconnecting TCP links
   (:class:`~repro.runtime.transport.PeerLink`);
-- ``set_timer``/``cancel_timer`` map onto ``loop.call_later``, whose
+- ``set_timer`` maps onto ``loop.call_later``, whose
   monotonic clock is also the one the node's own timestamps read
   (:class:`MonotonicClock`, started at node boot);
 - ``on_connectivity`` is fed by the heartbeat estimator
@@ -148,6 +148,7 @@ class RuntimeNode:
             self._on_frame, host=self._host, port=self._port,
             on_error=self.errors.append,
             on_bytes=self._count_bytes_in if self._ins else None,
+            on_hello=self._on_hello,
         )
         await self._listener.start()
         self.book[self.pid] = (self._host, self._listener.port)
@@ -162,6 +163,7 @@ class RuntimeNode:
             notify=self._on_component,
             interval=self._hb_interval,
             timeout=self._hb_timeout,
+            expected=self.initial_view.set,
             on_error=self.errors.append,
         )
         self._estimator.start()
@@ -271,9 +273,6 @@ class RuntimeNode:
         self._timers.add(handle)
         return handle
 
-    def cancel_timer(self, handle):
-        handle.cancel()
-
     def _send_encoded(self, dst, msg, frame):
         if self._faultnet is not None:
             delays = self._faultnet.outbound(self.pid, dst, self.clock.now)
@@ -341,6 +340,13 @@ class RuntimeNode:
             self.dropped_invalid += 1
             return False
         return True
+
+    def _on_hello(self, src):
+        """A peer dialled in: if our link to it is backing off, dial now
+        (a restarted peer is heard back in one round trip)."""
+        link = self._links.get(src)
+        if link is not None:
+            link.dial_now()
 
     def _on_frame(self, src, msg):
         if self._stopped:

@@ -28,6 +28,17 @@ and resetting on accept would turn every such peer into a tight redial
 loop at ``retry_min``.  The backoff resets only once the connection has
 *survived* ``stable_after`` seconds (default: ``retry_max``); until then
 each dial, successful or not, keeps growing the delay toward it.
+
+Dial back at the handshake: when a peer's :class:`Hello` arrives on an
+accepted connection, a link to that peer that is sleeping out its
+backoff dials at once (:meth:`PeerLink.dial_now`), because the peer has
+just proved itself up.  A restarted peer is therefore heard back within
+one round trip instead of up to ``2 * retry_max`` later.  This happens
+once per accepted connection, never per frame, and it neither resets
+nor shortens the backoff that follows: a crash-looping peer wakes the
+link at most once per connection *it* managed to open, so the link
+redials no faster than the peer's own backoff lets it dial in, and a
+connection in flight is never restarted.
 """
 
 import asyncio
@@ -80,6 +91,8 @@ class PeerLink(asyncio.Protocol):
         self._transport = None  # set exactly while connected
         self._writable = False  # connected, and asyncio has not paused us
         self._redial = None
+        # Pending exactly while the redial sleeps out a backoff.
+        self._wake = None
         self._closed = False
         self.connects = 0
         #: Frames handed to a connected transport (not: received).
@@ -164,11 +177,20 @@ class PeerLink(asyncio.Protocol):
         self._backoff = min(self._backoff * 2, self._retry_max)
         return delay
 
+    def dial_now(self):
+        """Cut a backoff short: the peer has just dialled us, so it is up.
+        A connected link, or one whose connect is in flight, is left
+        alone, and the backoff keeps growing (see the module docstring)."""
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
+
     async def _dial(self, delay):
         loop = asyncio.get_running_loop()
         while not self._closed:
             if delay:
-                await asyncio.sleep(delay)
+                wake = self._wake = loop.create_future()
+                await asyncio.wait((wake,), timeout=delay)
+                wake.cancel()  # a no-op if dial_now() woke us
             try:
                 host, port = self._resolve()
                 await loop.create_connection(lambda: self, host, port)
@@ -238,6 +260,8 @@ class _Inbound(asyncio.BufferedProtocol):
                 if not isinstance(msg, Hello) or msg.pid != sender:
                     return self._reject()
                 self._src = sender
+                if listener._on_hello is not None:
+                    listener._on_hello(sender)
             if sender != self._src:
                 return self._reject()
             try:
@@ -260,14 +284,16 @@ class Listener:
     different sender than the handshake -- drop that one connection and
     never propagate; an exception *from the callback* also only kills
     the offending connection, after being reported through
-    ``on_error(exc)``.
+    ``on_error(exc)``.  ``on_hello(src)`` is invoked once per accepted
+    connection, when its handshake names the peer that dialled in.
     """
 
     def __init__(self, on_frame, host="127.0.0.1", port=0, on_error=None,
-                 on_bytes=None):
+                 on_bytes=None, on_hello=None):
         self._on_frame = on_frame
         self._on_error = on_error
         self._on_bytes = on_bytes
+        self._on_hello = on_hello
         self.host = host
         self.port = port
         self._server = None

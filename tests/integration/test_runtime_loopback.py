@@ -8,11 +8,15 @@ reformation by the surviving majority, and an amnesiac rejoin with
 state transfer -- and finishes with zero safety violations.
 """
 
+import time
 from collections import Counter
 
 import pytest
 
 from repro.apps.kv_store import KvReplica
+from repro.checking.trace_props import spec_verdicts
+from repro.gcs.to_layer import NORMAL
+from repro.ioa.acceptor import RESTART
 from repro.obs import Observability
 from repro.runtime.cluster import RuntimeCluster
 
@@ -168,3 +172,87 @@ def test_minority_cannot_form_but_majority_can(cluster):
     cluster.restart("n2")
     cluster.wait_formation(["n1", "n2"], timeout=WAIT)
     cluster.check()
+
+
+# -- Formation on evidence, not on a timer ------------------------------------
+
+
+def track(nodes):
+    """An ``app_factory`` that keeps each node's newest incarnation."""
+    def factory(node):
+        nodes[node.pid] = node
+        return node
+
+    return factory
+
+
+def formed_past_g0(nodes):
+    """``wait_until`` predicate: TO ``NORMAL`` at every node in one view
+    of epoch >= 1 over all of ``PIDS`` (the pre-agreed ``g0`` does not
+    count)."""
+    def formed():
+        views = {nodes[pid].to.current for pid in PIDS}
+        if len(views) != 1 or any(
+            nodes[pid].to.status != NORMAL for pid in PIDS
+        ):
+            return False
+        (view,) = views
+        return (
+            view is not None and view.id.epoch >= 1
+            and view.set == frozenset(PIDS)
+        )
+
+    return formed
+
+
+def test_a_booting_group_forms_well_inside_one_grace():
+    """At ``hb_timeout=1.0`` a full-grace wait takes at least 1.0 s; the
+    estimator reports as soon as every peer is heard instead."""
+    nodes = {}
+    cluster = RuntimeCluster(PIDS, app_factory=track(nodes), hb_timeout=1.0)
+    started = time.monotonic()
+    with cluster:
+        cluster.wait_until(formed_past_g0(nodes), timeout=WAIT,
+                           poll=0.005, what="g1 over all three")
+        elapsed = time.monotonic() - started
+        cluster.check()
+    assert elapsed < 0.5, elapsed
+
+
+def test_a_restarted_node_rejoins_in_one_view():
+    """Kill n1 and wait 2.5 s, long enough for n2's and n3's links to it
+    to back off to ``retry_max``; then restart n1.  Its handshake dials
+    them back at once, so it hears both well inside its grace: it
+    installs exactly one view, over all three, within 0.5 s -- not a
+    singleton that re-mints ``g1@n1`` (ROADMAP item 4(gamma))."""
+    nodes = {}
+    cluster = RuntimeCluster(PIDS, app_factory=track(nodes))
+    with cluster:
+        cluster.wait_until(formed_past_g0(nodes), timeout=WAIT,
+                           what="g1 over all three")
+        cluster.bcast("n2", ("a", 0))
+        cluster.kill("n1")
+        time.sleep(2.5)
+        cluster.wait_formation(["n2", "n3"], timeout=WAIT)
+        cluster.restart("n1")
+        cluster.wait_until(formed_past_g0(nodes), timeout=WAIT,
+                           what="n1 back in a view over all three")
+        time.sleep(0.5)  # room for a second view, were one coming
+        cluster.check()
+    log = cluster.log
+    (restart,) = [
+        i for i, action in enumerate(log.actions)
+        if action.name == RESTART and action.params == ("n1",)
+    ]
+    installs = [
+        (t, action.params[0])
+        for t, action in zip(log.times[restart:], log.actions[restart:])
+        if action.name == "vs_newview" and action.params[-1] == "n1"
+    ]
+    assert len(installs) == 1, [str(view.id) for _, view in installs]
+    ((installed_at, view),) = installs
+    assert view.set == frozenset(PIDS)
+    assert installed_at - log.times[restart] < 0.5
+    assert spec_verdicts(
+        log, cluster.initial_view, ("VS", "DVS", "TO")
+    ) == {"VS": None, "DVS": None, "TO": None}

@@ -192,13 +192,6 @@ class TestTimers:
         net.run_until(10)
         assert nodes["a"].timers == ["wake"]
 
-    def test_cancel_timer(self):
-        net, nodes = make_net()
-        handle = nodes["a"].set_timer(5, "wake")
-        net.cancel_timer(handle)
-        net.run_until(10)
-        assert nodes["a"].timers == []
-
     def test_the_default_upcall_runs_the_declared_handler(self):
         class Bell(Node):
             rung = 0

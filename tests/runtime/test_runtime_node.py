@@ -88,6 +88,54 @@ def test_estimator_grace_defers_first_report():
     assert reports == [frozenset({"p1", "p2"})]
 
 
+def test_estimator_reports_once_every_expected_peer_is_heard():
+    """The grace is a cap: with the whole initial view heard, the first
+    report goes out at that poll, long before the grace runs out."""
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=10.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    est.poll()
+    assert reports == []  # p3 still unheard
+    clock.now = 1.0
+    est.heard("p3")
+    est.poll()
+    assert reports == [frozenset({"p1", "p2", "p3"})]
+    # Once reported, changes go out as they happen, grace or not.
+    clock.now = 4.5
+    est.heard("p3")
+    est.poll()
+    assert reports[-1] == frozenset({"p1", "p3"})
+
+
+def test_estimator_with_an_expected_peer_unheard_waits_out_the_grace():
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=2.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    est.poll()
+    clock.now = 1.5
+    est.heard("p2")
+    est.poll()
+    assert reports == []
+    clock.now = 2.0
+    est.poll()
+    assert reports == [frozenset({"p1", "p2"})]
+
+
+def test_estimator_expecting_only_itself_reports_at_the_first_poll():
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=2.0, expected={"p1"},
+    )
+    est.poll()
+    assert reports == [frozenset({"p1"})]
+
+
 def test_estimator_defaults_scale_with_interval():
     est = ConnectivityEstimator(
         "p1", peers=lambda: [], clock=StubClock(),
@@ -150,7 +198,9 @@ def test_the_node_is_its_stacks_net():
 
 def test_self_send_is_asynchronous_not_reentrant():
     async def scenario():
-        node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
+        # p2 never starts, so the estimator waits out its grace and the
+        # stack sends nothing of its own while the test looks.
+        node = RuntimeNode("p1", {}, initial_view=make_view(["p1", "p2"]))
         await node.start()
         seen = []
         node.stack.on_message = lambda src, msg: seen.append((src, msg))
@@ -165,14 +215,14 @@ def test_self_send_is_asynchronous_not_reentrant():
     run(scenario())
 
 
-def test_timer_fires_and_cancel_works():
+def test_timer_fires_once_with_its_tag():
     async def scenario():
-        node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
+        # As above: an unheard p2 keeps the stack's own timers quiet.
+        node = RuntimeNode("p1", {}, initial_view=make_view(["p1", "p2"]))
         await node.start()
         fired = []
         node.stack.on_timer = fired.append
         node.stack.set_timer(0.01, "tick")
-        node.cancel_timer(node.stack.set_timer(0.02, "never"))
         await poll_until(lambda: fired)
         await asyncio.sleep(0.05)
         assert fired == ["tick"]

@@ -400,3 +400,91 @@ def test_a_read_allocates_no_receive_buffer():
 
     peak = run(scenario())
     assert peak < 64 * 1024, peak
+
+
+# -- Dial back at the handshake ----------------------------------------------
+
+
+def backing_off(link):
+    return link._wake is not None and not link._wake.done()
+
+
+def test_a_backing_off_link_dials_at_once_when_its_peer_dials_in():
+    """"a"'s link to "b" sleeps out a 5-10 s backoff; "b" comes up and
+    dials "a", and the handshake wakes the link (wired as the node wires
+    it), which connects well inside the backoff it was sleeping."""
+
+    async def scenario():
+        book = {}
+        link = PeerLink(
+            "a", "b", resolve=lambda: book["b"], retry_min=5.0,
+            retry_max=10.0,
+        ).start()
+        await poll_until(lambda: backing_off(link))
+        backoff = link._backoff
+        frames_b, on_frame_b = collector()
+        listener_b = await Listener(on_frame_b).start()
+        book["b"] = ("127.0.0.1", listener_b.port)
+        listener_a = await Listener(
+            lambda src, msg: None, on_hello=lambda src: link.dial_now()
+        ).start()
+        dialler = PeerLink(
+            "b", "a", resolve=lambda: ("127.0.0.1", listener_a.port)
+        ).start()
+        await poll_until(lambda: ("a", Hello("a")) in frames_b, timeout=1.0)
+        assert link.connects == 1
+        assert link._backoff == backoff  # woken, not reset
+        for closable in (dialler, link, listener_a, listener_b):
+            await closable.close()
+
+    run(scenario())
+
+
+def test_a_second_hello_on_one_connection_does_not_dial_again():
+    async def scenario():
+        frames, on_frame = collector()
+        hellos = []
+        listener = await Listener(on_frame, on_hello=hellos.append).start()
+        _, writer = await asyncio.open_connection("127.0.0.1", listener.port)
+        hello = encode_frame(("b", Hello("b")))
+        writer.write(hello + hello)
+        await writer.drain()
+        await poll_until(lambda: len(frames) == 2)
+        assert hellos == ["b"]
+        writer.close()
+        await listener.close()
+
+    run(scenario())
+
+
+def test_a_connect_in_flight_is_not_restarted():
+    """``dial_now`` during a pending connect changes nothing; once that
+    connect fails and the link backs off, it wakes the link."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        attempts = []
+
+        async def create_connection(factory, host, port):
+            attempt = loop.create_future()
+            attempts.append(attempt)
+            await attempt
+
+        loop.create_connection = create_connection
+        link = PeerLink(
+            "a", "b", resolve=lambda: ("127.0.0.1", 1), retry_min=5.0,
+            retry_max=10.0,
+        ).start()
+        await poll_until(lambda: attempts)
+        redial = link._redial
+        for _ in range(3):
+            link.dial_now()
+            await asyncio.sleep(0.01)
+        assert len(attempts) == 1 and link._redial is redial
+        attempts[0].set_exception(OSError("refused"))
+        await poll_until(lambda: backing_off(link))
+        link.dial_now()
+        await poll_until(lambda: len(attempts) == 2, timeout=1.0)
+        await link.close()
+
+    run(scenario())
