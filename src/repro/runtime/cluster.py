@@ -318,7 +318,8 @@ class RuntimeCluster:
 
     def wait_formation(self, pids=None, timeout=CALL_TIMEOUT):
         """Wait until every expected node has established the primary
-        view consisting of exactly ``pids`` (default: all live nodes)."""
+        view consisting of exactly ``pids`` (default: all live nodes)
+        through a membership round, so not the pre-agreed ``g0``."""
         # Benign race: GIL-atomic key-set snapshot fixing the target
         # membership; the predicate itself runs marshalled on the loop.
         expected = frozenset(
@@ -334,6 +335,7 @@ class RuntimeCluster:
                 if (
                     to.status != NORMAL
                     or to.current is None
+                    or to.current.id.epoch < 1
                     or to.current.set != expected
                 ):
                     return False

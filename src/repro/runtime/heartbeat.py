@@ -15,17 +15,15 @@ rounds start, never what the layers do with the views that result.  Two
 nodes may transiently disagree about the component; the coordinator's
 round simply supersedes itself.  Accuracy buys liveness, not safety.
 
-The first report waits for evidence, and ``grace`` caps that wait.  A
-booting node given the ``expected`` members of its initial view reports
-at the first poll at which every one of them has been heard, so a group
-whose peers are all up forms in a few heartbeat rounds, not one timeout.
-While an expected peer is still unheard it holds the report back until
-``grace`` runs out, so it hears whoever is there before concluding it
-is alone (otherwise every start would mint a useless singleton view).
+The estimator has no task: its owner calls ``heard`` per frame and
+``poll`` per interval.  It reports on evidence, not on the tick: the
+``heard`` whose frame completes the ``expected`` initial view reports at
+once (with a member unheard, ``poll`` waits out ``grace``, so a booting
+node hears whoever is there before concluding it is alone), and so does
+a frame from a peer outside the reported component, while a frame from
+a reported peer costs one membership test.  Expiry needs the tick.
 Reporting early cannot cost safety, by the argument above.
 """
-
-import asyncio
 
 #: Beacon interval and peer liveness timeout (seconds) every live entry
 #: point defaults to.  An estimator given only an interval still scales
@@ -49,27 +47,45 @@ class ConnectivityEstimator:
 
     def __init__(self, pid, peers, clock, send_heartbeats, notify,
                  interval=HB_INTERVAL, timeout=None, grace=None,
-                 expected=None, on_error=None):
+                 expected=None):
         self.pid = pid
         self._peers = peers
         self._clock = clock
         self._send_heartbeats = send_heartbeats
         self._notify = notify
-        self._on_error = on_error
         self.interval = interval
         self.timeout = 4 * interval if timeout is None else timeout
         self.grace = self.timeout if grace is None else grace
         self._expected = None if expected is None else frozenset(expected)
+        self._unheard = (
+            None if expected is None else set(self._expected) - {pid}
+        )
         self._last_heard = {}
         self._reported = None
-        self._started_at = None
-        self._task = None
+        self._started_at = clock.now
 
     # -- Evidence ----------------------------------------------------------
 
     def heard(self, src):
-        """Any frame from ``src`` proves it alive and reachable."""
+        """Any frame from ``src`` proves it alive and reachable; report
+        at once if that is news."""
         self._last_heard[src] = self._clock.now
+        reported = self._reported
+        if reported is not None:
+            if src not in reported:
+                self._report(self.component())
+            return
+        unheard = self._unheard
+        if unheard is None or src not in unheard:
+            return
+        unheard.discard(src)
+        if not unheard:
+            estimate = self.component()
+            # A member heard early may have expired since; it has to be
+            # heard again before the evidence is complete.
+            unheard.update(self._expected - estimate)
+            if not unheard:
+                self._report(estimate)
 
     def component(self):
         """The current estimate: self plus every recently-heard peer."""
@@ -91,8 +107,6 @@ class ConnectivityEstimator:
     def poll(self):
         """One tick: prune, beacon, then report the component if it
         changed."""
-        if self._started_at is None:
-            self._started_at = self._clock.now
         # Evidence for peers no longer in the address book is dropped:
         # without this, ``_last_heard`` grows without bound over churn
         # in a long-lived deployment, and a peer that is removed and
@@ -105,40 +119,14 @@ class ConnectivityEstimator:
         self._send_heartbeats()
         estimate = self.component()
         if self._reported is None:
-            # The grace is a cap: the first report goes out as soon as
-            # every expected member has been heard.
+            # The grace is a cap: complete evidence never waits for it.
             early = self._expected is not None and self._expected <= estimate
             if not early and self._clock.now - self._started_at < self.grace:
                 return None
+        self._report(estimate)
+        return estimate
+
+    def _report(self, estimate):
         if estimate != self._reported:
             self._reported = estimate
             self._notify(estimate)
-        return estimate
-
-    # -- Driving -----------------------------------------------------------
-
-    def start(self):
-        """Run :meth:`poll` forever on the current event loop."""
-
-        async def run():
-            while True:
-                self.poll()
-                await asyncio.sleep(self.interval)
-
-        self._task = asyncio.ensure_future(run())
-        return self
-
-    async def stop(self):
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            except Exception as exc:
-                # A real teardown error must surface, not vanish into a
-                # dead except arm (CancelledError is a BaseException).
-                if self._on_error is not None:
-                    self._on_error(exc)
-                else:
-                    raise

@@ -131,6 +131,7 @@ class RuntimeNode:
         self._links = {}
         self._listener = None
         self._estimator = None
+        self._hb_handle = None
         self._timers = set()
         self._loop = None
         self._started = False
@@ -164,9 +165,9 @@ class RuntimeNode:
             interval=self._hb_interval,
             timeout=self._hb_timeout,
             expected=self.initial_view.set,
-            on_error=self.errors.append,
         )
-        self._estimator.start()
+        # Next turn, not an interval in: a node alone reports at once.
+        self._hb_handle = loop.call_soon(self._hb_tick)
         self._started = True
         self._tap("start", self._member)
         self.stack.on_start()
@@ -177,8 +178,8 @@ class RuntimeNode:
         if not self._stopped and self._started:
             self._tap("stop")
         self._stopped = True
-        if self._estimator is not None:
-            await self._estimator.stop()
+        if self._hb_handle is not None:
+            self._hb_handle.cancel()
         for timer in list(self._timers):
             timer.cancel()
         self._timers.clear()
@@ -319,6 +320,16 @@ class RuntimeNode:
             except Exception as exc:
                 self.errors.append(exc)
 
+    def _hb_tick(self):
+        """Re-arm, then poll: a failing poll is recorded like a timer's."""
+        self._hb_handle = self._loop.call_later(
+            self._estimator.interval, self._hb_tick
+        )
+        try:
+            self._estimator.poll()
+        except Exception as exc:
+            self.errors.append(exc)
+
     def _send_heartbeats(self):
         self.broadcast(self.pid, self._peer_ids(), Heartbeat())
 
@@ -342,11 +353,10 @@ class RuntimeNode:
         return True
 
     def _on_hello(self, src):
-        """A peer dialled in: if our link to it is backing off, dial now
-        (a restarted peer is heard back in one round trip)."""
-        link = self._links.get(src)
-        if link is not None:
-            link.dial_now()
+        """A peer dialled in: dial it back now, on a new link or by
+        cutting a backoff short (heard back in one round trip)."""
+        if not self._stopped and src != self.pid and src in self.book:
+            self._ensure_link(src).dial_now()
 
     def _on_frame(self, src, msg):
         if self._stopped:

@@ -8,6 +8,8 @@ online safety monitor (including the CB causal-order checks) armed on
 the shared action log throughout.
 """
 
+import time
+
 import pytest
 
 from repro.apps.kv_store import KvReplica
@@ -49,6 +51,19 @@ def wait_boards(cluster, pids, status, timeout=WAIT):
         timeout=timeout,
         what="boards showing {0!r} on {1}".format(status, sorted(pids)),
     )
+
+
+def wait_all_safe(cluster, timeout=WAIT, poll=0.02):
+    """Wait until every node has reported its whole client history
+    safe, so no ack of it is still in flight."""
+    def settled(node):
+        return node.dvs.safe_ptr == len(node.dvs.client_history)
+
+    for _ in range(int(timeout / poll)):
+        if all(cluster.call_node(p, settled) for p in PIDS):
+            return
+        time.sleep(poll)
+    raise TimeoutError("client histories not reported safe everywhere")
 
 
 def test_presence_over_cb_with_crash_and_rejoin(cluster):
@@ -143,8 +158,20 @@ def test_per_sender_fifo_under_load(cluster):
 def test_pure_cb_traffic_publishes_no_acks(cluster):
     """CB never reads ``dvs_safe``, so nobody acknowledges its
     deliveries: no ``AckMsg`` enters or leaves VS, nothing is reported
-    safe."""
+    safe.  TO's ``Summary`` exchange in the formed view is acked (TO
+    reads it safe), so the check covers what is logged after that
+    exchange has been reported safe everywhere."""
     cluster.wait_formation(timeout=WAIT)
+    wait_all_safe(cluster)
+
+    def mark(node):
+        return (
+            len(cluster.log.actions),
+            node.dvs.ack_sent,
+            len(node.dvs.client_history),
+        )
+
+    logged, acks, history = cluster.call_node("n2", mark)
     for i in range(30):
         cluster.call_cb_app(
             PIDS[i % 3], lambda app, i=i: app.announce("s{0}".format(i))
@@ -153,14 +180,13 @@ def test_pure_cb_traffic_publishes_no_acks(cluster):
         lambda: all(cb_count(cluster, p) == 30 for p in PIDS),
         timeout=WAIT, what="30 statuses delivered everywhere",
     )
-    actions = list(cluster.log.actions)
+    actions = list(cluster.log.actions)[logged:]
     assert not any(
         a.name in ("vs_gpsnd", "vs_gprcv")
         and isinstance(a.params[0], AckMsg)
         for a in actions
     )
     assert not any(a.name == "dvs_safe" for a in actions)
-    assert cluster.call_node(
-        "n2", lambda node: (node.dvs.ack_sent, len(node.dvs.client_history))
-    ) == (0, 30)
+    _, acks_after, history_after = cluster.call_node("n2", mark)
+    assert (acks_after, history_after) == (acks, history + 30)
     cluster.check()

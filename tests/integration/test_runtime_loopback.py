@@ -219,6 +219,23 @@ def test_a_booting_group_forms_well_inside_one_grace():
     assert elapsed < 0.5, elapsed
 
 
+def test_a_booting_group_forms_inside_one_heartbeat_interval():
+    """At ``hb_interval=0.5`` a report made on the tick waits up to one
+    0.5 s interval after the last member is heard; made on that
+    member's first frame, it does not wait for the tick at all."""
+    nodes = {}
+    cluster = RuntimeCluster(
+        PIDS, app_factory=track(nodes), hb_interval=0.5, hb_timeout=2.0,
+    )
+    started = time.monotonic()
+    with cluster:
+        cluster.wait_until(formed_past_g0(nodes), timeout=WAIT,
+                           poll=0.005, what="g1 over all three")
+        elapsed = time.monotonic() - started
+        cluster.check()
+    assert elapsed < 0.2, elapsed
+
+
 def test_a_restarted_node_rejoins_in_one_view():
     """Kill n1 and wait 2.5 s, long enough for n2's and n3's links to it
     to back off to ``retry_max``; then restart n1.  Its handshake dials

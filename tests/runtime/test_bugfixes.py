@@ -7,7 +7,8 @@ Each test pins one specific bug:
 2. deprecated ``asyncio.get_event_loop()`` inside coroutines;
 3. broadcast fan-out re-encoding the identical frame once per link;
 4. ``except (CancelledError, Exception)`` swallowing real teardown
-   errors (the second arm was dead: CancelledError isn't an Exception);
+   errors (the second arm was dead: CancelledError isn't an Exception),
+   and a failing heartbeat tick going unrecorded;
 5. the heartbeat estimator never pruning ``_last_heard`` evidence for
    peers removed from the address book;
 6. ``LiveNemesis`` dropping its crash/recover task references, so a
@@ -213,16 +214,6 @@ def test_unicast_send_still_encodes_per_message(counted_codec):
 # -- 4. CancelledError vs Exception in teardown ------------------------------
 
 
-def _task_raising_on_cancel():
-    async def victim():
-        try:
-            await asyncio.sleep(60)
-        except asyncio.CancelledError:
-            raise RuntimeError("teardown bug")
-
-    return asyncio.ensure_future(victim())
-
-
 def _resolve_with_a_bug():
     # Not one of the retryable resolution failures: it ends the redial
     # coroutine, and ``close()`` is where that has to come out.
@@ -254,18 +245,28 @@ def test_link_close_raises_without_an_error_sink():
     run(scenario())
 
 
-def test_estimator_stop_routes_teardown_errors_to_on_error():
+def test_a_failing_heartbeat_tick_is_recorded_and_the_tick_goes_on():
+    """The estimator has no task whose teardown could hide an error: the
+    node drives ``poll`` from the loop, so a failing poll lands in
+    ``errors`` like a failing timer, and the next tick still runs."""
     async def scenario():
-        errors = []
-        est = ConnectivityEstimator(
-            "a", peers=lambda: [], clock=StubClock(),
-            send_heartbeats=lambda: None, notify=lambda c: None,
-            on_error=errors.append,
-        )
-        est._task = _task_raising_on_cancel()
-        await asyncio.sleep(0)
-        await est.stop()
-        assert [type(e) for e in errors] == [RuntimeError]
+        view = View(ViewId(0, ""), frozenset(["a"]))
+        node = RuntimeNode("a", {}, initial_view=view, hb_interval=0.01)
+        await node.start()
+        polls = []
+
+        def failing_poll():
+            polls.append(node.clock.now)
+            raise RuntimeError("poll bug")
+
+        node._estimator.poll = failing_poll
+        while len(polls) < 3:
+            await asyncio.sleep(0.01)
+        await node.stop()
+        assert {type(e) for e in node.errors} == {RuntimeError}
+        stopped_at = len(polls)
+        await asyncio.sleep(0.05)
+        assert len(polls) == stopped_at  # stop() cancels the tick
 
     run(scenario())
 

@@ -136,6 +136,98 @@ def test_estimator_expecting_only_itself_reports_at_the_first_poll():
     assert reports == [frozenset({"p1"})]
 
 
+def test_estimator_first_report_fires_inside_the_completing_heard():
+    """Reports go out on evidence: the frame that completes the initial
+    view is reported from ``heard`` itself, with no poll in between."""
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=10.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    assert reports == []
+    clock.now = 0.3
+    est.heard("p3")
+    assert reports == [frozenset({"p1", "p2", "p3"})]
+    assert beacons == []  # no poll ran
+
+
+def test_estimator_completing_heard_needs_every_member_still_alive():
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=10.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    clock.now = 5.0  # p2's evidence has expired
+    est.heard("p3")
+    assert reports == []
+    est.heard("p2")
+    assert reports == [frozenset({"p1", "p2", "p3"})]
+
+
+def test_estimator_reports_a_newly_heard_peer_at_once():
+    """After the first report, a frame from a peer outside the reported
+    component (a restarted peer's ``Hello``, a heal) is news now, not at
+    the next tick."""
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=1.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    est.poll()
+    clock.now = 1.0
+    est.poll()
+    assert reports == [frozenset({"p1", "p2"})]  # the grace ran out
+    clock.now = 1.5
+    est.heard("p3")
+    assert reports[-1] == frozenset({"p1", "p2", "p3"})
+    assert len(beacons) == 2
+
+
+def test_estimator_frames_from_reported_peers_cost_no_component():
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=10.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.heard("p2")
+    est.heard("p3")
+    assert len(reports) == 1
+    computed = []
+    component = est.component
+
+    def counted():
+        computed.append(clock.now)
+        return component()
+
+    est.component = counted
+    for index in range(1000):
+        clock.now = index * 0.001
+        est.heard(("p2", "p3")[index % 2])
+    assert len(reports) == 1
+    assert computed == []
+
+
+def test_estimator_frames_alone_never_cut_the_grace_short():
+    """With an expected member unheard, no number of frames from the
+    others reports early: only the tick sees the grace run out."""
+    clock, reports, beacons = StubClock(), [], []
+    est = make_estimator(
+        clock, reports, beacons, timeout=4.0, grace=2.0,
+        expected={"p1", "p2", "p3"},
+    )
+    est.poll()
+    for index in range(100):
+        clock.now = index * 0.03
+        est.heard("p2")
+    assert clock.now > est.grace
+    assert reports == []
+    est.poll()
+    assert reports == [frozenset({"p1", "p2"})]
+
+
 def test_estimator_defaults_scale_with_interval():
     est = ConnectivityEstimator(
         "p1", peers=lambda: [], clock=StubClock(),
@@ -194,6 +286,42 @@ def test_stats_count_connections_the_listener_rejected():
 def test_the_node_is_its_stacks_net():
     node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
     assert node.stack.net is node
+
+
+def test_a_later_peers_hello_creates_the_link_back():
+    """The first node to boot has no link to a peer that starts after
+    it; the peer's ``Hello`` creates one, instead of the next beacon
+    (0.5 s away here).  p3 never starts, so neither node reports and
+    the stack sends nothing that would create the link itself."""
+    async def scenario():
+        book = {}
+        view = make_view(["p1", "p2", "p3"])
+        n1 = RuntimeNode("p1", book, initial_view=view, hb_interval=0.5)
+        await n1.start()
+        await asyncio.sleep(0.05)  # n1's first beacon has gone out
+        n2 = RuntimeNode("p2", book, initial_view=view, hb_interval=0.5)
+        await n2.start()
+        assert "p2" not in n1._links
+        started = n1.clock.now
+        await poll_until(lambda: "p2" in n1._links, interval=0.002)
+        linked = n1.clock.now - started
+        await n2.stop()
+        await n1.stop()
+        assert linked < 0.1, linked
+
+    run(scenario())
+
+
+def test_a_hello_naming_us_or_a_stranger_creates_no_link():
+    async def scenario():
+        node = RuntimeNode("p1", {}, initial_view=make_view(["p1", "p2"]))
+        await node.start()
+        node._on_hello("p1")
+        node._on_hello("ghost")
+        assert node._links == {}
+        await node.stop()
+
+    run(scenario())
 
 
 def test_self_send_is_asynchronous_not_reentrant():
