@@ -52,6 +52,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
+from typing import Optional
 
 from repro.cb.messages import CbCast
 from repro.core.messages import InfoMsg, RegisteredMsg
@@ -86,15 +87,20 @@ from repro.to.summaries import Label, Summary
 #: - ``4`` -- writes ``None``, bool, int, float and str as native JSON
 #:   instead of tagged arrays: a frame is about a quarter shorter and
 #:   takes about a third fewer calls to encode and decode.  Containers,
-#:   bytes and dataclasses keep their tags.
-WIRE_VERSION = 4
+#:   bytes and dataclasses keep their tags;
+#: - ``5`` -- :class:`Heartbeat` carries ``view``, the sender's VS view
+#:   id (``null`` before its first view), which the connectivity merge
+#:   trigger compares.  A v4 ``Heartbeat`` with no field decodes as
+#:   view unknown (see :data:`_ADDED_FIELDS`).  Every other body is
+#:   what version 4 wrote, and must carry every field.
+WIRE_VERSION = 5
 
 #: Body versions this decoder accepts.  Encoding always stamps
 #: :data:`WIRE_VERSION`; decoding reads the older layouts through the
 #: same walk (their scalar tags are rows of its tag table, and the
 #: version byte is not consulted beyond this window), so mixed-version
 #: clusters keep talking during a rolling upgrade and old traces load.
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5)
 
 #: Frames longer than this are rejected before buffering (a garbage
 #: length prefix must not make the reader allocate gigabytes).
@@ -117,7 +123,10 @@ class Hello:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Periodic liveness beacon feeding the connectivity estimator."""
+    """Periodic liveness beacon feeding the connectivity estimator; it
+    names the sender's VS view (``None``: none yet, or a v4 sender)."""
+
+    view: Optional[ViewId] = None
 
 
 #: Every dataclass the codec can carry, by construction order of fields.
@@ -212,7 +221,9 @@ WIRE_SCHEMA = MappingProxyType({
     "Hello": (
         ("pid", "str"),
     ),
-    "Heartbeat": (),
+    "Heartbeat": (
+        ("view", "Optional[ViewId]"),
+    ),
 })
 
 
@@ -285,16 +296,25 @@ def _accepted(annotation):
     tuple of types a value may be exactly, empty for "anything".
 
     Containers are checked by outer type only (``FrozenSet[str]`` ->
-    frozenset); a registered class name by that class; ``object`` and
-    anything else accept everything.  Elements are the tagged scheme's
-    job -- this guards a message against forged field types the
-    positional ``"@"`` encoding cannot rule out (a string where a
-    sequence number belongs is well-formed).
+    frozenset); a registered class name by that class; ``Optional[X]``
+    by X's check or ``None``; ``object`` and anything else accept
+    everything.  Elements are the tagged scheme's job -- this guards a
+    message against forged field types the positional ``"@"`` encoding
+    cannot rule out (a string where a sequence number belongs is
+    well-formed).
     """
     base = annotation.split("[", 1)[0].strip()
+    if base == "Optional":
+        inner = _accepted(_optional_of(annotation))
+        return inner + (type(None),) if inner else ()
     if base in _BY_NAME:
         return (_BY_NAME[base],)
     return _SHALLOW.get(base, ())
+
+
+def _optional_of(annotation):
+    """``X`` of the pin ``Optional[X]``."""
+    return annotation.split("[", 1)[1].rsplit("]", 1)[0].strip()
 
 
 #: One registered class: ``values(msg)`` is the tuple of its fields in
@@ -592,6 +612,15 @@ def _field(annotation, decoders):
     class pin is checked by tag and class name, a container pin by tag,
     and a scalar pin by the exact type of what the node decodes to."""
     base = annotation.split("[", 1)[0].strip()
+    if base == "Optional":
+        fast, read = _field(_optional_of(annotation), decoders)
+
+        def read_optional(node):
+            if type(node) is list and node[:1] == ["z"]:  # a v1-v3 null
+                return _decode_none(node)
+            return read(node)
+
+        return fast | {type(None)}, read_optional
     off_pin = "malformed body: a field is not of its pinned type " + annotation
     tag = {"tuple": "t", "frozenset": "fz"}.get(base.lower())
     if base in _BY_NAME or tag:
@@ -619,15 +648,27 @@ def _field(annotation, decoders):
     return _NATIVE & frozenset(kinds), read_scalar
 
 
+#: Trailing fields a wire version appended to an existing class, by
+#: class name: an older peer's body leaves them out, and they take
+#: their defaults.  Every other body carries its full pinned arity --
+#: a field's default alone (``View.members``, ``InfoMsg.amb``) does
+#: not make it optional on the wire.
+_ADDED_FIELDS = MappingProxyType({
+    "Heartbeat": 1,  # version 5: ``view``
+})
+
+
 def _class_decoder(cls, pinned, decoders):
     """Decoder of ``cls`` from its ``["@", name, [field nodes]]``, each
-    field checked against its pin as it is read."""
+    field checked against its pin as it is read.  Only the fields of
+    :data:`_ADDED_FIELDS` may be absent (an older peer's body)."""
     readers = tuple(_field(annotation, decoders) for _, annotation in pinned)
     arity = len(readers)
+    least = arity - _ADDED_FIELDS.get(cls.__name__, 0)
 
     def build(node):
         nodes = node[2] if len(node) == 3 else None
-        if type(nodes) is not list or len(nodes) != arity:
+        if type(nodes) is not list or not least <= len(nodes) <= arity:
             raise CodecError(
                 "malformed body: wrong field count for " + cls.__name__
             )

@@ -21,8 +21,18 @@ The estimator has no task: its owner calls ``heard`` per frame and
 once (with a member unheard, ``poll`` waits out ``grace``, so a booting
 node hears whoever is there before concluding it is alone), and so does
 a frame from a peer outside the reported component, while a frame from
-a reported peer costs one membership test.  Expiry needs the tick.
-Reporting early cannot cost safety, by the argument above.
+a reported peer costs one membership test.  Expiry of a silent peer
+needs the tick.  Reporting early cannot cost safety, by the argument
+above.
+
+Suspect on a refused redial: a crashed peer is not left to the timeout.
+Its sockets close with it, the link to it redials and the redial is
+refused (``PeerLink``'s ``on_refused``, once per lost connection), and
+the owner calls ``suspect``, which drops the peer's evidence and, if it
+was reported, reports the smaller component at once.  The peer comes
+back the way any peer does: its next frame (a restarted process's
+``Hello``) is news to ``heard``.  A partition that keeps the sockets
+open refuses nothing, so it is still detected on the timeout.
 """
 
 #: Beacon interval and peer liveness timeout (seconds) every live entry
@@ -61,7 +71,9 @@ class ConnectivityEstimator:
             None if expected is None else set(self._expected) - {pid}
         )
         self._last_heard = {}
-        self._reported = None
+        #: The component last handed to ``notify`` (``None`` before the
+        #: first report).
+        self.reported = None
         self._started_at = clock.now
 
     # -- Evidence ----------------------------------------------------------
@@ -70,7 +82,7 @@ class ConnectivityEstimator:
         """Any frame from ``src`` proves it alive and reachable; report
         at once if that is news."""
         self._last_heard[src] = self._clock.now
-        reported = self._reported
+        reported = self.reported
         if reported is not None:
             if src not in reported:
                 self._report(self.component())
@@ -86,6 +98,15 @@ class ConnectivityEstimator:
             unheard.update(self._expected - estimate)
             if not unheard:
                 self._report(estimate)
+
+    def suspect(self, src):
+        """``src``'s address refused the redial of a lost connection: it
+        crashed.  Forget its evidence, and report at once if it was in
+        the reported component."""
+        self._last_heard.pop(src, None)
+        reported = self.reported
+        if reported is not None and src in reported:
+            self._report(self.component())
 
     def component(self):
         """The current estimate: self plus every recently-heard peer."""
@@ -118,7 +139,7 @@ class ConnectivityEstimator:
                 del self._last_heard[peer]
         self._send_heartbeats()
         estimate = self.component()
-        if self._reported is None:
+        if self.reported is None:
             # The grace is a cap: complete evidence never waits for it.
             early = self._expected is not None and self._expected <= estimate
             if not early and self._clock.now - self._started_at < self.grace:
@@ -127,6 +148,6 @@ class ConnectivityEstimator:
         return estimate
 
     def _report(self, estimate):
-        if estimate != self._reported:
-            self._reported = estimate
+        if estimate != self.reported:
+            self.reported = estimate
             self._notify(estimate)

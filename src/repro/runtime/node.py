@@ -18,7 +18,9 @@ both ordering towers sharing the DVS layer through a
   (:class:`MonotonicClock`, started at node boot);
 - ``on_connectivity`` is fed by the heartbeat estimator
   (:class:`~repro.runtime.heartbeat.ConnectivityEstimator`) instead of
-  the simulator's oracle.
+  the simulator's oracle; a link whose redial is refused makes it
+  suspect that peer at once, and the minimum of the reported component
+  re-issues it when a member's heartbeats keep naming another view.
 
 Nothing above the transport knows it left the simulator.
 """
@@ -131,6 +133,9 @@ class RuntimeNode:
         self._links = {}
         self._listener = None
         self._estimator = None
+        #: Since when each member's heartbeats have named a view other
+        #: than ours.
+        self._split_since = {}
         self._hb_handle = None
         self._timers = set()
         self._loop = None
@@ -206,6 +211,7 @@ class RuntimeNode:
                     self._count_queue_drop if self._ins else None
                 ),
                 on_error=self.errors.append,
+                on_refused=self._on_refused,
             ).start()
         return self._links[peer]
 
@@ -331,7 +337,11 @@ class RuntimeNode:
             self.errors.append(exc)
 
     def _send_heartbeats(self):
-        self.broadcast(self.pid, self._peer_ids(), Heartbeat())
+        view = self.stack.view
+        self.broadcast(
+            self.pid, self._peer_ids(),
+            Heartbeat(None if view is None else view.id),
+        )
 
     # -- Upcalls from transport and estimator ------------------------------
 
@@ -358,6 +368,12 @@ class RuntimeNode:
         if not self._stopped and src != self.pid and src in self.book:
             self._ensure_link(src).dial_now()
 
+    def _on_refused(self, peer):
+        """The redial of a lost connection to ``peer`` was refused: it
+        crashed, so stop counting it as connected now."""
+        if not self._stopped:
+            self._estimator.suspect(peer)
+
     def _on_frame(self, src, msg):
         if self._stopped:
             return
@@ -376,12 +392,40 @@ class RuntimeNode:
         if self._ins is not None:
             self._ins["frames_in"].inc()
         if isinstance(msg, (Hello, Heartbeat)):
+            if type(msg) is Heartbeat and msg.view is not None:
+                self._check_view(src, msg.view)
             return
         if self._obs is not None:
             self._obs.wire_event(
                 "wire_recv", self.pid, src, msg, self.clock.now
             )
         self._dispatch(src, msg)
+
+    def _check_view(self, src, view):
+        """The merge trigger: the minimum of the reported component
+        re-issues it once a member's heartbeats have named a view other
+        than its own for longer than the estimator's ``timeout``.
+
+        A shorter mismatch is a round in flight.  A longer one is a
+        group split by one-sided suspicion, which no connectivity change
+        at the minimum would ever end; re-issuing the component starts
+        a fresh round (DESIGN.md §9: reports decide only when rounds
+        start).  Heartbeats go to every peer, so the minimum sees any
+        split inside its component, and only it acts."""
+        component = self._estimator.reported
+        own = self.stack.view
+        if (
+            component is None
+            or src not in component
+            or self.pid != min(component)
+            or (own is not None and own.id == view)
+        ):
+            self._split_since.pop(src, None)
+            return
+        now = self.clock.now
+        since = self._split_since.setdefault(src, now)
+        if now - since > self._estimator.timeout:
+            self._on_component(component)
 
     def _dispatch(self, src, msg):
         self._tap("recv", src, msg)
@@ -393,6 +437,8 @@ class RuntimeNode:
     def _on_component(self, component):
         if self._stopped:
             return
+        # Each round gets a full timeout before a split re-issues it.
+        self._split_since.clear()
         if self._ins is not None:
             self._ins["flaps"].inc()
         self._tap("conn", tuple(sorted(component)))

@@ -39,10 +39,28 @@ nor shortens the backoff that follows: a crash-looping peer wakes the
 link at most once per connection *it* managed to open, so the link
 redials no faster than the peer's own backoff lets it dial in, and a
 connection in flight is never restarted.
+
+Suspect on a refused redial: a crash closes the peer's sockets, so the
+link loses its connection and redials, and the redial is refused
+within milliseconds because nothing listens on the peer's address any
+more.  The first ``ConnectionRefusedError`` after an *established*
+connection dropped calls ``on_refused(peer)``, once per lost
+connection.  Nothing else does: not a refusal at boot (the peer is not
+up yet), not the later refusals of the same outage, and not a
+``KeyError``, a timeout or any other ``OSError``.  A peer that can
+reach us but whose address refuses every dial (a firewall's reset)
+never had a connection to lose, so it cannot flap once per backoff; it
+is left to the heartbeat timeout.  A host name with several addresses
+(``localhost`` as ``::1`` and ``127.0.0.1``) counts as refused when
+every address refused.  Python 3.12 reports that as an
+``ExceptionGroup`` of the refusals; older versions fold them into one
+plain ``OSError``, so there such a peer's crash waits out the timeout.
 """
 
 import asyncio
+import builtins
 import random
+import sys
 from collections import deque
 
 from repro.runtime.codec import CodecError, FrameDecoder, Hello, encode_frame
@@ -53,6 +71,23 @@ QUEUE_LIMIT = 4096
 #: Bytes a listener's one receive buffer holds (the most one read takes).
 _READ_BUFFER = 1 << 16
 
+#: A dial that failed at every address of a host name raises each
+#: address's error, grouped (Python 3.12+), so a refusal is told from
+#: the rest.
+_ALL_ERRORS = {"all_errors": True} if sys.version_info >= (3, 12) else {}
+_DIAL_ERRORS = (
+    KeyError, OSError, ValueError,
+    getattr(builtins, "ExceptionGroup", OSError),  # Python 3.11+
+)
+
+
+def _refused(exc):
+    """Whether a failed dial was refused at every address it tried."""
+    if isinstance(exc, ConnectionRefusedError):
+        return True
+    tried = getattr(exc, "exceptions", None)  # an ExceptionGroup's
+    return bool(tried) and all(_refused(each) for each in tried)
+
 
 class PeerLink(asyncio.Protocol):
     """The reconnecting outbound connection to one peer.
@@ -61,13 +96,15 @@ class PeerLink(asyncio.Protocol):
     ``(host, port)``; it is consulted on *every* connection attempt, so
     a peer that restarts on a new port is picked up without tearing the
     link down.  A ``KeyError``/``OSError`` from resolution counts as a
-    failed attempt and is retried with backoff.
+    failed attempt and is retried with backoff.  ``on_refused(peer)``
+    hears the first refused redial of each lost connection (see the
+    module docstring).
     """
 
     def __init__(self, local_pid, peer_pid, resolve,
                  queue_limit=QUEUE_LIMIT, retry_min=0.05, retry_max=1.0,
                  stable_after=None, on_connect=None, on_drop=None,
-                 on_queue_drop=None, on_error=None):
+                 on_queue_drop=None, on_error=None, on_refused=None):
         self.local_pid = local_pid
         self.peer_pid = peer_pid
         self._resolve = resolve
@@ -82,6 +119,7 @@ class PeerLink(asyncio.Protocol):
         self._on_drop = on_drop
         self._on_queue_drop = on_queue_drop
         self._on_error = on_error
+        self._on_refused = on_refused
         # Backoff jitter avoids N nodes hammering a rebooting peer in
         # lockstep; real-transport entropy is fine here (DESIGN.md §9).
         self._jitter = random.Random()  # lint: ignore[DVS007]
@@ -93,6 +131,8 @@ class PeerLink(asyncio.Protocol):
         self._redial = None
         # Pending exactly while the redial sleeps out a backoff.
         self._wake = None
+        # Set while a lost connection's outage has not been refused yet.
+        self._lost = False
         self._closed = False
         self.connects = 0
         #: Frames handed to a connected transport (not: received).
@@ -140,6 +180,7 @@ class PeerLink(asyncio.Protocol):
 
     def connection_made(self, transport):
         self._transport = transport
+        self._lost = False
         self._connected_at = asyncio.get_running_loop().time()
         self.connects += 1
         if self._on_connect is not None:
@@ -164,6 +205,7 @@ class PeerLink(asyncio.Protocol):
         self._writable = False
         if self._closed:
             return
+        self._lost = True
         delay = 0.0
         age = asyncio.get_running_loop().time() - self._connected_at
         if age >= self._stable_after:
@@ -193,10 +235,16 @@ class PeerLink(asyncio.Protocol):
                 wake.cancel()  # a no-op if dial_now() woke us
             try:
                 host, port = self._resolve()
-                await loop.create_connection(lambda: self, host, port)
+                await loop.create_connection(
+                    lambda: self, host, port, **_ALL_ERRORS
+                )
                 return
-            except (KeyError, OSError, ValueError):
+            except _DIAL_ERRORS as exc:
                 delay = self._next_delay()
+                if self._lost and _refused(exc):
+                    self._lost = False
+                    if self._on_refused is not None:
+                        self._on_refused(self.peer_pid)
 
     async def close(self):
         self._closed = True

@@ -98,10 +98,12 @@ _MUTATIONS = {
     # await, instead of leaving it to connection_made/connection_lost.
     "forked_fast_path": (
         "transport.py",
-        "                await loop.create_connection(lambda: self, host, port)\n",
+        "                await loop.create_connection(\n"
+        "                    lambda: self, host, port, **_ALL_ERRORS\n"
+        "                )\n",
         "                self._transport = None\n"
         "                made = await loop.create_connection(\n"
-        "                    lambda: self, host, port\n"
+        "                    lambda: self, host, port, **_ALL_ERRORS\n"
         "                )\n"
         "                self._transport = made[0]\n",
         "DVS018",

@@ -198,7 +198,7 @@ messages = st.one_of(
         viewids,
     ),
     st.builds(Hello, pids),
-    st.builds(Heartbeat),
+    st.builds(Heartbeat, st.none() | viewids),
 )
 
 

@@ -18,7 +18,9 @@ wrong type two or more levels down.  Two properties:
    (``wire_reference.py``, the original walk, which knows only tagged
    scalars and is handed the document :func:`retag`-ged) agree -- same
    value, or both refuse -- except on the two tightenings this codec
-   documents: non-finite floats, and pinned field types at every depth.
+   documents, non-finite floats and pinned field types at every depth,
+   and on its one loosening: a ``Heartbeat`` body may leave out the
+   ``view`` that version 5 added, as a version 4 peer wrote it.
 """
 
 import base64
@@ -90,6 +92,8 @@ def _field(annotation, nodes):
     elements are arbitrary well-formed nodes) -- and, one time in 25,
     a well-formed node of whatever tag: the forged field."""
     head = annotation.split("[", 1)[0]
+    if head == "Optional":
+        return st.one_of(st.none(), _field(annotation[9:-1], nodes))
     if head == "int":
         right = st.integers(0, 99)
         right = right | st.builds(lambda v: ["i", v], right)
@@ -276,8 +280,12 @@ def pinned_everywhere(node):
             and node[1] in WIRE_SCHEMA and isinstance(node[2], list)
             and len(node[2]) == len(WIRE_SCHEMA[node[1]])):
         for field, (_, annotation) in zip(node[2], WIRE_SCHEMA[node[1]]):
-            head = annotation.split("[", 1)[0]
             tag = field[0] if isinstance(field, list) and field else None
+            if annotation.startswith("Optional[") and tag == "z":
+                continue
+            head = annotation.split("[", 1)[0]
+            if head == "Optional":
+                head = annotation[9:-1]
             if head in WIRE_SCHEMA:
                 if tag != "@" or field[1:2] != [head]:
                     return False
@@ -286,12 +294,26 @@ def pinned_everywhere(node):
     return all(pinned_everywhere(child) for child in node)
 
 
+def with_v5_heartbeats(node):
+    """``node`` with every version 4 heartbeat, ``["@", "Heartbeat",
+    []]``, given the view-unknown field version 5 writes: the one body
+    the product decoder reads with a field fewer than its pin, spelled
+    as the reference reads it."""
+    if not isinstance(node, list):
+        return node
+    if node == ["@", "Heartbeat", []]:
+        return ["@", "Heartbeat", [["z"]]]
+    return [with_v5_heartbeats(child) for child in node]
+
+
 @settings(max_examples=600, deadline=None)
 @given(document=documents)
 def test_decoders_agree_except_on_the_documented_tightenings(document):
     kind, new = outcome(decode, body_of(document))
     legacy = retag(document)
-    ref_kind, ref = outcome(reference_decode, body_of(legacy))
+    ref_kind, ref = outcome(
+        reference_decode, body_of(with_v5_heartbeats(legacy))
+    )
     assert new is not OverflowError
     if kind == "value":
         # Accepted: the reference accepts too and means the same value

@@ -1,12 +1,14 @@
 """Wire-schema migration: version 1 -> 2 (the CbCast addition) -> 3
-(the OrderedRun addition) -> 4 (native JSON scalars).
+(the OrderedRun addition) -> 4 (native JSON scalars) -> 5 (the
+heartbeat's view id).
 
 Adding a message type or changing the body layout is a *versioned*
 change in this codec: an older peer rejects unknown ``@`` type
-references and untagged scalars, so v4 speakers must (a) still accept
-v1, v2 and v3 bodies byte-for-byte and (b) refuse versions they do not
-know, with a typed error naming both sides.  The golden bytes below are
-literal frames of each era -- they must keep decoding forever.
+references, untagged scalars and a field too many, so v5 speakers must
+(a) still accept v1-v4 bodies byte-for-byte and (b) refuse versions
+they do not know, with a typed error naming both sides.  The golden
+bytes below are literal frames of each era -- they must keep decoding
+forever.
 """
 
 import collections
@@ -62,8 +64,8 @@ GOLDEN_V1_VIEWID = b'\x01["@","ViewId",[["i",0],["s",""]]]'
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
-        assert WIRE_VERSION == 4
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4)
+        assert WIRE_VERSION == 5
+        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4, 5)
         assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
 
     def test_encode_stamps_the_current_version(self):
@@ -74,13 +76,13 @@ class TestVersioning:
         assert decode(GOLDEN_V1_VIEWID) == ViewId(0, "")
 
     def test_future_version_is_rejected_with_both_sides_named(self):
-        body = bytes([5]) + encode(("x",))[1:]
+        body = bytes([6]) + encode(("x",))[1:]
         with pytest.raises(CodecError) as err:
             decode(body)
         message = str(err.value)
-        assert "unsupported wire version 5" in message
-        assert "speaking 4" in message
-        assert "(1, 2, 3, 4)" in message
+        assert "unsupported wire version 6" in message
+        assert "speaking 5" in message
+        assert "(1, 2, 3, 4, 5)" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -175,6 +177,54 @@ class TestNativeScalarsOnTheWire:
         legacy = bytes([3]) + reference_encode(self.data())[1:]
         assert decode(legacy) == decode(encode(self.data())) == self.data()
         assert decode(bytes([4]) + legacy[1:]) == self.data()
+
+
+class TestHeartbeatViewOnTheWire:
+    def test_pinned_and_validated(self):
+        assert WIRE_SCHEMA["Heartbeat"] == (("view", "Optional[ViewId]"),)
+        assert not schema_drift()
+        assert validate_message(Heartbeat(V1))
+        assert validate_message(Heartbeat())
+        assert not validate_message(Heartbeat("g1@n1"))
+
+    def test_a_v4_heartbeat_decodes_as_view_unknown(self):
+        """The one change of version 5 reads both ways: the v4 body has
+        no field, and takes the default."""
+        assert decode(b'\x04["@","Heartbeat",[]]') == Heartbeat(None)
+        frame = b'\x04["@","Heartbeat",[]]'
+        assert FrameDecoder().feed(
+            len(frame).to_bytes(4, "big") + frame
+        ) == [Heartbeat()]
+
+    def test_one_walk_reads_both_layouts(self):
+        """No branch on the version byte: either row under either stamp
+        is the same value."""
+        for stamp in (b"\x04", b"\x05"):
+            assert decode(stamp + b'["@","Heartbeat",[]]') == Heartbeat()
+            assert decode(
+                stamp + b'["@","Heartbeat",[["@","ViewId",[1,"n1"]]]]'
+            ) == Heartbeat(V1)
+
+    def test_a_forged_view_is_refused(self):
+        for forged in (b'"g1@n1"', b'1', b'["@","Hello",["n1"]]'):
+            with pytest.raises(CodecError, match="pinned type"):
+                decode(b'\x05["@","Heartbeat",[' + forged + b']]')
+        with pytest.raises(CodecError, match="wrong field count"):
+            decode(b'\x05["@","Heartbeat",[null,null]]')
+
+    @pytest.mark.parametrize("stamp", [b"\x04", b"\x05"])
+    def test_only_the_heartbeat_may_leave_a_field_out(self, stamp):
+        """A default on a class (``ViewId.origin``, ``View.members``,
+        ``InfoMsg.amb``) does not make its field optional on the wire:
+        no version ever wrote those bodies short."""
+        vid = b'["@","ViewId",[1,"n1"]]'
+        for short in (
+            b'["@","ViewId",[1]]',
+            b'["@","View",[' + vid + b']]',
+            b'["@","InfoMsg",[["@","View",[' + vid + b',["fz",["n1"]]]]]]',
+        ):
+            with pytest.raises(CodecError, match="wrong field count"):
+                decode(stamp + short)
 
 
 class TestRollingUpgrade:
@@ -403,6 +453,26 @@ GOLDEN_V4 = list(zip([value for value, _ in GOLDEN_V2 + GOLDEN_V3], [
 ]))
 
 
+#: Literal version-5 bodies: the one row version 5 changed, without and
+#: with a view.  Every other v4 body above is, after its stamp, what
+#: version 5 writes.  Golden, as above.
+GOLDEN_V5 = [
+    (Heartbeat(),
+     b'\x05["@","Heartbeat",[null]]'),
+    (Heartbeat(V1),
+     b'\x05["@","Heartbeat",[["@","ViewId",[1,"n1"]]]]'),
+]
+
+
+def before_v5(body):
+    """``body`` without its stamp, as versions 1-4 wrote it: a view-less
+    ``Heartbeat`` had no field then (tagged ``["z"]`` or native
+    ``null`` now)."""
+    for empty in (b'"Heartbeat",[["z"]]]', b'"Heartbeat",[null]]'):
+        body = body.replace(empty, b'"Heartbeat",[]]')
+    return body[1:]
+
+
 class Colour(enum.IntEnum):
     RED = 7
 
@@ -430,7 +500,7 @@ class TestPinnedBytes:
         though version 4 no longer writes it."""
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
-        assert reference_encode(value)[1:] == golden[1:]
+        assert before_v5(reference_encode(value)) == golden[1:]
 
     @pytest.mark.parametrize(
         "value,golden", GOLDEN_V3,
@@ -448,10 +518,24 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V4)],
     )
     def test_golden_v4_both_ways(self, value, golden):
-        assert encode(value) == golden
+        """A v4 body still decodes, and version 5 writes it again under
+        its own stamp, but for the one row it changed."""
+        assert before_v5(encode(value)) == golden[1:]
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
         # The v3 walk reads it once its scalars are tagged again.
+        legacy = reference_decode(retagged(encode(value)))
+        assert reference_encode(legacy) == reference_encode(value)
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V5,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V5)],
+    )
+    def test_golden_v5_both_ways(self, value, golden):
+        assert encode(value) == golden
+        decoded = decode(golden)
+        assert decoded == value and type(decoded) is type(value)
         legacy = reference_decode(retagged(golden))
         assert reference_encode(legacy) == reference_encode(value)
 
