@@ -2,15 +2,15 @@
 
 Times ``repro lint`` over ``src/repro`` -- every file parsed exactly
 once into the shared :class:`~repro.lint.model.SourceModel`, all six
-passes (including the interprocedural race/escape/async-hazard
-analyses and the call graph they share) running over that one AST
-forest.
+passes (including the interprocedural race and escape analyses, the
+call graph they share, and the torn-write check) running over that one
+AST forest.
 
 There is no cache and no diff-scoped mode, so every run is the cold
 whole-tree run; its wall time is recorded.  The old "all passes within
 2x the DVS001-014 passes" budget is gone with the taint pass it was
-written for: what is left above DVS014 is asyncflow, which rides the
-same call graph, and the two runs now time the same (ratio 1.0 +- the
+written for: what is left above DVS014 is asyncflow's DVS018, which
+reads the same IR, and the two runs now time the same (ratio 1.0 +- the
 host's noise), so the ratio measures nothing.
 
 Results are written to ``BENCH_lint.json`` at the repository root (CI

@@ -14,9 +14,12 @@ Six passes guard the properties the paper's formalism rests on:
    runtime's sync-facade/event-loop split (rules DVS012-DVS013);
 5. *escape* -- transition effects never leak aliases of mutable layer
    state across a layer boundary (rule DVS014);
-6. *asyncflow* -- async-hazard analysis of the event loop hosting the
-   stack: blocking calls, dropped tasks, torn invariants at awaits
-   (rules DVS016-DVS018).
+6. *asyncflow* -- torn invariants at an ``await`` in the event loop
+   hosting the stack (rule DVS018).
+
+The passes keep only what no dynamic test catches: ``tests/mutants.py``
+records, per product mutant, which rules flag it and which test kills
+it, and a rule whose every mutant has a killer is retired.
 
 Use from code or tests::
 

@@ -4,7 +4,7 @@ Each rule has a stable id (``DVS001``...), the pass it belongs to, a
 one-line summary and a generic fix hint.  Findings carry a
 site-specific message; the hint is the generic remedy shown alongside.
 
-Passes (see DESIGN.md section 7):
+Passes (see DESIGN.md section 8):
 
 1. **wellformed** -- the ``pre_``/``eff_``/``cand_`` contract of
    :class:`repro.ioa.automaton.TransitionAutomaton` subclasses, plus
@@ -23,9 +23,11 @@ Passes (see DESIGN.md section 7):
    layer's mutable state into another layer's reachable set (the
    static counterpart of the runtime
    :class:`~repro.gcs.effect_check.EffectIsolationChecker`).
-6. **asyncflow** -- async-hazard analysis of the live runtime: no
-   blocking calls reachable from a coroutine, no dropped task handles,
-   no ``await`` between writes to the same layer state.
+6. **asyncflow** -- no ``await`` between two writes to the same layer
+   state in a coroutine of the live runtime.
+
+Retired ids are never reused (DESIGN.md section 8 says what replaced
+each): DVS015, DVS016, DVS017, DVS019-DVS027.
 """
 
 from dataclasses import dataclass
@@ -162,24 +164,6 @@ _RULES = (
         "hand a copy across the layer boundary (list(xs), dict(m), "
         "set(s)); shared aliases let one layer mutate another's state "
         "behind the automaton's back",
-    ),
-    Rule(
-        "DVS016",
-        "blocking-call-on-loop",
-        "asyncflow",
-        "blocking call reachable from a coroutine",
-        "the event loop hosts every node's timers and heartbeats; move "
-        "the blocking call to the facade thread or a run_in_executor "
-        "job (time.sleep -> asyncio.sleep, Future.result -> await)",
-    ),
-    Rule(
-        "DVS017",
-        "orphaned-task",
-        "asyncflow",
-        "create_task/ensure_future result dropped",
-        "keep the returned task in an attribute (or a set with a "
-        "done-callback that discards it); an unreferenced task can be "
-        "garbage-collected mid-flight and its exception is lost",
     ),
     Rule(
         "DVS018",

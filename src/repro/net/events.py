@@ -45,7 +45,6 @@ class _Event:
     time: float
     seq: int
     callback: Callable = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventQueue:
@@ -61,28 +60,20 @@ class EventQueue:
         self.now = 0.0
 
     def schedule(self, delay, callback):
-        """Schedule ``callback`` to run ``delay`` time units from now.
-
-        Returns a handle that can be passed to :meth:`cancel`.
-        """
+        """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError("delay must be nonnegative")
         event = _Event(self.now + delay, next(self._counter), callback)
         heapq.heappush(self._heap, event)
         return event
 
-    def cancel(self, event):
-        event.cancelled = True
-
     def __len__(self):
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     def run_until(self, deadline):
         """Fire events with time <= deadline; advance ``now`` to deadline."""
         while self._heap and self._heap[0].time <= deadline:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self.now = event.time
             event.callback()
         self.now = max(self.now, deadline)
@@ -97,8 +88,6 @@ class EventQueue:
         fired = 0
         while self._heap:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             if event.time > max_time:
                 # Out of simulated time; leave the event unfired.
                 heapq.heappush(self._heap, event)

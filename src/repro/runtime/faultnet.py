@@ -125,7 +125,8 @@ class LiveNemesis:
         #: In-flight crash/recover tasks: a strong reference keeps them
         #: collectable only after completion, and the done-callback
         #: surfaces their exceptions into :attr:`errors` instead of
-        #: letting the loop swallow them (DVS017).
+        #: letting the loop swallow them (pinned by
+        #: ``test_nemesis_crash_failures_are_captured_not_lost``).
         self.tasks = set()
         self.errors = []
 

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import repro
 from repro.apps.kv_store import KvReplica
 from repro.faults.nemesis import NemesisPlan
 from repro.gcs.to_layer import NORMAL
@@ -27,9 +28,8 @@ from repro.runtime.cluster import RuntimeCluster
 
 PIDS = ["n1", "n2", "n3"]
 WAIT = 30.0
-SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
-)
+# The tree this process imports, so a ``serve`` child runs the same code.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def track(nodes):

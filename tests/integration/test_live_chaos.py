@@ -30,7 +30,7 @@ from repro.obs.record import ReplayTrace
 from repro.runtime.chaos import run_live_chaos
 from repro.runtime.cluster import RuntimeCluster
 
-from tests.lint.test_races import _MUTATIONS as RACE_MUTATIONS
+from tests.mutants import BY_NAME, mutate
 
 PIDS = ["n1", "n2", "n3"]
 
@@ -131,14 +131,12 @@ class TestMarshallingUnderAsyncioDebug:
         assert result.violations == []
         assert result.stats["deliveries"] > 0
 
-        # The same mutant the linter's DVS012/013 test applies.
-        original, replacement, _ = RACE_MUTATIONS["bcast_wrap"]
+        # The registry mutant the linter's DVS012 test applies.
         with open(inspect.getsourcefile(RuntimeCluster),
                   encoding="utf-8") as handle:
             source = handle.read()
-        assert original in source, "mutation anchor drifted"
         mutant_path = tmp_path / "cluster_mutant.py"
-        mutant_path.write_text(source.replace(original, replacement))
+        mutant_path.write_text(mutate(BY_NAME["bcast_wrap"], source))
         spec = importlib.util.spec_from_file_location(
             "cluster_mutant", mutant_path
         )

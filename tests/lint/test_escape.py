@@ -4,14 +4,15 @@ deleting the ``frozenset`` copy in the real ``VsToDvs.eff_vs_newview``
 must reintroduce a finding.
 """
 
-import os
-
 from repro.lint import LintConfig, lint_paths
-from repro.lint.engine import iter_python_files
-from repro.lint.model import SourceModel
-from repro.lint import escape
 
-from tests.lint.conftest import fixture_path, findings_for, rule_ids
+from tests.lint.conftest import (
+    findings_for,
+    fixture_path,
+    lint_mutant,
+    rule_ids,
+)
+from tests.mutants import MUTANTS
 
 ESCAPE_ONLY = LintConfig(select={"DVS014"})
 
@@ -40,28 +41,14 @@ def test_real_tree_is_clean():
     assert report.ok, report.to_text()
 
 
-def test_dropping_the_frozenset_copy_reintroduces_the_leak():
+def test_dropping_the_frozenset_copy_reintroduces_the_leak(tmp_path):
     """The static counterpart of gcs/effect_check.py: the InfoMsg a
     view change publishes must carry a frozen copy of ``amb``, never
-    the live set."""
-    target = os.path.join("src", "repro", "dvs", "vs_to_dvs.py")
-    with open(target, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    original = "InfoMsg(state.act, frozenset(state.amb))"
-    assert original in source, "mutation anchor drifted"
-    mutated = source.replace(
-        original, "InfoMsg(state.act, state.amb)"
-    )
-    model = SourceModel()
-    for path in iter_python_files(["src/repro"]):
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        model.add_module(
-            path, mutated if path.endswith("vs_to_dvs.py") else text
-        )
-    findings = escape.run_pass(model, LintConfig())
-    assert any(
-        f.rule == "DVS014" and "state.amb" in f.message
-        and f.path.endswith("vs_to_dvs.py")
-        for f in findings
-    ), [f.message for f in findings]
+    the live set (the registry's DVS014 mutants, ``tests/mutants.py``)."""
+    for mutant in MUTANTS:
+        if "DVS014" in mutant.rules:
+            report = lint_mutant(tmp_path / mutant.name, mutant, {"DVS014"})
+            assert any(
+                "state.amb" in f.message and f.path.endswith(mutant.file)
+                for f in report.findings
+            ), report.to_text()

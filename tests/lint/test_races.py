@@ -1,10 +1,10 @@
 """DVS012/DVS013: the thread-boundary race detector on its fixtures,
 plus the acceptance-critical mutation checks -- deleting any designated
-handoff in the real ``runtime/cluster.py`` must reintroduce findings.
+handoff in the real ``runtime/cluster.py`` (the registry mutants of
+``tests/mutants.py``) must reintroduce findings.
 """
 
 import os
-import shutil
 
 import pytest
 
@@ -13,11 +13,15 @@ from repro.lint.races import _ThreadBoundaryAnalysis
 from repro.lint.engine import iter_python_files
 from repro.lint.model import SourceModel
 
-from tests.lint.conftest import fixture_path, findings_for, rule_ids
+from tests.lint.conftest import (
+    findings_for,
+    fixture_path,
+    lint_mutant,
+    rule_ids,
+)
+from tests.mutants import BY_NAME, MUTANTS, mutate
 
 RACE_RULES = frozenset({"DVS012", "DVS013"})
-
-SRC_RUNTIME = os.path.join("src", "repro", "runtime")
 
 
 def _config(glob):
@@ -71,48 +75,17 @@ def test_classification_of_the_real_runtime():
     assert "RuntimeCluster" not in analysis.loop_owned
 
 
-# -- Handoff-deletion mutations on the real cluster -------------------
-
-_MUTATIONS = {
-    "stop_wrap": (
-        "self._loop.call_soon_threadsafe(self._loop.stop)",
-        "self._loop.stop()",
-        {"DVS013"},
-    ),
-    # Pure: the same call with the same arguments, on the caller thread
-    # (tests/integration/test_live_chaos.py applies this one dynamically).
-    "bcast_wrap": (
-        "self._call(call)",
-        "self._nodes[pid].tower.bcast(payload, ordering)",
-        {"DVS012"},
-    ),
-    # Pure: the node is still stopped, on the loop; only the thread the
-    # three pops run on changes.
-    "kill_wrap": (
-        "self._call(self._kill_async, pid, timeout=timeout)",
-        "node = self._nodes.pop(pid)\n"
-        "        self._apps.pop(pid, None)\n"
-        "        self._cb_apps.pop(pid, None)\n"
-        "        self._call(node.stop, timeout=timeout)",
-        {"DVS012"},
-    ),
-}
+# -- Handoff-deletion mutants on the real cluster (tests/mutants.py) ---
 
 
-@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+@pytest.mark.parametrize(
+    "name", [m.name for m in MUTANTS if m.rules & RACE_RULES]
+)
 def test_deleting_a_handoff_reintroduces_findings(tmp_path, name):
     """Acceptance: un-marshalling any cluster operation is reported."""
-    original, replacement, expected_rules = _MUTATIONS[name]
-    tree = tmp_path / "repro" / "runtime"
-    shutil.copytree(SRC_RUNTIME, tree)
-    cluster = tree / "cluster.py"
-    source = cluster.read_text()
-    assert original in source, "mutation anchor drifted"
-    cluster.write_text(source.replace(original, replacement))
-    report = lint_paths([str(tmp_path)], config=LintConfig(
-        select=RACE_RULES,
-    ))
-    assert expected_rules <= rule_ids(report), report.to_text()
+    mutant = BY_NAME[name]
+    report = lint_mutant(tmp_path, mutant, RACE_RULES)
+    assert mutant.rules <= rule_ids(report), report.to_text()
     assert all(f.path.endswith("cluster.py") for f in report.findings)
 
 
@@ -120,18 +93,12 @@ def test_bcast_unwrap_flags_the_loop_owned_call():
     """With the hosted layers in view, un-marshalling bcast() is also a
     DVS013: the points-to closure resolves _nodes[pid].tower to the
     loop-owned Tower."""
-    with open(os.path.join(SRC_RUNTIME, "cluster.py"),
-              encoding="utf-8") as handle:
-        source = handle.read()
-    original, replacement, _ = _MUTATIONS["bcast_wrap"]
-    assert original in source, "mutation anchor drifted"
-    mutated = source.replace(original, replacement)
     model = SourceModel()
     for path in iter_python_files(["src/repro"]):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         if path.endswith(os.path.join("runtime", "cluster.py")):
-            text = mutated
+            text = mutate(BY_NAME["bcast_wrap"], text)
         model.add_module(path, text)
     analysis = _ThreadBoundaryAnalysis(model, LintConfig())
     findings = analysis.run()

@@ -25,8 +25,6 @@ RULE_FIXTURES = {
     "DVS012": ("races_bad.py", "races_good.py"),
     "DVS013": ("races_bad.py", "races_good.py"),
     "DVS014": ("escape_bad.py", "escape_good.py"),
-    "DVS016": ("async_bad.py", "async_good.py"),
-    "DVS017": ("async_bad.py", "async_good.py"),
     "DVS018": ("async_bad.py", "async_good.py"),
 }
 

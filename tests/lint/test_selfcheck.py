@@ -36,15 +36,9 @@ SEEDED = {
     "async_bad.py": {
         "config": {
             "runtime_globs": ("*/fixtures/async_bad.py",),
-            "select": {"DVS016", "DVS017", "DVS018"},
+            "select": {"DVS018"},
         },
-        "expected": {
-            ("DVS016", 25),
-            ("DVS016", 26),
-            ("DVS018", 34),
-            ("DVS017", 38),
-            ("DVS016", 42),
-        },
+        "expected": {("DVS018", 20)},
     },
 }
 

@@ -46,23 +46,6 @@ class TestScheduling:
         assert fired == [1, 2]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        q = EventQueue()
-        fired = []
-        handle = q.schedule(1, lambda: fired.append("x"))
-        q.cancel(handle)
-        q.run_until(5)
-        assert fired == []
-
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        h = q.schedule(1, lambda: None)
-        q.schedule(2, lambda: None)
-        q.cancel(h)
-        assert len(q) == 1
-
-
 class TestQuiescence:
     def test_run_to_quiescence_counts(self):
         q = EventQueue()
@@ -106,12 +89,4 @@ class TestQuiescence:
             q.schedule(1, lambda: None)
         status = q.run_to_quiescence(max_events=5)
         assert status.fired == 5
-        assert status.quiescent
-
-    def test_budget_with_only_cancelled_left_is_quiescent(self):
-        q = EventQueue()
-        q.schedule(1, lambda: None)
-        handle = q.schedule(2, lambda: None)
-        q.cancel(handle)
-        status = q.run_to_quiescence(max_events=1)
         assert status.quiescent

@@ -245,6 +245,42 @@ def test_link_close_raises_without_an_error_sink():
     run(scenario())
 
 
+def test_link_close_reaps_the_redial_of_a_lost_connection():
+    """The redial a lost connection starts is the link's task like the
+    first dial: ``close()`` must cancel it while it backs off, or it
+    outlives the link with nobody to hear its exception."""
+    async def scenario():
+        accepted = []
+        refused = asyncio.Event()
+
+        async def accept(reader, writer):
+            accepted.append(writer)
+
+        server = await asyncio.start_server(accept, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        link = PeerLink(
+            "a", "b", resolve=lambda: ("127.0.0.1", port),
+            retry_min=5.0, retry_max=5.0, stable_after=0.0,
+            on_refused=lambda peer: refused.set(),
+        ).start()
+        while not accepted:
+            await asyncio.sleep(0.01)
+        # The peer's listener goes, then its end of the connection: the
+        # redial is refused at once and backs off for seconds.
+        server.close()
+        accepted[0].close()
+        await server.wait_closed()
+        await asyncio.wait_for(refused.wait(), 5.0)
+        await link.close()
+        dialling = [
+            task for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ == "PeerLink._dial"
+        ]
+        assert dialling == []
+
+    run(scenario())
+
+
 def test_a_failing_heartbeat_tick_is_recorded_and_the_tick_goes_on():
     """The estimator has no task whose teardown could hide an error: the
     node drives ``poll`` from the loop, so a failing poll lands in
@@ -336,7 +372,8 @@ def test_estimator_evidence_map_stays_bounded_over_churn():
 # -- 6. nemesis task references ----------------------------------------------
 
 
-def test_nemesis_crash_failures_are_captured_not_lost():
+@pytest.mark.parametrize("kind", ["crash", "recover"])
+def test_nemesis_crash_failures_are_captured_not_lost(kind):
     """``_apply`` used to drop the ``ensure_future`` result: a failing
     kill/revive was garbage-collected with its exception unobserved."""
 
@@ -352,8 +389,11 @@ def test_nemesis_crash_failures_are_captured_not_lost():
         async def nemesis_kill(self, pid):
             raise RuntimeError("kill failed: " + pid)
 
+        async def nemesis_revive(self, pid):
+            raise RuntimeError("revive failed: " + pid)
+
     async def scenario():
-        nemesis = LiveNemesis([(0.0, "crash", ("p1",))])
+        nemesis = LiveNemesis([(0.0, kind, ("p1",))])
         nemesis.arm(_Cluster())
         await asyncio.sleep(0.05)
         assert [type(e) for e in nemesis.errors] == [RuntimeError]

@@ -1,6 +1,6 @@
 """The clean-tree gate: ``repro lint`` must pass on the shipped source.
 
-This is the CI contract of DESIGN.md sections 7 and 10: every rule of
+This is the CI contract of DESIGN.md sections 8 and 10: every rule of
 the six passes holds on ``src/repro`` (modulo explicitly visible
 ``# lint: ignore`` sites -- there are no blanket package exclusions).
 The analyzer runs once, cold, over the whole tree; the gate tests
@@ -33,15 +33,16 @@ def test_source_tree_scan_covers_the_package(tree_report):
 
 def test_rule_registry_shape():
     # Retired, not renumbered (DESIGN.md section 8): DVS015 (wire-schema
-    # drift; codec.schema_drift() is the guard), DVS019 (lock-order
-    # cycles; the product holds no two locks to order) and DVS020/021
-    # (wire taint, unbounded receive containers; two named dynamic
-    # tests kill both product mutants).
+    # drift; codec.schema_drift() is the guard), DVS016/017 (blocking
+    # calls, dropped tasks) and DVS020/021 (wire taint, unbounded
+    # receive containers), whose product mutants all have a named
+    # dynamic killer in tests/mutants.py, and DVS019 (lock-order
+    # cycles; the product holds no two locks to order).
     assert sorted(RULES) == [
         "DVS{0:03d}".format(number)
-        for number in range(1, 19) if number != 15
+        for number in range(1, 19) if number not in (15, 16, 17)
     ]
-    assert len(RULES) == 17
+    assert len(RULES) == 15
     for rule_id, rule in RULES.items():
         assert rule_id == rule.id
         assert rule.lint_pass in PASSES
