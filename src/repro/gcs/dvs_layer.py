@@ -138,6 +138,12 @@ class DvsLayer(VsListener, RecorderMixin):
         else:
             self._on_client_payload(payload, sender)
 
+    def on_vs_batch_end(self):
+        """VS delivered every position of a frame: acknowledge them all
+        at once (:meth:`_send_ack`).  gcsbench brackets no such method,
+        so the ack's own time counts in its ``vs`` span."""
+        self._send_ack()
+
     def on_vs_safe(self, payload, sender):
         """A no-op that nothing calls: the VS stack below reports no
         stability.  Kept only because gcsbench brackets this method by
@@ -206,16 +212,17 @@ class DvsLayer(VsListener, RecorderMixin):
         self.client_history.append((payload, sender))
         if self.listener.wants_dvs_safe:
             self.ack_wanted = len(self.client_history)
-        self._send_ack()
 
     def _send_ack(self):
         """Acknowledge every client delivery so far, if a reader wants one
-        of them reported safe and no ack of ours is still un-echoed:
-        counts are cumulative and receivers keep the maximum, so its echo
-        sends the next one (self-clocked by the sequencer round trip --
-        one ack per delivery under light load, coalesced under load, no
-        timer).  A count still means "k client deliveries", wanted or
-        not, so peers of any version read it the same way."""
+        of them reported safe and no ack of ours is still un-echoed.
+        Called once per VS frame, after its last delivery: counts are
+        cumulative and receivers keep the maximum, so the frame that
+        carries our echo ends with the next ack, covering the whole
+        frame (self-clocked by the sequencer round trip -- one ack per
+        frame under light load, coalesced under load, no timer).  A
+        count still means "k client deliveries", wanted or not, so peers
+        of any version read it the same way."""
         if (
             self.ack_wanted > self.ack_sent == self.acked.get(self.pid, 0)
             and self.cur is not None and self.client_cur is not None
@@ -227,17 +234,17 @@ class DvsLayer(VsListener, RecorderMixin):
     def _on_ack(self, ack, sender):
         if ack.count > self.acked.get(sender, 0):
             self.acked[sender] = ack.count
-        if sender == self.pid:
-            self._send_ack()
         self._release_safe()
 
     def _release_safe(self):
         view = self.client_cur
         if view is None or self.cur is None or view.id != self.cur.id:
             return
-        while self.safe_ptr < len(self.client_history) and all(
-            self.acked.get(r, 0) > self.safe_ptr for r in view.set
-        ):
+        stable = min(
+            len(self.client_history),
+            min(self.acked.get(r, 0) for r in view.set),
+        )
+        while self.safe_ptr < stable:
             payload, sender = self.client_history[self.safe_ptr]
             self.safe_ptr += 1
             self._record("dvs_safe", payload, sender, self.pid)

@@ -17,8 +17,11 @@ no ``Data`` hop to itself) before a zero-delay ``vs_flush`` timer fires
 gets the next consecutive slots and leaves in one frame -- ``Ordered``
 for a run of one, ``OrderedRun`` otherwise.  A view change discards the
 pending run with the rest of the view's ordering state.  There is one
-delivery path: a delivered position leaves the buffer at once, and the
-stack tracks no VS-level stability (no VS-SAFE).  Nothing would read it:
+delivery path: a delivered position leaves the buffer at once, and a
+frame that delivered any position ends with one
+:meth:`VsListener.on_vs_batch_end`, where the layer above acknowledges
+the whole frame at once.  The stack tracks no VS-level stability (no
+VS-SAFE).  Nothing would read it:
 :class:`~repro.gcs.dvs_layer.DvsLayer` derives ``dvs_safe`` from
 client-level acknowledgements, because Figure 3's forwarding of VS-SAFE
 to DVS-SAFE is unsound (DESIGN §5).
@@ -61,6 +64,12 @@ class VsListener:
 
     def on_vs_gprcv(self, payload, sender):
         """A payload from ``sender`` was delivered in the current view."""
+
+    def on_vs_batch_end(self):
+        """The frame just accepted delivered its last position: every
+        ``on_vs_gprcv`` it caused has been made.  A scheduling point, not
+        a VS action (nothing is recorded); never called for a frame that
+        delivered nothing."""
 
 
 class _ViewOrderingState:
@@ -214,7 +223,8 @@ class VsStackNode(Node, RecorderMixin):
     def _accept(self, vid, first_seq, entries):
         """Member: ``entries`` hold positions ``first_seq``, ``first_seq +
         1``, ...; buffer them and deliver in sequence order.  A position
-        already delivered or buffered keeps what it has."""
+        already delivered or buffered keeps what it has.  A frame that
+        delivered anything ends with one ``on_vs_batch_end``."""
         if not self._in_current_view(vid):
             return
         ordering = self.ordering
@@ -222,11 +232,14 @@ class VsStackNode(Node, RecorderMixin):
         for seq, entry in enumerate(entries, first_seq):
             if seq >= ordering.next_deliver:
                 buffer.setdefault(seq, entry)
+        first = ordering.next_deliver
         while ordering.next_deliver in buffer:
             payload, sender = buffer.pop(ordering.next_deliver)
             ordering.next_deliver += 1
             self._record("vs_gprcv", payload, sender, self.pid)
             self.listener.on_vs_gprcv(payload, sender)
+        if ordering.next_deliver != first:
+            self.listener.on_vs_batch_end()
 
     def _drop(self, src, msg):
         """A stability frame (``Ack``, ``SafeNote``) from an old peer or a

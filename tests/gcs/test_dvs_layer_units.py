@@ -83,33 +83,39 @@ class TestAttemptFlow:
         assert ("doomed", "b") not in sink.delivered
 
 
+def deliver(dvs, *entries):
+    """One VS frame: deliver each ``(payload, sender)`` in order, then
+    end the batch, as ``VsStackNode._accept`` does."""
+    for payload, sender in entries:
+        dvs.on_vs_gprcv(payload, sender)
+    dvs.on_vs_batch_end()
+
+
 class TestAckedSafe:
     def test_client_delivery_sends_ack(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m", "b")
+        deliver(dvs, ("m", "b"))
         assert AckMsg(1) in stack.sent
 
     def test_safe_needs_all_members(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m", "b")
-        dvs.on_vs_gprcv(AckMsg(1), "a")
-        dvs.on_vs_gprcv(AckMsg(1), "b")
+        deliver(dvs, ("m", "b"))
+        deliver(dvs, (AckMsg(1), "a"))
+        deliver(dvs, (AckMsg(1), "b"))
         assert sink.safe == []
-        dvs.on_vs_gprcv(AckMsg(1), "c")
+        deliver(dvs, (AckMsg(1), "c"))
         assert sink.safe == [("m", "b")]
 
     def test_vs_safe_alone_is_ignored(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m", "b")
+        deliver(dvs, ("m", "b"))
         dvs.on_vs_safe("m", "b")
         assert sink.safe == []
 
     def test_safe_released_in_order(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m1", "b")
-        dvs.on_vs_gprcv("m2", "c")
-        for q in ["a", "b", "c"]:
-            dvs.on_vs_gprcv(AckMsg(2), q)
+        deliver(dvs, ("m1", "b"), ("m2", "c"))
+        deliver(dvs, *[(AckMsg(2), q) for q in ["a", "b", "c"]])
         assert sink.safe == [("m1", "b"), ("m2", "c")]
 
 
@@ -166,32 +172,49 @@ def acks(stack):
 
 
 class TestAckCoalescing:
-    """At most one cumulative AckMsg of ours is un-echoed at any time."""
+    """At most one cumulative AckMsg of ours is un-echoed at any time,
+    and it goes out when a VS frame ends, covering the whole frame."""
 
     def test_burst_while_in_flight_yields_one_ack_on_echo(self):
         dvs, stack, sink, v0 = layer()
         for i in range(5):
-            dvs.on_vs_gprcv(("m", i), "b")
+            deliver(dvs, (("m", i), "b"))
         assert acks(stack) == [AckMsg(1)]
-        dvs.on_vs_gprcv(AckMsg(1), "a")  # our own ack, back through VS
+        deliver(dvs, (AckMsg(1), "a"))  # our own ack, back through VS
         assert acks(stack) == [AckMsg(1), AckMsg(5)]
-        dvs.on_vs_gprcv(AckMsg(5), "a")  # nothing delivered meanwhile
+        deliver(dvs, (AckMsg(5), "a"))  # nothing delivered meanwhile
         assert acks(stack) == [AckMsg(1), AckMsg(5)]
-        dvs.on_vs_gprcv(("m", 5), "c")   # light load: acked at once
+        deliver(dvs, (("m", 5), "c"))   # light load: acked at once
         assert acks(stack) == [AckMsg(1), AckMsg(5), AckMsg(6)]
+
+    def test_echo_inside_a_frame_acks_the_whole_frame(self):
+        """The sequencer runs our echo ahead of client payloads: the next
+        ack waits for the frame's end and counts all of them, also when
+        a delivery from an earlier frame is still unacknowledged."""
+        dvs, stack, sink, v0 = layer()
+        deliver(dvs, ("m1", "b"))
+        assert acks(stack) == [AckMsg(1)]
+        deliver(
+            dvs, (AckMsg(1), "a"),
+            *[("m{0}".format(i), "bc"[i % 2]) for i in range(2, 6)]
+        )
+        assert acks(stack) == [AckMsg(1), AckMsg(5)]
+        deliver(dvs, ("m6", "b"))  # AckMsg(5) in flight: nothing sent
+        deliver(dvs, (AckMsg(5), "a"), ("m7", "c"), ("m8", "b"))
+        assert acks(stack) == [AckMsg(1), AckMsg(5), AckMsg(8)]
 
     def test_peers_acks_do_not_clock_ours(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m1", "b")
-        dvs.on_vs_gprcv("m2", "b")
-        dvs.on_vs_gprcv(AckMsg(2), "b")
-        dvs.on_vs_gprcv(AckMsg(2), "c")
+        deliver(dvs, ("m1", "b"))
+        deliver(dvs, ("m2", "b"))
+        deliver(dvs, (AckMsg(2), "b"))
+        deliver(dvs, (AckMsg(2), "c"))
         assert acks(stack) == [AckMsg(1)]
         assert sink.safe == []  # still waiting for *our* count
-        dvs.on_vs_gprcv(AckMsg(1), "a")
+        deliver(dvs, (AckMsg(1), "a"))
         assert acks(stack) == [AckMsg(1), AckMsg(2)]
         assert sink.safe == [("m1", "b")]
-        dvs.on_vs_gprcv(AckMsg(2), "a")
+        deliver(dvs, (AckMsg(2), "a"))
         assert sink.safe == [("m1", "b"), ("m2", "b")]
 
     def test_burst_released_at_attempt_time(self):
@@ -199,38 +222,38 @@ class TestAckCoalescing:
         v1 = make_view(1, {"a", "b"})
         dvs.on_vs_newview(v1)
         for i in range(4):
-            dvs.on_vs_gprcv(("early", i), "b")
+            deliver(dvs, (("early", i), "b"))
         assert acks(stack) == []  # buffered: no client has seen them
-        dvs.on_vs_gprcv(InfoMsg(v0, frozenset()), "b")
+        deliver(dvs, (InfoMsg(v0, frozenset()), "b"))
         assert len(sink.delivered) == 4
-        assert acks(stack) == [AckMsg(1)]
-        dvs.on_vs_gprcv(AckMsg(1), "a")
-        assert acks(stack) == [AckMsg(1), AckMsg(4)]
+        assert acks(stack) == [AckMsg(4)]  # the attempt's frame, whole
+        deliver(dvs, (AckMsg(4), "a"))
+        assert acks(stack) == [AckMsg(4)]
 
     def test_duplicated_own_echo_is_harmless(self):
         dvs, stack, sink, v0 = layer()
         for i in range(3):
-            dvs.on_vs_gprcv(("m", i), "b")
-        dvs.on_vs_gprcv(AckMsg(1), "a")
-        dvs.on_vs_gprcv(AckMsg(1), "a")  # faultnet duplication
+            deliver(dvs, (("m", i), "b"))
+        deliver(dvs, (AckMsg(1), "a"))
+        deliver(dvs, (AckMsg(1), "a"))  # faultnet duplication
         assert acks(stack) == [AckMsg(1), AckMsg(3)]
-        dvs.on_vs_gprcv(("m", 3), "b")
+        deliver(dvs, (("m", 3), "b"))
         assert acks(stack) == [AckMsg(1), AckMsg(3)]  # AckMsg(3) in flight
-        dvs.on_vs_gprcv(AckMsg(3), "a")
-        dvs.on_vs_gprcv(AckMsg(3), "a")
+        deliver(dvs, (AckMsg(3), "a"))
+        deliver(dvs, (AckMsg(3), "a"))
         assert acks(stack) == [AckMsg(1), AckMsg(3), AckMsg(4)]
 
     def test_newview_resets_in_flight_state(self):
         dvs, stack, sink, v0 = layer()
-        dvs.on_vs_gprcv("m1", "b")
-        dvs.on_vs_gprcv("m2", "b")  # AckMsg(1) un-echoed, lost with v0
+        deliver(dvs, ("m1", "b"))
+        deliver(dvs, ("m2", "b"))  # AckMsg(1) un-echoed, lost with v0
         v1 = make_view(1, {"a", "b"})
         dvs.on_vs_newview(v1)
-        dvs.on_vs_gprcv(InfoMsg(v0, frozenset()), "b")
-        dvs.on_vs_gprcv("m3", "b")
+        deliver(dvs, (InfoMsg(v0, frozenset()), "b"))
+        deliver(dvs, ("m3", "b"))
         assert acks(stack) == [AckMsg(1), AckMsg(1)]  # counts restart
-        dvs.on_vs_gprcv(AckMsg(1), "b")
-        dvs.on_vs_gprcv(AckMsg(1), "a")
+        deliver(dvs, (AckMsg(1), "b"))
+        deliver(dvs, (AckMsg(1), "a"))
         assert sink.safe == [("m3", "b")]
 
 

@@ -218,3 +218,43 @@ class TestSequencerRuns:
         node._on_ordered("a", Ordered(vid, 5, "forged 5", "a"))
         assert got == ["m1", "m2", "m3", "m4", "m5"]
         assert node.ordering.next_deliver == 6
+
+
+def upcalls(node):
+    """Route ``node``'s deliveries and batch ends into the returned list."""
+    calls = recording(node)
+    node.listener.on_vs_batch_end = lambda: calls.append("end")
+    return calls
+
+
+class TestBatchEnd:
+    """A frame that delivers positions ends with one ``on_vs_batch_end``,
+    after its last ``on_vs_gprcv``; one that delivers nothing, none."""
+
+    def test_a_run_that_fills_positions_ends_once_after_them(self):
+        net, nodes, v0 = wire(["a", "b"])
+        node = nodes["b"]
+        vid = node.view.id
+        calls = upcalls(node)
+        node._on_ordered_run("a", OrderedRun(
+            vid, 1, (("m1", "a"), ("m2", "b"), ("m3", "a")),
+        ))
+        assert calls == ["m1", "m2", "m3", "end"]
+        node._on_ordered("a", Ordered(vid, 4, "m4", "b"))
+        assert calls == ["m1", "m2", "m3", "end", "m4", "end"]
+
+    def test_a_run_behind_a_gap_or_for_a_stale_view_ends_nothing(self):
+        net, nodes, v0 = wire(["a", "b"])
+        node = nodes["b"]
+        vid = node.view.id
+        calls = upcalls(node)
+        node._on_ordered_run("a", OrderedRun(
+            vid, 2, (("m2", "a"), ("m3", "a")),
+        ))
+        node._on_ordered_run("a", OrderedRun(
+            ViewId(0, ""), 1, (("old", "a"), ("older", "a")),
+        ))
+        node._on_ordered("a", Ordered(vid, 3, "m3 again", "a"))
+        assert calls == []
+        node._on_ordered("a", Ordered(vid, 1, "m1", "b"))  # fills the gap
+        assert calls == ["m1", "m2", "m3", "end"]

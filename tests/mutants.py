@@ -228,6 +228,18 @@ MUTANTS = (
         "tests/gcs/test_stack_protocol_units.py::TestSequencerRuns::"
         "test_overlapping_and_duplicate_positions_are_ignored",
     ),
+    # The self-clock as it was before acks waited for the frame's end.
+    Mutant(
+        "mid_batch_ack", "gcs/dvs_layer.py",
+        "            self.acked[sender] = ack.count\n",
+        "            self.acked[sender] = ack.count\n"
+        "        if sender == self.pid:\n"
+        "            self._send_ack()\n",
+        "`DvsLayer._on_ack` sends the next ack at its own echo, mid-frame",
+        frozenset(),
+        "tests/gcs/test_dvs_layer_units.py::TestAckCoalescing::"
+        "test_echo_inside_a_frame_acks_the_whole_frame",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

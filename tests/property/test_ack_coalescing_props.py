@@ -14,13 +14,22 @@ and heals on the simulated tower:
   that does not exist) -- for everything it delivered when every reader
   wants it -- and every TO broadcast reached everyone;
 - ``ToLayer.ordered`` is exactly the membership index of ``ToLayer.order``.
+
+The simulated tower seldom sequences a member's own ack echo ahead of
+client payloads in one frame, so :class:`TestAckAtBatchEnd` drives one
+``DvsLayer`` directly, over a fake stack, with random frames that put
+client payloads, peers' acks and the own echo at any position.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checking import check_dvs_trace_properties
+from repro.core import make_view
+from repro.core.messages import InfoMsg
+from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.cluster import Cluster
+from repro.gcs.dvs_layer import DvsLayer, DvsListener
 
 PIDS = ["a", "b", "c"]
 SPLITS = [
@@ -118,3 +127,104 @@ class TestCoalescedAcks:
                 m for m, _ in cluster.delivered("a")
             ]
             assert len(cluster.delivered(p)) == sent
+
+
+class EchoStack:
+    """Stands in for member ``a``'s VS stack: keeps the counts of the
+    AckMsgs the layer sends, each in flight until a frame echoes it."""
+
+    pid = "a"
+
+    def __init__(self):
+        self.listener = None
+        self.counts = []
+        self.in_flight = []
+
+    def gpsnd(self, payload):
+        if isinstance(payload, AckMsg):
+            self.counts.append(payload.count)
+            self.in_flight.append(payload)
+
+
+class TaggedReader(DvsListener):
+    """Wants ``dvs_safe`` for TO payloads, not for CB ones."""
+
+    def on_dvs_gprcv(self, payload, sender):
+        self.wants_dvs_safe = payload[0] == "to"
+
+
+entries = st.one_of(
+    st.tuples(st.sampled_from(["to", "cb", "echo"]), st.none()),
+    st.tuples(st.just("info"), st.sampled_from("bc")),
+    st.tuples(st.just("ack"), st.tuples(
+        st.sampled_from("bc"), st.floats(min_value=0.0, max_value=1.0),
+    )),
+)
+frames = st.one_of(
+    st.tuples(st.just("frame"), st.lists(entries, min_size=1, max_size=8)),
+    st.tuples(st.just("newview"), st.none()),
+)
+
+
+class TestAckAtBatchEnd:
+    @settings(max_examples=300, deadline=None)
+    @given(script=st.lists(frames, max_size=30))
+    def test_one_ack_per_frame_covers_the_frame(self, script):
+        v0 = make_view(0, "abc")
+        stack = EchoStack()
+        dvs = DvsLayer(stack, v0, listener=TaggedReader())
+        state = {"epoch": 0, "sequenced": 0, "peers": {}, "counts": []}
+
+        def deliver(frame):
+            # Sequenced before it is delivered: the echoes it can carry
+            # are of acks sent by earlier frames.
+            sequence = []
+            for kind, arg in frame:
+                if kind in ("to", "cb"):
+                    state["sequenced"] += 1
+                    sequence.append(((kind, state["sequenced"]), "b"))
+                elif kind == "echo" and stack.in_flight:
+                    sequence.append((stack.in_flight.pop(0), "a"))
+                elif kind == "info":
+                    sequence.append((InfoMsg(v0, frozenset()), arg))
+                elif kind == "ack":
+                    # A peer acks some of what was sequenced before.
+                    peer, share = arg
+                    low = state["peers"].get(peer, 0)
+                    count = low + int(share * (state["sequenced"] - low))
+                    state["peers"][peer] = count
+                    sequence.append((AckMsg(count), peer))
+            before = len(stack.counts)
+            for payload, sender in sequence:
+                dvs.on_vs_gprcv(payload, sender)
+                assert len(stack.counts) == before  # never mid-frame
+            if sequence:
+                dvs.on_vs_batch_end()
+            for count in stack.counts[before:]:
+                assert count == len(dvs.client_history)
+            state["counts"] += stack.counts[before:]
+            assert len(stack.in_flight) <= 1
+            assert state["counts"] == sorted(set(state["counts"]))
+
+        for op, frame in script:
+            if op == "newview":
+                state.update(
+                    epoch=state["epoch"] + 1, sequenced=0, peers={},
+                    counts=[],
+                )
+                stack.in_flight.clear()  # lost with the old view
+                dvs.on_vs_newview(make_view(state["epoch"], "abc"))
+            else:
+                deliver(frame)
+
+        # Heal: attempt the view if it is not yet, then let every member
+        # ack everything and echo ours until nothing is in flight.
+        deliver([("info", "b"), ("info", "c")])
+        for _ in range(3):
+            deliver([("echo", None)] * len(stack.in_flight) + [
+                ("ack", ("b", 1.0)), ("ack", ("c", 1.0)),
+            ])
+            if not stack.in_flight:
+                break
+        assert not stack.in_flight
+        assert dvs.safe_ptr >= dvs.ack_wanted
