@@ -8,6 +8,11 @@ casts wait in a hold-back queue and are released the moment the BSS
 condition holds -- at *delivery* time, never waiting for a DVS safe
 indication, which is exactly the sequencer round-trip the TO tier pays
 and CB does not.
+
+:class:`DvsFanout` routes each received payload to the port that claims
+its type; the choice is made once per exact payload type (``isinstance``
+answers alike for every instance of one type) and forgotten whenever a
+port is added.
 """
 
 from repro.cb.clocks import drain, put
@@ -50,7 +55,8 @@ class CbLayer(DvsListener, RecorderMixin):
 
     def cbcast(self, payload):
         """Broadcast ``payload``; it will be delivered in causal order."""
-        self._record("cbcast", payload, self.pid)
+        if self.recorder is not None:
+            self._record("cbcast", payload, self.pid)
         self.delay.append(payload)
         self._drain_delay()
 
@@ -60,7 +66,8 @@ class CbLayer(DvsListener, RecorderMixin):
             self.sent += 1
             clock = put(self.delivered, self.pid, self.sent)
             msg = CbCast(self.current.id, clock, payload, self.pid)
-            self._probe("cb_label", msg, self.pid)
+            if self.recorder is not None:
+                self._probe("cb_label", msg, self.pid)
             self.dvs.gpsnd(msg)
 
     # -- DVS upcalls ----------------------------------------------------------
@@ -100,10 +107,12 @@ class CbLayer(DvsListener, RecorderMixin):
         )
         ready = [self.holdback[i] for i in released]
         self.holdback = [self.holdback[i] for i in remaining]
+        recorder = self.recorder
         for msg in ready:
             self.deliveries += 1
-            self._probe("cb_deliver", msg, self.pid)
-            self._record("cb_brcv", msg, msg.origin, self.pid)
+            if recorder is not None:
+                self._probe("cb_deliver", msg, self.pid)
+                self._record("cb_brcv", msg, msg.origin, self.pid)
             self.listener.on_cb_brcv(msg.payload, msg.origin)
 
 
@@ -155,12 +164,15 @@ class DvsFanout(DvsListener):
         self.dvs = dvs
         self.pid = dvs.pid
         self._ports = []
+        # Exact payload type -> the port :meth:`_route` chose for it.
+        self._routes = {}
         dvs.listener = self
 
     def port(self, claims=None):
         """A new tower port; ``claims`` is a type (tuple) it routes."""
         port = _FanoutPort(self, claims)
         self._ports.append(port)
+        self._routes = {}
         return port
 
     def _maybe_register(self):
@@ -168,6 +180,16 @@ class DvsFanout(DvsListener):
             self.dvs.register()
 
     def _route(self, payload):
+        """The port ``payload`` goes to, chosen once per exact type:
+        ``isinstance`` answers alike for every instance of one type.
+        Adding a port forgets every choice."""
+        try:
+            return self._routes[type(payload)]
+        except KeyError:
+            port = self._routes[type(payload)] = self._choose(payload)
+            return port
+
+    def _choose(self, payload):
         default = None
         for port in self._ports:
             if port.claims is None:

@@ -83,15 +83,20 @@ class DvsLayer(VsListener, RecorderMixin):
         # History length at the last delivery whose reader wants
         # ``dvs_safe``: nothing beyond it needs publishing.
         self.ack_wanted = 0
+        # Exact payload types :meth:`on_vs_gprcv` has found to be client
+        # payloads, so the next one of each skips the control-type tests.
+        self._client_kinds = set()
 
     # -- DVS downcalls ---------------------------------------------------------------
 
     def gpsnd(self, payload):
         """Multicast a client payload within the current primary view."""
-        if self.client_cur is None:
+        client_cur, cur = self.client_cur, self.cur
+        if client_cur is None:
             return
-        self._record("dvs_gpsnd", payload, self.pid)
-        if self.cur is not None and self.client_cur.id == self.cur.id:
+        if self.recorder is not None:
+            self._record("dvs_gpsnd", payload, self.pid)
+        if cur is not None and (client_cur is cur or client_cur.id == cur.id):
             self.stack.gpsnd(payload)
         # Otherwise the payload is addressed to a view VS has already
         # abandoned; like the automaton's stranded msgs-to-vs queue, it is
@@ -129,13 +134,16 @@ class DvsLayer(VsListener, RecorderMixin):
         self._maybe_attempt()
 
     def on_vs_gprcv(self, payload, sender):
-        if isinstance(payload, InfoMsg):
+        if type(payload) in self._client_kinds:
+            self._on_client_payload(payload, sender)
+        elif isinstance(payload, InfoMsg):
             self._on_info(payload, sender)
         elif isinstance(payload, RegisteredMsg):
             self._on_registered(sender)
         elif isinstance(payload, AckMsg):
             self._on_ack(payload, sender)
         else:
+            self._client_kinds.add(type(payload))
             self._on_client_payload(payload, sender)
 
     def on_vs_batch_end(self):
@@ -207,11 +215,14 @@ class DvsLayer(VsListener, RecorderMixin):
             self.pending_deliveries.append((payload, sender))
 
     def _deliver_to_client(self, payload, sender):
-        self._record("dvs_gprcv", payload, sender, self.pid)
-        self.listener.on_dvs_gprcv(payload, sender)
-        self.client_history.append((payload, sender))
-        if self.listener.wants_dvs_safe:
-            self.ack_wanted = len(self.client_history)
+        if self.recorder is not None:
+            self._record("dvs_gprcv", payload, sender, self.pid)
+        listener = self.listener
+        listener.on_dvs_gprcv(payload, sender)
+        history = self.client_history
+        history.append((payload, sender))
+        if listener.wants_dvs_safe:
+            self.ack_wanted = len(history)
 
     def _send_ack(self):
         """Acknowledge every client delivery so far, if a reader wants one
@@ -223,10 +234,11 @@ class DvsLayer(VsListener, RecorderMixin):
         frame under light load, coalesced under load, no timer).  A
         count still means "k client deliveries", wanted or not, so peers
         of any version read it the same way."""
+        cur, client_cur = self.cur, self.client_cur
         if (
             self.ack_wanted > self.ack_sent == self.acked.get(self.pid, 0)
-            and self.cur is not None and self.client_cur is not None
-            and self.client_cur.id == self.cur.id
+            and cur is not None and client_cur is not None
+            and (client_cur is cur or client_cur.id == cur.id)
         ):
             self.ack_sent = len(self.client_history)
             self.stack.gpsnd(AckMsg(self.ack_sent))
@@ -237,15 +249,21 @@ class DvsLayer(VsListener, RecorderMixin):
         self._release_safe()
 
     def _release_safe(self):
-        view = self.client_cur
-        if view is None or self.cur is None or view.id != self.cur.id:
+        view, cur = self.client_cur, self.cur
+        if view is None or cur is None or (
+            view is not cur and view.id != cur.id
+        ):
             return
-        stable = min(
-            len(self.client_history),
-            min(self.acked.get(r, 0) for r in view.set),
-        )
+        history, acked = self.client_history, self.acked
+        stable = len(history)
+        for member in view.set:
+            count = acked.get(member, 0)
+            if count < stable:
+                stable = count
+        recorder, listener = self.recorder, self.listener
         while self.safe_ptr < stable:
-            payload, sender = self.client_history[self.safe_ptr]
+            payload, sender = history[self.safe_ptr]
             self.safe_ptr += 1
-            self._record("dvs_safe", payload, sender, self.pid)
-            self.listener.on_dvs_safe(payload, sender)
+            if recorder is not None:
+                self._record("dvs_safe", payload, sender, self.pid)
+            listener.on_dvs_safe(payload, sender)

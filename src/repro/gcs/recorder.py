@@ -78,7 +78,9 @@ class ActionLog:
 
 class RecorderMixin:
     """``_record``/``_probe`` for a layer holding an optional
-    ``self.recorder`` (an :class:`ActionLog`); ``None`` is a no-op."""
+    ``self.recorder`` (an :class:`ActionLog`); ``None`` is a no-op.
+    The per-delivery paths test ``self.recorder`` before calling, so a
+    run that records nothing does not pay a call per action."""
 
     def _record(self, name, *params):
         if self.recorder is not None:

@@ -5,7 +5,10 @@ event-driven layer over :class:`repro.gcs.dvs_layer.DvsLayer`.  Payloads
 are labelled and multicast during normal activity; recovery exchanges
 summaries, adopts ``fullorder`` and registers the view with DVS.  Labels
 are confirmed when safe and released to the application in the confirmed
-order.
+order.  The confirmation scan runs only when something can confirm: on a
+safe indication, on establishing a view, and on ordering a label that is
+already safe -- after every scan ``order[nextconfirm - 1]`` is unsafe,
+so ordering any other label leaves nothing to confirm.
 """
 
 from repro.core.viewids import G0
@@ -60,7 +63,8 @@ class ToLayer(DvsListener, RecorderMixin):
 
     def bcast(self, payload):
         """Broadcast ``payload``; it will be delivered in total order."""
-        self._record("bcast", payload, self.pid)
+        if self.recorder is not None:
+            self._record("bcast", payload, self.pid)
         self.delay.append(payload)
         self._drain_delay()
 
@@ -78,7 +82,8 @@ class ToLayer(DvsListener, RecorderMixin):
             label = Label(self.current.id, self.nextseqno, self.pid)
             self.nextseqno += 1
             self.content[label] = payload
-            self._probe("to_label", label, self.pid)
+            if self.recorder is not None:
+                self._probe("to_label", label, self.pid)
             self.dvs.gpsnd((label, payload))
 
     # -- DVS upcalls ------------------------------------------------------------------
@@ -108,7 +113,10 @@ class ToLayer(DvsListener, RecorderMixin):
             if label not in self.ordered:
                 self.ordered.add(label)
                 self.order.append(label)
-            self._confirm_and_deliver()
+                # Nothing else can have become confirmable: after every
+                # confirmation ``order[nextconfirm - 1]`` is not safe.
+                if label in self.safe_labels:
+                    self._confirm_and_deliver()
 
     def on_dvs_safe(self, payload, sender):
         if isinstance(payload, Summary):
@@ -152,15 +160,22 @@ class ToLayer(DvsListener, RecorderMixin):
     # -- Confirmation -----------------------------------------------------------------------
 
     def _confirm_and_deliver(self):
-        while (
-            self.nextconfirm <= len(self.order)
-            and self.order[self.nextconfirm - 1] in self.safe_labels
-        ):
-            self.nextconfirm += 1
-        while self.nextreport < self.nextconfirm:
-            label = self.order[self.nextreport - 1]
-            payload = self.content[label]
+        """Confirm the longest safe prefix of ``order`` past
+        ``nextconfirm`` and release it to the application.  Afterwards
+        ``order[nextconfirm - 1]`` is unsafe (or past the end), which is
+        what lets :meth:`on_dvs_gprcv` skip this call for a label that
+        is not safe yet."""
+        order, safe = self.order, self.safe_labels
+        confirm = self.nextconfirm
+        while confirm <= len(order) and order[confirm - 1] in safe:
+            confirm += 1
+        self.nextconfirm = confirm
+        content, recorder = self.content, self.recorder
+        while self.nextreport < confirm:
+            label = order[self.nextreport - 1]
+            payload = content[label]
             self.nextreport += 1
-            self._probe("to_deliver", label, self.pid)
-            self._record("brcv", payload, label.origin, self.pid)
+            if recorder is not None:
+                self._probe("to_deliver", label, self.pid)
+                self._record("brcv", payload, label.origin, self.pid)
             self.listener.on_brcv(payload, label.origin)

@@ -16,12 +16,14 @@ a view deliver prefixes of one common sequence.  The leader orders in
 no ``Data`` hop to itself) before a zero-delay ``vs_flush`` timer fires
 gets the next consecutive slots and leaves in one frame -- ``Ordered``
 for a run of one, ``OrderedRun`` otherwise.  A view change discards the
-pending run with the rest of the view's ordering state.  There is one
-delivery path: a delivered position leaves the buffer at once, and a
-frame that delivered any position ends with one
-:meth:`VsListener.on_vs_batch_end`, where the layer above acknowledges
-the whole frame at once.  The stack tracks no VS-level stability (no
-VS-SAFE).  Nothing would read it:
+pending run with the rest of the view's ordering state.  A frame that
+starts at the next position while nothing is buffered -- the common
+case -- is delivered straight from the frame; any other frame is
+buffered and delivered from there, each position leaving the buffer
+the moment it is delivered.  Either way a frame that delivered any
+position ends with one :meth:`VsListener.on_vs_batch_end`, where the
+layer above acknowledges the whole frame at once.  The stack tracks no
+VS-level stability (no VS-SAFE).  Nothing would read it:
 :class:`~repro.gcs.dvs_layer.DvsLayer` derives ``dvs_safe`` from
 client-level acknowledgements, because Figure 3's forwarding of VS-SAFE
 to DVS-SAFE is unsound (DESIGN §5).
@@ -118,7 +120,8 @@ class VsStackNode(Node, RecorderMixin):
         """Multicast ``payload`` to the current view (VS-GPSND)."""
         if self.view is None:
             return
-        self._record("vs_gpsnd", payload, self.pid)
+        if self.recorder is not None:
+            self._record("vs_gpsnd", payload, self.pid)
         if self.pid == self._leader():
             self._order(payload, self.pid)
         else:
@@ -204,8 +207,9 @@ class VsStackNode(Node, RecorderMixin):
         run, ordering.run = ordering.run, []
         seq = ordering.next_assign
         ordering.next_assign += len(run)
-        for payload, _ in run:
-            self._probe("vs_seq", payload, self.pid)
+        if self.recorder is not None:
+            for payload, _ in run:
+                self._probe("vs_seq", payload, self.pid)
         if len(run) == 1:
             msg = Ordered(self.view.id, seq, *run[0])
         else:
@@ -224,11 +228,25 @@ class VsStackNode(Node, RecorderMixin):
         """Member: ``entries`` hold positions ``first_seq``, ``first_seq +
         1``, ...; buffer them and deliver in sequence order.  A position
         already delivered or buffered keeps what it has.  A frame that
-        delivered anything ends with one ``on_vs_batch_end``."""
+        delivered anything ends with one ``on_vs_batch_end``.
+
+        The common frame, the next positions with nothing buffered, is
+        delivered straight from ``entries``: the buffer would hand back
+        exactly those entries in exactly that order."""
         if not self._in_current_view(vid):
             return
         ordering = self.ordering
         buffer = ordering.buffer
+        if first_seq == ordering.next_deliver and entries and not buffer:
+            recorder = self.recorder
+            listener = self.listener
+            for payload, sender in entries:
+                ordering.next_deliver += 1
+                if recorder is not None:
+                    self._record("vs_gprcv", payload, sender, self.pid)
+                listener.on_vs_gprcv(payload, sender)
+            listener.on_vs_batch_end()
+            return
         for seq, entry in enumerate(entries, first_seq):
             if seq >= ordering.next_deliver:
                 buffer.setdefault(seq, entry)

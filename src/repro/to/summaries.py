@@ -7,7 +7,10 @@ identifier first), which is the "label order" used by ``fullorder``.
 ``S = 2^C x seqof(L) x N^{>0} x G`` is the set of summaries with selectors
 ``con``, ``ord``, ``next``, ``high``: the content relation, the tentative
 order, the next-confirm pointer and the highest established primary of the
-summarizing process.
+summarizing process.  A label, like a :class:`~repro.core.viewids.ViewId`,
+computes its hash once, at construction, equal to the generated
+``hash((id, seqno, origin))`` (a delivery hashes its label several
+times), and keeps it in a slot beside its fields.
 
 Given ``Y``, a partial function from process ids to summaries (the
 ``gotstate`` variable), the paper defines::
@@ -34,9 +37,31 @@ from repro.core.viewids import ViewId
 class Label:
     """A label ``<g, seqno, origin> ∈ L``; ordered lexicographically."""
 
+    __slots__ = ("id", "seqno", "origin", "_hash")
+
     id: ViewId
     seqno: int
     origin: str
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.id, self.seqno, self.origin))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.seqno, self.origin) == (
+            other.id, other.seqno, other.origin
+        )
+
+    def __reduce__(self):
+        return (self.__class__, (self.id, self.seqno, self.origin))
 
     def _key(self):
         return (self.id, self.seqno, self.origin)

@@ -161,6 +161,69 @@ class TestFanout:
         assert dvs.registers == 1
         assert cb.current.id == make_view(1, ["p1"]).id
 
+    # The port is chosen once per payload type; the choice must be the
+    # one ``isinstance`` over the ports makes.
+
+    def _fanout(self):
+        fanout = DvsFanout(self._fixture())
+        default_port = fanout.port()
+        default_port.listener = _Recorder()
+        return fanout, default_port
+
+    def test_a_port_created_after_traffic_receives_its_type(self):
+        fanout, default_port = self._fanout()
+        cast = CbCast(make_view(0, ["p1"]).id, (("p1", 1),), "x", "p1")
+        fanout.on_dvs_gprcv(cast, "p1")
+        assert default_port.listener.gprcv == [(cast, "p1")]
+        cb_port = fanout.port(claims=CbCast)
+        cb_port.listener = _Recorder()
+        fanout.on_dvs_gprcv(cast, "p2")
+        fanout.on_dvs_safe(cast, "p2")
+        assert cb_port.listener.gprcv == [(cast, "p2")]
+        assert cb_port.listener.safe == [(cast, "p2")]
+        assert default_port.listener.gprcv == [(cast, "p1")]
+
+    def test_a_subclass_of_a_claimed_type_routes_to_that_port(self):
+        class Tagged(CbCast):
+            pass
+
+        fanout, default_port = self._fanout()
+        cb_port = fanout.port(claims=CbCast)
+        cb_port.listener = _Recorder()
+        vid = make_view(0, ["p1"]).id
+        plain = CbCast(vid, (("p1", 1),), "x", "p1")
+        tagged = Tagged(vid, (("p1", 2),), "y", "p1")
+        for payload in (plain, tagged, tagged):
+            fanout.on_dvs_gprcv(payload, "p1")
+        assert cb_port.listener.gprcv == [
+            (plain, "p1"), (tagged, "p1"), (tagged, "p1"),
+        ]
+        assert default_port.listener.gprcv == []
+
+    def test_an_unclaimed_type_goes_to_the_default_port(self):
+        fanout, default_port = self._fanout()
+        fanout.port(claims=CbCast).listener = _Recorder()
+        for payload in (("to", 1), "text", ("to", 2)):
+            fanout.on_dvs_gprcv(payload, "p1")
+            fanout.on_dvs_safe(payload, "p1")
+        assert default_port.listener.gprcv == [
+            (("to", 1), "p1"), ("text", "p1"), (("to", 2), "p1"),
+        ]
+        assert default_port.listener.safe == default_port.listener.gprcv
+
+    def test_wants_dvs_safe_answers_for_the_port_each_payload_went_to(
+        self,
+    ):
+        fanout, default_port = self._fanout()  # _Recorder wants it
+        cb_port = fanout.port(claims=CbCast)
+        cb_port.listener = CbLayer(cb_port, make_view(0, ["p1"]))
+        cast = CbCast(make_view(0, ["p1"]).id, (("p1", 1),), "x", "p1")
+        answers = []
+        for payload in (cast, ("to", 1), cast, cast, ("to", 2)):
+            fanout.on_dvs_gprcv(payload, "p1")
+            answers.append(fanout.wants_dvs_safe)
+        assert answers == [False, True, False, False, True]
+
 
 class _Recorder(DvsListener):
     """A listener that just logs upcalls."""

@@ -1,6 +1,8 @@
 """Protocol-level unit tests: driving VsStackNode handlers directly."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import make_view
 from repro.core.viewids import ViewId
@@ -13,7 +15,7 @@ from repro.gcs.messages import (
     OrderedRun,
     StateReply,
 )
-from repro.gcs.vs_stack import VsStackNode
+from repro.gcs.vs_stack import VsListener, VsStackNode
 from repro.net import Network
 
 
@@ -258,3 +260,97 @@ class TestBatchEnd:
         assert calls == []
         node._on_ordered("a", Ordered(vid, 1, "m1", "b"))  # fills the gap
         assert calls == ["m1", "m2", "m3", "end"]
+
+
+class _AlwaysBuffered(VsStackNode):
+    """The reference: ``_accept`` without its in-order fast path, so
+    every frame goes through the buffer."""
+
+    def _accept(self, vid, first_seq, entries):
+        if not self._in_current_view(vid):
+            return
+        ordering = self.ordering
+        buffer = ordering.buffer
+        for seq, entry in enumerate(entries, first_seq):
+            if seq >= ordering.next_deliver:
+                buffer.setdefault(seq, entry)
+        first = ordering.next_deliver
+        while ordering.next_deliver in buffer:
+            payload, sender = buffer.pop(ordering.next_deliver)
+            ordering.next_deliver += 1
+            self._record("vs_gprcv", payload, sender, self.pid)
+            self.listener.on_vs_gprcv(payload, sender)
+        if ordering.next_deliver != first:
+            self.listener.on_vs_batch_end()
+
+
+class _Upcalls(VsListener):
+    def __init__(self):
+        self.calls = []
+
+    def on_vs_newview(self, view):
+        self.calls.append(("newview", view.id))
+
+    def on_vs_gprcv(self, payload, sender):
+        self.calls.append(("gprcv", payload, sender))
+
+    def on_vs_batch_end(self):
+        self.calls.append(("end",))
+
+
+#: One frame as ``(kind, offset, length)``: ``kind`` is ``"frame"`` (in
+#: the current view), ``"stale"`` (an earlier view's id) or ``"install"``
+#: (a newer view, which discards the buffer); ``offset`` places the
+#: frame's first position relative to the next one to deliver: 0 is in
+#: order, > 0 leaves a gap, < 0 overlaps delivered positions.
+frames = st.lists(
+    st.tuples(
+        st.sampled_from(["frame"] * 8 + ["stale", "install"]),
+        st.integers(-3, 4),
+        st.integers(0, 4),
+    ),
+    max_size=30,
+)
+
+
+class TestInOrderFastPath:
+    """``_accept`` delivers an in-order frame over an empty buffer
+    without buffering it; every frame must cause exactly the upcalls the
+    always-buffering reference causes."""
+
+    @given(frames)
+    @example([("frame", 1, 1), ("frame", 0, 1), ("frame", 0, 1)])
+    @example([("frame", 2, 2), ("frame", 0, 3), ("frame", -1, 2)])
+    def test_same_upcalls_as_the_buffered_path(self, script):
+        v1 = View(ViewId(1, "a"), frozenset({"a", "b"}))
+        subject = VsStackNode("b", initial_view=v1, listener=_Upcalls())
+        reference = _AlwaysBuffered(
+            "b", initial_view=v1, listener=_Upcalls()
+        )
+        epoch = 1
+        for i, (kind, offset, length) in enumerate(script):
+            nodes = (subject, reference)
+            if kind == "install":
+                epoch += 1
+                view = View(ViewId(epoch, "a"), v1.set)
+                for node in nodes:
+                    node._on_install("a", Install(("a", epoch), view))
+                continue
+            vid = ViewId(epoch, "a") if kind == "frame" else ViewId(0, "")
+            assert (
+                subject.ordering.next_deliver
+                == reference.ordering.next_deliver
+            )
+            first = max(1, subject.ordering.next_deliver + offset)
+            entries = tuple(
+                (("m", first + k, i), "ab"[k % 2]) for k in range(length)
+            )
+            for node in nodes:
+                if length == 1:
+                    node._on_ordered("a", Ordered(vid, first, *entries[0]))
+                else:
+                    node._on_ordered_run(
+                        "a", OrderedRun(vid, first, entries)
+                    )
+            assert subject.listener.calls == reference.listener.calls
+            assert subject.ordering.buffer == reference.ordering.buffer

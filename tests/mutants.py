@@ -240,6 +240,18 @@ MUTANTS = (
         "tests/gcs/test_dvs_layer_units.py::TestAckCoalescing::"
         "test_echo_inside_a_frame_acks_the_whole_frame",
     ),
+    # The in-order fast path taken over positions already buffered: the
+    # frame is delivered, what waits behind it is not.
+    Mutant(
+        "accept_fast_path_over_gap", "gcs/vs_stack.py",
+        "if first_seq == ordering.next_deliver and entries and not buffer:",
+        "if first_seq == ordering.next_deliver and entries:",
+        "`VsStackNode._accept` delivers an in-order frame past a "
+        "non-empty buffer",
+        frozenset(),
+        "tests/gcs/test_stack_protocol_units.py::TestSequencer::"
+        "test_out_of_order_delivery_buffers",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

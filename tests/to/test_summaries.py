@@ -1,8 +1,15 @@
 """Unit tests for labels, summaries and the recovery functions."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.viewids import G0, ViewId
+from repro.runtime.codec import decode, encode
 from repro.to.summaries import (
     Label,
     Summary,
@@ -34,6 +41,61 @@ class TestLabelOrdering:
         labels = [lab(2, 1, "a"), lab(1, 2, "b"), lab(1, 1, "c")]
         assert sorted(labels) == [lab(1, 1, "c"), lab(1, 2, "b"), lab(2, 1, "a")]
         assert len({lab(1, 1, "a"), lab(1, 1, "a")}) == 1
+
+
+labels = st.builds(
+    Label,
+    st.builds(ViewId, st.integers(0, 2**40), st.text(max_size=6)),
+    st.integers(1, 2**40),
+    st.text(max_size=6),
+)
+
+
+class TestLabelHashContract:
+    """A label hashes once, at construction, to its field tuple's hash."""
+
+    @given(labels)
+    def test_hash_is_the_field_tuples(self, label):
+        assert hash(label) == hash((label.id, label.seqno, label.origin))
+        assert hash(label) == hash(
+            ((label.id.epoch, label.id.origin), label.seqno, label.origin)
+        )
+
+    @given(labels, labels)
+    def test_equal_values_hash_equal(self, a, b):
+        fields = (a.id, a.seqno, a.origin) == (b.id, b.seqno, b.origin)
+        assert (a == b) == fields
+        if fields:
+            assert hash(a) == hash(b)
+
+    @given(labels)
+    def test_another_class_compares_as_before(self, label):
+        as_tuple = (label.id, label.seqno, label.origin)
+        assert label != as_tuple and label.__eq__(as_tuple) is NotImplemented
+        with pytest.raises(TypeError):
+            label < as_tuple
+
+    @given(labels)
+    def test_copies_keep_equality_and_hash(self, label):
+        for copied in (
+            copy.copy(label), copy.deepcopy(label),
+            pickle.loads(pickle.dumps(label)),
+            dataclasses.replace(label),
+            decode(encode(label)),
+        ):
+            assert type(copied) is Label
+            assert copied == label and hash(copied) == hash(label)
+            assert {copied: 1}[label] == 1
+
+    def test_still_frozen_with_the_same_fields(self):
+        label = lab(1, 2, "p")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            label.seqno = 3
+        assert [f.name for f in dataclasses.fields(Label)] == [
+            "id", "seqno", "origin",
+        ]
+        assert repr(label) == "g1#2@p"
+        assert not hasattr(label, "__dict__")
 
 
 class TestSummary:
