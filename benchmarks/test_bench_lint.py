@@ -1,17 +1,12 @@
 """Lint-engine benchmark: one full-tree analysis, parse-once shared.
 
-Times ``repro lint`` over ``src/repro`` -- every file parsed exactly
-once into the shared :class:`~repro.lint.model.SourceModel`, all six
-passes (including the interprocedural race and escape analyses, the
-call graph they share, and the torn-write check) running over that one
-AST forest.
+Times ``repro lint`` over ``src/repro``: every file parsed exactly once
+into the shared :class:`~repro.lint.model.SourceModel`, and the three
+passes (well-formedness, determinism, aliasing) run over that one AST
+forest.
 
 There is no cache and no diff-scoped mode, so every run is the cold
-whole-tree run; its wall time is recorded.  The old "all passes within
-2x the DVS001-014 passes" budget is gone with the taint pass it was
-written for: what is left above DVS014 is asyncflow's DVS018, which
-reads the same IR, and the two runs now time the same (ratio 1.0 +- the
-host's noise), so the ratio measures nothing.
+whole-tree run; its wall time is recorded.
 
 Results are written to ``BENCH_lint.json`` at the repository root (CI
 archives it as an artifact).
@@ -57,9 +52,7 @@ def test_bench_full_tree_lint():
 
     result = {"lint-full-tree": {
         "files_scanned": report.files_scanned,
-        "passes": report.engine["passes"],
-        "ir_functions": report.engine["ir_functions"],
-        "callgraph_edges": report.engine["callgraph_edges"],
+        "passes": report.passes,
         "runs": RUNS,
         "cold_seconds": round(cold, 4),
         "best_seconds": round(best, 4),
@@ -70,6 +63,6 @@ def test_bench_full_tree_lint():
         handle.write("\n")
 
     # The tree lints in interactive time: the shared-AST design keeps
-    # the six passes from re-parsing 100+ files six times over.
+    # the passes from re-parsing 100+ files once per pass.
     assert report.files_scanned == file_count
     assert best < 30.0

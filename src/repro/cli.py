@@ -26,11 +26,10 @@ replay
     one trace are byte-identical, and ``--shrink`` minimizes a
     violating trace with ddmin.
 lint
-    Statically check the tree, six passes: automaton well-formedness
+    Statically check the tree, three passes: automaton well-formedness
     (pre_/eff_/cand_ contract, predicate purity), determinism
     (wall-clock/entropy escapes, unsorted set iteration, id()
-    ordering), cross-process aliasing, thread-boundary races, effect
-    alias escapes and async hazards.  Exits non-zero on findings.
+    ordering) and cross-process aliasing.  Exits non-zero on findings.
 serve
     Run the stack on real TCP sockets: by default an in-process
     loopback cluster driving a replicated key-value workload (with a
@@ -580,8 +579,7 @@ def build_parser():
     lint = sub.add_parser(
         "lint",
         help="static analysis: automaton well-formedness, determinism, "
-             "cross-process aliasing, thread-boundary races, effect "
-             "alias escapes, async hazards",
+             "cross-process aliasing",
     )
     lint.add_argument(
         "paths", nargs="*",

@@ -31,9 +31,6 @@ class Tower:
     substitutes the dynamic-primary layer (the ``NoMajorityDvsLayer``
     ablation); ``member=False`` builds every layer as a fresh joiner
     (amnesiac restart); ``orderings=False`` stops at the DVS layer.
-
-    A class, not a function returning a tuple: ``repro lint``'s
-    points-to (DVS012/013) only follows ``self.x = Class(...)``.
     """
 
     def __init__(self, pid, initial_view, recorder=None, member=None,

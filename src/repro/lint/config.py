@@ -22,13 +22,6 @@ DEFAULT_EVENT_PATH_GLOBS = (
     "*/gcs/*.py",
 )
 
-#: Modules subject to the thread-boundary race analysis (DVS012/013):
-#: the live runtime package, where a synchronous facade and a
-#: background event loop share one process.
-DEFAULT_RUNTIME_GLOBS = (
-    "*/repro/runtime/*.py",
-)
-
 
 def _match(path, pattern):
     posix = str(path).replace("\\", "/")
@@ -45,19 +38,15 @@ class LintConfig:
     ``select`` -- rule ids to enable (default: all registered rules).
     ``event_path_globs`` -- module patterns treated as ordering-
     sensitive event paths for DVS008.
-    ``runtime_globs`` -- modules analysed by the thread-boundary race
-    pass (DVS012/013).
     """
 
     select: frozenset = field(
         default_factory=lambda: frozenset(RULES)
     )
     event_path_globs: tuple = DEFAULT_EVENT_PATH_GLOBS
-    runtime_globs: tuple = DEFAULT_RUNTIME_GLOBS
 
     def __post_init__(self):
         self.select = frozenset(self.select)
-        self.runtime_globs = tuple(self.runtime_globs)
         unknown = self.select - set(RULES)
         if unknown:
             raise ValueError(
@@ -71,11 +60,4 @@ class LintConfig:
         """Whether the whole module at ``path`` is an event path."""
         return any(
             _match(path, pattern) for pattern in self.event_path_globs
-        )
-
-    def is_runtime_path(self, path):
-        """Whether the module at ``path`` is in scope for the
-        thread-boundary race analysis."""
-        return any(
-            _match(path, pattern) for pattern in self.runtime_globs
         )

@@ -11,20 +11,12 @@ visible at its site.
 import os
 import re
 
-from repro.lint import (
-    aliasing,
-    asyncflow,
-    determinism,
-    escape,
-    races,
-    wellformed,
-)
-from repro.lint.callgraph import build_project
+from repro.lint import aliasing, determinism, wellformed
 from repro.lint.config import LintConfig
 from repro.lint.model import SourceModel
 from repro.lint.report import Report
 
-_PASSES = (wellformed, determinism, aliasing, races, asyncflow, escape)
+_PASSES = (wellformed, determinism, aliasing)
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"
@@ -117,19 +109,10 @@ def lint_paths(paths, config=None):
     findings, suppressed = _apply_suppressions(
         list(unique.values()), suppression_tables
     )
-    # The interprocedural passes build (and memoise) the project model
-    # on the shared SourceModel; surface its size so reports identify
-    # the analysis backend that produced them.
-    project = build_project(model)
     return Report(
         findings,
         files_scanned=len(files),
         suppressed=suppressed,
-        engine={
-            "name": "ir-dataflow",
-            "passes": [lint_pass.__name__.rpartition(".")[2]
-                       for lint_pass in _PASSES],
-            "ir_functions": project.function_count(),
-            "callgraph_edges": project.edges,
-        },
+        passes=[lint_pass.__name__.rpartition(".")[2]
+                for lint_pass in _PASSES],
     )

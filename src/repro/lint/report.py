@@ -1,17 +1,17 @@
 """Findings and reports: text and JSON rendering.
 
-The JSON layout is stable (schema version 2) because CI archives it as
+The JSON layout is stable (schema version 3) because CI archives it as
 an artifact and tests validate it:
 
 .. code-block:: json
 
     {
-      "version": 2,
+      "version": 3,
       "tool": "repro-lint",
       "ok": false,
       "files_scanned": 42,
-      "engine": {"name": "ir-dataflow", "passes": ["wellformed", "..."],
-                 "ir_functions": 310, "callgraph_edges": 1200},
+      "suppressed": 0,
+      "passes": ["wellformed", "determinism", "aliasing"],
       "counts": {"DVS004": 2},
       "findings": [
         {"rule": "DVS004", "name": "impure-predicate-write",
@@ -20,9 +20,9 @@ an artifact and tests validate it:
       ]
     }
 
-Version 2 added the ``engine`` block (which analysis backend produced
-the findings, with its IR/call-graph sizes).  Keys have since been
-removed, never renamed, so the version is unchanged.
+Version 3 replaced version 2's ``engine`` block (the analysis backend,
+with its IR and call-graph sizes) by the list of ``passes`` that ran:
+one backend is left, and it builds no IR.
 """
 
 import json
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.lint.rules import RULES
 
 #: Bumped on any backwards-incompatible change to the JSON layout.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ class Finding:
 class Report:
     """The outcome of one lint run over a set of files."""
 
-    def __init__(self, findings, files_scanned, suppressed=0, engine=None):
+    def __init__(self, findings, files_scanned, suppressed=0, passes=()):
         self.findings = sorted(findings, key=Finding.sort_key)
         self.files_scanned = files_scanned
         self.suppressed = suppressed
-        self.engine = dict(engine) if engine else {"name": "ir-dataflow"}
+        self.passes = list(passes)
 
     @property
     def ok(self):
@@ -100,7 +100,7 @@ class Report:
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "engine": dict(self.engine),
+            "passes": list(self.passes),
             "counts": self.counts(),
             "findings": [f.to_dict() for f in self.findings],
         }

@@ -15,19 +15,9 @@ Passes (see DESIGN.md section 8):
    ordering: the whole simulation must replay bit-for-bit from a seed.
 3. **aliasing** -- no module- or class-level mutable state that would be
    silently shared across simulated processes.
-4. **races** -- interprocedural thread-boundary analysis of the live
-   runtime: state shared between the synchronous facade and the event
-   loop must cross through a designated handoff
-   (``call_soon_threadsafe`` / ``run_coroutine_threadsafe``).
-5. **escape** -- transition effects must not leak aliases of one
-   layer's mutable state into another layer's reachable set (the
-   static counterpart of the runtime
-   :class:`~repro.gcs.effect_check.EffectIsolationChecker`).
-6. **asyncflow** -- no ``await`` between two writes to the same layer
-   state in a coroutine of the live runtime.
 
 Retired ids are never reused (DESIGN.md section 8 says what replaced
-each): DVS015, DVS016, DVS017, DVS019-DVS027.
+each): DVS012-DVS027, every id above DVS011.
 """
 
 from dataclasses import dataclass
@@ -137,50 +127,11 @@ _RULES = (
         "simulated process); initialise the container in __init__ or "
         "use an immutable type",
     ),
-    Rule(
-        "DVS012",
-        "cross-thread-state",
-        "races",
-        "mutable state shared across the runtime thread boundary",
-        "marshal the access onto the event loop with "
-        "run_coroutine_threadsafe/call_soon_threadsafe, or justify the "
-        "benign race with a line-scoped ignore",
-    ),
-    Rule(
-        "DVS013",
-        "unmarshalled-loop-call",
-        "races",
-        "caller-thread call into event-loop-owned code",
-        "wrap the call in a designated handoff "
-        "(run_coroutine_threadsafe for coroutines, "
-        "call_soon_threadsafe for callbacks); loop objects are not "
-        "threadsafe",
-    ),
-    Rule(
-        "DVS014",
-        "effect-alias-escape",
-        "escape",
-        "transition effect leaks an alias of mutable layer state",
-        "hand a copy across the layer boundary (list(xs), dict(m), "
-        "set(s)); shared aliases let one layer mutate another's state "
-        "behind the automaton's back",
-    ),
-    Rule(
-        "DVS018",
-        "await-torn-invariant",
-        "asyncflow",
-        "await between two writes to the same layer state",
-        "apply the update atomically before the await, or re-validate "
-        "the invariant after it: any handler may run at a suspension "
-        "point and observe the half-applied state",
-    ),
 )
 
 #: Stable id -> :class:`Rule`, in id order (read-only mapping).
 RULES = MappingProxyType({rule.id: rule for rule in _RULES})
 
 #: The pass names, in execution order.
-PASSES = (
-    "wellformed", "determinism", "aliasing", "races", "escape", "asyncflow",
-)
+PASSES = ("wellformed", "determinism", "aliasing")
 

@@ -144,7 +144,7 @@ class RuntimeCluster:
     def clock(self):
         # Benign race: GIL-atomic reference read; the clock is written
         # once at startup and is itself thread-safe.
-        return self._clock  # lint: ignore[DVS012]
+        return self._clock
 
     def _build_node(self, pid, member):
         return RuntimeNode(
@@ -246,10 +246,10 @@ class RuntimeCluster:
     def note_nemesis(self, op):
         """Annotate the trace with an applied fault op (loop thread)."""
         # Only ever called from LiveNemesis timers on the loop thread,
-        # after _start_all set the clock (the engine cannot see that).
-        if self.wiretap is not None and self._clock is not None:  # lint: ignore[DVS012]
+        # after _start_all set the clock.
+        if self.wiretap is not None and self._clock is not None:
             self.wiretap.record(
-                self._clock.now, "*", "nemesis", op.describe()  # lint: ignore[DVS012]
+                self._clock.now, "*", "nemesis", op.describe()
             )
 
     # -- Client surface ----------------------------------------------------
@@ -281,17 +281,17 @@ class RuntimeCluster:
     def app(self, pid):
         # Benign race: a single GIL-atomic dict lookup, and the only
         # loop-side writers key it by pid before the caller can know it.
-        return self._apps[pid]  # lint: ignore[DVS012]
+        return self._apps[pid]
 
     def cb_app(self, pid):
         # Benign race: same single GIL-atomic dict lookup as app().
-        return self._cb_apps[pid]  # lint: ignore[DVS012]
+        return self._cb_apps[pid]
 
     def live(self):
         """Ids of the currently running nodes, sorted."""
         # Benign race: a GIL-atomic snapshot of the key set; callers
         # treat it as advisory (membership may move right after).
-        return sorted(self._nodes)  # lint: ignore[DVS012]
+        return sorted(self._nodes)
 
     # -- Waiting -----------------------------------------------------------
 
@@ -322,9 +322,7 @@ class RuntimeCluster:
         through a membership round, so not the pre-agreed ``g0``."""
         # Benign race: GIL-atomic key-set snapshot fixing the target
         # membership; the predicate itself runs marshalled on the loop.
-        expected = frozenset(
-            pids if pids is not None else self._nodes  # lint: ignore[DVS012]
-        )
+        expected = frozenset(pids if pids is not None else self._nodes)
 
         def formed():
             for pid in expected:

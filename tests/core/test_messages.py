@@ -28,6 +28,18 @@ class TestInfoMsg:
         info = InfoMsg(make_view(0, "ab"), {make_view(1, "a")})
         assert isinstance(info.amb, frozenset)
 
+    def test_amb_is_copied_at_construction(self):
+        """Mutating the set a message was built from leaves the message
+        as built.  This copy is why ``InfoMsg(state.act, state.amb)``
+        shares nothing with the automaton's live ``amb``."""
+        amb = {make_view(1, "a")}
+        info = InfoMsg(make_view(0, "ab"), amb)
+        before = InfoMsg(make_view(0, "ab"), frozenset(amb))
+        amb.add(make_view(2, "b"))
+        amb.discard(make_view(1, "a"))
+        assert info == before
+        assert info.amb == frozenset({make_view(1, "a")})
+
     def test_hashable(self):
         a = InfoMsg(make_view(0, "ab"), frozenset({make_view(1, "a")}))
         b = InfoMsg(make_view(0, "ab"), frozenset({make_view(1, "a")}))

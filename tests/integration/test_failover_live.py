@@ -7,6 +7,7 @@ common view over all of them, within ``2 * hb_timeout`` of the heal or
 restart that makes a common view possible (ROADMAP item 4(alpha)).
 """
 
+import gc
 import logging
 import os
 import queue
@@ -171,6 +172,12 @@ def test_no_callback_outlasts_the_slow_callback_bound(monkeypatch):
     handler = _SlowCallbacks()
     asyncio_log = logging.getLogger("asyncio")
     asyncio_log.addHandler(handler)
+    # A full collection walks every object the earlier tests left
+    # alive (up to 0.15 s in the whole suite) and holds the GIL, so it
+    # stalls the loop thread.  Freezing that heap keeps the bound about
+    # this run's own callbacks.
+    gc.collect()
+    gc.freeze()
     try:
         cluster = RuntimeCluster(
             PIDS, app_factory=lambda node: KvReplica(node.to),
@@ -191,6 +198,7 @@ def test_no_callback_outlasts_the_slow_callback_bound(monkeypatch):
             cluster.wait_formation(timeout=WAIT)
             cluster.check()
     finally:
+        gc.unfreeze()
         asyncio_log.removeHandler(handler)
     assert handler.slow == []
 

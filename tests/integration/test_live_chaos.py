@@ -111,10 +111,11 @@ class TestSequencerRunsReplay:
 
 
 class TestMarshallingUnderAsyncioDebug:
-    """The dynamic twin of DVS013's loop-API half (DESIGN.md section 8's
-    kill matrix): in asyncio's debug mode the loop itself refuses a
-    non-threadsafe call made from another thread, so a facade method
-    that stops marshalling fails the run instead of racing silently."""
+    """The facade's thread boundary, checked at run time (DESIGN.md
+    section 8's kill matrix): in asyncio's debug mode the loop itself
+    refuses a non-threadsafe call made from another thread, so a facade
+    method that stops marshalling fails the run instead of racing
+    silently."""
 
     def _short_run(self):
         return run_live_chaos(
@@ -131,7 +132,7 @@ class TestMarshallingUnderAsyncioDebug:
         assert result.violations == []
         assert result.stats["deliveries"] > 0
 
-        # The registry mutant the linter's DVS012 test applies.
+        # The registry mutant that unmarshals bcast (tests/mutants.py).
         with open(inspect.getsourcefile(RuntimeCluster),
                   encoding="utf-8") as handle:
             source = handle.read()

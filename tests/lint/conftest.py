@@ -1,12 +1,10 @@
 """Shared helpers for the linter's own tests."""
 
 import os
-import shutil
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths
-from tests.mutants import SRC, mutate
+from repro.lint import lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -37,12 +35,3 @@ def rule_ids(report):
 def findings_for(report, rule):
     return [f for f in report.findings if f.rule == rule]
 
-
-def lint_mutant(tmp_path, mutant, select):
-    """Lint, for the rules in ``select``, a copy of ``src/repro`` with
-    the registry mutant applied."""
-    shutil.copytree(os.path.join(SRC, "repro"), tmp_path / "repro",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = tmp_path / "repro" / mutant.file
-    target.write_text(mutate(mutant, target.read_text()))
-    return lint_paths([str(tmp_path)], config=LintConfig(select=select))

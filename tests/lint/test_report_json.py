@@ -1,8 +1,8 @@
-"""The JSON report schema (version 2) that CI archives as an artifact."""
+"""The JSON report schema (version 3) that CI archives as an artifact."""
 
 import json
 
-from repro.lint import JSON_SCHEMA_VERSION, RULES
+from repro.lint import JSON_SCHEMA_VERSION, PASSES, RULES
 
 REQUIRED_TOP_LEVEL = {
     "version": int,
@@ -10,7 +10,7 @@ REQUIRED_TOP_LEVEL = {
     "ok": bool,
     "files_scanned": int,
     "suppressed": int,
-    "engine": dict,
+    "passes": list,
     "counts": dict,
     "findings": list,
 }
@@ -32,12 +32,10 @@ def test_json_schema_on_findings(lint_fixture):
     assert set(payload) == set(REQUIRED_TOP_LEVEL)
     for key, expected_type in REQUIRED_TOP_LEVEL.items():
         assert isinstance(payload[key], expected_type), key
-    assert payload["version"] == JSON_SCHEMA_VERSION == 2
+    assert payload["version"] == JSON_SCHEMA_VERSION == 3
     assert payload["tool"] == "repro-lint"
     assert payload["ok"] is False
-    assert payload["engine"]["name"] == "ir-dataflow"
-    assert "races" in payload["engine"]["passes"]
-    assert payload["engine"]["ir_functions"] >= 1
+    assert payload["passes"] == list(PASSES)
     assert payload["findings"]
     for finding in payload["findings"]:
         assert set(finding) == set(REQUIRED_FINDING)

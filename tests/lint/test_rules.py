@@ -22,25 +22,7 @@ RULE_FIXTURES = {
     "DVS009": ("determinism_bad.py", "determinism_good.py"),
     "DVS010": ("aliasing_bad.py", "aliasing_good.py"),
     "DVS011": ("aliasing_bad.py", "aliasing_good.py"),
-    "DVS012": ("races_bad.py", "races_good.py"),
-    "DVS013": ("races_bad.py", "races_good.py"),
-    "DVS014": ("escape_bad.py", "escape_good.py"),
-    "DVS018": ("async_bad.py", "async_good.py"),
 }
-
-#: Fixtures whose pass gates on path globs need the globs pointed at
-#: the fixture tree; everything else lints with the defaults.
-FIXTURE_CONFIGS = {
-    "races_bad.py": {"runtime_globs": ("*/fixtures/races_bad.py",)},
-    "races_good.py": {"runtime_globs": ("*/fixtures/races_good.py",)},
-    "async_bad.py": {"runtime_globs": ("*/fixtures/async_bad.py",)},
-    "async_good.py": {"runtime_globs": ("*/fixtures/async_good.py",)},
-}
-
-
-def _fixture_config(name):
-    kwargs = FIXTURE_CONFIGS.get(name)
-    return LintConfig(**kwargs) if kwargs is not None else None
 
 
 def test_every_registered_rule_has_fixture_coverage():
@@ -50,24 +32,23 @@ def test_every_registered_rule_has_fixture_coverage():
 @pytest.mark.parametrize("rule", sorted(RULE_FIXTURES))
 def test_rule_fires_on_seeded_fixture(lint_fixture, rule):
     bad, _ = RULE_FIXTURES[rule]
-    report = lint_fixture(bad, config=_fixture_config(bad))
+    report = lint_fixture(bad)
     assert rule in rule_ids(report), report.to_text()
 
 
 @pytest.mark.parametrize("rule", sorted(RULE_FIXTURES))
 def test_rule_silent_on_clean_fixture(lint_fixture, rule):
     _, good = RULE_FIXTURES[rule]
-    report = lint_fixture(good, config=_fixture_config(good))
+    report = lint_fixture(good)
     assert rule not in rule_ids(report), report.to_text()
 
 
 @pytest.mark.parametrize("name", [
     "wellformed_good.py", "determinism_good.py", "aliasing_good.py",
-    "races_good.py", "escape_good.py", "edge_cases.py",
-    "async_good.py",
+    "edge_cases.py",
 ])
 def test_clean_fixtures_are_fully_clean(lint_fixture, name):
-    report = lint_fixture(name, config=_fixture_config(name))
+    report = lint_fixture(name)
     assert report.ok, report.to_text()
 
 

@@ -2,16 +2,16 @@
 
 Each :class:`Mutant` is one small edit to the shipped source that
 breaks a property some checker guards: a handoff across the runtime's
-thread boundary, a copy at a layer boundary, a task reference, a
-counter reset.  The registry records, per mutant, which static rules of
+thread boundary, a task reference, a buffered position, a counter
+reset.  The registry records, per mutant, which static rules of
 ``repro lint`` flag it and what the *dynamic* suite does with it: the
 first test that fails on it (its killer), or ``None`` if every test
 passes (it survives).  DESIGN.md section 8 renders its kill matrix from
 this table, and a lint rule is retired only when every mutant it flags
-has a named dynamic killer.
+has a named dynamic killer.  An equivalent mutant, one that cannot
+change behaviour, is no evidence either way and is not registered.
 
-The static half is asserted in tier-1 by ``tests/lint``, parametrized
-over :data:`MUTANTS`.  The dynamic half is re-measured by the runner::
+The registry is re-measured by the runner::
 
     PYTHONPATH=src python -m tests.mutants [NAME ...]
 
@@ -68,15 +68,16 @@ class Mutant:
 
 
 MUTANTS = (
-    # -- races: the facade's thread boundary (DVS012, DVS013) -------------
+    # -- races: the facade's thread boundary (DVS012, DVS013, retired) ----
     Mutant(
         "stop_wrap", "runtime/cluster.py",
         "self._loop.call_soon_threadsafe(self._loop.stop)",
         "self._loop.stop()",
         "`stop()` stops the loop from the caller thread",
-        frozenset({"DVS013"}),
+        frozenset(),
         "tests/faults/test_spec_acceptance.py::TestAmnesiacVsRemintsAViewId"
         "::test_dvs_and_to_accept",
+        retired=frozenset({"DVS013"}),
     ),
     # Pure: the same call with the same arguments, on the caller thread.
     Mutant(
@@ -84,9 +85,10 @@ MUTANTS = (
         "self._call(call)",
         "self._nodes[pid].tower.bcast(payload, ordering)",
         "`bcast()` calls the tower on the caller thread",
-        frozenset({"DVS012"}),
+        frozenset(),
         "tests/integration/test_live_chaos.py::TestMarshallingUnderAsyncioDebug"
         "::test_debug_loop_accepts_the_tree_and_rejects_unmarshalled_bcast",
+        retired=frozenset({"DVS012"}),
     ),
     # Pure: the node is still stopped, on the loop; only the thread the
     # three pops run on changes.
@@ -98,19 +100,12 @@ MUTANTS = (
         "        self._cb_apps.pop(pid, None)\n"
         "        self._call(node.stop, timeout=timeout)",
         "`kill()` pops the node registries on the caller thread",
-        frozenset({"DVS012"}),
-        None,
+        frozenset(),
+        "tests/runtime/test_facade_threads.py::"
+        "test_kill_and_restart_write_the_registries_on_the_loop_thread",
+        retired=frozenset({"DVS012"}),
     ),
-    # -- escape: aliases across a layer boundary (DVS014) -----------------
-    Mutant(
-        "info_alias", "dvs/vs_to_dvs.py",
-        "InfoMsg(state.act, frozenset(state.amb))",
-        "InfoMsg(state.act, state.amb)",
-        "`VsToDvs` publishes the live `amb` set in its `InfoMsg`",
-        frozenset({"DVS014"}),
-        None,
-    ),
-    # -- asyncflow: the event loop (DVS016-018; 016 and 017 retired) ------
+    # -- asyncflow: the event loop (DVS016-018, retired) ------------------
     # Pure: the node is still stopped; the loop just stalls first.
     Mutant(
         "blocking_stop", "runtime/cluster.py",
@@ -182,8 +177,10 @@ MUTANTS = (
         "                )\n"
         "                self._transport = made[0]\n",
         "`PeerLink._dial` writes `_transport` on both sides of an `await`",
-        frozenset({"DVS018"}),
-        None,
+        frozenset(),
+        "tests/runtime/test_failover_evidence.py::"
+        "test_a_connection_lost_before_the_dial_resumes_is_not_held",
+        retired=frozenset({"DVS018"}),
     ),
     # -- taint (DVS020, DVS021, retired) ---------------------------------
     Mutant(

@@ -163,6 +163,46 @@ def test_a_host_name_is_refused_only_at_every_address(
     run(scenario())
 
 
+class StubTransport:
+    def __init__(self):
+        self.closes = 0
+
+    def write(self, data):
+        pass
+
+    def close(self):
+        self.closes += 1
+
+
+def test_a_connection_lost_before_the_dial_resumes_is_not_held():
+    """The connection is made and lost before ``create_connection``
+    returns to ``_dial``.  ``connection_made`` / ``connection_lost``
+    are the only writers of ``_transport``, so the link holds nothing
+    afterwards, and ``close()`` touches no dead transport."""
+
+    async def scenario():
+        made = StubTransport()
+
+        async def made_and_lost(factory, *args, **kwargs):
+            protocol = factory()
+            protocol.connection_made(made)
+            protocol.connection_lost(None)
+            return made, protocol
+
+        asyncio.get_running_loop().create_connection = made_and_lost
+        link = PeerLink(
+            "a", "b", resolve=lambda: ("127.0.0.1", 1), retry_min=60.0,
+            retry_max=60.0,
+        ).start()
+        await poll_until(lambda: link.connects == 1)
+        await asyncio.sleep(0)
+        held = link._transport
+        await link.close()
+        return held, made.closes
+
+    assert run(scenario()) == (None, 0)
+
+
 # -- ConnectivityEstimator.suspect ---------------------------------------------
 
 

@@ -37,6 +37,16 @@ def test_a_rule_retires_only_when_its_mutants_are_killed():
             assert mutant.killer is not None, mutant.name
 
 
+def test_a_rule_beyond_the_contract_stays_only_while_its_mutant_survives():
+    """DVS001-011 guard the automaton contract and seed replay, which
+    no dynamic test sees.  Any other rule earns its place by flagging a
+    registered mutant that the dynamic suite lets through."""
+    contract = {"DVS{0:03d}".format(number) for number in range(1, 12)}
+    for rule in sorted(set(RULES) - contract):
+        assert any(rule in mutant.rules and mutant.killer is None
+                   for mutant in mutants.MUTANTS), rule
+
+
 def test_design_shows_the_rendered_kill_matrix():
     with open(os.path.join(REPO, "DESIGN.md"), encoding="utf-8") as handle:
         design = handle.read()

@@ -105,6 +105,20 @@ class TestSummary:
         assert isinstance(s.con, frozenset)
         assert isinstance(s.ord, tuple)
 
+    def test_con_and_ord_are_copied_at_construction(self):
+        """Mutating the containers a summary was built from leaves the
+        summary as built."""
+        con, order = {(lab(1, 1, "a"), "x")}, [lab(1, 1, "a")]
+        s = Summary(con=con, ord=order, next=2, high=G0)
+        before = Summary(con=frozenset(con), ord=tuple(order), next=2,
+                         high=G0)
+        con.add((lab(1, 2, "a"), "y"))
+        order.append(lab(1, 2, "a"))
+        order.pop(0)
+        assert s == before
+        assert s.con == frozenset({(lab(1, 1, "a"), "x")})
+        assert s.ord == (lab(1, 1, "a"),)
+
     def test_hashable(self):
         a = Summary(con=frozenset(), ord=(), next=1, high=G0)
         b = Summary(con=frozenset(), ord=(), next=1, high=G0)
