@@ -4,12 +4,11 @@ online safety monitor armed.
 Measures the cost of a monitored chaos run (simulated time, wire
 traffic, drops, monitor-checked events) for each nemesis plan family,
 and the overhead the online monitor adds over an unmonitored run of the
-same schedule.  The ``spec`` column is the end-of-run verdict: the
-run's whole action log walked through the VS, DVS and TO specifications
-(the monitor steps DVS view management and TO online) -- ``accepted``,
-or the first rejecting spec and the index it stopped at.  Asserted for the loss-free families; *reported* for
-``flaky``, where a dropped frame can leave a sender-FIFO gap (ROADMAP
-item 4(beta)).
+same schedule.  The ``spec`` column is the monitor's verdict: the VS,
+DVS and TO specifications, stepped online over the run's action log --
+``accepted``, or the first rejecting spec and the index it stopped at.
+Asserted for every family: ``flaky``'s lost frames stall a sender
+rather than leave a gap in its FIFO order (ROADMAP items 4(beta), 16).
 """
 
 from repro.analysis import render_table
@@ -58,7 +57,8 @@ def test_bench_chaos_flaky(benchmark):
 
 
 def _spec_cell(result):
-    rejections = [r for r in result.verdicts.values() if r is not None]
+    rejections = [r for r in result.monitor.rejections().values()
+                  if r is not None]
     if not rejections:
         return "accepted"
     first = min(rejections, key=lambda r: r.index)
@@ -80,15 +80,14 @@ def test_bench_monitor_overhead(benchmark):
             r.stats["events"],
             _spec_cell(r),
         ])
-        if family != "flaky":
-            assert rows[-1][-1] == "accepted", r.verdicts
+        assert rows[-1][-1] == "accepted", r.monitor.rejections()
     print()
     print(
         render_table(
             ["plan", "ops", "sim time", "wire msgs", "drops", "checked",
              "spec"],
             rows,
-            title="E10: chaos runs, online and end-of-run (5 nodes)",
+            title="E10: chaos runs under the online monitor (5 nodes)",
         )
     )
     assert monitored.stats["wire_sends"] == unmonitored.stats["wire_sends"]

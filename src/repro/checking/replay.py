@@ -28,7 +28,6 @@ trips the monitor, i.e. a minimal simulator-checked counterexample.
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.checking.trace_props import spec_verdicts
 from repro.dvs.ablation import DVS_FACTORIES
 from repro.faults.harness import _canon
 from repro.faults.monitor import SafetyMonitor
@@ -73,19 +72,22 @@ def _replay_tower(pid, initial_view, member, dvs_cls, recorder, net):
 
 @dataclass
 class ReplayResult:
-    """Outcome of one deterministic replay."""
+    """Outcome of one deterministic replay under ``monitor``."""
 
     trace: ReplayTrace
-    violations: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
+    monitor: SafetyMonitor = None
     deliveries: dict = field(default_factory=dict)
     digest: str = ""
     errors: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
+    def violations(self):
+        return self.monitor.violations
+
+    @property
     def ok(self):
-        return not self.violations
+        return self.monitor.ok
 
 
 def replay_trace(trace):
@@ -164,8 +166,7 @@ def replay_trace(trace):
     })
     return ReplayResult(
         trace=trace,
-        violations=list(monitor.violations),
-        verdicts=spec_verdicts(log, trace.initial_view),
+        monitor=monitor,
         deliveries=deliveries,
         digest=digest.hexdigest(),
         errors=errors,

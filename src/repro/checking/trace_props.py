@@ -19,11 +19,6 @@ _ACCEPT = MappingProxyType({
 })
 
 
-def spec_verdicts(trace, initial_view, specs=("DVS", "TO")):
-    """``{spec name: Rejection or None}`` for one (re-iterable) trace."""
-    return {name: _ACCEPT[name](trace, initial_view)[1] for name in specs}
-
-
 def _check(name, trace, initial_view=None):
     state, rejection = _ACCEPT[name](trace, initial_view)
     if rejection is not None:

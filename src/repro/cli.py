@@ -241,25 +241,17 @@ _FAULTNET_STATS = (
 )
 
 
-#: What the online monitor checks (:mod:`repro.faults.monitor`).
-_ONLINE = "DVS view management, TO and CB per-view causal order"
-
-
-def _print_verdicts(verdicts):
-    """One verdict line per specification; true iff any rejected."""
-    for name, rejection in verdicts.items():
+def _report(monitor, clean):
+    """Each spec's rejection or ``<SPEC> accepted``, then ``clean`` or
+    the first violation (a rejection is one); whether it was clean."""
+    for name, rejection in monitor.rejections().items():
         print(rejection or "{0} accepted".format(name))
-    return any(verdicts.values())
-
-
-def _print_unflagged(rejected, clean):
-    """The line for a run the online monitor did not flag: ``clean``
-    only when every verdict accepted too."""
-    if rejected:
-        print("the online monitor flagged nothing: it checks only {0}, "
-              "not what the verdicts above rejected".format(_ONLINE))
-    else:
+    if monitor.ok:
         print(clean)
+        return True
+    print()
+    print("SAFETY VIOLATION: {0}".format(monitor.violations[0].summary()))
+    return False
 
 
 def _cmd_chaos(args):
@@ -312,13 +304,9 @@ def _cmd_chaos(args):
         print("trace recorded to {0} ({1} events); replay with: "
               "python -m repro replay {0}".format(
                   args.record, len(result.trace)))
-    rejected = _print_verdicts(result.verdicts)
-    if result.ok:
-        _print_unflagged(rejected, "no safety violations: {0} held "
-                         "throughout".format(_ONLINE))
-        return int(rejected)
-    print()
-    print("SAFETY VIOLATION: {0}".format(result.violation.summary()))
+    if _report(result.monitor, "no safety violations: VS, DVS, TO and "
+               "CB held throughout"):
+        return 0
     if args.live:
         _minimize_live(args, result)
     elif not args.no_shrink:
@@ -402,13 +390,9 @@ def _cmd_replay(args):
         check_replay_determinism(trace)
         print("determinism: two replays produced identical digests "
               "and delivery orders")
-    rejected = _print_verdicts(result.verdicts)
-    if result.ok:
-        _print_unflagged(rejected, "no safety violations on replay: "
-                         "{0}".format(_ONLINE))
-        return int(rejected)
-    print()
-    print("SAFETY VIOLATION: {0}".format(result.violations[0].summary()))
+    if _report(result.monitor, "no safety violations on replay: VS, DVS, "
+               "TO and CB held"):
+        return 0
     if args.shrink:
         _shrink_and_save(trace, result, args.max_probes, args.output)
     return 1

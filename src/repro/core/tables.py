@@ -28,9 +28,8 @@ class Table:
         Mutating the returned default does not write into the table; use
         :meth:`at` for mutation.
         """
-        if key in self._data:
-            return self._data[key]
-        return self._default_factory()
+        value = self._data.get(key, self)
+        return self._default_factory() if value is self else value
 
     def __contains__(self, key):
         return key in self._data

@@ -26,7 +26,7 @@ mechanized Theorem 5.9.
 from repro.core.messages import is_client_message, purge, purgesize
 from repro.core.tables import Table
 from repro.dvs.impl import DvsImplState
-from repro.dvs.spec import DVSSpec, DVSState, DVSViewSpec
+from repro.dvs.spec import DVSSpec, DVSState
 from repro.ioa.acceptor import Acceptor, accept
 from repro.ioa.action import act
 from repro.ioa.refinement import RefinementChecker
@@ -130,8 +130,8 @@ def dvs_forced(state, action):
     ``dvs_newview`` of an uncreated view forces ``dvs_createview``, a
     ``dvs_gprcv`` past the end of ``queue[g]`` forces ``dvs_order``."""
     if action.name == "dvs_newview" and action.params[0] not in state.created:
-        yield act("dvs_createview", action.params[0])
-    yield from forced_order(state, action, "dvs")
+        return (act("dvs_createview", action.params[0]),)
+    return forced_order(state, action, "dvs")
 
 
 def lemma_5_8_hints(step, abstract_from):
@@ -155,9 +155,9 @@ def accept_dvs(trace, initial_view):
     return accept(spec, trace, dvs_forced, forget_view)
 
 
-def dvs_view_acceptor(initial_view):
-    """Figure 2's view management, to be stepped as a run goes."""
-    return Acceptor(DVSViewSpec(initial_view), dvs_forced, forget_view)
+def dvs_acceptor(initial_view):
+    """Figure 2 over ``v0``'s members, to be stepped as a run goes."""
+    return Acceptor(DVSSpec(initial_view), dvs_forced, forget_view)
 
 
 def dvs_refinement_checker(

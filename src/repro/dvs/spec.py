@@ -116,6 +116,10 @@ class DVSSpec(TransitionAutomaton):
     def initial_state(self):
         return DVSState(self.initial_view, self.universe)
 
+    def stats(self, state):
+        return {"attempted_views": len(state.created),
+                "totally_registered": len(tot_reg(state))}
+
     # -- DVS-CREATEVIEW(v) -----------------------------------------------------
 
     def pre_dvs_createview(self, state, v):
@@ -256,22 +260,3 @@ class DVSSpec(TransitionAutomaton):
                 m, p = entry
                 yield act("dvs_safe", m, p, q)
 
-
-class DVSViewSpec(DVSSpec):
-    """Figure 2 restricted to view management: DVS-REGISTER,
-    DVS-NEWVIEW and DVS-CREATEVIEW, with Figure 2's transitions.
-
-    They read and write only ``created``, ``current-viewid``,
-    ``attempted`` and ``registered``, and no message action writes
-    those, so the projection of every trace of DVS is a trace of this
-    automaton.  Invariant 4.1 is its DVS-CREATEVIEW precondition; view
-    order and membership are DVS-NEWVIEW's.
-    """
-
-    inputs = frozenset({"dvs_register"})
-    outputs = frozenset({"dvs_newview"})
-    internals = frozenset({"dvs_createview"})
-
-    def stats(self, state):
-        return {"attempted_views": len(state.created),
-                "totally_registered": len(tot_reg(state))}

@@ -15,8 +15,7 @@ adversary and the machinery to check the stack against it:
   topologies) executed as discrete events by a :class:`Nemesis`
   scheduler.
 - :mod:`repro.faults.monitor` -- an online safety monitor stepping the
-  DVS view-management and TO specifications (Invariant 4.1 is a
-  DVS-CREATEVIEW precondition) plus CB's causal-order checks on every
+  VS, DVS and TO specifications plus CB's causal-order checks on every
   recorded action, failing fast with the full event log.
 - :mod:`repro.faults.shrink` -- delta-debugging of nemesis plans: when a
   monitor trips, reduce the fault schedule to a minimal failing one and

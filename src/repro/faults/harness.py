@@ -71,18 +71,21 @@ def workload_send(senders, tick):
 class ChaosResult:
     """Outcome of one chaos run: a simulated one has ``seed`` and the
     network log's ``digest`` (``cluster`` on request), a live one the
-    recorded :class:`~repro.obs.record.ReplayTrace`.  ``verdicts`` is the
-    specifications' (spec name -> ``Rejection | None``), at end of run."""
+    recorded :class:`~repro.obs.record.ReplayTrace`.  ``monitor`` is the
+    run's one oracle (None when it ran unwatched)."""
 
     processes: tuple
     plan: NemesisPlan
-    violations: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
+    monitor: SafetyMonitor = None
     stats: dict = field(default_factory=dict)
     seed: int = None
     digest: str = ""
     cluster: Cluster = None
     trace: object = None
+
+    @property
+    def violations(self):
+        return self.monitor.violations if self.monitor is not None else []
 
     @property
     def ok(self):
@@ -115,9 +118,6 @@ def run_chaos(
     network quiesce for up to ``settle_time``.  A monitor violation aborts
     the run immediately and is returned in the result rather than raised.
     """
-    # Here: the live runtime imports repro.faults for the monitor alone.
-    from repro.checking.trace_props import spec_verdicts
-
     processes = tuple(sorted(processes))
     plan = NemesisPlan.of(plan)
     if duration is None:
@@ -146,13 +146,12 @@ def run_chaos(
 
     net.queue.schedule(broadcast_interval, broadcast_tick)
 
-    violations = []
     try:
         cluster.start()
         cluster.run(duration)
         cluster.settle(max_time=settle_time, strict=False)
-    except SafetyViolation as caught:
-        violations.append(caught)
+    except SafetyViolation:
+        pass  # the monitor keeps it: ``result.violations``
 
     stats = dict(cluster.monitor.stats()) if cluster.monitor else {}
     stats.update(
@@ -169,9 +168,7 @@ def run_chaos(
     return ChaosResult(
         processes=processes,
         plan=plan,
-        violations=violations,
-        verdicts=spec_verdicts(cluster.log, cluster.initial_view,
-                               ("VS", "DVS", "TO")),
+        monitor=cluster.monitor,
         stats=stats,
         seed=seed,
         digest=log_digest(net.log),

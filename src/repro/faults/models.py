@@ -79,9 +79,7 @@ class DuplicateFault(LinkFault):
 
     The duplicate's extra delay is drawn uniformly from (0, ``spread``];
     per-channel FIFO still holds (the channel clock serializes copies).
-    VS is not idempotent for ``Data``: the sequencer orders each copy, so
-    a duplicated multicast is delivered twice (ROADMAP item 4(delta);
-    TO's labels hide it).
+    A copy of a ``Data`` is not ordered twice: its count is stale.
     """
 
     def __init__(self, prob, spread=5.0, links=None):

@@ -2,31 +2,24 @@
 
 A :class:`SafetyMonitor` observes the cluster's shared
 :class:`~repro.gcs.recorder.ActionLog` and steps, on every recorded
-action, the :class:`~repro.ioa.acceptor.Acceptor` of each service it
-watches:
-
-- **DVS view management** -- Figure 2 restricted to DVS-REGISTER,
-  DVS-NEWVIEW and DVS-CREATEVIEW (:class:`~repro.dvs.spec.DVSViewSpec`).
-  Invariant 4.1 is DVS-CREATEVIEW's precondition; view order and
-  membership are DVS-NEWVIEW's.
-- **TO** (Theorem 6.4) -- one system-wide order, each process delivering
-  a gap-free prefix of it, with integrity and no duplication.
-
-The end-of-run verdicts (:mod:`repro.checking.trace_props`) walk the
-same specifications, so an online rejection is the verdict's, at the
-same action index.  The full DVS and VS acceptors stay end-of-run only
-(ROADMAP item 4).  **CB** keeps four named checks with no spec twin
-(DESIGN section 14): each ``cb_brcv`` must meet, at its receiver, the
-vector-clock delivery condition its cast carries on the wire.
+action, an :class:`~repro.ioa.acceptor.Acceptor` of each whole
+specification: **VS** (Figure 1), **DVS** (Figure 2, where Invariant
+4.1 is DVS-CREATEVIEW's precondition) and **TO** (Theorem 6.4).  It is
+a run's one oracle: each rejection is the one the reference walk
+(``accept_vs`` / ``accept_dvs`` / ``accept_to``) gives on the same log.
+**CB** keeps four named checks with no spec twin (DESIGN section 14):
+each ``cb_brcv`` must meet, at its receiver, the vector-clock delivery
+condition its cast carries on the wire.
 
 A violation carries the action and network logs up to its event.
 """
 
 from collections import defaultdict
 
-from repro.dvs.refinement import dvs_view_acceptor
+from repro.dvs.refinement import dvs_acceptor
 from repro.ioa.acceptor import RESTART, Rejection
 from repro.to.refinement import to_acceptor
+from repro.vs.spec import vs_acceptor
 
 
 class SafetyViolation(AssertionError):
@@ -53,25 +46,28 @@ class SafetyViolation(AssertionError):
 
 
 class SafetyMonitor:
-    """The DVS view-management and TO acceptors plus the CB checks.
-
-    ``fail_fast=True`` (the default) raises :class:`SafetyViolation` from
-    inside the event callback, aborting the run at the first violation;
-    with ``fail_fast=False`` violations accumulate in ``violations`` and
-    the run continues (an acceptor reports its first rejection only).
-    """
+    """The VS, DVS and TO acceptors (``specs``, by name) plus the CB
+    checks, over the initial view's members (every host builds ``v0``
+    over all its processes).  ``fail_fast=True`` (the default) raises
+    :class:`SafetyViolation` from inside the event callback, aborting
+    the run at the first violation; with ``fail_fast=False`` violations
+    accumulate in ``violations`` and the run continues (an acceptor
+    reports its first rejection only)."""
 
     def __init__(self, initial_view, fail_fast=True, net=None):
         self.fail_fast = fail_fast
         self.net = net
         self.violations = []
         self.checked_events = 0
-        self.views = dvs_view_acceptor(initial_view)
-        self.to = to_acceptor(initial_view.set)
+        self.specs = {
+            "VS": vs_acceptor(initial_view),
+            "DVS": dvs_acceptor(initial_view),
+            "TO": to_acceptor(initial_view.set),
+        }
         # Each action reaches only the acceptors whose names include it;
         # one lookup drops the rest (most of a run's actions).
         self._routes = {"cbcast": (), "cb_brcv": ()}
-        for acceptor in (self.views, self.to):
+        for acceptor in self.specs.values():
             for name in acceptor.names:
                 self._routes[name] = self._routes.get(name, ()) + (acceptor,)
         # CB state: broadcast set, per-process per-view delivered counts
@@ -164,9 +160,13 @@ class SafetyMonitor:
     def ok(self):
         return not self.violations
 
+    def rejections(self):
+        """``{spec name: its Rejection, or None}``, in step order."""
+        return {name: a.rejection for name, a in self.specs.items()}
+
     def stats(self):
         stats = {"events": self.checked_events}
-        for acceptor in (self.views, self.to):
+        for acceptor in (self.specs["DVS"], self.specs["TO"]):
             stats.update(acceptor.spec.stats(acceptor.state))
         stats.update({
             "cb_broadcasts": len(self.cb_broadcast),

@@ -25,8 +25,8 @@ class Cluster:
 
     - ``nemesis`` -- a :class:`repro.faults.nemesis.Nemesis` (or plain
       plan) armed on the network at :meth:`start`;
-    - ``monitor`` -- ``True`` for a default online
-      :class:`repro.faults.monitor.SafetyMonitor`, or a prebuilt monitor;
+    - ``monitor`` -- ``True`` arms an online
+      :class:`repro.faults.monitor.SafetyMonitor`;
       an armed monitor forces full network logging regardless of
       ``log_limit``;
     - ``dvs_factory`` -- substitute dynamic-primary layer constructor
@@ -76,7 +76,12 @@ class Cluster:
             log_limit=log_limit, tracer=obs,
         )
         self.log = ActionLog(clock=lambda: self.net.queue.now, tracer=obs)
-        self.monitor = self._build_monitor(monitor)
+        self.monitor = None
+        if monitor:
+            from repro.faults.monitor import SafetyMonitor
+
+            self.monitor = SafetyMonitor(initial_view, net=self.net)
+            self.monitor.attach(self.log)
         self.nemesis = self._build_nemesis(nemesis)
         self.last_settle = None
         self.towers = {}
@@ -103,17 +108,6 @@ class Cluster:
             from repro.gcs.effect_check import EffectIsolationChecker
 
             self.effect_checker = EffectIsolationChecker(self).install()
-
-    def _build_monitor(self, monitor):
-        if not monitor:
-            return None
-        if monitor is True:
-            from repro.faults.monitor import SafetyMonitor
-
-            monitor = SafetyMonitor(self.initial_view, net=self.net)
-        if getattr(monitor, "net", None) is None:
-            monitor.net = self.net
-        return monitor.attach(self.log)
 
     def _build_nemesis(self, nemesis):
         if nemesis is None:

@@ -39,11 +39,13 @@ class Install:
 
 @dataclass(frozen=True)
 class Data:
-    """Client payload forwarded to the view's sequencer."""
+    """Client payload forwarded to the view's sequencer: ``sender``'s
+    ``n``-th (from 1) in view ``vid``."""
 
     vid: ViewId
     payload: object
     sender: str
+    n: int
 
 
 @dataclass(frozen=True)

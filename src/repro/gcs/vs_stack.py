@@ -9,9 +9,10 @@ components have distinct leaders) and installs are accepted only in
 increasing identifier order, so each process's view sequence is monotone.
 
 Ordering: per-view sequencer.  A member forwards its payloads to the
-view's leader (minimum id), which assigns consecutive sequence numbers and
-broadcasts them; members deliver in sequence order -- hence all members of
-a view deliver prefixes of one common sequence.  The leader orders in
+view's leader (minimum id), numbered per view, which orders them in that
+order, assigns consecutive sequence numbers and broadcasts them; members
+deliver in sequence order -- hence all members of a view deliver
+prefixes of one common sequence.  The leader orders in
 *runs*: every payload that reaches it (its own ``gpsnd`` included, with
 no ``Data`` hop to itself) before a zero-delay ``vs_flush`` timer fires
 gets the next consecutive slots and leaves in one frame -- ``Ordered``
@@ -34,7 +35,8 @@ the shared trace-property checkers):
 - deliveries carry the view identifier and are accepted only in the
   matching current view (sending-view delivery);
 - the sequencer gives every member the same per-view order, delivered
-  gap-free (common order, prefix delivery).
+  gap-free (common order, prefix delivery), and orders each sender's
+  payloads in its order, with no gap or duplicate (sender FIFO).
 
 Liveness depends on the connectivity oracle and on component stability; a
 round interrupted by another connectivity change is simply superseded.
@@ -78,9 +80,11 @@ class _ViewOrderingState:
     """Per-view sequencing state, discarded on every view change."""
 
     def __init__(self):
+        self.sent = 0  # this process's Data count in the view
         # Sequencer side.
         self.next_assign = 1
         self.run = []  # (payload, sender) pairs awaiting the flush
+        self.expected = {}  # sender -> the Data.n it may order next
         # Member side.
         self.buffer = {}
         self.next_deliver = 1
@@ -125,7 +129,10 @@ class VsStackNode(Node, RecorderMixin):
         if self.pid == self._leader():
             self._order(payload, self.pid)
         else:
-            self.send(self._leader(), Data(self.view.id, payload, self.pid))
+            self.ordering.sent += 1
+            self.send(self._leader(), Data(
+                self.view.id, payload, self.pid, self.ordering.sent
+            ))
 
     def _leader(self):
         return min(self.view.set)
@@ -185,8 +192,16 @@ class VsStackNode(Node, RecorderMixin):
         return self.view is not None and self.view.id == vid
 
     def _on_data(self, src, msg):
+        """Sequencer: order only a sender's next ``n``.  A duplicate, or
+        any ``Data`` past a gap, is dropped: that sender stalls until
+        the next view."""
         if not self._in_current_view(msg.vid) or self.pid != self._leader():
             return
+        expected = self.ordering.expected
+        n = expected.get(msg.sender, 1)
+        if msg.n != n:
+            return
+        expected[msg.sender] = n + 1
         self._order(msg.payload, msg.sender)
 
     def _order(self, payload, sender):

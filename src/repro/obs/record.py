@@ -12,9 +12,8 @@ versioned, through the same length-prefixed frame codec the wire uses
 (:mod:`repro.runtime.codec`): the payloads are the very messages that
 crossed the wire, so nothing needs a second serialization scheme and
 hostile input fails with the codec's typed errors.  Frames are written
-in the current wire version (4: native JSON scalars); a trace an older
-build wrote in wire version 1-3 still loads, because the codec reads
-every version it accepts through the same walk.
+in the current wire version; an older build's trace still loads through
+the same walk, unless it holds a pre-v6 ``Data``, which is refused.
 
 Replay lives in :mod:`repro.checking.replay`; this module owns only the
 format, so the runtime can record without importing the checking stack.

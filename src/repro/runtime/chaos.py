@@ -7,9 +7,9 @@ NemesisPlan` DSL against real sockets through
 :class:`~repro.runtime.faultnet.LiveNemesis`, drives a round-robin
 broadcast workload on the wall clock while the faults play out, and
 returns a :class:`~repro.faults.harness.ChaosResult` carrying the
-monitor's verdict, the specifications' (DVS and TO) and the recorded
-:class:`~repro.obs.record.ReplayTrace` -- the artifact that makes the
-nondeterministic run checkable offline (:mod:`repro.checking.replay`).
+monitor and the recorded :class:`~repro.obs.record.ReplayTrace` -- the
+artifact that makes the nondeterministic run checkable offline
+(:mod:`repro.checking.replay`).
 
 Times in a live plan are wall-clock *seconds*, so live plans are short:
 a few seconds of partitions, latency and loss exercise the same protocol
@@ -18,7 +18,6 @@ paths hundreds of simulated units do.
 
 import time
 
-from repro.checking.trace_props import spec_verdicts
 from repro.faults.harness import ChaosResult, workload_send
 from repro.faults.nemesis import NemesisPlan
 from repro.runtime.cluster import RuntimeCluster
@@ -98,8 +97,7 @@ def run_live_chaos(
     return ChaosResult(
         processes=processes,
         plan=plan,
-        violations=cluster.violations,
-        verdicts=spec_verdicts(cluster.log, cluster.initial_view),
+        monitor=cluster.monitor,
         stats=stats,
         trace=trace,
     )

@@ -77,9 +77,8 @@ class RuntimeCluster:
         self.log = ActionLog(clock=self._log_now, tracer=obs)
         self.monitor = None
         if monitor:
-            if monitor is True:
-                monitor = SafetyMonitor(self.initial_view, fail_fast=False)
-            self.monitor = monitor.attach(self.log)
+            self.monitor = SafetyMonitor(self.initial_view, fail_fast=False)
+            self.monitor.attach(self.log)
         #: Shared fault interposer + scheduled nemesis, mirroring the
         #: simulator cluster's ``nemesis=`` hook: pass a
         #: :class:`~repro.faults.nemesis.NemesisPlan` (or op list, or a

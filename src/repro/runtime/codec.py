@@ -92,15 +92,18 @@ from repro.to.summaries import Label, Summary
 #:   id (``null`` before its first view), which the connectivity merge
 #:   trigger compares.  A v4 ``Heartbeat`` with no field decodes as
 #:   view unknown (see :data:`_ADDED_FIELDS`).  Every other body is
-#:   what version 4 wrote, and must carry every field.
-WIRE_VERSION = 5
+#:   what version 4 wrote, and must carry every field;
+#: - ``6`` -- :class:`~repro.gcs.messages.Data` carries ``n``, its
+#:   sender's count in the view, which the sequencer orders by.  An
+#:   older ``Data`` is refused, not defaulted (DESIGN section 9).
+WIRE_VERSION = 6
 
 #: Body versions this decoder accepts.  Encoding always stamps
 #: :data:`WIRE_VERSION`; decoding reads the older layouts through the
 #: same walk (their scalar tags are rows of its tag table, and the
 #: version byte is not consulted beyond this window), so mixed-version
 #: clusters keep talking during a rolling upgrade and old traces load.
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5)
+SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 #: Frames longer than this are rejected before buffering (a garbage
 #: length prefix must not make the reader allocate gigabytes).
@@ -181,6 +184,7 @@ WIRE_SCHEMA = MappingProxyType({
         ("vid", "ViewId"),
         ("payload", "object"),
         ("sender", "str"),
+        ("n", "int"),
     ),
     "Ordered": (
         ("vid", "ViewId"),

@@ -25,7 +25,7 @@ precondition.
 from repro.core.sequences import head, nth, remove_head
 from repro.core.tables import Table
 from repro.core.viewids import vid_gt
-from repro.ioa.acceptor import accept
+from repro.ioa.acceptor import Acceptor, accept
 from repro.ioa.action import act
 from repro.ioa.automaton import TransitionAutomaton
 from repro.ioa.state import State
@@ -205,7 +205,8 @@ def forced_order(state, action, prefix="vs"):
         m, p, q = action.params
         g = state.current_viewid.get(q)
         if g is not None and state.next.get((q, g)) > len(state.queue.get(g)):
-            yield act(prefix + "_order", m, p, g)
+            return (act(prefix + "_order", m, p, g),)
+    return ()
 
 
 def forget_view(state, p):
@@ -229,3 +230,23 @@ def accept_vs(trace, initial_view):
 
     return accept(VSSpec(initial_view, view_pool=views), trace, forced,
                   forget_view)
+
+
+def vs_acceptor(initial_view):
+    """Figure 1 over ``v0``'s members, to be stepped as a run goes.  With no
+    look-ahead, a view's first report creates it when its id is above
+    ``v0``'s and held by no created view: the VS-CREATEVIEW hoisted to
+    the start of the execution (DESIGN section 6)."""
+    low = initial_view.id
+
+    def forced(state, action):
+        view = action.params[0] if action.name == "vs_newview" else None
+        if view is None or view in state.created:
+            return forced_order(state, action)
+        if vid_gt(view.id, low) and all(w.id != view.id
+                                        for w in state.created):
+            state.created.add(view)  # the hoisted VS-CREATEVIEW
+            return ()
+        return (act("vs_createview", view),)
+
+    return Acceptor(VSSpec(initial_view), forced, forget_view)

@@ -110,7 +110,7 @@ class TestDispatch:
         result = replay_trace(_trace(events))
         assert seen == [("restart", "p1")]
         assert result.ok and result.stats["actions"] == 1
-        assert result.verdicts == {"DVS": None, "TO": None}
+        assert result.monitor.rejections() == {"VS": None, "DVS": None, "TO": None}
 
     def test_layer_errors_are_recorded_not_raised(self):
         events = _starts("p1") + [

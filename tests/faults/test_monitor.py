@@ -1,6 +1,6 @@
-"""Tests for the online safety monitor: the DVS view-management and TO
-acceptors, stepped as actions are recorded.  Each scripted bad trace is
-pinned on the rejection it must produce."""
+"""Tests for the online safety monitor: the VS, DVS and TO acceptors,
+stepped as actions are recorded.  Each scripted bad trace is pinned on
+the rejection it must produce."""
 
 import pytest
 
@@ -26,6 +26,29 @@ def rejected(err, index, reason):
     assert rejection.index == index and rejection.reason == reason
     assert err.value.detail == str(rejection) == err.value.summary()
     return rejection
+
+
+class TestVsChecks:
+    def test_a_gap_in_a_senders_fifo_order_fails(self):
+        """Figure 1's ``pending[p, g]`` is a queue: ``m2`` cannot be
+        ordered ahead of ``m1`` (ROADMAP 4(beta)'s safety face)."""
+        monitor, log, v0 = make_monitor("ab")
+        log.record("vs_gpsnd", "m1", "b")
+        log.record("vs_gpsnd", "m2", "b")
+        with pytest.raises(SafetyViolation) as err:
+            log.record("vs_gprcv", "m2", "b", "a")
+        assert err.value.prop == "vs"
+        rejected(err, 2, "forces vs_order('m2', 'b', {0!r}), which is not "
+                 "enabled".format(v0.id))
+
+    def test_a_duplicated_delivery_fails(self):
+        """One ``gpsnd``, two deliveries at a: 4(delta)'s face."""
+        monitor, log, _ = make_monitor("ab")
+        log.record("vs_gpsnd", "m", "b")
+        log.record("vs_gprcv", "m", "b", "a")
+        with pytest.raises(SafetyViolation) as err:
+            log.record("vs_gprcv", "m", "b", "a")
+        assert err.value.prop == "vs" and err.value.rejection.index == 2
 
 
 class TestDvsChecks:

@@ -1,24 +1,25 @@
-"""The specification as the oracle of chaos runs (ROADMAP item 8).
+"""The specifications as the oracle of chaos runs (ROADMAP items 8, 16).
 
-``run_chaos`` walks its action log, once at end of run, through the
-executable specifications (``ChaosResult.verdicts``, from
-:func:`repro.checking.trace_props.spec_verdicts`).  Part (a) pins what
-must be accepted, and that a broken stack's online violation is the
-end-of-run rejection.  Part (b) pins what the acceptor *found* and is
-not fixed yet: ROADMAP item 4(beta) -- a frame lost inside a stable view
-is never repaired -- is a safety face too (sender FIFO with a gap is not
-a trace of Figure 1 or Figure 2); 4(delta), a duplicated ``Data`` is
-sequenced twice; and an amnesiac VS re-mints a view id.  Those are
-``xfail(strict=True)``: the change that repairs one must delete its
-marks.
+``run_chaos``'s monitor steps the executable specifications of VS, DVS
+and TO online (``ChaosResult.monitor``); one oracle, no end-of-run walk.
+Part (a) pins the faults the walk once found in lossy runs and that the
+sender count on ``Data`` closed: a frame lost inside a stable view
+(4(beta)) and a duplicated ``Data`` (4(delta)).  These one-op recipes
+come first: they are the cheapest tests that name the fault.  Part (b)
+pins what must be accepted, and that each online rejection is the one
+the reference walks (``accept_*``) give on the same log.  A lost ``Data`` now
+stalls its sender until the next view (a liveness matter, item 4(ii))
+instead of leaving a gap in its FIFO order.  What is still found and
+not fixed -- an amnesiac VS re-mints a view id (4(gamma)) -- is an
+``xfail(strict=True)``: the change that repairs it must delete its mark.
 """
 
 import time
 
 import pytest
 
-from repro.checking.trace_props import spec_verdicts
 from repro.dvs.ablation import NoMajorityDvsLayer
+from repro.dvs.refinement import accept_dvs
 from repro.faults import (
     FaultOp,
     NemesisPlan,
@@ -31,10 +32,15 @@ from repro.faults import (
 )
 from repro.gcs.cluster import Cluster
 from repro.runtime.cluster import RuntimeCluster
+from repro.to.refinement import accept_to
+from repro.vs.spec import accept_vs
 
 PROCS = ["p1", "p2", "p3", "p4", "p5"]
 #: ``repro chaos``'s defaults: 240 time units, faults in [10, 190].
 WINDOW = dict(start=10.0, duration=180.0)
+ACCEPTED = {"VS": None, "DVS": None, "TO": None}
+#: The reference walks, by the monitor's spec names.
+REFERENCE = {"VS": accept_vs, "DVS": accept_dvs, "TO": accept_to}
 
 
 def _chaos(family, seed, **run):
@@ -53,71 +59,23 @@ def _chaos(family, seed, **run):
     return run_chaos(PROCS, seed=seed, plan=plan, duration=240.0, **run)
 
 
-class TestAccepted:
-    def test_storm_5_is_a_trace_of_vs_dvs_and_to(self):
-        result = _chaos("storm", 5)
-        assert result.ok
-        assert result.verdicts == {"VS": None, "DVS": None, "TO": None}
-
-    def test_churn_3_is_a_trace_of_vs_dvs_and_to_and_the_walk_is_cheap(self):
-        """2,498 actions through three specs in well under half a second:
-        the walk is in place (no ``state.copy()`` per action)."""
-        result = _chaos("churn", 3, keep_cluster=True)
-        assert result.ok
-        assert result.verdicts == {"VS": None, "DVS": None, "TO": None}
-        log = result.cluster.log
-        assert len(log) > 2000
-        started = time.perf_counter()
-        spec_verdicts(log, result.cluster.initial_view, ("VS", "DVS", "TO"))
-        assert time.perf_counter() - started < 0.5
-
-    def test_mixed_2_is_a_trace_of_dvs_and_to(self):
-        """``mixed`` includes loss windows, so VS is not asserted (see
-        the xfails below); the two services the paper proves are."""
-        result = _chaos("mixed", 2)
-        assert result.ok
-        assert result.verdicts["DVS"] is None
-        assert result.verdicts["TO"] is None
+def reference_rejections(log, initial_view):
+    """What the reference walks say of ``log``, spec by spec."""
+    return {name: walk(log, initial_view)[1]
+            for name, walk in REFERENCE.items()}
 
 
-class TestBrokenStackRejected:
-    def test_no_majority_churn_0_rejected_no_later_than_the_monitor(self):
-        """The monitor *is* the acceptor, stepped online: the same
-        rejection, at #153, the monitor's last logged action."""
-        result = _chaos("churn", 0, dvs_factory=NoMajorityDvsLayer)
-        assert result.violation.prop == "dvs"
-        rejection = result.verdicts["DVS"]
-        assert rejection is not None
-        assert rejection.index == 153 == len(result.violation.actions) - 1
-        assert rejection.action.name == "dvs_newview"
-        assert "dvs_createview" in rejection.reason
-        assert result.verdicts["TO"] is None
-
-    @pytest.mark.parametrize("family", ["churn", "mixed"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_the_online_violation_is_the_end_of_run_rejection(
-        self, family, seed
-    ):
-        result = _chaos(family, seed, dvs_factory=NoMajorityDvsLayer)
-        online = result.violation.rejection
-        assert online == result.verdicts[result.violation.prop.upper()]
-        assert str(online) == result.violation.summary()
-
-
-# -- (b) what the acceptor found; ROADMAP item 4 owns the repair -------------
-
-ITEM_4_BETA = (
-    "ROADMAP item 4(beta): VS has no in-view retransmission, so a lost "
-    "Data frame leaves a gap in its sender's FIFO order"
-)
+# -- (a) what the walk found in lossy runs, closed by Data's count ------------
 
 
 def _one_dropped_data_frame():
     """Three nodes, quiet and formed; one ``drop`` op covers exactly
-    c's first multicast on its way to the sequencer a; c's second
-    multicast, after the window, is sequenced and delivered alone."""
+    c's first multicast on its way to the sequencer a.  c's second
+    multicast, after the window, is past the gap: a drops it, so
+    nothing from c is delivered in that view."""
     plan = NemesisPlan([FaultOp(100.0, "drop", ((("c", "a"),), 1.0, 3.0))])
-    cluster = Cluster(list("abc"), seed=1, nemesis=plan).start()
+    cluster = Cluster(list("abc"), seed=1, nemesis=plan, monitor=True)
+    cluster.start()
     cluster.run(100.5)
     cluster.bcast("c", ("m", 1))
     cluster.run(5.0)
@@ -125,82 +83,133 @@ def _one_dropped_data_frame():
     cluster.settle(max_time=300)
     drops = [d for _, kind, d in cluster.net.log if kind == "fault_drop"]
     assert len(drops) == 1 and type(drops[0][2]).__name__ == "Data"
-    assert cluster.delivered("a") == [(("m", 2), "c")]
-    return spec_verdicts(
-        cluster.log, cluster.initial_view, ("VS", "DVS", "TO")
-    )
+    views = {a.params[0] for a in cluster.log.actions
+             if a.name == "vs_newview"}
+    assert len(views) == 1  # formed once, no later view to unstall c
+    assert cluster.delivered("a") == []
+    return cluster.monitor.rejections()
 
 
 class TestLossIsATraceInclusionViolation:
-    def test_to_accepts_the_gap(self):
-        """TO promises no per-sender FIFO, so it stays accepted -- which
-        is why every older oracle called these runs clean."""
-        assert _one_dropped_data_frame()["TO"] is None
+    """The recipe that showed 4(beta)'s safety face: it is now a stall."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_BETA)
     def test_one_dropped_data_frame_is_a_trace_of_vs(self):
         assert _one_dropped_data_frame()["VS"] is None
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_BETA)
     def test_one_dropped_data_frame_is_a_trace_of_dvs(self):
         assert _one_dropped_data_frame()["DVS"] is None
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_BETA)
+    def test_to_accepts_the_gap(self):
+        assert _one_dropped_data_frame()["TO"] is None
+
     def test_flaky_4_is_a_trace_of_dvs(self):
         """The seed that showed it (t=24.0, p3 -> p1)."""
         result = _chaos("flaky", 4)
-        if not result.ok:  # the monitor sees nothing
-            pytest.fail(str(result.violation))
-        assert result.verdicts["DVS"] is None
-
-
-ITEM_4_DELTA = (
-    "ROADMAP item 4(delta): Data carries no per-sender sequence number, "
-    "so the sequencer orders a duplicated Data twice"
-)
+        assert result.ok, str(result.violation)
+        assert result.monitor.rejections() == ACCEPTED
 
 
 def _one_duplicated_data_frame():
     """One ``duplicate`` op over c -> a copies c's first multicast on its
-    way to the sequencer a.  a sequences both copies, so every member
-    delivers ``(g1@a#1@c, ('m', 1))`` twice; TO's labels deduplicate."""
+    way to the sequencer a.  a orders the first copy and drops the
+    second (its count is no longer the next), so every member delivers
+    ``(g1@a#1@c, ('m', 1))`` once."""
     plan = NemesisPlan(
         [FaultOp(100.0, "duplicate", ((("c", "a"),), 1.0, 0.5, 3.0))]
     )
-    cluster = Cluster(list("abc"), seed=1, nemesis=plan).start()
+    cluster = Cluster(list("abc"), seed=1, nemesis=plan, monitor=True)
+    cluster.start()
     cluster.run(100.5)
     cluster.bcast("c", ("m", 1))
     cluster.run(5.0)
     cluster.bcast("c", ("m", 2))
     cluster.settle(max_time=300)
-    copies = [m for m, _ in cluster.log.at("vs_gprcv", "a")
-              if isinstance(m, tuple) and m[1] == ("m", 1)]
-    assert len(copies) == 2
+    delivered = [m for m, _ in cluster.log.at("vs_gprcv", "a")
+                 if isinstance(m, tuple) and m[1] == ("m", 1)]
+    assert len(delivered) == 1
     assert cluster.delivered("a") == [(("m", 1), "c"), (("m", 2), "c")]
-    return spec_verdicts(
-        cluster.log, cluster.initial_view, ("VS", "DVS", "TO")
-    )
+    return cluster.monitor.rejections()
 
 
 class TestDuplicationIsATraceInclusionViolation:
+    """The recipe that showed 4(delta): the copy is dropped."""
+
+    def test_one_duplicated_data_frame_is_a_trace_of_vs(self):
+        assert _one_duplicated_data_frame()["VS"] is None
+
+    def test_one_duplicated_data_frame_is_a_trace_of_dvs(self):
+        assert _one_duplicated_data_frame()["DVS"] is None
+
     def test_to_accepts_the_duplicate(self):
         assert _one_duplicated_data_frame()["TO"] is None
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_DELTA)
-    def test_one_duplicated_data_frame_is_a_trace_of_vs(self):
-        rejection = _one_duplicated_data_frame()["VS"]
-        assert rejection is None, str(rejection)  # today: #102
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4_DELTA)
-    def test_one_duplicated_data_frame_is_a_trace_of_dvs(self):
-        rejection = _one_duplicated_data_frame()["DVS"]
-        assert rejection is None, str(rejection)  # today: #103
+# -- (b) what must be accepted, and each rejection the reference's --------------
+
+
+class TestAccepted:
+    def test_storm_5_is_a_trace_of_vs_dvs_and_to(self):
+        result = _chaos("storm", 5)
+        assert result.ok
+        assert result.monitor.rejections() == ACCEPTED
+
+    def test_churn_3_is_a_trace_of_vs_dvs_and_to_and_the_walk_is_cheap(self):
+        """2,498 actions through three specs in well under half a second:
+        the walk is in place (no ``state.copy()`` per action)."""
+        result = _chaos("churn", 3, keep_cluster=True)
+        assert result.ok
+        assert result.monitor.rejections() == ACCEPTED
+        log = result.cluster.log
+        assert len(log) > 2000
+        started = time.perf_counter()
+        assert reference_rejections(log, result.cluster.initial_view) \
+            == ACCEPTED
+        assert time.perf_counter() - started < 0.5
+
+    def test_mixed_2_is_a_trace_of_dvs_and_to(self):
+        """``mixed`` includes loss windows; since ``Data`` carries its
+        sender's count, VS accepts it too."""
+        result = _chaos("mixed", 2)
+        assert result.ok
+        assert result.monitor.rejections() == ACCEPTED
+
+
+class TestBrokenStackRejected:
+    def test_no_majority_churn_0_rejected_no_later_than_the_monitor(self):
+        """The monitor *is* the acceptor, stepped online: the rejection
+        at #153, the monitor's last logged action."""
+        result = _chaos("churn", 0, dvs_factory=NoMajorityDvsLayer)
+        assert result.violation.prop == "dvs"
+        rejections = result.monitor.rejections()
+        rejection = rejections["DVS"]
+        assert rejection == result.violation.rejection
+        assert rejection.index == 153 == len(result.violation.actions) - 1
+        assert rejection.action.name == "dvs_newview"
+        assert "dvs_createview" in rejection.reason
+        assert rejections["VS"] is None and rejections["TO"] is None
+
+    @pytest.mark.parametrize("family", ["churn", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_online_violation_is_the_end_of_run_rejection(
+        self, family, seed
+    ):
+        """Differential: each spec's online rejection is the reference
+        walk's on the same (stopped) log, spec by spec, to the index."""
+        result = _chaos(family, seed, dvs_factory=NoMajorityDvsLayer,
+                        keep_cluster=True)
+        online = result.monitor.rejections()
+        assert online == reference_rejections(
+            result.cluster.log, result.cluster.initial_view
+        )
+        assert online["DVS"] == result.violation.rejection
+        assert str(online["DVS"]) == result.violation.summary()
 
 
 @pytest.fixture(scope="module")
 def isolated_restart_verdicts():
     """n1 leads ``g1@n1{n1,n2}`` after n3 dies; then everyone dies and a
-    fresh n1 comes back alone and installs ``g1@n1{n1}``."""
+    fresh n1 comes back alone and installs ``g1@n1{n1}``.  The live
+    cluster's monitor flags it (VS, online); DVS and TO hold."""
     cluster = RuntimeCluster(
         ["n1", "n2", "n3"], hb_interval=0.05, hb_timeout=0.25
     )
@@ -217,10 +226,8 @@ def isolated_restart_verdicts():
             ),
             what="the fresh n1's singleton view",
         )
-    assert not cluster.violations
-    return spec_verdicts(
-        cluster.log, cluster.initial_view, ("VS", "DVS", "TO")
-    )
+    assert {v.prop for v in cluster.violations} <= {"vs"}
+    return cluster.monitor.rejections()
 
 
 class TestAmnesiacVsRemintsAViewId:

@@ -53,7 +53,7 @@ class TestWireMessages:
             Collect(("a", 1), frozenset({"a", "b"})),
             StateReply(("a", 1), 3),
             Install(("a", 1), view),
-            Data(vid, "m", "a"),
+            Data(vid, "m", "a", 1),
             Ordered(vid, 1, "m", "a"),
             Ack(vid, 1),
             SafeNote(vid, 1),
@@ -62,5 +62,5 @@ class TestWireMessages:
 
     def test_equality_is_structural(self):
         vid = ViewId(2, "b")
-        assert Data(vid, "m", "a") == Data(vid, "m", "a")
+        assert Data(vid, "m", "a", 1) == Data(vid, "m", "a", 1)
         assert Ack(vid, 1) != Ack(vid, 2)

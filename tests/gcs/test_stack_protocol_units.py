@@ -94,8 +94,8 @@ class TestSequencer:
         leader = nodes["a"]
         vid = leader.view.id
         before = len(net.log)
-        leader._on_data("b", Data(vid, "m1", "b"))
-        leader._on_data("b", Data(vid, "m2", "b"))
+        leader._on_data("b", Data(vid, "m1", "b", 1))
+        leader._on_data("b", Data(vid, "m2", "b", 2))
         assert sent(net, before) == []
         net.run_to_quiescence(max_time=100)
         run = OrderedRun(vid, 1, (("m1", "b"), ("m2", "b")))
@@ -108,7 +108,7 @@ class TestSequencer:
         net, nodes, v0 = wire(["a", "b"])
         leader = nodes["a"]
         before = len(net.log)
-        leader._on_data("b", Data(ViewId(0, ""), "old", "b"))
+        leader._on_data("b", Data(ViewId(0, ""), "old", "b", 1))
         new_sends = [1 for _, k, _ in net.log[before:] if k == "send"]
         assert not new_sends
 
@@ -142,11 +142,13 @@ class TestSequencerRuns:
         net, nodes, v0 = wire(["a", "b", "c"])
         leader = nodes["a"]
         vid = leader.view.id
-        leader._on_data("b", Data(vid, "first", "b"))
+        leader._on_data("b", Data(vid, "first", "b", 1))
         net.run_to_quiescence(max_time=100)
         before = len(net.log)
         for i in range(5):
-            leader._on_data("bc"[i % 2], Data(vid, i, "bc"[i % 2]))
+            sender = "bc"[i % 2]
+            n = 2 + i // 2 if sender == "b" else 1 + i // 2
+            leader._on_data(sender, Data(vid, i, sender, n))
         net.run_to_quiescence(max_time=100)
         frames = sent(net, before, (Ordered, OrderedRun))
         assert len(frames) == 3  # one frame per member
@@ -163,7 +165,7 @@ class TestSequencerRuns:
         leader = nodes["a"]
         vid = leader.view.id
         before = len(net.log)
-        leader._on_data("b", Data(vid, "m", "b"))
+        leader._on_data("b", Data(vid, "m", "b", 1))
         net.run_to_quiescence(max_time=100)
         frames = sent(net, before, (Ordered, OrderedRun))
         assert frames == [Ordered(vid, 1, "m", "b")] * 2
@@ -177,7 +179,7 @@ class TestSequencerRuns:
         nodes["b"].gpsnd("theirs")
         net.run_to_quiescence(max_time=100)
         assert sent(net, before, Data) == [
-            Data(nodes["b"].view.id, "theirs", "b")
+            Data(nodes["b"].view.id, "theirs", "b", 1)
         ]
         assert got["a"] == got["b"] == ["own", "theirs"]
 
@@ -186,7 +188,7 @@ class TestSequencerRuns:
         leader = nodes["a"]
         got = recording(nodes["b"])
         old = leader.view
-        leader._on_data("b", Data(old.id, "stale", "b"))
+        leader._on_data("b", Data(old.id, "stale", "b", 1))
         leader.gpsnd("also stale")
         new = View(ViewId(old.id.epoch + 1, "a"), old.set)
         for node in nodes.values():
@@ -195,7 +197,7 @@ class TestSequencerRuns:
         net.run_to_quiescence(max_time=100)  # the old run's flush fires
         assert sent(net, before, (Ordered, OrderedRun)) == []
         assert leader.ordering.next_assign == 1 and got == []
-        leader._on_data("b", Data(new.id, "fresh", "b"))
+        leader._on_data("b", Data(new.id, "fresh", "b", 1))
         net.run_to_quiescence(max_time=100)
         assert sent(net, before, (Ordered, OrderedRun)) == [
             Ordered(new.id, 1, "fresh", "b")

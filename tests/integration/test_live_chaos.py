@@ -107,7 +107,7 @@ class TestSequencerRunsReplay:
         first, second = check_replay_determinism(trace)
         assert first.deliveries == second.deliveries == live
         assert first.violations == []
-        assert first.verdicts == {"DVS": None, "TO": None}  # accepted
+        assert first.monitor.rejections() == {"VS": None, "DVS": None, "TO": None}  # accepted
 
 
 class TestMarshallingUnderAsyncioDebug:

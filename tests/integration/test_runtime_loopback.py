@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from repro.apps.kv_store import KvReplica
-from repro.checking.trace_props import spec_verdicts
 from repro.gcs.to_layer import NORMAL
 from repro.ioa.acceptor import RESTART
 from repro.obs import Observability
@@ -270,6 +269,4 @@ def test_a_restarted_node_rejoins_in_one_view():
     ((installed_at, view),) = installs
     assert view.set == frozenset(PIDS)
     assert installed_at - log.times[restart] < 0.5
-    assert spec_verdicts(
-        log, cluster.initial_view, ("VS", "DVS", "TO")
-    ) == {"VS": None, "DVS": None, "TO": None}
+    assert cluster.monitor.rejections() == {"VS": None, "DVS": None, "TO": None}

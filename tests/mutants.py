@@ -249,6 +249,18 @@ MUTANTS = (
         "tests/gcs/test_stack_protocol_units.py::TestSequencer::"
         "test_out_of_order_delivery_buffers",
     ),
+    # The sequencer as it was before ``Data`` carried its sender's count
+    # (ROADMAP 4(beta), 4(delta)): whatever reaches it is ordered.
+    Mutant(
+        "data_fifo_unchecked", "gcs/vs_stack.py",
+        "        if msg.n != n:\n            return\n",
+        "",
+        "`VsStackNode._on_data` orders a `Data` whatever its `n`",
+        frozenset(),
+        "tests/faults/test_spec_acceptance.py::"
+        "TestLossIsATraceInclusionViolation::"
+        "test_one_dropped_data_frame_is_a_trace_of_vs",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}
@@ -293,22 +305,26 @@ def _absolute(arg):
 
 
 def first_failure(output, cwd):
-    """The node id, relative to the repository, of the first ``FAILED``
-    / ``ERROR`` line in the short test summary of a run from ``cwd``."""
+    """The first ``FAILED`` / ``ERROR`` line in the short test summary
+    of a run from ``cwd``, as ``(node id, line)``: the node id relative
+    to the repository, and the line with that id; ``(None, None)`` if
+    there is none."""
     _, marker, summary = output.partition("short test summary info")
     for line in summary.splitlines() if marker else ():
         for tag in ("FAILED ", "ERROR "):
             if line.startswith(tag):
-                path, sep, rest = line[len(tag):].split(" - ", 1)[0] \
-                    .strip().partition("::")
+                node, dash, reason = line[len(tag):].partition(" - ")
+                path, sep, rest = node.strip().partition("::")
                 path = os.path.normpath(os.path.join(cwd, path))
-                return os.path.relpath(path, REPO) + sep + rest
-    return None
+                killer = os.path.relpath(path, REPO) + sep + rest
+                return killer, tag + killer + dash + reason
+    return None, None
 
 
 def measure(mutant, suite=SUITE):
-    """Run ``suite`` on a mutated copy of ``src/``: the first failing
-    test's node id, or ``None`` if the suite passes."""
+    """Run ``suite`` on a mutated copy of ``src/``: ``(killer, line)``,
+    the first failing test's node id and its ``-rfE`` summary line (why
+    it failed), or ``(None, None)`` if the suite passes."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as root:
         src = mutated_tree(mutant, root)
         # From the scratch directory, so that nothing the run writes
@@ -318,17 +334,18 @@ def measure(mutant, suite=SUITE):
             [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
              "-p", "no:cacheprovider", "--rootdir", REPO]
             + [_absolute(arg) for arg in suite],
-            cwd=root, env=dict(os.environ, PYTHONPATH=src),
+            # Wide enough that each summary line keeps its reason.
+            cwd=root, env=dict(os.environ, PYTHONPATH=src, COLUMNS="1000"),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
     if proc.returncode == 0:
-        return None
-    killer = first_failure(proc.stdout, root)
+        return None, None
+    killer, line = first_failure(proc.stdout, root)
     if killer is None:
         raise RuntimeError("{0}: pytest exited {1} with no failing test\n"
                            "{2}".format(mutant.name, proc.returncode,
                                         proc.stdout[-2000:]))
-    return killer
+    return killer, line
 
 
 def verdict(killer):
@@ -356,7 +373,9 @@ def render_table():
 
 def main(names=None, suite=SUITE, out=sys.stdout):
     """Measure ``names`` (default: every mutant) and compare with the
-    registry; 0 if every verdict and killer is as recorded."""
+    registry; 0 if every verdict and killer is as recorded.  A changed
+    verdict that is a kill also prints the killer's summary line, so a
+    flaky kill can be told from a real one."""
     names = list(names or ()) or [mutant.name for mutant in MUTANTS]
     unknown = [name for name in names if name not in BY_NAME]
     if unknown:
@@ -365,15 +384,17 @@ def main(names=None, suite=SUITE, out=sys.stdout):
     changed = []
     for name in names:
         mutant = BY_NAME[name]
-        got = measure(mutant, suite)
+        got, line = measure(mutant, suite)
         same = got == mutant.killer
         out.write("{0:<22} {1}{2}\n".format(
             name, verdict(got),
             "" if same else "   (recorded: {0})".format(
                 verdict(mutant.killer))))
-        out.flush()
         if not same:
             changed.append(name)
+            if line is not None:
+                out.write("  {0}\n".format(line))
+        out.flush()
     if changed:
         out.write("verdict changed: {0}\n".format(", ".join(changed)))
         return 1

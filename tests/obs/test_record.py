@@ -35,7 +35,7 @@ EXAMPLE = ReplayTrace(
     [
         TraceEvent(0.0, "p1", "start", (True,)),
         TraceEvent(0.1, "p1", "conn", (("p1", "p2", "p3"),)),
-        TraceEvent(0.2, "p2", "recv", ("p1", Data(V1, ("w", "p1", 0), "p1"))),
+        TraceEvent(0.2, "p2", "recv", ("p1", Data(V1, ("w", "p1", 0), "p1", 1))),
         TraceEvent(0.3, "p1", "bcast", (("w", "p1", 0),)),
         TraceEvent(0.4, "*", "nemesis", ("partition [...]",)),
         TraceEvent(0.5, "p3", "timer", ("hb",)),

@@ -51,7 +51,7 @@ def _feed_full_span(tracer, dst="p3"):
     tracer.on_action(1.0, "to_label", (LABEL, "p1"))
     tracer.on_action(2.0, "dvs_gpsnd", (payload, "p1"))
     tracer.on_action(3.0, "vs_gpsnd", (payload, "p1"))
-    data = Data(VID, payload, "p1")
+    data = Data(VID, payload, "p1", 1)
     ordered = Ordered(VID, 1, payload, "p2")
     tracer.wire_event("wire_send", "p1", "p2", data, 4.0)
     tracer.wire_event("wire_recv", "p2", "p1", data, 6.0)

@@ -474,7 +474,7 @@ def test_a_forged_nan_frame_is_rejected_and_the_view_keeps_delivering():
         port, vid = cluster.call_node(
             "n1", lambda node: (node.port, node.stack.view.id)
         )
-        honest = encode_frame(("n2", Data(vid, ("put", "k", 1.5), "n2")))
+        honest = encode_frame(("n2", Data(vid, ("put", "k", 1.5), "n2", 1)))
         body = honest[4:]
         assert body.count(b",1.5]") == 1
         for count, literal in enumerate((b"NaN", b"Infinity", b"1e999"), 1):

@@ -65,7 +65,7 @@ EXAMPLES = [
     Collect(("p1", 4), frozenset({"p1", "p2"})),
     StateReply(("p1", 4), 9),
     Install(("p1", 4), VIEW),
-    Data(V1, ("put", "k", "v"), "p3"),
+    Data(V1, ("put", "k", "v"), "p3", 1),
     Ordered(V1, 12, ("del", "k"), "p2"),
     OrderedRun(V1, 13, ((LABEL, "p2"), (frozenset({1}), "p3"))),
     Ack(V1, 12),
@@ -170,7 +170,7 @@ messages = st.one_of(
     st.builds(
         Install, st.tuples(pids, st.integers(min_value=0)), views
     ),
-    st.builds(Data, viewids, payloads, pids),
+    st.builds(Data, viewids, payloads, pids, st.integers(min_value=1)),
     st.builds(
         Ordered, viewids, st.integers(min_value=0), payloads, pids
     ),
@@ -344,12 +344,12 @@ def test_non_finite_floats_are_refused_on_decode_too(literal):
         '{0}',
         '["t",["put",{0}]]',
         '["@","Data",[["@","ViewId",[1,"n1"]],'
-        '["d",[["k",["l",[{0}]]]]],"n2"]]',
+        '["d",[["k",["l",[{0}]]]]],"n2",1]]',
         # The same, as versions 1-3 spelled them.
         '["f",{0}]',
         '["t",[["s","put"],["f",{0}]]]',
         '["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],'
-        '["d",[[["s","k"],["l",[["f",{0}]]]]]],["s","n2"]]]',
+        '["d",[[["s","k"],["l",[["f",{0}]]]]]],["s","n2"],["i",1]]]',
     ):
         with pytest.raises(CodecError):
             decode(body(text.format(literal)))
@@ -386,7 +386,7 @@ def test_a_huge_int_in_a_float_slot_is_a_typed_error():
     '["i",3]]]]]',
     '["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],["fz",[["@","Label",'
     '[["@","ViewId",[["i",1],["s","n1"]]],["s","3"],["s","n2"]]]]],'
-    '["s","n2"]]]',
+    '["s","n2"],["i",1]]]',
     # A list where a frozenset is pinned: ``View.__post_init__`` would
     # have coerced it, but no encoder writes it.
     '["@","View",[["@","ViewId",[["i",1],["s","n1"]]],["l",[["s","n1"]]]]]',

@@ -1,18 +1,20 @@
 """Wire-schema migration: version 1 -> 2 (the CbCast addition) -> 3
 (the OrderedRun addition) -> 4 (native JSON scalars) -> 5 (the
-heartbeat's view id).
+heartbeat's view id) -> 6 (the ``Data`` sender count).
 
 Adding a message type or changing the body layout is a *versioned*
 change in this codec: an older peer rejects unknown ``@`` type
-references, untagged scalars and a field too many, so v5 speakers must
-(a) still accept v1-v4 bodies byte-for-byte and (b) refuse versions
+references, untagged scalars and a field too many, so v6 speakers must
+(a) still accept v1-v5 bodies byte-for-byte, but for the one body
+version 6 refuses (a ``Data`` with no ``n``), and (b) refuse versions
 they do not know, with a typed error naming both sides.  The golden
 bytes below are literal frames of each era -- they must keep decoding
-forever.
+(or, for ``Data``, keep being refused) forever.
 """
 
 import collections
 import enum
+import re
 import socket
 
 import pytest
@@ -64,8 +66,8 @@ GOLDEN_V1_VIEWID = b'\x01["@","ViewId",[["i",0],["s",""]]]'
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
-        assert WIRE_VERSION == 5
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4, 5)
+        assert WIRE_VERSION == 6
+        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4, 5, 6)
         assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
 
     def test_encode_stamps_the_current_version(self):
@@ -76,13 +78,13 @@ class TestVersioning:
         assert decode(GOLDEN_V1_VIEWID) == ViewId(0, "")
 
     def test_future_version_is_rejected_with_both_sides_named(self):
-        body = bytes([6]) + encode(("x",))[1:]
+        body = bytes([7]) + encode(("x",))[1:]
         with pytest.raises(CodecError) as err:
             decode(body)
         message = str(err.value)
-        assert "unsupported wire version 6" in message
-        assert "speaking 5" in message
-        assert "(1, 2, 3, 4, 5)" in message
+        assert "unsupported wire version 7" in message
+        assert "speaking 6" in message
+        assert "(1, 2, 3, 4, 5, 6)" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -161,7 +163,7 @@ class TestOrderedRunOnTheWire:
 
 class TestNativeScalarsOnTheWire:
     def data(self):
-        return Data(V1, ("put", "k", 1.5, None, True), "n3")
+        return Data(V1, ("put", "k", 1.5, None, True), "n3", 1)
 
     def test_v3_peer_would_reject_it(self):
         """Why it is version 4: a v3 decoder refuses the stamp, and even
@@ -227,14 +229,42 @@ class TestHeartbeatViewOnTheWire:
                 decode(stamp + short)
 
 
+class TestDataCountOnTheWire:
+    def test_pinned_and_validated(self):
+        assert WIRE_SCHEMA["Data"] == (
+            ("vid", "ViewId"),
+            ("payload", "object"),
+            ("sender", "str"),
+            ("n", "int"),
+        )
+        assert not schema_drift()
+        assert validate_message(Data(V1, "m", "n2", 1))
+        assert not validate_message(Data(V1, "m", "n2", "1"))
+
+    @pytest.mark.parametrize("stamp", [b"\x02", b"\x04", b"\x05", b"\x06"])
+    def test_a_data_without_its_count_is_refused(self, stamp):
+        """Defaulting ``n`` would order the body with no FIFO check --
+        the very gap version 6 closes -- so a v1-v5 ``Data`` is a wrong
+        field count under any stamp."""
+        for short in (
+            b'["@","Data",[["@","ViewId",[1,"n1"]],"m","n2"]]',
+            b'["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],["s","m"],'
+            b'["s","n2"]]]',
+        ):
+            with pytest.raises(CodecError, match="wrong field count"):
+                decode(stamp + short)
+        assert decode(
+            stamp + b'["@","Data",[["@","ViewId",[1,"n1"]],"m","n2",3]]'
+        ) == Data(V1, "m", "n2", 3)
+
+
 class TestRollingUpgrade:
-    def test_a_v3_data_frame_from_a_live_peer_is_delivered(self):
-        """The acceptance window, end to end: a ``Data`` written by a v3
-        peer (the reference walk, stamped 3) reaches a live sequencer
-        over a raw socket, is ordered, and every member delivers it.
-        The request never passed through a TO ``bcast``, so the TO
-        specification would rightly call its delivery a forgery: the
-        monitor is off and the apps are read instead."""
+    def test_a_v3_data_frame_from_a_live_peer_is_refused(self):
+        """The refusal, end to end: a ``Data`` written by a v3 peer (the
+        reference walk, stamped 3, no ``n``) reaches a live sequencer
+        over a raw socket.  The sequencer's listener rejects the frame
+        and drops the connection, so nothing is ordered and no member
+        delivers it; the cluster keeps running."""
         pids = ["n1", "n2", "n3"]
         cluster = RuntimeCluster(
             pids, app_factory=lambda node: KvReplica(node.to),
@@ -250,27 +280,31 @@ class TestRollingUpgrade:
                 cluster.call_node("n2", lambda node: node.to.current.id),
                 1000, "n2",
             )
-            frames = b"".join(
-                _v3_frame(("n2", msg)) for msg in (
-                    Hello("n2"),
-                    Data(vid, (label, ("put", "k", "v3")), "n2"),
-                )
+            command = (label, ("put", "k", "v3"))
+            frames = _v3_frame(("n2", Hello("n2"))) + _v3_frame(
+                ("n2", Data(vid, command, "n2", 1))
             )
             with socket.create_connection(("127.0.0.1", port)) as raw:
                 raw.sendall(frames)
-                cluster.wait_until(
-                    lambda: all(
-                        cluster.app(pid).log_length >= 1 for pid in pids
-                    ),
-                    timeout=20.0, what="the v3 request at all three nodes",
-                )
+                raw.settimeout(20.0)
+                assert raw.recv(1) == b""  # the listener hung up
+            assert cluster.call_node(
+                "n1", lambda node: node.stats()["rejected"]
+            ) == 1
+            cluster.bcast("n2", ("put", "k", "v6"))
+            cluster.wait_until(
+                lambda: all(
+                    cluster.app(pid).log_length >= 1 for pid in pids
+                ),
+                timeout=20.0, what="a v6 request at all three nodes",
+            )
             for pid in pids:
-                assert cluster.call_app(pid, lambda app: app.get("k")) == "v3"
+                assert cluster.call_app(pid, lambda app: app.get("k")) == "v6"
             assert cluster.errors() == {}
 
 
 def _v3_frame(value):
-    body = bytes([3]) + reference_encode(value)[1:]
+    body = bytes([3]) + legacy_body(reference_encode(value))
     return len(body).to_bytes(4, "big") + body
 
 
@@ -340,7 +374,7 @@ GOLDEN_V2 = [
      b'\x02["@","Install",[["t",[["s","n1"],["i",4]]],["@","View",'
      b'[["@","ViewId",[["i",1],["s","n1"]]],'
      b'["fz",[["s","n1"],["s","n2"],["s","n3"]]]]]]]'),
-    (Data(V1, ('put', 'k', 'v'), 'n3'),
+    (Data(V1, ('put', 'k', 'v'), 'n3', 1),
      b'\x02["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],'
      b'["t",[["s","put"],["s","k"],["s","v"]]],["s","n3"]]]'),
     (Ordered(V1, 12, (LABEL, ('put', 'key-17', '0' * 8)), 'n2'),
@@ -464,13 +498,40 @@ GOLDEN_V5 = [
 ]
 
 
-def before_v5(body):
+#: Literal version-6 bodies: the one row version 6 changed.  Every
+#: other v5 body above is, after its stamp, what version 6 writes.
+#: Golden, as above.
+GOLDEN_V6 = [
+    (Data(V1, ('put', 'k', 'v'), 'n3', 1),
+     b'\x06["@","Data",[["@","ViewId",[1,"n1"]],["t",["put","k","v"]],'
+     b'"n3",1]]'),
+]
+
+#: The ``n`` closing a ``Data`` body (always 1, and the value's last
+#: field, in these tests), tagged or native.
+_DATA_COUNT = re.compile(rb',(?:\["i",1\]|1)(\]\]+)$')
+
+
+def legacy_body(body):
     """``body`` without its stamp, as versions 1-4 wrote it: a view-less
     ``Heartbeat`` had no field then (tagged ``["z"]`` or native
-    ``null`` now)."""
+    ``null`` now), and a ``Data`` no ``n`` (nor in version 5)."""
     for empty in (b'"Heartbeat",[["z"]]]', b'"Heartbeat",[null]]'):
         body = body.replace(empty, b'"Heartbeat",[]]')
+    if b'"Data"' in body:
+        body = _DATA_COUNT.sub(rb"\1", body)
     return body[1:]
+
+
+def assert_decodes(value, golden):
+    """``golden`` reads back as ``value`` -- unless it is a ``Data``
+    from before version 6, which is refused: it has no ``n``."""
+    if type(value) is Data and golden[0] < 6:
+        with pytest.raises(CodecError, match="wrong field count"):
+            decode(golden)
+        return
+    decoded = decode(golden)
+    assert decoded == value and type(decoded) is type(value)
 
 
 class Colour(enum.IntEnum):
@@ -498,9 +559,8 @@ class TestPinnedBytes:
         """A v2 body still decodes, and the reference walk still writes
         it: the layout of versions 1-3 is pinned in both directions,
         though version 4 no longer writes it."""
-        decoded = decode(golden)
-        assert decoded == value and type(decoded) is type(value)
-        assert before_v5(reference_encode(value)) == golden[1:]
+        assert_decodes(value, golden)
+        assert legacy_body(reference_encode(value)) == golden[1:]
 
     @pytest.mark.parametrize(
         "value,golden", GOLDEN_V3,
@@ -518,11 +578,10 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V4)],
     )
     def test_golden_v4_both_ways(self, value, golden):
-        """A v4 body still decodes, and version 5 writes it again under
-        its own stamp, but for the one row it changed."""
-        assert before_v5(encode(value)) == golden[1:]
-        decoded = decode(golden)
-        assert decoded == value and type(decoded) is type(value)
+        """A v4 body still decodes, and version 6 writes it again under
+        its own stamp, but for the rows versions 5 and 6 changed."""
+        assert legacy_body(encode(value)) == golden[1:]
+        assert_decodes(value, golden)
         # The v3 walk reads it once its scalars are tagged again.
         legacy = reference_decode(retagged(encode(value)))
         assert reference_encode(legacy) == reference_encode(value)
@@ -533,9 +592,20 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V5)],
     )
     def test_golden_v5_both_ways(self, value, golden):
-        assert encode(value) == golden
+        assert encode(value)[1:] == golden[1:]
         decoded = decode(golden)
         assert decoded == value and type(decoded) is type(value)
+        legacy = reference_decode(retagged(golden))
+        assert reference_encode(legacy) == reference_encode(value)
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V6,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V6)],
+    )
+    def test_golden_v6_both_ways(self, value, golden):
+        assert encode(value) == golden
+        assert_decodes(value, golden)
         legacy = reference_decode(retagged(golden))
         assert reference_encode(legacy) == reference_encode(value)
 

@@ -257,7 +257,7 @@ def test_node_publishes_address_and_counts_unroutable():
         node = RuntimeNode("p1", book, initial_view=make_view(["p1"]))
         await node.start()
         assert book["p1"] == ("127.0.0.1", node.port)
-        node.send("p1", "ghost", Data(ViewId(0, ""), "x", "p1"))
+        node.send("p1", "ghost", Data(ViewId(0, ""), "x", "p1", 1))
         assert node.dropped_unroutable == 1
         assert node.stats()["dropped_unroutable"] == 1
         await node.stop()
@@ -372,7 +372,7 @@ def test_layer_exception_is_recorded_not_raised():
             raise RuntimeError("layer bug")
 
         n2.stack.on_message = explode
-        n1.send("p1", "p2", Data(view.id, "payload", "p1"))
+        n1.send("p1", "p2", Data(view.id, "payload", "p1", 1))
         await poll_until(
             lambda: any(isinstance(e, RuntimeError) for e in n2.errors)
         )
@@ -449,7 +449,7 @@ def test_a_message_vs_has_no_handler_for_lands_in_errors():
         node = RuntimeNode("a", {}, initial_view=make_view(["a", "b"]))
         await node.start()
         node._dispatch("b", AckMsg(1))
-        node._dispatch("b", Data(ViewId(0, ""), "x", "b"))
+        node._dispatch("b", Data(ViewId(0, ""), "x", "b", 1))
         await node.stop()
         return list(node.errors)
 

@@ -154,16 +154,16 @@ class TestChaos:
         assert "--broken" in out
 
     def test_rejection_is_never_reported_as_no_violation(self, capsys):
-        """A run the online monitor does not flag but a verdict rejects
-        (link loss, ROADMAP item 4(beta)) must not close with a clean
-        bill."""
-        code = main(["chaos", "--seed", "10", "--plan", "flaky",
+        """A verdict line's rejection is the monitor's violation: the
+        run closes with it, never with a clean bill."""
+        code = main(["chaos", "--seed", "0", "--plan", "churn", "--broken",
                      "--no-shrink"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "VS rejected at #587" in out
+        (rejected,) = [l for l in out.splitlines()
+                       if l.split(" ")[:2] == ["DVS", "rejected"]]
+        assert "SAFETY VIOLATION: " + rejected in out
         assert "no safety violations" not in out
-        assert "the online monitor flagged nothing" in out
 
     def test_plan_json_replay(self, capsys):
         plan = '[[10.0, "crash", ["p1"]], [40.0, "recover", ["p1"]]]'
@@ -183,17 +183,17 @@ class TestChaos:
 CHAOS_GOLDENS = {
     "storm-5": (
         ["--seed", "5", "--plan", "storm"], 0,
-        "8b6ea920c82fba179b69cf9269e2c5fca7eaa45970557c4d649135dc708cce9c",
+        "53456ec476e837ddbcf8c10e11e8ba15d378cc909732359f36d0b219d4755fc8",
         ["VS accepted", "DVS accepted", "TO accepted"],
     ),
     "churn-3": (
         ["--seed", "3", "--plan", "churn"], 0,
-        "a4dc86a6aeb5f945926c5eb6eab4765a9dd5d2176f14090a4ad8f3aed1459afd",
+        "4a01222812fcaf1282faa7b0e0aba2e881df83fa93ec8615a83cecd818603370",
         ["VS accepted", "DVS accepted", "TO accepted"],
     ),
     "broken-churn-0": (
         ["--seed", "0", "--plan", "churn", "--broken", "--no-shrink"], 1,
-        "6957062ff8c072e03848fd489241b7114234ba42c2cdb2af7e5b5fa2fe6650e3",
+        "bb979f9142a860523fc33224e49a98a0724b763189ead20687729bebd8c45a15",
         [
             "VS accepted",
             "DVS rejected at #153 dvs_newview(<g2@p1,{p1,p2,p3,p4}>, "
@@ -203,20 +203,9 @@ CHAOS_GOLDENS = {
         ],
     ),
     "flaky-10": (
-        ["--seed", "10", "--plan", "flaky", "--no-shrink"], 1,
-        "b2cff45e4c9056a500da251ebb57e83a8a8c23b3be89c956fef48984d028e8a7",
-        [
-            "VS rejected at #587 vs_gprcv((g1@p1#2@p3, ('w', 'p3', 12)), "
-            "'p3', 'p2'): forces vs_order((g1@p1#2@p3, ('w', 'p3', 12)), "
-            "'p3', g1@p1), which is not enabled",
-            "DVS rejected at #756 dvs_gprcv(CbCast(vid=g1@p1, clock=(("
-            "'p1', 2), ('p2', 2), ('p3', 2), ('p4', 2), ('p5', 2)), "
-            "payload=('w', 'p5', 19), origin='p5'), 'p5', 'p3'): forces "
-            "dvs_order(CbCast(vid=g1@p1, clock=(('p1', 2), ('p2', 2), "
-            "('p3', 2), ('p4', 2), ('p5', 2)), payload=('w', 'p5', 19), "
-            "origin='p5'), 'p5', g1@p1), which is not enabled",
-            "TO accepted",
-        ],
+        ["--seed", "10", "--plan", "flaky", "--no-shrink"], 0,
+        "1cb32a88c54a46cdeb61a2abd4da5eb1b703b82229171302dfb9124ce09df437",
+        ["VS accepted", "DVS accepted", "TO accepted"],
     ),
 }
 

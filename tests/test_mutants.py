@@ -6,6 +6,7 @@ anchor still occurs once, DESIGN.md shows the registry as it is, and
 the runner notices when a recorded killer stops killing.
 """
 
+import dataclasses
 import io
 import os
 
@@ -67,3 +68,21 @@ def test_deselecting_the_recorded_killer_flips_the_verdict():
     assert mutants.main([mutant.name], suite=suite, out=out) == 1
     assert "untracked_recover      survives" in out.getvalue()
     assert "verdict changed: untracked_recover" in out.getvalue()
+
+
+def test_a_changed_kill_prints_the_killers_summary_line(monkeypatch):
+    """A kill the registry did not record prints pytest's ``-rfE`` line
+    for the killer, with its reason: a flaky kill is told from a real
+    one without re-running."""
+    recorded = mutants.BY_NAME["untracked_recover"]
+    survivor = dataclasses.replace(recorded, killer=None)
+    monkeypatch.setitem(mutants.BY_NAME, survivor.name, survivor)
+    out = io.StringIO()
+    assert mutants.main([survivor.name], suite=(recorded.killer,),
+                        out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("untracked_recover      killed by ")
+    assert lines[1].startswith("  FAILED ")
+    assert recorded.killer.rpartition("::")[2] in lines[1]
+    assert " - " in lines[1]  # the reason pytest gave
+    assert lines[2] == "verdict changed: untracked_recover"
