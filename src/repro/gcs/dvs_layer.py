@@ -232,8 +232,7 @@ class DvsLayer(VsListener, RecorderMixin):
         carries our echo ends with the next ack, covering the whole
         frame (self-clocked by the sequencer round trip -- one ack per
         frame under light load, coalesced under load, no timer).  A
-        count still means "k client deliveries", wanted or not, so peers
-        of any version read it the same way."""
+        count means "k client deliveries", wanted or not."""
         cur, client_cur = self.cur, self.client_cur
         if (
             self.ack_wanted > self.ack_sent == self.acked.get(self.pid, 0)

@@ -107,6 +107,7 @@ class VsStackNode(Node, RecorderMixin):
         self.recorder = recorder
         self.round_counter = 0
         self.active_round = None  # (round_id, members, replies) at leader
+        self.data_refused = 0  # Data dropped as a duplicate or past a gap
         if member is None:
             member = initial_view is not None and pid in initial_view.set
         if member:
@@ -200,6 +201,7 @@ class VsStackNode(Node, RecorderMixin):
         expected = self.ordering.expected
         n = expected.get(msg.sender, 1)
         if msg.n != n:
+            self.data_refused += 1
             return
         expected[msg.sender] = n + 1
         self._order(msg.payload, msg.sender)
@@ -275,9 +277,9 @@ class VsStackNode(Node, RecorderMixin):
             self.listener.on_vs_batch_end()
 
     def _drop(self, src, msg):
-        """A stability frame (``Ack``, ``SafeNote``) from an old peer or a
-        replayed trace: nothing reads VS stability, so it is dropped
-        unretained."""
+        """A stability frame (``Ack``, ``SafeNote``): no node sends one,
+        and nothing reads VS stability, so one that arrives (a forged
+        frame) is dropped unretained."""
 
     #: Wire message type -> handler, read by :meth:`on_message`.
     message_handlers = MappingProxyType({

@@ -12,8 +12,8 @@ versioned, through the same length-prefixed frame codec the wire uses
 (:mod:`repro.runtime.codec`): the payloads are the very messages that
 crossed the wire, so nothing needs a second serialization scheme and
 hostile input fails with the codec's typed errors.  Frames are written
-in the current wire version; an older build's trace still loads through
-the same walk, unless it holds a pre-v6 ``Data``, which is refused.
+and read in the current wire version only: a trace an older build wrote
+is refused, naming its version.
 
 Replay lives in :mod:`repro.checking.replay`; this module owns only the
 format, so the runtime can record without importing the checking stack.

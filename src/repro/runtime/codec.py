@@ -22,11 +22,6 @@ refused both ways).  Every other value is a JSON array ``[tag, ...]``:
 ``"@"``   dataclass     ``["@", "ClassName", [field values]]``
 ========  =====================================================
 
-Versions 1-3 tagged the scalars too -- ``["z"]``, ``["b", true]``,
-``["i", 42]``, ``["f", 2.5]``, ``["s", "..."]`` -- and the decoder
-still reads those five tags, through the same walk, from a body of any
-version it accepts.
-
 The ``"@"`` tag covers exactly the message dataclasses of the stack
 (:data:`WIRE_TYPES`): the VS wire messages, the DVS protocol messages,
 the TO labels/summaries, the CB casts, views and view identifiers, and
@@ -35,13 +30,11 @@ canonical order so that encoding is deterministic: the same value always
 produces the same bytes, which keeps wire logs diffable across runs.
 
 Both directions are compiled at import from :data:`WIRE_SCHEMA`: one
-emitter and one decoder per class.  The decoder reads more spellings
-than the encoder writes: a body under any accepted version stamp may
-mix tagged and native scalars, so re-encoding a decoded frame may
-change its bytes.  It builds only values the encoder can write: a
-non-finite number, an unknown tag or class, a wrong arity, or a field
-that is not of its pinned type -- at any depth -- is a
-:class:`CodecError`, so no frame that decodes can fail to re-encode.
+emitter and one decoder per class.  The decoder reads what the encoder
+writes and nothing else: another version stamp, a non-finite number,
+an unknown tag or class, a wrong arity, or a field that is not of its
+pinned type -- at any depth -- is a :class:`CodecError`, so no frame
+that decodes can fail to re-encode.
 """
 
 import base64
@@ -71,39 +64,10 @@ from repro.gcs.messages import (
 )
 from repro.to.summaries import Label, Summary
 
-#: Bumped on any incompatible change to the frame or body layout, and
-#: on any extension of the type registry (a peer speaking an older
-#: version would reject the new ``"@"`` references as unknown types, so
-#: additions are versioned too).  Version history:
-#:
-#: - ``1`` -- the original registry (VS/DVS/TO messages plus runtime
-#:   control frames);
-#: - ``2`` -- adds :class:`~repro.cb.messages.CbCast` for the causal
-#:   broadcast tier.  Bodies are otherwise identical, so version-1
-#:   frames decode unchanged (see :data:`SUPPORTED_WIRE_VERSIONS`);
-#: - ``3`` -- adds :class:`~repro.gcs.messages.OrderedRun`, the
-#:   sequencer's run of consecutive slots in one frame.  Every other
-#:   body is byte for byte what version 2 wrote;
-#: - ``4`` -- writes ``None``, bool, int, float and str as native JSON
-#:   instead of tagged arrays: a frame is about a quarter shorter and
-#:   takes about a third fewer calls to encode and decode.  Containers,
-#:   bytes and dataclasses keep their tags;
-#: - ``5`` -- :class:`Heartbeat` carries ``view``, the sender's VS view
-#:   id (``null`` before its first view), which the connectivity merge
-#:   trigger compares.  A v4 ``Heartbeat`` with no field decodes as
-#:   view unknown (see :data:`_ADDED_FIELDS`).  Every other body is
-#:   what version 4 wrote, and must carry every field;
-#: - ``6`` -- :class:`~repro.gcs.messages.Data` carries ``n``, its
-#:   sender's count in the view, which the sequencer orders by.  An
-#:   older ``Data`` is refused, not defaulted (DESIGN section 9).
+#: The one version stamp written and read.  Bump it on any change to the
+#: frame or body layout or to the type registry; only this version is
+#: read (DESIGN section 9 keeps the history).
 WIRE_VERSION = 6
-
-#: Body versions this decoder accepts.  Encoding always stamps
-#: :data:`WIRE_VERSION`; decoding reads the older layouts through the
-#: same walk (their scalar tags are rows of its tag table, and the
-#: version byte is not consulted beyond this window), so mixed-version
-#: clusters keep talking during a rolling upgrade and old traces load.
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 #: Frames longer than this are rejected before buffering (a garbage
 #: length prefix must not make the reader allocate gigabytes).
@@ -127,7 +91,7 @@ class Hello:
 @dataclass(frozen=True)
 class Heartbeat:
     """Periodic liveness beacon feeding the connectivity estimator; it
-    names the sender's VS view (``None``: none yet, or a v4 sender)."""
+    names the sender's VS view (``None``: none yet)."""
 
     view: Optional[ViewId] = None
 
@@ -488,10 +452,8 @@ def encode(value):
 #
 # One walk.  A native scalar is its own value (a float only if finite);
 # an array goes to the handler of its tag, which answers the value or
-# raises CodecError.  The v1-v3 scalar tags are five rows of the same
-# table, so an old body takes the same walk.  Leaves are checked by
-# exact type (``json`` builds nothing else) and an error's text is
-# formatted only when it is raised.
+# raises CodecError.  Leaves are checked by exact type (``json`` builds
+# nothing else) and an error's text is formatted only when it is raised.
 
 #: Parsed JSON values that are, as they stand, the decoded value.
 _NATIVE = frozenset((type(None), bool, int, str))
@@ -510,35 +472,6 @@ def _node(node):
     if type(node) in _NATIVE or type(node) is float and -_INF < node < _INF:
         return node
     raise CodecError("malformed body: a non-finite number or an object")
-
-
-def _leaf(kind, what):
-    """Handler of the v1-v3 ``[tag, payload]`` whose payload, exactly a
-    ``kind``, is the value."""
-
-    def handler(node):
-        if len(node) == 2 and type(node[1]) is kind:
-            return node[1]
-        raise CodecError("malformed body: bad " + what)
-
-    return handler
-
-
-def _decode_none(node):
-    if len(node) == 1:
-        return None
-    raise CodecError("malformed body: null takes no payload")
-
-
-def _decode_float(node):
-    if len(node) == 2 and type(node[1]) in (float, int):
-        try:
-            value = float(node[1])
-        except OverflowError:
-            value = _INF
-        if -_INF < value < _INF:
-            return value
-    raise CodecError("malformed body: bad float")
 
 
 def _decode_bytes(node):
@@ -600,12 +533,6 @@ _DECODE = MappingProxyType({
     "d": _decode_dict,
     "@": _decode_class,
     "y": _decode_bytes,
-    # Versions 1-3 tagged every scalar; version 4 writes them natively.
-    "z": _decode_none,
-    "b": _leaf(bool, "bool"),
-    "i": _leaf(int, "int"),
-    "f": _decode_float,
-    "s": _leaf(str, "str"),
 })
 
 
@@ -618,13 +545,7 @@ def _field(annotation, decoders):
     base = annotation.split("[", 1)[0].strip()
     if base == "Optional":
         fast, read = _field(_optional_of(annotation), decoders)
-
-        def read_optional(node):
-            if type(node) is list and node[:1] == ["z"]:  # a v1-v3 null
-                return _decode_none(node)
-            return read(node)
-
-        return fast | {type(None)}, read_optional
+        return fast | {type(None)}, read
     off_pin = "malformed body: a field is not of its pinned type " + annotation
     tag = {"tuple": "t", "frozenset": "fz"}.get(base.lower())
     if base in _BY_NAME or tag:
@@ -652,27 +573,15 @@ def _field(annotation, decoders):
     return _NATIVE & frozenset(kinds), read_scalar
 
 
-#: Trailing fields a wire version appended to an existing class, by
-#: class name: an older peer's body leaves them out, and they take
-#: their defaults.  Every other body carries its full pinned arity --
-#: a field's default alone (``View.members``, ``InfoMsg.amb``) does
-#: not make it optional on the wire.
-_ADDED_FIELDS = MappingProxyType({
-    "Heartbeat": 1,  # version 5: ``view``
-})
-
-
 def _class_decoder(cls, pinned, decoders):
-    """Decoder of ``cls`` from its ``["@", name, [field nodes]]``, each
-    field checked against its pin as it is read.  Only the fields of
-    :data:`_ADDED_FIELDS` may be absent (an older peer's body)."""
+    """Decoder of ``cls`` from its ``["@", name, [field nodes]]``: every
+    pinned field present, each checked against its pin as it is read."""
     readers = tuple(_field(annotation, decoders) for _, annotation in pinned)
     arity = len(readers)
-    least = arity - _ADDED_FIELDS.get(cls.__name__, 0)
 
     def build(node):
         nodes = node[2] if len(node) == 3 else None
-        if type(nodes) is not list or not least <= len(nodes) <= arity:
+        if type(nodes) is not list or len(nodes) != arity:
             raise CodecError(
                 "malformed body: wrong field count for " + cls.__name__
             )
@@ -715,10 +624,10 @@ def _decode_span(data, start, end):
     """Decode the version-prefixed body ``data[start:end]`` in place."""
     if end - start < 2:
         raise CodecError("truncated body")
-    if data[start] not in SUPPORTED_WIRE_VERSIONS:
+    if data[start] != WIRE_VERSION:
         raise CodecError(
-            "unsupported wire version {0} (speaking {1}, accepting {2})"
-            .format(data[start], WIRE_VERSION, SUPPORTED_WIRE_VERSIONS)
+            "unsupported wire version {0} (speaking {1})"
+            .format(data[start], WIRE_VERSION)
         )
     try:
         # The view is a temporary, so ``data`` is never left exported.

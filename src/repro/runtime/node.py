@@ -465,5 +465,9 @@ class RuntimeNode:
             "dropped_unroutable": self.dropped_unroutable,
             "dropped_invalid": self.dropped_invalid,
             "rejected": self._listener.rejected if self._listener else 0,
+            "last_refusal": (
+                self._listener.last_refusal if self._listener else None
+            ),
+            "data_refused": self.stack.data_refused,
             "links": links,
         }

@@ -281,8 +281,9 @@ class _Inbound(asyncio.BufferedProtocol):
     def connection_lost(self, exc):
         self._listener._connections.discard(self._transport)
 
-    def _reject(self):
+    def _reject(self, why):
         self._listener.rejected += 1
+        self._listener.last_refusal = why
         self._transport.close()
 
     def get_buffer(self, sizehint):
@@ -294,24 +295,24 @@ class _Inbound(asyncio.BufferedProtocol):
             listener._on_bytes(nbytes)
         try:
             frames = self._decoder.feed(listener._buffer[:nbytes])
-        except CodecError:
-            return self._reject()
+        except CodecError as exc:
+            return self._reject(str(exc))
         for envelope in frames:
             if not (
                 isinstance(envelope, tuple)
                 and len(envelope) == 2
                 and isinstance(envelope[0], str)
             ):
-                return self._reject()
+                return self._reject("not a (sender, message) envelope")
             sender, msg = envelope
             if self._src is None:
                 if not isinstance(msg, Hello) or msg.pid != sender:
-                    return self._reject()
+                    return self._reject("no Hello naming its sender first")
                 self._src = sender
                 if listener._on_hello is not None:
                     listener._on_hello(sender)
             if sender != self._src:
-                return self._reject()
+                return self._reject("a sender other than its Hello's")
             try:
                 listener._on_frame(sender, msg)
             except Exception as exc:
@@ -334,6 +335,8 @@ class Listener:
     the offending connection, after being reported through
     ``on_error(exc)``.  ``on_hello(src)`` is invoked once per accepted
     connection, when its handshake names the peer that dialled in.
+    ``rejected`` counts the dropped connections, and ``last_refusal``
+    says why the last one was dropped.
     """
 
     def __init__(self, on_frame, host="127.0.0.1", port=0, on_error=None,
@@ -350,6 +353,7 @@ class Listener:
         # a time on the loop thread, and feed() copies what it keeps.
         self._buffer = memoryview(bytearray(_READ_BUFFER))
         self.rejected = 0
+        self.last_refusal = None
 
     async def start(self):
         self._server = await asyncio.get_running_loop().create_server(

@@ -72,7 +72,7 @@ def _one_dropped_data_frame():
     """Three nodes, quiet and formed; one ``drop`` op covers exactly
     c's first multicast on its way to the sequencer a.  c's second
     multicast, after the window, is past the gap: a drops it, so
-    nothing from c is delivered in that view."""
+    nothing from c is delivered in that view.  Returns the cluster."""
     plan = NemesisPlan([FaultOp(100.0, "drop", ((("c", "a"),), 1.0, 3.0))])
     cluster = Cluster(list("abc"), seed=1, nemesis=plan, monitor=True)
     cluster.start()
@@ -87,20 +87,27 @@ def _one_dropped_data_frame():
              if a.name == "vs_newview"}
     assert len(views) == 1  # formed once, no later view to unstall c
     assert cluster.delivered("a") == []
-    return cluster.monitor.rejections()
+    return cluster
 
 
 class TestLossIsATraceInclusionViolation:
     """The recipe that showed 4(beta)'s safety face: it is now a stall."""
 
     def test_one_dropped_data_frame_is_a_trace_of_vs(self):
-        assert _one_dropped_data_frame()["VS"] is None
+        assert _one_dropped_data_frame().monitor.rejections()["VS"] is None
 
     def test_one_dropped_data_frame_is_a_trace_of_dvs(self):
-        assert _one_dropped_data_frame()["DVS"] is None
+        assert _one_dropped_data_frame().monitor.rejections()["DVS"] is None
 
     def test_to_accepts_the_gap(self):
-        assert _one_dropped_data_frame()["TO"] is None
+        assert _one_dropped_data_frame().monitor.rejections()["TO"] is None
+
+    def test_the_sequencer_counts_the_data_past_the_gap(self):
+        """The stall is counted where it happens: the sequencer a
+        refused c's second ``Data``."""
+        stacks = _one_dropped_data_frame().stacks
+        assert {pid: stacks[pid].data_refused for pid in "abc"} == {
+            "a": 1, "b": 0, "c": 0}
 
     def test_flaky_4_is_a_trace_of_dvs(self):
         """The seed that showed it (t=24.0, p3 -> p1)."""
@@ -113,7 +120,7 @@ def _one_duplicated_data_frame():
     """One ``duplicate`` op over c -> a copies c's first multicast on its
     way to the sequencer a.  a orders the first copy and drops the
     second (its count is no longer the next), so every member delivers
-    ``(g1@a#1@c, ('m', 1))`` once."""
+    ``(g1@a#1@c, ('m', 1))`` once.  Returns the cluster."""
     plan = NemesisPlan(
         [FaultOp(100.0, "duplicate", ((("c", "a"),), 1.0, 0.5, 3.0))]
     )
@@ -128,20 +135,26 @@ def _one_duplicated_data_frame():
                  if isinstance(m, tuple) and m[1] == ("m", 1)]
     assert len(delivered) == 1
     assert cluster.delivered("a") == [(("m", 1), "c"), (("m", 2), "c")]
-    return cluster.monitor.rejections()
+    return cluster
 
 
 class TestDuplicationIsATraceInclusionViolation:
     """The recipe that showed 4(delta): the copy is dropped."""
 
     def test_one_duplicated_data_frame_is_a_trace_of_vs(self):
-        assert _one_duplicated_data_frame()["VS"] is None
+        assert _one_duplicated_data_frame().monitor.rejections()["VS"] is None
 
     def test_one_duplicated_data_frame_is_a_trace_of_dvs(self):
-        assert _one_duplicated_data_frame()["DVS"] is None
+        rejections = _one_duplicated_data_frame().monitor.rejections()
+        assert rejections["DVS"] is None
 
     def test_to_accepts_the_duplicate(self):
-        assert _one_duplicated_data_frame()["TO"] is None
+        assert _one_duplicated_data_frame().monitor.rejections()["TO"] is None
+
+    def test_the_sequencer_counts_the_copy(self):
+        stacks = _one_duplicated_data_frame().stacks
+        assert {pid: stacks[pid].data_refused for pid in "abc"} == {
+            "a": 1, "b": 0, "c": 0}
 
 
 # -- (b) what must be accepted, and each rejection the reference's --------------

@@ -253,13 +253,27 @@ MUTANTS = (
     # (ROADMAP 4(beta), 4(delta)): whatever reaches it is ordered.
     Mutant(
         "data_fifo_unchecked", "gcs/vs_stack.py",
-        "        if msg.n != n:\n            return\n",
+        "        if msg.n != n:\n            self.data_refused += 1\n"
+        "            return\n",
         "",
         "`VsStackNode._on_data` orders a `Data` whatever its `n`",
         frozenset(),
         "tests/faults/test_spec_acceptance.py::"
         "TestLossIsATraceInclusionViolation::"
         "test_one_dropped_data_frame_is_a_trace_of_vs",
+    ),
+    # -- the codec's read window --------------------------------------------
+    # The window as it was before a wire bump retired the old reader: a
+    # v5 peer's Hello, Heartbeat and StateReply decode, so VS installs a
+    # member whose Data is refused and DVS waits for it forever.
+    Mutant(
+        "old_stamp_accepted", "runtime/codec.py",
+        "if data[start] != WIRE_VERSION:",
+        "if data[start] not in (5, WIRE_VERSION):",
+        "`_decode_span` also reads stamp 5",
+        frozenset(),
+        "tests/runtime/test_codec_migration.py::TestVersioning::"
+        "test_current_version_and_acceptance_window",
     ),
 )
 

@@ -59,17 +59,18 @@ class TestRoundTrip:
         EXAMPLE.save(path)
         assert ReplayTrace.load(path) == EXAMPLE
 
-    def test_a_trace_written_in_wire_version_3_still_loads(self):
-        """A trace is codec frames: one an older build wrote, every
-        scalar tagged under a version 3 stamp, loads as the same trace."""
+    def test_a_trace_written_in_wire_version_3_is_refused(self):
+        """A trace is codec frames, read as the wire reads them: one an
+        older build wrote, every scalar tagged under a version 3 stamp,
+        is refused at its header, naming the version."""
         data, old = EXAMPLE.to_bytes(), b""
         while data:
             size = int.from_bytes(data[:4], "big")
             body = bytes([3]) + reference_encode(decode(data[4:4 + size]))[1:]
             old += len(body).to_bytes(4, "big") + body
             data = data[4 + size:]
-        assert len(old) > len(EXAMPLE.to_bytes())
-        assert ReplayTrace.from_bytes(old) == EXAMPLE
+        with pytest.raises(TraceError, match="wire version 3 "):
+            ReplayTrace.from_bytes(old)
 
     def test_events_coerced_from_tuples(self):
         trace = ReplayTrace(["a"], VIEW, [(1.0, "a", "stop", ())])

@@ -282,7 +282,7 @@ def test_oversized_length_prefix_rejected_before_buffering():
 
 def test_unknown_dataclass_rejected():
     body = bytes([WIRE_VERSION]) + json.dumps(
-        ["@", "OsCommand", [["s", "rm -rf /"]]]
+        ["@", "OsCommand", ["rm -rf /"]]
     ).encode()
     with pytest.raises(CodecError, match="unknown type"):
         decode(body)
@@ -345,31 +345,26 @@ def test_non_finite_floats_are_refused_on_decode_too(literal):
         '["t",["put",{0}]]',
         '["@","Data",[["@","ViewId",[1,"n1"]],'
         '["d",[["k",["l",[{0}]]]]],"n2",1]]',
-        # The same, as versions 1-3 spelled them.
-        '["f",{0}]',
-        '["t",[["s","put"],["f",{0}]]]',
-        '["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],'
-        '["d",[[["s","k"],["l",[["f",{0}]]]]]],["s","n2"],["i",1]]]',
     ):
         with pytest.raises(CodecError):
             decode(body(text.format(literal)))
-    with pytest.raises(CodecError):
-        decode(body('["i",{0}]'.format(literal)))
 
 
 def test_a_huge_int_in_a_float_slot_is_a_typed_error():
-    """``float(10 ** 400)`` raises ``OverflowError``, which used to
-    escape ``decode``, ``FrameDecoder.feed`` and the listener's
-    ``except CodecError``."""
-    text = '["f",{0}]'.format(10 ** 400)
-    with pytest.raises(CodecError, match="bad float"):
-        decode(body(text))
-    frame = struct.pack(">I", len(text) + 1) + body(text)
-    with pytest.raises(CodecError):
-        FrameDecoder().feed(frame)
-    assert decode(body('["i",{0}]'.format(10 ** 400))) == 10 ** 400
+    """A float literal past a double's range (``1e400``, or 400 digits
+    before the point) parses to an infinity and is refused as one, by
+    ``decode`` and by ``FrameDecoder.feed`` alike -- a ``CodecError``,
+    never an ``OverflowError`` escaping the listener's ``except
+    CodecError``.  A 400-digit int is an int, and reads as one."""
+    for huge in ("1e400", "1" + "0" * 400 + ".0"):
+        text = '["t",["put",{0}]]'.format(huge)
+        with pytest.raises(CodecError, match="non-finite"):
+            decode(body(text))
+        frame = struct.pack(">I", len(text) + 1) + body(text)
+        with pytest.raises(CodecError, match="non-finite"):
+            FrameDecoder().feed(frame)
     assert decode(body(str(10 ** 400))) == 10 ** 400
-    assert decode(body('["f",7]')) == 7.0  # a small int still reads
+    assert decode(body("7.0")) == 7.0
 
 
 @pytest.mark.parametrize("text", [
@@ -379,17 +374,9 @@ def test_a_huge_int_in_a_float_slot_is_a_typed_error():
     '["@","Ack",[["@","Label",[["@","ViewId",[1,"n1"]],3,"n2"]],3]]',
     '["@","View",[["@","ViewId",[1,"n1"]],["l",["n1"]]]]',
     '["@","Collect",[["l",["n1",1]],["fz",["n1"]]]]',
-    # The same forgeries, as versions 1-3 spelled them.
-    '["@","ViewId",[["i",1],["l",[]]]]',
-    '["@","ViewId",[["b",true],["s","n1"]]]',
-    '["t",[["s","n1"],["@","Ack",[["@","ViewId",[["s","1"],["s","n1"]]],'
-    '["i",3]]]]]',
-    '["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],["fz",[["@","Label",'
-    '[["@","ViewId",[["i",1],["s","n1"]]],["s","3"],["s","n2"]]]]],'
-    '["s","n2"],["i",1]]]',
-    # A list where a frozenset is pinned: ``View.__post_init__`` would
-    # have coerced it, but no encoder writes it.
-    '["@","View",[["@","ViewId",[["i",1],["s","n1"]]],["l",[["s","n1"]]]]]',
+    # A string sequence number in a label, inside a set in a payload.
+    '["@","Data",[["@","ViewId",[1,"n1"]],["fz",[["@","Label",'
+    '[["@","ViewId",[1,"n1"]],"3","n2"]]]],"n2",1]]',
 ])
 def test_pinned_field_types_hold_at_every_depth(text):
     """Only the top-level message used to be checked (by the node, after

@@ -4,18 +4,20 @@ heartbeat's view id) -> 6 (the ``Data`` sender count).
 
 Adding a message type or changing the body layout is a *versioned*
 change in this codec: an older peer rejects unknown ``@`` type
-references, untagged scalars and a field too many, so v6 speakers must
-(a) still accept v1-v5 bodies byte-for-byte, but for the one body
-version 6 refuses (a ``Data`` with no ``n``), and (b) refuse versions
-they do not know, with a typed error naming both sides.  The golden
-bytes below are literal frames of each era -- they must keep decoding
-(or, for ``Data``, keep being refused) forever.
+references, untagged scalars and a field too many.  The decoder reads
+one version, the one it writes: a body under any other stamp is a
+typed error naming that stamp and the one spoken, so an old build is
+refused at its first frame (its ``Hello``) and never heard.  The
+golden bytes below are literal frames of each era: the v6 bodies are
+written and read byte for byte; the older ones pin the layout the
+reference walk (``wire_reference.py``) writes, and are refused here.
 """
 
 import collections
 import enum
 import re
 import socket
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +39,9 @@ from repro.gcs.messages import (
     SafeNote,
     StateReply,
 )
+from repro.runtime import node as runtime_node
+from repro.runtime import transport
 from repro.runtime.codec import (
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_SCHEMA,
     WIRE_TYPES,
     WIRE_VERSION,
@@ -58,24 +61,51 @@ from tests.runtime.test_codec import messages, payloads
 from tests.runtime.test_codec_fuzz import retagged
 from tests.runtime.wire_reference import reference_decode, reference_encode
 
-#: Literal bodies produced by the version-1 codec (before CbCast
+#: A literal body produced by the version-1 codec (before CbCast
 #: existed).  Golden: do not regenerate from the current encoder.
 GOLDEN_V1_TUPLE = b'\x01["t",[["s","w"],["s","n1"],["i",3]]]'
-GOLDEN_V1_VIEWID = b'\x01["@","ViewId",[["i",0],["s",""]]]'
+
+#: One literal frame of each retired stamp, 1 to 5.  The last is, after
+#: its stamp, exactly what version 6 writes.
+RETIRED_FRAMES = [
+    GOLDEN_V1_TUPLE,
+    b'\x02["@","Hello",[["s","n9"]]]',
+    b'\x03["@","OrderedRun",[["@","ViewId",[["i",1],["s","n1"]]],["i",1],'
+    b'["t",[["t",[["s","x"],["s","n1"]]]]]]]',
+    b'\x04["@","Heartbeat",[]]',
+    b'\x05["@","Heartbeat",[null]]',
+]
 
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
+        """The window is one stamp wide: the body version 6 writes is
+        refused under every other stamp."""
         assert WIRE_VERSION == 6
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3, 4, 5, 6)
-        assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
+        body = encode(Heartbeat())
+        assert decode(body) == Heartbeat()
+        for stamp in range(256):
+            if stamp != WIRE_VERSION:
+                with pytest.raises(CodecError, match="wire version"):
+                    decode(bytes([stamp]) + body[1:])
 
     def test_encode_stamps_the_current_version(self):
         assert encode(("w", "n1", 3))[0] == WIRE_VERSION
 
-    def test_golden_v1_bodies_still_decode(self):
-        assert decode(GOLDEN_V1_TUPLE) == ("w", "n1", 3)
-        assert decode(GOLDEN_V1_VIEWID) == ViewId(0, "")
+    @pytest.mark.parametrize(
+        "golden", RETIRED_FRAMES, ids=lambda golden: str(golden[0]),
+    )
+    def test_a_retired_stamp_is_refused_naming_both(self, golden):
+        """No read window: a frame an older build wrote is refused at
+        the frame, by its stamp, with both versions named."""
+        refusal = "unsupported wire version {0} (speaking 6)".format(
+            golden[0])
+        with pytest.raises(CodecError) as err:
+            decode(golden)
+        assert str(err.value) == refusal
+        with pytest.raises(CodecError) as err:
+            FrameDecoder().feed(len(golden).to_bytes(4, "big") + golden)
+        assert str(err.value) == refusal
 
     def test_future_version_is_rejected_with_both_sides_named(self):
         body = bytes([7]) + encode(("x",))[1:]
@@ -84,7 +114,6 @@ class TestVersioning:
         message = str(err.value)
         assert "unsupported wire version 7" in message
         assert "speaking 6" in message
-        assert "(1, 2, 3, 4, 5, 6)" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -174,12 +203,6 @@ class TestNativeScalarsOnTheWire:
         with pytest.raises(CodecError, match="tagged array"):
             reference_decode(bytes([3]) + body[1:])
 
-    def test_a_v3_body_of_the_same_value_decodes_alike(self):
-        """One walk reads both layouts: no branch on the version byte."""
-        legacy = bytes([3]) + reference_encode(self.data())[1:]
-        assert decode(legacy) == decode(encode(self.data())) == self.data()
-        assert decode(bytes([4]) + legacy[1:]) == self.data()
-
 
 class TestHeartbeatViewOnTheWire:
     def test_pinned_and_validated(self):
@@ -189,44 +212,26 @@ class TestHeartbeatViewOnTheWire:
         assert validate_message(Heartbeat())
         assert not validate_message(Heartbeat("g1@n1"))
 
-    def test_a_v4_heartbeat_decodes_as_view_unknown(self):
-        """The one change of version 5 reads both ways: the v4 body has
-        no field, and takes the default."""
-        assert decode(b'\x04["@","Heartbeat",[]]') == Heartbeat(None)
-        frame = b'\x04["@","Heartbeat",[]]'
-        assert FrameDecoder().feed(
-            len(frame).to_bytes(4, "big") + frame
-        ) == [Heartbeat()]
-
-    def test_one_walk_reads_both_layouts(self):
-        """No branch on the version byte: either row under either stamp
-        is the same value."""
-        for stamp in (b"\x04", b"\x05"):
-            assert decode(stamp + b'["@","Heartbeat",[]]') == Heartbeat()
-            assert decode(
-                stamp + b'["@","Heartbeat",[["@","ViewId",[1,"n1"]]]]'
-            ) == Heartbeat(V1)
-
     def test_a_forged_view_is_refused(self):
         for forged in (b'"g1@n1"', b'1', b'["@","Hello",["n1"]]'):
             with pytest.raises(CodecError, match="pinned type"):
-                decode(b'\x05["@","Heartbeat",[' + forged + b']]')
+                decode(b'\x06["@","Heartbeat",[' + forged + b']]')
         with pytest.raises(CodecError, match="wrong field count"):
-            decode(b'\x05["@","Heartbeat",[null,null]]')
+            decode(b'\x06["@","Heartbeat",[null,null]]')
 
-    @pytest.mark.parametrize("stamp", [b"\x04", b"\x05"])
-    def test_only_the_heartbeat_may_leave_a_field_out(self, stamp):
-        """A default on a class (``ViewId.origin``, ``View.members``,
-        ``InfoMsg.amb``) does not make its field optional on the wire:
-        no version ever wrote those bodies short."""
+    def test_no_class_may_leave_a_field_out(self):
+        """A default on a class (``Heartbeat.view``, ``ViewId.origin``,
+        ``View.members``, ``InfoMsg.amb``) does not make its field
+        optional on the wire: every body carries its pinned arity."""
         vid = b'["@","ViewId",[1,"n1"]]'
         for short in (
+            b'["@","Heartbeat",[]]',
             b'["@","ViewId",[1]]',
             b'["@","View",[' + vid + b']]',
             b'["@","InfoMsg",[["@","View",[' + vid + b',["fz",["n1"]]]]]]',
         ):
             with pytest.raises(CodecError, match="wrong field count"):
-                decode(stamp + short)
+                decode(b"\x06" + short)
 
 
 class TestDataCountOnTheWire:
@@ -241,30 +246,32 @@ class TestDataCountOnTheWire:
         assert validate_message(Data(V1, "m", "n2", 1))
         assert not validate_message(Data(V1, "m", "n2", "1"))
 
-    @pytest.mark.parametrize("stamp", [b"\x02", b"\x04", b"\x05", b"\x06"])
-    def test_a_data_without_its_count_is_refused(self, stamp):
+    @pytest.mark.parametrize("count,refusal", [
+        (b"", "wrong field count"),
+        (b',null', "pinned type"),
+        (b',"3"', "pinned type"),
+    ], ids=["missing", "null", "string"])
+    def test_a_data_without_its_count_is_refused(self, count, refusal):
         """Defaulting ``n`` would order the body with no FIFO check --
-        the very gap version 6 closes -- so a v1-v5 ``Data`` is a wrong
-        field count under any stamp."""
-        for short in (
-            b'["@","Data",[["@","ViewId",[1,"n1"]],"m","n2"]]',
-            b'["@","Data",[["@","ViewId",[["i",1],["s","n1"]]],["s","m"],'
-            b'["s","n2"]]]',
-        ):
-            with pytest.raises(CodecError, match="wrong field count"):
-                decode(stamp + short)
-        assert decode(
-            stamp + b'["@","Data",[["@","ViewId",[1,"n1"]],"m","n2",3]]'
-        ) == Data(V1, "m", "n2", 3)
+        the very gap version 6 closes -- so a ``Data`` without an int
+        count is refused, not read as some default."""
+        head = b'\x06["@","Data",[["@","ViewId",[1,"n1"]],"m","n2"'
+        with pytest.raises(CodecError, match=refusal):
+            decode(head + count + b"]]")
+        assert decode(head + b",3]]") == Data(V1, "m", "n2", 3)
 
 
 class TestRollingUpgrade:
+    """A wire bump is a flag day: an old build is refused at its first
+    frame, and the nodes that speak the current version go on without
+    it."""
+
     def test_a_v3_data_frame_from_a_live_peer_is_refused(self):
-        """The refusal, end to end: a ``Data`` written by a v3 peer (the
-        reference walk, stamped 3, no ``n``) reaches a live sequencer
-        over a raw socket.  The sequencer's listener rejects the frame
-        and drops the connection, so nothing is ordered and no member
-        delivers it; the cluster keeps running."""
+        """The refusal, end to end: a ``Hello`` and a ``Data`` written by
+        a v3 peer (the reference walk, stamped 3, no ``n``) reach a live
+        sequencer over a raw socket.  Its listener refuses the first
+        frame and drops the connection, so nothing is ordered and no
+        member delivers the ``Data``; the cluster keeps running."""
         pids = ["n1", "n2", "n3"]
         cluster = RuntimeCluster(
             pids, app_factory=lambda node: KvReplica(node.to),
@@ -301,6 +308,55 @@ class TestRollingUpgrade:
             for pid in pids:
                 assert cluster.call_app(pid, lambda app: app.get("k")) == "v6"
             assert cluster.errors() == {}
+
+    def test_a_v5_peer_from_boot_is_refused_and_the_v6_majority_forms(
+        self, monkeypatch,
+    ):
+        """n3 writes every frame as version 5 did: stamped 5, a ``Data``
+        without ``n``.  Its ``Hello`` is refused at n1's and n2's
+        listeners, so they never hear it, form a primary over
+        themselves within a second (the estimator's grace for an
+        unheard peer) and deliver.  Each says why n3 is out: its
+        listener's refusals, the last one naming version 5.  Under a
+        read window n3's ``Hello``, ``Heartbeat`` and ``StateReply``
+        decoded, VS installed it, and DVS waited for an ``info`` from it
+        that never came: its ``Data`` was refused."""
+        v6_frame = encode_frame
+
+        def v5_frame(envelope):
+            if envelope[0] != "n3":
+                return v6_frame(envelope)
+            body = b"\x05" + v6_frame(envelope)[5:]
+            if type(envelope[1]) is Data:
+                body = _DATA_COUNT.sub(rb"\1", body)
+            return len(body).to_bytes(4, "big") + body
+
+        # The node writes its frames, the transport its Hello.
+        monkeypatch.setattr(runtime_node, "encode_frame", v5_frame)
+        monkeypatch.setattr(transport, "encode_frame", v5_frame)
+        majority = ["n1", "n2"]
+        cluster = RuntimeCluster(
+            majority + ["n3"], app_factory=lambda node: KvReplica(node.to),
+            hb_interval=0.05, hb_timeout=0.25, monitor=False,
+        )
+        with cluster:
+            booted = time.monotonic()
+            cluster.wait_formation(majority, timeout=10.0)
+            assert time.monotonic() - booted < 1.0
+            cluster.bcast("n1", ("put", "k", "v6"))
+            cluster.wait_until(
+                lambda: all(
+                    cluster.app(pid).log_length >= 1 for pid in majority
+                ),
+                timeout=10.0, what="the put at n1 and n2",
+            )
+            for pid in majority:
+                stats = cluster.call_node(pid, lambda node: node.stats())
+                assert stats["rejected"] > 0
+                assert stats["last_refusal"] == (
+                    "unsupported wire version 5 (speaking 6)"
+                )
+                assert cluster.call_app(pid, lambda app: app.get("k")) == "v6"
 
 
 def _v3_frame(value):
@@ -507,9 +563,9 @@ GOLDEN_V6 = [
      b'"n3",1]]'),
 ]
 
-#: The ``n`` closing a ``Data`` body (always 1, and the value's last
-#: field, in these tests), tagged or native.
-_DATA_COUNT = re.compile(rb',(?:\["i",1\]|1)(\]\]+)$')
+#: The ``n`` closing a body whose value ends with a ``Data`` (its last
+#: field), tagged or native.
+_DATA_COUNT = re.compile(rb',(?:\["i",\d+\]|\d+)(\]\]+)$')
 
 
 def legacy_body(body):
@@ -523,15 +579,17 @@ def legacy_body(body):
     return body[1:]
 
 
-def assert_decodes(value, golden):
-    """``golden`` reads back as ``value`` -- unless it is a ``Data``
-    from before version 6, which is refused: it has no ``n``."""
-    if type(value) is Data and golden[0] < 6:
-        with pytest.raises(CodecError, match="wrong field count"):
-            decode(golden)
-        return
-    decoded = decode(golden)
+def assert_reads_back(value, body):
+    """``body`` decodes to ``value``, of the same type."""
+    decoded = decode(body)
     assert decoded == value and type(decoded) is type(value)
+
+
+def assert_refused(golden):
+    """``golden`` is refused by its stamp."""
+    with pytest.raises(CodecError, match="wire version {0} ".format(
+            golden[0])):
+        decode(golden)
 
 
 class Colour(enum.IntEnum):
@@ -556,11 +614,11 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V2)],
     )
     def test_golden_v2_both_ways(self, value, golden):
-        """A v2 body still decodes, and the reference walk still writes
-        it: the layout of versions 1-3 is pinned in both directions,
-        though version 4 no longer writes it."""
-        assert_decodes(value, golden)
+        """The reference walk still writes each v2 body (the layout of
+        versions 1-3, the one the fuzz differential reads through), and
+        the decoder refuses it."""
         assert legacy_body(reference_encode(value)) == golden[1:]
+        assert_refused(golden)
 
     @pytest.mark.parametrize(
         "value,golden", GOLDEN_V3,
@@ -568,9 +626,8 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V3)],
     )
     def test_golden_v3_both_ways(self, value, golden):
-        decoded = decode(golden)
-        assert decoded == value and type(decoded) is type(value)
         assert reference_encode(value)[1:] == golden[1:]
+        assert_refused(golden)
 
     @pytest.mark.parametrize(
         "value,golden", GOLDEN_V4,
@@ -578,10 +635,12 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V4)],
     )
     def test_golden_v4_both_ways(self, value, golden):
-        """A v4 body still decodes, and version 6 writes it again under
-        its own stamp, but for the rows versions 5 and 6 changed."""
+        """Version 6 writes each v4 body again under its own stamp, but
+        for the rows versions 5 and 6 changed, and reads back what it
+        writes; the v4 stamp is refused."""
         assert legacy_body(encode(value)) == golden[1:]
-        assert_decodes(value, golden)
+        assert_reads_back(value, encode(value))
+        assert_refused(golden)
         # The v3 walk reads it once its scalars are tagged again.
         legacy = reference_decode(retagged(encode(value)))
         assert reference_encode(legacy) == reference_encode(value)
@@ -593,8 +652,8 @@ class TestPinnedBytes:
     )
     def test_golden_v5_both_ways(self, value, golden):
         assert encode(value)[1:] == golden[1:]
-        decoded = decode(golden)
-        assert decoded == value and type(decoded) is type(value)
+        assert_reads_back(value, encode(value))
+        assert_refused(golden)
         legacy = reference_decode(retagged(golden))
         assert reference_encode(legacy) == reference_encode(value)
 
@@ -605,7 +664,7 @@ class TestPinnedBytes:
     )
     def test_golden_v6_both_ways(self, value, golden):
         assert encode(value) == golden
-        assert_decodes(value, golden)
+        assert_reads_back(value, golden)
         legacy = reference_decode(retagged(golden))
         assert reference_encode(legacy) == reference_encode(value)
 
@@ -625,10 +684,8 @@ class TestPinnedBytes:
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(payloads, messages))
     def test_encoder_writes_what_the_reference_writes(self, value):
-        """Up to the scalars' spelling: the v4 body, re-tagged, is a v3
-        body the reference reads as the same value (compared as the
-        reference's canonical bytes, so 1 / 1.0 / True stay apart), and
-        the reference's own body reads back as that value here."""
+        """Up to the scalars' spelling: the body, re-tagged, is a v3 body
+        the reference reads as the same value (compared as the
+        reference's canonical bytes, so 1 / 1.0 / True stay apart)."""
         legacy = reference_decode(retagged(encode(value)))
         assert reference_encode(legacy) == reference_encode(value)
-        assert encode(decode(reference_encode(value))) == encode(value)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.viewids import ViewId
 from repro.core.views import View
-from repro.runtime.codec import Heartbeat, Hello, decode
+from repro.runtime.codec import Heartbeat, Hello
 from repro.runtime.faultnet import FaultNet
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import RuntimeNode
@@ -407,16 +407,6 @@ def test_a_peer_outside_the_component_triggers_nothing():
         clock.now = at
         node._check_view("p2", OTHER)
     assert len(rounds) == 2
-
-
-def test_a_v4_heartbeat_decodes_and_triggers_nothing():
-    node, clock, rounds = stub_node("p1")
-    legacy = decode(b'\x04["@","Heartbeat",[]]')
-    assert legacy == Heartbeat(None)
-    for step in range(1, 40):
-        clock.now = step * 0.25
-        node._on_frame("p2", legacy)
-    assert rounds == [G0.set]
 
 
 def test_a_joiner_with_no_view_is_never_a_split():

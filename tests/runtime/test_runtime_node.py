@@ -6,6 +6,7 @@ from repro.core.viewids import ViewId
 from repro.core.views import View
 from repro.dvs.vs_to_dvs import AckMsg
 from repro.gcs.messages import Ack, Data, SafeNote
+from repro.runtime.codec import Heartbeat, encode_frame
 from repro.runtime.heartbeat import ConnectivityEstimator
 from repro.runtime.node import MonotonicClock, RuntimeNode
 
@@ -266,18 +267,29 @@ def test_node_publishes_address_and_counts_unroutable():
 
 
 def test_stats_count_connections_the_listener_rejected():
+    """``rejected`` counts the refused connections and ``last_refusal``
+    says why the last one was refused."""
     async def scenario():
         node = RuntimeNode("p1", {}, initial_view=make_view(["p1"]))
-        assert node.stats()["rejected"] == 0  # readable before start()
+        # Readable before start().
+        assert node.stats()["rejected"] == 0
+        assert node.stats()["last_refusal"] is None
         await node.start()
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", node.port
-        )
-        writer.write(b"\x00\x00\x00\x04junk")  # undecodable body
-        await writer.drain()
-        await poll_until(lambda: node.stats()["rejected"] == 1)
-        assert await asyncio.wait_for(reader.read(), WAIT) == b""
-        writer.close()
+        for count, frame, why in (
+            (1, b"\x00\x00\x00\x04junk",  # stamp b"j": 106
+             "unsupported wire version 106 (speaking 6)"),
+            (2, encode_frame(("p2", Heartbeat())),
+             "no Hello naming its sender first"),
+        ):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", node.port
+            )
+            writer.write(frame)
+            await writer.drain()
+            await poll_until(lambda: node.stats()["rejected"] == count)
+            assert node.stats()["last_refusal"] == why
+            assert await asyncio.wait_for(reader.read(), WAIT) == b""
+            writer.close()
         await node.stop()
 
     run(scenario())

@@ -16,14 +16,13 @@ import base64
 import json
 from dataclasses import fields
 
-from repro.runtime.codec import (
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_TYPES,
-    WIRE_VERSION,
-    CodecError,
-)
+from repro.runtime.codec import WIRE_TYPES, WIRE_VERSION, CodecError
 
 _BY_NAME = {cls.__name__: cls for cls in WIRE_TYPES}
+
+#: The version stamps this walk reads: its own window, frozen with it
+#: (the product decoder reads only ``WIRE_VERSION``).
+_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 
 def _canonical(packed):
@@ -165,7 +164,7 @@ def _unpack(node):
 def reference_decode(data):
     if not isinstance(data, (bytes, bytearray)) or len(data) < 2:
         raise CodecError("truncated body")
-    if data[0] not in SUPPORTED_WIRE_VERSIONS:
+    if data[0] not in _VERSIONS:
         raise CodecError("unsupported wire version {0}".format(data[0]))
     try:
         document = json.loads(bytes(data[1:]).decode("utf-8"))
