@@ -29,23 +29,24 @@ the runtime's own control messages.  Sets and dictionaries are serialized in a
 canonical order so that encoding is deterministic: the same value always
 produces the same bytes, which keeps wire logs diffable across runs.
 
-Both directions are compiled at import from :data:`WIRE_SCHEMA`: one
-emitter and one decoder per class.  The decoder reads what the encoder
-writes and nothing else: another version stamp, a non-finite number,
-an unknown tag or class, a wrong arity, or a field that is not of its
-pinned type -- at any depth -- is a :class:`CodecError`, so no frame
-that decodes can fail to re-encode.
+Both directions are compiled at import from the registered dataclasses
+themselves, one emitter and one decoder per class: a class's fields in
+declaration order are its encoded order, and their declared types are
+its checks.  The decoder reads what the encoder writes and nothing
+else: another version stamp, a non-finite number, an unknown tag or
+class, a wrong arity, or a field that is not of its declared type -- at
+any depth -- is a :class:`CodecError`, so no frame that decodes can
+fail to re-encode.
 """
 
 import base64
 import json
-import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from repro.cb.messages import CbCast
 from repro.core.messages import InfoMsg, RegisteredMsg
@@ -96,7 +97,12 @@ class Heartbeat:
     view: Optional[ViewId] = None
 
 
-#: Every dataclass the codec can carry, by construction order of fields.
+#: Every dataclass the codec can carry.  Each is its own wire schema: a
+#: body carries its fields positionally, in declaration order, each
+#: checked against its declared type.  Adding, removing or reordering a
+#: field is a layout change and needs a :data:`WIRE_VERSION` bump; the
+#: golden bodies of ``tests/runtime/test_codec_migration.py`` pin the
+#: layout.
 WIRE_TYPES = (
     ViewId, View,
     InfoMsg, RegisteredMsg, AckMsg,
@@ -106,209 +112,69 @@ WIRE_TYPES = (
     Hello, Heartbeat,
 )
 
-_BY_NAME = MappingProxyType({cls.__name__: cls for cls in WIRE_TYPES})
-
-#: The pinned wire schema: class name -> ordered ``(field, annotation)``
-#: pairs exactly as declared on the dataclass.  Field order is the
-#: encoded order (the ``"@"`` tag carries positional values), so this
-#: literal is a contract: renaming, retyping or reordering a field of
-#: any registered dataclass without updating it here (and bumping
-#: :data:`WIRE_VERSION` when the layout changes) is wire drift.
-#: :func:`schema_drift` checks it.
-WIRE_SCHEMA = MappingProxyType({
-    "ViewId": (
-        ("epoch", "int"),
-        ("origin", "str"),
-    ),
-    "View": (
-        ("id", "ViewId"),
-        ("members", "FrozenSet[str]"),
-    ),
-    "InfoMsg": (
-        ("act", "View"),
-        ("amb", "FrozenSet[View]"),
-    ),
-    "RegisteredMsg": (),
-    "AckMsg": (
-        ("count", "int"),
-    ),
-    "Collect": (
-        ("round_id", "Tuple[str, int]"),
-        ("members", "frozenset"),
-    ),
-    "StateReply": (
-        ("round_id", "Tuple[str, int]"),
-        ("max_epoch", "int"),
-    ),
-    "Install": (
-        ("round_id", "Tuple[str, int]"),
-        ("view", "View"),
-    ),
-    "Data": (
-        ("vid", "ViewId"),
-        ("payload", "object"),
-        ("sender", "str"),
-        ("n", "int"),
-    ),
-    "Ordered": (
-        ("vid", "ViewId"),
-        ("seq", "int"),
-        ("payload", "object"),
-        ("sender", "str"),
-    ),
-    "OrderedRun": (
-        ("vid", "ViewId"),
-        ("seq", "int"),
-        ("entries", "Tuple[Tuple[object, str], ...]"),
-    ),
-    "Ack": (
-        ("vid", "ViewId"),
-        ("seq", "int"),
-    ),
-    "SafeNote": (
-        ("vid", "ViewId"),
-        ("seq", "int"),
-    ),
-    "Label": (
-        ("id", "ViewId"),
-        ("seqno", "int"),
-        ("origin", "str"),
-    ),
-    "Summary": (
-        ("con", "FrozenSet[Tuple[Label, object]]"),
-        ("ord", "Tuple[Label, ...]"),
-        ("next", "int"),
-        ("high", "ViewId"),
-    ),
-    "CbCast": (
-        ("vid", "ViewId"),
-        ("clock", "Tuple[Tuple[str, int], ...]"),
-        ("payload", "object"),
-        ("origin", "str"),
-    ),
-    "Hello": (
-        ("pid", "str"),
-    ),
-    "Heartbeat": (
-        ("view", "Optional[ViewId]"),
-    ),
-})
-
-
-_DOTTED_NAME = re.compile(r"\b(?:\w+\.)+(\w+)")
-
-
-def _annotation_name(annotation):
-    """Render a live annotation the way the source declares it: bare
-    class names, no ``typing.`` or module qualification."""
-    if isinstance(annotation, type):
-        text = annotation.__name__
-    elif isinstance(annotation, str):
-        text = annotation
-    else:
-        text = str(annotation)
-    return _DOTTED_NAME.sub(r"\1", text)
-
-
-def schema_drift():
-    """Differences between :data:`WIRE_SCHEMA` and the live dataclasses.
-
-    Returns a sorted list of human-readable drift descriptions (empty
-    when the pin is faithful).  ``tests/runtime/test_codec.py``
-    asserts it is empty, so a field rename/retype fails tier-1.
-    """
-    problems = []
-    for cls in WIRE_TYPES:
-        name = cls.__name__
-        pinned = WIRE_SCHEMA.get(name)
-        if pinned is None:
-            problems.append("{0}: not pinned in WIRE_SCHEMA".format(name))
-            continue
-        live = tuple(
-            (f.name, _annotation_name(f.type)) for f in fields(cls)
-        )
-        if live != tuple(pinned):
-            problems.append(
-                "{0}: declared fields {1!r} != pinned {2!r}".format(
-                    name, live, tuple(pinned)
-                )
-            )
-    for name in WIRE_SCHEMA:
-        if name not in _BY_NAME:
-            problems.append(
-                "{0}: pinned in WIRE_SCHEMA but not in WIRE_TYPES".format(
-                    name
-                )
-            )
-    return sorted(problems)
-
-
-#: Builtin annotation heads -> the exact types a field so pinned may
+#: Declared field types -> the exact types a field so declared may
 #: hold.  Exact, not ``isinstance``: the decoder builds nothing else, and
-#: a bool is not an int here.
+#: a bool is not an int here.  A generic alias is looked up by its
+#: origin (``FrozenSet[str]`` -> frozenset).
 _SHALLOW = MappingProxyType({
-    "bool": (bool,),
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "bytes": (bytes,),
-    "FrozenSet": (frozenset,),
-    "frozenset": (frozenset,),
-    "Tuple": (tuple,),
-    "tuple": (tuple,),
+    int: (int,),
+    str: (str,),
+    frozenset: (frozenset,),
+    tuple: (tuple,),
 })
 
 
-def _accepted(annotation):
-    """The shallow check a pinned annotation string stands for: the
-    tuple of types a value may be exactly, empty for "anything".
+def _optional_of(declared):
+    """``X`` of a field declared ``Optional[X]``, else ``None``."""
+    args = get_args(declared)
+    if get_origin(declared) is Union and args[1:] == (type(None),):
+        return args[0]
+    return None
+
+
+def _accepted(declared):
+    """The shallow check a declared field type stands for: the tuple of
+    types a value may be exactly, empty for "anything".
 
     Containers are checked by outer type only (``FrozenSet[str]`` ->
-    frozenset); a registered class name by that class; ``Optional[X]``
-    by X's check or ``None``; ``object`` and anything else accept
+    frozenset); a registered class by that class; ``Optional[X]`` by
+    X's check or ``None``; ``object`` and anything else accept
     everything.  Elements are the tagged scheme's job -- this guards a
     message against forged field types the positional ``"@"`` encoding
     cannot rule out (a string where a sequence number belongs is
     well-formed).
     """
-    base = annotation.split("[", 1)[0].strip()
-    if base == "Optional":
-        inner = _accepted(_optional_of(annotation))
-        return inner + (type(None),) if inner else ()
-    if base in _BY_NAME:
-        return (_BY_NAME[base],)
-    return _SHALLOW.get(base, ())
-
-
-def _optional_of(annotation):
-    """``X`` of the pin ``Optional[X]``."""
-    return annotation.split("[", 1)[1].rsplit("]", 1)[0].strip()
+    inner = _optional_of(declared)
+    if inner is not None:
+        kinds = _accepted(inner)
+        return kinds + (type(None),) if kinds else ()
+    if declared in WIRE_TYPES:
+        return (declared,)
+    return _SHALLOW.get(get_origin(declared) or declared, ())
 
 
 #: One registered class: ``values(msg)`` is the tuple of its fields in
-#: encoded order, ``checks`` one :func:`_accepted` tuple per field.
-_Row = namedtuple("_Row", "values checks")
+#: encoded order, ``types`` their declared types and ``checks`` one
+#: :func:`_accepted` tuple per field.
+_Row = namedtuple("_Row", "values types checks")
 
 
 def _wire_table():
-    """``class -> _Row``, compiled once from :data:`WIRE_SCHEMA`: what
-    the encoder and :func:`validate_message` read, and the classes the
-    decoder is compiled for.  A class whose live fields have
-    drifted from the pin gets no row, so it neither encodes, decodes nor
-    validates (:func:`schema_drift` says why)."""
+    """``class -> _Row``, compiled once from the registered dataclasses
+    (:func:`dataclasses.fields` for the order,
+    :func:`typing.get_type_hints` for the types): what the encoder and
+    :func:`validate_message` read, and what the decoder is compiled
+    from."""
     table = {}
     for cls in WIRE_TYPES:
         names = tuple(f.name for f in fields(cls))
-        pinned = WIRE_SCHEMA.get(cls.__name__, ())
-        if tuple(name for name, _ in pinned) != names:
-            continue
+        hints = get_type_hints(cls)
         # A bare attrgetter of one name answers the value, not a tuple.
         values = attrgetter(*names) if len(names) > 1 else (
             lambda msg, names=names: tuple(getattr(msg, n) for n in names)
         )
-        table[cls] = _Row(
-            values, tuple(_accepted(annotation) for _, annotation in pinned)
-        )
+        types = tuple(hints[name] for name in names)
+        table[cls] = _Row(values, types, tuple(map(_accepted, types)))
     return MappingProxyType(table)
 
 
@@ -328,12 +194,13 @@ def validate_message(msg):
     """Whether a wire message is schema-faithful.
 
     ``True`` iff ``msg`` is exactly of a registered wire type, every
-    field is exactly of a type its pinned :data:`WIRE_SCHEMA` annotation
-    stands for, and a run's entries are what its handler unpacks
-    (:func:`_is_run`).  :func:`decode` holds every registered value it
-    rebuilds, at any depth, to the same pins; the receive path still
-    gates on this, because not every message it is handed came through
-    the decoder, and a pin checks a container by its outer type only.
+    field is exactly of a type its declaration allows
+    (:func:`_accepted`), and a run's entries are what its handler
+    unpacks (:func:`_is_run`).  :func:`decode` holds every registered
+    value it rebuilds, at any depth, to the same checks; the receive
+    path still gates on this, because not every message it is handed
+    came through the decoder, and a check sees a container's outer type
+    only.
     """
     row = _WIRE.get(type(msg))
     if row is None:
@@ -536,47 +403,61 @@ _DECODE = MappingProxyType({
 })
 
 
-def _field(annotation, decoders):
-    """``(fast, read)`` for a field pinned ``annotation``: a node whose
+#: Declared container types -> the tag a field so declared must carry.
+_TAGS = MappingProxyType({tuple: "t", frozenset: "fz"})
+
+
+def _field(declared, decoders, off_type):
+    """``(fast, read)`` for a field declared ``declared``: a node whose
     type is in ``fast`` is already the field's value; any other goes
-    through ``read``, which answers a value the pin allows or raises.  A
-    class pin is checked by tag and class name, a container pin by tag,
-    and a scalar pin by the exact type of what the node decodes to."""
-    base = annotation.split("[", 1)[0].strip()
-    if base == "Optional":
-        fast, read = _field(_optional_of(annotation), decoders)
+    through ``read``, which answers a value the declaration allows or
+    raises ``CodecError(off_type)``.  A registered class is checked by
+    tag and class name, a container by tag, and a scalar by the exact
+    type of what the node decodes to."""
+    inner = _optional_of(declared)
+    if inner is not None:
+        fast, read = _field(inner, decoders, off_type)
         return fast | {type(None)}, read
-    off_pin = "malformed body: a field is not of its pinned type " + annotation
-    tag = {"tuple": "t", "frozenset": "fz"}.get(base.lower())
-    if base in _BY_NAME or tag:
-        head = ["@", base] if base in _BY_NAME else [tag]
-        size = len(head)
+    tag = _TAGS.get(get_origin(declared) or declared)
+    if tag:
+        head, handler = [tag], _DECODE[tag]
+    elif declared in WIRE_TYPES:
+        head = ["@", declared.__name__]
         # A class compiled earlier is built directly.
-        handler = decoders.get(base, _DECODE[head[0]])
+        handler = decoders.get(declared.__name__, _decode_class)
+    else:
+        kinds = _accepted(declared)
+        if not kinds:
+            return _NATIVE, _node
 
-        def read(node):
-            if type(node) is list and node[:size] == head:
-                return handler(node)
-            raise CodecError(off_pin)
+        def read_scalar(node):
+            value = _node(node)
+            if type(value) in kinds:
+                return value
+            raise CodecError(off_type)
 
-        return frozenset(), read
-    kinds = _accepted(annotation)
-    if not kinds:
-        return _NATIVE, _node
+        return _NATIVE & frozenset(kinds), read_scalar
+    size = len(head)
 
-    def read_scalar(node):
-        value = _node(node)
-        if type(value) in kinds:
-            return value
-        raise CodecError(off_pin)
+    def read(node):
+        if type(node) is list and node[:size] == head:
+            return handler(node)
+        raise CodecError(off_type)
 
-    return _NATIVE & frozenset(kinds), read_scalar
+    return frozenset(), read
 
 
-def _class_decoder(cls, pinned, decoders):
+def _class_decoder(cls, row, decoders):
     """Decoder of ``cls`` from its ``["@", name, [field nodes]]``: every
-    pinned field present, each checked against its pin as it is read."""
-    readers = tuple(_field(annotation, decoders) for _, annotation in pinned)
+    declared field present, each checked against its type as it is
+    read."""
+    readers = tuple(
+        _field(declared, decoders, (
+            "malformed body: {0}.{1} is not of its declared type"
+            .format(cls.__name__, f.name)
+        ))
+        for f, declared in zip(fields(cls), row.types)
+    )
     arity = len(readers)
 
     def build(node):
@@ -600,13 +481,10 @@ def _class_decoder(cls, pinned, decoders):
 
 
 def _class_decoders():
-    """Class name -> decoder, for every class :func:`_wire_table`
-    compiled."""
+    """Class name -> decoder, for every registered class."""
     table = {}
-    for cls in _WIRE:
-        table[cls.__name__] = _class_decoder(
-            cls, WIRE_SCHEMA[cls.__name__], table
-        )
+    for cls, row in _WIRE.items():
+        table[cls.__name__] = _class_decoder(cls, row, table)
     return MappingProxyType(table)
 
 

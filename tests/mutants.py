@@ -275,6 +275,19 @@ MUTANTS = (
         "tests/runtime/test_codec_migration.py::TestVersioning::"
         "test_current_version_and_acceptance_window",
     ),
+    # -- the codec's checks, derived from the declared field types ---------
+    # The derivation blind to ``Optional[X]``: ``Heartbeat.view`` then
+    # accepts anything, so a forged ``Heartbeat("g1@n1")`` validates and
+    # decodes.
+    Mutant(
+        "optional_unchecked", "runtime/codec.py",
+        "if get_origin(declared) is Union and",
+        "if get_origin(declared) is Optional and",
+        "`_optional_of` never recognises `Optional[X]`",
+        frozenset(),
+        "tests/runtime/test_codec_migration.py::TestHeartbeatViewOnTheWire::"
+        "test_pinned_and_validated",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

@@ -18,7 +18,7 @@ field of the wrong type two or more levels down.  Two properties:
    (``wire_reference.py``, the original walk, which knows only tagged
    scalars and is handed the document :func:`retag`-ged) agree -- same
    value, or both refuse -- except on the three tightenings this codec
-   documents: non-finite floats, pinned field types at every depth, and
+   documents: non-finite floats, declared field types at every depth, and
    a v1-v3 scalar tag anywhere in the document (the decoder reads only
    what version 6 writes).
 """
@@ -26,13 +26,15 @@ field of the wrong type two or more levels down.  Two properties:
 import base64
 import json
 import struct
+from dataclasses import fields
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.codec import (
-    WIRE_SCHEMA,
+    WIRE_TYPES,
     WIRE_VERSION,
     CodecError,
     FrameDecoder,
@@ -42,6 +44,22 @@ from repro.runtime.codec import (
 from tests.runtime.wire_reference import reference_decode, reference_encode
 
 HUGE = 10 ** 400
+
+#: Class name -> its fields' declared types, in encoded order: what the
+#: codec compiles its checks from, read here without the codec's help, so
+#: that a fault in its derivation cannot blind this oracle too.
+DECLARED = {
+    cls.__name__: tuple(get_type_hints(cls)[f.name] for f in fields(cls))
+    for cls in WIRE_TYPES
+}
+
+
+def _optional_of(declared):
+    """``X`` of ``Optional[X]``, else ``None``."""
+    args = get_args(declared)
+    if get_origin(declared) is Union and args[1:] == (type(None),):
+        return args[0]
+    return None
 
 short_text = st.text(max_size=6)
 
@@ -80,26 +98,27 @@ def _mostly_hashable(nodes):
     return st.one_of(leaves, leaves, leaves, nodes)
 
 
-def _field(annotation, nodes):
-    """A node of the tag the pinned annotation asks for (shallowly:
+def _field(declared, nodes):
+    """A node of the tag the declared type asks for (shallowly:
     elements are arbitrary well-formed nodes) -- and, one time in 25,
     a well-formed node of whatever tag: the forged field."""
-    head = annotation.split("[", 1)[0]
-    if head == "Optional":
-        return st.one_of(st.none(), _field(annotation[9:-1], nodes))
-    if head == "int":
+    inner = _optional_of(declared)
+    if inner is not None:
+        return st.one_of(st.none(), _field(inner, nodes))
+    head = get_origin(declared) or declared
+    if head is int:
         right = st.integers(0, 99)
-    elif head == "str":
+    elif head is str:
         right = st.sampled_from(["n1", "n2"])
-    elif head in ("FrozenSet", "frozenset"):
+    elif head is frozenset:
         right = st.builds(
             lambda v: ["fz", v],
             st.lists(_mostly_hashable(nodes), min_size=1, max_size=3),
         )
-    elif head == "Tuple":
+    elif head is tuple:
         right = st.builds(lambda v: ["t", v], st.lists(nodes, max_size=3))
-    elif head in WIRE_SCHEMA:
-        right = _instance(head, nodes)
+    elif head in WIRE_TYPES:
+        right = _instance(head.__name__, nodes)
     else:
         return nodes
     return st.integers(0, 24).flatmap(lambda n: right if n else nodes)
@@ -107,7 +126,7 @@ def _field(annotation, nodes):
 
 def _instance(name, nodes):
     return st.tuples(
-        *[_field(annotation, nodes) for _, annotation in WIRE_SCHEMA[name]]
+        *[_field(declared, nodes) for declared in DECLARED[name]]
     ).map(lambda values: ["@", name, list(values)])
 
 
@@ -126,7 +145,7 @@ def _grow(nodes):
             lambda pairs: ["d", [list(p) for p in pairs]],
             st.lists(st.tuples(hashable, nodes), max_size=2),
         ),
-        st.sampled_from(sorted(WIRE_SCHEMA)).flatmap(
+        st.sampled_from(sorted(DECLARED)).flatmap(
             lambda name: _instance(name, nodes)
         ),
     )
@@ -135,7 +154,7 @@ def _grow(nodes):
 well_formed = st.recursive(leaves, _grow, max_leaves=10)
 
 #: A registered message, as the wire carries: the usual top level.
-well_formed_messages = st.sampled_from(sorted(WIRE_SCHEMA)).flatmap(
+well_formed_messages = st.sampled_from(sorted(DECLARED)).flatmap(
     lambda name: _instance(name, well_formed)
 )
 plausible = st.one_of(
@@ -240,11 +259,9 @@ def outcome(decoder, body):
         return "refused", OverflowError
 
 
-#: Pinned annotation head -> the tag a field of that pin must carry.
-PIN_TAGS = {
-    "int": "i", "str": "s", "FrozenSet": "fz", "frozenset": "fz",
-    "Tuple": "t",
-}
+#: Declared type (or its origin) -> the tag a field so declared must
+#: carry.
+TYPE_TAGS = {int: "i", str: "s", frozenset: "fz", tuple: "t"}
 
 
 def finite_everywhere(node):
@@ -261,28 +278,30 @@ def finite_everywhere(node):
     return all(finite_everywhere(child) for child in node)
 
 
-def pinned_everywhere(node):
+def declared_everywhere(node):
     """Every ``["@", name, fields]`` in the (re-tagged) document
-    carries, field by field, the tag its pin asks for -- stated on the
-    *document*, where the decoder reads it field by field."""
+    carries, field by field, the tag its declared type asks for --
+    stated on the *document*, where the decoder reads it field by
+    field."""
     if not isinstance(node, list):
         return True
     if (len(node) == 3 and node[0] == "@" and isinstance(node[1], str)
-            and node[1] in WIRE_SCHEMA and isinstance(node[2], list)
-            and len(node[2]) == len(WIRE_SCHEMA[node[1]])):
-        for field, (_, annotation) in zip(node[2], WIRE_SCHEMA[node[1]]):
+            and node[1] in DECLARED and isinstance(node[2], list)
+            and len(node[2]) == len(DECLARED[node[1]])):
+        for field, declared in zip(node[2], DECLARED[node[1]]):
             tag = field[0] if isinstance(field, list) and field else None
-            if annotation.startswith("Optional[") and tag == "z":
-                continue
-            head = annotation.split("[", 1)[0]
-            if head == "Optional":
-                head = annotation[9:-1]
-            if head in WIRE_SCHEMA:
-                if tag != "@" or field[1:2] != [head]:
+            inner = _optional_of(declared)
+            if inner is not None:
+                if tag == "z":
+                    continue
+                declared = inner
+            head = get_origin(declared) or declared
+            if head in WIRE_TYPES:
+                if tag != "@" or field[1:2] != [head.__name__]:
                     return False
-            elif head in PIN_TAGS and tag != PIN_TAGS[head]:
+            elif head in TYPE_TAGS and tag != TYPE_TAGS[head]:
                 return False
-    return all(pinned_everywhere(child) for child in node)
+    return all(declared_everywhere(child) for child in node)
 
 
 #: The scalar tags of versions 1-3, which the reference reads and the
@@ -317,5 +336,5 @@ def test_decoders_agree_except_on_the_documented_tightenings(document):
         # documented reasons.
         assert not (
             natively_spelled(document)
-            and finite_everywhere(legacy) and pinned_everywhere(legacy)
+            and finite_everywhere(legacy) and declared_everywhere(legacy)
         ), document

@@ -35,7 +35,8 @@ def test_rule_registry_shape():
     # Retired, not renumbered (DESIGN.md section 8): DVS012-014,
     # DVS016-018 and DVS020/021, whose product mutants all have a named
     # dynamic killer in tests/mutants.py or are equivalent (info_alias),
-    # DVS015 (wire-schema drift; codec.schema_drift() is the guard) and
+    # DVS015 (wire-schema drift; the codec now compiles its checks from
+    # the wire dataclasses themselves, so there is no copy to drift) and
     # DVS019 (lock-order cycles; the product holds no two locks to
     # order).
     assert sorted(RULES) == [
