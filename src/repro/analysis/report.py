@@ -27,19 +27,18 @@ def render_table(headers, rows, title=None):
 
 
 def render_stage_table(summary):
-    """The per-stage delivery-latency table of ``Tracer.stage_summary()``."""
-    rows = []
-    for stage in ("wire", "vs", "dvs", "to", "cb", "total"):
-        stats = summary["stages"].get(stage)
-        if stats is None:
-            continue
-        rows.append([
+    """The per-stage delivery-latency table of ``Tracer.stage_summary()``:
+    the four stages, then ``total`` and each tier's ``total.<tier>``."""
+    rows = [
+        [
             stage,
             "{0:.3f}".format(stats["p50_ms"]),
             "{0:.3f}".format(stats["mean_ms"]),
             "{0:.3f}".format(stats["p95_ms"]),
             "{0:.3f}".format(stats["max_ms"]),
-        ])
+        ]
+        for stage, stats in summary["stages"].items()
+    ]
     return render_table(
         ["stage", "p50 ms", "mean ms", "p95 ms", "max ms"],
         rows,
@@ -50,34 +49,22 @@ def render_stage_table(summary):
     )
 
 
-def _format_metric(snap):
-    if snap["type"] == "histogram":
-        return "n={0} p50={1:.6g} p95={2:.6g} max={3:.6g}".format(
-            snap["count"], snap["p50"] or 0, snap["p95"] or 0,
-            snap["max"] or 0,
-        )
-    if snap["type"] == "gauge":
-        return "{0} (high {1})".format(snap["value"], snap["high"])
-    return str(snap["value"])
-
-
-def render_metrics_table(metrics):
-    """One row per instrument of a ``MetricsRegistry.snapshot()``."""
-    rows = [
-        [name, snap["type"], _format_metric(snap)]
-        for name, snap in sorted(metrics.items())
-    ]
-    return render_table(["metric", "type", "value"], rows, title="metrics")
+def render_counts_table(counts):
+    """One row per recorded action or probe name of ``Observability``."""
+    return render_table(
+        ["action", "count"], sorted(counts.items()), title="action counts"
+    )
 
 
 def report_observability(trace, trace_json=None, snapshot=None,
                          metrics_json=None):
     """What ``repro trace`` and an observed ``repro serve`` print: the
-    stage table of a ``Tracer.to_json_dict()`` (and the metrics table of
-    an ``Observability.snapshot()``), each then written to its path."""
+    stage table of a ``Tracer.to_json_dict()`` (and the counts table of
+    an observed cluster's ``obs_snapshot()``), each then written to its
+    path."""
     print(render_stage_table(trace["summary"]))
     if snapshot is not None:
-        print(render_metrics_table(snapshot["metrics"]))
+        print(render_counts_table(snapshot["counts"]))
     for what, path, data in (("metrics snapshot", metrics_json, snapshot),
                              ("trace JSON", trace_json, trace)):
         if path:

@@ -615,7 +615,8 @@ def build_parser():
                             "mode (default: HB_TIMEOUT, same module)")
     serve.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="loopback mode: arm observability and write "
-                            "the metrics snapshot here")
+                            "the counts, trace summary and per-node "
+                            "stats() here")
     serve.add_argument("--trace-json", default=None, metavar="PATH",
                        help="loopback mode: arm observability and write "
                             "the stitched trace here")

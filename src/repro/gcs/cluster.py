@@ -40,9 +40,9 @@ class Cluster:
       an event at one process mutates another's state (the runtime
       cross-check of the ``repro lint`` purity/aliasing passes);
     - ``obs`` -- ``True`` for a fresh :class:`repro.obs.Observability`
-      (or a prebuilt one): causal spans + metrics collected from the
-      action log and the simulated wire, with no change to what the
-      trace-property checkers see.
+      (or a prebuilt one): causal spans + action counts collected from
+      the action log and the simulated wire, with no change to what
+      the trace-property checkers see.
     """
 
     def __init__(

@@ -161,11 +161,10 @@ class Tracer:
 
     def on_action(self, t, name, params):
         """Hook for :class:`~repro.gcs.recorder.ActionLog`: both the
-        layers' interface actions and the tracer-only probes.  Returns
-        the ``(key, stage)`` emitted, or ``None``."""
+        layers' interface actions and the tracer-only probes."""
         row = ACTION_STAGES.get(name)
         if row is None:
-            return None
+            return
         stage, tag = row
         subject, *rest = params
         if stage == "vs_form":
@@ -176,11 +175,10 @@ class Tracer:
         if tag is None:
             key = message_key(subject)
             if key is None:
-                return None
+                return
         else:
             key = (tag, getattr(subject, "id", subject))
         self._emit(key, stage, rest[-1], t)
-        return key, stage
 
     def wire_event(self, stage, pid, peer, msg, t):
         """A frame crossed the transport (``wire_send``/``wire_recv``)."""
@@ -367,13 +365,18 @@ class Tracer:
         return records
 
     def stage_summary(self):
-        """Aggregate per-stage statistics over all message deliveries."""
+        """Aggregate per-stage statistics over all message deliveries.
+
+        ``stages`` holds the four stages, ``total`` over every delivery,
+        and ``total.<tier>`` over that tier's deliveries alone: the
+        end-to-end latency of each ordering tier."""
         rows = self.deliveries()
+        tiers = sorted(set(TIERS.values()))
         summary = {
             "deliveries": len(rows),
             "deliveries_by_tier": {
                 tier: sum(1 for r in rows if r["tier"] == tier)
-                for tier in sorted(set(TIERS.values()))
+                for tier in tiers
             },
             "messages": len({
                 (r["tier"], str(r["label"])) for r in rows
@@ -383,12 +386,16 @@ class Tracer:
             "events_dropped": self.dropped(),
             "stages": {},
         }
-        for stage in ("wire", "vs", "dvs", "to", "cb", "total"):
-            values = [
-                r["total"] if stage == "total" else r["stages"][stage]
-                for r in rows
-                if stage == "total" or stage in r["stages"]
+        columns = {
+            stage: [r["stages"][stage] for r in rows if stage in r["stages"]]
+            for stage in ("wire", "vs", "dvs", "to", "cb")
+        }
+        columns["total"] = [r["total"] for r in rows]
+        for tier in tiers:
+            columns["total." + tier] = [
+                r["total"] for r in rows if r["tier"] == tier
             ]
+        for stage, values in columns.items():
             if not values:
                 continue
             summary["stages"][stage] = {

@@ -70,8 +70,8 @@ class RuntimeCluster:
             from repro.obs import Observability
 
             obs = Observability()
-        #: Optional :class:`repro.obs.Observability`: spans + metrics,
-        #: fed on the loop thread, read through the marshalled
+        #: Optional :class:`repro.obs.Observability`: spans + action
+        #: counts, fed on the loop thread, read through the marshalled
         #: snapshot methods below.
         self.obs = obs
         self.log = ActionLog(clock=self._log_now, tracer=obs)
@@ -367,10 +367,14 @@ class RuntimeCluster:
         )
         return self
 
-    def stats(self):
-        return self._call(lambda: {
+    def _node_stats(self):
+        return {
             pid: node.stats() for pid, node in sorted(self._nodes.items())
-        })
+        }
+
+    def stats(self):
+        """Each live node's ``stats()``: one incarnation's counts."""
+        return self._call(self._node_stats)
 
     # -- Trace capture (requires ``record=``) ------------------------------
 
@@ -407,14 +411,9 @@ class RuntimeCluster:
         if self.obs is None:
             raise ValueError(
                 "cluster built without obs= (pass obs=True to arm "
-                "tracing and metrics)"
+                "tracing and action counts)"
             )
         return self.obs
-
-    def metrics_snapshot(self):
-        """The metrics registry, snapshotted on the loop thread."""
-        obs = self._require_obs()
-        return self._call(obs.metrics.snapshot)
 
     def trace_snapshot(self):
         """The full stitched trace (spans, views, per-stage summary) as
@@ -423,6 +422,10 @@ class RuntimeCluster:
         return self._call(obs.tracer.to_json_dict)
 
     def obs_snapshot(self):
-        """Metrics + trace summary + derived gcs statistics."""
+        """Action counts, the trace summary and derived gcs statistics
+        (``Observability.snapshot()``), plus each live node's
+        ``stats()`` under ``nodes``; read on the loop thread."""
         obs = self._require_obs()
-        return self._call(obs.snapshot)
+        return self._call(
+            lambda: dict(obs.snapshot(), nodes=self._node_stats())
+        )

@@ -86,25 +86,6 @@ class RuntimeNode:
         self._wiretap = wiretap
         self._member = member
         self._obs = obs
-        self._ins = None
-        if obs is not None:
-            metrics = obs.metrics
-            base = "runtime.{0}.".format(pid)
-            # Get-or-create: a restarted incarnation keeps accumulating
-            # into the same per-pid series.
-            self._ins = {
-                "frames_out": metrics.counter(base + "transport.frames_out"),
-                "bytes_out": metrics.counter(base + "transport.bytes_out"),
-                "frames_in": metrics.counter(base + "transport.frames_in"),
-                "bytes_in": metrics.counter(base + "transport.bytes_in"),
-                "drops": metrics.counter(base + "transport.drops"),
-                "queue_drops": metrics.counter(
-                    base + "transport.queue_drops"
-                ),
-                "connects": metrics.counter(base + "transport.reconnects"),
-                "queue_depth": metrics.gauge(base + "transport.queue_depth"),
-                "flaps": metrics.counter(base + "connectivity.flaps"),
-            }
         self._host = host
         self._port = port
         self._hb_interval = hb_interval
@@ -130,6 +111,14 @@ class RuntimeNode:
         #: Frames dropped by :meth:`_validate_inbound`: unknown sender
         #: or a payload that fails the wire-schema check.
         self.dropped_invalid = 0
+        #: Frames handed to a link, and their bytes (a broadcast counts
+        #: once per destination); frames that passed the inbound gate;
+        #: connectivity reports handed to the stack.  Like every
+        #: ``stats()`` field, per incarnation.
+        self.frames_out = 0
+        self.bytes_out = 0
+        self.frames_in = 0
+        self.reports = 0
         self._links = {}
         self._listener = None
         self._estimator = None
@@ -153,7 +142,6 @@ class RuntimeNode:
         self._listener = Listener(
             self._on_frame, host=self._host, port=self._port,
             on_error=self.errors.append,
-            on_bytes=self._count_bytes_in if self._ins else None,
             on_hello=self._on_hello,
         )
         await self._listener.start()
@@ -205,29 +193,10 @@ class RuntimeNode:
             self._links[peer] = PeerLink(
                 self.pid, peer,
                 resolve=lambda p=peer: self.book[p],
-                on_connect=self._count_connect if self._ins else None,
-                on_drop=self._count_drop if self._ins else None,
-                on_queue_drop=(
-                    self._count_queue_drop if self._ins else None
-                ),
                 on_error=self.errors.append,
                 on_refused=self._on_refused,
             ).start()
         return self._links[peer]
-
-    # -- Metric callbacks (no-ops unless ``obs`` was supplied) -------------
-
-    def _count_bytes_in(self, nbytes):
-        self._ins["bytes_in"].inc(nbytes)
-
-    def _count_connect(self, peer):
-        self._ins["connects"].inc()
-
-    def _count_drop(self, peer):
-        self._ins["drops"].inc()
-
-    def _count_queue_drop(self, peer):
-        self._ins["queue_drops"].inc()
 
     # -- Trace capture (no-op unless ``wiretap`` was supplied) -------------
 
@@ -302,12 +271,9 @@ class RuntimeNode:
     def _flush_frame(self, dst, msg, frame):
         if self._stopped:
             return
-        link = self._ensure_link(dst)
-        link.send_frame(frame)
-        if self._ins is not None:
-            self._ins["frames_out"].inc()
-            self._ins["bytes_out"].inc(len(frame))
-            self._ins["queue_depth"].set(link.queue_depth())
+        self._ensure_link(dst).send_frame(frame)
+        self.frames_out += 1
+        self.bytes_out += len(frame)
         if self._obs is not None:
             self._obs.wire_event(
                 "wire_send", self.pid, dst, msg, self.clock.now
@@ -389,8 +355,7 @@ class RuntimeNode:
             self._faultnet.note_blocked_recv()
             return
         self._estimator.heard(src)
-        if self._ins is not None:
-            self._ins["frames_in"].inc()
+        self.frames_in += 1
         if isinstance(msg, (Hello, Heartbeat)):
             if type(msg) is Heartbeat and msg.view is not None:
                 self._check_view(src, msg.view)
@@ -439,8 +404,7 @@ class RuntimeNode:
             return
         # Each round gets a full timeout before a split re-issues it.
         self._split_since.clear()
-        if self._ins is not None:
-            self._ins["flaps"].inc()
+        self.reports += 1
         self._tap("conn", tuple(sorted(component)))
         try:
             self.stack.on_connectivity(component)
@@ -450,11 +414,17 @@ class RuntimeNode:
     # -- Observation -------------------------------------------------------
 
     def stats(self):
+        """This incarnation's counts: the node's own, the listener's
+        and, under ``links``, each outbound link's."""
+        listener = self._listener
         links = {
             peer: {
                 "connects": link.connects,
                 "sent": link.sent,
                 "dropped": link.dropped,
+                "queue_drops": link.queue_drops,
+                "queue_depth": link.queue_depth(),
+                "queue_high": link.queue_high,
             }
             for peer, link in sorted(self._links.items())
         }
@@ -464,10 +434,13 @@ class RuntimeNode:
             "errors": len(self.errors),
             "dropped_unroutable": self.dropped_unroutable,
             "dropped_invalid": self.dropped_invalid,
-            "rejected": self._listener.rejected if self._listener else 0,
-            "last_refusal": (
-                self._listener.last_refusal if self._listener else None
-            ),
+            "rejected": listener.rejected if listener else 0,
+            "last_refusal": listener.last_refusal if listener else None,
             "data_refused": self.stack.data_refused,
+            "frames_out": self.frames_out,
+            "bytes_out": self.bytes_out,
+            "frames_in": self.frames_in,
+            "bytes_in": listener.bytes_in if listener else 0,
+            "reports": self.reports,
             "links": links,
         }

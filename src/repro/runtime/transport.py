@@ -103,8 +103,7 @@ class PeerLink(asyncio.Protocol):
 
     def __init__(self, local_pid, peer_pid, resolve,
                  queue_limit=QUEUE_LIMIT, retry_min=0.05, retry_max=1.0,
-                 stable_after=None, on_connect=None, on_drop=None,
-                 on_queue_drop=None, on_error=None, on_refused=None):
+                 stable_after=None, on_error=None, on_refused=None):
         self.local_pid = local_pid
         self.peer_pid = peer_pid
         self._resolve = resolve
@@ -115,9 +114,6 @@ class PeerLink(asyncio.Protocol):
         self._stable_after = (
             retry_max if stable_after is None else stable_after
         )
-        self._on_connect = on_connect
-        self._on_drop = on_drop
-        self._on_queue_drop = on_queue_drop
         self._on_error = on_error
         self._on_refused = on_refused
         # Backoff jitter avoids N nodes hammering a rebooting peer in
@@ -141,6 +137,8 @@ class PeerLink(asyncio.Protocol):
         #: Drops caused specifically by queue overflow (drop-oldest);
         #: a subset of ``dropped``, which also counts closed-link drops.
         self.queue_drops = 0
+        #: The most frames the outbound queue has held at once.
+        self.queue_high = 0
 
     def start(self):
         """Begin dialing; must be called on the event loop."""
@@ -153,24 +151,18 @@ class PeerLink(asyncio.Protocol):
         fan-out path: a broadcast encodes its frame once and hands the
         same bytes to every link instead of re-encoding per destination."""
         if self._closed:
-            self._drop()
+            self.dropped += 1
         elif self._writable and not self._pending:  # FIFO: never overtake
             self._transport.write(frame)
             self.sent += 1
         else:
             if len(self._pending) >= self._queue_limit:
                 self._pending.popleft()
-                self._drop(overflow=True)
+                self.dropped += 1
+                self.queue_drops += 1
             self._pending.append(frame)
-
-    def _drop(self, overflow=False):
-        self.dropped += 1
-        if overflow:
-            self.queue_drops += 1
-            if self._on_queue_drop is not None:
-                self._on_queue_drop(self.peer_pid)
-        if self._on_drop is not None:
-            self._on_drop(self.peer_pid)
+            if len(self._pending) > self.queue_high:
+                self.queue_high = len(self._pending)
 
     def queue_depth(self):
         """Frames currently waiting in the outbound queue."""
@@ -183,8 +175,6 @@ class PeerLink(asyncio.Protocol):
         self._lost = False
         self._connected_at = asyncio.get_running_loop().time()
         self.connects += 1
-        if self._on_connect is not None:
-            self._on_connect(self.peer_pid)
         transport.write(encode_frame((self.local_pid, Hello(self.local_pid))))
         self.resume_writing()
 
@@ -291,8 +281,7 @@ class _Inbound(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes):
         listener = self._listener
-        if listener._on_bytes is not None:
-            listener._on_bytes(nbytes)
+        listener.bytes_in += nbytes
         try:
             frames = self._decoder.feed(listener._buffer[:nbytes])
         except CodecError as exc:
@@ -336,14 +325,14 @@ class Listener:
     ``on_error(exc)``.  ``on_hello(src)`` is invoked once per accepted
     connection, when its handshake names the peer that dialled in.
     ``rejected`` counts the dropped connections, and ``last_refusal``
-    says why the last one was dropped.
+    says why the last one was dropped; ``bytes_in`` counts every byte
+    read, over all connections.
     """
 
     def __init__(self, on_frame, host="127.0.0.1", port=0, on_error=None,
-                 on_bytes=None, on_hello=None):
+                 on_hello=None):
         self._on_frame = on_frame
         self._on_error = on_error
-        self._on_bytes = on_bytes
         self._on_hello = on_hello
         self.host = host
         self.port = port
@@ -354,6 +343,7 @@ class Listener:
         self._buffer = memoryview(bytearray(_READ_BUFFER))
         self.rejected = 0
         self.last_refusal = None
+        self.bytes_in = 0
 
     async def start(self):
         self._server = await asyncio.get_running_loop().create_server(

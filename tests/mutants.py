@@ -288,6 +288,19 @@ MUTANTS = (
         "tests/runtime/test_codec_migration.py::TestHeartbeatViewOnTheWire::"
         "test_pinned_and_validated",
     ),
+    # -- the trace summary, the one source of end-to-end latency -----------
+    # Each tier's end-to-end row built from every delivery: on a mixed
+    # run both rows read the population of ``total``.
+    Mutant(
+        "tier_total_unfiltered", "obs/trace.py",
+        'r["total"] for r in rows if r["tier"] == tier',
+        'r["total"] for r in rows',
+        "`stage_summary` builds each `total.<tier>` row from every "
+        "delivery",
+        frozenset(),
+        "tests/obs/test_live_tracing.py::"
+        "test_tier_total_is_the_exact_end_to_end_latency",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

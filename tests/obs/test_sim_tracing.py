@@ -1,6 +1,8 @@
 """Simulator executions get spans for free: arming ``obs=True`` on a
 :class:`repro.gcs.cluster.Cluster` must produce complete causal spans
-and metrics without touching the checked action vocabulary."""
+and action counts without touching the checked action vocabulary."""
+
+from collections import Counter
 
 import pytest
 
@@ -39,12 +41,16 @@ def test_stages_sum_exactly_to_total(traced):
 
 
 def test_metrics_count_the_workload(traced):
-    snap = traced.obs.metrics.snapshot()
-    assert snap["gcs.to.bcasts"]["value"] == REQUESTS
-    assert snap["gcs.to.deliveries"]["value"] == REQUESTS * len(PROCS)
-    lat = snap["gcs.to.delivery_latency_s"]
-    assert lat["count"] == REQUESTS * len(PROCS)
-    assert lat["p50"] is not None and lat["p50"] > 0
+    counts = traced.obs.counts
+    assert counts["bcast"] == REQUESTS
+    assert counts["brcv"] == REQUESTS * len(PROCS)
+    # One count per recorded action (probes add names the log never
+    # holds).
+    recorded = Counter(a.name for a in traced.log.actions)
+    assert {name: counts[name] for name in recorded} == recorded
+    total = traced.obs.tracer.stage_summary()["stages"]["total.to"]
+    assert total["count"] == REQUESTS * len(PROCS)
+    assert total["p50_ms"] > 0
 
 
 def test_probes_stay_out_of_the_checked_action_log(traced):

@@ -63,28 +63,29 @@ def test_summary_breaks_out_tiers(traced):
     }
     assert summary["messages"] == TO_REQUESTS + CB_REQUESTS
     stages = summary["stages"]
-    for name in ("wire", "vs", "dvs", "to", "cb", "total"):
+    for name in ("wire", "vs", "dvs", "to", "cb", "total", "total.to",
+                 "total.cb"):
         assert name in stages
         assert stages[name]["p50_ms"] >= 0
 
     def population(name):
         return stages[name]["count"]
 
-    # Substrate stages span both tiers; ordering stages only their own.
-    assert population("to") == TO_REQUESTS * len(PROCS)
-    assert population("cb") == CB_REQUESTS * len(PROCS)
+    # Substrate stages span both tiers; ordering stages, and each
+    # tier's end-to-end row, only their own.
+    for tier in ("to", "cb"):
+        assert population(tier) == summary["deliveries_by_tier"][tier]
+        assert population("total." + tier) == population(tier)
     assert population("total") == population("to") + population("cb")
 
 
 def test_cb_metrics_count_the_workload(traced):
-    snap = traced.obs.metrics.snapshot()
-    assert snap["gcs.cb.cbcasts"]["value"] == CB_REQUESTS
-    assert snap["gcs.cb.deliveries"]["value"] == (
-        CB_REQUESTS * len(PROCS)
-    )
-    lat = snap["gcs.cb.delivery_latency_s"]
-    assert lat["count"] == CB_REQUESTS * len(PROCS)
-    assert lat["p50"] is not None and lat["p50"] > 0
+    counts = traced.obs.counts
+    assert counts["cbcast"] == CB_REQUESTS
+    assert counts["cb_brcv"] == CB_REQUESTS * len(PROCS)
+    total = traced.obs.tracer.stage_summary()["stages"]["total.cb"]
+    assert total["count"] == CB_REQUESTS * len(PROCS)
+    assert total["p50_ms"] > 0
 
 
 def test_snapshot_is_json_serializable_with_tiers(traced):

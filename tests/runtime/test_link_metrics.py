@@ -1,11 +1,12 @@
-"""Transport loss accounting: queue drops and reconnects as metrics.
+"""Transport loss accounting: queue drops, the queue's high-water mark
+and reconnects, counted by the link and read through ``stats()``.
 
 The live chaos work leans on the transport's fair-lossy semantics
 (drop-oldest on a full queue, silent drop on a closed link); these
 tests make that loss *visible* -- PeerLink counts overflow drops
-separately from total drops and fires ``on_queue_drop``, and the node
-surfaces both queue drops and reconnects as obs MetricsRegistry
-counters under ``runtime.<pid>.transport.*``.
+separately from total drops, and ``RuntimeNode.stats()`` reports each
+link's ``queue_drops``, ``queue_high`` and ``connects`` for the
+running incarnation.
 """
 
 import asyncio
@@ -49,26 +50,25 @@ def _flushed_frames(link, book):
 
 class TestPeerLinkQueueDrops:
     def test_overflow_drops_oldest_and_counts(self):
-        drops = []
         book = {}
-        link = _idle_link(2, book, on_queue_drop=drops.append)
+        link = _idle_link(2, book)
         for msg in ("one", "two", "three"):
             link.send_frame(encode_frame(("a", msg)))
         assert link.queue_drops == 1
         assert link.dropped == 1
-        assert drops == ["b"]
-        # Drop-oldest: the queue now holds the two *newest* frames.
+        # Drop-oldest: the queue now holds the two *newest* frames, and
+        # never held more.
         assert link.queue_depth() == 2
+        assert link.queue_high == 2
         assert _flushed_frames(link, book) == ["two", "three"]
 
     def test_closed_link_drop_is_not_a_queue_drop(self):
-        drops = []
-        link = _idle_link(2, on_queue_drop=drops.append)
+        link = _idle_link(2)
         asyncio.run(link.close())
         link.send_frame(b"frame")
         assert link.dropped == 1
         assert link.queue_drops == 0
-        assert drops == []
+        assert link.queue_high == 0
 
     def test_queue_drops_are_a_subset_of_dropped(self):
         link = _idle_link(1)
@@ -82,29 +82,30 @@ class TestPeerLinkQueueDrops:
 
 class TestClusterMetrics:
     def test_queue_drops_and_reconnects_are_registered_counters(self):
-        cluster = RuntimeCluster(["n1", "n2"], obs=True,
-                                 hb_interval=0.05, hb_timeout=0.25)
-
-        def dialed():
-            # Formation is instant (every node boots with the full
-            # initial view), so wait for the dials themselves.
-            return all(
-                cluster.obs.metrics.counter(
-                    "runtime.{0}.transport.reconnects".format(pid)
-                ).value >= 1
-                for pid in ("n1", "n2")
-            )
-
+        """Each link's counts, read through ``stats()``: every node
+        dialed its peer, and a healthy run drops nothing."""
+        pairs = (("n1", "n2"), ("n2", "n1"))
+        cluster = RuntimeCluster(["n1", "n2"], hb_interval=0.05,
+                                 hb_timeout=0.25)
         with cluster:
             cluster.wait_formation(timeout=WAIT)
+            nodes = {
+                pid: cluster.call_node(pid, lambda node: node)
+                for pid, _ in pairs
+            }
+
+            def dialed():
+                return all(
+                    nodes[pid].stats()["links"].get(peer, {}).get(
+                        "connects", 0
+                    ) >= 1
+                    for pid, peer in pairs
+                )
+
             cluster.wait_until(dialed, timeout=WAIT,
                                what="both peer links connected")
-            snap = cluster.metrics_snapshot()
-        for pid in ("n1", "n2"):
-            base = "runtime.{0}.transport.".format(pid)
-            drops = snap[base + "queue_drops"]
-            assert drops["type"] == "counter"
-            assert drops["value"] == 0  # a healthy run drops nothing
-            connects = snap[base + "reconnects"]
-            assert connects["type"] == "counter"
-            assert connects["value"] >= 1  # each node dialed its peer
+            stats = cluster.stats()
+        for pid, peer in pairs:
+            link = stats[pid]["links"][peer]
+            assert link["queue_drops"] == 0  # a healthy run drops nothing
+            assert link["connects"] >= 1  # each node dialed its peer

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from repro.runtime.codec import Heartbeat, Hello, encode_frame
-from repro.runtime.transport import _READ_BUFFER, Listener, PeerLink
+from repro.runtime.transport import _READ_BUFFER, Listener, PeerLink, _Inbound
 
 WAIT = 5.0
 
@@ -40,6 +40,19 @@ def collector():
         frames.append((src, msg))
 
     return frames, on_frame
+
+
+def recorded_reads(monkeypatch):
+    """The size of every read any listener hands its decoder, in order."""
+    reads = []
+    buffer_updated = _Inbound.buffer_updated
+
+    def recording(self, nbytes):
+        reads.append(nbytes)
+        return buffer_updated(self, nbytes)
+
+    monkeypatch.setattr(_Inbound, "buffer_updated", recording)
+    return reads
 
 
 def test_link_delivers_in_order_after_handshake():
@@ -293,11 +306,12 @@ def test_fifo_across_down_reconnect_and_pause():
     run(scenario())
 
 
-def test_split_and_batched_frames_both_decode():
+def test_split_and_batched_frames_both_decode(monkeypatch):
+    reads = recorded_reads(monkeypatch)
+
     async def scenario():
         frames, on_frame = collector()
-        reads = []
-        listener = await Listener(on_frame, on_bytes=reads.append).start()
+        listener = await Listener(on_frame).start()
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", listener.port
         )
@@ -320,22 +334,24 @@ def test_split_and_batched_frames_both_decode():
         await writer.drain()
         await poll_until(lambda: len(frames) == 5)
         assert frames[4] == ("a", big) and len(reads) - before >= 3
+        assert listener.bytes_in == sum(reads)
         writer.close()
         await listener.close()
 
     run(scenario())
 
 
-def test_connections_sharing_the_read_buffer_decode_apart():
+def test_connections_sharing_the_read_buffer_decode_apart(monkeypatch):
     """Two connections' frames torn across reads and interleaved: A's
     first half, all of B's equally long frame (landing where A's half
     did), then A's rest.  Both decode intact and in order, so nothing
     holds a view of the shared buffer once a read is handled."""
 
+    reads = recorded_reads(monkeypatch)
+
     async def scenario():
         frames, on_frame = collector()
-        reads = []
-        listener = await Listener(on_frame, on_bytes=reads.append).start()
+        listener = await Listener(on_frame).start()
         writers = {}
         for pid in "ab":
             _, writers[pid] = await asyncio.open_connection(

@@ -94,9 +94,11 @@ class TestServe:
         out = capsys.readouterr().out
         assert "per-stage delivery latency" in out
         assert " 0 orphan(s)" in out
-        assert "gcs.to.deliveries" in out
+        assert "action counts" in out
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["metrics"]["gcs.to.bcasts"]["value"] == 20
+        assert metrics["counts"]["bcast"] == 20
+        assert metrics["trace"]["stages"]["total.to"]["count"] == 60
+        assert sorted(metrics["nodes"]) == ["n1", "n2", "n3"]
         trace = json.loads(trace_path.read_text())
         assert trace["summary"]["orphans"] == 0
 
