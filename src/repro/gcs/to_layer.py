@@ -57,7 +57,6 @@ class ToLayer(DvsListener, RecorderMixin):
         self.gotstate = {}
         self.safe_exch = set()
         self.delay = []
-        self.established = set()
 
     # -- TO downcall ----------------------------------------------------------------
 
@@ -126,16 +125,13 @@ class ToLayer(DvsListener, RecorderMixin):
                 and self.safe_exch >= self.current.set
                 and set(self.gotstate) >= set(self.current.set)
             ):
-                self.safe_labels |= set(fullorder(self._gotstate_summaries()))
+                self.safe_labels |= set(fullorder(self.gotstate))
         else:
             label, _ = payload
             self.safe_labels.add(label)
         self._confirm_and_deliver()
 
     # -- Recovery ----------------------------------------------------------------------
-
-    def _gotstate_summaries(self):
-        return dict(self.gotstate)
 
     def _on_summary(self, summary, sender):
         for label, value in summary.con:
@@ -151,7 +147,6 @@ class ToLayer(DvsListener, RecorderMixin):
             self.ordered = set(self.order)
             self.highprimary = self.current.id
             self.status = NORMAL
-            self.established.add(self.current.id)
             self._probe("to_established", self.current.id, self.pid)
             self.dvs.register()
             self._drain_delay()

@@ -3,10 +3,11 @@
 One :class:`Observability` object bundles what every host wires in the
 same way:
 
-- a :class:`~repro.obs.trace.Tracer` stitching causal spans out of the
-  identifiers already on the wire (message labels, view ids); the
-  per-stage and per-tier end-to-end latencies are read from it
-  (:meth:`~repro.obs.trace.Tracer.stage_summary`);
+- a :class:`~repro.obs.trace.Tracer` keeping one bounded log of
+  :class:`~repro.obs.trace.SpanEvent` in emission order and stitching
+  causal spans out of the identifiers already on the wire (message
+  labels, view ids); the per-stage and per-tier end-to-end latencies
+  are read from it (:meth:`~repro.obs.trace.Tracer.stage_summary`);
 - ``counts``, how often each action and probe name was recorded.
 
 Transport counts are not kept here: the links and the listener keep
@@ -24,18 +25,19 @@ Hosts feed it from exactly two hooks:
 
 Everything is in-process and clock-free: time always arrives as an
 argument, read from whichever clock the host runs on, so a simulated
-run and a live run produce structurally identical traces.
+run and a live run produce structurally identical traces.  Reading
+never stitches on the thread that feeds the hooks: a live host hands
+the reader a :meth:`Observability.copy`, and the reader stitches that.
 """
 
 from collections import Counter
 
-from repro.obs.spans import SpanEvent, SpanRing
-from repro.obs.trace import TIERS, Tracer
+from repro.obs.trace import LOG_EVENTS, TIERS, SpanEvent, Tracer
 
 __all__ = [
+    "LOG_EVENTS",
     "Observability",
     "SpanEvent",
-    "SpanRing",
     "TIERS",
     "Tracer",
 ]
@@ -48,6 +50,14 @@ class Observability:
         self.tracer = Tracer()
         #: Recorded action or probe name -> how often it was recorded.
         self.counts = Counter()
+
+    def copy(self):
+        """The tracer and the counts as they are now, detached from the
+        hooks that keep feeding this object."""
+        twin = Observability()
+        twin.tracer = self.tracer.copy()
+        twin.counts = self.counts.copy()
+        return twin
 
     # -- Host hooks --------------------------------------------------------
 

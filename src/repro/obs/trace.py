@@ -38,16 +38,22 @@ to the view by the ``vs_form`` probe).  Both the simulator and the live
 runtime therefore produce the same spans from the same wire traffic --
 the tracer only listens.
 
-Every node appends into its own :class:`~repro.obs.spans.SpanRing`;
-stitching happens lazily at read time over ring snapshots.
+Every event goes into one bounded log, in emission order; one grouping
+pass stitches it at read time.
 """
 
+from collections import deque
 from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from repro.cb.messages import CbCast
 from repro.gcs.messages import Data, Install, Ordered, OrderedRun
-from repro.obs.spans import SpanEvent, SpanRing
 from repro.to.summaries import Label
+
+#: The log's bound, in events, over every node together.  Past it the
+#: oldest event leaves and :meth:`Tracer.dropped` counts it; nothing is
+#: preallocated.
+LOG_EVENTS = 1 << 18
 
 #: The stage table: recorded action or tracer-only probe name ->
 #: ``(span stage, key tag)``.  Of every name the layers emit, the first
@@ -79,6 +85,21 @@ ACTION_STAGES = MappingProxyType({
 #: ``<tier>_label`` and completes at ``<tier>_deliver``; everything in
 #: between (dvs/vs/wire) is tier-independent.
 TIERS = MappingProxyType({"msg": "to", "cbmsg": "cb"})
+
+
+class SpanEvent(NamedTuple):
+    """One stage crossing, keyed for stitching.
+
+    ``key`` is ``("msg", label)``, ``("cbmsg", slot)``, ``("view",
+    view_id)`` or ``("round", round_id)``; ``peer`` is the far end of a
+    wire event.  A tuple built positionally: emission sits on the
+    runtime hot path."""
+
+    key: Any
+    stage: str
+    pid: Any
+    t: float
+    peer: Any
 
 
 def message_key(payload):
@@ -127,37 +148,57 @@ def _percentile(values, fraction):
     return ordered[index]
 
 
+def _first(events, stage, pid=None, peer=None):
+    for event in events:
+        if event.stage != stage:
+            continue
+        if pid is not None and event.pid != pid:
+            continue
+        if peer is not None and event.peer != peer:
+            continue
+        return event
+    return None
+
+
+def _last(events, stage, pid=None, peer=None):
+    return _first(reversed(events), stage, pid=pid, peer=peer)
+
+
+def _at(event):
+    return None if event is None else event.t
+
+
 class Tracer:
-    """Collects span events and stitches them into causal spans.
+    """Collects span events in one log and stitches them into causal
+    spans.
 
     Single-threaded by contract: both hosts funnel every event through
     one thread (the simulator's driver or the runtime's event loop), so
-    emission is an unsynchronized ring append.  Readers in the live
-    runtime must marshal onto the loop (the cluster facade does).
+    emission is an unsynchronized append.  A live reader takes a
+    :meth:`copy` on the loop and stitches it on its own thread (the
+    cluster facade does).
     """
 
-    def __init__(self, ring_size=65536):
-        self.ring_size = ring_size
-        self._rings = {}
-        self._seq = 0
+    def __init__(self):
+        self._log = deque(maxlen=LOG_EVENTS)
+        self._emitted = 0
         #: ViewId -> the leader round that formed it (vs_form linkage).
         self._view_round = {}
 
+    def copy(self):
+        """A tracer holding what this one holds now, for reading on
+        another thread while this one keeps recording."""
+        twin = Tracer()
+        twin._log = self._log.copy()
+        twin._emitted = self._emitted
+        twin._view_round = dict(self._view_round)
+        return twin
+
     # -- Emission ----------------------------------------------------------
 
-    def ring(self, pid):
-        ring = self._rings.get(pid)
-        if ring is None:
-            ring = SpanRing(self.ring_size)
-            self._rings[pid] = ring
-        return ring
-
     def _emit(self, key, stage, pid, t, peer=None):
-        self._seq += 1
-        self.ring(pid).append(
-            SpanEvent(key=key, stage=stage, pid=pid, t=t,
-                      seq=self._seq, peer=peer)
-        )
+        self._emitted += 1
+        self._log.append(SpanEvent(key, stage, pid, t, peer))
 
     def on_action(self, t, name, params):
         """Hook for :class:`~repro.gcs.recorder.ActionLog`: both the
@@ -183,43 +224,127 @@ class Tracer:
     def wire_event(self, stage, pid, peer, msg, t):
         """A frame crossed the transport (``wire_send``/``wire_recv``)."""
         for key in wire_keys(msg):
-            self._emit(key, stage, pid, t, peer=peer)
+            self._emit(key, stage, pid, t, peer)
 
     # -- Reading -----------------------------------------------------------
 
     def events(self):
-        """Every live event across all rings, in emission order."""
-        merged = []
-        for pid in sorted(self._rings):
-            merged.extend(self._rings[pid].snapshot())
-        merged.sort(key=lambda e: e.seq)
-        return merged
+        """Every event the log holds, in emission order."""
+        return list(self._log)
 
     def dropped(self):
-        return sum(r.dropped for r in self._rings.values())
+        """Events that left the log at its bound."""
+        return self._emitted - len(self._log)
 
     def _by_key(self):
+        """The log grouped by stitch key, each group in emission order."""
         grouped = {}
-        for event in self.events():
-            grouped.setdefault(event.key, []).append(event)
+        for event in self._log:
+            group = grouped.get(event.key)
+            if group is None:
+                grouped[event.key] = [event]
+            else:
+                group.append(event)
         return grouped
 
-    @staticmethod
-    def _first(events, stage, pid=None, peer=None):
-        for event in events:
-            if event.stage != stage:
+    def _stitch(self):
+        """``(deliveries, orphans, view spans)`` from one grouping pass."""
+        grouped = self._by_key()
+        rows, orphans, views = [], [], []
+        for key, events in grouped.items():
+            if key[0] == "view":
+                views.append(self._view_span(key[1], events, grouped))
                 continue
-            if pid is not None and event.pid != pid:
+            tier = TIERS.get(key[0])
+            if tier is None:
                 continue
-            if peer is not None and event.peer != peer:
-                continue
-            return event
-        return None
+            label_ev = _first(events, tier + "_label")
+            if label_ev is None:
+                orphans.extend(
+                    (key[1], e.pid) for e in events
+                    if e.stage == tier + "_deliver"
+                )
+            else:
+                rows.extend(self._deliveries(tier, key[1], label_ev,
+                                             events))
+        rows.sort(key=lambda r: (r["tier"], str(r["label"]), r["dst"]))
+        orphans.sort(key=lambda pair: (str(pair[0]), pair[1]))
+        views.sort(key=lambda r: str(r["view"]))
+        return rows, orphans, views
 
-    @classmethod
-    def _last(cls, events, stage, pid=None, peer=None):
-        return cls._first(list(reversed(events)), stage, pid=pid,
-                          peer=peer)
+    @staticmethod
+    def _deliveries(tier, label, label_ev, events):
+        """The rows of one message span, one per delivery."""
+        origin = label_ev.pid
+        t0 = label_ev.t
+        dvs_send = _at(_first(events, "dvs_send", pid=origin))
+        vs_send = _at(_first(events, "vs_send", pid=origin))
+        seq_ev = _first(events, "vs_seq")
+        sequencer = None if seq_ev is None else seq_ev.pid
+        hop1 = None
+        if sequencer is not None and sequencer != origin:
+            hop1 = (
+                _first(events, "wire_send", pid=origin, peer=sequencer),
+                _first(events, "wire_recv", pid=sequencer, peer=origin),
+            )
+        rows = []
+        for deliver in events:
+            if deliver.stage != tier + "_deliver":
+                continue
+            dst = deliver.pid
+            vs_del = _at(_first(events, "vs_deliver", pid=dst))
+            dvs_del = _at(_first(events, "dvs_deliver", pid=dst))
+            hop2 = None
+            if sequencer is not None and sequencer != dst:
+                # _last: the Ordered frame is the newest wire pair on
+                # this edge (the Data broadcast may share it).
+                hop2 = (
+                    _last(events, "wire_send", pid=sequencer, peer=dst),
+                    _last(events, "wire_recv", pid=dst, peer=sequencer),
+                )
+            total = _delta(t0, deliver.t)
+            tier_time = _delta(t0, dvs_send) + _delta(dvs_del, deliver.t)
+            dvs_time = _delta(dvs_send, vs_send) + _delta(vs_del, dvs_del)
+            wire_time = 0.0
+            for hop in (hop1, hop2):
+                if hop is not None and None not in hop:
+                    wire_time += _delta(hop[0].t, hop[1].t)
+            rows.append({
+                "tier": tier,
+                "label": label,
+                "origin": origin,
+                "dst": dst,
+                "total": total,
+                "stages": {
+                    tier: tier_time,
+                    "dvs": dvs_time,
+                    "wire": wire_time,
+                    "vs": total - tier_time - dvs_time - wire_time,
+                },
+            })
+        return rows
+
+    def _view_span(self, vid, events, grouped):
+        stages = {}
+        for event in events:
+            if event.stage not in stages:
+                stages[event.stage] = event.t
+        round_id = self._view_round.get(vid)
+        if round_id is not None:
+            for event in grouped.get(("round", round_id), ()):
+                if event.stage == "vs_round":
+                    stages.setdefault("vs_round", event.t)
+                    break
+        known = [t for t in stages.values() if t is not None]
+        return {
+            "view": vid,
+            "round": round_id,
+            "stages": stages,
+            "established_at": sorted(
+                e.pid for e in events if e.stage == "to_established"
+            ),
+            "duration": (max(known) - min(known)) if known else None,
+        }
 
     def deliveries(self):
         """One per-stage breakdown per ``(label, destination)`` pair.
@@ -244,125 +369,16 @@ class Tracer:
           to ``total`` per delivery (sequencing, acks and stability
           live here).
         """
-        rows = []
-        for key, events in self._by_key().items():
-            tier = TIERS.get(key[0])
-            if tier is None:
-                continue
-            label = key[1]
-            label_ev = self._first(events, tier + "_label")
-            delivers = [
-                e for e in events if e.stage == tier + "_deliver"
-            ]
-            if label_ev is None:
-                continue
-            origin = label_ev.pid
-            t0 = label_ev.t
-            dvs_send = self._first(events, "dvs_send", pid=origin)
-            vs_send = self._first(events, "vs_send", pid=origin)
-            seq_ev = self._first(events, "vs_seq")
-            sequencer = None if seq_ev is None else seq_ev.pid
-            hop1 = None
-            if sequencer is not None and sequencer != origin:
-                hop1 = (
-                    self._first(events, "wire_send", pid=origin,
-                                peer=sequencer),
-                    self._first(events, "wire_recv", pid=sequencer,
-                                peer=origin),
-                )
-            for deliver in delivers:
-                dst = deliver.pid
-                vs_del = self._first(events, "vs_deliver", pid=dst)
-                dvs_del = self._first(events, "dvs_deliver", pid=dst)
-                hop2 = None
-                if sequencer is not None and sequencer != dst:
-                    # _last: the Ordered frame is the newest wire pair
-                    # on this edge (the Data broadcast may share it).
-                    hop2 = (
-                        self._last(events, "wire_send", pid=sequencer,
-                                   peer=dst),
-                        self._last(events, "wire_recv", pid=dst,
-                                   peer=sequencer),
-                    )
-                total = _delta(t0, deliver.t)
-                tier_time = (
-                    _delta(t0, None if dvs_send is None else dvs_send.t)
-                    + _delta(
-                        None if dvs_del is None else dvs_del.t, deliver.t
-                    )
-                )
-                dvs_time = _delta(
-                    None if dvs_send is None else dvs_send.t,
-                    None if vs_send is None else vs_send.t,
-                ) + _delta(
-                    None if vs_del is None else vs_del.t,
-                    None if dvs_del is None else dvs_del.t,
-                )
-                wire_time = 0.0
-                for hop in (hop1, hop2):
-                    if hop is not None and None not in hop:
-                        wire_time += _delta(hop[0].t, hop[1].t)
-                rows.append({
-                    "tier": tier,
-                    "label": label,
-                    "origin": origin,
-                    "dst": dst,
-                    "total": total,
-                    "stages": {
-                        tier: tier_time,
-                        "dvs": dvs_time,
-                        "wire": wire_time,
-                        "vs": total - tier_time - dvs_time - wire_time,
-                    },
-                })
-        rows.sort(key=lambda r: (r["tier"], str(r["label"]), r["dst"]))
-        return rows
+        return self._stitch()[0]
 
     def orphans(self):
         """Deliveries whose span has no ``to_label``/``cb_label`` root
-        -- with the rings sized to the run, there must be none."""
-        bad = []
-        for key, events in self._by_key().items():
-            tier = TIERS.get(key[0])
-            if tier is None:
-                continue
-            if self._first(events, tier + "_label") is not None:
-                continue
-            for event in events:
-                if event.stage == tier + "_deliver":
-                    bad.append((key[1], event.pid))
-        return sorted(bad, key=lambda pair: (str(pair[0]), pair[1]))
+        -- with the log sized to the run, there must be none."""
+        return self._stitch()[1]
 
     def view_spans(self):
         """One record per attempted/established view."""
-        grouped = self._by_key()
-        records = []
-        for key, events in grouped.items():
-            if key[0] != "view":
-                continue
-            vid = key[1]
-            stages = {}
-            for event in events:
-                if event.stage not in stages:
-                    stages[event.stage] = event.t
-            round_id = self._view_round.get(vid)
-            if round_id is not None:
-                for event in grouped.get(("round", round_id), ()):
-                    if event.stage == "vs_round":
-                        stages.setdefault("vs_round", event.t)
-                        break
-            known = [t for t in stages.values() if t is not None]
-            records.append({
-                "view": vid,
-                "round": round_id,
-                "stages": stages,
-                "established_at": sorted(
-                    e.pid for e in events if e.stage == "to_established"
-                ),
-                "duration": (max(known) - min(known)) if known else None,
-            })
-        records.sort(key=lambda r: str(r["view"]))
-        return records
+        return self._stitch()[2]
 
     def stage_summary(self):
         """Aggregate per-stage statistics over all message deliveries.
@@ -370,7 +386,9 @@ class Tracer:
         ``stages`` holds the four stages, ``total`` over every delivery,
         and ``total.<tier>`` over that tier's deliveries alone: the
         end-to-end latency of each ordering tier."""
-        rows = self.deliveries()
+        return self._summary(*self._stitch())
+
+    def _summary(self, rows, orphans, views):
         tiers = sorted(set(TIERS.values()))
         summary = {
             "deliveries": len(rows),
@@ -381,8 +399,8 @@ class Tracer:
             "messages": len({
                 (r["tier"], str(r["label"])) for r in rows
             }),
-            "orphans": len(self.orphans()),
-            "views": sum(1 for k in self._by_key() if k[0] == "view"),
+            "orphans": len(orphans),
+            "views": len(views),
             "events_dropped": self.dropped(),
             "stages": {},
         }
@@ -424,6 +442,7 @@ class Tracer:
 
     def to_json_dict(self):
         """The full trace as JSON-ready data (spans, views, summary)."""
+        rows, orphans, views = self._stitch()
         deliveries = [
             {
                 "tier": row["tier"],
@@ -436,9 +455,9 @@ class Tracer:
                     for stage, value in sorted(row["stages"].items())
                 },
             }
-            for row in self.deliveries()
+            for row in rows
         ]
-        views = [
+        view_json = [
             {
                 "view": str(record["view"]),
                 "round": (
@@ -452,17 +471,16 @@ class Tracer:
                 "established_at": record["established_at"],
                 "duration_s": record["duration"],
             }
-            for record in self.view_spans()
+            for record in views
         ]
         return {
-            "ring_size": self.ring_size,
-            "events": sum(len(r) for r in self._rings.values()),
+            "events": len(self._log),
             "events_dropped": self.dropped(),
-            "summary": self.stage_summary(),
+            "summary": self._summary(rows, orphans, views),
             "deliveries": deliveries,
-            "views": views,
+            "views": view_json,
             "orphans": [
                 {"label": self._label_json(label), "dst": dst}
-                for label, dst in self.orphans()
+                for label, dst in orphans
             ],
         }

@@ -71,8 +71,8 @@ class RuntimeCluster:
 
             obs = Observability()
         #: Optional :class:`repro.obs.Observability`: spans + action
-        #: counts, fed on the loop thread, read through the marshalled
-        #: snapshot methods below.
+        #: counts, fed on the loop thread; the snapshot methods below
+        #: copy it there and read the copy on the caller's thread.
         self.obs = obs
         self.log = ActionLog(clock=self._log_now, tracer=obs)
         self.monitor = None
@@ -415,17 +415,23 @@ class RuntimeCluster:
             )
         return self.obs
 
+    def _observed(self):
+        """A copy of the tracer's log and the action counts, and each
+        live node's ``stats()``, taken in one marshalled call; the
+        caller stitches the copy on its own thread, so reading a long
+        trace holds the loop only for the copy."""
+        obs = self._require_obs()
+        return self._call(lambda: (obs.copy(), self._node_stats()))
+
     def trace_snapshot(self):
         """The full stitched trace (spans, views, per-stage summary) as
-        JSON-ready data, read on the loop thread."""
-        obs = self._require_obs()
-        return self._call(obs.tracer.to_json_dict)
+        JSON-ready data."""
+        obs, _ = self._observed()
+        return obs.tracer.to_json_dict()
 
     def obs_snapshot(self):
         """Action counts, the trace summary and derived gcs statistics
         (``Observability.snapshot()``), plus each live node's
-        ``stats()`` under ``nodes``; read on the loop thread."""
-        obs = self._require_obs()
-        return self._call(
-            lambda: dict(obs.snapshot(), nodes=self._node_stats())
-        )
+        ``stats()`` under ``nodes``."""
+        obs, nodes = self._observed()
+        return dict(obs.snapshot(), nodes=nodes)

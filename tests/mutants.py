@@ -301,6 +301,19 @@ MUTANTS = (
         "tests/obs/test_live_tracing.py::"
         "test_tier_total_is_the_exact_end_to_end_latency",
     ),
+    # -- reading a live trace ----------------------------------------------
+    # The facade as it was before the stitch left the loop: a long trace
+    # holds the loop past ``hb_timeout`` and the group re-forms.
+    Mutant(
+        "stitch_on_loop", "runtime/cluster.py",
+        "obs, _ = self._observed()\n"
+        "        return obs.tracer.to_json_dict()",
+        "return self._call(self._require_obs().tracer.to_json_dict)",
+        "`trace_snapshot()` stitches inside the marshalled call",
+        frozenset(),
+        "tests/obs/test_live_tracing.py::"
+        "test_reading_never_stitches_on_the_loop_thread",
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

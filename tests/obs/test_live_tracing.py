@@ -2,9 +2,12 @@
 ``obs=True`` must produce complete, orphan-free spans whose stages sum
 exactly to the end-to-end latency, plus live transport counts."""
 
+import threading
+
 import pytest
 
 from repro.apps.kv_store import KvReplica
+from repro.obs import Tracer
 from repro.runtime.cluster import RuntimeCluster
 
 PIDS = ["n1", "n2", "n3"]
@@ -95,3 +98,21 @@ def test_tier_total_is_the_exact_end_to_end_latency(cluster):
     assert total["max_ms"] == max(
         row["total_ms"] for row in trace["deliveries"]
     )
+
+
+def test_reading_never_stitches_on_the_loop_thread(cluster, monkeypatch):
+    """The facade copies the log on the loop and stitches the copy on
+    the caller's thread: a long stitch on the loop would hold back the
+    heartbeats and re-form the group it is reading."""
+    threads = []
+    group = Tracer._by_key
+
+    def recording(self):
+        threads.append(threading.current_thread())
+        return group(self)
+
+    monkeypatch.setattr(Tracer, "_by_key", recording)
+    cluster.trace_snapshot()
+    cluster.obs_snapshot()
+    assert threads
+    assert set(threads) == {threading.current_thread()}

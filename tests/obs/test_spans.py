@@ -1,47 +1,85 @@
-"""Unit tests for the span ring and the tracer's stitching logic, on
+"""Unit tests for the tracer's one log and its stitching logic, on
 hand-built event sequences (no cluster)."""
 
 from repro.core.viewids import ViewId
 from repro.gcs.messages import Data, Ordered, OrderedRun
-from repro.obs import SpanEvent, SpanRing, Tracer
+from repro.obs import LOG_EVENTS, Tracer
+from repro.obs import trace as trace_module
 from repro.to.summaries import Label
 
 VID = ViewId(1, "p1")
 LABEL = Label(VID, 1, "p1")
 
 
-def _event(seq, stage="to_label", pid="p1", t=0.0):
-    return SpanEvent(key=("msg", LABEL), stage=stage, pid=pid, t=t,
-                     seq=seq)
+def _emit_labels(tracer, count):
+    """``count`` to_label events, one per seqno, alternating nodes."""
+    labels = [Label(VID, i + 1, "p1") for i in range(count)]
+    for i, label in enumerate(labels):
+        tracer.on_action(float(i), "to_label", (label, "p{0}".format(i % 3)))
+    return labels
 
 
-def test_ring_keeps_everything_below_capacity():
-    ring = SpanRing(capacity=8)
-    events = [_event(i) for i in range(5)]
-    for event in events:
-        ring.append(event)
-    assert len(ring) == 5
-    assert ring.dropped == 0
-    assert ring.snapshot() == events
+def test_log_keeps_everything_below_its_bound():
+    tracer = Tracer()
+    labels = _emit_labels(tracer, 5)
+    assert [e.key for e in tracer.events()] == [("msg", l) for l in labels]
+    assert tracer.dropped() == 0
+    assert tracer.to_json_dict()["events"] == 5
 
 
-def test_ring_overflow_overwrites_oldest_and_counts_drops():
-    ring = SpanRing(capacity=4)
-    events = [_event(i) for i in range(10)]
-    for event in events:
-        ring.append(event)
-    assert ring.appended == 10
-    assert len(ring) == 4
-    assert ring.dropped == 6
-    # The live window is the newest four, oldest first.
-    assert ring.snapshot() == events[6:]
+def test_log_overflow_keeps_the_newest_in_emission_order(monkeypatch):
+    """One bound over every node: past it the oldest events leave,
+    whichever node emitted them, and ``dropped()`` counts them."""
+    monkeypatch.setattr(trace_module, "LOG_EVENTS", 4)
+    tracer = Tracer()
+    labels = _emit_labels(tracer, 10)
+    assert [e.key for e in tracer.events()] == [
+        ("msg", l) for l in labels[6:]
+    ]
+    assert [e.pid for e in tracer.events()] == ["p0", "p1", "p2", "p0"]
+    assert tracer.dropped() == 6
+    data = tracer.to_json_dict()
+    assert (data["events"], data["events_dropped"]) == (4, 6)
+    assert data["summary"]["events_dropped"] == 6
 
 
-def test_ring_rejects_nonpositive_capacity():
-    import pytest
+def test_log_bound_is_one_constant_over_every_node():
+    """At least what three per-node rings of 65,536 held, and nothing
+    allocated up front."""
+    assert LOG_EVENTS >= 3 * 65536
+    tracer = Tracer()
+    assert tracer._log.maxlen == LOG_EVENTS
+    assert len(tracer._log) == 0
 
-    with pytest.raises(ValueError):
-        SpanRing(capacity=0)
+
+def test_one_read_groups_the_events_once(monkeypatch):
+    """``to_json_dict()`` builds deliveries, orphans, view spans and the
+    summary from a single grouping of the log."""
+    tracer = Tracer()
+    _feed_full_span(tracer)
+    tracer.on_action(16.0, "to_deliver", (Label(VID, 9, "p2"), "p3"))
+    calls = []
+    grouped = Tracer._by_key
+
+    def counting(self):
+        calls.append(1)
+        return grouped(self)
+
+    monkeypatch.setattr(Tracer, "_by_key", counting)
+    data = tracer.to_json_dict()
+    assert len(calls) == 1
+    assert data["summary"]["deliveries"] == 1
+    assert data["summary"]["orphans"] == 1
+
+
+def test_a_copy_is_detached_from_the_hooks():
+    tracer = Tracer()
+    _feed_full_span(tracer)
+    twin = tracer.copy()
+    tracer.on_action(20.0, "to_deliver", (LABEL, "p2"))
+    assert len(twin.events()) == len(tracer.events()) - 1
+    assert twin.to_json_dict()["summary"]["deliveries"] == 1
+    assert tracer.to_json_dict()["summary"]["deliveries"] == 2
 
 
 def _feed_full_span(tracer, dst="p3"):
