@@ -170,6 +170,9 @@ class VsStackNode(Node, RecorderMixin):
         if set(replies) != set(members):
             return
         epoch = max(max(replies.values()), self.max_epoch) + 1
+        # Adopted at the mint, not when the Install comes back: if that
+        # Install is lost, the next round still mints a fresh id.
+        self.max_epoch = epoch
         view = View(ViewId(epoch, self.pid), members)
         self.active_round = None
         self._probe("vs_form", round_id, view.id, self.pid)

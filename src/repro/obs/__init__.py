@@ -71,13 +71,16 @@ class Observability:
 
     # -- Reading -----------------------------------------------------------
 
-    def snapshot(self):
-        """The counts plus the trace stage summary, JSON-ready."""
+    def snapshot(self, summary=None):
+        """The counts plus the trace stage summary, JSON-ready;
+        ``summary`` is that summary when the caller has stitched the
+        trace already."""
         counts = self.counts
         views = counts["dvs_newview"]
         return {
             "counts": dict(counts),
-            "trace": self.tracer.stage_summary(),
+            "trace": self.tracer.stage_summary() if summary is None
+            else summary,
             "derived": {
                 "messages_per_view": counts["brcv"] / views if views else None,
             },

@@ -435,3 +435,10 @@ class RuntimeCluster:
         ``stats()`` under ``nodes``."""
         obs, nodes = self._observed()
         return dict(obs.snapshot(), nodes=nodes)
+
+    def snapshots(self):
+        """``(trace_snapshot(), obs_snapshot())`` from one copy and one
+        stitch: the snapshot's trace summary is the trace's."""
+        obs, nodes = self._observed()
+        trace = obs.tracer.to_json_dict()
+        return trace, dict(obs.snapshot(trace["summary"]), nodes=nodes)

@@ -22,6 +22,12 @@ refused both ways).  Every other value is a JSON array ``[tag, ...]``:
 ``"@"``   dataclass     ``["@", "ClassName", [field values]]``
 ========  =====================================================
 
+A ``str`` of at least :data:`RAW_MIN` characters that is not inside a
+set or a dict is written as the placeholder ``{"s":<length>}``; its
+UTF-8 bytes travel verbatim, in text order, in a tail after one
+``0xFF`` byte, which no UTF-8 text contains.  A body with no such
+string has no tail.
+
 The ``"@"`` tag covers exactly the message dataclasses of the stack
 (:data:`WIRE_TYPES`): the VS wire messages, the DVS protocol messages,
 the TO labels/summaries, the CB casts, views and view identifiers, and
@@ -42,6 +48,7 @@ fail to re-encode.
 import base64
 import json
 import struct
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
@@ -68,7 +75,13 @@ from repro.to.summaries import Label, Summary
 #: The one version stamp written and read.  Bump it on any change to the
 #: frame or body layout or to the type registry; only this version is
 #: read (DESIGN section 9 keeps the history).
-WIRE_VERSION = 6
+WIRE_VERSION = 7
+
+#: A ``str`` at least this long, outside a set or a dict, travels in the
+#: body's tail instead of its JSON text: about where escaping and
+#: scanning it inline starts to cost more than splitting it out
+#: (DESIGN section 9, *Wire v7*).
+RAW_MIN = 1024
 
 #: Frames longer than this are rejected before buffering (a garbage
 #: length prefix must not make the reader allocate gigabytes).
@@ -76,6 +89,7 @@ MAX_FRAME = 1 << 24
 
 _HEADER = struct.Struct(">I")
 _STAMP = bytes([WIRE_VERSION])
+_SEPARATOR = b"\xff"
 
 
 class CodecError(ValueError):
@@ -215,10 +229,24 @@ def validate_message(msg):
 #
 # One emitter per exact type writes what ``json.dumps`` wrote for the
 # tagged tree (compact separators, ASCII-escaped strings) with no tree
-# in between.  An element's text is also its sort key.
+# in between.  An element's text is also its sort key.  Two tables:
+# ``_ENCODE`` moves a long string to the tail, ``_INLINE`` (a set's
+# elements, a dict's entries) writes every string in the text, so that
+# canonical order stays the order of the texts.
 
 _escape = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+
+#: The long strings of the body the current thread is encoding, in text
+#: order (:func:`encode` starts each body with a fresh list).
+_RAW = threading.local()
+
+
+def _encode_str(value):
+    if len(value) < RAW_MIN:
+        return _escape(value)
+    _RAW.strings.append(value)
+    return '{"s":%d}' % len(value)
 
 
 def _encode_float(value):
@@ -231,13 +259,12 @@ def _encode_bytes(value):
     return '["y","' + base64.b64encode(value).decode("ascii") + '"]'
 
 
-def _sequence_emitter(head, sort=False):
-    """Emitter of ``head`` + the elements' texts (sorted: a set)."""
+def _set_emitter(head):
+    """Emitter of ``head`` + the elements' inline texts, sorted."""
 
     def emit(value):
-        texts = [_ENCODE[type(item)](item) for item in value]
-        if sort:
-            texts.sort()
+        texts = [_INLINE[type(item)](item) for item in value]
+        texts.sort()
         return head + ",".join(texts) + "]]"
 
     return emit
@@ -245,7 +272,7 @@ def _sequence_emitter(head, sort=False):
 
 def _encode_dict(value):
     pairs = [
-        (_ENCODE[type(key)](key), _ENCODE[type(item)](item))
+        (_INLINE[type(key)](key), _INLINE[type(item)](item))
         for key, item in value.items()
     ]
     # By the key's text alone: keys that encode alike keep their order.
@@ -255,41 +282,12 @@ def _encode_dict(value):
     ) + "]]"
 
 
-def _class_emitter(cls, values):
-    head = '["@","{0}",['.format(cls.__name__)
-
-    def emit(msg):
-        return head + ",".join(
-            [_ENCODE[type(item)](item) for item in values(msg)]
-        ) + "]]"
-
-    return emit
-
-
-#: Builtin ``(type, emitter)`` pairs, in the order the tagged scheme
-#: has always tested them (bool before int).
-_BUILTINS = (
-    (type(None), lambda value: "null"),
-    (bool, lambda value: "true" if value else "false"),
-    (int, int.__repr__),
-    (float, _encode_float),
-    (str, _escape),
-    (bytes, _encode_bytes),
-    (bytearray, _encode_bytes),
-    (tuple, _sequence_emitter('["t",[')),
-    (list, _sequence_emitter('["l",[')),
-    (frozenset, _sequence_emitter('["fz",[', sort=True)),
-    (set, _sequence_emitter('["st",[', sort=True)),
-    (dict, _encode_dict),
-)
-
-
 class _Emitters(dict):
     """``type -> emitter``.  A type that is not a key resolves (uncached:
     the table is read-only) to the first builtin it subclasses."""
 
     def __missing__(self, cls):
-        for base, emit in _BUILTINS:
+        for base, emit in self.builtins:
             if issubclass(cls, base):
                 return emit
         raise CodecError(
@@ -297,13 +295,61 @@ class _Emitters(dict):
         )
 
 
-_ENCODE = MappingProxyType(_Emitters(_BUILTINS + tuple(
-    (cls, _class_emitter(cls, row.values)) for cls, row in _WIRE.items()
-)))
+def _emitters(encode_str):
+    """The read-only emitter table whose strings, and whose sequences'
+    and registered classes' elements at any depth, go through
+    ``encode_str``; sets and dicts always emit through ``_INLINE``."""
+    table = _Emitters()
+    view = MappingProxyType(table)
+
+    def sequence(head):
+        def emit(value):
+            return head + ",".join(
+                [view[type(item)](item) for item in value]
+            ) + "]]"
+
+        return emit
+
+    def registered(cls, values):
+        head = '["@","{0}",['.format(cls.__name__)
+
+        def emit(msg):
+            return head + ",".join(
+                [view[type(item)](item) for item in values(msg)]
+            ) + "]]"
+
+        return emit
+
+    # Builtins in the order the tagged scheme has always tested them
+    # (bool before int).
+    table.builtins = (
+        (type(None), lambda value: "null"),
+        (bool, lambda value: "true" if value else "false"),
+        (int, int.__repr__),
+        (float, _encode_float),
+        (str, encode_str),
+        (bytes, _encode_bytes),
+        (bytearray, _encode_bytes),
+        (tuple, sequence('["t",[')),
+        (list, sequence('["l",[')),
+        (frozenset, _set_emitter('["fz",[')),
+        (set, _set_emitter('["st",[')),
+        (dict, _encode_dict),
+    )
+    table.update(table.builtins)
+    table.update(
+        (cls, registered(cls, row.values)) for cls, row in _WIRE.items()
+    )
+    return view
+
+
+_INLINE = _emitters(_escape)
+_ENCODE = _emitters(_encode_str)
 
 
 def encode(value):
     """Encode one value into a version-prefixed body (no length header)."""
+    raw = _RAW.strings = []
     try:
         text = _ENCODE[type(value)](value)
     except CodecError:
@@ -312,7 +358,12 @@ def encode(value):
         raise CodecError("unencodable value: {0}".format(exc))
     except RecursionError:
         raise CodecError("unencodable value: nested too deeply")
-    return _STAMP + text.encode("ascii")
+    if not raw:
+        return _STAMP + text.encode("ascii")
+    return b"".join((
+        _STAMP, text.encode("ascii"), _SEPARATOR,
+        "".join(raw).encode("utf-8", "surrogatepass"),
+    ))
 
 
 # -- Decoding: JSON tree -> value --------------------------------------------
@@ -498,6 +549,41 @@ def _refuse_constant(literal):
 _JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
+class _Tail:
+    """The long strings of one body: its ``object_pairs_hook``, which
+    answers each ``{"s": n}`` placeholder, in text order, with the tail's
+    next ``n`` characters and refuses every other object."""
+
+    __slots__ = ("text", "at")
+
+    def __init__(self, text):
+        self.text = text
+        self.at = 0
+
+    def __call__(self, pairs):
+        if len(pairs) == 1:
+            key, size = pairs[0]
+            start = self.at
+            if key == "s" and type(size) is int and \
+                    RAW_MIN <= size <= len(self.text) - start:
+                self.at = start + size
+                return self.text[start:self.at]
+        raise CodecError(
+            "malformed body: an object that is not a placeholder of the "
+            "tail"
+        )
+
+    def read(self, text):
+        """The value of the JSON ``text`` whose placeholders this tail
+        holds, every character of it read."""
+        value = _node(json.JSONDecoder(
+            object_pairs_hook=self, parse_constant=_refuse_constant,
+        ).decode(text))
+        if not self.text or self.at != len(self.text):
+            raise CodecError("malformed body: tail not read exactly")
+        return value
+
+
 def _decode_span(data, start, end):
     """Decode the version-prefixed body ``data[start:end]`` in place."""
     if end - start < 2:
@@ -507,11 +593,17 @@ def _decode_span(data, start, end):
             "unsupported wire version {0} (speaking {1})"
             .format(data[start], WIRE_VERSION)
         )
+    split = data.find(_SEPARATOR, start + 1, end)
     try:
-        # The view is a temporary, so ``data`` is never left exported.
-        return _node(
-            _JSON.decode(str(memoryview(data)[start + 1:end], "utf-8"))
-        )
+        # Each view is a temporary, so ``data`` is never left exported.
+        if split < 0:
+            return _node(
+                _JSON.decode(str(memoryview(data)[start + 1:end], "utf-8"))
+            )
+        tail = _Tail(str(
+            memoryview(data)[split + 1:end], "utf-8", "surrogatepass"
+        ))
+        return tail.read(str(memoryview(data)[start + 1:split], "utf-8"))
     except CodecError:
         raise
     except ValueError:

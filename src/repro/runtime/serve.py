@@ -123,10 +123,8 @@ def run_loopback(processes=3, requests=60, kill=True,
                       len(pids),
                   ))
         if observe:
-            report_observability(
-                cluster.trace_snapshot(), trace_json,
-                cluster.obs_snapshot(), metrics_json,
-            )
+            trace, snapshot = cluster.snapshots()
+            report_observability(trace, trace_json, snapshot, metrics_json)
         violations = cluster.violations
         errors = cluster.errors()
     if errors:

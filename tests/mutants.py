@@ -264,16 +264,29 @@ MUTANTS = (
     ),
     # -- the codec's read window --------------------------------------------
     # The window as it was before a wire bump retired the old reader: a
-    # v5 peer's Hello, Heartbeat and StateReply decode, so VS installs a
-    # member whose Data is refused and DVS waits for it forever.
+    # v5 peer's Hello, Heartbeat and StateReply decoded, so VS installed
+    # a member whose Data was refused and DVS waited for it forever.
     Mutant(
         "old_stamp_accepted", "runtime/codec.py",
         "if data[start] != WIRE_VERSION:",
-        "if data[start] not in (5, WIRE_VERSION):",
-        "`_decode_span` also reads stamp 5",
+        "if data[start] not in (6, WIRE_VERSION):",
+        "`_decode_span` also reads stamp 6",
         frozenset(),
         "tests/runtime/test_codec_migration.py::TestVersioning::"
         "test_current_version_and_acceptance_window",
+    ),
+    # -- the tail of long strings (wire v7) ---------------------------------
+    # A tail read only as far as the placeholders reach: bytes after the
+    # last long string are dropped unread, so two bodies that differ
+    # there decode alike.
+    Mutant(
+        "tail_unread_accepted", "runtime/codec.py",
+        "if not self.text or self.at != len(self.text):",
+        "if not self.text:",
+        "`_Tail.read` accepts a tail it has not read to its end",
+        frozenset(),
+        "tests/runtime/test_codec_fuzz.py::"
+        "test_a_damaged_tail_is_a_codec_error[unread_tail]",
     ),
     # -- the codec's checks, derived from the declared field types ---------
     # The derivation blind to ``Optional[X]``: ``Heartbeat.view`` then

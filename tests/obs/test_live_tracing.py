@@ -2,6 +2,7 @@
 ``obs=True`` must produce complete, orphan-free spans whose stages sum
 exactly to the end-to-end latency, plus live transport counts."""
 
+import json
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.apps.kv_store import KvReplica
 from repro.obs import Tracer
 from repro.runtime.cluster import RuntimeCluster
+from repro.runtime.serve import run_loopback
 
 PIDS = ["n1", "n2", "n3"]
 WAIT = 60.0
@@ -116,3 +118,33 @@ def test_reading_never_stitches_on_the_loop_thread(cluster, monkeypatch):
     cluster.obs_snapshot()
     assert threads
     assert set(threads) == {threading.current_thread()}
+
+
+def test_an_observed_serve_stitches_its_trace_once(tmp_path, monkeypatch,
+                                                   capsys):
+    """``serve --metrics-json --trace-json`` writes both files from one
+    copy of the log and one stitch (it used to copy and stitch once per
+    file): one grouping pass, and the metrics file's trace summary is
+    the trace file's."""
+    grouped = []
+    group = Tracer._by_key
+
+    def counting(self):
+        grouped.append(self)
+        return group(self)
+
+    monkeypatch.setattr(Tracer, "_by_key", counting)
+    metrics_path = tmp_path / "metrics.json"
+    trace_path = tmp_path / "trace.json"
+    assert run_loopback(
+        requests=6, kill=False, metrics_json=str(metrics_path),
+        trace_json=str(trace_path),
+    ) == 0
+    assert len(grouped) == 1
+    metrics = json.loads(metrics_path.read_text())
+    trace = json.loads(trace_path.read_text())
+    assert metrics["trace"] == trace["summary"]
+    assert metrics["counts"]["bcast"] == 6
+    assert sorted(metrics["nodes"]) == PIDS
+    assert trace["summary"]["orphans"] == 0
+    assert trace["summary"]["deliveries_by_tier"]["to"] == 6 * len(PIDS)

@@ -106,6 +106,20 @@ class TestDuplicatePayloadWorkloads:
         monitor = cluster.monitor
         assert monitor.ok, monitor.violations[0].summary()
 
+    def test_a_lost_install_at_its_coordinator_remints_no_view_id(self):
+        """Invariant 3.1, one view one id (ROADMAP item 23(a)): a drop
+        window loses p1's own ``Install`` of ``g1@p1``, and p2 crashes.
+        A coordinator that adopted its epoch only when its ``Install``
+        came back minted ``g1@p1`` again for ``{p1, p3}``, and VS
+        rejected p3's ``vs_newview`` of it at action #31.  The
+        coordinator now adopts the epoch when it mints it."""
+        plan = NemesisPlan.from_json(
+            '[[3.0, "drop", [null, 0.75, 1.0]], [8.0, "crash", ["p2"]]]'
+        )
+        cluster = run_duplicate_payload_chaos(PROCS, 0, plan, duration=38.0)
+        monitor = cluster.monitor
+        assert monitor.ok, monitor.violations[0].summary()
+
     def test_ablated_stack_is_still_caught(self):
         procs = ["p1", "p2", "p3", "p4", "p5"]
         plan = partition_churn(procs, seed=0, start=10.0, duration=120.0)

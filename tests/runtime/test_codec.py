@@ -34,8 +34,10 @@ from repro.gcs.messages import (
     StateReply,
 )
 from repro.cb.messages import CbCast
+from repro.runtime import codec
 from repro.runtime.codec import (
     MAX_FRAME,
+    RAW_MIN,
     WIRE_TYPES,
     WIRE_VERSION,
     CodecError,
@@ -125,6 +127,11 @@ labels = st.builds(
     Label, viewids, st.integers(min_value=0, max_value=1000), pids
 )
 
+#: A string that travels in the tail, unless it is in a set or a dict.
+long_texts = st.text(min_size=1, max_size=3).map(
+    lambda unit: unit * (RAW_MIN // len(unit) + 1)
+)
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -132,6 +139,7 @@ scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=30),
     st.binary(max_size=30),
+    long_texts,
 )
 
 payloads = st.recursive(
@@ -140,10 +148,11 @@ payloads = st.recursive(
         st.tuples(children, children),
         st.lists(children, max_size=4),
         st.frozensets(
-            st.one_of(st.integers(), st.text(max_size=8)), max_size=4
+            st.one_of(st.integers(), st.text(max_size=8), long_texts),
+            max_size=4,
         ),
         st.dictionaries(
-            st.one_of(st.integers(), st.text(max_size=8)),
+            st.one_of(st.integers(), st.text(max_size=8), long_texts),
             children,
             max_size=4,
         ),
@@ -429,7 +438,9 @@ def test_work_per_frame_is_a_count():
     texts on the way in).  The compiled codec made **130** of the 252-byte version 3
     frame on CPython 3.11; version 4 makes **83** (encode 36, decode
     47) of 180 bytes: no emitter call per scalar out, no handler call
-    per scalar in, and no second pass over a rebuilt message.  Counts
+    per scalar in, and no second pass over a rebuilt message.  Version
+    7 makes **107** (90 at version 6): each of the eight strings costs
+    its emitter's call and its length test.  Counts
     repeat exactly where timings on a shared host do not; the budget
     leaves room for interpreter versions (3.12 inlines comprehensions,
     older ones count a few more) and none for a tag per scalar, an
@@ -442,10 +453,46 @@ def test_work_per_frame_is_a_count():
 
 def test_work_per_run_frame_is_a_count():
     """A run of six slots: version 3 made 508 events of 1,141 bytes,
-    version 4 makes 315 of 829 (CPython 3.11)."""
+    version 4 315 of 829, version 6 354 and version 7 431 (CPython
+    3.9-3.11; the length test of 38 strings)."""
     frame, events = _profiled_round_trip(RUN_ENVELOPE)
     assert len(frame) == 829
     assert 0 < events <= 450, events
+
+
+#: The envelope above with an 8 KiB value: ``to_large_n3``'s frame.
+LARGE_VALUE = "0" * 8192
+LARGE_ENVELOPE = ("n1", Ordered(
+    ViewId(1, "n1"), 12,
+    (Label(ViewId(1, "n1"), 3, "n2"), ("put", "key-17", LARGE_VALUE)), "n2",
+))
+
+
+def test_a_long_value_is_never_escaped(monkeypatch):
+    """The 8 KiB value goes to the tail verbatim: of the envelope's
+    eight strings, exactly the seven short ones are escaped, so the
+    value's bytes are not, and the frame is the small envelope's with
+    the 34-byte quoted value swapped for the 10-byte placeholder
+    ``{"s":8192}``, the separator and the 8,192 bytes.  Encoded and
+    decoded, it costs 118 profile events (CPython 3.11) where the small
+    envelope costs 107: the tail's split, hook and read, whatever its
+    length."""
+    escaped = []
+
+    def escape(text):
+        escaped.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_escape", escape)
+        frame = encode_frame(LARGE_ENVELOPE)
+    assert escaped == ["n1", "n1", "n1", "n2", "put", "key-17", "n2"]
+    assert len(frame) == 180 - 34 + 10 + 1 + 8192
+    assert frame.endswith(
+        b'{"s":8192}]]]],"n2"]]]]\xff' + LARGE_VALUE.encode()
+    )
+    _, events = _profiled_round_trip(LARGE_ENVELOPE)
+    assert 0 < events <= 165, events
 
 
 @pytest.mark.parametrize("entries", [

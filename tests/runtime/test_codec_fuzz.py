@@ -8,7 +8,12 @@ containers, their scalars written natively -- and then damages one
 subtree: an unknown tag (among them the scalar tags of versions 1-3),
 a wrong arity, a payload of the wrong JSON type, a huge int or a
 non-finite float, an unknown class, one field too many or too few, a
-field of the wrong type two or more levels down.  Two properties:
+field of the wrong type two or more levels down.  A document may hold
+long strings, which its body carries as version 7 does (placeholders
+in the text, the strings in a tail after ``0xFF``), and a tail may be
+damaged: a placeholder below ``RAW_MIN``, past the tail or not an int,
+a placeholder with no separator, an empty or unread tail, invalid
+UTF-8.  Two properties:
 
 1. the typed-error contract: ``decode`` (and ``FrameDecoder.feed``,
    which is what a socket reaches) returns a value or raises
@@ -16,15 +21,18 @@ field of the wrong type two or more levels down.  Two properties:
    ``KeyError``...;
 2. the differential: the product decoder and the reference decoder
    (``wire_reference.py``, the original walk, which knows only tagged
-   scalars and is handed the document :func:`retag`-ged) agree -- same
-   value, or both refuse -- except on the three tightenings this codec
-   documents: non-finite floats, declared field types at every depth, and
-   a v1-v3 scalar tag anywhere in the document (the decoder reads only
-   what version 6 writes).
+   scalars and inline strings, and is handed the document with its tail
+   :func:`inlined` and then :func:`retag`-ged) agree -- same value, or
+   both refuse -- except on the three tightenings this codec documents:
+   non-finite floats, declared field types at every depth, and a v1-v3
+   scalar tag anywhere in the document (the decoder reads only what
+   version 7 writes).  A body whose tail does not read exactly has no
+   inline document, and the product decoder refuses it.
 """
 
 import base64
 import json
+import re
 import struct
 from dataclasses import fields
 from typing import Union, get_args, get_origin, get_type_hints
@@ -34,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.codec import (
+    RAW_MIN,
     WIRE_TYPES,
     WIRE_VERSION,
     CodecError,
@@ -63,6 +72,15 @@ def _optional_of(declared):
 
 short_text = st.text(max_size=6)
 
+#: A string long enough for the tail: a short unit repeated (one unit
+#: holds a lone surrogate, which the tail carries under
+#: ``surrogatepass``).
+long_text = st.builds(
+    lambda unit, extra: unit * (RAW_MIN // len(unit) + extra),
+    st.one_of(st.text(min_size=1, max_size=3), st.just("\ud800\u00e9")),
+    st.integers(0, 1),
+)
+
 #: Any JSON value at all: what a damaged subtree is replaced with.
 junk = st.recursive(
     st.one_of(
@@ -79,7 +97,7 @@ junk = st.recursive(
 
 natives = st.one_of(
     st.none(), st.booleans(), st.integers() | st.just(HUGE), st.floats(),
-    short_text,
+    short_text, short_text, short_text, long_text,
 )
 
 leaves = st.one_of(
@@ -193,16 +211,86 @@ damaged = st.builds(
 
 documents = st.one_of(plausible, damaged, damaged, damaged, junk)
 
+SEPARATOR = b"\xff"
+
 
 def body_of(document):
+    """``document`` with every string inline."""
     # allow_nan: NaN / Infinity / -Infinity literals are the point.
     return bytes([WIRE_VERSION]) + json.dumps(document).encode("utf-8")
 
 
+def spliced(document):
+    """``document`` as version 7 writes it: each long string in a list
+    (a set's elements too, which the decoder reads though the encoder
+    keeps them inline) replaced by its placeholder, and the strings
+    after the separator in text order."""
+    strings = []
+
+    def splice(node):
+        if type(node) is str and len(node) >= RAW_MIN:
+            strings.append(node)
+            return {"s": len(node)}
+        if type(node) is list:
+            return [splice(item) for item in node]
+        return node
+
+    body = body_of(splice(document))
+    if not strings:
+        return body
+    return body + SEPARATOR + "".join(strings).encode(
+        "utf-8", "surrogatepass")
+
+
+_PLACEHOLDER = re.compile(rb'\{"s": (\d+)\}')
+
+
+def _first_size(head, size):
+    """``head`` with the first placeholder's size written ``size(n)``."""
+    return _PLACEHOLDER.sub(
+        lambda m: b'{"s": ' + size(m.group(1)) + b"}", head, 1)
+
+
+#: How a tail is damaged, each a way the decoder must refuse it.
+TAIL_DAMAGE = {
+    "below_raw_min": lambda head, tail: (
+        _first_size(head, lambda n: str(RAW_MIN - 1).encode()), tail),
+    "past_the_tail": lambda head, tail: (
+        _first_size(head, lambda n: str(int(n) + 1).encode()), tail),
+    "bool_size": lambda head, tail: (
+        _first_size(head, lambda n: b"true"), tail),
+    "float_size": lambda head, tail: (
+        _first_size(head, lambda n: n + b".0"), tail),
+    "two_keys": lambda head, tail: (
+        _first_size(head, lambda n: n + b', "s": ' + n), tail),
+    "no_separator": lambda head, tail: (head, None),
+    "empty_tail": lambda head, tail: (head, b""),
+    "unread_tail": lambda head, tail: (head, tail + b"x"),
+    "invalid_utf8": lambda head, tail: (head, tail[:7] + b"\x80" + tail[7:]),
+}
+
+
+def damage_tail(body, how):
+    head, _, tail = body.partition(SEPARATOR)
+    head, tail = TAIL_DAMAGE[how](head, tail)
+    return head if tail is None else head + SEPARATOR + tail
+
+
+#: A body that surely has a tail: some document beside a long string.
+tailed = st.builds(
+    lambda document, text: spliced(["t", [document, text]]),
+    plausible, long_text,
+)
+
+bodies = st.one_of(
+    documents.map(body_of), documents.map(spliced), tailed,
+    st.builds(damage_tail, tailed, st.sampled_from(sorted(TAIL_DAMAGE))),
+)
+
+
 @settings(max_examples=600, deadline=None)
-@given(document=documents)
-def test_decode_returns_a_value_or_raises_codec_error(document):
-    body = body_of(document)
+@given(body=bodies)
+def test_decode_returns_a_value_or_raises_codec_error(body):
     frame = struct.pack(">I", len(body)) + body
     try:
         value = decode(body)
@@ -214,6 +302,29 @@ def test_decode_returns_a_value_or_raises_codec_error(document):
     # Whatever decodes can be sent on: the sequencer re-encodes what it
     # relays, so a value that decodes but does not encode wedges a view.
     assert decode(encode(value)) == value
+
+
+@pytest.mark.parametrize("how", sorted(TAIL_DAMAGE))
+def test_a_damaged_tail_is_a_codec_error(how):
+    """Each way a tail can be wrong, on a ``Data`` whose payload holds
+    two long strings: a ``CodecError``, from ``decode`` and from
+    ``FrameDecoder.feed`` alike, where the undamaged body decodes."""
+    body = spliced(["@", "Data", [
+        ["@", "ViewId", [1, "n1"]],
+        ["t", ["put", "a" * RAW_MIN, "\u00e9" * (RAW_MIN + 1)]], "n2", 1,
+    ]])
+    assert decode(body).payload[2] == "\u00e9" * (RAW_MIN + 1)
+    damaged = damage_tail(body, how)
+    with pytest.raises(CodecError):
+        decode(damaged)
+    with pytest.raises(CodecError):
+        FrameDecoder().feed(struct.pack(">I", len(damaged)) + damaged)
+
+
+def test_a_separator_without_a_placeholder_is_a_codec_error():
+    for tail in (b"", b"x" * RAW_MIN):
+        with pytest.raises(CodecError, match="tail"):
+            decode(body_of(["t", ["n1"]]) + SEPARATOR + tail)
 
 
 # -- The differential -------------------------------------------------------------
@@ -244,9 +355,37 @@ def retag(node):
     return node
 
 
+def inlined(body):
+    """The document of ``body`` with each placeholder replaced by the
+    string it stands for; ``ValueError`` if the text is not JSON or the
+    tail does not read exactly (a placeholder that is not ``{"s": n}``
+    with an int ``RAW_MIN <= n <=`` the characters left, a tail left
+    unread or empty, invalid UTF-8)."""
+    head, separator, tail = bytes(body[1:]).partition(SEPARATOR)
+    if not separator:
+        return json.loads(head)
+    text = tail.decode("utf-8", "surrogatepass")
+    at = 0
+
+    def placeholder(pairs):
+        nonlocal at
+        (key, size), = pairs
+        if key != "s" or type(size) is not int \
+                or not RAW_MIN <= size <= len(text) - at:
+            raise ValueError("not a placeholder of the tail")
+        at += size
+        return text[at - size:at]
+
+    document = json.loads(head, object_pairs_hook=placeholder)
+    if not text or at != len(text):
+        raise ValueError("tail not read exactly")
+    return document
+
+
 def retagged(body):
-    """A body with its scalars tagged: what the v1-v3 walk reads."""
-    return body[:1] + json.dumps(retag(json.loads(body[1:]))).encode()
+    """A body with its tail inlined and its scalars tagged: what the
+    v1-v3 walk reads."""
+    return body[:1] + json.dumps(retag(inlined(body))).encode()
 
 
 def outcome(decoder, body):
@@ -320,9 +459,14 @@ def natively_spelled(node):
 
 
 @settings(max_examples=600, deadline=None)
-@given(document=documents)
-def test_decoders_agree_except_on_the_documented_tightenings(document):
-    kind, new = outcome(decode, body_of(document))
+@given(body=bodies)
+def test_decoders_agree_except_on_the_documented_tightenings(body):
+    kind, new = outcome(decode, body)
+    try:
+        document = inlined(body)
+    except ValueError:
+        assert kind == "refused", body
+        return
     legacy = retag(document)
     ref_kind, ref = outcome(reference_decode, body_of(legacy))
     assert new is not OverflowError

@@ -1,6 +1,7 @@
 """Wire-schema migration: version 1 -> 2 (the CbCast addition) -> 3
 (the OrderedRun addition) -> 4 (native JSON scalars) -> 5 (the
-heartbeat's view id) -> 6 (the ``Data`` sender count).
+heartbeat's view id) -> 6 (the ``Data`` sender count) -> 7 (long
+strings in a tail).
 
 Adding a message type or changing the body layout is a *versioned*
 change in this codec: an older peer rejects unknown ``@`` type
@@ -8,7 +9,7 @@ references, untagged scalars and a field too many.  The decoder reads
 one version, the one it writes: a body under any other stamp is a
 typed error naming that stamp and the one spoken, so an old build is
 refused at its first frame (its ``Hello``) and never heard.  The
-golden bytes below are literal frames of each era: the v6 bodies are
+golden bytes below are literal frames of each era: the v7 bodies are
 written and read byte for byte; the older ones pin the layout the
 reference walk (``wire_reference.py``) writes, and are refused here.
 """
@@ -66,8 +67,8 @@ from tests.runtime.wire_reference import reference_decode, reference_encode
 #: existed).  Golden: do not regenerate from the current encoder.
 GOLDEN_V1_TUPLE = b'\x01["t",[["s","w"],["s","n1"],["i",3]]]'
 
-#: One literal frame of each retired stamp, 1 to 5.  The last is, after
-#: its stamp, exactly what version 6 writes.
+#: One literal frame of each retired stamp, 1 to 6.  The last two are,
+#: after their stamps, exactly what version 7 writes.
 RETIRED_FRAMES = [
     GOLDEN_V1_TUPLE,
     b'\x02["@","Hello",[["s","n9"]]]',
@@ -75,14 +76,15 @@ RETIRED_FRAMES = [
     b'["t",[["t",[["s","x"],["s","n1"]]]]]]]',
     b'\x04["@","Heartbeat",[]]',
     b'\x05["@","Heartbeat",[null]]',
+    b'\x06["@","Hello",["n9"]]',
 ]
 
 
 class TestVersioning:
     def test_current_version_and_acceptance_window(self):
-        """The window is one stamp wide: the body version 6 writes is
+        """The window is one stamp wide: the body version 7 writes is
         refused under every other stamp."""
-        assert WIRE_VERSION == 6
+        assert WIRE_VERSION == 7
         body = encode(Heartbeat())
         assert decode(body) == Heartbeat()
         for stamp in range(256):
@@ -99,7 +101,7 @@ class TestVersioning:
     def test_a_retired_stamp_is_refused_naming_both(self, golden):
         """No read window: a frame an older build wrote is refused at
         the frame, by its stamp, with both versions named."""
-        refusal = "unsupported wire version {0} (speaking 6)".format(
+        refusal = "unsupported wire version {0} (speaking 7)".format(
             golden[0])
         with pytest.raises(CodecError) as err:
             decode(golden)
@@ -109,12 +111,12 @@ class TestVersioning:
         assert str(err.value) == refusal
 
     def test_future_version_is_rejected_with_both_sides_named(self):
-        body = bytes([7]) + encode(("x",))[1:]
+        body = bytes([8]) + encode(("x",))[1:]
         with pytest.raises(CodecError) as err:
             decode(body)
         message = str(err.value)
-        assert "unsupported wire version 7" in message
-        assert "speaking 6" in message
+        assert "unsupported wire version 8" in message
+        assert "speaking 7" in message
 
     def test_version_zero_is_rejected(self):
         body = bytes([0]) + encode(("x",))[1:]
@@ -201,9 +203,9 @@ class TestHeartbeatViewOnTheWire:
     def test_a_forged_view_is_refused(self):
         for forged in (b'"g1@n1"', b'1', b'["@","Hello",["n1"]]'):
             with pytest.raises(CodecError, match="declared type"):
-                decode(b'\x06["@","Heartbeat",[' + forged + b']]')
+                decode(b'\x07["@","Heartbeat",[' + forged + b']]')
         with pytest.raises(CodecError, match="wrong field count"):
-            decode(b'\x06["@","Heartbeat",[null,null]]')
+            decode(b'\x07["@","Heartbeat",[null,null]]')
 
     def test_no_class_may_leave_a_field_out(self):
         """A default on a class (``Heartbeat.view``, ``ViewId.origin``,
@@ -217,7 +219,7 @@ class TestHeartbeatViewOnTheWire:
             b'["@","InfoMsg",[["@","View",[' + vid + b',["fz",["n1"]]]]]]',
         ):
             with pytest.raises(CodecError, match="wrong field count"):
-                decode(b"\x06" + short)
+                decode(b"\x07" + short)
 
 
 class TestDataCountOnTheWire:
@@ -234,7 +236,7 @@ class TestDataCountOnTheWire:
         """Defaulting ``n`` would order the body with no FIFO check --
         the very gap version 6 closes -- so a ``Data`` without an int
         count is refused, not read as some default."""
-        head = b'\x06["@","Data",[["@","ViewId",[1,"n1"]],"m","n2"'
+        head = b'\x07["@","Data",[["@","ViewId",[1,"n1"]],"m","n2"'
         with pytest.raises(CodecError, match=refusal):
             decode(head + count + b"]]")
         assert decode(head + b",3]]") == Data(V1, "m", "n2", 3)
@@ -277,42 +279,40 @@ class TestRollingUpgrade:
             assert cluster.call_node(
                 "n1", lambda node: node.stats()["rejected"]
             ) == 1
-            cluster.bcast("n2", ("put", "k", "v6"))
+            cluster.bcast("n2", ("put", "k", "v7"))
             cluster.wait_until(
                 lambda: all(
                     cluster.app(pid).log_length >= 1 for pid in pids
                 ),
-                timeout=20.0, what="a v6 request at all three nodes",
+                timeout=20.0, what="a v7 request at all three nodes",
             )
             for pid in pids:
-                assert cluster.call_app(pid, lambda app: app.get("k")) == "v6"
+                assert cluster.call_app(pid, lambda app: app.get("k")) == "v7"
             assert cluster.errors() == {}
 
-    def test_a_v5_peer_from_boot_is_refused_and_the_v6_majority_forms(
+    def test_a_v6_peer_from_boot_is_refused_and_the_v7_majority_forms(
         self, monkeypatch,
     ):
-        """n3 writes every frame as version 5 did: stamped 5, a ``Data``
-        without ``n``.  Its ``Hello`` is refused at n1's and n2's
-        listeners, so they never hear it, form a primary over
-        themselves within a second (the estimator's grace for an
+        """n3 writes every frame as version 6 did: stamped 6, with every
+        string inline (none here is long).  Its ``Hello`` is refused at
+        n1's and n2's listeners, so they never hear it, form a primary
+        over themselves within a second (the estimator's grace for an
         unheard peer) and deliver.  Each says why n3 is out: its
-        listener's refusals, the last one naming version 5.  Under a
-        read window n3's ``Hello``, ``Heartbeat`` and ``StateReply``
-        decoded, VS installed it, and DVS waited for an ``info`` from it
-        that never came: its ``Data`` was refused."""
-        v6_frame = encode_frame
+        listener's refusals, the last one naming version 6.  Under a
+        read window a v5 peer's ``Hello``, ``Heartbeat`` and
+        ``StateReply`` decoded, VS installed it, and DVS waited for an
+        ``info`` from it that never came: its ``Data`` was refused."""
+        v7_frame = encode_frame
 
-        def v5_frame(envelope):
+        def v6_frame(envelope):
             if envelope[0] != "n3":
-                return v6_frame(envelope)
-            body = b"\x05" + v6_frame(envelope)[5:]
-            if type(envelope[1]) is Data:
-                body = _DATA_COUNT.sub(rb"\1", body)
+                return v7_frame(envelope)
+            body = b"\x06" + v7_frame(envelope)[5:]
             return len(body).to_bytes(4, "big") + body
 
         # The node writes its frames, the transport its Hello.
-        monkeypatch.setattr(runtime_node, "encode_frame", v5_frame)
-        monkeypatch.setattr(transport, "encode_frame", v5_frame)
+        monkeypatch.setattr(runtime_node, "encode_frame", v6_frame)
+        monkeypatch.setattr(transport, "encode_frame", v6_frame)
         majority = ["n1", "n2"]
         cluster = RuntimeCluster(
             majority + ["n3"], app_factory=lambda node: KvReplica(node.to),
@@ -322,7 +322,7 @@ class TestRollingUpgrade:
             booted = time.monotonic()
             cluster.wait_formation(majority, timeout=10.0)
             assert time.monotonic() - booted < 1.0
-            cluster.bcast("n1", ("put", "k", "v6"))
+            cluster.bcast("n1", ("put", "k", "v7"))
             cluster.wait_until(
                 lambda: all(
                     cluster.app(pid).log_length >= 1 for pid in majority
@@ -333,9 +333,9 @@ class TestRollingUpgrade:
                 stats = cluster.call_node(pid, lambda node: node.stats())
                 assert stats["rejected"] > 0
                 assert stats["last_refusal"] == (
-                    "unsupported wire version 5 (speaking 6)"
+                    "unsupported wire version 6 (speaking 7)"
                 )
-                assert cluster.call_app(pid, lambda app: app.get("k")) == "v6"
+                assert cluster.call_app(pid, lambda app: app.get("k")) == "v7"
 
 
 def _v3_frame(value):
@@ -542,6 +542,34 @@ GOLDEN_V6 = [
      b'"n3",1]]'),
 ]
 
+#: Literal version-7 bodies.  A string of at least ``RAW_MIN`` (1,024)
+#: characters outside a set or a dict is a ``{"s":<length>}``
+#: placeholder, its UTF-8 bytes after one ``0xFF`` in text order; one
+#: character shorter, or inside a set or a dict, it stays in the text.
+#: Every body without such a string is, after its stamp, what version 6
+#: wrote.  Golden, as above (a run of one byte is written as a repeat).
+GOLDEN_V7 = [
+    (Data(V1, ('put', 'k', 'x' * 1024), 'n3', 1),
+     b'\x07["@","Data",[["@","ViewId",[1,"n1"]],["t",["put","k",'
+     b'{"s":1024}]],"n3",1]]\xff' + b'x' * 1024),
+    # Text order, a lone surrogate (surrogatepass) and two-byte UTF-8.
+    (('\ud800' + '\u00e9' * 1023, 'y' * 1025),
+     b'\x07["t",[{"s":1024},{"s":1025}]]\xff\xed\xa0\x80'
+     + b'\xc3\xa9' * 1023 + b'y' * 1025),
+    (OrderedRun(V1, 1, ((('put', 'k', 'a' * 1024), 'n1'),
+                        ((LABEL, 'b' * 2048), 'n2'))),
+     b'\x07["@","OrderedRun",[["@","ViewId",[1,"n1"]],1,["t",[["t",'
+     b'[["t",["put","k",{"s":1024}]],"n1"]],["t",[["t",[["@","Label",'
+     b'[["@","ViewId",[1,"n1"]],3,"n2"]],{"s":2048}]],"n2"]]]]]]\xff'
+     + b'a' * 1024 + b'b' * 2048),
+    (('z' * 1023,),
+     b'\x07["t",["' + b'z' * 1023 + b'"]]'),
+    (frozenset({'x' * 1024, 'n1'}),
+     b'\x07["fz",["n1","' + b'x' * 1024 + b'"]]'),
+    ({'k': ('x' * 1024,)},
+     b'\x07["d",[["k",["t",["' + b'x' * 1024 + b'"]]]]]'),
+]
+
 #: The ``n`` closing a body whose value ends with a ``Data`` (its last
 #: field), tagged or native.
 _DATA_COUNT = re.compile(rb',(?:\["i",\d+\]|\d+)(\]\]+)$')
@@ -614,7 +642,7 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V4)],
     )
     def test_golden_v4_both_ways(self, value, golden):
-        """Version 6 writes each v4 body again under its own stamp, but
+        """Version 7 writes each v4 body again under its own stamp, but
         for the rows versions 5 and 6 changed, and reads back what it
         writes; the v4 stamp is refused."""
         assert legacy_body(encode(value)) == golden[1:]
@@ -642,6 +670,20 @@ class TestPinnedBytes:
              for i, (v, _) in enumerate(GOLDEN_V6)],
     )
     def test_golden_v6_both_ways(self, value, golden):
+        assert encode(value)[1:] == golden[1:]
+        assert_reads_back(value, encode(value))
+        assert_refused(golden)
+        legacy = reference_decode(retagged(golden))
+        assert reference_encode(legacy) == reference_encode(value)
+
+    @pytest.mark.parametrize(
+        "value,golden", GOLDEN_V7,
+        ids=["{0}-{1}".format(i, type(v).__name__)
+             for i, (v, _) in enumerate(GOLDEN_V7)],
+    )
+    def test_golden_v7_both_ways(self, value, golden):
+        """Written and read byte for byte; the reference reads the body
+        with its tail inlined as the same value."""
         assert encode(value) == golden
         assert_reads_back(value, golden)
         legacy = reference_decode(retagged(golden))

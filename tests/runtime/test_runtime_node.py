@@ -277,7 +277,7 @@ def test_stats_count_connections_the_listener_rejected():
         await node.start()
         for count, frame, why in (
             (1, b"\x00\x00\x00\x04junk",  # stamp b"j": 106
-             "unsupported wire version 106 (speaking 6)"),
+             "unsupported wire version 106 (speaking 7)"),
             (2, encode_frame(("p2", Heartbeat())),
              "no Hello naming its sender first"),
         ):

@@ -22,7 +22,7 @@ _BY_NAME = {cls.__name__: cls for cls in WIRE_TYPES}
 
 #: The version stamps this walk reads: its own window, frozen with it
 #: (the product decoder reads only ``WIRE_VERSION``).
-_VERSIONS = (1, 2, 3, 4, 5, 6)
+_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def _canonical(packed):
