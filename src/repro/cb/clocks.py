@@ -2,7 +2,7 @@
 
 A clock is a *canonical* tuple of ``(process, count)`` entries: sorted
 by process id, with zero entries omitted.  Canonical tuples are
-hashable, deterministic to iterate (lint DVS008) and serialize through
+hashable, deterministic to iterate (no hash order) and serialize through
 the wire codec without a dedicated message type.  The clock domain is
 *dynamic*: entries name whatever processes the current view contains,
 and a new view starts from the empty clock.

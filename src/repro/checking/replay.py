@@ -7,7 +7,8 @@ and feeds the recorded input events back in recorded order, with a
 fresh :class:`~repro.faults.monitor.SafetyMonitor` armed on a fresh
 :class:`~repro.gcs.recorder.ActionLog`.  Because the layers are
 deterministic functions of their input sequence (no clocks or entropy
--- the lint determinism rules guarantee it -- and a timer fires only
+-- the chaos goldens, replayed under two hash seeds, check it -- and a
+timer fires only
 where the trace says it fired), two replays of the
 same trace produce identical action logs, deliveries and digests: a
 nondeterministic live run becomes a deterministic artifact the instant

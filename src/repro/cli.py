@@ -25,11 +25,6 @@ replay
     deterministic layer stack under the safety monitor; two replays of
     one trace are byte-identical, and ``--shrink`` minimizes a
     violating trace with ddmin.
-lint
-    Statically check the tree, three passes: automaton well-formedness
-    (pre_/eff_/cand_ contract, predicate purity), determinism
-    (wall-clock/entropy escapes, unsorted set iteration, id()
-    ordering) and cross-process aliasing.  Exits non-zero on findings.
 serve
     Run the stack on real TCP sockets: by default an in-process
     loopback cluster driving a replicated key-value workload (with a
@@ -398,40 +393,6 @@ def _cmd_replay(args):
     return 1
 
 
-def _cmd_lint(args):
-    from repro.lint import RULES, LintConfig, lint_paths
-
-    if args.list_rules:
-        for rule in RULES.values():
-            print("{0} {1:28s} [{2}] {3}".format(
-                rule.id, rule.name, rule.lint_pass, rule.summary
-            ))
-        return 0
-    config = LintConfig()
-    if args.select:
-        config = LintConfig(select=frozenset(
-            rule.strip()
-            for spec in args.select
-            for rule in spec.split(",")
-            if rule.strip()
-        ))
-    report = lint_paths(args.paths or ["src/repro"], config=config)
-    if args.format == "json":
-        rendered = report.to_json()
-    else:
-        rendered = report.to_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        if args.format == "json":
-            # Keep the human-readable summary on stdout even when the
-            # machine-readable artifact goes to a file (CI does this).
-            print(report.to_text())
-    else:
-        print(rendered)
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args):
     from repro.runtime.serve import run_loopback, run_single
 
@@ -559,28 +520,6 @@ def build_parser():
                        help="[sim only] bound the network event log "
                             "(entries kept)")
     chaos.set_defaults(func=_cmd_chaos, _chaos_parser=chaos)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis: automaton well-formedness, determinism, "
-             "cross-process aliasing",
-    )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument("--format", choices=["text", "json"],
-                      default="text")
-    lint.add_argument("--output", default=None,
-                      help="write the report to a file")
-    lint.add_argument(
-        "--select", action="append", default=[],
-        help="comma-separated rule ids to enable (repeatable; "
-             "default: all)",
-    )
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule registry and exit")
-    lint.set_defaults(func=_cmd_lint)
 
     serve = sub.add_parser(
         "serve",

@@ -37,8 +37,9 @@ class Cluster:
     - ``check_effects`` -- debug mode: bracket every event dispatch
       with snapshots of every *other* process's layer state and raise
       :class:`~repro.gcs.effect_check.EffectIsolationError` if handling
-      an event at one process mutates another's state (the runtime
-      cross-check of the ``repro lint`` purity/aliasing passes);
+      an event at one process mutates another's state (the check that
+      no process reaches another's state but through the network,
+      DESIGN.md section 8);
     - ``obs`` -- ``True`` for a fresh :class:`repro.obs.Observability`
       (or a prebuilt one): causal spans + action counts collected from
       the action log and the simulated wire, with no change to what

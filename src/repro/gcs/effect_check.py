@@ -1,14 +1,13 @@
 """Runtime cross-process effect isolation (``Cluster(check_effects=True)``).
 
-The static purity pass (``repro lint``, rules DVS004/DVS005/DVS010/
-DVS011) proves syntactically that predicates do not mutate state and
-that no mutable state is shared between simulated processes.  Static
-analysis cannot see mutation through aliases, so this module provides
-the dynamic half of the argument: with ``check_effects`` enabled, every
-event dispatched to a process -- message delivery, timer, connectivity
-report -- is bracketed by fingerprints of every *other* process's layer
-state (VS stack, DVS filter, TO layer).  If handling an event at ``p``
-changes anything observable at ``q != p``, the run stops with an
+Simulated processes share one interpreter, so a container that two
+processes' state both reach (a module-level one their attributes point
+at, an alias handed across) would couple processes that the model keeps
+apart.  With ``check_effects`` enabled, every event dispatched to a
+process -- message delivery, timer, connectivity report -- is bracketed
+by fingerprints of every *other* process's layer state (VS stack, DVS
+filter, TO layer).  If handling an event at ``p`` changes anything
+observable at ``q != p``, the run stops with an
 :class:`EffectIsolationError` naming the event and the foreign
 attribute that moved.
 

@@ -32,6 +32,7 @@ from repro.ioa.errors import (
     ActionNotEnabled,
     CompositionError,
     InvariantViolation,
+    MalformedAutomaton,
     RefinementFailure,
     UnknownAction,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "ExplorationResult",
     "InvariantSuite",
     "InvariantViolation",
+    "MalformedAutomaton",
     "Kind",
     "PerProcessAutomaton",
     "RandomScheduler",

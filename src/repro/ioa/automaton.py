@@ -16,7 +16,11 @@ Two levels are provided:
 from abc import ABC, abstractmethod
 
 from repro.ioa.action import Kind
-from repro.ioa.errors import ActionNotEnabled, UnknownAction
+from repro.ioa.errors import (
+    ActionNotEnabled,
+    MalformedAutomaton,
+    UnknownAction,
+)
 
 
 class Automaton(ABC):
@@ -109,17 +113,51 @@ class TransitionAutomaton(Automaton):
         outputs = {"dvs_gprcv", "dvs_safe", "dvs_newview"}
         internals = {"dvs_createview", "dvs_order"}
 
-    and implement, for each locally controlled action name, an optional
-    precondition ``pre_<name>(state, *params) -> bool`` (absent means
-    ``True``), an effect ``eff_<name>(state, *params)`` mutating ``state``,
-    and a candidate generator ``cand_<name>(state)`` yielding
+    and implement, for each locally controlled action name, a
+    precondition ``pre_<name>(state, *params) -> bool``, an effect
+    ``eff_<name>(state, *params)`` mutating ``state``, and a candidate
+    generator ``cand_<name>(state)`` yielding
     :class:`~repro.ioa.action.Action` instances.  Input actions only need an
     effect.
+
+    The contract is checked when a subclass is defined, against its
+    resolved signature (:class:`~repro.ioa.errors.MalformedAutomaton`):
+    an ``eff_`` of a locally controlled action needs a ``pre_`` somewhere
+    on the MRO, since :meth:`is_enabled` reads an absent one as ``True``;
+    an input action has no ``pre_`` or ``cand_`` (input-enabledness, the
+    environment controls inputs); and every handler the class itself
+    defines names an action of its signature, since the dispatch never
+    reaches a handler that names none.  A handler inherited from a base
+    whose action the subclass drops stays legal.
     """
 
     inputs = frozenset()
     outputs = frozenset()
     internals = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        inputs = frozenset(cls.inputs)
+        controlled = frozenset(cls.outputs) | frozenset(cls.internals)
+        for attr in dir(cls):
+            prefix, _, action = attr.partition("_")
+            if prefix not in ("pre", "eff", "cand") or not action:
+                continue
+            if attr in vars(cls) and action not in inputs | controlled:
+                raise MalformedAutomaton(
+                    "{0}.{1} names {2!r}, which is not in the "
+                    "signature".format(cls.__name__, attr, action))
+            if prefix != "eff" and action in inputs:
+                raise MalformedAutomaton(
+                    "{0}.{1} on input action {2!r}: inputs are always "
+                    "enabled and controlled by the environment".format(
+                        cls.__name__, attr, action))
+            if prefix == "eff" and action in controlled and not hasattr(
+                    cls, "pre_" + action):
+                raise MalformedAutomaton(
+                    "{0}.{1} has no pre_{2}: a locally controlled action "
+                    "needs an explicit precondition".format(
+                        cls.__name__, attr, action))
 
     #: Set True by per-process automata whose signatures are carved up by
     #: action *parameters* (e.g. ``dvs_newview(v, p)`` belongs to the

@@ -19,6 +19,11 @@ class ActionNotEnabled(IOAError):
     """
 
 
+class MalformedAutomaton(IOAError, TypeError):
+    """A :class:`~repro.ioa.automaton.TransitionAutomaton` subclass breaks
+    the precondition/effect contract; raised when the class is defined."""
+
+
 class CompositionError(IOAError):
     """The components of a composition are not compatible.
 

@@ -1,8 +1,9 @@
 """Recording live executions into replayable trace files.
 
 The hosted gcs layers are deterministic functions of their input event
-sequence (no clocks, no entropy -- ``repro lint`` enforces it; the one
-timer, the VS sequencer's flush, is an input: its firing is recorded),
+sequence (no clocks, no entropy -- the chaos goldens replay under two
+hash seeds to hold them to it; the one timer, the VS sequencer's
+flush, is an input: its firing is recorded),
 so a live run is fully determined by what the transport and the
 connectivity estimator fed each node, in order.  A
 :class:`TraceRecorder` captures exactly that cut -- the events *below*

@@ -42,6 +42,8 @@ Every event goes into one bounded log, in emission order; one grouping
 pass stitches it at read time.
 """
 
+import gc
+import threading
 from collections import deque
 from types import MappingProxyType
 from typing import Any, NamedTuple
@@ -168,6 +170,11 @@ def _at(event):
     return None if event is None else event.t
 
 
+#: Held while a stitch runs with the collector paused (see
+#: :meth:`Tracer._stitch`).
+_STITCHING = threading.Lock()
+
+
 class Tracer:
     """Collects span events in one log and stitches them into causal
     spans.
@@ -248,7 +255,28 @@ class Tracer:
         return grouped
 
     def _stitch(self):
-        """``(deliveries, orphans, view spans)`` from one grouping pass."""
+        """``(deliveries, orphans, view spans)`` from one grouping pass.
+
+        The cyclic collector is paused meanwhile.  A stitch of a full log
+        allocates a few hundred thousand containers, so collections come
+        due all through it, each a pass over what the stitch has built so
+        far; a pass holds the GIL, and a live reader stitches beside the
+        event loop, which then misses its heartbeats (at ``LOG_EVENTS``
+        a 2 ms ticker beside a first read waited 294 ms, and 25 ms with
+        the collector paused; ``HB_TIMEOUT`` is 250 ms).  The stitch makes no cycles, so
+        the pause leaves nothing behind.  Stitches take turns, so the
+        one that paused the collector restores it, running or not, also
+        when the stitch raises."""
+        with _STITCHING:
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                return self._stitch_paused()
+            finally:
+                if enabled:
+                    gc.enable()
+
+    def _stitch_paused(self):
         grouped = self._by_key()
         rows, orphans, views = [], [], []
         for key, events in grouped.items():

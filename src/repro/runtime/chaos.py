@@ -70,8 +70,8 @@ def run_live_chaos(
         # The pacing below is the whole point of a *live* run: real
         # seconds elapse while sockets, heartbeats and the fault
         # schedule race each other (DESIGN.md §9, §12).
-        deadline = time.monotonic() + duration  # lint: ignore[DVS006]
-        while time.monotonic() < deadline:  # lint: ignore[DVS006]
+        deadline = time.monotonic() + duration
+        while time.monotonic() < deadline:
             pids = cluster.live()
             if pids:
                 pid, ordering, payload = workload_send(pids, counter)

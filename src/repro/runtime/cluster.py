@@ -303,11 +303,11 @@ class RuntimeCluster:
         """
         # Wall clock is the point: this is the real-time hang guard on
         # the caller's thread, outside the simulated world (DESIGN.md §9).
-        deadline = time.monotonic() + timeout  # lint: ignore[DVS006]
+        deadline = time.monotonic() + timeout
         while True:
             if self._call(predicate, timeout=timeout):
                 return self
-            if time.monotonic() >= deadline:  # lint: ignore[DVS006]
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     "timed out after {0:.1f}s waiting for {1}".format(
                         timeout, what

@@ -549,39 +549,45 @@ def _refuse_constant(literal):
 _JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-class _Tail:
-    """The long strings of one body: its ``object_pairs_hook``, which
-    answers each ``{"s": n}`` placeholder, in text order, with the tail's
-    next ``n`` characters and refuses every other object."""
+#: The tail of the body the current thread is decoding and how far its
+#: placeholders have read it (:func:`_read_tailed` sets both per body).
+_TAIL = threading.local()
 
-    __slots__ = ("text", "at")
 
-    def __init__(self, text):
-        self.text = text
-        self.at = 0
+def _placeholder(pairs):
+    """The ``object_pairs_hook`` of bodies with a tail: answers each
+    ``{"s": n}`` placeholder, in text order, with the current tail's next
+    ``n`` characters and refuses every other object."""
+    if len(pairs) == 1:
+        key, size = pairs[0]
+        text, start = _TAIL.text, _TAIL.at
+        if key == "s" and type(size) is int and \
+                RAW_MIN <= size <= len(text) - start:
+            _TAIL.at = start + size
+            return text[start:_TAIL.at]
+    raise CodecError(
+        "malformed body: an object that is not a placeholder of the tail"
+    )
 
-    def __call__(self, pairs):
-        if len(pairs) == 1:
-            key, size = pairs[0]
-            start = self.at
-            if key == "s" and type(size) is int and \
-                    RAW_MIN <= size <= len(self.text) - start:
-                self.at = start + size
-                return self.text[start:self.at]
-        raise CodecError(
-            "malformed body: an object that is not a placeholder of the "
-            "tail"
-        )
 
-    def read(self, text):
-        """The value of the JSON ``text`` whose placeholders this tail
-        holds, every character of it read."""
-        value = _node(json.JSONDecoder(
-            object_pairs_hook=self, parse_constant=_refuse_constant,
-        ).decode(text))
-        if not self.text or self.at != len(self.text):
+_TAILED = json.JSONDecoder(
+    object_pairs_hook=_placeholder, parse_constant=_refuse_constant,
+)
+
+
+def _read_tailed(text, tail):
+    """The value of the JSON ``text`` whose placeholders ``tail`` holds,
+    every character of the tail read.  The tail is dropped again when
+    the body is done, read or refused, so a damaged body neither keeps
+    its tail alive nor reaches into the next one."""
+    _TAIL.text, _TAIL.at = tail, 0
+    try:
+        value = _node(_TAILED.decode(text))
+        if not tail or _TAIL.at != len(tail):
             raise CodecError("malformed body: tail not read exactly")
         return value
+    finally:
+        _TAIL.text = None
 
 
 def _decode_span(data, start, end):
@@ -600,10 +606,10 @@ def _decode_span(data, start, end):
             return _node(
                 _JSON.decode(str(memoryview(data)[start + 1:end], "utf-8"))
             )
-        tail = _Tail(str(
-            memoryview(data)[split + 1:end], "utf-8", "surrogatepass"
-        ))
-        return tail.read(str(memoryview(data)[start + 1:split], "utf-8"))
+        return _read_tailed(
+            str(memoryview(data)[start + 1:split], "utf-8"),
+            str(memoryview(data)[split + 1:end], "utf-8", "surrogatepass"),
+        )
     except CodecError:
         raise
     except ValueError:

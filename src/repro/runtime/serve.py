@@ -213,11 +213,11 @@ def run_single(pid, bind, peers, duration=None, hb_interval=HB_INTERVAL,
         ))
         # Wall clock is the point: --duration bounds a live server's
         # real runtime, outside the simulated world (DESIGN.md §9).
-        started = time.monotonic()  # lint: ignore[DVS006]
+        started = time.monotonic()
         last_view, last_applied = None, 0
         try:
             while (duration is None
-                   or time.monotonic() - started < duration):  # lint: ignore[DVS006]
+                   or time.monotonic() - started < duration):
                 await asyncio.sleep(hb_interval)
                 view = node.to.current
                 if view is not None and view.id != last_view:

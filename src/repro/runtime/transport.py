@@ -118,7 +118,7 @@ class PeerLink(asyncio.Protocol):
         self._on_refused = on_refused
         # Backoff jitter avoids N nodes hammering a rebooting peer in
         # lockstep; real-transport entropy is fine here (DESIGN.md §9).
-        self._jitter = random.Random()  # lint: ignore[DVS007]
+        self._jitter = random.Random()
         self._backoff = retry_min
         # The fair-lossy channel: frames wait here and nowhere else.
         self._pending = deque()

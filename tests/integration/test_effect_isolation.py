@@ -1,9 +1,9 @@
-"""Runtime cross-check of the static purity/aliasing passes.
+"""No handler mutates another process's state, checked on real runs.
 
-``repro lint`` proves *syntactically* that no handler mutates foreign
-state; ``Cluster(check_effects=True)`` proves it *dynamically* on real
-runs by snapshot-comparing every other process's layer state around
-each event dispatch.  These tests run the full stack through view
+``Cluster(check_effects=True)`` snapshot-compares every other process's
+layer state around each event dispatch, so state that two simulated
+processes both reach (a module-level container, an alias handed across)
+shows up as a foreign mutation.  These tests run the full stack through view
 changes, partitions and broadcasts with the checker armed -- and then
 deliberately break isolation to show the checker actually bites.
 """

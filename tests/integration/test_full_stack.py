@@ -55,8 +55,8 @@ class TestRuntimeTower:
     def test_runtime_stack_matches_ioa_guarantees(self, seed):
         from repro.gcs.cluster import Cluster
 
-        # One seed runs with the effect-isolation checker armed: the
-        # dynamic cross-check of the repro-lint purity/aliasing passes.
+        # One seed runs with the effect-isolation checker armed: no
+        # process mutates another's state but through the network.
         c = Cluster(
             list("abcd"), seed=seed, check_effects=(seed == 0)
         ).start()

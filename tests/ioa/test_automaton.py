@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.ioa import Action, ActionNotEnabled, Kind, State, UnknownAction, act
+from repro.ioa import (
+    Action,
+    ActionNotEnabled,
+    Kind,
+    MalformedAutomaton,
+    State,
+    TransitionAutomaton,
+    UnknownAction,
+    act,
+)
 from repro.ioa.state import fingerprint
 
 from tests.ioa.helpers import BoundedChannel, Counter
@@ -105,3 +114,54 @@ class TestTransitionAutomaton:
         ch = BoundedChannel()
         s = ch.apply(ch.initial_state(), act("put", "a"))
         assert not ch.is_enabled(s, act("deliver", "b"))
+
+
+class TestContractAtDefinition:
+    """The precondition/effect contract fails a class when it is
+    defined, naming the class and the handler."""
+
+    def test_an_effect_without_a_precondition_is_refused(self):
+        with pytest.raises(MalformedAutomaton, match=r"Unguarded\.eff_tick "
+                           r"has no pre_tick"):
+            class Unguarded(TransitionAutomaton):
+                outputs = frozenset({"tick"})
+
+                def eff_tick(self, state):
+                    state.count += 1
+
+    def test_a_precondition_on_an_input_is_refused(self):
+        with pytest.raises(MalformedAutomaton,
+                           match=r"Refusing\.pre_reset on input action"):
+            class Refusing(Counter):
+                def pre_reset(self, state):
+                    return state.count > 0
+
+    def test_a_candidate_generator_for_an_input_is_refused(self):
+        with pytest.raises(MalformedAutomaton,
+                           match=r"Enumerating\.cand_reset on input action"):
+            class Enumerating(Counter):
+                def cand_reset(self, state):
+                    yield act("reset")
+
+    def test_a_handler_naming_no_action_is_refused(self):
+        with pytest.raises(MalformedAutomaton, match=r"Misspelt\.eff_tock "
+                           r"names 'tock', which is not in the signature"):
+            class Misspelt(Counter):
+                def eff_tock(self, state):
+                    state.count += 1
+
+    def test_an_inherited_handler_of_a_dropped_action_stays_legal(self):
+        class Deaf(Counter):
+            inputs = frozenset()
+
+        assert Deaf().action_kind(act("reset")) is None
+        assert Deaf.eff_reset is Counter.eff_reset
+
+    def test_a_guard_on_a_base_covers_an_overridden_effect(self):
+        class Doubling(Counter):
+            def eff_tick(self, state):
+                state.count += 2
+
+        counter = Doubling(limit=1)
+        state = counter.apply(counter.initial_state(), act("tick"))
+        assert not counter.is_enabled(state, act("tick"))

@@ -23,6 +23,9 @@ class SpecCounter(TransitionAutomaton):
     def initial_state(self):
         return State(count=0)
 
+    def pre_tick(self, state):
+        return True
+
     def eff_tick(self, state):
         state.count += 1
 

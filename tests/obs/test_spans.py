@@ -1,6 +1,10 @@
 """Unit tests for the tracer's one log and its stitching logic, on
 hand-built event sequences (no cluster)."""
 
+import gc
+
+import pytest
+
 from repro.core.viewids import ViewId
 from repro.gcs.messages import Data, Ordered, OrderedRun
 from repro.obs import LOG_EVENTS, Tracer
@@ -204,3 +208,40 @@ def test_to_json_dict_is_json_serializable():
     assert "stages_ms" in encoded
     assert data["summary"]["deliveries"] == 1
     assert data["deliveries"][0]["total_ms"] == 14000.0
+
+
+def test_the_stitch_pauses_the_collector_and_restores_it(monkeypatch):
+    """A stitch runs with the cyclic collector off (a pass over the
+    stitch's allocations holds the GIL the live loop needs) and leaves
+    it as it found it: on, off, or on after the stitch raised."""
+    tracer = Tracer()
+    _feed_full_span(tracer)
+    seen = []
+    grouped = Tracer._by_key
+
+    def watched(self):
+        seen.append(gc.isenabled())
+        return grouped(self)
+
+    monkeypatch.setattr(Tracer, "_by_key", watched)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert tracer.to_json_dict()["summary"]["deliveries"] == 1
+        assert gc.isenabled()
+        gc.disable()
+        tracer.deliveries()
+        assert not gc.isenabled()
+        gc.enable()
+
+        def broken(self):
+            seen.append(gc.isenabled())
+            raise RuntimeError("stitch failed")
+
+        monkeypatch.setattr(Tracer, "_by_key", broken)
+        with pytest.raises(RuntimeError, match="stitch failed"):
+            tracer.stage_summary()
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]

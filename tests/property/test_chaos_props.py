@@ -120,6 +120,22 @@ class TestDuplicatePayloadWorkloads:
         monitor = cluster.monitor
         assert monitor.ok, monitor.violations[0].summary()
 
+    def test_a_lost_install_before_a_partition_remints_no_view_id(self):
+        """Invariant 3.1's second recipe (ROADMAP item 23(c)), found by
+        a 3,000-plan search of the property above and shrunk to two
+        ops: a drop window loses ``p1``'s own ``Install``, and a
+        partition isolates ``p1``, which minted ``g1@p1`` again for
+        ``{p1}``.  VS rejected ``vs_newview`` of it at action #32 while
+        a coordinator adopted its epoch only when its ``Install`` came
+        back."""
+        plan = NemesisPlan.from_json(
+            '[[2.0, "drop", [null, 0.9, 9.0]],'
+            ' [20.0, "partition", [[["p1"], ["p2", "p3"]]]]]'
+        )
+        cluster = run_duplicate_payload_chaos(PROCS, 0, plan, duration=40.0)
+        monitor = cluster.monitor
+        assert monitor.ok, monitor.violations[0].summary()
+
     def test_ablated_stack_is_still_caught(self):
         procs = ["p1", "p2", "p3", "p4", "p5"]
         plan = partition_churn(procs, seed=0, start=10.0, duration=120.0)

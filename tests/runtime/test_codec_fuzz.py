@@ -41,6 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import codec
 from repro.runtime.codec import (
     RAW_MIN,
     WIRE_TYPES,
@@ -325,6 +326,26 @@ def test_a_separator_without_a_placeholder_is_a_codec_error():
     for tail in (b"", b"x" * RAW_MIN):
         with pytest.raises(CodecError, match="tail"):
             decode(body_of(["t", ["n1"]]) + SEPARATOR + tail)
+
+
+@pytest.mark.parametrize("how", sorted(TAIL_DAMAGE))
+def test_a_damaged_tail_leaves_the_next_body_decoding(how, monkeypatch):
+    """The decoder of tailed bodies is built once, and answers each
+    placeholder from the tail of the body being decoded: a body refused
+    halfway through its tail neither keeps that tail nor lends it to
+    the next body, which decodes exactly."""
+    built = []
+    real = json.JSONDecoder
+    monkeypatch.setattr(json, "JSONDecoder",
+                        lambda *a, **k: built.append(k) or real(*a, **k))
+    payload = ["put", "a" * RAW_MIN, "b" * (RAW_MIN + 3)]
+    body = spliced(["t", payload])
+    with pytest.raises(CodecError):
+        decode(damage_tail(body, how))
+    assert codec._TAIL.text is None
+    assert decode(body) == tuple(payload)
+    assert codec._TAIL.text is None
+    assert built == []
 
 
 # -- The differential -------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import _build_chaos_plan, build_parser, main
 
 
@@ -220,6 +224,35 @@ def test_simulator_chaos_golden(name, capsys):
     assert "log digest: " + digest in lines
     assert [l for l in lines if l.split(" ")[0] in ("VS", "DVS", "TO")] \
         == verdicts
+
+
+def test_a_chaos_golden_replays_under_two_hash_seeds():
+    """Seed replay owes nothing to hash order, the wall clock, ambient
+    entropy or object addresses: one golden, run in two fresh
+    interpreters under ``PYTHONHASHSEED`` 0 and 1, prints the pinned
+    digest in both.  The two seeds iterate the member set in different
+    orders, so an unsorted walk over members on the run's path cannot
+    pass both; tier-1's own random hash seed catches it only by
+    chance."""
+    argv, exit_code, digest, _ = CHAOS_GOLDENS["churn-3"]
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "import sys; from repro.cli import main; "
+        "print(list({'p1', 'p2', 'p3'})); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    orders = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "chaos"] + argv, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        lines = proc.stdout.splitlines()
+        orders.add(lines[0])
+        assert proc.returncode == exit_code, proc.stdout[-2000:]
+        assert "log digest: " + digest in lines, (hash_seed, lines[-5:])
+    assert len(orders) == 2, orders
 
 
 class TestLiveChaosPlans:
