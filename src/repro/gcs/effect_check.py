@@ -18,7 +18,10 @@ Fingerprints are ``repr``-based.  Within one dispatch the simulation is
 single-threaded and unchanged objects produce identical reprs, so the
 comparison is exact for the debugging purpose at hand; shared
 infrastructure (the network, the shared action log, listeners wired to
-other layers) is excluded by object identity.
+other layers) is excluded by object identity.  An object's state is its
+instance dict and, under it, the mutable containers (lists, dicts,
+sets) its class or a base holds: read through ``self``, a class-level
+list is one list for every process.
 """
 
 
@@ -40,6 +43,9 @@ class EffectIsolationError(AssertionError):
 #: The node upcalls bracketed by the checker.
 _WRAPPED_UPCALLS = ("on_message", "on_timer", "on_connectivity")
 
+#: Class attributes of these types are state every instance shares.
+_MUTABLE = (list, dict, set)
+
 
 class EffectIsolationChecker:
     """Snapshot-compares foreign layer state around every dispatch."""
@@ -50,6 +56,8 @@ class EffectIsolationChecker:
         self.checks = 0
         #: pid -> [(layer_name, layer_object), ...]
         self._layers = {}
+        #: class -> names of its mutable class attributes (:meth:`_state`)
+        self._shared = {}
         for pid in cluster.processes:
             layers = [("stack", cluster.stacks[pid]),
                       ("dvs", cluster.dvs[pid])]
@@ -90,6 +98,23 @@ class EffectIsolationChecker:
 
     # -- Fingerprinting ------------------------------------------------
 
+    def _state(self, value, attrs):
+        """``attrs`` (``value``'s instance dict) over the mutable
+        containers ``value`` reaches through its class along the MRO."""
+        cls = type(value)
+        names = self._shared.get(cls)
+        if names is None:
+            names = self._shared[cls] = tuple(sorted(
+                name for name in {n for k in cls.__mro__ for n in vars(k)}
+                if not name.startswith("__")
+                and isinstance(getattr(cls, name), _MUTABLE)
+            ))
+        if not names:
+            return attrs
+        state = {name: getattr(cls, name) for name in names}
+        state.update(attrs)
+        return state
+
     def _render(self, value, depth=0):
         """A structural repr that sees inside plain helper objects.
 
@@ -121,7 +146,7 @@ class EffectIsolationChecker:
                 type(value).__name__,
                 ", ".join(
                     "{0}={1}".format(k, self._render(v, depth + 1))
-                    for k, v in sorted(attrs.items())
+                    for k, v in sorted(self._state(value, attrs).items())
                 ),
             )
         return repr(value)
@@ -129,7 +154,8 @@ class EffectIsolationChecker:
     def _fingerprint(self, pid):
         parts = []
         for layer_name, layer in self._layers[pid]:
-            for attr, value in sorted(vars(layer).items()):
+            state = self._state(layer, vars(layer))
+            for attr, value in sorted(state.items()):
                 if id(value) in self._skip_ids or callable(value):
                     continue
                 parts.append(

@@ -282,6 +282,27 @@ def _encode_dict(value):
     ) + "]]"
 
 
+def _one_text_per_view(emit):
+    """The ``ViewId`` emitter ``emit``, answering the text it wrote last
+    when handed the same identifier (``is``) again.  A text holding a
+    placeholder is written afresh each time, so that its string joins
+    every body's tail.  The memo is one ``(identifier, text)`` pair,
+    replaced in one store, as the decoder's is (:func:`_one_per_view`)."""
+    last = (None, None)
+
+    def write(vid):
+        nonlocal last
+        key, text = last
+        if vid is key:
+            return text
+        text = emit(vid)
+        if '{"s":' not in text:
+            last = (vid, text)
+        return text
+
+    return write
+
+
 class _Emitters(dict):
     """``type -> emitter``.  A type that is not a key resolves (uncached:
     the table is read-only) to the first builtin it subclasses."""
@@ -340,6 +361,7 @@ def _emitters(encode_str):
     table.update(
         (cls, registered(cls, row.values)) for cls, row in _WIRE.items()
     )
+    table[ViewId] = _one_text_per_view(table[ViewId])
     return view
 
 
@@ -369,9 +391,11 @@ def encode(value):
 # -- Decoding: JSON tree -> value --------------------------------------------
 #
 # One walk.  A native scalar is its own value (a float only if finite);
-# an array goes to the handler of its tag, which answers the value or
-# raises CodecError.  Leaves are checked by exact type (``json`` builds
-# nothing else) and an error's text is formatted only when it is raised.
+# an array headed ``"@"`` goes straight to its class's decoder, a tuple
+# is built where it is met, and any other array goes to the handler of
+# its tag, which answers the value or raises CodecError.  Leaves are
+# checked by exact type (``json`` builds nothing else) and an error's
+# text is formatted only when it is raised.
 
 #: Parsed JSON values that are, as they stand, the decoded value.
 _NATIVE = frozenset((type(None), bool, int, str))
@@ -380,8 +404,24 @@ _NATIVE = frozenset((type(None), bool, int, str))
 def _node(node):
     """The value of one parsed JSON node."""
     if type(node) is list:
+        head = node[0] if node else None
+        if head == "@":
+            ref = node[1] if len(node) > 1 else None
+            try:
+                build = _DECODERS[ref]
+            except (LookupError, TypeError):
+                # Name the reference only: the node may be as large as a
+                # frame.
+                raise CodecError("malformed body: unknown type " + (
+                    repr(ref[:80]) if type(ref) is str else type(ref).__name__
+                ))
+            return build(node)
+        if head == "t" and len(node) == 2 and type(node[1]) is list:
+            return tuple(
+                [i if type(i) in _NATIVE else _node(i) for i in node[1]]
+            )
         try:
-            handler = _DECODE[node[0]]
+            handler = _DECODE[head]
         except (LookupError, TypeError):
             raise CodecError(
                 "malformed body: expected an array headed by a known tag"
@@ -431,25 +471,12 @@ def _decode_dict(node):
     return result
 
 
-def _decode_class(node):
-    try:
-        build = _DECODERS[node[1]]
-    except (LookupError, TypeError):
-        # Name the reference only: the node may be as large as a frame.
-        ref = node[1] if len(node) > 1 else None
-        raise CodecError("malformed body: unknown type " + (
-            repr(ref[:80]) if type(ref) is str else type(ref).__name__
-        ))
-    return build(node)
-
-
 _DECODE = MappingProxyType({
     "t": _container(tuple),
     "l": _container(list),
     "fz": _container(frozenset),
     "st": _container(set),
     "d": _decode_dict,
-    "@": _decode_class,
     "y": _decode_bytes,
 })
 
@@ -463,38 +490,44 @@ def _field(declared, decoders, off_type):
     type is in ``fast`` is already the field's value; any other goes
     through ``read``, which answers a value the declaration allows or
     raises ``CodecError(off_type)``.  A registered class is checked by
-    tag and class name, a container by tag, and a scalar by the exact
-    type of what the node decodes to."""
+    tag and class name and goes straight to that class's decoder, a
+    container by tag, and a scalar by the exact type of what the node
+    decodes to."""
     inner = _optional_of(declared)
     if inner is not None:
         fast, read = _field(inner, decoders, off_type)
         return fast | {type(None)}, read
     tag = _TAGS.get(get_origin(declared) or declared)
     if tag:
-        head, handler = [tag], _DECODE[tag]
+        handler = _DECODE[tag]
+
+        def read(node):
+            if type(node) is list and node and node[0] == tag:
+                return handler(node)
+            raise CodecError(off_type)
+
     elif declared in WIRE_TYPES:
-        head = ["@", declared.__name__]
-        # A class compiled earlier is built directly.
-        handler = decoders.get(declared.__name__, _decode_class)
+        name = declared.__name__
+        build = decoders[name]
+
+        def read(node):
+            if type(node) is list and len(node) > 1 and node[0] == "@" \
+                    and node[1] == name:
+                return build(node)
+            raise CodecError(off_type)
+
     else:
         kinds = _accepted(declared)
         if not kinds:
             return _NATIVE, _node
 
-        def read_scalar(node):
+        def read(node):
             value = _node(node)
             if type(value) in kinds:
                 return value
             raise CodecError(off_type)
 
-        return _NATIVE & frozenset(kinds), read_scalar
-    size = len(head)
-
-    def read(node):
-        if type(node) is list and node[:size] == head:
-            return handler(node)
-        raise CodecError(off_type)
-
+        return _NATIVE & frozenset(kinds), read
     return frozenset(), read
 
 
@@ -531,11 +564,42 @@ def _class_decoder(cls, row, decoders):
     return build
 
 
+def _one_per_view(build):
+    """The ``ViewId`` decoder ``build``, answering the identifier it
+    built last when handed the same field list again: a frame names its
+    view in its message and again in every label, and decoded they are
+    one object.
+
+    The same list is an equal one *of the types an identifier holds*:
+    ``[True, "n1"]`` and ``[1.0, "n1"]`` equal ``[1, "n1"]``, and
+    ``build`` refuses them.  The memo is one ``(fields, identifier)``
+    pair, replaced in one store, so a thread decoding beside another
+    never pairs one frame's fields with another frame's identifier."""
+    # The key is the parsed list itself, which nothing else holds once
+    # its body is decoded; a tuple is never equal to one.
+    last = ((), None)
+
+    def read(node):
+        nonlocal last
+        key, vid = last
+        nodes = node[2] if len(node) == 3 else None
+        if nodes == key and type(nodes[0]) is int and type(nodes[1]) is str:
+            return vid
+        vid = build(node)
+        last = (nodes, vid)
+        return vid
+
+    return read
+
+
 def _class_decoders():
-    """Class name -> decoder, for every registered class."""
+    """Class name -> decoder, for every registered class, compiled in
+    :data:`WIRE_TYPES` order: the classes a class's fields name come
+    before it, so each field reader holds its class's decoder."""
     table = {}
     for cls, row in _WIRE.items():
-        table[cls.__name__] = _class_decoder(cls, row, table)
+        build = _class_decoder(cls, row, table)
+        table[cls.__name__] = _one_per_view(build) if cls is ViewId else build
     return MappingProxyType(table)
 
 
@@ -546,7 +610,21 @@ def _refuse_constant(literal):
     raise CodecError("malformed body: non-finite number " + literal)
 
 
-_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+#: Reads one JSON value from a text at an index: ``(value, end)``.
+_SCAN = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
+
+
+def _whole(scan, text):
+    """The JSON value that is all of ``text``, read by ``scan`` in one
+    pass: nothing, not even whitespace, before or after it (the encoder
+    writes none)."""
+    try:
+        value, end = scan(text, 0)
+    except StopIteration:
+        raise CodecError("body is not valid UTF-8 JSON")
+    if end != len(text):
+        raise CodecError("malformed body: text after the JSON value")
+    return value
 
 
 #: The tail of the body the current thread is decoding and how far its
@@ -570,9 +648,9 @@ def _placeholder(pairs):
     )
 
 
-_TAILED = json.JSONDecoder(
+_SCAN_TAILED = json.JSONDecoder(
     object_pairs_hook=_placeholder, parse_constant=_refuse_constant,
-)
+).scan_once
 
 
 def _read_tailed(text, tail):
@@ -582,7 +660,7 @@ def _read_tailed(text, tail):
     its tail alive nor reaches into the next one."""
     _TAIL.text, _TAIL.at = tail, 0
     try:
-        value = _node(_TAILED.decode(text))
+        value = _node(_whole(_SCAN_TAILED, text))
         if not tail or _TAIL.at != len(tail):
             raise CodecError("malformed body: tail not read exactly")
         return value
@@ -603,9 +681,9 @@ def _decode_span(data, start, end):
     try:
         # Each view is a temporary, so ``data`` is never left exported.
         if split < 0:
-            return _node(
-                _JSON.decode(str(memoryview(data)[start + 1:end], "utf-8"))
-            )
+            return _node(_whole(
+                _SCAN, str(memoryview(data)[start + 1:end], "utf-8")
+            ))
         return _read_tailed(
             str(memoryview(data)[start + 1:split], "utf-8"),
             str(memoryview(data)[split + 1:end], "utf-8", "surrogatepass"),

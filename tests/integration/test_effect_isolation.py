@@ -86,6 +86,25 @@ class TestCheckEffectsCatchesViolations:
         with pytest.raises(EffectIsolationError):
             c.settle(max_time=120)
 
+    def test_class_level_state_is_seen(self, monkeypatch):
+        """A list on the class, read through ``self``, is one list for
+        every process: a handler at ``b`` that appends to it changes
+        ``a``'s state although no instance dict of ``a`` moved."""
+        c = Cluster(list("abc"), seed=17, check_effects=True)
+        layer = type(c.dvs["a"])
+        monkeypatch.setattr(layer, "shared_log", [], raising=False)
+        original = c.dvs["b"]._on_info
+
+        def evil(info, sender):
+            original(info, sender)
+            c.dvs["b"].shared_log.append(("smuggled", "b"))
+
+        c.dvs["b"]._on_info = evil
+        c.start()
+        with pytest.raises(EffectIsolationError) as excinfo:
+            c.settle(max_time=120)
+        assert "dvs.shared_log" in excinfo.value.details
+
     def test_checker_off_by_default(self):
         c = Cluster(list("ab"), seed=16)
         assert c.effect_checker is None

@@ -143,11 +143,19 @@ class TestMarshallingUnderAsyncioDebug:
         )
         mutant = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mutant)
-        monkeypatch.setattr(
-            "repro.runtime.chaos.RuntimeCluster", mutant.RuntimeCluster
-        )
-        with pytest.raises(RuntimeError, match="Non-thread-safe operation"):
-            self._short_run()
+        # Through the leader of a formed primary, so that the call
+        # reaches the loop at once: before formation TO holds a bcast in
+        # its delay, and a run that forms late under the debug loop
+        # never hands it to ``call_soon``.
+        with mutant.RuntimeCluster(PIDS, monitor=False) as cluster:
+            cluster.wait_formation(timeout=30.0)
+            leader = cluster.call_node(
+                "n1", lambda node: node.to.current.id.origin
+            )
+            with pytest.raises(
+                RuntimeError, match="Non-thread-safe operation"
+            ):
+                cluster.bcast(leader, "unmarshalled")
 
 
 class TestPartitionRuleOnTcp:

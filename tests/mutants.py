@@ -273,6 +273,17 @@ MUTANTS = (
         "tests/runtime/test_codec_fuzz.py::"
         "test_a_damaged_tail_is_a_codec_error[unread_tail]",
     ),
+    # -- one view id per view ------------------------------------------------
+    # The decoder's memo trusting ``==``: ``[True, "n1"]`` equals
+    # ``[1, "n1"]``, so a forged identifier decodes as the last real one.
+    Mutant(
+        "view_id_memo_by_equality", "runtime/codec.py",
+        "if nodes == key and type(nodes[0]) is int and type(nodes[1]) is str:",
+        "if nodes == key:",
+        "the `ViewId` decoder's memo compares field lists by `==` alone",
+        "tests/runtime/test_codec.py::"
+        'test_pinned_field_types_hold_at_every_depth[["@","ViewId",[true,"n1"]]]',
+    ),
     # -- the codec's checks, derived from the declared field types ---------
     # The derivation blind to ``Optional[X]``: ``Heartbeat.view`` then
     # accepts anything, so a forged ``Heartbeat("g1@n1")`` validates and

@@ -27,7 +27,11 @@ UTF-8.  Two properties:
    non-finite floats, declared field types at every depth, and a v1-v3
    scalar tag anywhere in the document (the decoder reads only what
    version 7 writes).  A body whose tail does not read exactly has no
-   inline document, and the product decoder refuses it.
+   inline document, and the product decoder refuses it.  The decoder
+   also refuses whitespace before or after the body, which the
+   reference reads; no body here has any (``json.dumps`` writes none
+   around a document), so the differential cannot reach that
+   tightening and ``test_codec.py`` pins it.
 """
 
 import base64
